@@ -225,7 +225,7 @@ func BenchmarkDisciplineRED(b *testing.B) {
 
 func BenchmarkDisciplineTAQ(b *testing.B) {
 	e := sim.NewEngine(1)
-	mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+	mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 	benchmarkDiscipline(b, mb)
 }
 
@@ -235,7 +235,7 @@ func BenchmarkDisciplineTAQ(b *testing.B) {
 // obs layer when enabled (EXPERIMENTS.md quotes both).
 func BenchmarkDisciplineTAQObsOn(b *testing.B) {
 	e := sim.NewEngine(1)
-	mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+	mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 	mb.SetRecorder(obs.NewRecorder(nil, obs.DefaultRingSize))
 	benchmarkDiscipline(b, mb)
 }

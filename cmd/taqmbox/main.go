@@ -98,7 +98,7 @@ func main() {
 			fmt.Printf("t=%4.0fs  shortJFI=%.3f  loss=%.3f  arrivals=%d\n",
 				(sim.Time(i) * step).Seconds(), tb.Slicer.MeanSliceJFI(0, slices), loss, tb.QueueArrivals)
 			if tb.Middlebox != nil {
-				cur := tb.Middlebox.Stats.Snapshot()
+				cur := tb.Middlebox.Stats()
 				fmt.Printf("         interval: %s\n", cur.Delta(prev))
 				prev = cur
 			}

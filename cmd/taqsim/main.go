@@ -167,11 +167,11 @@ func main() {
 	// cumulative-to-interval convention taqmbox prints.
 	if *intervals > 0 && net.Middlebox != nil {
 		step := sim.FromSeconds(*duration) / sim.Time(*intervals)
-		prev := net.Middlebox.Stats.Snapshot()
+		prev := net.Middlebox.Stats()
 		for i := 1; i <= *intervals; i++ {
 			at := step * sim.Time(i)
 			net.Engine.ScheduleAt(at, func() {
-				cur := net.Middlebox.Stats.Snapshot()
+				cur := net.Middlebox.Stats()
 				fmt.Printf("interval @%-6s : %s\n", at, cur.Delta(prev))
 				prev = cur
 			})
@@ -220,7 +220,7 @@ func main() {
 	if net.Middlebox != nil {
 		fmt.Printf("middlebox        : lossRate=%.3f activeFlows=%d\n",
 			net.Middlebox.LossRate(), net.Middlebox.ActiveFlows())
-		fmt.Printf("middlebox stats  : %s\n", net.Middlebox.Stats.Snapshot())
+		fmt.Printf("middlebox stats  : %s\n", net.Middlebox.Stats())
 		fmt.Printf("state census     : %v\n", net.Middlebox.StateCensus())
 	}
 }

@@ -60,8 +60,9 @@ func main() {
 		fmt.Printf("%-12s completed %d/%d  median=%.1fs  p90=%.1fs  worst=%.1fs\n",
 			label, done, total, times.Median(), times.Percentile(90), times.Max())
 		if net.Middlebox != nil {
+			stats := net.Middlebox.Stats()
 			fmt.Printf("%-12s pools admitted=%d, of which waited=%d\n",
-				"", net.Middlebox.Stats.PoolsAdmitted, net.Middlebox.Stats.PoolsWaited)
+				"", stats.PoolsAdmitted, stats.PoolsWaited)
 		}
 	}
 

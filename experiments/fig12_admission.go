@@ -94,7 +94,7 @@ func RunAdmissionWeb(scale Scale, seed int64) AdmissionResult {
 			Completed: workload.CompletedFraction(sessions),
 		}
 		if net.Middlebox != nil {
-			out.PoolsWaited = net.Middlebox.Stats.PoolsWaited
+			out.PoolsWaited = net.Middlebox.Stats().PoolsWaited
 		}
 		return out
 	}

@@ -61,7 +61,7 @@ func runScalePoint(flows int, duration sim.Time, seed int64) ScalePoint {
 	eng := sim.NewEngine(1)
 	cfg := core.DefaultConfig(10_000*link.Kbps, 256)
 	cfg.PoolFairShare = true
-	q := core.New(eng, cfg)
+	q := core.NewSharded(eng, cfg, 1)
 	q.Start()
 
 	rng := rand.New(rand.NewSource(seed))
@@ -114,11 +114,12 @@ func runScalePoint(flows int, duration sim.Time, seed int64) ScalePoint {
 		if sn%50 == 0 {
 			fmt.Fprintf(sum, "%d,%d,%d,%v,%g,%g\n",
 				now, q.ActiveFlows(), q.RecoveringFlows(), q.StateCensus(),
-				q.FairShare(), q.LossRate())
+				q.Shard(0).FairShare(), q.LossRate())
 		}
 	}
 	q.Stop()
 
+	stats := q.Stats()
 	tracked := 0
 	for _, n := range q.StateCensus() {
 		tracked += n
@@ -128,8 +129,8 @@ func runScalePoint(flows int, duration sim.Time, seed int64) ScalePoint {
 		TrackedEnd: tracked,
 		ActiveEnd:  q.ActiveFlows(),
 		RecovEnd:   q.RecoveringFlows(),
-		Drops:      q.Stats.Drops,
-		Served:     q.Stats.Served,
+		Drops:      stats.Drops,
+		Served:     stats.Served,
 		Checksum:   sum.Sum64(),
 	}
 }

@@ -88,17 +88,19 @@ var hotRootCases = []hotRootCase{
 		},
 	},
 	{
-		// The warmed TAQ cycle drives the whole per-packet path:
-		// classify, admission, class queues, and the tracker's lazy
-		// epoch roll (catchUp) on every observed packet.
+		// The warmed TAQ cycle drives the whole per-packet path: shard
+		// dispatch, classify, admission, class queues, and the
+		// tracker's lazy epoch roll (catchUp) on every observed packet.
 		roots: []string{
 			"(*taq/internal/core.TAQ).Enqueue",
 			"(*taq/internal/core.TAQ).Dequeue",
 			"(*taq/internal/core.flowInfo).catchUp",
+			"(*taq/internal/core.Sharded).Enqueue",
+			"(*taq/internal/core.Sharded).Dequeue",
 		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
-			mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 			return cycleDiscipline(mb, mkPackets(64))
 		},
 	},
@@ -108,7 +110,7 @@ var hotRootCases = []hotRootCase{
 		roots: []string{"(*taq/internal/core.TAQ).FlowStateOf"},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
-			mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 			for _, p := range mkPackets(64) {
 				mb.Enqueue(p)
 			}
@@ -128,10 +130,13 @@ var hotRootCases = []hotRootCase{
 		},
 	},
 	{
-		roots: []string{"(*taq/internal/core.TAQ).ObserveReverse"},
+		roots: []string{
+			"(*taq/internal/core.TAQ).ObserveReverse",
+			"(*taq/internal/core.Sharded).ObserveReverse",
+		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
-			mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 			pkts := mkPackets(64)
 			for _, p := range pkts {
 				mb.Enqueue(p)
@@ -156,21 +161,22 @@ var hotRootCases = []hotRootCase{
 		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
-			mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 			for _, p := range mkPackets(64) {
 				mb.Enqueue(p)
 			}
 			for mb.Dequeue() != nil {
 			}
+			sh := mb.Shard(0)
 			var sink int
 			var sinkF float64
 			allocs := testing.AllocsPerRun(100, func() {
-				sink += mb.ActiveFlows()
-				sink += mb.RecoveringFlows()
-				c := mb.StateCensus()
+				sink += sh.ActiveFlows()
+				sink += sh.RecoveringFlows()
+				c := sh.StateCensus()
 				sink += c[core.StateNormal]
-				sinkF += mb.FairShare()
-				sinkF += mb.LossRate()
+				sinkF += sh.FairShare()
+				sinkF += sh.LossRate()
 			})
 			_, _ = sink, sinkF
 			return allocs
@@ -335,7 +341,7 @@ var hotRootCases = []hotRootCase{
 		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
-			mb := core.New(e, core.DefaultConfig(1000*link.Kbps, 64))
+			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 			mb.SetMetrics(core.NewMetrics(obs.NewRegistry()))
 			return cycleDiscipline(mb, mkPackets(64))
 		},
@@ -395,7 +401,7 @@ func TestFlowStoreZeroAlloc(t *testing.T) {
 	cfg.DefaultEpoch = 5 * sim.Millisecond
 	cfg.ScanInterval = 10 * sim.Millisecond
 	cfg.FlowExpiry = 40 * sim.Millisecond
-	mb := core.New(e, cfg)
+	mb := core.NewSharded(e, cfg, 1)
 	mb.Start()
 	defer mb.Stop()
 

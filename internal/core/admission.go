@@ -87,7 +87,10 @@ type admission struct {
 	cfg     Config
 	pools   admPoolTable
 	waiting []packet.PoolID
-	stats   *Stats
+	// poolsAdmitted counts admissions, poolsWaited the subset that had
+	// to wait first (Stats.PoolsAdmitted/PoolsWaited, folded in by
+	// Sharded.Stats).
+	poolsAdmitted, poolsWaited uint64
 	// lastForceAdmit paces Twait-guaranteed admissions to one pool
 	// per Twait while the loss rate stays above the threshold.
 	lastForceAdmit sim.Time
@@ -167,9 +170,9 @@ func (a *admission) poolAdmitted(now sim.Time, pool packet.PoolID) bool {
 func (a *admission) admit(pool packet.PoolID, pi *poolInfo) {
 	pi.admitted = true
 	a.removeWaiting(pool)
-	a.stats.PoolsAdmitted++
+	a.poolsAdmitted++
 	if pi.waited {
-		a.stats.PoolsWaited++
+		a.poolsWaited++
 	}
 }
 

@@ -30,9 +30,9 @@ import (
 // flows while admission control is enabled, a small slice of the
 // packet path, and its critical section is a flat-table probe.
 //
-// A single-shard TAQ (the sim path) embeds a private Aggregator; with
-// one caller the atomics and the uncontended mutex are sequentially
-// exact, so shards=1 reproduces the pre-shard behavior byte for byte.
+// With one shard — one caller — the atomics and the uncontended mutex
+// are sequentially exact, so the single-shard middlebox is bit-for-bit
+// deterministic.
 type Aggregator struct {
 	cfg Config
 
@@ -77,41 +77,25 @@ type Aggregator struct {
 	admMu      sync.Mutex
 	adm        admission
 	lastExpire sim.Time
-
-	// ownStats backs the admission counters when no owner's Stats was
-	// supplied (the shared, multi-shard case).
-	ownStats Stats
 }
 
-// NewAggregator creates the shared state for a bank of shards, with
-// the loss window opening at now. Admission counters accumulate in the
-// Aggregator's own Stats (read them via AdmissionStats).
-func NewAggregator(cfg Config, now sim.Time) *Aggregator {
-	g := &Aggregator{cfg: cfg}
-	g.adm = admission{cfg: cfg, stats: &g.ownStats}
+// newAggregator creates the shared state for a bank of shards, with
+// the loss window opening at now.
+func newAggregator(cfg Config, now sim.Time) *Aggregator {
+	g := &Aggregator{cfg: cfg, adm: admission{cfg: cfg}}
 	g.winStart.Store(int64(now))
 	return g
 }
 
-// newPrivateAggregator is the single-middlebox form used by New: the
-// admission counters land directly in the owning TAQ's Stats, exactly
-// where the pre-shard controller put them.
-func newPrivateAggregator(cfg Config, now sim.Time, stats *Stats) *Aggregator {
-	g := &Aggregator{cfg: cfg}
-	g.adm = admission{cfg: cfg, stats: stats}
-	g.winStart.Store(int64(now))
-	return g
-}
-
-// AdmissionStats returns the admission counters accumulated by a
-// shared aggregator (PoolsAdmitted, PoolsWaited; zero-valued fields
-// otherwise). A private aggregator reports through its owner's Stats
-// instead.
-func (g *Aggregator) AdmissionStats() Stats {
+// admissionCounts returns the admission controller's counters: pools
+// admitted, and the subset that had to wait first.
+//
+//taq:crossshard read of the shared admission counters, under admMu
+func (g *Aggregator) admissionCounts() (admitted, waited uint64) {
 	g.admMu.Lock()
-	s := g.ownStats
+	admitted, waited = g.adm.poolsAdmitted, g.adm.poolsWaited
 	g.admMu.Unlock()
-	return s
+	return admitted, waited
 }
 
 // noteArrival counts one arrival into the shared loss window.

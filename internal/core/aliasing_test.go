@@ -65,7 +65,7 @@ func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
 	cfg.AdmissionControl = true
-	a := admission{cfg: cfg, stats: &Stats{}}
+	a := admission{cfg: cfg}
 
 	// Low loss: every head-of-line SYN admits immediately. 10k pools
 	// force several record-array doublings mid-sequence.
@@ -80,8 +80,8 @@ func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 			t.Fatalf("pool %d lost its admission across table growth", id)
 		}
 	}
-	if a.stats.PoolsAdmitted != pools {
-		t.Fatalf("PoolsAdmitted = %d, want %d", a.stats.PoolsAdmitted, pools)
+	if a.poolsAdmitted != pools {
+		t.Fatalf("poolsAdmitted = %d, want %d", a.poolsAdmitted, pools)
 	}
 }
 

@@ -8,10 +8,11 @@
 // admission control when the loss rate crosses the model's tipping
 // point (§4.3).
 //
-// TAQ implements queue.Discipline, so it drops into the same
-// bottleneck link used by DropTail/RED/SFQ, and is engine-agnostic: it
-// runs identically under the discrete-event simulator and the
-// real-time prototype engine (internal/emu).
+// The middlebox is a Sharded — NewSharded, or NewShardedOn with one
+// runner per shard — and implements queue.Discipline, so it drops
+// into the same bottleneck link used by DropTail/RED/SFQ. It is
+// engine-agnostic: it runs identically under the discrete-event
+// simulator and the real-time prototype engine (internal/emu).
 package core
 
 import (
@@ -116,8 +117,8 @@ type Config struct {
 
 // DefaultConfig returns a TAQ configuration for a bottleneck of the
 // given rate and buffer capacity (packets). A capacity ≤ 0 defers the
-// capacity-derived fields: callers (e.g. internal/topology) complete
-// them with FillDerived once the real buffer size is known.
+// capacity-derived fields: ResolveConfig completes them (FillDerived)
+// once the deployment knows the real buffer size.
 func DefaultConfig(rate link.Bps, capacity int) Config {
 	cfg := Config{
 		Rate:             rate,
@@ -137,6 +138,22 @@ func DefaultConfig(rate link.Bps, capacity int) Config {
 	if capacity > 0 {
 		cfg.FillDerived(capacity)
 	}
+	return cfg
+}
+
+// ResolveConfig returns the configuration a deployment (sim topology,
+// emu testbed) runs for a bottleneck of the given rate and buffer in
+// packets: DefaultConfig when override is nil, otherwise the override
+// with a zero Rate and the zero capacity-derived fields completed.
+func ResolveConfig(override *Config, rate link.Bps, buffer int) Config {
+	if override == nil {
+		return DefaultConfig(rate, buffer)
+	}
+	cfg := *override
+	if cfg.Rate == 0 {
+		cfg.Rate = rate
+	}
+	cfg.FillDerived(buffer)
 	return cfg
 }
 

@@ -185,7 +185,7 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 			if sc.cfg != nil {
 				sc.cfg(&cfg)
 			}
-			q := New(eng, cfg)
+			q := newTestShard(eng, cfg)
 			q.Start()
 
 			const flows = 250

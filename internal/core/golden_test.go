@@ -82,7 +82,7 @@ func runGolden(t *testing.T, sc goldenScenario) (events, reads []byte) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
 	sc.cfg(&cfg)
-	q := New(eng, cfg)
+	q := NewSharded(eng, cfg, 1)
 
 	var evBuf bytes.Buffer
 	sink := obs.NewJSONLSink(&evBuf)
@@ -109,7 +109,7 @@ func runGolden(t *testing.T, sc goldenScenario) (events, reads []byte) {
 			fmt.Fprintf(&rd, ",%d", c[FlowState(s)])
 		}
 		rd.WriteByte(',')
-		rd.WriteString(strconv.FormatFloat(q.FairShare(), 'g', -1, 64))
+		rd.WriteString(strconv.FormatFloat(q.shards[0].FairShare(), 'g', -1, 64))
 		rd.WriteByte(',')
 		rd.WriteString(strconv.FormatFloat(q.LossRate(), 'g', -1, 64))
 		fmt.Fprintf(&rd, ",%d,%d\n", q.WaitingPools(), q.Len())

@@ -5,53 +5,6 @@ import (
 	"taq/internal/sim"
 )
 
-// stateFieldSuffix returns the lowercase per-state label used by the
-// tracker-transition metric ("new", "slowstart", ...). Kept literal so
-// label values stay stable even if FlowState.String ever changes
-// casing.
-func stateFieldSuffix(s FlowState) string {
-	switch s {
-	case StateNew:
-		return "new"
-	case StateSlowStart:
-		return "slowstart"
-	case StateNormal:
-		return "normal"
-	case StateLossRecovery:
-		return "lossrecovery"
-	case StateTimeoutSilence:
-		return "timeoutsilence"
-	case StateTimeoutRecovery:
-		return "timeoutrecovery"
-	case StateExtendedSilence:
-		return "extendedsilence"
-	case StateIdleSilence:
-		return "idlesilence"
-	default:
-		return "unknown"
-	}
-}
-
-// ClassLabels returns the class label values in Class order, matching
-// Stats.Fields' per-class suffixes.
-func ClassLabels() []string {
-	out := make([]string, numClasses)
-	for c := 0; c < numClasses; c++ {
-		out[c] = classFieldSuffix(Class(c))
-	}
-	return out
-}
-
-// StateLabels returns the tracker-state label values in FlowState
-// order.
-func StateLabels() []string {
-	out := make([]string, numFlowStates)
-	for s := 0; s < numFlowStates; s++ {
-		out[s] = stateFieldSuffix(FlowState(s))
-	}
-	return out
-}
-
 // Metrics bundles the middlebox's registry instruments. NewMetrics
 // registers the full TAQ schema on a registry; SetMetrics installs the
 // bundle on a TAQ instance. A nil *Metrics (the default) disables

@@ -29,22 +29,40 @@ const (
 	numClasses = int(ClassAboveFair) + 1
 )
 
+// enumLabel is one row of an enum's label table: name is what String
+// prints (trace sinks, census tables), label the lowercase form used as
+// the Stats.Fields suffix and the metric label value — which names the
+// Prometheus series, so it must not drift.
+type enumLabel struct{ name, label string }
+
+// classLabels is the one label table for Class.
+var classLabels = [numClasses]enumLabel{
+	ClassRecovery:      {"Recovery", "recovery"},
+	ClassNewFlow:       {"NewFlow", "newflow"},
+	ClassOverPenalized: {"OverPenalized", "overpenalized"},
+	ClassBelowFair:     {"BelowFairShare", "belowfair"},
+	ClassAboveFair:     {"AboveFairShare", "abovefair"},
+}
+
 // String implements fmt.Stringer.
 func (c Class) String() string {
-	switch c {
-	case ClassRecovery:
-		return "Recovery"
-	case ClassNewFlow:
-		return "NewFlow"
-	case ClassOverPenalized:
-		return "OverPenalized"
-	case ClassBelowFair:
-		return "BelowFairShare"
-	case ClassAboveFair:
-		return "AboveFairShare"
-	default:
+	if int(c) >= numClasses {
 		return "Unknown"
 	}
+	return classLabels[c].name
+}
+
+// ClassLabels returns the class label values in Class order, matching
+// Stats.Fields' per-class suffixes.
+func ClassLabels() []string { return labelColumn(classLabels[:]) }
+
+// labelColumn returns a label table's label column, in enum order.
+func labelColumn(table []enumLabel) []string {
+	out := make([]string, len(table))
+	for i := range table {
+		out[i] = table[i].label
+	}
+	return out
 }
 
 // recoveryItem is a queued retransmission with its priority key.

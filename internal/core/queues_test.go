@@ -161,7 +161,7 @@ func TestProportionalFairShare(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 30)
 	cfg.Fairness = Proportional
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	// Two flows with very different epochs: the short-RTT flow gets
 	// the larger proportional share.

@@ -17,7 +17,7 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmissionControl = true
 	cfg.Twait = 1000 * sim.Second // rule out the force-admit escape hatch
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 
 	// One real congestion episode pushes the measured loss past the
@@ -55,7 +55,7 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 			lr, q.agg.adm.threshold())
 	}
 	storm()
-	if got := q.Stats.PoolsAdmitted; got != 500 {
+	if got := q.agg.adm.poolsAdmitted; got != 500 {
 		t.Errorf("PoolsAdmitted = %d, want all 500 once real loss cleared (admission locked by its own drops)", got)
 	}
 	if e.Now() >= cfg.Twait {
@@ -75,7 +75,7 @@ func TestRecoveryShareCapIsWindowed(t *testing.T) {
 	cfg.RecoveryShare = 0.25
 	cfg.RecoveryCap = 1000
 	cfg.Capacity = 1000
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 
 	// A long recovery-free history: 1000 below-fair services.

@@ -37,7 +37,7 @@ func buildLoadedTAQ(tb testing.TB, n int) (*sim.Engine, *TAQ, []*packet.Packet) 
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(link.Bps(1_000_000_000), 256)
 	cfg.PoolFairShare = true
-	q := New(eng, cfg)
+	q := newTestShard(eng, cfg)
 	loadFlows(eng, q, n)
 
 	touch := make([]*packet.Packet, n)
@@ -95,7 +95,7 @@ func BenchmarkFlowLookup(b *testing.B) {
 				var sink sim.Time
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					sink += tr.get(packet.FlowID(i%n+1)).epoch
+					sink += tr.get(packet.FlowID(i%n + 1)).epoch
 				}
 				_ = sink
 			})
@@ -141,7 +141,7 @@ func BenchmarkFlowMemory(b *testing.B) {
 				var m0, m1 runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&m0)
-				q := New(eng, cfg)
+				q := newTestShard(eng, cfg)
 				loadFlows(eng, q, n)
 				runtime.GC()
 				runtime.ReadMemStats(&m1)

@@ -20,19 +20,18 @@ func ShardOf(f packet.FlowID, n int) int {
 	return int(uint32(f) * 0x9E3779B9 % uint32(n))
 }
 
-// Sharded is an N-way flow-hash-partitioned TAQ middlebox (ROADMAP
-// item 1; DESIGN.md §12). Each shard is a complete TAQ — its own
-// tracker, flow store, class queues, and scheduler accounting, all
-// //taq:shardowned — and the shards share exactly one thing: the
-// Aggregator's loss window and admission controller, reached only
-// through //taq:crossshard seams.
+// Sharded is the TAQ middlebox: flows hash-partitioned over N shards
+// (DESIGN.md §12). Each shard is a complete TAQ — its own tracker, flow
+// store, class queues, and scheduler accounting, all //taq:shardowned —
+// and the shards share exactly one thing: the Aggregator's loss window
+// and admission controller, reached only through //taq:crossshard
+// seams.
 //
-// Sharded itself implements queue.Discipline, so it drops in wherever
-// a single TAQ does (the sim path drives all shards from one engine
-// and stays deterministic; the emu shard bank gives each shard its own
-// engine and lock domain). With n=1 every method delegates straight to
-// the single shard, whose code path is byte-identical to a standalone
-// TAQ.
+// Sharded implements queue.Discipline, so it fronts a bottleneck link
+// like any baseline discipline (the sim path drives all shards from one
+// engine and stays deterministic; the emu shard bank gives each shard
+// its own engine and lock domain). With n=1 every method delegates
+// straight to the single shard.
 type Sharded struct {
 	shards []*TAQ
 	agg    *Aggregator
@@ -56,13 +55,13 @@ func NewSharded(run sim.Runner, cfg Config, n int) *Sharded {
 // shard lives on its own engine (its own lock domain and timers). The
 // aggregator's window opens at the first runner's clock.
 func NewShardedOn(runs []sim.Runner, cfg Config) *Sharded {
-	agg := NewAggregator(cfg, runs[0].Now())
+	agg := newAggregator(cfg, runs[0].Now())
 	s := &Sharded{
 		shards: make([]*TAQ, len(runs)),
 		agg:    agg,
 	}
 	for i, run := range runs {
-		s.shards[i] = NewShard(run, cfg, agg)
+		s.shards[i] = newShard(run, cfg, agg)
 	}
 	return s
 }
@@ -74,8 +73,8 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // (each emu shard goroutine feeds exactly its own shard).
 func (s *Sharded) Shard(i int) *TAQ { return s.shards[i] }
 
-// Aggregator returns the shared cross-shard state.
-func (s *Sharded) Aggregator() *Aggregator { return s.agg }
+// owner returns the shard that owns the flow.
+func (s *Sharded) owner(f packet.FlowID) *TAQ { return s.shards[ShardOf(f, len(s.shards))] }
 
 // Start starts every shard's periodic scan.
 func (s *Sharded) Start() {
@@ -93,13 +92,17 @@ func (s *Sharded) Stop() {
 
 // Enqueue implements queue.Discipline: the packet goes to the shard
 // that owns its flow.
+//
+//taq:hotpath per-packet entry point of every TAQ deployment: shard dispatch
 func (s *Sharded) Enqueue(p *packet.Packet) {
-	s.shards[ShardOf(p.Flow, len(s.shards))].Enqueue(p)
+	s.owner(p.Flow).Enqueue(p)
 }
 
 // Dequeue implements queue.Discipline: shards are served round-robin,
 // each running its own 3-level hierarchical scheduler internally. With
-// one shard this is exactly the single TAQ scheduler.
+// one shard this is exactly that shard's scheduler.
+//
+//taq:hotpath per-packet exit point of every TAQ deployment: round-robin over shards
 func (s *Sharded) Dequeue() *packet.Packet {
 	n := len(s.shards)
 	for i := 0; i < n; i++ {
@@ -146,8 +149,10 @@ func (s *Sharded) AddDropHook(fn func(*packet.Packet)) {
 
 // ObserveReverse routes an ack-path packet to the shard owning its
 // flow (§3.3 two-way deployments).
+//
+//taq:hotpath runs per ACK in two-way deployments (§3.3): shard dispatch
 func (s *Sharded) ObserveReverse(p *packet.Packet) {
-	s.shards[ShardOf(p.Flow, len(s.shards))].ObserveReverse(p)
+	s.owner(p.Flow).ObserveReverse(p)
 }
 
 // SetRecorder installs one trace recorder on every shard (and, through
@@ -170,17 +175,27 @@ func (s *Sharded) SetMetrics(mx *Metrics) {
 	}
 }
 
-// Stats sums the per-shard counters and the shared aggregator's
-// admission counters into one middlebox view.
+// Stats is the middlebox's counter view: the per-shard counters summed,
+// plus the admission counters, which only the aggregator keeps.
 func (s *Sharded) Stats() Stats {
 	var sum Stats
 	for _, sh := range s.shards {
 		sum.Add(&sh.Stats)
 	}
-	adm := s.agg.AdmissionStats()
-	sum.PoolsAdmitted += adm.PoolsAdmitted
-	sum.PoolsWaited += adm.PoolsWaited
+	sum.PoolsAdmitted, sum.PoolsWaited = s.agg.admissionCounts()
 	return sum
+}
+
+// FlowStateOf reports the tracked state of a flow, read from the shard
+// that owns it.
+func (s *Sharded) FlowStateOf(id packet.FlowID) (FlowState, bool) {
+	return s.owner(id).FlowStateOf(id)
+}
+
+// FlowEpoch reports a flow's current epoch (RTT) estimate, read from
+// the shard that owns it.
+func (s *Sharded) FlowEpoch(id packet.FlowID) (sim.Time, bool) {
+	return s.owner(id).FlowEpoch(id)
 }
 
 // ActiveFlows sums the shards' active flow counts.

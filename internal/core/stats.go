@@ -2,31 +2,6 @@ package core
 
 import "strconv"
 
-// classFieldSuffix returns the lowercase per-class field suffix used by
-// Fields ("recovery", "newflow", ...). Kept literal so field names stay
-// stable even if Class.String ever changes casing.
-func classFieldSuffix(c Class) string {
-	switch c {
-	case ClassRecovery:
-		return "recovery"
-	case ClassNewFlow:
-		return "newflow"
-	case ClassOverPenalized:
-		return "overpenalized"
-	case ClassBelowFair:
-		return "belowfair"
-	case ClassAboveFair:
-		return "abovefair"
-	default:
-		return "unknown"
-	}
-}
-
-// Snapshot returns a copy of the counters. Stats holds no references,
-// so plain assignment is already a deep copy; the method names the
-// intent at call sites that keep a baseline for later Delta.
-func (s Stats) Snapshot() Stats { return s }
-
 // Delta returns the counter differences s - prev, for per-interval
 // reporting from cumulative counters.
 func (s Stats) Delta(prev Stats) Stats {
@@ -59,11 +34,11 @@ func (s Stats) Fields() ([]string, []uint64) {
 	add("drops", s.Drops)
 	add("policy_drops", s.PolicyDrops)
 	for c := 0; c < numClasses; c++ {
-		add("drops_"+classFieldSuffix(Class(c)), s.DropsByClass[c])
+		add("drops_"+classLabels[c].label, s.DropsByClass[c])
 	}
 	add("served", s.Served)
 	for c := 0; c < numClasses; c++ {
-		add("served_"+classFieldSuffix(Class(c)), s.ServedByClass[c])
+		add("served_"+classLabels[c].label, s.ServedByClass[c])
 	}
 	add("syns_blocked", s.SynsBlocked)
 	add("pools_admitted", s.PoolsAdmitted)

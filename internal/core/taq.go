@@ -8,11 +8,13 @@ import (
 	"taq/internal/sim"
 )
 
-// TAQ is the Timeout Aware Queuing middlebox. It implements
-// queue.Discipline and can replace DropTail at any bottleneck link.
+// TAQ is one shard of the Timeout Aware Queuing middlebox: a complete
+// tracker, flow store, class queues and scheduler for the flows that
+// hash to it. It implements queue.Discipline; Sharded builds the
+// shards, routes packets to them and is what every caller constructs.
 //
-// Call Start once after construction so the periodic silence scan and
-// loss-window bookkeeping run; Stop cancels them.
+// Start arms the periodic silence scan and loss-window bookkeeping;
+// Stop cancels them.
 type TAQ struct {
 	queue.DropHook
 	cfg Config
@@ -21,10 +23,8 @@ type TAQ struct {
 	tracker *tracker
 	q       classQueues
 
-	// agg holds the loss window and the admission controller — in a
-	// sharded middlebox the only state shared between shards (see
-	// aggregator.go). A standalone TAQ owns a private aggregator, so
-	// both constructions run the identical code path.
+	// agg holds the loss window and the admission controller — the
+	// only state shared between shards (see aggregator.go).
 	agg *Aggregator
 	// winGenSeen is the last loss-window generation this shard rolled
 	// its serve counters for.
@@ -59,30 +59,20 @@ type TAQ struct {
 	scanTimer *sim.Timer
 	stopped   bool
 
-	// victimScoreFn is t.victimScore bound once in New: evict passes
-	// it to BestVictim on every overflow, and a method value taken
-	// there would allocate a closure per eviction.
+	// victimScoreFn is t.victimScore bound once in newShard: evict
+	// passes it to BestVictim on every overflow, and a method value
+	// taken there would allocate a closure per eviction.
 	victimScoreFn func(packet.FlowID) float64
 
-	// Stats accumulates middlebox counters.
+	// Stats accumulates this shard's counters. The admission counters
+	// (PoolsAdmitted, PoolsWaited) stay zero here: they live in the
+	// aggregator, and Sharded.Stats is the full view.
 	Stats Stats
 }
 
-// New constructs a TAQ middlebox driven by run.
-func New(run sim.Runner, cfg Config) *TAQ {
-	t := &TAQ{cfg: cfg, run: run}
-	t.tracker = newTracker(run, cfg)
-	t.agg = newPrivateAggregator(cfg, run.Now(), &t.Stats)
-	t.fairShare = float64(cfg.Rate)
-	t.victimScoreFn = t.victimScore
-	return t
-}
-
-// NewShard constructs one shard of a sharded middlebox: a full TAQ
-// (tracker, flow store, class queues, scheduler) attached to a shared
-// aggregator instead of a private one. Admission counters accumulate
-// in the aggregator's Stats, not this shard's.
-func NewShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
+// newShard constructs one shard attached to the middlebox's shared
+// aggregator.
+func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	t := &TAQ{cfg: cfg, run: run}
 	t.tracker = newTracker(run, cfg)
 	t.agg = agg

@@ -13,11 +13,18 @@ func testConfig() Config {
 	return cfg
 }
 
+// newTestShard builds a one-shard middlebox through the sole
+// constructor and returns its shard, for tests that poke the tracker,
+// queue or aggregator internals.
+func newTestShard(run sim.Runner, cfg Config) *TAQ {
+	return NewSharded(run, cfg, 1).shards[0]
+}
+
 func newTestTAQ(capacity int) (*sim.Engine, *TAQ) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.Capacity = capacity
-	t := New(e, cfg)
+	t := newTestShard(e, cfg)
 	t.Start()
 	return e, t
 }
@@ -30,16 +37,24 @@ func synPkt(flow packet.FlowID, pool packet.PoolID) *packet.Packet {
 	return &packet.Packet{Flow: flow, Pool: pool, Kind: packet.Syn, Size: 40}
 }
 
+// TestFlowStateStrings and TestClassStrings pin both columns of the
+// label tables: the name column feeds trace sinks, the label column
+// names Stats.Fields entries and Prometheus series.
 func TestFlowStateStrings(t *testing.T) {
-	states := []FlowState{StateNew, StateSlowStart, StateNormal, StateLossRecovery,
-		StateTimeoutSilence, StateTimeoutRecovery, StateExtendedSilence, StateIdleSilence}
-	seen := map[string]bool{}
-	for _, s := range states {
-		str := s.String()
-		if str == "Unknown" || seen[str] {
-			t.Errorf("state %d stringifies to %q", s, str)
+	want := [numFlowStates]enumLabel{
+		{"New", "new"}, {"SlowStart", "slowstart"}, {"Normal", "normal"},
+		{"LossRecovery", "lossrecovery"}, {"TimeoutSilence", "timeoutsilence"},
+		{"TimeoutRecovery", "timeoutrecovery"}, {"ExtendedSilence", "extendedsilence"},
+		{"IdleSilence", "idlesilence"},
+	}
+	labels := StateLabels()
+	for s, w := range want {
+		if got := FlowState(s).String(); got != w.name {
+			t.Errorf("FlowState(%d).String() = %q, want %q", s, got, w.name)
 		}
-		seen[str] = true
+		if labels[s] != w.label {
+			t.Errorf("StateLabels()[%d] = %q, want %q", s, labels[s], w.label)
+		}
 	}
 	if FlowState(99).String() != "Unknown" {
 		t.Error("invalid state should be Unknown")
@@ -47,13 +62,60 @@ func TestFlowStateStrings(t *testing.T) {
 }
 
 func TestClassStrings(t *testing.T) {
-	for c := Class(0); int(c) < numClasses; c++ {
-		if c.String() == "Unknown" {
-			t.Errorf("class %d has no name", c)
+	want := [numClasses]enumLabel{
+		{"Recovery", "recovery"}, {"NewFlow", "newflow"},
+		{"OverPenalized", "overpenalized"}, {"BelowFairShare", "belowfair"},
+		{"AboveFairShare", "abovefair"},
+	}
+	labels := ClassLabels()
+	names, _ := Stats{}.Fields()
+	for c, w := range want {
+		if got := Class(c).String(); got != w.name {
+			t.Errorf("Class(%d).String() = %q, want %q", c, got, w.name)
+		}
+		if labels[c] != w.label {
+			t.Errorf("ClassLabels()[%d] = %q, want %q", c, labels[c], w.label)
+		}
+		if got := names[3+c]; got != "drops_"+w.label {
+			t.Errorf("Stats.Fields drop column %d = %q, want %q", c, got, "drops_"+w.label)
 		}
 	}
 	if Class(99).String() != "Unknown" {
 		t.Error("invalid class should be Unknown")
+	}
+}
+
+// TestShardedFlowReadsRouteToOwner: the per-flow reads on a multi-shard
+// middlebox must find a flow after its SYN whichever shard owns it, and
+// miss an id no shard has seen.
+func TestShardedFlowReadsRouteToOwner(t *testing.T) {
+	const shards = 4
+	mb := NewSharded(sim.NewEngine(1), testConfig(), shards)
+	type probe struct {
+		id      packet.FlowID
+		tracked bool
+	}
+	cases := []probe{{33, false}, {-1, false}}
+	owned := map[int]bool{}
+	for id := packet.FlowID(1); id <= 32; id++ {
+		mb.Enqueue(synPkt(id, packet.PoolNone))
+		if o := ShardOf(id, shards); !owned[o] {
+			owned[o] = true
+			cases = append(cases, probe{id, true}) // one flow per owning shard
+		}
+	}
+	if len(owned) != shards {
+		t.Fatalf("test flows cover %d of %d shards", len(owned), shards)
+	}
+	for _, tc := range cases {
+		st, ok := mb.FlowStateOf(tc.id)
+		if ok != tc.tracked || (ok && st != StateNew) {
+			t.Errorf("FlowStateOf(%d) = (%v, %v), want tracked=%v in StateNew", tc.id, st, ok, tc.tracked)
+		}
+		epoch, ok := mb.FlowEpoch(tc.id)
+		if ok != tc.tracked || (ok && epoch != testConfig().DefaultEpoch) {
+			t.Errorf("FlowEpoch(%d) = (%v, %v), want tracked=%v at the default epoch", tc.id, epoch, ok, tc.tracked)
+		}
 	}
 }
 
@@ -98,7 +160,7 @@ func TestDropOfRetransmissionPredictsTimeout(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.RecoveryCap = 1
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	q.Enqueue(synPkt(1, packet.PoolNone))
 	q.Enqueue(synPkt(2, packet.PoolNone))
@@ -240,7 +302,7 @@ func TestRecoveryShareCap(t *testing.T) {
 	cfg.RecoveryShare = 0.25
 	cfg.RecoveryCap = 1000
 	cfg.Capacity = 1000
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	// 100 recovery + 100 below-fair packets queued.
 	for i := 0; i < 100; i++ {
 		q.q.recovery.push(dataPkt(1, i), sim.Second)
@@ -270,7 +332,7 @@ func TestBufferEvictionOrder(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.Capacity = 2
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	var dropped []*packet.Packet
 	q.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
 	// Fill with two below-fair packets (flows are unknown: they
@@ -299,7 +361,7 @@ func TestNewFlowQueueCapDropsSyns(t *testing.T) {
 	cfg := testConfig()
 	cfg.NewFlowCap = 2
 	cfg.Capacity = 100
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	drops := 0
 	q.SetDropHook(func(*packet.Packet) { drops++ })
 	for i := 0; i < 5; i++ {
@@ -317,7 +379,7 @@ func TestLossRateMonitor(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.Capacity = 1
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	// 1 packet stays queued, the rest dropped: loss ≈ (n-1)/n.
 	for i := 0; i < 10; i++ {
@@ -336,7 +398,7 @@ func TestAdmissionPoolFIFO(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmissionControl = true
 	cfg.Twait = 5 * sim.Second
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	// Force high loss so new pools must wait.
 	q.setLossWindow(100, 50, 0, 0)
@@ -359,16 +421,16 @@ func TestAdmissionPoolFIFO(t *testing.T) {
 		t.Errorf("pool 200 admitted out of order (blocked=%d)", q.Stats.SynsBlocked)
 	}
 	q.Enqueue(synPkt(1, 100))
-	if got := q.Stats.PoolsAdmitted; got != 1 {
+	if got := q.agg.adm.poolsAdmitted; got != 1 {
 		t.Errorf("PoolsAdmitted = %d, want 1", got)
 	}
 	// Now pool 200 is head of line.
 	q.Enqueue(synPkt(2, 200))
-	if got := q.Stats.PoolsAdmitted; got != 2 {
+	if got := q.agg.adm.poolsAdmitted; got != 2 {
 		t.Errorf("PoolsAdmitted = %d, want 2", got)
 	}
-	if q.Stats.PoolsWaited != 2 {
-		t.Errorf("PoolsWaited = %d, want 2", q.Stats.PoolsWaited)
+	if q.agg.adm.poolsWaited != 2 {
+		t.Errorf("PoolsWaited = %d, want 2", q.agg.adm.poolsWaited)
 	}
 }
 
@@ -377,7 +439,7 @@ func TestAdmissionTwaitGuarantee(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmissionControl = true
 	cfg.Twait = 3 * sim.Second
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	q.setLossWindow(100, 50, 0, 0) // permanent high loss
 	q.Enqueue(synPkt(1, 100))
@@ -387,7 +449,7 @@ func TestAdmissionTwaitGuarantee(t *testing.T) {
 	e.RunUntil(4 * sim.Second)
 	q.setLossWindow(100, 50, 100, 50) // keep loss high across windows
 	q.Enqueue(synPkt(1, 100))
-	if q.Stats.PoolsAdmitted != 1 {
+	if q.agg.adm.poolsAdmitted != 1 {
 		t.Error("pool not admitted after Twait despite guarantee")
 	}
 }
@@ -396,7 +458,7 @@ func TestAdmissionPoolNoneAlwaysAllowed(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.setLossWindow(100, 90, 0, 0)
 	q.Enqueue(synPkt(1, packet.PoolNone))
 	if q.Stats.SynsBlocked != 0 {
@@ -408,7 +470,7 @@ func TestDataOfUnadmittedPoolDropped(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.setLossWindow(100, 90, 0, 0)
 	q.Enqueue(synPkt(1, 100)) // blocked
 	p := dataPkt(1, 0)
@@ -504,7 +566,7 @@ func TestExpectedWaitEstimate(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmissionControl = true
 	cfg.Twait = 5 * sim.Second
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	q.setLossWindow(100, 50, 0, 0) // high loss: pools must wait
 	q.Enqueue(synPkt(1, 100))
@@ -528,7 +590,7 @@ func TestPoolFairShare(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.PoolFairShare = true
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	// Pool 100 has 3 flows; flow 9 is pool-less (a singleton pool).
 	for i := packet.FlowID(1); i <= 3; i++ {
@@ -557,17 +619,17 @@ func TestAdmissionPoolExpiry(t *testing.T) {
 	cfg := testConfig()
 	cfg.AdmissionControl = true
 	cfg.FlowExpiry = 5 * sim.Second
-	q := New(e, cfg)
+	q := newTestShard(e, cfg)
 	q.Start()
 	q.Enqueue(synPkt(1, 100)) // admitted (low loss)
-	if q.Stats.PoolsAdmitted != 1 {
-		t.Fatalf("PoolsAdmitted = %d", q.Stats.PoolsAdmitted)
+	if q.agg.adm.poolsAdmitted != 1 {
+		t.Fatalf("PoolsAdmitted = %d", q.agg.adm.poolsAdmitted)
 	}
 	// Pool goes idle past FlowExpiry: it must be evicted so its state
 	// does not accumulate; a fresh SYN re-admits it.
 	e.RunUntil(10 * sim.Second)
 	q.Enqueue(synPkt(2, 100))
-	if q.Stats.PoolsAdmitted != 2 {
-		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.Stats.PoolsAdmitted)
+	if q.agg.adm.poolsAdmitted != 2 {
+		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.agg.adm.poolsAdmitted)
 	}
 }

@@ -40,29 +40,29 @@ const (
 	numFlowStates = int(StateIdleSilence) + 1
 )
 
+// stateLabels is the one label table for FlowState.
+var stateLabels = [numFlowStates]enumLabel{
+	StateNew:             {"New", "new"},
+	StateSlowStart:       {"SlowStart", "slowstart"},
+	StateNormal:          {"Normal", "normal"},
+	StateLossRecovery:    {"LossRecovery", "lossrecovery"},
+	StateTimeoutSilence:  {"TimeoutSilence", "timeoutsilence"},
+	StateTimeoutRecovery: {"TimeoutRecovery", "timeoutrecovery"},
+	StateExtendedSilence: {"ExtendedSilence", "extendedsilence"},
+	StateIdleSilence:     {"IdleSilence", "idlesilence"},
+}
+
 // String implements fmt.Stringer.
 func (s FlowState) String() string {
-	switch s {
-	case StateNew:
-		return "New"
-	case StateSlowStart:
-		return "SlowStart"
-	case StateNormal:
-		return "Normal"
-	case StateLossRecovery:
-		return "LossRecovery"
-	case StateTimeoutSilence:
-		return "TimeoutSilence"
-	case StateTimeoutRecovery:
-		return "TimeoutRecovery"
-	case StateExtendedSilence:
-		return "ExtendedSilence"
-	case StateIdleSilence:
-		return "IdleSilence"
-	default:
+	if int(s) >= numFlowStates {
 		return "Unknown"
 	}
+	return stateLabels[s].name
 }
+
+// StateLabels returns the tracker-state label values in FlowState
+// order.
+func StateLabels() []string { return labelColumn(stateLabels[:]) }
 
 // flowInfo is the per-flow record the middlebox maintains (§3.3: new
 // packets per epoch, highest sequence number, retransmitted packets,

@@ -82,10 +82,6 @@ func (b *ShardBank) NumShards() int { return len(b.shards) }
 // Shard returns shard i.
 func (b *ShardBank) Shard(i int) BankShard { return b.shards[i] }
 
-// Sharded returns the underlying discipline (aggregate gauges, the
-// shared Aggregator).
-func (b *ShardBank) Sharded() *core.Sharded { return b.disc }
-
 // ShardFor returns the shard owning the flow.
 func (b *ShardBank) ShardFor(f packet.FlowID) int {
 	return core.ShardOf(f, len(b.shards))
@@ -104,18 +100,21 @@ func (b *ShardBank) MergedSnapshot() *obs.MetricsSnapshot {
 	return obs.MergedSnapshot(regs...)
 }
 
-// Stats sums the shards' middlebox counters and the aggregator's
-// admission counters, reading each shard under its own engine lock.
-func (b *ShardBank) Stats() core.Stats {
-	var sum core.Stats
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.Engine.Post(func() { sum.Add(&sh.TAQ.Stats) })
+// Stats returns the middlebox's counter view (core.Sharded.Stats), read
+// with every shard's engine lock held.
+func (b *ShardBank) Stats() (stats core.Stats) {
+	b.locked(0, func() { stats = b.disc.Stats() })
+	return stats
+}
+
+// locked runs fn holding the engine locks of shards i and up, taken in
+// shard order.
+func (b *ShardBank) locked(i int, fn func()) {
+	if i == len(b.shards) {
+		fn()
+		return
 	}
-	adm := b.disc.Aggregator().AdmissionStats()
-	sum.PoolsAdmitted += adm.PoolsAdmitted
-	sum.PoolsWaited += adm.PoolsWaited
-	return sum
+	b.shards[i].Engine.Post(func() { b.locked(i+1, fn) })
 }
 
 // Stop cancels every shard's scan and stops every engine, disarming

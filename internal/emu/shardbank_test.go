@@ -284,9 +284,11 @@ func TestShardBankOwnershipRouting(t *testing.T) {
 			t.Errorf("shard %d arrivals = %d, want %d", s, got, perShard[s])
 		}
 	}
-	if n := bank.Sharded().ActiveFlows(); n != 64 {
-		t.Errorf("aggregate active flows = %d, want 64", n)
-	}
+	bank.locked(0, func() {
+		if n := bank.disc.ActiveFlows(); n != 64 {
+			t.Errorf("aggregate active flows = %d, want 64", n)
+		}
+	})
 }
 
 // BenchmarkShardDispatch measures aggregate enqueue+dequeue throughput

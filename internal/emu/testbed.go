@@ -80,7 +80,7 @@ type Testbed struct {
 	Cfg       TestbedConfig
 	Engine    *Engine
 	Link      *link.Link
-	Middlebox *core.TAQ
+	Middlebox *core.Sharded
 	Slicer    *metrics.Slicer
 	// Gauges is the sampled time series (non-nil when GaugeSink or
 	// HTTPAddr is configured).
@@ -120,18 +120,10 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 	t.Engine.Post(func() {
 		var disc queue.Discipline
 		if cfg.UseTAQ {
-			tcfg := core.DefaultConfig(cfg.Bandwidth, cfg.BufferPackets)
-			if cfg.TAQ != nil {
-				tcfg = *cfg.TAQ
-				if tcfg.Rate == 0 {
-					tcfg.Rate = cfg.Bandwidth
-				}
-				tcfg.FillDerived(cfg.BufferPackets)
-			}
-			mb := core.New(t.Engine, tcfg)
-			mb.Start()
-			t.Middlebox = mb
-			disc = mb
+			tcfg := core.ResolveConfig(cfg.TAQ, cfg.Bandwidth, cfg.BufferPackets)
+			t.Middlebox = core.NewSharded(t.Engine, tcfg, 1)
+			t.Middlebox.Start()
+			disc = t.Middlebox
 		} else {
 			disc = queue.NewDropTail(cfg.BufferPackets)
 		}

@@ -53,12 +53,9 @@ type Config struct {
 	// TAQ optionally overrides the TAQ middlebox configuration; nil
 	// uses core.DefaultConfig(Bandwidth, BufferPackets).
 	TAQ *core.Config
-	// TAQShards, when ≥ 1, builds the middlebox as a flow-hash-
-	// partitioned core.Sharded with that many shards (Network.Sharded;
-	// one shared admission controller and loss window). 0 keeps the
-	// classic single-TAQ wiring (Network.Middlebox). Only meaningful
-	// with Queue == TAQ; one shard reproduces the single middlebox's
-	// behavior exactly (TestShardedOneShardMatchesGolden).
+	// TAQShards is how many flow-hash-partitioned shards the middlebox
+	// runs (one shared admission controller and loss window); 0 means
+	// 1. Only meaningful with Queue == TAQ.
 	TAQShards int
 	// SFQBuckets sets the SFQ bucket count (default 64).
 	SFQBuckets int
@@ -147,14 +144,8 @@ type Network struct {
 	Cfg    Config
 	Engine *sim.Engine
 	Link   *link.Link
-	// Middlebox is non-nil when the queue discipline is TAQ and
-	// Cfg.TAQShards is 0 (the classic single-middlebox wiring).
-	Middlebox *core.TAQ
-	// Sharded is non-nil when the queue discipline is TAQ and
-	// Cfg.TAQShards ≥ 1: the flow-hash-partitioned middlebox. Its
-	// Stats() includes the shared admission counters, which the
-	// per-shard TAQ Stats do not carry.
-	Sharded *core.Sharded
+	// Middlebox is non-nil when the queue discipline is TAQ.
+	Middlebox *core.Sharded
 	// Slicer accumulates per-flow delivered bytes for fairness and
 	// evolution analyses.
 	Slicer *metrics.Slicer
@@ -222,25 +213,10 @@ func New(cfg Config) (*Network, error) {
 	case SFQ:
 		disc = queue.NewSFQ(cfg.SFQBuckets, cfg.BufferPackets)
 	case TAQ:
-		tcfg := core.DefaultConfig(cfg.Bandwidth, cfg.BufferPackets)
-		if cfg.TAQ != nil {
-			tcfg = *cfg.TAQ
-			if tcfg.Rate == 0 {
-				tcfg.Rate = cfg.Bandwidth
-			}
-			tcfg.FillDerived(cfg.BufferPackets)
-		}
-		if cfg.TAQShards >= 1 {
-			sh := core.NewSharded(n.Engine, tcfg, cfg.TAQShards)
-			sh.Start()
-			n.Sharded = sh
-			disc = sh
-		} else {
-			mb := core.New(n.Engine, tcfg)
-			mb.Start()
-			n.Middlebox = mb
-			disc = mb
-		}
+		tcfg := core.ResolveConfig(cfg.TAQ, cfg.Bandwidth, cfg.BufferPackets)
+		n.Middlebox = core.NewSharded(n.Engine, tcfg, cfg.TAQShards)
+		n.Middlebox.Start()
+		disc = n.Middlebox
 	default:
 		return nil, fmt.Errorf("topology: unknown queue kind %q", cfg.Queue)
 	}
@@ -294,10 +270,6 @@ func (n *Network) EnableObservability(rec *obs.Recorder) {
 		return
 	}
 	n.Link.SetRecorder(rec)
-	if n.Sharded != nil {
-		n.Sharded.SetRecorder(rec)
-		return
-	}
 	if n.Middlebox != nil {
 		n.Middlebox.SetRecorder(rec)
 		return
@@ -321,13 +293,9 @@ func (n *Network) EnableMetrics() *obs.Registry {
 	reg := obs.NewRegistry()
 	n.Link.SetMetrics(link.NewMetrics(reg))
 	n.FCT = obs.FCTHistogram(reg)
-	switch {
-	case n.Sharded != nil:
-		// One shared registry: its cells are atomics, and the sim path
-		// drives every shard from one engine anyway.
-		n.CoreMetrics = core.NewMetrics(reg)
-		n.Sharded.SetMetrics(n.CoreMetrics)
-	case n.Middlebox != nil:
+	if n.Middlebox != nil {
+		// One registry for all shards: its cells are atomics, and the
+		// sim path drives every shard from one engine anyway.
 		n.CoreMetrics = core.NewMetrics(reg)
 		n.Middlebox.SetMetrics(n.CoreMetrics)
 	}
@@ -358,7 +326,7 @@ func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.Gaug
 	g.Register("arrivals", func() float64 { return float64(n.QueueArrivals) })
 	g.Register("drops", func() float64 { return float64(n.QueueDrops) })
 	g.Register("utilization", n.Utilization)
-	if mb := n.taqGauges(); mb != nil {
+	if mb := n.Middlebox; mb != nil {
 		g.RegisterInt("qlen_recovery", func() int { return mb.QueueLen(core.ClassRecovery) })
 		g.RegisterInt("qlen_newflow", func() int { return mb.QueueLen(core.ClassNewFlow) })
 		g.RegisterInt("qlen_overpenalized", func() int { return mb.QueueLen(core.ClassOverPenalized) })
@@ -373,41 +341,6 @@ func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.Gaug
 	n.Gauges = g
 	return g
 }
-
-// taqGauge is the middlebox surface the gauge set samples; *core.TAQ
-// and *core.Sharded both provide it (the sharded methods sum or read
-// the shared aggregator).
-type taqGauge interface {
-	QueueLen(core.Class) int
-	ActiveFlows() int
-	RecoveringFlows() int
-	LossEWMA() float64
-	WaitingPools() int
-}
-
-// taqGauges returns whichever middlebox form is wired, or nil.
-func (n *Network) taqGauges() taqGauge {
-	if n.Sharded != nil {
-		return n.Sharded
-	}
-	if n.Middlebox != nil {
-		return n.Middlebox
-	}
-	return nil
-}
-
-// observeReverse hands an ack-path packet to the middlebox (§3.3
-// two-way mode); the sharded form routes it to the owning shard.
-func (n *Network) observeReverse(p *packet.Packet) {
-	if n.Sharded != nil {
-		n.Sharded.ObserveReverse(p)
-		return
-	}
-	n.Middlebox.ObserveReverse(p)
-}
-
-// hasTAQ reports whether any middlebox form is wired.
-func (n *Network) hasTAQ() bool { return n.Middlebox != nil || n.Sharded != nil }
 
 // accessDelay returns the jittered access delay for the next packet of
 // f, never earlier than the flow's previous packet (FIFO per flow).
@@ -465,9 +398,9 @@ func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Fl
 	// In two-way mode the middlebox observes acks in passing at the
 	// midpoint.
 	f.Receiver = tcp.NewReceiver(n.Engine, n.Cfg.TCP, id, pool, func(p *packet.Packet) {
-		if n.Cfg.TwoWayObservation && n.hasTAQ() {
+		if n.Cfg.TwoWayObservation && n.Middlebox != nil {
 			sim.After(n.Engine, rtt/4, func() {
-				n.observeReverse(p)
+				n.Middlebox.ObserveReverse(p)
 				sim.After(n.Engine, rtt/4, func() { f.Sender.Deliver(p) })
 			})
 			return

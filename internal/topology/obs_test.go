@@ -19,10 +19,8 @@ func runTraced(t *testing.T, seed int64) (events, gauges []byte) {
 	return runTracedShards(t, seed, 0)
 }
 
-// runTracedShards is runTraced with the middlebox built as a
-// core.Sharded of the given shard count (0 = the classic single TAQ);
-// the golden-equivalence test runs both forms against the same pinned
-// hashes.
+// runTracedShards is runTraced with the middlebox built with the given
+// shard count (0 = the default, one shard).
 func runTracedShards(t *testing.T, seed int64, shards int) (events, gauges []byte) {
 	t.Helper()
 	n := MustNew(Config{
@@ -136,7 +134,7 @@ func runMetered(t *testing.T, seed int64) ([]byte, core.Stats) {
 		workloadShortFlow(n, 3, sim.Time(10+i)*sim.Second)
 	}
 	n.Run(40 * sim.Second)
-	return reg.Snapshot().AppendText(nil), n.Middlebox.Stats
+	return reg.Snapshot().AppendText(nil), n.Middlebox.Stats()
 }
 
 // workloadShortFlow starts a sized transfer feeding the FCT histogram

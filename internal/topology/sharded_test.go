@@ -1,60 +1,13 @@
 package topology
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
-	"os"
-	"strings"
 	"testing"
 
 	"taq/internal/packet"
 	"taq/internal/sim"
 	"taq/internal/tcp"
 )
-
-// readGoldenTraces loads the committed trace hashes.
-func readGoldenTraces(t *testing.T) map[string][2]string {
-	t.Helper()
-	f, err := os.Open(goldenTraceFile)
-	if err != nil {
-		t.Fatalf("no golden hashes (%v); run TestGoldenDumbbellTraces with TAQ_UPDATE_GOLDEN=1 first", err)
-	}
-	defer f.Close()
-	want := map[string][2]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 3 {
-			want[fields[0]] = [2]string{fields[1], fields[2]}
-		}
-	}
-	return want
-}
-
-// TestShardedOneShardMatchesGolden is the sharding refactor's
-// no-regression gate: a Sharded middlebox with exactly one shard must
-// reproduce the committed single-TAQ golden traces byte for byte —
-// same events, same gauge samples, down to the hash. Any divergence
-// means the shard path (NewShard + shared Aggregator) is not the
-// identity refactoring it claims to be.
-func TestShardedOneShardMatchesGolden(t *testing.T) {
-	want := readGoldenTraces(t)
-	for _, seed := range []int64{7, 23} {
-		events, gauges := runTracedShards(t, seed, 1)
-		name := fmt.Sprintf("dumbbell-seed%d", seed)
-		w, ok := want[name]
-		if !ok {
-			t.Fatalf("no golden hash for %q", name)
-		}
-		if g := goldenHash(events); g != w[0] {
-			t.Errorf("%s: one-shard event trace diverged from the single-TAQ golden:\n got  %s\n want %s", name, g, w[0])
-		}
-		if g := goldenHash(gauges); g != w[1] {
-			t.Errorf("%s: one-shard gauge series diverged from the single-TAQ golden:\n got  %s\n want %s", name, g, w[1])
-		}
-	}
-}
 
 // TestShardedDeterministicTrace: on the sim path all shards run on one
 // engine, so a multi-shard middlebox must stay fully deterministic —
@@ -85,24 +38,25 @@ func TestShardedAggregateAccounting(t *testing.T) {
 	}
 	n.Run(40 * sim.Second)
 
-	if n.Sharded == nil || n.Middlebox != nil {
-		t.Fatal("TAQShards=4 must wire Sharded, not Middlebox")
+	mb := n.Middlebox
+	if mb.NumShards() != 4 {
+		t.Fatalf("TAQShards=4 built %d shards", mb.NumShards())
 	}
-	stats := n.Sharded.Stats()
+	stats := mb.Stats()
 	if stats.Arrivals != n.QueueArrivals {
 		t.Errorf("summed shard arrivals = %d, queue offered %d", stats.Arrivals, n.QueueArrivals)
 	}
 	if stats.Drops != n.QueueDrops {
 		t.Errorf("summed shard drops = %d, drop hook counted %d", stats.Drops, n.QueueDrops)
 	}
-	if got := n.Sharded.ActiveFlows(); got == 0 || got > flows {
+	if got := mb.ActiveFlows(); got == 0 || got > flows {
 		t.Errorf("aggregate active flows = %d, want in (0,%d]", got, flows)
 	}
 	// The flows must actually be spread: with 8 bulk flows and the
 	// Fibonacci shard hash, more than one shard sees traffic.
 	busy := 0
-	for i := 0; i < n.Sharded.NumShards(); i++ {
-		if n.Sharded.Shard(i).Stats.Arrivals > 0 {
+	for i := 0; i < mb.NumShards(); i++ {
+		if mb.Shard(i).Stats.Arrivals > 0 {
 			busy++
 		}
 	}

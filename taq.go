@@ -153,7 +153,7 @@ type (
 	// Middlebox is the Timeout Aware Queuing discipline; it
 	// implements the same Discipline interface as the baselines and
 	// can front any bottleneck link.
-	Middlebox = core.TAQ
+	Middlebox = core.Sharded
 	// MiddleboxConfig parameterizes TAQ.
 	MiddleboxConfig = core.Config
 	// FlowState is the middlebox's approximate per-flow state (Fig 7).
@@ -180,9 +180,11 @@ func DefaultMiddleboxConfig(rate Bps, capacity int) MiddleboxConfig {
 	return core.DefaultConfig(rate, capacity)
 }
 
-// NewMiddlebox constructs a TAQ middlebox on the given runner. Call
-// Start on the result to activate its periodic scan.
-func NewMiddlebox(run Runner, cfg MiddleboxConfig) *Middlebox { return core.New(run, cfg) }
+// NewMiddlebox constructs a one-shard TAQ middlebox on the given
+// runner. Call Start on the result to activate its periodic scan.
+func NewMiddlebox(run Runner, cfg MiddleboxConfig) *Middlebox {
+	return core.NewSharded(run, cfg, 1)
+}
 
 // Scenario building.
 type (
