@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHSCALE ?= 0.05
 
-.PHONY: build vet taqvet taqvet-sarif taqvet-roots taqvet-annotations test race fuzz bench check
+.PHONY: build vet taqvet taqvet-sarif taqvet-roots taqvet-annotations test race fuzz bench bench-gate check
 
 build:
 	$(GO) build ./...
@@ -63,5 +63,18 @@ bench:
 	$(GO) test -run='^$$' -bench 'HistogramRecord|RegistrySnapshot' -benchmem ./internal/obs
 	$(GO) test -run='^$$' -bench 'ShardDispatch' -benchmem ./internal/emu
 	$(GO) run ./cmd/taqbench -json -scale $(BENCHSCALE) -out BENCH_results.json -report-out BENCH_report.txt
+
+# bench-gate runs the perf pipeline's benchmark (bench/README.md) at
+# full scale, untraced and then traced, and fails on a non-zero exit or
+# any FAIL line. The traced pass does a fixed amount of work and fails
+# under 1000 CPU-profile samples; CI's `go run ./bench -seconds 1`
+# skips that floor by design, so this is the only place a change that
+# makes a workload faster can find out, before the pipeline does, that
+# it made it too fast to profile. About four minutes. The filter passes
+# the output through; a pipeline alone would report only awk's status.
+BENCH_GATE_FILTER = awk '{ print } /^ *FAIL/ || /^bench-gate: exit [^0]/ { bad = 1 } END { exit bad }'
+bench-gate:
+	{ $(GO) run ./bench -workload all -seed 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
+	{ $(GO) run ./bench -workload all -seed 1 -trace 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
 
 check: build vet taqvet-sarif test race

@@ -9,6 +9,7 @@
 package taq_test
 
 import (
+	"runtime"
 	"testing"
 
 	"taq/internal/analysis"
@@ -18,6 +19,8 @@ import (
 	"taq/internal/packet"
 	"taq/internal/queue"
 	"taq/internal/sim"
+	"taq/internal/topology"
+	"taq/internal/workload"
 )
 
 // hotRootCase exercises one or more hotpath roots at steady state and
@@ -204,27 +207,6 @@ var hotRootCases = []hotRootCase{
 		},
 	},
 	{
-		roots: []string{"(*taq/internal/link.Pipe).Send"},
-		run: func(t *testing.T) float64 {
-			e := sim.NewEngine(1)
-			var got *packet.Packet
-			pipe := link.NewPipe(e, sim.Millisecond, func(p *packet.Packet) { got = p })
-			pkts := mkPackets(8)
-			for _, p := range pkts {
-				pipe.Send(p)
-			}
-			e.Run()
-			i := 0
-			allocs := testing.AllocsPerRun(1000, func() {
-				pipe.Send(pkts[i%len(pkts)])
-				e.Run()
-				i++
-			})
-			_ = got
-			return allocs
-		},
-	},
-	{
 		// The engine's recycled fire-and-forget path: After allocates a
 		// timer only while the free list grows; at steady state each
 		// fired event returns its timer.
@@ -243,6 +225,33 @@ var hotRootCases = []hotRootCase{
 				sim.After(e, sim.Millisecond, fn)
 				e.Run()
 			})
+		},
+	},
+	{
+		// The payload-carrying form of the same path: the handler is
+		// bound once, the packet rides in the recycled timer, and a
+		// pointer boxes into the argument without a copy.
+		roots: []string{
+			"taq/internal/sim.AfterArg",
+			"(*taq/internal/sim.Engine).AfterArg",
+		},
+		run: func(t *testing.T) float64 {
+			e := sim.NewEngine(1)
+			var got *packet.Packet
+			fn := func(arg any) { got = arg.(*packet.Packet) }
+			pkts := mkPackets(64)
+			for _, p := range pkts {
+				sim.AfterArg(e, sim.Millisecond, fn, p)
+			}
+			e.Run()
+			i := 0
+			allocs := testing.AllocsPerRun(1000, func() {
+				sim.AfterArg(e, sim.Millisecond, fn, pkts[i%len(pkts)])
+				e.Run()
+				i++
+			})
+			_ = got
+			return allocs
 		},
 	},
 	{
@@ -427,6 +436,38 @@ func TestFlowStoreZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
 		t.Fatalf("flow churn: %v allocs/op at steady state, want 0", allocs)
 	}
+}
+
+// TestSimPacketPathAllocs is the whole-path row the per-root rows
+// cannot give: a packet's trip sender → access delay → bottleneck →
+// receiver → ack → sender, through sim, tcp, topology and link at once
+// (the benchmark's dumbbell-droptail, shortened). At steady state the
+// path itself allocates nothing — events carry the packet, packets come
+// from the network's pool, timer callbacks are bound once — and what
+// remains is packets lost to queue drops and map growth in tcp, about
+// 0.2 per packet offered. Closures per hop and a packet per
+// transmission made it 5.3; the bound sits between the two so a
+// regression fails here before the benchmark sees it.
+func TestSimPacketPathAllocs(t *testing.T) {
+	net := topology.MustNew(topology.Config{Seed: 1, Bandwidth: 600 * link.Kbps, RTTJitter: 0.25})
+	workload.AddBulkFlows(net, 60, 50*sim.Millisecond)
+	net.Run(50 * sim.Second)
+
+	var before, after runtime.MemStats
+	offered := net.QueueArrivals
+	runtime.ReadMemStats(&before)
+	net.Run(100 * sim.Second)
+	runtime.ReadMemStats(&after)
+
+	pkts := net.QueueArrivals - offered
+	if pkts < 5000 {
+		t.Fatalf("only %d packets offered in 50 simulated seconds", pkts)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(pkts)
+	if perPkt > 0.5 {
+		t.Fatalf("%.2f allocations per packet offered over %d packets, want <= 0.5", perPkt, pkts)
+	}
+	t.Logf("%.3f allocations per packet offered over %d packets", perPkt, pkts)
 }
 
 // TestHotpathTableMatchesClosure pins the table to the annotations:

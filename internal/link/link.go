@@ -1,7 +1,8 @@
-// Package link models network links. The bottleneck Link serializes
-// packets at a configured rate out of a queue.Discipline; simple Pipe
-// links model uncongested propagation (access links and the reverse ACK
-// path, which per the paper carry no congestion).
+// Package link models the bottleneck link, which serializes packets at
+// a configured rate out of a queue.Discipline. The uncongested paths
+// around it (access links and the reverse ACK path, which per the paper
+// carry no congestion) are plain delays and belong to whoever wires the
+// scenario: sim.AfterArg events in internal/topology.
 package link
 
 import (
@@ -149,38 +150,4 @@ func (l *Link) Utilization(elapsed sim.Time) float64 {
 		return 0
 	}
 	return float64(l.BusyTime) / float64(elapsed)
-}
-
-// Pipe is an uncongested, lossless link: it delivers every packet after
-// a fixed delay. Used for access links and the ACK return path.
-type Pipe struct {
-	run     sim.Runner
-	delay   sim.Time
-	deliver func(*packet.Packet)
-
-	// inflight and deliverNext mirror Link's closure-free delivery: the
-	// constant delay makes deliveries FIFO, so one prebuilt callback
-	// popping a FIFO replaces a closure per packet.
-	inflight    queue.FIFO
-	deliverNext func()
-}
-
-// NewPipe returns a fixed-delay lossless link.
-func NewPipe(run sim.Runner, delay sim.Time, deliver func(*packet.Packet)) *Pipe {
-	p := &Pipe{run: run, delay: delay, deliver: deliver}
-	p.deliverNext = p.deliverHead
-	return p
-}
-
-// Send delivers p after the pipe's delay.
-//
-//taq:hotpath per-packet path of every access link and the ACK return path
-func (p *Pipe) Send(pkt *packet.Packet) {
-	p.inflight.Push(pkt)
-	sim.After(p.run, p.delay, p.deliverNext)
-}
-
-// deliverHead hands the oldest in-flight packet to the sink.
-func (p *Pipe) deliverHead() {
-	p.deliver(p.inflight.Pop())
 }

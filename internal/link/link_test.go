@@ -93,14 +93,3 @@ func TestLinkResumesAfterIdle(t *testing.T) {
 }
 
 const time500ms = 500 * sim.Millisecond
-
-func TestPipeDelay(t *testing.T) {
-	e := sim.NewEngine(1)
-	var at sim.Time
-	p := NewPipe(e, 25*sim.Millisecond, func(*packet.Packet) { at = e.Now() })
-	p.Send(&packet.Packet{Size: 40})
-	e.Run()
-	if at != 25*sim.Millisecond {
-		t.Errorf("pipe delivered at %v, want 25ms", at)
-	}
-}

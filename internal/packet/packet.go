@@ -61,8 +61,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Packet is a simulated packet. Packets are allocated per transmission;
-// retransmissions are new Packet values with Retransmit set.
+// Packet is a simulated packet. Every transmission is its own Packet
+// (allocated, or drawn from the sender's Pool); retransmissions are new
+// Packet values with Retransmit set.
 type Packet struct {
 	Flow FlowID
 	Pool PoolID
@@ -122,4 +123,34 @@ func (p *Packet) String() string {
 	default:
 		return fmt.Sprintf("flow %d %s seq=%d%s", p.Flow, p.Kind, p.Seq, r)
 	}
+}
+
+// Pool is a free list of packets for one single-threaded owner (one
+// simulated network). Endpoints draw from it through Get, which on a
+// nil *Pool allocates: endpoints built without a pool (the real-time
+// testbed, benchmarks driving an endpoint alone) need no second code
+// path, and their packets are left to the garbage collector.
+//
+// Whoever holds a packet last owns it; Put is only for an owner that
+// knows no other reference survives.
+type Pool struct {
+	free []*Packet
+}
+
+// Get returns a zeroed packet.
+func (pl *Pool) Get() *Packet {
+	if pl == nil || len(pl.free) == 0 {
+		return &Packet{}
+	}
+	last := len(pl.free) - 1
+	p := pl.free[last]
+	pl.free[last] = nil
+	pl.free = pl.free[:last]
+	*p = Packet{}
+	return p
+}
+
+// Put hands p back for reuse. The caller must not touch p afterwards.
+func (pl *Pool) Put(p *Packet) {
+	pl.free = append(pl.free, p)
 }

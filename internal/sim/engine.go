@@ -29,6 +29,13 @@ type afterRunner interface {
 	After(delay Time, fn func())
 }
 
+// afterArgRunner is the optional Runner extension behind AfterArg:
+// engines that implement it carry the argument in the recycled timer
+// itself, so the caller needs no closure to hold it.
+type afterArgRunner interface {
+	AfterArg(delay Time, fn func(any), arg any)
+}
+
 // rescheduleRunner is the optional Runner extension behind Reschedule:
 // engines that implement it can re-arm a caller-owned Timer in place
 // instead of allocating a new one.
@@ -51,6 +58,24 @@ func After(r Runner, delay Time, fn func()) {
 	r.Schedule(delay, fn)
 }
 
+// AfterArg schedules fn(arg) to run delay from now without returning a
+// handle: After for events that carry a payload (a packet in flight).
+// fn is a handler bound once by the caller and arg the per-event state,
+// so on runners that support it the event allocates nothing — provided
+// arg is pointer-shaped (a pointer, map, chan or func), which boxes
+// into the interface without a copy. AfterArg and After events due at
+// the same instant fire in the order they were scheduled. Runners
+// without the extension get a closure over Schedule.
+//
+//taq:hotpath per-hop scheduling entry of every packet in flight
+func AfterArg(r Runner, delay Time, fn func(any), arg any) {
+	if a, ok := r.(afterArgRunner); ok {
+		a.AfterArg(delay, fn, arg)
+		return
+	}
+	r.Schedule(delay, func() { fn(arg) }) //taq:allow noalloc fallback for runners without the extension (emu); the simulator never takes it
+}
+
 // Reschedule cancels t (if still pending) and arms fn to run delay from
 // now, reusing t's allocation when the runner supports it — the
 // cancel-then-rearm idiom of RTO and pacing timers without the per-arm
@@ -71,13 +96,16 @@ type Timer struct {
 	at  Time
 	seq uint64
 	fn  func()
+	// argFn and arg replace fn on payload-carrying timers (AfterArg).
+	argFn func(any)
+	arg   any
 	// index is the position in the owning engine's event heap, -1 when
 	// not queued (fired, canceled, or external).
 	index    int
 	canceled bool
-	// noHandle marks engine-internal fire-and-forget timers (After):
-	// no *Timer for them ever escapes, so the engine may recycle the
-	// struct through its free list when the event fires.
+	// noHandle marks engine-internal fire-and-forget timers (After,
+	// AfterArg): no *Timer for them ever escapes, so the engine may
+	// recycle the struct through its free list when the event fires.
 	noHandle bool
 	// eng is the owning Engine, nil for external timers.
 	eng *Engine
@@ -245,11 +273,12 @@ type Engine struct {
 	seq    uint64
 	events timerHeap
 	// free recycles Timer structs. Only timers the engine exclusively
-	// owns ever enter it: fire-and-forget (After) timers on firing, and
-	// structs handed back through Reschedule are reused directly. Timers
-	// returned by Schedule may still be referenced by callers after they
-	// fire, so they are never recycled — handing their struct to an
-	// unrelated event would let a stale Cancel kill it.
+	// owns ever enter it: fire-and-forget (After, AfterArg) timers on
+	// firing, and structs handed back through Reschedule are reused
+	// directly. Timers returned by Schedule may still be referenced by
+	// callers after they fire, so they are never recycled — handing
+	// their struct to an unrelated event would let a stale Cancel kill
+	// it.
 	free []*Timer
 	rng  *rand.Rand
 	// Processed counts callbacks executed, for instrumentation.
@@ -296,6 +325,22 @@ func (e *Engine) After(delay Time, fn func()) {
 		delay = 0
 	}
 	t := e.alloc(e.now+delay, fn)
+	t.noHandle = true
+	e.events.push(t)
+}
+
+// AfterArg schedules fn(arg) to run delay from now, fire-and-forget
+// like After, with the payload stored in the recycled timer instead of
+// a closure. See the package-level sim.AfterArg for the contract on
+// arg.
+//
+//taq:hotpath engine fast path: recycled payload-carrying timers
+func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
+	if delay < 0 {
+		delay = 0
+	}
+	t := e.alloc(e.now+delay, nil)
+	t.argFn, t.arg = fn, arg
 	t.noHandle = true
 	e.events.push(t)
 }
@@ -354,7 +399,7 @@ func (e *Engine) alloc(at Time, fn func()) *Timer {
 
 // recycle returns an engine-exclusive timer struct to the free list.
 func (e *Engine) recycle(t *Timer) {
-	t.fn = nil
+	t.fn, t.argFn, t.arg = nil, nil, nil
 	e.free = append(e.free, t)
 }
 
@@ -373,7 +418,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	t := e.events.pop()
-	fn := t.fn
+	fn, argFn, arg := t.fn, t.argFn, t.arg
 	t.fn = nil
 	e.now = t.at
 	if t.noHandle {
@@ -383,7 +428,11 @@ func (e *Engine) Step() bool {
 		e.recycle(t)
 	}
 	e.Processed++
-	fn()
+	if argFn != nil {
+		argFn(arg)
+	} else {
+		fn()
+	}
 	return true
 }
 

@@ -285,6 +285,59 @@ func TestAfterRecyclesTimers(t *testing.T) {
 	}
 }
 
+// TestAfterArgInterleavesWithAfter pins what keeps traces byte-identical
+// when a closure event becomes a payload event: both kinds share one
+// sequence, so events due at the same instant fire in scheduling order.
+func TestAfterArgInterleavesWithAfter(t *testing.T) {
+	e := NewEngine(1)
+	var order []int
+	vals := []int{0, 1, 2, 3, 4, 5}
+	record := func(arg any) { order = append(order, *arg.(*int)) }
+	for i := range vals {
+		if i%2 == 0 {
+			AfterArg(e, Second, record, &vals[i])
+		} else {
+			i := i
+			After(e, Second, func() { order = append(order, i) })
+		}
+	}
+	e.Run()
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("fired in order %v, want scheduling order", order)
+		}
+	}
+	if len(order) != len(vals) || e.Processed != uint64(len(vals)) {
+		t.Fatalf("fired %d events (Processed %d), want %d", len(order), e.Processed, len(vals))
+	}
+}
+
+func TestAfterArgRecyclesTimers(t *testing.T) {
+	e := NewEngine(1)
+	payload := new(int)
+	var got any
+	fn := func(arg any) { got = arg }
+	for i := 0; i < 8; i++ {
+		e.AfterArg(Time(i)*Millisecond, fn, payload)
+	}
+	e.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.AfterArg(Millisecond, fn, payload)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Errorf("AfterArg at steady state: %v allocs/op, want 0", allocs)
+	}
+	if got != any(payload) {
+		t.Errorf("handler got %v, want the scheduled argument", got)
+	}
+	for _, tm := range e.free {
+		if tm.argFn != nil || tm.arg != nil {
+			t.Fatal("a recycled timer still pins its handler or payload")
+		}
+	}
+}
+
 func TestRescheduleReusesPendingTimer(t *testing.T) {
 	e := NewEngine(1)
 	hits := []Time{}
@@ -361,9 +414,15 @@ func TestPackageHelpersFallBackToSchedule(t *testing.T) {
 	After(r, Second, func() { fired++ })
 	tm := Reschedule(r, nil, 2*Second, func() { fired++ })
 	tm = Reschedule(r, tm, 3*Second, func() { fired++ })
+	payload := new(int)
+	var got any
+	AfterArg(r, 4*Second, func(arg any) { got = arg }, payload)
 	e.Run()
 	if fired != 2 {
 		t.Errorf("fired = %d, want 2 (After + final Reschedule)", fired)
+	}
+	if got != any(payload) {
+		t.Errorf("AfterArg fallback delivered %v, want the scheduled argument %p", got, payload)
 	}
 }
 

@@ -28,6 +28,11 @@ type Receiver struct {
 	// Delayed-ack state (only used when cfg.DelayedAck is set).
 	delPending bool
 	delTimer   *sim.Timer
+	delAckFn   func() // bound once in NewReceiver, like Sender's
+
+	// Packets is where acks are drawn from; nil allocates each one
+	// (see Sender.Packets).
+	Packets *packet.Pool
 
 	// OnDeliver is called with the number of segments newly delivered
 	// in order and the current time; metrics collectors hang off it.
@@ -42,7 +47,17 @@ type Receiver struct {
 // NewReceiver creates the receiver half of a flow. out transmits ACKs
 // back toward the sender (the uncongested reverse path).
 func NewReceiver(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolID, out func(*packet.Packet)) *Receiver {
-	return &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out, ooo: make(map[int]bool)}
+	r := &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out, ooo: make(map[int]bool)}
+	r.delAckFn = r.onDelAckTimeout
+	return r
+}
+
+// newPacket draws a reverse-path packet from the receiver's pool.
+func (r *Receiver) newPacket(kind packet.Kind, size int) *packet.Packet {
+	p := r.Packets.Get()
+	p.Flow, p.Pool, p.Kind = r.flow, r.pool, kind
+	p.Size, p.Sent = size, r.run.Now()
+	return p
 }
 
 // CumAck returns the next expected segment index.
@@ -52,10 +67,7 @@ func (r *Receiver) CumAck() int { return r.cumAck }
 func (r *Receiver) Deliver(p *packet.Packet) {
 	switch p.Kind {
 	case packet.Syn:
-		r.out(&packet.Packet{
-			Flow: r.flow, Pool: r.pool, Kind: packet.SynAck,
-			Size: r.cfg.SynSize, Sent: r.run.Now(),
-		})
+		r.out(r.newPacket(packet.SynAck, r.cfg.SynSize))
 	case packet.Data:
 		r.onData(p)
 	}
@@ -89,12 +101,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 		}
 		// The previous handle is always fired or canceled here, so
 		// Reschedule reuses its allocation.
-		r.delTimer = sim.Reschedule(r.run, r.delTimer, timeout, func() {
-			if r.delPending {
-				r.delPending = false
-				r.sendAck()
-			}
-		})
+		r.delTimer = sim.Reschedule(r.run, r.delTimer, timeout, r.delAckFn)
 		return
 	}
 	r.delPending = false
@@ -102,11 +109,17 @@ func (r *Receiver) onData(p *packet.Packet) {
 	r.sendAck()
 }
 
-func (r *Receiver) sendAck() {
-	ack := &packet.Packet{
-		Flow: r.flow, Pool: r.pool, Kind: packet.Ack,
-		CumAck: r.cumAck, Size: r.cfg.AckSize, Sent: r.run.Now(),
+// onDelAckTimeout releases a held ack when the delay timer fires.
+func (r *Receiver) onDelAckTimeout() {
+	if r.delPending {
+		r.delPending = false
+		r.sendAck()
 	}
+}
+
+func (r *Receiver) sendAck() {
+	ack := r.newPacket(packet.Ack, r.cfg.AckSize)
+	ack.CumAck = r.cumAck
 	if r.cfg.SACK && len(r.ooo) > 0 {
 		blocks := make([]int, 0, len(r.ooo))
 		for seq := range r.ooo {

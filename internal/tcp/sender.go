@@ -70,6 +70,15 @@ type Sender struct {
 	nextPaced sim.Time
 	paceTimer *sim.Timer
 
+	// Timer callbacks, bound once in NewSender: a method value or
+	// literal re-created on every arm is an allocation per arm.
+	rtoFn, synTimeoutFn, paceFn func()
+
+	// Packets is where outgoing packets are drawn from; nil allocates
+	// each one. Whoever sets it takes on returning packets to the same
+	// pool once no reference survives (see packet.Pool).
+	Packets *packet.Pool
+
 	// Stats accumulates per-sender counters.
 	Stats Stats
 
@@ -86,7 +95,7 @@ func NewSender(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolI
 	if cfg.FixedRTO > 0 {
 		rto = cfg.FixedRTO
 	}
-	return &Sender{
+	s := &Sender{
 		run:     run,
 		cfg:     cfg,
 		flow:    flow,
@@ -98,6 +107,19 @@ func NewSender(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolI
 		backoff: 1,
 		rto:     rto,
 	}
+	s.rtoFn = s.onRTO
+	s.synTimeoutFn = s.onSynTimeout
+	s.paceFn = s.onPace
+	return s
+}
+
+// newPacket draws a packet of the given kind and size from the
+// sender's pool, stamped with the flow and the send time.
+func (s *Sender) newPacket(kind packet.Kind, size int, rexmit bool) *packet.Packet {
+	p := s.Packets.Get()
+	p.Flow, p.Pool, p.Kind = s.flow, s.pool, kind
+	p.Size, p.Retransmit, p.Sent = size, rexmit, s.run.Now()
+	return p
 }
 
 // Flow returns the sender's flow ID.
@@ -154,10 +176,7 @@ func (s *Sender) sendSyn(rexmit bool) {
 	} else {
 		s.synSentAt = s.run.Now()
 	}
-	s.out(&packet.Packet{
-		Flow: s.flow, Pool: s.pool, Kind: packet.Syn,
-		Size: s.cfg.SynSize, Retransmit: rexmit, Sent: s.run.Now(),
-	})
+	s.out(s.newPacket(packet.Syn, s.cfg.SynSize, rexmit))
 	timeout := s.cfg.SynTimeout
 	for i := 0; i < s.synRetries; i++ {
 		timeout *= 2
@@ -166,7 +185,7 @@ func (s *Sender) sendSyn(rexmit bool) {
 			break
 		}
 	}
-	s.synTimer = sim.Reschedule(s.run, s.synTimer, timeout, s.onSynTimeout)
+	s.synTimer = sim.Reschedule(s.run, s.synTimer, timeout, s.synTimeoutFn)
 }
 
 func (s *Sender) onSynTimeout() {
@@ -274,10 +293,7 @@ func (s *Sender) trySend() {
 			now := s.run.Now()
 			if now < s.nextPaced {
 				if s.paceTimer == nil || s.paceTimer.Canceled() {
-					s.paceTimer = sim.Reschedule(s.run, s.paceTimer, s.nextPaced-now, func() {
-						s.paceTimer = nil
-						s.trySend()
-					})
+					s.paceTimer = sim.Reschedule(s.run, s.paceTimer, s.nextPaced-now, s.paceFn)
 				}
 				return
 			}
@@ -288,6 +304,12 @@ func (s *Sender) trySend() {
 		s.sendSegment(s.nextSeq)
 		s.nextSeq++
 	}
+}
+
+// onPace fires when the pacing gap has elapsed.
+func (s *Sender) onPace() {
+	s.paceTimer = nil
+	s.trySend()
 }
 
 // sendSegment transmits segment seq, marking it a retransmission if it
@@ -302,10 +324,9 @@ func (s *Sender) sendSegment(seq int) {
 	}
 	s.Stats.SegmentsSent++
 	s.sent[seq] = txInfo{sentAt: s.run.Now(), rexmit: rexmit}
-	s.out(&packet.Packet{
-		Flow: s.flow, Pool: s.pool, Kind: packet.Data,
-		Seq: seq, Size: s.cfg.MSS, Retransmit: rexmit, Sent: s.run.Now(),
-	})
+	p := s.newPacket(packet.Data, s.cfg.MSS, rexmit)
+	p.Seq = seq
+	s.out(p)
 	if s.rtoTimer == nil || s.rtoTimer.Canceled() {
 		s.armRTO()
 	}
@@ -323,7 +344,7 @@ func (s *Sender) effectiveRTO() sim.Time {
 func (s *Sender) armRTO() {
 	// Reschedule reuses the timer allocation across the cancel-then-rearm
 	// churn every ack causes; s.rtoTimer is the only handle.
-	s.rtoTimer = sim.Reschedule(s.run, s.rtoTimer, s.effectiveRTO(), s.onRTO)
+	s.rtoTimer = sim.Reschedule(s.run, s.rtoTimer, s.effectiveRTO(), s.rtoFn)
 }
 
 func (s *Sender) onAck(p *packet.Packet) {

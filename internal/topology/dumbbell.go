@@ -131,8 +131,19 @@ type Flow struct {
 	RTT          sim.Time
 	Started      sim.Time
 
-	// deliver hands forward-path packets to the flow's receiver half.
-	deliver func(*packet.Packet)
+	net *Network
+	// toReceiver and toSender are the two endpoints' Deliver funcs.
+	toReceiver, toSender func(*packet.Packet)
+	// packets is where a packet goes once its endpoint's Deliver has
+	// returned: the network's pool for TCP flows, whose endpoints draw
+	// from it; nil for TFRC flows, whose endpoints allocate their own.
+	packets *packet.Pool
+	// The per-hop event handlers, bound once when the flow is built so
+	// a packet in flight is a sim.AfterArg payload and not a closure:
+	// arrival at the receiver, arrival at the sender, and (TCP flows
+	// under two-way observation only, else nil) the ack passing the
+	// middlebox halfway back.
+	fwdArrive, revArrive, revMidpoint func(any)
 	// lastFwdArrival enforces per-flow FIFO ordering on the jittered
 	// access path (jitter shifts arrivals but must not reorder a
 	// flow's own packets).
@@ -181,6 +192,17 @@ type Network struct {
 	flows  map[packet.FlowID]*Flow
 	nextID packet.FlowID
 
+	// packets recycles the TCP endpoints' packets: one free list for the
+	// whole network, because a list per flow or per endpoint would each
+	// retain its own peak. Only returnPacket feeds it.
+	packets packet.Pool
+	// toQueue is the access path's event handler (bound once in New): a
+	// packet reaching the bottleneck queue.
+	toQueue func(any)
+	// onPut, when set (tests only), sees every packet just after it was
+	// returned to the pool.
+	onPut func(*packet.Packet)
+
 	// QueueArrivals and QueueDrops count packets offered to and
 	// dropped at the bottleneck queue; ExternalDrops counts losses on
 	// the post-bottleneck underlay (Config.ExternalLoss).
@@ -200,6 +222,7 @@ func New(cfg Config) (*Network, error) {
 		Hangs:  metrics.NewHangTracker(),
 		flows:  make(map[packet.FlowID]*Flow),
 	}
+	n.toQueue = n.enqueue
 
 	var disc queue.Discipline
 	switch cfg.Queue {
@@ -378,107 +401,140 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	if n.delaySample%16 == 0 {
 		n.QueueDelays.Add((n.Engine.Now() - p.Enqueued).Seconds())
 	}
-	sim.After(n.Engine, f.RTT/4, func() { f.deliver(p) })
+	sim.AfterArg(n.Engine, f.RTT/4, f.fwdArrive, p)
+}
+
+// enqueue is the toQueue handler: a packet's access delay has elapsed.
+func (n *Network) enqueue(arg any) {
+	n.QueueArrivals++
+	n.Link.Enqueue(arg.(*packet.Packet))
+}
+
+// returnPacket ends a packet's life: its endpoint's Deliver has
+// returned, so no reference survives (endpoints copy what they keep).
+// This is the only place packets re-enter the pool; packets that die
+// anywhere else — queue drops, which drop hooks may retain,
+// ExternalLoss, an unknown flow — are left to the garbage collector.
+func (f *Flow) returnPacket(p *packet.Packet) {
+	if f.packets == nil {
+		return // a TFRC packet: not from the pool, so never into it
+	}
+	f.packets.Put(p)
+	if f.net.onPut != nil {
+		f.net.onPut(p)
+	}
+}
+
+// sendForward is the sending endpoint's out: sender → (access delay
+// rtt/4 + jitter) → queue.
+func (f *Flow) sendForward(p *packet.Packet) {
+	n := f.net
+	sim.AfterArg(n.Engine, n.accessDelay(f, f.RTT/4), n.toQueue, p)
+}
+
+func (f *Flow) forwardArrive(arg any) {
+	p := arg.(*packet.Packet)
+	f.toReceiver(p)
+	f.returnPacket(p)
+}
+
+// sendReverse is the receiving endpoint's out: receiver → sender,
+// uncongested, half the RTT. In two-way mode the middlebox observes
+// acks in passing at the midpoint.
+func (f *Flow) sendReverse(p *packet.Packet) {
+	if f.revMidpoint != nil {
+		sim.AfterArg(f.net.Engine, f.RTT/4, f.revMidpoint, p)
+		return
+	}
+	sim.AfterArg(f.net.Engine, f.RTT/2, f.revArrive, p)
+}
+
+func (f *Flow) reverseMidpoint(arg any) {
+	p := arg.(*packet.Packet)
+	f.net.Middlebox.ObserveReverse(p)
+	sim.AfterArg(f.net.Engine, f.RTT/4, f.revArrive, p)
+}
+
+func (f *Flow) reverseArrive(arg any) {
+	p := arg.(*packet.Packet)
+	f.toSender(p)
+	f.returnPacket(p)
+}
+
+// delivered is the receiving endpoint's OnDeliver: units more
+// MSS-sized segments reached the application in order.
+func (f *Flow) delivered(units int) {
+	n := f.net
+	now := n.Engine.Now()
+	n.Slicer.Record(f.ID, now, units*n.Cfg.TCP.MSS)
+	if f.Pool != packet.PoolNone {
+		n.Hangs.Touch(f.Pool, now)
+	}
+}
+
+// newFlow draws the next flow's ID and RTT and binds its per-hop
+// handlers. The caller builds the endpoints around f.sendForward,
+// f.sendReverse and f.delivered, then hands them to start.
+func (n *Network) newFlow(pool packet.PoolID, startAt sim.Time) *Flow {
+	id := n.nextID
+	n.nextID++
+	rtt := n.Cfg.PropRTT
+	if j := n.Cfg.RTTJitter; j > 0 {
+		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
+	}
+	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt, net: n}
+	f.fwdArrive = f.forwardArrive
+	f.revArrive = f.reverseArrive
+	return f
+}
+
+// start registers f, whose endpoints take packets through toReceiver
+// and toSender, and schedules begin (the sending endpoint's Start) at
+// the flow's start time.
+func (n *Network) start(f *Flow, toReceiver, toSender func(*packet.Packet), begin func()) {
+	f.toReceiver, f.toSender = toReceiver, toSender
+	n.flows[f.ID] = f
+	n.Slicer.Register(f.ID, f.Started)
+	if n.Census != nil {
+		n.Census.Register(f.ID)
+	}
+	if f.Pool != packet.PoolNone {
+		n.Hangs.Start(f.Pool, f.Started)
+	}
+	n.Engine.ScheduleAt(f.Started, begin)
 }
 
 // AddFlow creates a TCP flow with the given app, starting its
 // handshake at startAt. Pool groups flows for hang tracking and
 // admission control; use packet.PoolNone for independent flows.
 func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Flow {
-	id := n.nextID
-	n.nextID++
-
-	rtt := n.Cfg.PropRTT
-	if j := n.Cfg.RTTJitter; j > 0 {
-		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
+	f := n.newFlow(pool, startAt)
+	f.packets = &n.packets
+	if n.Cfg.TwoWayObservation && n.Middlebox != nil {
+		f.revMidpoint = f.reverseMidpoint
 	}
-	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt}
-
-	// Reverse path: receiver → sender, uncongested, half the RTT.
-	// In two-way mode the middlebox observes acks in passing at the
-	// midpoint.
-	f.Receiver = tcp.NewReceiver(n.Engine, n.Cfg.TCP, id, pool, func(p *packet.Packet) {
-		if n.Cfg.TwoWayObservation && n.Middlebox != nil {
-			sim.After(n.Engine, rtt/4, func() {
-				n.Middlebox.ObserveReverse(p)
-				sim.After(n.Engine, rtt/4, func() { f.Sender.Deliver(p) })
-			})
-			return
-		}
-		sim.After(n.Engine, rtt/2, func() { f.Sender.Deliver(p) })
-	})
-	mss := n.Cfg.TCP.MSS
-	f.Receiver.OnDeliver = func(segs int) {
-		now := n.Engine.Now()
-		n.Slicer.Record(id, now, segs*mss)
-		if pool != packet.PoolNone {
-			n.Hangs.Touch(pool, now)
-		}
-	}
-
-	// Forward path: sender → (access delay rtt/4 + jitter) → queue.
-	f.Sender = tcp.NewSender(n.Engine, n.Cfg.TCP, id, pool, app, func(p *packet.Packet) {
-		sim.After(n.Engine, n.accessDelay(f, rtt/4), func() {
-			n.QueueArrivals++
-			n.Link.Enqueue(p)
-		})
-	})
-
-	f.deliver = f.Receiver.Deliver
-	n.flows[id] = f
-	n.Slicer.Register(id, startAt)
-	if n.Census != nil {
-		n.Census.Register(id)
-	}
-	if pool != packet.PoolNone {
-		n.Hangs.Start(pool, startAt)
-	}
-	n.Engine.ScheduleAt(startAt, f.Sender.Start)
+	f.Receiver = tcp.NewReceiver(n.Engine, n.Cfg.TCP, f.ID, pool, f.sendReverse)
+	f.Receiver.Packets = f.packets
+	f.Receiver.OnDeliver = f.delivered
+	f.Sender = tcp.NewSender(n.Engine, n.Cfg.TCP, f.ID, pool, app, f.sendForward)
+	f.Sender.Packets = f.packets
+	n.start(f, f.Receiver.Deliver, f.Sender.Deliver, f.Sender.Start)
 	return f
 }
 
 // AddTFRCFlow creates a TFRC (equation-rate-controlled) flow starting
 // at startAt — the baseline the paper's introduction rules out for
-// sub-packet regimes.
+// sub-packet regimes. TFRC endpoints allocate their own packets, so
+// the flow has no pool and its packets are never recycled.
 func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
-	id := n.nextID
-	n.nextID++
-	rtt := n.Cfg.PropRTT
-	if j := n.Cfg.RTTJitter; j > 0 {
-		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
-	}
-	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt}
-
+	f := n.newFlow(pool, startAt)
 	cfg := tfrc.DefaultConfig()
 	cfg.MSS = n.Cfg.TCP.MSS
-	cfg.InitialRTT = rtt
-	f.TFRCReceiver = tfrc.NewReceiver(n.Engine, cfg, id, pool, func(p *packet.Packet) {
-		sim.After(n.Engine, rtt/2, func() { f.TFRCSender.Deliver(p) })
-	})
-	mss := cfg.MSS
-	f.TFRCReceiver.OnDeliver = func(pkts int) {
-		now := n.Engine.Now()
-		n.Slicer.Record(id, now, pkts*mss)
-		if pool != packet.PoolNone {
-			n.Hangs.Touch(pool, now)
-		}
-	}
-	f.TFRCSender = tfrc.NewSender(n.Engine, cfg, id, pool, func(p *packet.Packet) {
-		sim.After(n.Engine, n.accessDelay(f, rtt/4), func() {
-			n.QueueArrivals++
-			n.Link.Enqueue(p)
-		})
-	})
-	f.deliver = f.TFRCReceiver.Deliver
-	n.flows[id] = f
-	n.Slicer.Register(id, startAt)
-	if n.Census != nil {
-		n.Census.Register(id)
-	}
-	if pool != packet.PoolNone {
-		n.Hangs.Start(pool, startAt)
-	}
-	n.Engine.ScheduleAt(startAt, f.TFRCSender.Start)
+	cfg.InitialRTT = f.RTT
+	f.TFRCReceiver = tfrc.NewReceiver(n.Engine, cfg, f.ID, pool, f.sendReverse)
+	f.TFRCReceiver.OnDeliver = f.delivered
+	f.TFRCSender = tfrc.NewSender(n.Engine, cfg, f.ID, pool, f.sendForward)
+	n.start(f, f.TFRCReceiver.Deliver, f.TFRCSender.Deliver, f.TFRCSender.Start)
 	return f
 }
 
