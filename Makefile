@@ -41,10 +41,12 @@ test:
 
 # The race detector only matters where real goroutines run: the
 # emulation layer (including the obs recorder + live endpoint under
-# concurrent timers), the pcap-style capture pipeline, and the
+# concurrent timers), the pcap-style capture pipeline, the session and
+# network tests that also run on the wall-clock engine, and the
 # experiment sweep worker pool.
 race:
-	$(GO) test -race ./internal/emu/... ./internal/capture/... ./internal/obs/...
+	$(GO) test -race ./internal/emu/... ./internal/capture/... ./internal/obs/... ./internal/workload/...
+	$(GO) test -race -run OnEmu ./internal/topology
 	$(GO) test -race -run 'TestRunPoints|TestParallelSweep' ./experiments
 
 # fuzz runs every committed fuzz target for FUZZTIME each (go test

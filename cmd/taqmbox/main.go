@@ -19,6 +19,7 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/sim"
+	"taq/internal/topology"
 )
 
 func main() {
@@ -58,15 +59,26 @@ func main() {
 	}
 
 	virtual := sim.FromSeconds(*duration)
+	queue := topology.DropTail
+	if *useTAQ {
+		queue = topology.TAQ
+	}
 	tb := emu.NewTestbed(emu.TestbedConfig{
-		Seed:          *seed,
-		Speedup:       *speedup,
-		Bandwidth:     link.Bps(*bw),
-		UseTAQ:        *useTAQ,
-		SliceWidth:    virtual / 4,
-		Events:        rec,
-		HTTPAddr:      *httpAddr,
-		EnableMetrics: *metricsOut != "",
+		Config: topology.Config{
+			Seed:       *seed,
+			Bandwidth:  link.Bps(*bw),
+			Queue:      queue,
+			SliceWidth: virtual / 4,
+		},
+		Speedup:  *speedup,
+		HTTPAddr: *httpAddr,
+	})
+	net := tb.Net
+	tb.Snapshot(func() {
+		net.EnableObservability(rec)
+		if *metricsOut != "" {
+			net.EnableMetrics()
+		}
 	})
 	if tb.HTTPErr != nil {
 		fmt.Fprintln(os.Stderr, "taqmbox: http:", tb.HTTPErr)
@@ -78,10 +90,6 @@ func main() {
 	for i := 0; i < *flows; i++ {
 		tb.AddBulkFlow()
 	}
-	queue := "droptail"
-	if *useTAQ {
-		queue = "taq"
-	}
 	fmt.Printf("middlebox=%s bandwidth=%.0fbps flows=%d (%.0fx speedup, %.1fs wall)\n",
 		queue, *bw, *flows, *speedup, *duration / *speedup)
 
@@ -90,15 +98,10 @@ func main() {
 	for i := 1; i <= 4; i++ {
 		tb.RunFor(step)
 		tb.Snapshot(func() {
-			slices := i
-			loss := 0.0
-			if tb.QueueArrivals > 0 {
-				loss = float64(tb.QueueDrops) / float64(tb.QueueArrivals)
-			}
 			fmt.Printf("t=%4.0fs  shortJFI=%.3f  loss=%.3f  arrivals=%d\n",
-				(sim.Time(i) * step).Seconds(), tb.Slicer.MeanSliceJFI(0, slices), loss, tb.QueueArrivals)
-			if tb.Middlebox != nil {
-				cur := tb.Middlebox.Stats()
+				(sim.Time(i) * step).Seconds(), net.Slicer.MeanSliceJFI(0, i), net.LossRate(), net.QueueArrivals)
+			if net.Middlebox != nil {
+				cur := net.Middlebox.Stats()
 				fmt.Printf("         interval: %s\n", cur.Delta(prev))
 				prev = cur
 			}
@@ -111,7 +114,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "taqmbox:", err)
 			os.Exit(1)
 		}
-		if err := tb.Metrics.Snapshot().WriteText(f); err != nil {
+		if err := net.Metrics.Snapshot().WriteText(f); err != nil {
 			fmt.Fprintln(os.Stderr, "taqmbox: metrics:", err)
 			os.Exit(1)
 		}

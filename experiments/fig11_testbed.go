@@ -6,6 +6,7 @@ import (
 	"taq/internal/emu"
 	"taq/internal/link"
 	"taq/internal/sim"
+	"taq/internal/topology"
 )
 
 // TestbedPoint is one prototype run of Fig 11: the real-time
@@ -72,11 +73,13 @@ func RunTestbedFairness(opt TestbedOptions) TestbedResult {
 
 func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPoint {
 	tb := emu.NewTestbed(emu.TestbedConfig{
-		Seed:       opt.Seed,
-		Speedup:    opt.Speedup,
-		Bandwidth:  bw,
-		UseTAQ:     useTAQ,
-		SliceWidth: opt.SliceWidth,
+		Config: topology.Config{
+			Seed:       opt.Seed,
+			Bandwidth:  bw,
+			Queue:      testbedQueue(useTAQ),
+			SliceWidth: opt.SliceWidth,
+		},
+		Speedup: opt.Speedup,
 	})
 	for i := 0; i < n; i++ {
 		tb.AddBulkFlow()
@@ -91,12 +94,19 @@ func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPo
 	}
 	tb.Snapshot(func() {
 		slices := int(opt.VirtualDuration / opt.SliceWidth)
-		pt.ShortJFI = tb.Slicer.MeanSliceJFI(1, slices)
-		if tb.QueueArrivals > 0 {
-			pt.LossRate = float64(tb.QueueDrops) / float64(tb.QueueArrivals)
-		}
+		pt.ShortJFI = tb.Net.Slicer.MeanSliceJFI(1, slices)
+		pt.LossRate = tb.Net.LossRate()
 	})
 	return pt
+}
+
+// testbedQueue is the prototype comparison's discipline: the TAQ
+// middlebox, or the DropTail it replaces.
+func testbedQueue(useTAQ bool) topology.QueueKind {
+	if useTAQ {
+		return topology.TAQ
+	}
+	return topology.DropTail
 }
 
 // Table renders the testbed comparison.

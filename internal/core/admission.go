@@ -8,7 +8,9 @@ import (
 
 // poolInfo tracks one flow pool (a set of inter-related flows from the
 // same application session, §4.3). Records live in the admission
-// controller's flat table, not behind individual heap pointers.
+// controller's flat slotTable (flowstore.go), not behind individual
+// heap pointers, so the admission decision on the packet path does no
+// Go map access.
 type poolInfo struct {
 	waitingSince sim.Time
 	lastActive   sim.Time
@@ -16,60 +18,6 @@ type poolInfo struct {
 	admitted     bool
 	waited       bool
 	inUse        bool
-}
-
-// admPoolTable is the admission controller's pool state in the same
-// flat open-addressed shape as the tracker's stores (flowstore.go):
-// poolInfo records in a slice, a free list of expired slots, and an
-// oaIndex from PoolID → slot, so the admission decision on the packet
-// path does no Go map access.
-//
-// Pointer discipline: create can grow recs and relocate every record,
-// so a *poolInfo must never be held across a create — work with slots
-// and re-derive &recs[slot] after any call that may file a record
-// (TestPoolRecordPointersMoveOnCreate pins the hazard; flowstore.go
-// states the same rule for flow records).
-type admPoolTable struct {
-	recs []poolInfo
-	free []int32
-	idx  oaIndex // PoolID → slot
-}
-
-// lookup returns pool's record, or nil. The pointer is valid only
-// until the next create (see the type comment).
-func (pt *admPoolTable) lookup(pool packet.PoolID) *poolInfo {
-	slot, ok := pt.idx.get(int32(pool))
-	if !ok {
-		return nil
-	}
-	return &pt.recs[slot]
-}
-
-// create files a zeroed record for pool (which must be absent) and
-// returns its slot. It returns the slot, not a pointer, precisely
-// because the append below may have moved every existing record.
-func (pt *admPoolTable) create(pool packet.PoolID) int32 {
-	var slot int32
-	if n := len(pt.free); n > 0 {
-		slot = pt.free[n-1]
-		pt.free = pt.free[:n-1]
-		pt.recs[slot] = poolInfo{}
-	} else {
-		slot = int32(len(pt.recs))
-		pt.recs = append(pt.recs, poolInfo{}) //taq:allow noalloc amortized pool-array growth; expired slots are free-list recycled
-	}
-	pi := &pt.recs[slot]
-	pi.key, pi.inUse = pool, true
-	pt.idx.put(int32(pool), slot)
-	return slot
-}
-
-// releaseSlot unfiles the record in slot and recycles it.
-func (pt *admPoolTable) releaseSlot(slot int32) {
-	pi := &pt.recs[slot]
-	pt.idx.del(int32(pi.key))
-	pi.inUse = false
-	pt.free = append(pt.free, slot)
 }
 
 // admission implements §4.3 flow-pool admission control: a flow is
@@ -85,7 +33,7 @@ func (pt *admPoolTable) releaseSlot(slot int32) {
 // admMu) must do its Twait arithmetic on the calling shard's timeline.
 type admission struct {
 	cfg     Config
-	pools   admPoolTable
+	pools   slotTable[poolInfo]
 	waiting []packet.PoolID
 	// poolsAdmitted counts admissions, poolsWaited the subset that had
 	// to wait first (Stats.PoolsAdmitted/PoolsWaited, folded in by
@@ -115,10 +63,10 @@ func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64)
 	}
 	slot, ok := a.pools.idx.get(int32(pool))
 	if !ok {
-		// create may relocate the whole record array; it returns the
+		// alloc may relocate the whole record array; it returns the
 		// slot and the record pointer is derived only afterward.
-		slot = a.pools.create(pool)
-		a.pools.recs[slot].waitingSince = now
+		slot = a.pools.alloc(pool)
+		a.pools.recs[slot] = poolInfo{key: pool, inUse: true, waitingSince: now}
 	}
 	pi := &a.pools.recs[slot]
 	pi.lastActive = now
@@ -204,7 +152,7 @@ func (a *admission) expire(now sim.Time) {
 	for i := range a.pools.recs {
 		pi := &a.pools.recs[i]
 		if pi.inUse && pi.admitted && now-pi.lastActive > a.cfg.FlowExpiry {
-			a.pools.releaseSlot(int32(i))
+			a.pools.release(pi.key, int32(i))
 		}
 	}
 }

@@ -9,18 +9,18 @@ import (
 )
 
 // TestPoolRecordPointersMoveOnCreate pins the pointer-discipline rule
-// the flat tables live by (admission.go, flowstore.go): create/alloc
-// appends to the record slice, so growth relocates every existing
-// record and a *poolInfo held across a create aliases the dead backing
-// array. The old admission code did exactly that — create returned the
-// record pointer and allowSyn kept using it after later table growth —
-// which is why create now returns a slot and every caller re-derives
-// &recs[slot] afterward.
+// the flat tables live by (slotTable and flowStore, flowstore.go):
+// alloc appends to the record slice, so growth relocates every
+// existing record and a *poolInfo held across an alloc aliases the dead
+// backing array. The old admission code did exactly that — its create
+// returned the record pointer and allowSyn kept using it after later
+// table growth — which is why alloc returns a slot and every caller
+// re-derives &recs[slot] afterward.
 func TestPoolRecordPointersMoveOnCreate(t *testing.T) {
-	var pt admPoolTable
+	var pt slotTable[poolInfo]
 
-	first := pt.create(1)
-	pt.recs[first].waitingSince = 42
+	first := pt.alloc(1)
+	pt.recs[first] = poolInfo{key: 1, inUse: true, waitingSince: 42}
 	stale := &pt.recs[first]
 
 	// Grow until append reallocates the backing array out from under
@@ -28,7 +28,7 @@ func TestPoolRecordPointersMoveOnCreate(t *testing.T) {
 	// first few thousand creates.
 	moved := false
 	for id := packet.PoolID(2); id < 5000; id++ {
-		pt.create(id)
+		pt.alloc(id)
 		if &pt.recs[first] != stale {
 			moved = true
 			break

@@ -71,27 +71,69 @@ func (s *flowStore) at(slot int32) *flowInfo { return &s.recs[slot] }
 // len returns the number of live (tracked) records.
 func (s *flowStore) len() int { return s.idx.n }
 
-// poolTable is the same flat shape for the tracker's per-pool active
-// counts: poolEntry records in a slice, a free list, and an oaIndex
-// from PoolID → slot. Entries are refcounted by the flows keyed to the
-// pool, so a flow's poolSlot stays valid for exactly as long as the
-// flow itself is tracked; no generation check is needed.
+// slotTable is the flat per-pool table, written once for its two users
+// (the tracker's active counts below, the admission controller's
+// poolInfo records): records in a slice, a LIFO free list of recycled
+// slots, and an oaIndex from PoolID → slot, so per-pool state on the
+// packet path costs no Go map access. It calls no method of T and
+// reads no field of it — owners keep the key (and anything else) in
+// the record themselves — so each instantiation compiles to the code
+// its hand-written predecessor had.
 //
-//taq:shardowned per-pool counters follow their flows' shard
-type poolTable struct {
-	recs []poolEntry
+// Pointer discipline: alloc can grow recs and relocate every record,
+// so a *T must never be held across an alloc — work with slots and
+// re-derive &recs[slot] after any call that may file a record
+// (TestPoolRecordPointersMoveOnCreate pins the hazard; flowStore above
+// states the same rule for flow records).
+type slotTable[T any] struct {
+	recs []T
 	free []int32
 	idx  oaIndex // PoolID → slot
 }
 
-// lookup returns pool's entry, or nil.
-func (pt *poolTable) lookup(pool packet.PoolID) *poolEntry {
-	slot, ok := pt.idx.get(int32(pool))
+// lookup returns pool's record, or nil. The pointer is valid only
+// until the next alloc (see the type comment).
+func (st *slotTable[T]) lookup(pool packet.PoolID) *T {
+	slot, ok := st.idx.get(int32(pool))
 	if !ok {
 		return nil
 	}
-	return &pt.recs[slot]
+	return &st.recs[slot]
 }
+
+// alloc files a zero record for pool (which must be absent) and
+// returns its slot — the slot, not a pointer, precisely because the
+// append below may have moved every existing record.
+func (st *slotTable[T]) alloc(pool packet.PoolID) int32 {
+	var slot int32
+	if n := len(st.free); n > 0 {
+		slot = st.free[n-1]
+		st.free = st.free[:n-1]
+	} else {
+		slot = int32(len(st.recs))
+		var zero T
+		st.recs = append(st.recs, zero) //taq:allow noalloc amortized pool-array growth; released slots are free-list recycled
+	}
+	st.idx.put(int32(pool), slot)
+	return slot
+}
+
+// release unfiles pool, zeroes its record in slot (a record's zero
+// value is the free state) and recycles the slot.
+func (st *slotTable[T]) release(pool packet.PoolID, slot int32) {
+	st.idx.del(int32(pool))
+	var zero T
+	st.recs[slot] = zero
+	st.free = append(st.free, slot)
+}
+
+// poolTable is the tracker's per-pool active counts: a slotTable of
+// poolEntry records refcounted by the flows keyed to the pool, so a
+// flow's poolSlot stays valid for exactly as long as the flow itself
+// is tracked; no generation check is needed.
+//
+//taq:shardowned per-pool counters follow their flows' shard
+type poolTable struct{ slotTable[poolEntry] }
 
 // ref takes one reference on pool's entry, creating it if absent, and
 // returns the entry's slot for storing in the flow record.
@@ -100,18 +142,8 @@ func (pt *poolTable) ref(pool packet.PoolID) int32 {
 		pt.recs[slot].refs++
 		return slot
 	}
-	var slot int32
-	if n := len(pt.free); n > 0 {
-		slot = pt.free[n-1]
-		pt.free = pt.free[:n-1]
-		pt.recs[slot] = poolEntry{}
-	} else {
-		slot = int32(len(pt.recs))
-		pt.recs = append(pt.recs, poolEntry{}) //taq:allow noalloc amortized pool-array growth; slots are free-list recycled
-	}
-	e := &pt.recs[slot]
-	e.key, e.refs, e.inUse = pool, 1, true
-	pt.idx.put(int32(pool), slot)
+	slot := pt.alloc(pool)
+	pt.recs[slot] = poolEntry{key: pool, refs: 1, inUse: true}
 	return slot
 }
 
@@ -120,10 +152,7 @@ func (pt *poolTable) ref(pool packet.PoolID) int32 {
 func (pt *poolTable) unref(slot int32) {
 	e := &pt.recs[slot]
 	e.refs--
-	if e.refs > 0 {
-		return
+	if e.refs <= 0 {
+		pt.release(e.key, slot)
 	}
-	pt.idx.del(int32(e.key))
-	e.inUse = false
-	pt.free = append(pt.free, slot)
 }

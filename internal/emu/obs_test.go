@@ -9,6 +9,7 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/sim"
+	"taq/internal/topology"
 )
 
 // TestTestbedObservability drives a TAQ testbed with tracing, gauges
@@ -18,15 +19,12 @@ import (
 func TestTestbedObservability(t *testing.T) {
 	rec := obs.NewRecorder(nil, 1024)
 	var series obs.MemorySeries
-	tb := NewTestbed(TestbedConfig{
-		Seed:          3,
-		Speedup:       200,
-		Bandwidth:     400 * link.Kbps,
-		UseTAQ:        true,
-		Events:        rec,
-		GaugeSink:     &series,
-		GaugeInterval: sim.Second,
-		HTTPAddr:      "127.0.0.1:0",
+	cfg := testbedCfg(3, 200, 400*link.Kbps, topology.TAQ)
+	cfg.HTTPAddr = "127.0.0.1:0"
+	tb := NewTestbed(cfg)
+	tb.Snapshot(func() {
+		tb.Net.EnableObservability(rec)
+		tb.Net.EnableGauges(sim.Second, &series)
 	})
 	if tb.HTTPErr != nil {
 		t.Logf("live endpoint unavailable: %v", tb.HTTPErr)
@@ -42,10 +40,19 @@ func TestTestbedObservability(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		for _, key := range []string{`"qlen"`, `"active_flows"`, `"loss_ewma"`} {
+		for _, key := range []string{`"qlen"`, `"utilization"`, `"qlen_recovery"`, `"active_flows"`, `"loss_ewma"`} {
 			if !strings.Contains(string(body), key) {
 				t.Errorf("/vars missing %s: %s", key, body)
 			}
+		}
+		resp, err = http.Get("http://" + tb.HTTP.Addr() + "/metrics")
+		if err != nil {
+			t.Fatalf("GET /metrics: %v", err)
+		}
+		body, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if !strings.Contains(string(body), "taq_served_total") {
+			t.Errorf("/metrics missing the middlebox families: %s", body)
 		}
 	}
 
@@ -81,7 +88,7 @@ func TestTestbedObservability(t *testing.T) {
 // TestTestbedStopWithoutObs checks Stop stays safe when no obs options
 // are configured (nil gauge set, recorder and server).
 func TestTestbedStopWithoutObs(t *testing.T) {
-	tb := NewTestbed(TestbedConfig{Seed: 1, Speedup: 500, Bandwidth: 200 * link.Kbps})
+	tb := NewTestbed(testbedCfg(1, 500, 200*link.Kbps, topology.DropTail))
 	tb.AddBulkFlow()
 	tb.RunFor(sim.Second)
 	tb.Stop()

@@ -206,7 +206,18 @@ func TestShardBankSoak(t *testing.T) {
 	// The merged exposition must agree with the summed Stats: both are
 	// reductions of the same per-shard counters, one through obs
 	// registries and one through the Stats structs.
-	merged := bank.MergedSnapshot()
+	// Both snapshots are taken holding every shard's engine lock: the
+	// scan timers run until Stop, and a transition they count between two
+	// snapshots would make the fold equality below a statement about
+	// timing instead of about Merge.
+	var merged, manual *obs.MetricsSnapshot
+	bank.locked(0, func() {
+		merged = bank.MergedSnapshot()
+		manual = bank.Shard(0).Registry.Snapshot()
+		for s := 1; s < shards; s++ {
+			manual.Merge(bank.Shard(s).Registry.Snapshot())
+		}
+	})
 	if served, ok := counterTotal(merged, "taq_served_total"); !ok || served != stats.Served {
 		t.Errorf("merged taq_served_total = %d (present=%v), stats.Served = %d", served, ok, stats.Served)
 	}
@@ -215,10 +226,6 @@ func TestShardBankSoak(t *testing.T) {
 	}
 
 	// And it must equal the fold of the individual shard snapshots.
-	manual := bank.Shard(0).Registry.Snapshot()
-	for s := 1; s < shards; s++ {
-		manual.Merge(bank.Shard(s).Registry.Snapshot())
-	}
 	for i := range merged.Counters {
 		for j, v := range merged.Counters[i].Values {
 			if manual.Counters[i].Values[j] != v {

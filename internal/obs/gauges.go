@@ -41,7 +41,9 @@ type GaugeSet struct {
 }
 
 // NewGaugeSet returns a gauge set sampling every interval onto sink.
-// A non-positive interval defaults to one sim second.
+// A non-positive interval defaults to one sim second. With a nil sink
+// the set is snapshot-only: Start arms nothing and the gauges are read
+// through Snapshot alone (the live endpoint's /vars).
 func NewGaugeSet(run sim.Runner, interval sim.Time, sink SeriesSink) *GaugeSet {
 	if interval <= 0 {
 		interval = sim.Second
@@ -68,9 +70,10 @@ func (g *GaugeSet) RegisterInt(name string, fn func() int) {
 }
 
 // Start writes the series header, takes an immediate sample, and arms
-// the periodic tick. Safe on a nil receiver; a second Start is a no-op.
+// the periodic tick. Safe on a nil receiver; a second Start, or a Start
+// with no sink, is a no-op.
 func (g *GaugeSet) Start() {
-	if g == nil || g.started {
+	if g == nil || g.started || g.sink == nil {
 		return
 	}
 	g.started = true

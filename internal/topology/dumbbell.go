@@ -152,7 +152,14 @@ type Flow struct {
 
 // Network is an instantiated dumbbell scenario.
 type Network struct {
-	Cfg    Config
+	Cfg Config
+	// Runner is the clock, scheduler and random source everything in the
+	// network runs on: the simulator's engine (New) or any other
+	// sim.Runner (NewOn), such as the wall-clock emu.Engine.
+	Runner sim.Runner
+	// Engine is Runner when that is the simulator's engine — what Run
+	// and callers that step or inspect the event loop use — and nil on
+	// any other runner.
 	Engine *sim.Engine
 	Link   *link.Link
 	// Middlebox is non-nil when the queue discipline is TAQ.
@@ -212,16 +219,28 @@ type Network struct {
 	OnQueueDrop func(*packet.Packet)
 }
 
-// New builds a network from cfg.
+// New builds a network from cfg on a fresh simulator engine seeded
+// with cfg.Seed.
 func New(cfg Config) (*Network, error) {
+	return NewOn(sim.NewEngine(cfg.Seed), cfg)
+}
+
+// NewOn builds a network from cfg on run; cfg.Seed is not read (run
+// brings its own random source). Every clock read, random draw and
+// scheduled event of the network, its endpoints and its middlebox goes
+// through run, so two runners differ in the clock and in nothing else.
+// On a runner that serializes callbacks with a lock (emu.Engine), call
+// NewOn and every method of the network with that lock held.
+func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 	cfg.fillDefaults()
 	n := &Network{
 		Cfg:    cfg,
-		Engine: sim.NewEngine(cfg.Seed),
+		Runner: run,
 		Slicer: metrics.NewSlicer(cfg.SliceWidth),
 		Hangs:  metrics.NewHangTracker(),
 		flows:  make(map[packet.FlowID]*Flow),
 	}
+	n.Engine, _ = run.(*sim.Engine)
 	n.toQueue = n.enqueue
 
 	var disc queue.Discipline
@@ -232,12 +251,12 @@ func New(cfg Config) (*Network, error) {
 		disc = queue.NewRED(queue.REDConfig{
 			Capacity:    cfg.BufferPackets,
 			MeanPktTime: cfg.Bandwidth.TxTime(cfg.TCP.MSS),
-		}, n.Engine.Now, n.Engine.Rand())
+		}, run.Now, run.Rand())
 	case SFQ:
 		disc = queue.NewSFQ(cfg.SFQBuckets, cfg.BufferPackets)
 	case TAQ:
 		tcfg := core.ResolveConfig(cfg.TAQ, cfg.Bandwidth, cfg.BufferPackets)
-		n.Middlebox = core.NewSharded(n.Engine, tcfg, cfg.TAQShards)
+		n.Middlebox = core.NewSharded(run, tcfg, cfg.TAQShards)
 		n.Middlebox.Start()
 		disc = n.Middlebox
 	default:
@@ -246,7 +265,7 @@ func New(cfg Config) (*Network, error) {
 	disc.AddDropHook(func(p *packet.Packet) {
 		n.QueueDrops++
 		if n.Capture != nil {
-			n.Capture.Record(n.Engine.Now(), capture.Drop, p)
+			n.Capture.Record(run.Now(), capture.Drop, p)
 		}
 		if n.OnQueueDrop != nil {
 			n.OnQueueDrop(p)
@@ -255,7 +274,7 @@ func New(cfg Config) (*Network, error) {
 
 	// The bottleneck link's propagation delay is folded into per-flow
 	// paths, so the link itself adds none.
-	n.Link = link.New(n.Engine, cfg.Bandwidth, 0, disc, n.deliverForward)
+	n.Link = link.New(run, cfg.Bandwidth, 0, disc, n.deliverForward)
 	return n, nil
 }
 
@@ -272,7 +291,7 @@ func MustNew(cfg Config) *Network {
 // bottleneck output, rolling every epoch (use the flows' RTT).
 func (n *Network) EnableCensus(maxClass int, epoch sim.Time) {
 	n.Census = metrics.NewCensus(maxClass)
-	n.Census.ScheduleRolls(n.Engine, epoch)
+	n.Census.ScheduleRolls(n.Runner, epoch)
 }
 
 // EnableCapture starts recording per-packet bottleneck events (drops
@@ -298,7 +317,7 @@ func (n *Network) EnableObservability(rec *obs.Recorder) {
 		return
 	}
 	n.Link.Discipline().AddDropHook(func(p *packet.Packet) {
-		rec.Drop(n.Engine.Now(), p, -1, p.Retransmit)
+		rec.Drop(n.Runner.Now(), p, -1, p.Retransmit)
 	})
 }
 
@@ -332,7 +351,7 @@ func (n *Network) ObserveFCT(started sim.Time, sizeBytes int) {
 	if n.FCT == nil {
 		return
 	}
-	n.FCT.ObserveAt(obs.FCTSizeClass(sizeBytes), n.Engine.Now()-started)
+	n.FCT.ObserveAt(obs.FCTSizeClass(sizeBytes), n.Runner.Now()-started)
 }
 
 // EnableGauges starts periodic sampling of the bottleneck time series
@@ -340,9 +359,10 @@ func (n *Network) ObserveFCT(started sim.Time, sizeBytes int) {
 // utilization, and — with a TAQ middlebox — per-class queue depths,
 // active/recovering flow counts, the loss-rate EWMA, and the admission
 // backlog. Returns the running gauge set (also kept in n.Gauges);
-// Stop it after the run to flush the sink.
+// Stop it after the run to flush the sink. A nil sink registers the
+// same columns for Gauges.Snapshot and samples nothing.
 func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.GaugeSet {
-	g := obs.NewGaugeSet(n.Engine, interval, sink)
+	g := obs.NewGaugeSet(n.Runner, interval, sink)
 	disc := n.Link.Discipline()
 	g.RegisterInt("qlen", disc.Len)
 	g.RegisterInt("qbytes", disc.Bytes)
@@ -370,14 +390,15 @@ func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.Gaug
 func (n *Network) accessDelay(f *Flow, base sim.Time) sim.Time {
 	d := base
 	if n.Cfg.AccessJitter > 0 {
-		d += sim.Time(n.Engine.Rand().Int63n(int64(n.Cfg.AccessJitter)))
+		d += sim.Time(n.Runner.Rand().Int63n(int64(n.Cfg.AccessJitter)))
 	}
-	at := n.Engine.Now() + d
+	now := n.Runner.Now()
+	at := now + d
 	if at < f.lastFwdArrival {
 		at = f.lastFwdArrival
 	}
 	f.lastFwdArrival = at
-	return at - n.Engine.Now()
+	return at - now
 }
 
 // deliverForward dispatches packets leaving the bottleneck to the
@@ -387,7 +408,7 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	if !ok {
 		return
 	}
-	if n.Cfg.ExternalLoss > 0 && n.Engine.Rand().Float64() < n.Cfg.ExternalLoss {
+	if n.Cfg.ExternalLoss > 0 && n.Runner.Rand().Float64() < n.Cfg.ExternalLoss {
 		n.ExternalDrops++
 		return
 	}
@@ -395,13 +416,13 @@ func (n *Network) deliverForward(p *packet.Packet) {
 		n.Census.Observe(p.Flow)
 	}
 	if n.Capture != nil {
-		n.Capture.Record(n.Engine.Now(), capture.Deliver, p)
+		n.Capture.Record(n.Runner.Now(), capture.Deliver, p)
 	}
 	n.delaySample++
 	if n.delaySample%16 == 0 {
-		n.QueueDelays.Add((n.Engine.Now() - p.Enqueued).Seconds())
+		n.QueueDelays.Add((n.Runner.Now() - p.Enqueued).Seconds())
 	}
-	sim.AfterArg(n.Engine, f.RTT/4, f.fwdArrive, p)
+	sim.AfterArg(n.Runner, f.RTT/4, f.fwdArrive, p)
 }
 
 // enqueue is the toQueue handler: a packet's access delay has elapsed.
@@ -429,7 +450,7 @@ func (f *Flow) returnPacket(p *packet.Packet) {
 // rtt/4 + jitter) → queue.
 func (f *Flow) sendForward(p *packet.Packet) {
 	n := f.net
-	sim.AfterArg(n.Engine, n.accessDelay(f, f.RTT/4), n.toQueue, p)
+	sim.AfterArg(n.Runner, n.accessDelay(f, f.RTT/4), n.toQueue, p)
 }
 
 func (f *Flow) forwardArrive(arg any) {
@@ -443,16 +464,16 @@ func (f *Flow) forwardArrive(arg any) {
 // acks in passing at the midpoint.
 func (f *Flow) sendReverse(p *packet.Packet) {
 	if f.revMidpoint != nil {
-		sim.AfterArg(f.net.Engine, f.RTT/4, f.revMidpoint, p)
+		sim.AfterArg(f.net.Runner, f.RTT/4, f.revMidpoint, p)
 		return
 	}
-	sim.AfterArg(f.net.Engine, f.RTT/2, f.revArrive, p)
+	sim.AfterArg(f.net.Runner, f.RTT/2, f.revArrive, p)
 }
 
 func (f *Flow) reverseMidpoint(arg any) {
 	p := arg.(*packet.Packet)
 	f.net.Middlebox.ObserveReverse(p)
-	sim.AfterArg(f.net.Engine, f.RTT/4, f.revArrive, p)
+	sim.AfterArg(f.net.Runner, f.RTT/4, f.revArrive, p)
 }
 
 func (f *Flow) reverseArrive(arg any) {
@@ -465,7 +486,7 @@ func (f *Flow) reverseArrive(arg any) {
 // MSS-sized segments reached the application in order.
 func (f *Flow) delivered(units int) {
 	n := f.net
-	now := n.Engine.Now()
+	now := n.Runner.Now()
 	n.Slicer.Record(f.ID, now, units*n.Cfg.TCP.MSS)
 	if f.Pool != packet.PoolNone {
 		n.Hangs.Touch(f.Pool, now)
@@ -480,7 +501,7 @@ func (n *Network) newFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 	n.nextID++
 	rtt := n.Cfg.PropRTT
 	if j := n.Cfg.RTTJitter; j > 0 {
-		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Engine.Rand().Float64()))
+		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Runner.Rand().Float64()))
 	}
 	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt, net: n}
 	f.fwdArrive = f.forwardArrive
@@ -501,7 +522,7 @@ func (n *Network) start(f *Flow, toReceiver, toSender func(*packet.Packet), begi
 	if f.Pool != packet.PoolNone {
 		n.Hangs.Start(f.Pool, f.Started)
 	}
-	n.Engine.ScheduleAt(f.Started, begin)
+	sim.After(n.Runner, f.Started-n.Runner.Now(), begin)
 }
 
 // AddFlow creates a TCP flow with the given app, starting its
@@ -513,10 +534,10 @@ func (n *Network) AddFlow(pool packet.PoolID, app tcp.App, startAt sim.Time) *Fl
 	if n.Cfg.TwoWayObservation && n.Middlebox != nil {
 		f.revMidpoint = f.reverseMidpoint
 	}
-	f.Receiver = tcp.NewReceiver(n.Engine, n.Cfg.TCP, f.ID, pool, f.sendReverse)
+	f.Receiver = tcp.NewReceiver(n.Runner, n.Cfg.TCP, f.ID, pool, f.sendReverse)
 	f.Receiver.Packets = f.packets
 	f.Receiver.OnDeliver = f.delivered
-	f.Sender = tcp.NewSender(n.Engine, n.Cfg.TCP, f.ID, pool, app, f.sendForward)
+	f.Sender = tcp.NewSender(n.Runner, n.Cfg.TCP, f.ID, pool, app, f.sendForward)
 	f.Sender.Packets = f.packets
 	n.start(f, f.Receiver.Deliver, f.Sender.Deliver, f.Sender.Start)
 	return f
@@ -531,9 +552,9 @@ func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 	cfg := tfrc.DefaultConfig()
 	cfg.MSS = n.Cfg.TCP.MSS
 	cfg.InitialRTT = f.RTT
-	f.TFRCReceiver = tfrc.NewReceiver(n.Engine, cfg, f.ID, pool, f.sendReverse)
+	f.TFRCReceiver = tfrc.NewReceiver(n.Runner, cfg, f.ID, pool, f.sendReverse)
 	f.TFRCReceiver.OnDeliver = f.delivered
-	f.TFRCSender = tfrc.NewSender(n.Engine, cfg, f.ID, pool, f.sendForward)
+	f.TFRCSender = tfrc.NewSender(n.Runner, cfg, f.ID, pool, f.sendForward)
 	n.start(f, f.TFRCReceiver.Deliver, f.TFRCSender.Deliver, f.TFRCSender.Start)
 	return f
 }
@@ -544,7 +565,8 @@ func (n *Network) Flow(id packet.FlowID) *Flow { return n.flows[id] }
 // NumFlows returns the number of flows added.
 func (n *Network) NumFlows() int { return len(n.flows) }
 
-// Run advances the simulation to the given virtual time.
+// Run advances the simulation to the given virtual time. Simulator
+// only: a wall-clock runner advances by itself.
 func (n *Network) Run(until sim.Time) { n.Engine.RunUntil(until) }
 
 // LossRate returns the measured drop fraction at the bottleneck queue.
@@ -557,7 +579,7 @@ func (n *Network) LossRate() float64 {
 
 // Utilization returns bottleneck utilization over [0, now].
 func (n *Network) Utilization() float64 {
-	return n.Link.Utilization(n.Engine.Now())
+	return n.Link.Utilization(n.Runner.Now())
 }
 
 // Goodput returns the fraction of the bottleneck capacity delivered as
@@ -566,7 +588,7 @@ func (n *Network) Utilization() float64 {
 // fairness collapses. Unlike Utilization it excludes retransmitted
 // and duplicate bytes.
 func (n *Network) Goodput() float64 {
-	elapsed := n.Engine.Now().Seconds()
+	elapsed := n.Runner.Now().Seconds()
 	if elapsed <= 0 {
 		return 0
 	}

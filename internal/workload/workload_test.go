@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"taq/internal/emu"
 	"taq/internal/link"
@@ -12,6 +13,51 @@ import (
 
 func quickNet(seed int64, bw link.Bps, qk topology.QueueKind) *topology.Network {
 	return topology.MustNew(topology.Config{Seed: seed, Bandwidth: bw, Queue: qk})
+}
+
+// substrate is a network for a test body that must hold on the simulator
+// and on the prototype testbed alike.
+type substrate struct {
+	net *topology.Network
+	// do runs fn with the network held: directly on the simulator, under
+	// the engine lock on the testbed.
+	do func(fn func())
+	// await advances virtual time until done() holds: by limit on the
+	// simulator, where that is known to be enough; on the testbed, where
+	// wall-clock timer latency stretches everything, for as long as it
+	// takes, up to a generous wall deadline. The caller asserts done.
+	await func(limit sim.Time, done func() bool)
+}
+
+// onBothSubstrates runs body on cfg built by topology.New and by
+// emu.NewTestbed (100x time compression).
+func onBothSubstrates(t *testing.T, cfg topology.Config, body func(t *testing.T, s substrate)) {
+	t.Run("sim", func(t *testing.T) {
+		n := topology.MustNew(cfg)
+		body(t, substrate{
+			net:   n,
+			do:    func(fn func()) { fn() },
+			await: func(limit sim.Time, _ func() bool) { n.Run(n.Engine.Now() + limit) },
+		})
+	})
+	t.Run("emu", func(t *testing.T) {
+		tb := emu.NewTestbed(emu.TestbedConfig{Config: cfg, Speedup: 100})
+		defer tb.Stop()
+		body(t, substrate{
+			net: tb.Net,
+			do:  tb.Snapshot,
+			await: func(limit sim.Time, done func() bool) {
+				for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); {
+					ok := false
+					tb.Snapshot(func() { ok = done() })
+					if ok {
+						return
+					}
+					tb.RunFor(limit / 20)
+				}
+			},
+		})
+	})
 }
 
 func TestAddBulkFlows(t *testing.T) {
@@ -44,35 +90,56 @@ func TestShortFlowCompletes(t *testing.T) {
 }
 
 func TestSessionFetchesObjectsWithBoundedParallelism(t *testing.T) {
-	n := quickNet(3, 1000*link.Kbps, topology.DropTail)
-	s := NewSession(n, 1, 2)
-	for i := 0; i < 5; i++ {
-		s.Request(5000, 0)
-	}
-	// With 2 connections, at most 2 active at once; run and complete.
-	n.Engine.RunUntil(100 * sim.Millisecond)
-	if n.NumFlows() > 2 {
-		t.Errorf("flows created early = %d, want ≤2 (maxConns)", n.NumFlows())
-	}
-	n.Run(60 * sim.Second)
-	done := 0
-	for _, r := range s.Results {
-		if r.Done {
-			done++
+	cfg := topology.Config{Seed: 3, Bandwidth: 1000 * link.Kbps}
+	onBothSubstrates(t, cfg, func(t *testing.T, sub substrate) {
+		n := sub.net
+		var s *Session
+		sub.do(func() {
+			s = NewSession(n, 1, 2)
+			for i := 0; i < 5; i++ {
+				s.Request(5000, 0)
+			}
+		})
+		completed := func() int {
+			done := 0
+			for _, r := range s.Results {
+				if r.Done {
+					done++
+				}
+			}
+			return done
 		}
-	}
-	if done != 5 {
-		t.Fatalf("completed %d of 5", done)
-	}
-	if s.Outstanding() != 0 {
-		t.Errorf("outstanding = %d", s.Outstanding())
-	}
-	// Objects requested together but serialized over 2 conns: later
-	// objects must have Started after earlier ones ended... at least
-	// the 5th object starts after the 1st completes.
-	if s.Results[4].Started < s.Results[0].End {
-		t.Error("5th object started before any slot freed")
-	}
+		// With 2 connections, at most 2 active at once: a third flow
+		// needs a finished object.
+		sub.await(100*sim.Millisecond, func() bool { return n.NumFlows() > 0 })
+		sub.do(func() {
+			if n.NumFlows() > 2+completed() {
+				t.Errorf("flows created = %d with %d objects done, want ≤2 (maxConns) open", n.NumFlows(), completed())
+			}
+		})
+		sub.await(60*sim.Second, func() bool { return completed() == 5 })
+		sub.do(func() {
+			if done := completed(); done != 5 {
+				t.Fatalf("completed %d of 5", done)
+			}
+			if s.Outstanding() != 0 {
+				t.Errorf("outstanding = %d", s.Outstanding())
+			}
+			// Objects requested together but serialized over 2 conns: no
+			// object starts while two others are still in progress.
+			for i, r := range s.Results {
+				open := 0
+				for j, o := range s.Results {
+					if j != i && o.Started <= r.Started && o.End > r.Started {
+						open++
+					}
+				}
+				if open > 1 {
+					t.Errorf("object %d started with %d others in progress, want ≤1", i, open)
+				}
+			}
+		})
+	})
 }
 
 func TestReplayTimedVsASAP(t *testing.T) {
@@ -104,28 +171,33 @@ func TestReplayTimedVsASAP(t *testing.T) {
 }
 
 func TestCollectObjectSamplesAndCDF(t *testing.T) {
-	n := quickNet(5, 1000*link.Kbps, topology.DropTail)
+	cfg := topology.Config{Seed: 5, Bandwidth: 1000 * link.Kbps}
 	recs := []trace.Record{
 		{Time: 0, Client: 1, Size: 15 * 1024},
 		{Time: 0, Client: 2, Size: 105 * 1024},
 	}
-	sessions := Replay(n, recs, 4, ReplayASAP)
-	n.Run(120 * sim.Second)
-	samples := CollectObjectSamples(sessions)
-	if len(samples) != 2 {
-		t.Fatalf("samples = %d", len(samples))
-	}
-	small := DownloadCDF(sessions, 10*1024, 20*1024)
-	if small.N() != 1 {
-		t.Errorf("small-bucket CDF N = %d", small.N())
-	}
-	big := DownloadCDF(sessions, 100*1024, 110*1024)
-	if big.N() != 1 {
-		t.Errorf("big-bucket CDF N = %d", big.N())
-	}
-	if big.Median() <= small.Median() {
-		t.Errorf("bigger object downloaded faster: %v vs %v", big.Median(), small.Median())
-	}
+	onBothSubstrates(t, cfg, func(t *testing.T, sub substrate) {
+		var sessions map[int]*Session
+		sub.do(func() { sessions = Replay(sub.net, recs, 4, ReplayASAP) })
+		sub.await(120*sim.Second, func() bool { return CompletedFraction(sessions) == 1 })
+		sub.do(func() {
+			samples := CollectObjectSamples(sessions)
+			if len(samples) != 2 {
+				t.Fatalf("samples = %d", len(samples))
+			}
+			small := DownloadCDF(sessions, 10*1024, 20*1024)
+			if small.N() != 1 {
+				t.Errorf("small-bucket CDF N = %d", small.N())
+			}
+			big := DownloadCDF(sessions, 100*1024, 110*1024)
+			if big.N() != 1 {
+				t.Errorf("big-bucket CDF N = %d", big.N())
+			}
+			if big.Median() <= small.Median() {
+				t.Errorf("bigger object downloaded faster: %v vs %v", big.Median(), small.Median())
+			}
+		})
+	})
 }
 
 func TestWebUserPool(t *testing.T) {
@@ -159,52 +231,5 @@ func TestSessionGivesUpWhenSynFails(t *testing.T) {
 	// behind a dead slot.
 	if s.Outstanding() > 1 {
 		t.Errorf("outstanding = %d; session deadlocked", s.Outstanding())
-	}
-}
-
-func TestSessionOnTestbed(t *testing.T) {
-	// The same session machinery drives the real-time prototype: a
-	// client fetches three small objects over an emulated 400 Kbps
-	// link at 100x time compression.
-	tb := emu.NewTestbed(emu.TestbedConfig{Seed: 9, Speedup: 100, Bandwidth: 400 * link.Kbps})
-	host := TestbedHost(tb)
-	var s *Session
-	tb.Engine.Post(func() {
-		s = NewSessionOn(host, 1, 2)
-		for i := 0; i < 3; i++ {
-			s.Request(4000, 0)
-		}
-	})
-	tb.RunFor(30 * sim.Second)
-	tb.Stop()
-	done := 0
-	tb.Snapshot(func() {
-		for _, r := range s.Results {
-			if r.Done {
-				done++
-			}
-		}
-	})
-	if done != 3 {
-		t.Fatalf("completed %d of 3 objects on testbed", done)
-	}
-}
-
-func TestReplayOnTestbed(t *testing.T) {
-	tb := emu.NewTestbed(emu.TestbedConfig{Seed: 10, Speedup: 100, Bandwidth: 400 * link.Kbps})
-	recs := []trace.Record{
-		{Time: 0, Client: 1, Size: 3000},
-		{Time: 0, Client: 2, Size: 3000},
-	}
-	var sessions map[int]*Session
-	tb.Engine.Post(func() {
-		sessions = ReplayOn(TestbedHost(tb), recs, 4, ReplayASAP)
-	})
-	tb.RunFor(20 * sim.Second)
-	tb.Stop()
-	var frac float64
-	tb.Snapshot(func() { frac = CompletedFraction(sessions) })
-	if frac != 1 {
-		t.Fatalf("testbed replay completed %.2f", frac)
 	}
 }

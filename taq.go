@@ -288,10 +288,12 @@ func TippingPoint(frac float64, wmax int) (float64, error) { return markov.Tippi
 
 // Real-time prototype (the paper's testbed substrate).
 type (
-	// Testbed is a wall-clock scenario running the same TCP and TAQ
-	// code under real timers.
+	// Testbed is a Network on a wall-clock engine: the same scenario,
+	// TCP and TAQ code under real timers. Its Net field is the Network;
+	// touch it only inside Snapshot.
 	Testbed = emu.Testbed
-	// TestbedConfig parameterizes a testbed run.
+	// TestbedConfig is a NetworkConfig plus the wall-clock speedup and
+	// the live endpoint's address.
 	TestbedConfig = emu.TestbedConfig
 )
 
