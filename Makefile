@@ -56,11 +56,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzFlowIndex$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 
-# bench records the perf trajectory: engine/discipline micro-benchmarks
-# to stderr, and the full experiment suite's metrics + wall times to
-# BENCH_results.json (see EXPERIMENTS.md's benchmark section).
+# bench records the perf trajectory: engine micro-benchmarks to stderr,
+# and the full experiment suite's tables + headline metrics to
+# BENCH_results.json (see EXPERIMENTS.md's benchmark section). The
+# per-discipline packet costs are rows of the bench ledger
+# (go run ./bench: queue.*_ns, core.enqueue_accept_ns_p50).
 bench:
-	$(GO) test -run='^$$' -bench 'Engine|Discipline' -benchmem ./internal/sim .
+	$(GO) test -run='^$$' -bench Engine -benchmem ./internal/sim
 	$(GO) test -run='^$$' -bench 'TrackerScan|FlowLookup|FlowMemory|GaugeSample' -benchmem ./internal/core
 	$(GO) test -run='^$$' -bench 'HistogramRecord|RegistrySnapshot' -benchmem ./internal/obs
 	$(GO) test -run='^$$' -bench 'ShardDispatch' -benchmem ./internal/emu

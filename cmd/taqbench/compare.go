@@ -1,23 +1,19 @@
 package main
 
-// compare.go is taqbench's regression gate: -compare diffs the current
+// compare.go is taqbench's behaviour gate: -compare diffs the current
 // run's report against a committed baseline (BENCH_baseline.json) and
-// exits non-zero when it drifts beyond -tolerance.
-//
-// The two halves of the report get different treatment. Experiment
-// metrics are deterministic for a fixed seed and scale, so a deviation
-// in either direction is a behavior change and is flagged — the
-// tolerance only absorbs float formatting jitter and intentional small
-// recalibrations. Wall times are noisy, so they are flagged only when
-// the current run is slower than baseline by more than the tolerance;
-// getting faster is never a regression.
+// exits non-zero on any difference. Everything compared is
+// deterministic for a fixed seed and scale, so there is no tolerance: a
+// metric that moves in the last bit, or a table that moves by a byte,
+// is a behaviour change. Wall time is not compared at all; the perf
+// ledger is go run ./bench.
 
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
+	"strings"
 )
 
 // loadReport reads a -json report written by a previous taqbench run.
@@ -33,19 +29,17 @@ func loadReport(path string) (*report, error) {
 	return &r, nil
 }
 
-// wallSlackSecs is the absolute slack on wall-time comparisons: at
-// smoke scale an experiment finishes in well under a second, where a
-// percentage tolerance is indistinguishable from scheduler noise. A
-// slowdown must exceed both the relative tolerance and this floor.
-const wallSlackSecs = 1.0
-
-// compareReports returns one line per regression of cur against base.
-// tolerancePct is a percentage (15 means ±15% on metrics, +15% on
-// wall time).
-func compareReports(cur, base *report, tolerancePct float64) []string {
-	tol := tolerancePct / 100
-	var regs []string
-
+// compareReports returns one line per difference of cur against base:
+// every baseline experiment must have run, every baseline metric must
+// be present and bit-equal, and the output must be byte-equal unless
+// the row is marked WallClock. Metrics and experiments only cur has
+// are additions, not drift.
+func compareReports(cur, base *report) []string {
+	if cur.Scale != base.Scale || cur.Seed != base.Seed {
+		return []string{fmt.Sprintf("run at scale %g seed %d, baseline at scale %g seed %d",
+			cur.Scale, cur.Seed, base.Scale, base.Seed)}
+	}
+	var drift []string
 	byName := make(map[string]*expReport, len(cur.Experiments))
 	for i := range cur.Experiments {
 		byName[cur.Experiments[i].Name] = &cur.Experiments[i]
@@ -53,7 +47,7 @@ func compareReports(cur, base *report, tolerancePct float64) []string {
 	for _, b := range base.Experiments {
 		c, ok := byName[b.Name]
 		if !ok {
-			regs = append(regs, fmt.Sprintf("experiment %s: in baseline but missing from this run", b.Name))
+			drift = append(drift, fmt.Sprintf("experiment %s: in baseline but missing from this run", b.Name))
 			continue
 		}
 		keys := make([]string, 0, len(b.Metrics))
@@ -62,31 +56,33 @@ func compareReports(cur, base *report, tolerancePct float64) []string {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			bv := b.Metrics[k]
-			cv, ok := c.Metrics[k]
-			if !ok {
-				regs = append(regs, fmt.Sprintf("%s %s: in baseline but missing from this run", b.Name, k))
-				continue
-			}
-			if bv == 0 {
-				if math.Abs(cv) > 1e-9 {
-					regs = append(regs, fmt.Sprintf("%s %s: %g, baseline 0", b.Name, k, cv))
-				}
-				continue
-			}
-			if d := (cv - bv) / math.Abs(bv); math.Abs(d) > tol {
-				regs = append(regs, fmt.Sprintf("%s %s: %g, baseline %g (%+.1f%%, tolerance ±%.0f%%)",
-					b.Name, k, cv, bv, 100*d, tolerancePct))
+			if cv, ok := c.Metrics[k]; !ok {
+				drift = append(drift, fmt.Sprintf("%s %s: in baseline but missing from this run", b.Name, k))
+			} else if cv != b.Metrics[k] {
+				drift = append(drift, fmt.Sprintf("%s %s: %v, baseline %v", b.Name, k, cv, b.Metrics[k]))
 			}
 		}
-		if b.WallSecs > 0 && c.WallSecs > b.WallSecs*(1+tol) && c.WallSecs-b.WallSecs > wallSlackSecs {
-			regs = append(regs, fmt.Sprintf("%s wall time: %.2fs, baseline %.2fs (+%.1f%%, tolerance +%.0f%%)",
-				b.Name, c.WallSecs, b.WallSecs, 100*(c.WallSecs-b.WallSecs)/b.WallSecs, tolerancePct))
+		if !c.WallClock && c.Output != b.Output {
+			drift = append(drift, fmt.Sprintf("%s output differs from baseline:\n%s", b.Name, firstDiff(c.Output, b.Output)))
 		}
 	}
-	if base.TotalWallSecs > 0 && cur.TotalWallSecs > base.TotalWallSecs*(1+tol) && cur.TotalWallSecs-base.TotalWallSecs > wallSlackSecs {
-		regs = append(regs, fmt.Sprintf("total wall time: %.2fs, baseline %.2fs (+%.1f%%, tolerance +%.0f%%)",
-			cur.TotalWallSecs, base.TotalWallSecs, 100*(cur.TotalWallSecs-base.TotalWallSecs)/base.TotalWallSecs, tolerancePct))
+	return drift
+}
+
+// firstDiff shows the first line at which two outputs part ways.
+func firstDiff(cur, base string) string {
+	cl, bl := strings.Split(cur, "\n"), strings.Split(base, "\n")
+	for i := 0; i < len(cl) || i < len(bl); i++ {
+		var c, b string
+		if i < len(cl) {
+			c = cl[i]
+		}
+		if i < len(bl) {
+			b = bl[i]
+		}
+		if c != b {
+			return fmt.Sprintf("  line %d: %q\n  baseline: %q", i+1, c, b)
+		}
 	}
-	return regs
+	return ""
 }

@@ -1,26 +1,24 @@
-// Command taqbench runs the paper's evaluation suite (one experiment
-// per table/figure; see DESIGN.md §3) at a chosen scale and prints the
-// same rows/series the paper reports.
+// Command taqbench runs the paper's evaluation suite — the rows of
+// experiments.All, one per table/figure (see DESIGN.md §3) — at a
+// chosen scale and prints the same rows/series the paper reports.
 //
 // Sweep-shaped experiments fan their points out over a worker pool
 // (-parallel, default GOMAXPROCS); results are collected by index, so
 // stdout is byte-identical whatever the worker count. Timing lines go
 // to stderr for the same reason. -json emits a machine-readable report
-// (per-experiment metrics, wall time, optional serial-baseline speedup)
-// for the perf trajectory tracked in BENCH_results.json.
+// (per-experiment output and headline metrics) that is, wall-clock
+// rows aside, a pure function of -scale and -seed.
 //
 // Example:
 //
 //	taqbench -experiment fig2,fig8 -scale 0.3
 //	taqbench -experiment all -scale 1        # paper scale (slow)
-//	taqbench -experiment fig2 -parallel 8 -baseline
 //	taqbench -json -scale 0.05 -out BENCH_results.json
-//	taqbench -json -scale 0.05 -compare BENCH_baseline.json -tolerance 15
+//	taqbench -json -scale 0.05 -compare BENCH_baseline.json
 //
-// -compare gates on regressions against a committed baseline report
-// (see compare.go): deterministic experiment metrics may drift at most
-// -tolerance percent in either direction, wall time may only be that
-// much slower. Non-zero exit on any regression.
+// -compare gates on behaviour drift against a committed baseline report
+// (see compare.go): every baseline metric must be bit-equal and every
+// deterministic row's output byte-equal. Non-zero exit on any drift.
 package main
 
 import (
@@ -35,57 +33,53 @@ import (
 	"time"
 
 	"taq/experiments"
-	"taq/internal/sim"
-	"taq/internal/topology"
 )
-
-// result is what each experiment runner hands back: the rendered
-// human output plus headline metrics for the JSON report.
-type result struct {
-	output  string
-	metrics map[string]float64
-}
 
 // expReport is one experiment's entry in the -json report.
 type expReport struct {
-	Name     string  `json:"name"`
-	WallSecs float64 `json:"wall_secs"`
-	// SerialWallSecs and Speedup are present only with -baseline.
-	SerialWallSecs float64            `json:"serial_wall_secs,omitempty"`
-	Speedup        float64            `json:"speedup,omitempty"`
-	Metrics        map[string]float64 `json:"metrics,omitempty"`
-	Output         string             `json:"output,omitempty"`
+	Name string `json:"name"`
+	// WallClock rows print machine-dependent columns: -compare holds
+	// them to their metrics only.
+	WallClock bool               `json:"wall_clock,omitempty"`
+	Metrics   map[string]float64 `json:"metrics,omitempty"`
+	Output    string             `json:"output,omitempty"`
 }
 
 // report is the full -json document.
 type report struct {
-	Scale         float64     `json:"scale"`
-	Seed          int64       `json:"seed"`
-	Parallel      int         `json:"parallel"`
-	Experiments   []expReport `json:"experiments"`
-	TotalWallSecs float64     `json:"total_wall_secs"`
+	Scale       float64     `json:"scale"`
+	Seed        int64       `json:"seed"`
+	Experiments []expReport `json:"experiments"`
+}
+
+// runRow runs one registry row and files its result in rep.
+func (rep *report) runRow(x experiments.Experiment, csv bool) *expReport {
+	r := x.Run(experiments.Env{Scale: experiments.Scale(rep.Scale), Seed: rep.Seed, CSV: csv})
+	rep.Experiments = append(rep.Experiments, expReport{x.Name, x.WallClock, r.Metrics, r.Output})
+	return &rep.Experiments[len(rep.Experiments)-1]
 }
 
 func main() {
+	var names []string
+	for _, x := range experiments.All {
+		names = append(names, fmt.Sprintf("%s (%s)", x.Name, x.Paper))
+	}
 	var (
-		list      = flag.String("experiment", "all", "comma-separated: fig1,fig2,fig3,fig6,fig8,fig9,fig10,fig11,fig12,hang,redsfq,model,tfrc,ablation,iw,subpacket,scale,shard,pcap,tbweb,report or all")
+		list      = flag.String("experiment", "all", "comma-separated rows of experiments.All, or all: "+strings.Join(names, ", "))
 		scale     = flag.Float64("scale", 0.25, "experiment scale (1 = paper scale)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		csv       = flag.Bool("csv", false, "emit CSV instead of tables where supported (fig2, fig8, fig9)")
+		csv       = flag.Bool("csv", false, "emit every sweep as CSV instead of a table")
 		parallel  = flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS, 1 = serial)")
 		jsonOut   = flag.Bool("json", false, "emit a machine-readable JSON report instead of tables")
 		outPath   = flag.String("out", "", "write the JSON report to this file (default stdout)")
-		baseline  = flag.Bool("baseline", false, "also run each experiment serially and report the parallel speedup")
-		compare   = flag.String("compare", "", "compare this run against a baseline JSON report (e.g. BENCH_baseline.json) and exit non-zero on regression")
-		reportOut = flag.String("report-out", "", "write the report experiment's percentile table to this file (forces the report experiment to run)")
-		tolPct    = flag.Float64("tolerance", 15, "regression tolerance for -compare, in percent (metrics ±, wall time +)")
+		compare   = flag.String("compare", "", "compare this run against a baseline JSON report (e.g. BENCH_baseline.json) and exit non-zero on any drift")
+		reportOut = flag.String("report-out", "", "write the "+experiments.HistogramReport+" experiment's percentile table to this file (forces that experiment to run)")
 
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		traceOut = flag.String("trace", "", "write a runtime/trace to this file")
 	)
 	flag.Parse()
-	s := experiments.Scale(*scale)
 	experiments.SetParallelism(*parallel)
 
 	if *cpuProf != "" {
@@ -129,235 +123,36 @@ func main() {
 		}()
 	}
 
-	runners := map[string]func() result{
-		"model": func() result {
-			m, err := experiments.RunModelTables()
-			if err != nil {
-				fail(err)
-			}
-			return result{m.Table(), map[string]float64{
-				"tipping_point": m.TippingPoint,
-			}}
-		},
-		"fig1": func() result {
-			r := experiments.RunDownloadScatter(s, *seed)
-			return result{r.Table(), nil}
-		},
-		"fig2": func() result {
-			r := experiments.RunFairness(experiments.FairnessConfig{Queue: topology.DropTail, Seed: *seed}, s)
-			lt := experiments.RunLongTermFairness(topology.DropTail, s)
-			out := render(r, *csv) + "\nlong-term slices:\n" + render(lt, *csv) + "\n"
-			return result{out, map[string]float64{
-				"points":              float64(len(r.Points)),
-				"subpacket_short_jfi": experiments.MeanShortJFI(r.PointsBelow(10000)),
-				"long_term_points":    float64(len(lt.Points)),
-				"long_term_short_jfi": experiments.MeanShortJFI(lt.PointsBelow(10000)),
-			}}
-		},
-		"fig3": func() result {
-			r := experiments.RunBufferTradeoff(s, *seed)
-			out := r.Table() + fmt.Sprintf("buffer (RTTs) required for JFI ≥ 0.8: %v\n", r.RequiredBuffer(0.8))
-			return result{out, map[string]float64{
-				"points": float64(len(r.Points)),
-			}}
-		},
-		"hang": func() result {
-			r := experiments.RunHangTimes(topology.DropTail, s, *seed)
-			m := map[string]float64{"points": float64(len(r.Points))}
-			for _, p := range r.Points {
-				m[fmt.Sprintf("users%d_frac_over20s", p.Users)] = p.FracOver20s
-			}
-			return result{r.Table(), m}
-		},
-		"redsfq": func() result {
-			r := experiments.RunRedSfqEquivalence(s, *seed)
-			return result{r.Table(), map[string]float64{
-				"points": float64(len(r.Points)),
-			}}
-		},
-		"fig6": func() result {
-			r := experiments.RunModelValidation(s, *seed)
-			return result{r.Table(), nil}
-		},
-		"fig8": func() result {
-			r := experiments.RunFairness(experiments.FairnessConfig{Queue: topology.TAQ, Seed: *seed}, s)
-			return result{render(r, *csv) + "\n", map[string]float64{
-				"points":              float64(len(r.Points)),
-				"subpacket_short_jfi": experiments.MeanShortJFI(r.PointsBelow(10000)),
-			}}
-		},
-		"fig9": func() result {
-			rs := experiments.RunFlowEvolutionSweep([]topology.QueueKind{topology.DropTail, topology.TAQ}, s, *seed)
-			var out strings.Builder
-			m := map[string]float64{}
-			for _, r := range rs {
-				out.WriteString(render(r, *csv) + "\n")
-				m[string(r.Queue)+"_mean_stalled"] = r.MeanStalled
-				m[string(r.Queue)+"_mean_maintained"] = r.MeanMaintained
-			}
-			return result{out.String(), m}
-		},
-		"fig10": func() result {
-			r := experiments.RunShortFlows(topology.TAQ, s, *seed)
-			out := r.Table() + fmt.Sprintf("completed: %.2f  size/time correlation: %.2f\n\n",
-				r.CompletedFraction(), r.Correlation())
-			return result{out, map[string]float64{
-				"completed_fraction": r.CompletedFraction(),
-				"size_correlation":   r.Correlation(),
-			}}
-		},
-		"fig11": func() result {
-			r := experiments.RunTestbedFairness(experiments.TestbedOptions{
-				Speedup:         40,
-				VirtualDuration: sim.Time(float64(*scale) * float64(240*sim.Second)),
-				Seed:            *seed,
-			})
-			return result{r.Table(), nil}
-		},
-		"fig12": func() result {
-			r := experiments.RunAdmissionWeb(s, *seed)
-			out := r.Table() + fmt.Sprintf("median speedup: small objects %.1fx, large objects %.1fx\n\n",
-				r.SmallObjectSpeedup(), r.LargeObjectSpeedup())
-			return result{out, map[string]float64{
-				"small_object_speedup": r.SmallObjectSpeedup(),
-				"large_object_speedup": r.LargeObjectSpeedup(),
-			}}
-		},
-		"tfrc": func() result {
-			r := experiments.RunTFRCComparison(s, *seed)
-			return result{r.Table(), map[string]float64{
-				"points": float64(len(r.Points)),
-			}}
-		},
-		"ablation": func() result {
-			r := experiments.RunAblation(s, *seed)
-			m := map[string]float64{"points": float64(len(r.Points))}
-			if p, ok := r.Point("taq-full"); ok {
-				m["taq_full_short_jfi"] = p.ShortJFI
-			}
-			if p, ok := r.Point("droptail"); ok {
-				m["droptail_short_jfi"] = p.ShortJFI
-			}
-			return result{r.Table(), m}
-		},
-		"iw": func() result {
-			r := experiments.RunInitialWindow(s, *seed)
-			return result{r.Table(), map[string]float64{
-				"points": float64(len(r.Points)),
-			}}
-		},
-		"subpacket": func() result {
-			r := experiments.RunSubPacketTCP(s, *seed)
-			return result{r.Table(), map[string]float64{
-				"points": float64(len(r.Points)),
-			}}
-		},
-		"scale": func() result {
-			r := experiments.RunTrackerScale(s, *seed)
-			m := map[string]float64{"points": float64(len(r.Points))}
-			for _, p := range r.Points {
-				m[fmt.Sprintf("flows%d_tracked_end", p.Flows)] = float64(p.TrackedEnd)
-				m[fmt.Sprintf("flows%d_active_end", p.Flows)] = float64(p.ActiveEnd)
-			}
-			return result{r.Table(), m}
-		},
-		"shard": func() result {
-			r := experiments.RunShardScaling(s, *seed)
-			m := map[string]float64{"points": float64(len(r.Points))}
-			for _, p := range r.Points {
-				// Deterministic counters only: wall time and pkts/s are
-				// machine-dependent and must not gate -compare.
-				m[fmt.Sprintf("shards%d_arrivals", p.Shards)] = float64(p.Arrivals)
-				m[fmt.Sprintf("shards%d_served", p.Shards)] = float64(p.Served)
-				m[fmt.Sprintf("shards%d_drops", p.Shards)] = float64(p.Drops)
-			}
-			return result{r.Table(), m}
-		},
-		"pcap": func() result {
-			a := experiments.RunPcapAnalysis(topology.DropTail, s, *seed)
-			b := experiments.RunPcapAnalysis(topology.TAQ, s, *seed)
-			return result{a.Table() + "\n" + b.Table() + "\n", nil}
-		},
-		"tbweb": func() result {
-			r := experiments.RunTestbedWeb(experiments.TestbedWebOptions{
-				Speedup:         30,
-				VirtualDuration: sim.Time(float64(*scale) * float64(600*sim.Second)),
-				Seed:            *seed,
-			})
-			return result{r.Table(), nil}
-		},
-		"report": func() result {
-			return runReport(*scale, *seed)
-		},
-	}
-	order := []string{"model", "fig1", "fig2", "fig3", "hang", "redsfq", "fig6", "fig8", "fig9", "fig10", "fig11", "fig12", "tfrc", "ablation", "iw", "subpacket", "scale", "shard", "pcap", "tbweb", "report"}
-
-	want := map[string]bool{}
-	if *list == "all" {
-		for _, k := range order {
-			want[k] = true
-		}
-	} else {
-		for _, k := range strings.Split(*list, ",") {
-			k = strings.TrimSpace(k)
-			if _, ok := runners[k]; !ok {
-				fail(fmt.Errorf("unknown experiment %q", k))
-			}
-			want[k] = true
-		}
-	}
+	also := ""
 	if *reportOut != "" {
-		want["report"] = true
+		also = experiments.HistogramReport
+	}
+	rows, err := selectRows(*list, also)
+	if err != nil {
+		fail(err)
 	}
 
-	rep := report{Scale: *scale, Seed: *seed, Parallel: experiments.Parallelism()}
+	rep := report{Scale: *scale, Seed: *seed}
 	total := time.Now()
-	for _, k := range order {
-		if !want[k] {
-			continue
-		}
-		er := expReport{Name: k}
-		if *baseline {
-			// Serial reference first so the parallel timing below is
-			// what the user-facing run costs.
-			experiments.SetParallelism(1)
-			st := time.Now()
-			runners[k]()
-			er.SerialWallSecs = time.Since(st).Seconds()
-			experiments.SetParallelism(*parallel)
-		}
+	for _, x := range rows {
 		start := time.Now()
-		res := runners[k]()
-		er.WallSecs = time.Since(start).Seconds()
-		er.Metrics = res.metrics
-		if *baseline && er.WallSecs > 0 {
-			er.Speedup = er.SerialWallSecs / er.WallSecs
-		}
-		if k == "report" && *reportOut != "" {
-			if err := os.WriteFile(*reportOut, []byte(res.output), 0o644); err != nil {
+		er := rep.runRow(x, *csv)
+		if x.Name == also {
+			if err := os.WriteFile(*reportOut, []byte(er.Output), 0o644); err != nil {
 				fail(err)
 			}
 			fmt.Fprintf(os.Stderr, "[wrote %s]\n", *reportOut)
 		}
-		if *jsonOut {
-			er.Output = res.output
-		} else {
-			fmt.Printf("=== %s (scale %.2f) ===\n", k, *scale)
-			fmt.Println(res.output)
+		if !*jsonOut {
+			fmt.Printf("=== %s (scale %.2f) ===\n", x.Name, *scale)
+			fmt.Println(er.Output)
 		}
 		// Timing is nondeterministic, so it goes to stderr: stdout must
 		// stay byte-identical across -parallel values.
-		if *baseline {
-			fmt.Fprintf(os.Stderr, "[%s took %.1fs; serial %.1fs; speedup %.2fx]\n",
-				k, er.WallSecs, er.SerialWallSecs, er.Speedup)
-		} else {
-			fmt.Fprintf(os.Stderr, "[%s took %.1fs]\n", k, er.WallSecs)
-		}
-		rep.Experiments = append(rep.Experiments, er)
+		fmt.Fprintf(os.Stderr, "[%s took %.1fs]\n", x.Name, time.Since(start).Seconds())
 	}
-	rep.TotalWallSecs = time.Since(total).Seconds()
 	fmt.Fprintf(os.Stderr, "[total wall time %.1fs over %d experiments, parallel=%d]\n",
-		rep.TotalWallSecs, len(rep.Experiments), rep.Parallel)
+		time.Since(total).Seconds(), len(rep.Experiments), experiments.Parallelism())
 
 	if *jsonOut {
 		enc, err := json.MarshalIndent(rep, "", "  ")
@@ -380,29 +175,39 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		regs := compareReports(&rep, base, *tolPct)
-		for _, r := range regs {
-			fmt.Fprintln(os.Stderr, "taqbench: regression:", r)
+		drift := compareReports(&rep, base)
+		for _, d := range drift {
+			fmt.Fprintln(os.Stderr, "taqbench: drift:", d)
 		}
-		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "taqbench: %d regression(s) vs %s (tolerance %.0f%%)\n", len(regs), *compare, *tolPct)
+		if len(drift) > 0 {
+			fmt.Fprintf(os.Stderr, "taqbench: %d difference(s) vs %s\n", len(drift), *compare)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "[no regressions vs %s at %.0f%% tolerance]\n", *compare, *tolPct)
+		fmt.Fprintf(os.Stderr, "[identical to %s]\n", *compare)
 	}
 }
 
-// renderable is any result offering both renderings.
-type renderable interface {
-	Table() string
-	CSV() string
-}
-
-func render(r renderable, csv bool) string {
-	if csv {
-		return r.CSV()
+// selectRows returns the rows of experiments.All named in the
+// comma-separated list (or all of them), plus the row named also if
+// any, in registry order.
+func selectRows(list, also string) ([]experiments.Experiment, error) {
+	want := map[string]bool{also: true}
+	for _, k := range strings.Split(list, ",") {
+		want[strings.TrimSpace(k)] = true
 	}
-	return r.Table()
+	var rows []experiments.Experiment
+	for _, x := range experiments.All {
+		if want["all"] || want[x.Name] {
+			rows = append(rows, x)
+		}
+		delete(want, x.Name)
+	}
+	delete(want, "all")
+	delete(want, also)
+	for k := range want {
+		return nil, fmt.Errorf("unknown experiment %q", k)
+	}
+	return rows, nil
 }
 
 func fail(err error) {

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"fmt"
-
 	"taq/internal/core"
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// AblationPoint measures one TAQ variant on the Fig 9 scenario.
-type AblationPoint struct {
+// ablationPoint measures one TAQ variant on the Fig 9 scenario.
+type ablationPoint struct {
 	Variant        string
 	ShortJFI       float64
 	MeanStalled    float64
@@ -20,18 +17,10 @@ type AblationPoint struct {
 	LossRate       float64
 }
 
-// AblationResult compares full TAQ against variants with one design
-// element removed (the design choices DESIGN.md calls out), plus the
-// DropTail floor.
-type AblationResult struct {
-	Points []AblationPoint
-}
-
-// RunAblation runs 120 flows over 600 Kbps under each variant.
-func RunAblation(scale Scale, seed int64) AblationResult {
-	if seed == 0 {
-		seed = 1
-	}
+// ablationSweep runs 120 flows over 600 Kbps under full TAQ, under
+// variants with one design element removed (the design choices
+// DESIGN.md calls out), and under the DropTail floor.
+func ablationSweep(scale Scale, seed int64) sweep[ablationPoint] {
 	duration := scale.duration(800*sim.Second, 200*sim.Second)
 	const bw = 600 * link.Kbps
 	type variant struct {
@@ -50,7 +39,7 @@ func RunAblation(scale Scale, seed int64) AblationResult {
 		{"droptail", nil, topology.DropTail, false},
 	}
 
-	points := runSweep(variants, func(_ int, v variant) AblationPoint {
+	points := runSweep(variants, func(_ int, v variant) ablationPoint {
 		cfg := topology.Config{
 			Seed:              seed,
 			Bandwidth:         bw,
@@ -63,14 +52,10 @@ func RunAblation(scale Scale, seed int64) AblationResult {
 			v.mut(&tcfg)
 			cfg.TAQ = &tcfg
 		}
-		net := topology.MustNew(cfg)
-		workload.AddBulkFlows(net, 120, 50*sim.Millisecond)
-		net.Run(duration)
-
-		slices := int(duration / net.Slicer.Width())
+		net, slices := bulkDumbbell(cfg, 120, duration)
 		ev := net.Slicer.Evolution(2, slices)
 		_, rep := net.AggregateTimeouts()
-		return AblationPoint{
+		return ablationPoint{
 			Variant:        v.name,
 			ShortJFI:       net.Slicer.MeanSliceJFI(2, slices),
 			MeanStalled:    ev.MeanStalled(),
@@ -79,31 +64,28 @@ func RunAblation(scale Scale, seed int64) AblationResult {
 			LossRate:       net.LossRate(),
 		}
 	})
-	return AblationResult{Points: points}
+	return sweep[ablationPoint]{points: points, cols: []column[ablationPoint]{
+		{"variant", func(p ablationPoint) string { return p.Variant }},
+		{"shortJFI", func(p ablationPoint) string { return f3(p.ShortJFI) }},
+		{"stalled", func(p ablationPoint) string { return f1(p.MeanStalled) }},
+		{"maintained", func(p ablationPoint) string { return f1(p.MeanMaintained) }},
+		{"repetitiveTO", func(p ablationPoint) string { return dec(p.RepetitiveTOs) }},
+		{"loss", func(p ablationPoint) string { return f3(p.LossRate) }},
+	}}
 }
 
-// Table renders the ablation.
-func (r AblationResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Variant,
-			f3(p.ShortJFI),
-			f1(p.MeanStalled),
-			f1(p.MeanMaintained),
-			fmt.Sprintf("%d", p.RepetitiveTOs),
-			f3(p.LossRate),
-		})
-	}
-	return table([]string{"variant", "shortJFI", "stalled", "maintained", "repetitiveTO", "loss"}, rows)
+// ablationVariant returns the named variant's measurements.
+func ablationVariant(points []ablationPoint, name string) (ablationPoint, bool) {
+	return find(points, func(p ablationPoint) bool { return p.Variant == name })
 }
 
-// Point returns the named variant's measurements.
-func (r AblationResult) Point(variant string) (AblationPoint, bool) {
-	for _, p := range r.Points {
-		if p.Variant == variant {
-			return p, true
-		}
-	}
-	return AblationPoint{}, false
+func ablation(env Env) Report {
+	s := ablationSweep(env.Scale, env.Seed)
+	full, _ := ablationVariant(s.points, "taq-full")
+	dt, _ := ablationVariant(s.points, "droptail")
+	m := s.metrics()
+	m["taq_full_short_jfi"] = full.ShortJFI
+	m["droptail_short_jfi"] = dt.ShortJFI
+	m["full_vs_droptail_jfi_gap"] = full.ShortJFI - dt.ShortJFI
+	return Report{s.render(env.CSV), m}
 }

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"taq/internal/capture"
 	"taq/internal/link"
+	"taq/internal/metrics"
 	"taq/internal/sim"
 	"taq/internal/topology"
 )
@@ -43,50 +46,44 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig2DroptailShortTermCollapse(t *testing.T) {
-	r := RunFairness(FairnessConfig{
-		Queue:      topology.DropTail,
-		Bandwidths: []link.Bps{600 * link.Kbps},
-		FairShares: []float64{2500, 10000, 50000},
-	}, testScale)
-	if len(r.Points) != 3 {
-		t.Fatalf("points = %d", len(r.Points))
+	sp := shortTerm(topology.DropTail)
+	sp.bandwidths, sp.shares = []link.Bps{600 * link.Kbps}, []float64{2500, 10000, 50000}
+	pts := sp.run(testScale, 1)
+	if len(pts) != 3 {
+		t.Fatalf("points = %d", len(pts))
 	}
 	// Short-term fairness worsens as fair share shrinks (Fig 2).
-	if !(r.Points[0].ShortJFI < r.Points[2].ShortJFI) {
+	if !(pts[0].ShortJFI < pts[2].ShortJFI) {
 		t.Errorf("JFI not decreasing with contention: %.3f vs %.3f",
-			r.Points[0].ShortJFI, r.Points[2].ShortJFI)
+			pts[0].ShortJFI, pts[2].ShortJFI)
 	}
 	// Deep sub-packet regime: short-term JFI collapses below 0.5
 	// while utilization stays high (>90%).
-	if r.Points[0].ShortJFI > 0.5 {
-		t.Errorf("sub-packet short JFI = %.3f, want < 0.5", r.Points[0].ShortJFI)
+	if pts[0].ShortJFI > 0.5 {
+		t.Errorf("sub-packet short JFI = %.3f, want < 0.5", pts[0].ShortJFI)
 	}
-	for _, p := range r.Points {
+	for _, p := range pts {
 		if p.Utilization < 0.9 {
 			t.Errorf("utilization %.2f at fairshare %.0f, want ≥0.9", p.Utilization, p.FairShareBps)
 		}
 	}
 	// Long-term fairness exceeds short-term (the §2.3 observation).
-	if r.Points[0].LongJFI <= r.Points[0].ShortJFI {
+	if pts[0].LongJFI <= pts[0].ShortJFI {
 		t.Errorf("long-term JFI %.3f not better than short-term %.3f",
-			r.Points[0].LongJFI, r.Points[0].ShortJFI)
+			pts[0].LongJFI, pts[0].ShortJFI)
 	}
-	if r.Table() == "" {
+	if fairnessTable(topology.DropTail, pts).Table() == "" {
 		t.Error("empty table")
 	}
 }
 
 func TestFig8TAQBeatsDroptail(t *testing.T) {
-	cfg := FairnessConfig{
-		Bandwidths: []link.Bps{600 * link.Kbps},
-		FairShares: []float64{5000, 10000, 30000},
-	}
-	cfg.Queue = topology.DropTail
-	dt := RunFairness(cfg, testScale)
-	cfg.Queue = topology.TAQ
-	taq := RunFairness(cfg, testScale)
-	for i := range dt.Points {
-		d, q := dt.Points[i], taq.Points[i]
+	sp := shortTerm(topology.DropTail, topology.TAQ)
+	sp.bandwidths, sp.shares = []link.Bps{600 * link.Kbps}, []float64{5000, 10000, 30000}
+	pts := sp.run(testScale, 1)
+	dt, taq := pts[:3], pts[3:]
+	for i := range dt {
+		d, q := dt[i], taq[i]
 		if q.ShortJFI <= d.ShortJFI {
 			t.Errorf("fairshare %.0f: TAQ JFI %.3f ≤ DT %.3f",
 				d.FairShareBps, q.ShortJFI, d.ShortJFI)
@@ -98,21 +95,21 @@ func TestFig8TAQBeatsDroptail(t *testing.T) {
 	// "In many cases the fairness achieved by TAQ is higher than 0.8":
 	// at the moderate-contention points it must clear 0.7 even at
 	// test scale.
-	if taq.Points[2].ShortJFI < 0.7 {
-		t.Errorf("TAQ JFI at 30Kbps fair share = %.3f, want ≥ 0.7", taq.Points[2].ShortJFI)
+	if taq[2].ShortJFI < 0.7 {
+		t.Errorf("TAQ JFI at 30Kbps fair share = %.3f, want ≥ 0.7", taq[2].ShortJFI)
 	}
 }
 
 func TestFig3BufferTradeoff(t *testing.T) {
-	r := RunBufferTradeoff(testScale, 1)
-	if len(r.Points) != 20 {
-		t.Fatalf("points = %d, want 4 shares × 5 buffers", len(r.Points))
+	r := bufferTradeoff(testScale, 1)
+	if len(r.points) != 20 {
+		t.Fatalf("points = %d, want 4 shares × 5 buffers", len(r.points))
 	}
 	// Larger buffers must not hurt fairness dramatically, and the
 	// worst-case queueing delay must grow with the buffer (the Fig 3
 	// tradeoff). Check delay monotonicity within one share series.
 	var prevDelay sim.Time
-	for i, p := range r.Points[:5] {
+	for i, p := range r.points[:5] {
 		if i > 0 && p.QueueDelayMax <= prevDelay {
 			t.Errorf("queue delay not increasing with buffer: %v after %v",
 				p.QueueDelayMax, prevDelay)
@@ -122,7 +119,7 @@ func TestFig3BufferTradeoff(t *testing.T) {
 	// At the most extreme contention (0.25 pkt/RTT) even 5 RTT of
 	// buffer must not reach near-perfect fairness — that is the
 	// paper's "increasing buffers is infeasible" point.
-	req := r.RequiredBuffer(0.95)
+	req := requiredBuffer(r.points, 0.95)
 	if b, ok := req[0.25]; ok && b >= 0 && b <= 2 {
 		t.Errorf("0.25 pkt/RTT reached JFI 0.95 with only %v RTTs of buffer", b)
 	}
@@ -132,11 +129,11 @@ func TestFig3BufferTradeoff(t *testing.T) {
 }
 
 func TestHangTimesWorsenWithUsers(t *testing.T) {
-	r := RunHangTimes(topology.DropTail, testScale, 1)
-	if len(r.Points) != 2 {
-		t.Fatalf("points = %d", len(r.Points))
+	r := hangTimes(topology.DropTail, testScale, 1)
+	if len(r.points) != 2 {
+		t.Fatalf("points = %d", len(r.points))
 	}
-	p200, p400 := r.Points[0], r.Points[1]
+	p200, p400 := r.points[0], r.points[1]
 	// §2.3: with 200 users, hangs over 20 s are pervasive.
 	if p200.FracOver20s < 0.5 {
 		t.Errorf("200 users: frac >20s hang = %.2f, want ≥0.5", p200.FracOver20s)
@@ -158,9 +155,9 @@ func TestHangTimesWorsenWithUsers(t *testing.T) {
 }
 
 func TestRedSfqBehaveLikeDroptail(t *testing.T) {
-	r := RunRedSfqEquivalence(testScale, 1)
-	if len(r.Points) != 6 {
-		t.Fatalf("points = %d", len(r.Points))
+	r := redSfqSweep(testScale, 1)
+	if len(r.points) != 6 {
+		t.Fatalf("points = %d", len(r.points))
 	}
 	// §2.4: in the sub-packet regime RED and SFQ offer only marginal
 	// gains over DropTail — neither restores fairness (all baselines
@@ -168,7 +165,7 @@ func TestRedSfqBehaveLikeDroptail(t *testing.T) {
 	// particular tracks DropTail closely because the average queue
 	// sits pinned near the limit.
 	byQueue := map[topology.QueueKind][]float64{}
-	for _, p := range r.Points {
+	for _, p := range r.points {
 		byQueue[p.Queue] = append(byQueue[p.Queue], p.ShortJFI)
 		if p.Utilization < 0.9 {
 			t.Errorf("%s utilization %.2f, want ≥0.9", p.Queue, p.Utilization)
@@ -191,20 +188,20 @@ func TestRedSfqBehaveLikeDroptail(t *testing.T) {
 }
 
 func TestFig6ModelMatchesSimulation(t *testing.T) {
-	r := RunModelValidation(testScale, 1)
-	if len(r.Points) == 0 {
+	r := modelValidation(testScale, 1)
+	if len(r.points) == 0 {
 		t.Fatal("no validation points")
 	}
 	// Fig 6: "simulation results agree well with our model, especially
 	// for p > 0.05". Mean absolute per-class error stays small.
-	if worst := r.WorstError(0.05); worst > 0.12 {
+	if worst := worstError(r.points, 0.05); worst > 0.12 {
 		t.Errorf("worst per-class MAE = %.3f at p>0.05, want ≤ 0.12", worst)
 	}
 	// Higher contention ⇒ more mass in the silent classes: check the
 	// "0 sent" empirical probability grows with measured loss within
 	// one bandwidth series.
-	series := map[link.Bps][]ValidationPoint{}
-	for _, p := range r.Points {
+	series := map[link.Bps][]validationPoint{}
+	for _, p := range r.points {
 		series[p.Bandwidth] = append(series[p.Bandwidth], p)
 	}
 	for bw, pts := range series {
@@ -221,33 +218,33 @@ func TestFig6ModelMatchesSimulation(t *testing.T) {
 }
 
 func TestFig9TAQNearlyEliminatesStalls(t *testing.T) {
-	dt := RunFlowEvolution(topology.DropTail, testScale, 1)
-	taq := RunFlowEvolution(topology.TAQ, testScale, 1)
-	if taq.MeanStalled >= dt.MeanStalled/2 {
-		t.Errorf("TAQ stalled %.1f not ≪ DT stalled %.1f", taq.MeanStalled, dt.MeanStalled)
+	dt := flowEvolution(topology.DropTail, testScale, 1)
+	taq := flowEvolution(topology.TAQ, testScale, 1)
+	if q, d := taq.Counts.MeanStalled(), dt.Counts.MeanStalled(); q >= d/2 {
+		t.Errorf("TAQ stalled %.1f not ≪ DT stalled %.1f", q, d)
 	}
-	if taq.MeanMaintained <= dt.MeanMaintained {
-		t.Errorf("TAQ maintained %.1f ≤ DT %.1f", taq.MeanMaintained, dt.MeanMaintained)
+	if q, d := taq.Counts.MeanMaintained(), dt.Counts.MeanMaintained(); q <= d {
+		t.Errorf("TAQ maintained %.1f ≤ DT %.1f", q, d)
 	}
-	if dt.Table() == "" || taq.Table() == "" {
+	if dt.series(3).Table() == "" || taq.series(3).Table() == "" {
 		t.Error("empty table")
 	}
 }
 
 func TestFig10ShortFlowPredictability(t *testing.T) {
-	taq := RunShortFlows(topology.TAQ, testScale, 1)
-	if taq.CompletedFraction() < 0.95 {
-		t.Fatalf("TAQ short flows completed %.2f, want ≈1", taq.CompletedFraction())
+	taq := shortFlows(topology.TAQ, testScale, 1)
+	if done := completedFraction(taq.points); done < 0.95 {
+		t.Fatalf("TAQ short flows completed %.2f, want ≈1", done)
 	}
 	// Download time roughly linear in flow size ⇒ strong positive
 	// correlation.
-	if c := taq.Correlation(); c < 0.5 {
-		t.Errorf("TAQ size/time correlation = %.2f, want ≥ 0.5", c)
+	taqCorr := sizeTimeCorrelation(taq.points)
+	if taqCorr < 0.5 {
+		t.Errorf("TAQ size/time correlation = %.2f, want ≥ 0.5", taqCorr)
 	}
-	dt := RunShortFlows(topology.DropTail, testScale, 1)
-	if dt.Correlation() >= taq.Correlation() {
-		t.Errorf("DT correlation %.2f ≥ TAQ %.2f — TAQ should be more predictable",
-			dt.Correlation(), taq.Correlation())
+	dt := shortFlows(topology.DropTail, testScale, 1)
+	if c := sizeTimeCorrelation(dt.points); c >= taqCorr {
+		t.Errorf("DT correlation %.2f ≥ TAQ %.2f — TAQ should be more predictable", c, taqCorr)
 	}
 	if taq.Table() == "" {
 		t.Error("empty table")
@@ -255,7 +252,7 @@ func TestFig10ShortFlowPredictability(t *testing.T) {
 }
 
 func TestFig12AdmissionImprovesDownloads(t *testing.T) {
-	r := RunAdmissionWeb(testScale, 1)
+	r := admissionWeb(testScale, 1)
 	if r.TAQ.SmallCDF.N() < 10 || r.Droptail.SmallCDF.N() < 10 {
 		t.Fatalf("too few samples: taq=%d dt=%d", r.TAQ.SmallCDF.N(), r.Droptail.SmallCDF.N())
 	}
@@ -263,38 +260,39 @@ func TestFig12AdmissionImprovesDownloads(t *testing.T) {
 	// median and worst at their peak load; the scaled load has a mild
 	// DropTail baseline, so the median win is modest while the tail
 	// wins — the predictability story — remain large).
-	if s := r.SmallObjectSpeedup(); s < 1.02 {
+	p90, worst := func(c *metrics.CDF) float64 { return c.Percentile(90) }, (*metrics.CDF).Max
+	if s := speedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF, (*metrics.CDF).Median); s < 1.02 {
 		t.Errorf("small-object median speedup = %.2f, want ≥ 1.02", s)
 	}
-	if s := P90Speedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF); s < 1.1 {
+	if s := speedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF, p90); s < 1.1 {
 		t.Errorf("small-object p90 speedup = %.2f, want ≥ 1.1", s)
 	}
-	if s := WorstCaseSpeedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF); s < 1.5 {
+	if s := speedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF, worst); s < 1.5 {
 		t.Errorf("small-object worst-case speedup = %.2f, want ≥ 1.5", s)
 	}
-	if s := WorstCaseSpeedup(r.Droptail.LargeCDF, r.TAQ.LargeCDF); s < 1.2 {
+	if s := speedup(r.Droptail.LargeCDF, r.TAQ.LargeCDF, worst); s < 1.2 {
 		t.Errorf("large-object worst-case speedup = %.2f, want ≥ 1.2", s)
 	}
 	if r.Droptail.Completed < 0.99 || r.TAQ.Completed < 0.99 {
 		t.Errorf("incomplete replay: dt=%.2f taq=%.2f", r.Droptail.Completed, r.TAQ.Completed)
 	}
-	if r.Table() == "" {
+	if r.table().Table() == "" {
 		t.Error("empty table")
 	}
 }
 
 func TestModelTables(t *testing.T) {
-	m, err := RunModelTables()
+	m, tippingPoint, err := modelSummary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TippingPoint < 0.05 || m.TippingPoint > 0.2 {
-		t.Errorf("tipping point %.3f outside [0.05, 0.2]", m.TippingPoint)
+	if tippingPoint < 0.05 || tippingPoint > 0.2 {
+		t.Errorf("tipping point %.3f outside [0.05, 0.2]", tippingPoint)
 	}
 	// Timeout mass strictly grows with p.
-	for i := 1; i < len(m.TimeoutMass); i++ {
-		if m.TimeoutMass[i] < m.TimeoutMass[i-1] {
-			t.Errorf("timeout mass not monotone at p=%v", m.LossRates[i])
+	for i := 1; i < len(m.points); i++ {
+		if m.points[i].TimeoutMass < m.points[i-1].TimeoutMass {
+			t.Errorf("timeout mass not monotone at p=%v", m.points[i].LossRate)
 		}
 	}
 	if m.Table() == "" {
@@ -312,18 +310,28 @@ func TestFig11TestbedTAQImproves(t *testing.T) {
 	// test suite runs in parallel, timer starvation can sink a whole
 	// attempt, so allow one retry.
 	for attempt := 1; ; attempt++ {
-		r := RunTestbedFairness(TestbedOptions{
+		r := testbedFairness(testbedOptions{
 			Speedup:         30,
 			VirtualDuration: 120 * sim.Second,
 			SliceWidth:      20 * sim.Second,
 			FlowCounts:      []int{40},
 			Seed:            int64(attempt),
 		})
-		if len(r.Points) != 4 {
-			t.Fatalf("points = %d", len(r.Points))
+		if len(r.points) != 4 {
+			t.Fatalf("points = %d", len(r.points))
+		}
+		// TAQ-minus-DT short-term JFI per (bandwidth, flows) config.
+		gains := map[string]float64{}
+		for _, p := range r.points {
+			key := fmt.Sprintf("%.0f/%d", float64(p.Bandwidth), p.Flows)
+			if p.UseTAQ {
+				gains[key] += p.ShortJFI
+			} else {
+				gains[key] -= p.ShortJFI
+			}
 		}
 		wins := 0
-		for key, diff := range r.Compare() {
+		for key, diff := range gains {
 			if diff > 0 {
 				wins++
 			} else {
@@ -343,17 +351,17 @@ func TestFig11TestbedTAQImproves(t *testing.T) {
 }
 
 func TestFig1DownloadSpread(t *testing.T) {
-	r := RunDownloadScatter(testScale, 1)
-	if len(r.Buckets) < 3 {
-		t.Fatalf("buckets = %d", len(r.Buckets))
+	r, completed := downloadScatter(testScale, 1)
+	if len(r.points) < 3 {
+		t.Fatalf("buckets = %d", len(r.points))
 	}
-	if r.Completed == 0 {
+	if completed == 0 {
 		t.Fatal("no objects completed")
 	}
 	// Fig 1's headline: download times for comparable sizes vary
 	// hugely. At test scale require at least ~1.5 orders of magnitude
 	// in some populated bucket (paper: >2 at full scale).
-	if s := r.MaxSpreadOrders(); s < 1.0 {
+	if s := maxSpreadOrders(r.points); s < 1.0 {
 		t.Errorf("max per-bucket spread = %.2f orders, want ≥ 1", s)
 	}
 	if r.Table() == "" {
@@ -362,14 +370,14 @@ func TestFig1DownloadSpread(t *testing.T) {
 }
 
 func TestTFRCAlsoFailsInSubPacketRegime(t *testing.T) {
-	r := RunTFRCComparison(testScale, 1)
-	if len(r.Points) != 6 {
-		t.Fatalf("points = %d", len(r.Points))
+	r := tfrcComparison(testScale, 1)
+	if len(r.points) != 6 {
+		t.Fatalf("points = %d", len(r.points))
 	}
 	// §1: TFRC's rate floor is ≈√(3/2) packets per RTT, so in the
 	// sub-packet regime it fares no better than TCP — its short-term
 	// fairness stays collapsed too.
-	for _, p := range r.Points {
+	for _, p := range r.points {
 		if p.Transport == "tfrc" && p.FairShareBps <= 5000 && p.ShortJFI > 0.5 {
 			t.Errorf("TFRC JFI %.3f at fair share %.0f — should collapse like TCP",
 				p.ShortJFI, p.FairShareBps)
@@ -381,12 +389,12 @@ func TestTFRCAlsoFailsInSubPacketRegime(t *testing.T) {
 }
 
 func TestAblationEachComponentContributes(t *testing.T) {
-	r := RunAblation(testScale, 1)
-	full, ok := r.Point("taq-full")
+	r := ablationSweep(testScale, 1)
+	full, ok := ablationVariant(r.points, "taq-full")
 	if !ok {
 		t.Fatal("missing taq-full variant")
 	}
-	dt, _ := r.Point("droptail")
+	dt, _ := ablationVariant(r.points, "droptail")
 	// Full TAQ must beat the DropTail floor decisively.
 	if full.ShortJFI < dt.ShortJFI+0.1 {
 		t.Errorf("full TAQ JFI %.3f not clearly above droptail %.3f", full.ShortJFI, dt.ShortJFI)
@@ -396,10 +404,10 @@ func TestAblationEachComponentContributes(t *testing.T) {
 	}
 	// Removing occupancy-based drop control must cost fairness, and
 	// removing recovery protection must cost repetitive timeouts.
-	if p, ok := r.Point("no-occupancy-drops"); ok && p.ShortJFI > full.ShortJFI+0.05 {
+	if p, ok := ablationVariant(r.points, "no-occupancy-drops"); ok && p.ShortJFI > full.ShortJFI+0.05 {
 		t.Errorf("no-occupancy-drops JFI %.3f better than full %.3f", p.ShortJFI, full.ShortJFI)
 	}
-	if p, ok := r.Point("no-recovery-protection"); ok && p.RepetitiveTOs < full.RepetitiveTOs {
+	if p, ok := ablationVariant(r.points, "no-recovery-protection"); ok && p.RepetitiveTOs < full.RepetitiveTOs {
 		t.Errorf("removing recovery protection reduced repetitive timeouts (%d < %d)",
 			p.RepetitiveTOs, full.RepetitiveTOs)
 	}
@@ -409,13 +417,16 @@ func TestAblationEachComponentContributes(t *testing.T) {
 }
 
 func TestInitialWindowPenaltyUnderDroptail(t *testing.T) {
-	r := RunInitialWindow(testScale, 1)
-	if len(r.Points) != 4 {
-		t.Fatalf("points = %d", len(r.Points))
+	r := initialWindowSweep(testScale, 1)
+	if len(r.points) != 4 {
+		t.Fatalf("points = %d", len(r.points))
 	}
-	dtIW10, ok1 := r.Point(topology.DropTail, "cubic-iw10")
-	dtIW2, ok2 := r.Point(topology.DropTail, "newreno-iw2")
-	taqIW10, ok3 := r.Point(topology.TAQ, "cubic-iw10")
+	point := func(qk topology.QueueKind, label string) (iwPoint, bool) {
+		return find(r.points, func(p iwPoint) bool { return p.Queue == qk && p.Label == label })
+	}
+	dtIW10, ok1 := point(topology.DropTail, "cubic-iw10")
+	dtIW2, ok2 := point(topology.DropTail, "newreno-iw2")
+	taqIW10, ok3 := point(topology.TAQ, "cubic-iw10")
 	if !ok1 || !ok2 || !ok3 {
 		t.Fatal("missing points")
 	}
@@ -448,14 +459,15 @@ func TestTestbedWebReplay(t *testing.T) {
 	// Keep virtualPktRate/speedup well under wall-clock timer
 	// capacity: 600 Kbps ≈ 150 pkt/s virtual × 30 = 4.5k timer
 	// events/s wall.
-	r := RunTestbedWeb(TestbedWebOptions{
+	r := testbedWebReplay(testbedWebOptions{
 		Speedup:         30,
 		VirtualDuration: 120 * sim.Second,
 		Clients:         4,
 		ObjectsPerHost:  6,
+		Seed:            1,
 	})
-	dt, ok1 := r.Point(false)
-	taq, ok2 := r.Point(true)
+	dt, ok1 := find(r.points, func(p testbedWebPoint) bool { return !p.UseTAQ })
+	taq, ok2 := find(r.points, func(p testbedWebPoint) bool { return p.UseTAQ })
 	if !ok1 || !ok2 {
 		t.Fatal("missing points")
 	}
@@ -473,12 +485,9 @@ func TestTestbedWebReplay(t *testing.T) {
 }
 
 func TestCSVExports(t *testing.T) {
-	fr := RunFairness(FairnessConfig{
-		Queue:      topology.DropTail,
-		Bandwidths: []link.Bps{200 * link.Kbps},
-		FairShares: []float64{10000},
-	}, testScale)
-	csv := fr.CSV()
+	sp := shortTerm(topology.DropTail)
+	sp.bandwidths, sp.shares = []link.Bps{200 * link.Kbps}, []float64{10000}
+	csv := fairnessTable(topology.DropTail, sp.run(testScale, 1)).CSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("fairness CSV lines = %d, want header+1", len(lines))
@@ -489,33 +498,35 @@ func TestCSVExports(t *testing.T) {
 	if strings.Count(lines[1], ",") != strings.Count(lines[0], ",") {
 		t.Error("CSV row width mismatch")
 	}
-	ev := RunFlowEvolution(topology.DropTail, testScale, 1)
-	evCSV := ev.CSV()
+	ev := flowEvolution(topology.DropTail, testScale, 1)
+	evCSV := ev.series(1).CSV()
 	if len(strings.Split(strings.TrimSpace(evCSV), "\n")) != len(ev.Counts.Slices)+1 {
 		t.Error("evolution CSV should have one line per slice plus header")
 	}
 }
 
 func TestPcapShutdownAndHogs(t *testing.T) {
-	dt := RunPcapAnalysis(topology.DropTail, testScale, 1)
+	dt := pcapAnalysis(topology.DropTail, testScale, 1)
+	dtShutdown, dtTop80 := capture.MeanShutdownFrac(dt.points), capture.MeanTop80Frac(dt.points)
 	// §2.3: ≈30% of flows completely shut down per 20 s slice, and a
 	// minority of flows holds ≥80% of the bandwidth.
-	if dt.MeanShutdownFrac < 0.15 || dt.MeanShutdownFrac > 0.5 {
-		t.Errorf("droptail shutdown frac = %.2f, want ≈0.3", dt.MeanShutdownFrac)
+	if dtShutdown < 0.15 || dtShutdown > 0.5 {
+		t.Errorf("droptail shutdown frac = %.2f, want ≈0.3", dtShutdown)
 	}
-	if dt.MeanTop80Frac > 0.5 {
-		t.Errorf("droptail top-80 frac = %.2f, want a minority (<0.5)", dt.MeanTop80Frac)
+	if dtTop80 > 0.5 {
+		t.Errorf("droptail top-80 frac = %.2f, want a minority (<0.5)", dtTop80)
 	}
-	taq := RunPcapAnalysis(topology.TAQ, testScale, 1)
+	taq := pcapAnalysis(topology.TAQ, testScale, 1)
+	taqShutdown, taqTop80 := capture.MeanShutdownFrac(taq.points), capture.MeanTop80Frac(taq.points)
 	// TAQ: almost nobody shut down, bandwidth spread across many more
 	// flows.
-	if taq.MeanShutdownFrac > dt.MeanShutdownFrac/2 {
+	if taqShutdown > dtShutdown/2 {
 		t.Errorf("TAQ shutdown frac %.2f not ≪ droptail %.2f",
-			taq.MeanShutdownFrac, dt.MeanShutdownFrac)
+			taqShutdown, dtShutdown)
 	}
-	if taq.MeanTop80Frac < dt.MeanTop80Frac {
+	if taqTop80 < dtTop80 {
 		t.Errorf("TAQ top-80 frac %.2f not more even than droptail %.2f",
-			taq.MeanTop80Frac, dt.MeanTop80Frac)
+			taqTop80, dtTop80)
 	}
 	if dt.Table() == "" {
 		t.Error("empty table")
@@ -523,12 +534,12 @@ func TestPcapShutdownAndHogs(t *testing.T) {
 }
 
 func TestSubPacketFutureWork(t *testing.T) {
-	r := RunSubPacketTCP(testScale, 1)
-	if len(r.Points) != 4 {
-		t.Fatalf("points = %d", len(r.Points))
+	r := subPacketSweep(testScale, 1)
+	if len(r.points) != 4 {
+		t.Fatalf("points = %d", len(r.points))
 	}
-	dtReno, _ := r.Point(topology.DropTail, "newreno")
-	dtSub, _ := r.Point(topology.DropTail, "subpacket")
+	dtReno, _ := find(r.points, func(p subPacketPoint) bool { return p.Queue == topology.DropTail && p.Variant == "newreno" })
+	dtSub, _ := find(r.points, func(p subPacketPoint) bool { return p.Queue == topology.DropTail && p.Variant == "subpacket" })
 	// §7 future work: the paced fractional-window sender eliminates
 	// repetitive timeouts entirely and improves fairness over plain
 	// NewReno on an unmodified droptail bottleneck.
@@ -555,12 +566,12 @@ func TestSubPacketFutureWork(t *testing.T) {
 // same-seed runs must produce identical read-out checksums — the
 // in-process form of CI's large-population determinism gate.
 func TestTrackerScaleDeterministicChurn(t *testing.T) {
-	a := RunTrackerScale(0.05, 3)
-	b := RunTrackerScale(0.05, 3)
-	if len(a.Points) == 0 {
+	a := trackerScaleSweep(0.05, 3)
+	b := trackerScaleSweep(0.05, 3)
+	if len(a.points) == 0 {
 		t.Fatal("no scale points")
 	}
-	for i, p := range a.Points {
+	for i, p := range a.points {
 		if p.TrackedEnd > p.Flows {
 			t.Errorf("flows=%d: tracked %d exceeds offered %d", p.Flows, p.TrackedEnd, p.Flows)
 		}
@@ -570,7 +581,7 @@ func TestTrackerScaleDeterministicChurn(t *testing.T) {
 		if p.Served == 0 {
 			t.Errorf("flows=%d: nothing served", p.Flows)
 		}
-		if q := b.Points[i]; p != q {
+		if q := b.points[i]; p != q {
 			t.Errorf("flows=%d: same-seed runs diverged:\n%+v\n%+v", p.Flows, p, q)
 		}
 	}

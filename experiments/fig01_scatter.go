@@ -11,25 +11,17 @@ import (
 	"taq/internal/workload"
 )
 
-// ScatterResult is the Fig 1 reproduction: per-log-size-bucket
-// download-time statistics from replaying a proxy access log through a
-// pathologically shared access link.
-type ScatterResult struct {
-	Buckets   []metrics.BucketStat
-	Requested int
-	Completed int
-	LossRate  float64
-}
+// bucket is Fig 1's point: download-time statistics of one log-size
+// bucket of objects.
+type bucket = metrics.BucketStat
 
-// RunDownloadScatter reproduces Fig 1: a 2 Mbps access link shared by
+// downloadScatter reproduces Fig 1: a 2 Mbps access link shared by
 // ~220 clients replaying a (synthetic) 2-hour Squid log; each object
 // download is timed and bucketed by size. The paper's observation: the
 // per-bucket spread exceeds two orders of magnitude across the web
-// object size range. Scale shrinks the replay window.
-func RunDownloadScatter(scale Scale, seed int64) ScatterResult {
-	if seed == 0 {
-		seed = 1
-	}
+// object size range. Scale shrinks the replay window. It returns the
+// per-bucket sweep and how many objects completed.
+func downloadScatter(scale Scale, seed int64) (sweep[bucket], int) {
 	gen := trace.DefaultGenConfig()
 	gen.Seed = seed
 	gen.Duration = scale.duration(gen.Duration, 120*sim.Second)
@@ -50,48 +42,45 @@ func RunDownloadScatter(scale Scale, seed int64) ScatterResult {
 	// Let stragglers finish past the log window.
 	net.Run(gen.Duration + 60*sim.Second)
 
-	samples := workload.CollectObjectSamples(sessions)
-	res := ScatterResult{
-		Buckets:  metrics.BucketStats(samples, 1),
-		LossRate: net.LossRate(),
-	}
+	requested, completed := 0, 0
 	for _, s := range sessions {
 		for _, r := range s.Results {
-			res.Requested++
+			requested++
 			if r.Done {
-				res.Completed++
+				completed++
 			}
 		}
 	}
-	return res
+	return sweep[bucket]{
+		title: fmt.Sprintf("objects: %d requested, %d completed, queue loss %.3f\n",
+			requested, completed, net.LossRate()),
+		points: metrics.BucketStats(workload.CollectObjectSamples(sessions), 1),
+		cols: []column[bucket]{
+			{"size bucket", func(b bucket) string { return fmt.Sprintf("%.0fB-%.0fB", b.Lo, b.Hi) }},
+			{"n", func(b bucket) string { return dec(b.N) }},
+			{"min(s)", func(b bucket) string { return f2(b.Min) }},
+			{"p10(s)", func(b bucket) string { return f2(b.P10) }},
+			{"avg(s)", func(b bucket) string { return f2(b.Avg) }},
+			{"p90(s)", func(b bucket) string { return f2(b.P90) }},
+			{"max(s)", func(b bucket) string { return f2(b.Max) }},
+			{"spread(oom)", func(b bucket) string { return f1(b.SpreadOrders()) }},
+		},
+	}, completed
 }
 
-// Table renders the bucket statistics (Fig 1's plotted series).
-func (r ScatterResult) Table() string {
-	rows := make([][]string, 0, len(r.Buckets))
-	for _, b := range r.Buckets {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0fB-%.0fB", b.Lo, b.Hi),
-			fmt.Sprintf("%d", b.N),
-			f2(b.Min), f2(b.P10), f2(b.Avg), f2(b.P90), f2(b.Max),
-			f1(b.SpreadOrders()),
-		})
-	}
-	head := fmt.Sprintf("objects: %d requested, %d completed, queue loss %.3f\n",
-		r.Requested, r.Completed, r.LossRate)
-	return head + table(
-		[]string{"size bucket", "n", "min(s)", "p10(s)", "avg(s)", "p90(s)", "max(s)", "spread(oom)"},
-		rows)
-}
-
-// MaxSpreadOrders returns the widest per-bucket min-to-max spread in
+// maxSpreadOrders returns the widest per-bucket min-to-max spread in
 // orders of magnitude (the paper reads >2 off Fig 1).
-func (r ScatterResult) MaxSpreadOrders() float64 {
+func maxSpreadOrders(buckets []bucket) float64 {
 	m := 0.0
-	for _, b := range r.Buckets {
+	for _, b := range buckets {
 		if b.N >= 5 && b.SpreadOrders() > m {
 			m = b.SpreadOrders()
 		}
 	}
 	return m
+}
+
+func fig1(env Env) Report {
+	s, _ := downloadScatter(env.Scale, env.Seed)
+	return Report{s.render(env.CSV), map[string]float64{"max_spread_orders": maxSpreadOrders(s.points)}}
 }

@@ -5,14 +5,13 @@ import (
 
 	"taq/internal/link"
 	"taq/internal/sim"
-	"taq/internal/tcp"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// FairnessPoint is one point of the JFI-vs-fair-share curves in
-// Figs 2, 8 and 11.
-type FairnessPoint struct {
+// fairnessPoint is one point of the JFI-vs-fair-share curves in
+// Figs 2, 8 and §2.4.
+type fairnessPoint struct {
+	Queue        topology.QueueKind
 	Bandwidth    link.Bps
 	Flows        int
 	FairShareBps float64
@@ -22,165 +21,140 @@ type FairnessPoint struct {
 	LossRate     float64
 }
 
-// FairnessResult is a full sweep.
-type FairnessResult struct {
-	Queue  topology.QueueKind
-	Points []FairnessPoint
+// fairnessSpec is the one sweep behind Figs 2 and 8 and the §2.4
+// equivalence check: N bulk flows per (queue, bandwidth, fair share)
+// cell, N set by the target per-flow share. The figures differ only in
+// queue kinds and grid.
+type fairnessSpec struct {
+	queues     []topology.QueueKind
+	bandwidths []link.Bps
+	shares     []float64 // target per-flow fair shares (bps)
+	// runtime at scale 1 and its floor: the paper slices 400 s
+	// steady-state runs into 20 s windows.
+	runtime, floor sim.Time
 }
 
-// FairnessConfig controls the sweep shared by Figs 2 and 8.
-type FairnessConfig struct {
-	Queue topology.QueueKind
-	// Bandwidths to sweep (default: the paper's 200..1000 Kbps).
-	Bandwidths []link.Bps
-	// FairShares are the target per-flow shares (bps) that set N.
-	FairShares []float64
-	Seed       int64
+// The paper's Fig 2/8 grid: 200..1000 Kbps, fair shares 2.5..50 Kbps.
+var (
+	paperBandwidths = []link.Bps{200 * link.Kbps, 400 * link.Kbps, 600 * link.Kbps, 800 * link.Kbps, 1000 * link.Kbps}
+	paperShares     = []float64{2500, 5000, 10000, 20000, 30000, 40000, 50000}
+)
+
+// shortTerm is the Fig 2/8 grid for the given queues; longTerm is
+// Fig 2's long-slice variant (paper: 10000 s at 200 and 1000 Kbps).
+func shortTerm(queues ...topology.QueueKind) fairnessSpec {
+	return fairnessSpec{queues, paperBandwidths, paperShares, 400 * sim.Second, 80 * sim.Second}
 }
 
-func defaultFairnessConfig(qk topology.QueueKind) FairnessConfig {
-	return FairnessConfig{
-		Queue:      qk,
-		Bandwidths: []link.Bps{200 * link.Kbps, 400 * link.Kbps, 600 * link.Kbps, 800 * link.Kbps, 1000 * link.Kbps},
-		FairShares: []float64{2500, 5000, 10000, 20000, 30000, 40000, 50000},
-		Seed:       1,
-	}
+func longTerm(queues ...topology.QueueKind) fairnessSpec {
+	return fairnessSpec{queues, []link.Bps{200 * link.Kbps, 1000 * link.Kbps}, paperShares, 10000 * sim.Second, 200 * sim.Second}
 }
 
-// RunFairness runs the JFI-vs-fair-share sweep (Fig 2 with DropTail /
-// RED / SFQ, Fig 8 with TAQ). Scale 1 uses 400-second runs per point
-// (the paper slices long steady-state runs into 20 s windows).
-func RunFairness(cfg FairnessConfig, scale Scale) FairnessResult {
-	if cfg.Bandwidths == nil || cfg.FairShares == nil {
-		d := defaultFairnessConfig(cfg.Queue)
-		if cfg.Bandwidths == nil {
-			cfg.Bandwidths = d.Bandwidths
-		}
-		if cfg.FairShares == nil {
-			cfg.FairShares = d.FairShares
-		}
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	duration := scale.duration(400*sim.Second, 80*sim.Second)
-	return FairnessResult{
-		Queue:  cfg.Queue,
-		Points: fairnessSweep(cfg, cfg.Bandwidths, duration),
-	}
-}
-
-// fairnessJob is one (bandwidth, flow count) cell of the fairness grid.
-type fairnessJob struct {
-	bw link.Bps
-	n  int
-}
-
-// fairnessSweep enumerates the grid in bandwidth-major order (the order
-// the serial loops always produced) and evaluates the points through
-// the worker pool; each point builds its own seeded engine.
-func fairnessSweep(cfg FairnessConfig, bandwidths []link.Bps, duration sim.Time) []FairnessPoint {
-	var jobs []fairnessJob
-	for _, bw := range bandwidths {
-		for _, share := range cfg.FairShares {
-			n := int(float64(bw) / share)
-			if n < 2 {
-				continue
+// run enumerates the grid queue-major, then bandwidth, then share, and
+// evaluates the cells through the worker pool; each builds its own
+// seeded engine.
+func (sp fairnessSpec) run(scale Scale, seed int64) []fairnessPoint {
+	duration := scale.duration(sp.runtime, sp.floor)
+	var cells []fairnessPoint
+	for _, qk := range sp.queues {
+		for _, bw := range sp.bandwidths {
+			for _, share := range sp.shares {
+				if n := int(float64(bw) / share); n >= 2 {
+					cells = append(cells, fairnessPoint{Queue: qk, Bandwidth: bw, Flows: n})
+				}
 			}
-			jobs = append(jobs, fairnessJob{bw: bw, n: n})
 		}
 	}
-	return runSweep(jobs, func(_ int, j fairnessJob) FairnessPoint {
-		return fairnessPoint(cfg, j.bw, j.n, duration)
+	return runSweep(cells, func(_ int, p fairnessPoint) fairnessPoint {
+		net, slices := bulkDumbbell(topology.Config{
+			Seed:      seed,
+			Bandwidth: p.Bandwidth,
+			Queue:     p.Queue,
+			RTTJitter: 0.25, // variable RTTs, as in the paper's validation runs
+		}, p.Flows, duration)
+		const warmup = 1 // skip the first slice (slow-start transient)
+		p.FairShareBps = float64(p.Bandwidth) / float64(p.Flows)
+		p.ShortJFI = net.Slicer.MeanSliceJFI(warmup, slices)
+		p.LongJFI = net.Slicer.TotalJFI(warmup, slices)
+		p.Utilization = net.Utilization()
+		p.LossRate = net.LossRate()
+		return p
 	})
 }
 
-func fairnessPoint(cfg FairnessConfig, bw link.Bps, n int, duration sim.Time) FairnessPoint {
-	tcpCfg := tcp.DefaultConfig()
-	net := topology.MustNew(topology.Config{
-		Seed:      cfg.Seed,
-		Bandwidth: bw,
-		Queue:     cfg.Queue,
-		RTTJitter: 0.25, // variable RTTs, as in the paper's validation runs
-		TCP:       tcpCfg,
-	})
-	workload.AddBulkFlows(net, n, 50*sim.Millisecond)
-	net.Run(duration)
-
-	warmup := 1 // skip the first slice (slow-start transient)
-	slices := int(duration / net.Slicer.Width())
-	return FairnessPoint{
-		Bandwidth:    bw,
-		Flows:        n,
-		FairShareBps: float64(bw) / float64(n),
-		ShortJFI:     net.Slicer.MeanSliceJFI(warmup, slices),
-		LongJFI:      net.Slicer.TotalJFI(warmup, slices),
-		Utilization:  net.Utilization(),
-		LossRate:     net.LossRate(),
+// fairnessTable renders one queue's sweep in the paper's axes.
+func fairnessTable(qk topology.QueueKind, points []fairnessPoint) sweep[fairnessPoint] {
+	return sweep[fairnessPoint]{
+		title:  fmt.Sprintf("Queue: %s\n", qk),
+		points: points,
+		cols: []column[fairnessPoint]{
+			{"bandwidth", func(p fairnessPoint) string { return kbps(p.Bandwidth) }},
+			{"flows", func(p fairnessPoint) string { return dec(p.Flows) }},
+			{"fairshare(bps)", func(p fairnessPoint) string { return f0(p.FairShareBps) }},
+			{"shortJFI", func(p fairnessPoint) string { return f3(p.ShortJFI) }},
+			{"longJFI", func(p fairnessPoint) string { return f3(p.LongJFI) }},
+			{"util", func(p fairnessPoint) string { return f2(p.Utilization) }},
+			{"loss", func(p fairnessPoint) string { return f3(p.LossRate) }},
+		},
 	}
 }
 
-// RunLongTermFairness reproduces Fig 2's long-slice curves: the same
-// contention levels measured over one long window (paper: 10000 s at
-// 200 and 1000 Kbps).
-func RunLongTermFairness(qk topology.QueueKind, scale Scale) FairnessResult {
-	cfg := defaultFairnessConfig(qk)
-	duration := scale.duration(10000*sim.Second, 200*sim.Second)
-	return FairnessResult{
-		Queue:  qk,
-		Points: fairnessSweep(cfg, []link.Bps{200 * link.Kbps, 1000 * link.Kbps}, duration),
-	}
-}
-
-func (r FairnessResult) rows() (header []string, rows [][]string) {
-	header = []string{"bandwidth", "flows", "fairshare(bps)", "shortJFI", "longJFI", "util", "loss"}
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0fKbps", float64(p.Bandwidth)/1e3),
-			fmt.Sprintf("%d", p.Flows),
-			fmt.Sprintf("%.0f", p.FairShareBps),
-			f3(p.ShortJFI),
-			f3(p.LongJFI),
-			f2(p.Utilization),
-			f3(p.LossRate),
-		})
-	}
-	return
-}
-
-// Table renders the sweep in the paper's axes.
-func (r FairnessResult) Table() string {
-	h, rows := r.rows()
-	return fmt.Sprintf("Queue: %s\n", r.Queue) + table(h, rows)
-}
-
-// CSV renders the sweep as comma-separated values for plotting.
-func (r FairnessResult) CSV() string {
-	h, rows := r.rows()
-	return csvTable(h, rows)
-}
-
-// PointsBelow returns the points whose fair share is below the given
-// bps (e.g. the sub-3-packet regime where short-term fairness
-// collapses).
-func (r FairnessResult) PointsBelow(bps float64) []FairnessPoint {
-	var out []FairnessPoint
-	for _, p := range r.Points {
-		if p.FairShareBps < bps {
-			out = append(out, p)
+// subPacketShortJFI averages the short-term JFI over the points whose
+// fair share is below 10 Kbps, the sub-3-packet regime where
+// short-term fairness collapses.
+func subPacketShortJFI(points []fairnessPoint) float64 {
+	sum, n := 0.0, 0
+	for _, p := range points {
+		if p.FairShareBps < 10000 {
+			sum += p.ShortJFI
+			n++
 		}
 	}
-	return out
-}
-
-// MeanShortJFI averages the short-term JFI over the given points.
-func MeanShortJFI(pts []FairnessPoint) float64 {
-	if len(pts) == 0 {
+	if n == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, p := range pts {
-		s += p.ShortJFI
+	return sum / float64(n)
+}
+
+// fairnessFigure is the JFI-vs-fair-share row for one discipline:
+// Fig 2 with DropTail (plus its long-slice curves), Fig 8 with TAQ.
+func fairnessFigure(qk topology.QueueKind, withLongTerm bool) func(Env) Report {
+	return func(env Env) Report {
+		pts := shortTerm(qk).run(env.Scale, env.Seed)
+		out := fairnessTable(qk, pts).render(env.CSV)
+		m := map[string]float64{
+			"points":              float64(len(pts)),
+			"subpacket_short_jfi": subPacketShortJFI(pts),
+		}
+		if withLongTerm {
+			lt := longTerm(qk).run(env.Scale, env.Seed)
+			out += "\nlong-term slices:\n" + fairnessTable(qk, lt).render(env.CSV)
+			m["long_term_points"] = float64(len(lt))
+			m["long_term_short_jfi"] = subPacketShortJFI(lt)
+		}
+		return Report{out + "\n", m}
 	}
-	return s / float64(len(pts))
+}
+
+// redSfq is the §2.4 equivalence check: the Fig 2 configuration under
+// DropTail, RED and SFQ in the deep sub-packet regime only. With
+// ≲0.25 pkt/RTT per flow each flow holds at most one buffered packet,
+// the granularity at which §2.4 says AQM choices stop mattering.
+func redSfq(env Env) Report {
+	s := redSfqSweep(env.Scale, env.Seed)
+	return Report{s.render(env.CSV), s.metrics()}
+}
+
+func redSfqSweep(scale Scale, seed int64) sweep[fairnessPoint] {
+	sp := shortTerm(topology.DropTail, topology.RED, topology.SFQ)
+	sp.bandwidths, sp.shares = []link.Bps{200 * link.Kbps}, []float64{2500, 5000}
+	return sweep[fairnessPoint]{
+		points: sp.run(scale, seed),
+		cols: []column[fairnessPoint]{
+			{"queue", func(p fairnessPoint) string { return string(p.Queue) }},
+			{"fairshare(bps)", func(p fairnessPoint) string { return f0(p.FairShareBps) }},
+			{"shortJFI", func(p fairnessPoint) string { return f3(p.ShortJFI) }},
+			{"util", func(p fairnessPoint) string { return f2(p.Utilization) }},
+		},
+	}
 }

@@ -6,13 +6,12 @@ import (
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// BufferPoint is one point of Fig 3: the short-term fairness achieved
+// bufferPoint is one point of Fig 3: the short-term fairness achieved
 // by a DropTail buffer of the given size (in RTTs) at a given per-flow
 // fair share (in packets per RTT).
-type BufferPoint struct {
+type bufferPoint struct {
 	FairSharePktsPerRTT float64
 	BufferRTTs          float64
 	ShortJFI            float64
@@ -22,83 +21,55 @@ type BufferPoint struct {
 	MeasuredDelayP90 float64
 }
 
-// BufferResult is the Fig 3 sweep.
-type BufferResult struct {
-	Points []BufferPoint
-}
-
-// RunBufferTradeoff reproduces Fig 3: for fair shares of 0.25, 0.5, 1
+// bufferTradeoff reproduces Fig 3: for fair shares of 0.25, 0.5, 1
 // and 1.25 packets/RTT, sweep the DropTail buffer from 1 to 5 RTTs and
 // measure the 20 s-slice Jain index. The paper's reading: restoring
 // fairness by buffering alone needs multi-RTT buffers whose queueing
 // delay is unacceptable (§2.4).
-func RunBufferTradeoff(scale Scale, seed int64) BufferResult {
+func bufferTradeoff(scale Scale, seed int64) sweep[bufferPoint] {
 	const (
 		bw      = 1000 * link.Kbps
 		rtt     = 200 * sim.Millisecond
 		mss     = 500
 		pktsRTT = float64(bw) * 0.2 / 8 / mss // packets per RTT at capacity
 	)
-	if seed == 0 {
-		seed = 1
-	}
 	duration := scale.duration(400*sim.Second, 80*sim.Second)
 	shareUnit := float64(mss) * 8 / rtt.Seconds() // bps per pkt/RTT
-	type job struct {
-		share   float64
-		bufRTTs float64
-	}
-	var jobs []job
+	var cells []bufferPoint
 	for _, share := range []float64{0.25, 0.5, 1.0, 1.25} {
 		for _, bufRTTs := range []float64{1, 2, 3, 4, 5} {
-			jobs = append(jobs, job{share: share, bufRTTs: bufRTTs})
+			cells = append(cells, bufferPoint{FairSharePktsPerRTT: share, BufferRTTs: bufRTTs})
 		}
 	}
-	points := runSweep(jobs, func(_ int, j job) BufferPoint {
-		n := int(float64(bw) / (j.share * shareUnit))
-		bufPkts := int(j.bufRTTs * pktsRTT)
-		net := topology.MustNew(topology.Config{
+	points := runSweep(cells, func(_ int, p bufferPoint) bufferPoint {
+		bufPkts := int(p.BufferRTTs * pktsRTT)
+		net, slices := bulkDumbbell(topology.Config{
 			Seed:          seed,
 			Bandwidth:     bw,
 			PropRTT:       rtt,
 			Queue:         topology.DropTail,
 			BufferPackets: bufPkts,
 			RTTJitter:     0.25,
-		})
-		workload.AddBulkFlows(net, n, 50*sim.Millisecond)
-		net.Run(duration)
-		slices := int(duration / net.Slicer.Width())
-		return BufferPoint{
-			FairSharePktsPerRTT: j.share,
-			BufferRTTs:          j.bufRTTs,
-			ShortJFI:            net.Slicer.MeanSliceJFI(1, slices),
-			QueueDelayMax:       bw.TxTime(mss * bufPkts),
-			MeasuredDelayP90:    net.QueueDelays.Percentile(90),
-		}
+		}, int(float64(bw)/(p.FairSharePktsPerRTT*shareUnit)), duration)
+		p.ShortJFI = net.Slicer.MeanSliceJFI(1, slices)
+		p.QueueDelayMax = bw.TxTime(mss * bufPkts)
+		p.MeasuredDelayP90 = net.QueueDelays.Percentile(90)
+		return p
 	})
-	return BufferResult{Points: points}
+	return sweep[bufferPoint]{points: points, cols: []column[bufferPoint]{
+		{"fairshare(pkt/RTT)", func(p bufferPoint) string { return f2(p.FairSharePktsPerRTT) }},
+		{"buffer(RTTs)", func(p bufferPoint) string { return f1(p.BufferRTTs) }},
+		{"shortJFI", func(p bufferPoint) string { return f3(p.ShortJFI) }},
+		{"maxQdelay", func(p bufferPoint) string { return fmt.Sprintf("%.1fs", p.QueueDelayMax.Seconds()) }},
+		{"p90Qdelay", func(p bufferPoint) string { return fmt.Sprintf("%.2fs", p.MeasuredDelayP90) }},
+	}}
 }
 
-// Table renders the sweep.
-func (r BufferResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			f2(p.FairSharePktsPerRTT),
-			f1(p.BufferRTTs),
-			f3(p.ShortJFI),
-			fmt.Sprintf("%.1fs", p.QueueDelayMax.Seconds()),
-			fmt.Sprintf("%.2fs", p.MeasuredDelayP90),
-		})
-	}
-	return table([]string{"fairshare(pkt/RTT)", "buffer(RTTs)", "shortJFI", "maxQdelay", "p90Qdelay"}, rows)
-}
-
-// RequiredBuffer returns, for each fair share, the smallest buffer (in
+// requiredBuffer returns, for each fair share, the smallest buffer (in
 // RTTs) achieving the target JFI, or -1 if none did — Fig 3's y-axis.
-func (r BufferResult) RequiredBuffer(targetJFI float64) map[float64]float64 {
+func requiredBuffer(points []bufferPoint, targetJFI float64) map[float64]float64 {
 	out := make(map[float64]float64)
-	for _, p := range r.Points {
+	for _, p := range points {
 		if _, ok := out[p.FairSharePktsPerRTT]; !ok {
 			out[p.FairSharePktsPerRTT] = -1
 		}
@@ -109,4 +80,11 @@ func (r BufferResult) RequiredBuffer(targetJFI float64) map[float64]float64 {
 		}
 	}
 	return out
+}
+
+func fig3(env Env) Report {
+	s := bufferTradeoff(env.Scale, env.Seed)
+	need, m := requiredBuffer(s.points, 0.8), s.metrics()
+	m["rtts_for_jfi0.8_at_1.25pkt"] = need[1.25]
+	return Report{s.render(env.CSV) + fmt.Sprintf("buffer (RTTs) required for JFI ≥ 0.8: %v\n", need), m}
 }

@@ -8,75 +8,76 @@ import (
 	"taq/internal/sim"
 	"taq/internal/tcp"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// ValidationPoint compares the empirical per-epoch packets-sent
+// validationWmax is the window the Fig 6 census and model truncate at
+// (class Wmax clamps larger windows).
+const validationWmax = 6
+
+// validationPoint compares the empirical per-epoch packets-sent
 // distribution against the Markov model's stationary distribution at
 // the measured loss rate (Fig 6).
-type ValidationPoint struct {
+type validationPoint struct {
 	Bandwidth link.Bps
 	Flows     int
 	LossRate  float64
 	// Sim[k] and Model[k] are the probabilities of sending k packets
-	// in an epoch, k = 0..Wmax (class Wmax clamps larger windows).
+	// in an epoch, k = 0..validationWmax.
 	Sim, Model map[int]float64
 	// MeanAbsError averages |Sim−Model| over the classes.
 	MeanAbsError float64
 }
 
-// ValidationResult is the Fig 6 sweep.
-type ValidationResult struct {
-	Wmax   int
-	Points []ValidationPoint
-}
-
-// RunModelValidation reproduces Fig 6: flows with variable RTTs and
+// modelValidation reproduces Fig 6: flows with variable RTTs and
 // TCP SACK share bottlenecks of 200/750/1000 Kbps; contention (N) is
 // swept to cover loss probabilities up to ~0.3; for each run the
 // per-epoch packets-sent census is compared to the partial model's
 // stationary distribution at the measured p.
-func RunModelValidation(scale Scale, seed int64) ValidationResult {
-	if seed == 0 {
-		seed = 1
-	}
-	const wmax = 6
+func modelValidation(scale Scale, seed int64) sweep[validationPoint] {
 	duration := scale.duration(2000*sim.Second, 200*sim.Second)
-	res := ValidationResult{Wmax: wmax}
+	s := sweep[validationPoint]{cols: []column[validationPoint]{
+		{"bandwidth", func(p validationPoint) string { return kbps(p.Bandwidth) }},
+		{"flows", func(p validationPoint) string { return dec(p.Flows) }},
+		{"p(meas)", func(p validationPoint) string { return f3(p.LossRate) }},
+	}}
+	for k := 0; k <= validationWmax; k++ {
+		s.cols = append(s.cols,
+			column[validationPoint]{fmt.Sprintf("sim%d", k), func(p validationPoint) string { return f3(p.Sim[k]) }},
+			column[validationPoint]{fmt.Sprintf("mod%d", k), func(p validationPoint) string { return f3(p.Model[k]) }})
+	}
+	s.cols = append(s.cols, column[validationPoint]{"MAE", func(p validationPoint) string { return f3(p.MeanAbsError) }})
+
 	for _, bw := range []link.Bps{200 * link.Kbps, 750 * link.Kbps, 1000 * link.Kbps} {
 		// Sweep contention: fair shares from ~4 pkts/RTT down to deep
 		// sub-packet, producing a range of loss rates.
 		for _, perFlowPkts := range []float64{4, 2, 1, 0.5, 0.25} {
 			pktsPerRTT := float64(bw) * 0.2 / 8 / 500
-			n := int(pktsPerRTT / perFlowPkts)
-			if n < 4 {
-				continue
+			if n := int(pktsPerRTT / perFlowPkts); n >= 4 {
+				s.points = append(s.points, validate(bw, n, duration, seed))
 			}
-			res.Points = append(res.Points, validationPoint(bw, n, wmax, duration, seed))
 		}
 	}
-	return res
+	return s
 }
 
-func validationPoint(bw link.Bps, n, wmax int, duration sim.Time, seed int64) ValidationPoint {
+func validate(bw link.Bps, n int, duration sim.Time, seed int64) validationPoint {
 	tcpCfg := tcp.DefaultConfig()
 	tcpCfg.SACK = true // the paper validates against TCP SACK
 	// The model's base timeout is T0 = 2×RTT (§3.1.1): pin the
 	// senders' base RTO to that constant so a simple timeout spans
 	// about one silent epoch, as in the chain.
 	tcpCfg.FixedRTO = 400 * sim.Millisecond
-	net := topology.MustNew(topology.Config{
+	net, _ := bulkDumbbell(topology.Config{
 		Seed:      seed,
 		Bandwidth: bw,
 		Queue:     topology.DropTail,
 		RTTJitter: 0.25,
 		TCP:       tcpCfg,
+	}, n, duration, func(net *topology.Network) {
+		net.EnableCensus(validationWmax, 400*sim.Millisecond) // ≈ RTT incl. queueing
 	})
-	net.EnableCensus(wmax, 400*sim.Millisecond) // ≈ RTT incl. queueing
-	workload.AddBulkFlows(net, n, 50*sim.Millisecond)
-	net.Run(duration)
 
-	point := ValidationPoint{
+	point := validationPoint{
 		Bandwidth: bw,
 		Flows:     n,
 		LossRate:  net.LossRate(),
@@ -90,57 +91,33 @@ func validationPoint(bw link.Bps, n, wmax int, duration sim.Time, seed int64) Va
 	if p >= markov.MaxLoss {
 		p = markov.MaxLoss - 0.01
 	}
-	chain, err := markov.PartialModel(p, wmax)
+	chain, err := markov.PartialModel(p, validationWmax)
 	if err == nil {
 		if pi, err := chain.Stationary(); err == nil {
 			point.Model = chain.SentDistribution(pi)
 		}
 	}
-	sum, classes := 0.0, 0
-	for k := 0; k <= wmax; k++ {
+	sum := 0.0
+	for k := 0; k <= validationWmax; k++ {
 		d := point.Sim[k] - point.Model[k]
 		if d < 0 {
 			d = -d
 		}
 		sum += d
-		classes++
 	}
-	point.MeanAbsError = sum / float64(classes)
+	point.MeanAbsError = sum / float64(validationWmax+1)
 	return point
 }
 
-// Table renders per-class sim-vs-model probabilities.
-func (r ValidationResult) Table() string {
-	header := []string{"bandwidth", "flows", "p(meas)"}
-	for k := 0; k <= r.Wmax; k++ {
-		header = append(header, fmt.Sprintf("sim%d", k), fmt.Sprintf("mod%d", k))
-	}
-	header = append(header, "MAE")
-	rows := make([][]string, 0, len(r.Points))
-	for _, pt := range r.Points {
-		row := []string{
-			fmt.Sprintf("%.0fKbps", float64(pt.Bandwidth)/1e3),
-			fmt.Sprintf("%d", pt.Flows),
-			f3(pt.LossRate),
-		}
-		for k := 0; k <= r.Wmax; k++ {
-			row = append(row, f3(pt.Sim[k]), f3(pt.Model[k]))
-		}
-		row = append(row, f3(pt.MeanAbsError))
-		rows = append(rows, row)
-	}
-	return table(header, rows)
-}
-
-// WorstError returns the largest mean absolute error across points
+// worstError returns the largest mean absolute error across points
 // within the model's scope: measured p > minP (the paper notes
 // agreement is best for p > 0.05) and most of the empirical mass below
 // the Wmax truncation (§3.1.2: "many flows have higher window sizes,
 // but for small packet regimes we are only interested in small cwnd").
-func (r ValidationResult) WorstError(minP float64) float64 {
+func worstError(points []validationPoint, minP float64) float64 {
 	worst := 0.0
-	for _, pt := range r.Points {
-		if pt.LossRate <= minP || pt.Sim[r.Wmax] > 0.3 {
+	for _, pt := range points {
+		if pt.LossRate <= minP || pt.Sim[validationWmax] > 0.3 {
 			continue
 		}
 		if pt.MeanAbsError > worst {
@@ -148,4 +125,9 @@ func (r ValidationResult) WorstError(minP float64) float64 {
 		}
 	}
 	return worst
+}
+
+func fig6(env Env) Report {
+	s := modelValidation(env.Scale, env.Seed)
+	return Report{s.render(env.CSV), map[string]float64{"worst_mae": worstError(s.points, 0.05)}}
 }

@@ -7,73 +7,41 @@ import (
 	"taq/internal/metrics"
 	"taq/internal/sim"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// EvolutionResult is the Fig 9 reproduction: per-slice counts of
-// arriving / dropped / maintained / stalled flows for one queue
-// discipline.
-type EvolutionResult struct {
-	Queue          topology.QueueKind
-	Flows          int
-	SliceWidth     sim.Time
-	Counts         metrics.EvolutionCounts
-	MeanStalled    float64
-	MeanMaintained float64
-	MeanDropped    float64
-	MeanArriving   float64
+// evolutionResult is the Fig 9 reproduction for one queue discipline:
+// per-slice counts of arriving / dropped / maintained / stalled flows.
+type evolutionResult struct {
+	Queue  topology.QueueKind
+	Counts metrics.EvolutionCounts
 }
 
-// RunFlowEvolution reproduces Fig 9: 180 long-running flows over a
+// Fig 9's population and slice width. 20 s slices, as in the paper's
+// other short-term analyses: with 180 flows on 600 Kbps (≈150 pkt/s
+// aggregate), no discipline can serve every flow within a couple of
+// RTTs; "stalled" is a flow silent across two consecutive slices, i.e.
+// stuck in the deep (≥ tens of seconds) backoff stages.
+const (
+	evolutionFlows = 180
+	evolutionSlice = 20 * sim.Second
+)
+
+// flowEvolution reproduces Fig 9: 180 long-running flows over a
 // 600 Kbps bottleneck; each slice, flows are classified by their
 // progress transition. Under DropTail a large population stalls in
 // repetitive timeouts; under TAQ the stalled count is near zero and
 // more flows stay in the maintained state.
-func RunFlowEvolution(qk topology.QueueKind, scale Scale, seed int64) EvolutionResult {
-	if seed == 0 {
-		seed = 1
-	}
-	// 20 s slices, as in the paper's other short-term analyses: with
-	// 180 flows on 600 Kbps (≈150 pkt/s aggregate), no discipline can
-	// serve every flow within a couple of RTTs; "stalled" is a flow
-	// silent across two consecutive slices, i.e. stuck in the deep
-	// (≥ tens of seconds) backoff stages.
-	const flows = 180
-	slice := 20 * sim.Second
+func flowEvolution(qk topology.QueueKind, scale Scale, seed int64) evolutionResult {
 	duration := scale.duration(1100*sim.Second, 240*sim.Second)
-	net := topology.MustNew(topology.Config{
+	net, slices := bulkDumbbell(topology.Config{
 		Seed:       seed,
 		Bandwidth:  600 * link.Kbps,
 		Queue:      qk,
 		RTTJitter:  0.25,
-		SliceWidth: slice,
-	})
-	workload.AddBulkFlows(net, flows, 50*sim.Millisecond)
-	net.Run(duration)
-
-	warmup := int(100 * sim.Second / slice) // paper plots from t=200s
-	slices := int(duration / slice)
-	ev := net.Slicer.Evolution(warmup, slices)
-	res := EvolutionResult{
-		Queue:          qk,
-		Flows:          flows,
-		SliceWidth:     slice,
-		Counts:         ev,
-		MeanStalled:    ev.MeanStalled(),
-		MeanMaintained: ev.MeanMaintained(),
-	}
-	res.MeanDropped = meanOf(ev.Dropped)
-	res.MeanArriving = meanOf(ev.Arriving)
-	return res
-}
-
-// RunFlowEvolutionSweep runs Fig 9 for each queue kind through the
-// worker pool (one independent engine per discipline), preserving the
-// order of qks in the result.
-func RunFlowEvolutionSweep(qks []topology.QueueKind, scale Scale, seed int64) []EvolutionResult {
-	return runSweep(qks, func(_ int, qk topology.QueueKind) EvolutionResult {
-		return RunFlowEvolution(qk, scale, seed)
-	})
+		SliceWidth: evolutionSlice,
+	}, evolutionFlows, duration)
+	warmup := int(100 * sim.Second / evolutionSlice) // paper plots from t=200s
+	return evolutionResult{qk, net.Slicer.Evolution(warmup, slices)}
 }
 
 func meanOf(xs []int) float64 {
@@ -87,35 +55,44 @@ func meanOf(xs []int) float64 {
 	return float64(s) / float64(len(xs))
 }
 
-func (r EvolutionResult) rows(step int) (header []string, rows [][]string) {
-	header = []string{"t", "arriving", "dropped", "maintained", "stalled"}
-	if step < 1 {
-		step = 1
+// series renders every step-th slice under the mean counts; step 1 is
+// the full per-slice series (Fig 9's plotted data).
+func (r evolutionResult) series(step int) sweep[int] {
+	c := r.Counts
+	s := sweep[int]{
+		title: fmt.Sprintf("Queue: %s, %d flows, %s slices\n", r.Queue, evolutionFlows, evolutionSlice) +
+			fmt.Sprintf("means: maintained=%.1f dropped=%.1f arriving=%.1f stalled=%.1f\n",
+				c.MeanMaintained(), meanOf(c.Dropped), meanOf(c.Arriving), c.MeanStalled()),
+		cols: []column[int]{
+			{"t", func(i int) string { return fmt.Sprintf("%.0fs", (sim.Time(c.Slices[i]) * evolutionSlice).Seconds()) }},
+			{"arriving", func(i int) string { return dec(c.Arriving[i]) }},
+			{"dropped", func(i int) string { return dec(c.Dropped[i]) }},
+			{"maintained", func(i int) string { return dec(c.Maintained[i]) }},
+			{"stalled", func(i int) string { return dec(c.Stalled[i]) }},
+		},
 	}
-	for i := 0; i < len(r.Counts.Slices); i += step {
-		rows = append(rows, []string{
-			fmt.Sprintf("%.0fs", (sim.Time(r.Counts.Slices[i]) * r.SliceWidth).Seconds()),
-			fmt.Sprintf("%d", r.Counts.Arriving[i]),
-			fmt.Sprintf("%d", r.Counts.Dropped[i]),
-			fmt.Sprintf("%d", r.Counts.Maintained[i]),
-			fmt.Sprintf("%d", r.Counts.Stalled[i]),
-		})
+	for i := 0; i < len(c.Slices); i += max(step, 1) {
+		s.points = append(s.points, i)
 	}
-	return
+	return s
 }
 
-// Table renders the mean counts plus a few sample slices.
-func (r EvolutionResult) Table() string {
-	head := fmt.Sprintf("Queue: %s, %d flows, %s slices\n", r.Queue, r.Flows, r.SliceWidth)
-	head += fmt.Sprintf("means: maintained=%.1f dropped=%.1f arriving=%.1f stalled=%.1f\n",
-		r.MeanMaintained, r.MeanDropped, r.MeanArriving, r.MeanStalled)
-	h, rows := r.rows(len(r.Counts.Slices) / 10)
-	return head + table(h, rows)
-}
-
-// CSV renders the full per-slice series (every slice, Fig 9's plotted
-// data) as comma-separated values.
-func (r EvolutionResult) CSV() string {
-	h, rows := r.rows(1)
-	return csvTable(h, rows)
+// fig9 runs each discipline through the worker pool (one independent
+// engine each). The table samples about ten slices; CSV has them all.
+func fig9(env Env) Report {
+	qks := []topology.QueueKind{topology.DropTail, topology.TAQ}
+	rs := runSweep(qks, func(_ int, qk topology.QueueKind) evolutionResult {
+		return flowEvolution(qk, env.Scale, env.Seed)
+	})
+	out, m := "", map[string]float64{}
+	for _, r := range rs {
+		step := len(r.Counts.Slices) / 10
+		if env.CSV {
+			step = 1
+		}
+		out += r.series(step).render(env.CSV) + "\n"
+		m[string(r.Queue)+"_mean_stalled"] = r.Counts.MeanStalled()
+		m[string(r.Queue)+"_mean_maintained"] = r.Counts.MeanMaintained()
+	}
+	return Report{out, m}
 }

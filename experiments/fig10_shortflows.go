@@ -11,27 +11,18 @@ import (
 	"taq/internal/workload"
 )
 
-// ShortFlowPoint is one short flow's outcome (Fig 10).
-type ShortFlowPoint struct {
+// shortFlowPoint is one short flow's outcome (Fig 10).
+type shortFlowPoint struct {
 	Packets      int
 	DownloadSecs float64
 	Done         bool
 }
 
-// ShortFlowResult is the Fig 10 reproduction.
-type ShortFlowResult struct {
-	Queue  topology.QueueKind
-	Points []ShortFlowPoint
-}
-
-// RunShortFlows reproduces Fig 10: 32 short flows of 2–80 packets
+// shortFlows reproduces Fig 10: 32 short flows of 2–80 packets
 // injected against 50 long-running background flows on a 1 Mbps
 // bottleneck (20 Kbps fair share). Under TAQ the NewFlow queue gives
 // short flows predictable, roughly size-linear download times.
-func RunShortFlows(qk topology.QueueKind, scale Scale, seed int64) ShortFlowResult {
-	if seed == 0 {
-		seed = 1
-	}
+func shortFlows(qk topology.QueueKind, scale Scale, seed int64) sweep[shortFlowPoint] {
 	warm := scale.duration(100*sim.Second, 40*sim.Second)
 	net := topology.MustNew(topology.Config{
 		Seed:      seed,
@@ -52,60 +43,49 @@ func RunShortFlows(qk topology.QueueKind, scale Scale, seed int64) ShortFlowResu
 	endOfInjection := warm + 32*5*sim.Second
 	net.Run(endOfInjection + 120*sim.Second)
 
-	res := ShortFlowResult{Queue: qk}
+	s := sweep[shortFlowPoint]{
+		title: fmt.Sprintf("Queue: %s\n", qk),
+		cols: []column[shortFlowPoint]{
+			{"packets", func(p shortFlowPoint) string { return dec(p.Packets) }},
+			{"download(s)", func(p shortFlowPoint) string {
+				if !p.Done {
+					return "DNF"
+				}
+				return f2(p.DownloadSecs)
+			}},
+		},
+	}
 	for _, r := range results {
-		p := ShortFlowPoint{Packets: r.Segments, Done: r.Done}
+		p := shortFlowPoint{Packets: r.Segments, Done: r.Done}
 		if r.Done {
 			p.DownloadSecs = r.Duration().Seconds()
 		}
-		res.Points = append(res.Points, p)
+		s.points = append(s.points, p)
 	}
-	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].Packets < res.Points[j].Packets })
-	return res
+	sort.Slice(s.points, func(i, j int) bool { return s.points[i].Packets < s.points[j].Packets })
+	return s
 }
 
-// RunShortFlowsSweep runs Fig 10 for each queue kind through the
-// worker pool, preserving the order of qks in the result.
-func RunShortFlowsSweep(qks []topology.QueueKind, scale Scale, seed int64) []ShortFlowResult {
-	return runSweep(qks, func(_ int, qk topology.QueueKind) ShortFlowResult {
-		return RunShortFlows(qk, scale, seed)
-	})
-}
-
-// Table renders size vs download time.
-func (r ShortFlowResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		d := "DNF"
-		if p.Done {
-			d = f2(p.DownloadSecs)
-		}
-		rows = append(rows, []string{fmt.Sprintf("%d", p.Packets), d})
-	}
-	return fmt.Sprintf("Queue: %s\n", r.Queue) +
-		table([]string{"packets", "download(s)"}, rows)
-}
-
-// CompletedFraction returns the fraction of short flows that finished.
-func (r ShortFlowResult) CompletedFraction() float64 {
+// completedFraction returns the fraction of short flows that finished.
+func completedFraction(points []shortFlowPoint) float64 {
 	done := 0
-	for _, p := range r.Points {
+	for _, p := range points {
 		if p.Done {
 			done++
 		}
 	}
-	if len(r.Points) == 0 {
+	if len(points) == 0 {
 		return 0
 	}
-	return float64(done) / float64(len(r.Points))
+	return float64(done) / float64(len(points))
 }
 
-// Correlation returns the Pearson correlation between flow size and
-// download time over completed flows — Fig 10's "roughly linear"
+// sizeTimeCorrelation returns the Pearson correlation between flow size
+// and download time over completed flows — Fig 10's "roughly linear"
 // reading implies a strong positive correlation under TAQ.
-func (r ShortFlowResult) Correlation() float64 {
+func sizeTimeCorrelation(points []shortFlowPoint) float64 {
 	var xs, ys []float64
-	for _, p := range r.Points {
+	for _, p := range points {
 		if p.Done {
 			xs = append(xs, float64(p.Packets))
 			ys = append(ys, p.DownloadSecs)
@@ -133,4 +113,13 @@ func (r ShortFlowResult) Correlation() float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
+}
+
+func fig10(env Env) Report {
+	s := shortFlows(topology.TAQ, env.Scale, env.Seed)
+	done, corr := completedFraction(s.points), sizeTimeCorrelation(s.points)
+	return Report{
+		s.render(env.CSV) + fmt.Sprintf("completed: %.2f  size/time correlation: %.2f\n\n", done, corr),
+		map[string]float64{"completed_fraction": done, "size_correlation": corr},
+	}
 }

@@ -1,17 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-
 	"taq/internal/emu"
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
 )
 
-// TestbedPoint is one prototype run of Fig 11: the real-time
+// testbedPoint is one prototype run of Fig 11: the real-time
 // middlebox serving long-lived flows at a given contention level.
-type TestbedPoint struct {
+type testbedPoint struct {
 	UseTAQ       bool
 	Bandwidth    link.Bps
 	Flows        int
@@ -20,58 +18,42 @@ type TestbedPoint struct {
 	LossRate     float64
 }
 
-// TestbedResult is the Fig 11 sweep.
-type TestbedResult struct {
-	Points []TestbedPoint
-}
-
-// TestbedOptions tunes the real-time runs (they consume wall time!).
-type TestbedOptions struct {
+// testbedOptions tunes the real-time runs (they consume wall time!).
+type testbedOptions struct {
 	// Speedup compresses wall time; keep virtualPktRate/Speedup well
 	// under the OS timer capacity (~50k/s).
-	Speedup float64
-	// VirtualDuration per run.
-	VirtualDuration sim.Time
-	// SliceWidth for the short-term JFI.
-	SliceWidth sim.Time
-	// FlowCounts per bandwidth; zero → defaults.
-	FlowCounts []int
-	Seed       int64
+	Speedup         float64
+	VirtualDuration sim.Time // per run
+	SliceWidth      sim.Time // for the short-term JFI
+	FlowCounts      []int    // per bandwidth
+	Seed            int64
 }
 
-// RunTestbedFairness reproduces Fig 11: the same TAQ implementation,
+// testbedFairness reproduces Fig 11: the same TAQ implementation,
 // running under the wall-clock engine (the prototype substrate), is
 // compared against DropTail at 600 Kbps and 1 Mbps. The paper's
 // reading: even on basic hardware TAQ handles these packet rates and
 // improves the short-term Jain index.
-func RunTestbedFairness(opt TestbedOptions) TestbedResult {
-	if opt.Speedup == 0 {
-		opt.Speedup = 40
-	}
-	if opt.VirtualDuration == 0 {
-		opt.VirtualDuration = 60 * sim.Second
-	}
-	if opt.SliceWidth == 0 {
-		opt.SliceWidth = 10 * sim.Second
-	}
-	if opt.FlowCounts == nil {
-		opt.FlowCounts = []int{30, 60}
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	var res TestbedResult
+func testbedFairness(opt testbedOptions) sweep[testbedPoint] {
+	s := sweep[testbedPoint]{cols: []column[testbedPoint]{
+		{"queue", func(p testbedPoint) string { return testbedLabel(p.UseTAQ) }},
+		{"bandwidth", func(p testbedPoint) string { return kbps(p.Bandwidth) }},
+		{"flows", func(p testbedPoint) string { return dec(p.Flows) }},
+		{"fairshare(bps)", func(p testbedPoint) string { return f0(p.FairShareBps) }},
+		{"shortJFI", func(p testbedPoint) string { return f3(p.ShortJFI) }},
+		{"loss", func(p testbedPoint) string { return f3(p.LossRate) }},
+	}}
 	for _, bw := range []link.Bps{600 * link.Kbps, 1000 * link.Kbps} {
 		for _, n := range opt.FlowCounts {
 			for _, useTAQ := range []bool{false, true} {
-				res.Points = append(res.Points, testbedPoint(bw, n, useTAQ, opt))
+				s.points = append(s.points, runTestbedPoint(bw, n, useTAQ, opt))
 			}
 		}
 	}
-	return res
+	return s
 }
 
-func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPoint {
+func runTestbedPoint(bw link.Bps, n int, useTAQ bool, opt testbedOptions) testbedPoint {
 	tb := emu.NewTestbed(emu.TestbedConfig{
 		Config: topology.Config{
 			Seed:       opt.Seed,
@@ -86,7 +68,7 @@ func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPo
 	}
 	tb.RunFor(opt.VirtualDuration)
 	tb.Stop()
-	pt := TestbedPoint{
+	pt := testbedPoint{
 		UseTAQ:       useTAQ,
 		Bandwidth:    bw,
 		Flows:        n,
@@ -101,7 +83,8 @@ func testbedPoint(bw link.Bps, n int, useTAQ bool, opt TestbedOptions) TestbedPo
 }
 
 // testbedQueue is the prototype comparison's discipline: the TAQ
-// middlebox, or the DropTail it replaces.
+// middlebox, or the DropTail it replaces; testbedLabel is its name in
+// the tables.
 func testbedQueue(useTAQ bool) topology.QueueKind {
 	if useTAQ {
 		return topology.TAQ
@@ -109,42 +92,20 @@ func testbedQueue(useTAQ bool) topology.QueueKind {
 	return topology.DropTail
 }
 
-// Table renders the testbed comparison.
-func (r TestbedResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		q := "DT"
-		if p.UseTAQ {
-			q = "TAQ"
-		}
-		rows = append(rows, []string{
-			q,
-			fmt.Sprintf("%.0fKbps", float64(p.Bandwidth)/1e3),
-			fmt.Sprintf("%d", p.Flows),
-			fmt.Sprintf("%.0f", p.FairShareBps),
-			f3(p.ShortJFI),
-			f3(p.LossRate),
-		})
+func testbedLabel(useTAQ bool) string {
+	if useTAQ {
+		return "TAQ"
 	}
-	return table([]string{"queue", "bandwidth", "flows", "fairshare(bps)", "shortJFI", "loss"}, rows)
+	return "DT"
 }
 
-// Compare returns, for each (bandwidth, flows) pair, the TAQ-minus-DT
-// short-term JFI difference.
-func (r TestbedResult) Compare() map[string]float64 {
-	dt := map[string]float64{}
-	taq := map[string]float64{}
-	for _, p := range r.Points {
-		key := fmt.Sprintf("%.0f/%d", float64(p.Bandwidth), p.Flows)
-		if p.UseTAQ {
-			taq[key] = p.ShortJFI
-		} else {
-			dt[key] = p.ShortJFI
-		}
-	}
-	out := map[string]float64{}
-	for k, v := range taq {
-		out[k] = v - dt[k]
-	}
-	return out
+func fig11(env Env) Report {
+	s := testbedFairness(testbedOptions{
+		Speedup:         40,
+		VirtualDuration: env.Scale.duration(240*sim.Second, 0),
+		SliceWidth:      10 * sim.Second,
+		FlowCounts:      []int{30, 60},
+		Seed:            env.Seed,
+	})
+	return Report{s.render(env.CSV), nil}
 }

@@ -13,9 +13,9 @@ import (
 	"taq/internal/workload"
 )
 
-// AdmissionCDFs holds download-time CDFs for the two object-size
+// admissionCDFs holds download-time CDFs for the two object-size
 // buckets Fig 12 plots, for one queue configuration.
-type AdmissionCDFs struct {
+type admissionCDFs struct {
 	Label       string
 	SmallCDF    *metrics.CDF // 10–20 KB objects
 	LargeCDF    *metrics.CDF // 100–110 KB objects
@@ -23,23 +23,20 @@ type AdmissionCDFs struct {
 	PoolsWaited uint64       // pools that waited for admission (TAQ only)
 }
 
-// AdmissionResult is the Fig 12 comparison: DropTail vs TAQ with
+// admissionResult is the Fig 12 comparison: DropTail vs TAQ with
 // admission control.
-type AdmissionResult struct {
-	Droptail, TAQ AdmissionCDFs
+type admissionResult struct {
+	Droptail, TAQ admissionCDFs
 }
 
-// RunAdmissionWeb reproduces Fig 12: clients replay a peak-load access
+// admissionWeb reproduces Fig 12: clients replay a peak-load access
 // log over a 1 Mbps bottleneck, each with up to four connections,
 // requesting objects as soon as possible (simulating request
 // dependencies); non-admitted flows retry until admitted, and their
 // waiting time counts toward the download time. TAQ with admission
 // control is compared against DropTail via download-time CDFs of
 // 10–20 KB and 100–110 KB objects.
-func RunAdmissionWeb(scale Scale, seed int64) AdmissionResult {
-	if seed == 0 {
-		seed = 1
-	}
+func admissionWeb(scale Scale, seed int64) admissionResult {
 	// Synthesize the peak-load log: many clients, sizes constrained
 	// to the two buckets of interest plus filler traffic.
 	// The §5.5 testbed replays the whole peak log through a small
@@ -65,7 +62,7 @@ func RunAdmissionWeb(scale Scale, seed int64) AdmissionResult {
 		}
 	}
 
-	run := func(qk topology.QueueKind, label string, withAC bool) AdmissionCDFs {
+	run := func(qk topology.QueueKind, label string, withAC bool) admissionCDFs {
 		tcpCfg := tcp.DefaultConfig()
 		tcpCfg.MaxSynRetries = -1             // clients retry until admitted (Fig 12)
 		tcpCfg.MaxSynTimeout = 4 * sim.Second // …"constantly", per §4.3
@@ -87,7 +84,7 @@ func RunAdmissionWeb(scale Scale, seed int64) AdmissionResult {
 		// waited for admission) finish; unfinished objects would
 		// censor the CDFs.
 		net.Run(gen.Duration + scale.duration(1800*sim.Second, 1200*sim.Second))
-		out := AdmissionCDFs{
+		out := admissionCDFs{
 			Label:     label,
 			SmallCDF:  workload.DownloadCDF(sessions, 10*1024, 20*1024),
 			LargeCDF:  workload.DownloadCDF(sessions, 100*1024, 110*1024),
@@ -99,73 +96,64 @@ func RunAdmissionWeb(scale Scale, seed int64) AdmissionResult {
 		return out
 	}
 
-	return AdmissionResult{
+	return admissionResult{
 		Droptail: run(topology.DropTail, "DropTail", false),
 		TAQ:      run(topology.TAQ, "TAQ+AC", true),
 	}
 }
 
-// Table renders median/p90/worst download times per bucket.
-func (r AdmissionResult) Table() string {
-	row := func(c AdmissionCDFs, bucket string, cdf *metrics.CDF) []string {
-		return []string{
-			c.Label, bucket,
-			fmt.Sprintf("%d", cdf.N()),
-			f2(cdf.Median()), f2(cdf.Percentile(90)), f2(cdf.Max()),
-			f2(c.Completed),
-		}
-	}
-	rows := [][]string{
-		row(r.Droptail, "10-20KB", r.Droptail.SmallCDF),
-		row(r.TAQ, "10-20KB", r.TAQ.SmallCDF),
-		row(r.Droptail, "100-110KB", r.Droptail.LargeCDF),
-		row(r.TAQ, "100-110KB", r.TAQ.LargeCDF),
-	}
-	return table([]string{"queue", "objects", "n", "median(s)", "p90(s)", "worst(s)", "completed"}, rows) +
-		fmt.Sprintf("pools that waited for admission: %d\n", r.TAQ.PoolsWaited)
+// admissionRow is one (configuration, object bucket) line of Fig 12.
+type admissionRow struct {
+	admissionCDFs
+	bucket string
+	cdf    *metrics.CDF
 }
 
-// SmallObjectSpeedup returns DropTail-median / TAQ-median for the
-// 10–20 KB bucket (paper: ≈5×).
-func (r AdmissionResult) SmallObjectSpeedup() float64 {
-	t := r.TAQ.SmallCDF.Median()
-	if t <= 0 {
-		return 0
+// table renders median/p90/worst download times per bucket.
+func (r admissionResult) table() sweep[admissionRow] {
+	return sweep[admissionRow]{
+		points: []admissionRow{
+			{r.Droptail, "10-20KB", r.Droptail.SmallCDF},
+			{r.TAQ, "10-20KB", r.TAQ.SmallCDF},
+			{r.Droptail, "100-110KB", r.Droptail.LargeCDF},
+			{r.TAQ, "100-110KB", r.TAQ.LargeCDF},
+		},
+		cols: []column[admissionRow]{
+			{"queue", func(p admissionRow) string { return p.Label }},
+			{"objects", func(p admissionRow) string { return p.bucket }},
+			{"n", func(p admissionRow) string { return dec(p.cdf.N()) }},
+			{"median(s)", func(p admissionRow) string { return f2(p.cdf.Median()) }},
+			{"p90(s)", func(p admissionRow) string { return f2(p.cdf.Percentile(90)) }},
+			{"worst(s)", func(p admissionRow) string { return f2(p.cdf.Max()) }},
+			{"completed", func(p admissionRow) string { return f2(p.Completed) }},
+		},
 	}
-	return r.Droptail.SmallCDF.Median() / t
 }
 
-// LargeObjectSpeedup returns the same ratio for 100–110 KB objects
-// (paper: ≈2×). In this reproduction large-object medians do not
-// improve — TAQ's strict Level-3 deprioritization of above-fair-share
-// flows trades large-object medians for their (much better) tails;
-// see WorstCaseSpeedup and EXPERIMENTS.md.
-func (r AdmissionResult) LargeObjectSpeedup() float64 {
-	t := r.TAQ.LargeCDF.Median()
-	if t <= 0 {
-		return 0
-	}
-	return r.Droptail.LargeCDF.Median() / t
-}
-
-// WorstCaseSpeedup returns the DropTail/TAQ ratio of worst-case
-// download times for the given bucket CDFs — the predictability axis
-// ("the overall variance in the download times [is] significantly
-// reduced across the board", §5.5).
-func WorstCaseSpeedup(dt, taq *metrics.CDF) float64 {
-	t := taq.Max()
+// speedup returns the DropTail/TAQ ratio of stat over one bucket's
+// CDFs, or 0 when TAQ's is not positive. On medians the paper reports
+// ≈5× for 10–20 KB objects and ≈2× for 100–110 KB; in this
+// reproduction large-object medians do not improve — TAQ's strict
+// Level-3 deprioritization of above-fair-share flows trades them for
+// their (much better) tails, the predictability axis ("the overall
+// variance in the download times [is] significantly reduced across the
+// board", §5.5); see EXPERIMENTS.md.
+func speedup(dt, taq *metrics.CDF, stat func(*metrics.CDF) float64) float64 {
+	t := stat(taq)
 	if !(t > 0) {
 		return 0
 	}
-	return dt.Max() / t
+	return stat(dt) / t
 }
 
-// P90Speedup returns the DropTail/TAQ ratio of 90th-percentile
-// download times for the given bucket CDFs.
-func P90Speedup(dt, taq *metrics.CDF) float64 {
-	t := taq.Percentile(90)
-	if !(t > 0) {
-		return 0
+func fig12(env Env) Report {
+	r := admissionWeb(env.Scale, env.Seed)
+	small := speedup(r.Droptail.SmallCDF, r.TAQ.SmallCDF, (*metrics.CDF).Median)
+	large := speedup(r.Droptail.LargeCDF, r.TAQ.LargeCDF, (*metrics.CDF).Median)
+	return Report{
+		r.table().render(env.CSV) +
+			fmt.Sprintf("pools that waited for admission: %d\n", r.TAQ.PoolsWaited) +
+			fmt.Sprintf("median speedup: small objects %.1fx, large objects %.1fx\n\n", small, large),
+		map[string]float64{"small_object_speedup": small, "large_object_speedup": large},
 	}
-	return dt.Percentile(90) / t
 }

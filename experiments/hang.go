@@ -10,10 +10,10 @@ import (
 	"taq/internal/workload"
 )
 
-// HangPoint summarizes user-perceived hangs for one population size
+// hangPoint summarizes user-perceived hangs for one population size
 // (§2.3's in-text experiment: 1 Mbps, RTT 200 ms, 50-packet buffer,
 // 4 connections per user).
-type HangPoint struct {
+type hangPoint struct {
 	Users        int
 	ConnsPerUser int
 	FracOver20s  float64
@@ -21,23 +21,14 @@ type HangPoint struct {
 	MaxHang      sim.Time
 }
 
-// HangResult holds the §2.3 hang experiment for several populations.
-type HangResult struct {
-	Queue  topology.QueueKind
-	Points []HangPoint
-}
-
-// RunHangTimes reproduces §2.3: users each spawn a pool of TCP
+// hangTimes reproduces §2.3: users each spawn a pool of TCP
 // connections sharing a 1 Mbps bottleneck; a user-perceived hang is an
 // interval in which none of the user's connections delivers data.
 // Paper: with 200 users all users hang >20 s at least once; with 400
 // users ~50% hang >1 minute.
-func RunHangTimes(qk topology.QueueKind, scale Scale, seed int64) HangResult {
-	if seed == 0 {
-		seed = 1
-	}
+func hangTimes(qk topology.QueueKind, scale Scale, seed int64) sweep[hangPoint] {
 	duration := scale.duration(1000*sim.Second, 400*sim.Second)
-	points := runSweep([]int{200, 400}, func(_ int, users int) HangPoint {
+	points := runSweep([]int{200, 400}, func(_ int, users int) hangPoint {
 		n := topology.MustNew(topology.Config{
 			Seed:      seed,
 			Bandwidth: 1000 * link.Kbps,
@@ -54,7 +45,7 @@ func RunHangTimes(qk topology.QueueKind, scale Scale, seed int64) HangResult {
 				maxHang = h
 			}
 		}
-		return HangPoint{
+		return hangPoint{
 			Users:        users,
 			ConnsPerUser: 4,
 			FracOver20s:  n.Hangs.FractionExceeding(20 * sim.Second),
@@ -62,21 +53,24 @@ func RunHangTimes(qk topology.QueueKind, scale Scale, seed int64) HangResult {
 			MaxHang:      maxHang,
 		}
 	})
-	return HangResult{Queue: qk, Points: points}
+	return sweep[hangPoint]{
+		title:  fmt.Sprintf("Queue: %s\n", qk),
+		points: points,
+		cols: []column[hangPoint]{
+			{"users", func(p hangPoint) string { return dec(p.Users) }},
+			{"conns", func(p hangPoint) string { return dec(p.ConnsPerUser) }},
+			{">20s hang", func(p hangPoint) string { return f2(p.FracOver20s) }},
+			{">60s hang", func(p hangPoint) string { return f2(p.FracOver60s) }},
+			{"max hang", func(p hangPoint) string { return fmt.Sprintf("%.0fs", p.MaxHang.Seconds()) }},
+		},
+	}
 }
 
-// Table renders the hang summary.
-func (r HangResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Users),
-			fmt.Sprintf("%d", p.ConnsPerUser),
-			f2(p.FracOver20s),
-			f2(p.FracOver60s),
-			fmt.Sprintf("%.0fs", p.MaxHang.Seconds()),
-		})
+func hang(env Env) Report {
+	s := hangTimes(topology.DropTail, env.Scale, env.Seed)
+	m := s.metrics()
+	for _, p := range s.points {
+		m[fmt.Sprintf("users%d_frac_over20s", p.Users)] = p.FracOver20s
 	}
-	return fmt.Sprintf("Queue: %s\n", r.Queue) +
-		table([]string{"users", "conns", ">20s hang", ">60s hang", "max hang"}, rows)
+	return Report{s.render(env.CSV), m}
 }

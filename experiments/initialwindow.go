@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"sort"
+
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/tcp"
@@ -8,9 +10,9 @@ import (
 	"taq/internal/workload"
 )
 
-// IWPoint measures one (variant, initial window, queue) combination in
+// iwPoint measures one (variant, initial window, queue) combination in
 // the flow-initiation experiment.
-type IWPoint struct {
+type iwPoint struct {
 	Label        string
 	Queue        topology.QueueKind
 	MedianSecs   float64
@@ -19,46 +21,31 @@ type IWPoint struct {
 	CompleteFrac float64
 }
 
-// IWResult is the §2.1 initial-window experiment.
-type IWResult struct {
-	Points []IWPoint
-}
-
-// RunInitialWindow probes §2.1's observation that with modern stacks
+// initialWindowSweep probes §2.1's observation that with modern stacks
 // (CUBIC, initial window 10) the congestion effect of SPK(k<10)
 // regimes "is typically observed at flow initiation time due to packet
 // losses": short flows opening with IW10 into a busy link blast a
 // window the fair share cannot absorb. We compare IW2 NewReno against
 // IW10 CUBIC short flows joining 40 background flows on 1 Mbps
 // (≈1.25 pkt/RTT fair share), under DropTail and TAQ.
-func RunInitialWindow(scale Scale, seed int64) IWResult {
-	if seed == 0 {
-		seed = 1
-	}
+func initialWindowSweep(scale Scale, seed int64) sweep[iwPoint] {
 	warm := scale.duration(100*sim.Second, 40*sim.Second)
-	type variant struct {
+	type job struct {
+		qk      topology.QueueKind
 		label   string
 		variant tcp.Variant
 		iw      float64
 	}
-	variants := []variant{
-		{"newreno-iw2", tcp.VariantNewReno, 2},
-		{"cubic-iw10", tcp.VariantCubic, 10},
-	}
-	type job struct {
-		qk topology.QueueKind
-		v  variant
-	}
 	var jobs []job
 	for _, qk := range []topology.QueueKind{topology.DropTail, topology.TAQ} {
-		for _, v := range variants {
-			jobs = append(jobs, job{qk: qk, v: v})
-		}
+		jobs = append(jobs,
+			job{qk, "newreno-iw2", tcp.VariantNewReno, 2},
+			job{qk, "cubic-iw10", tcp.VariantCubic, 10})
 	}
-	points := runSweep(jobs, func(_ int, j job) IWPoint {
+	points := runSweep(jobs, func(_ int, j job) iwPoint {
 		tcpCfg := tcp.DefaultConfig()
-		tcpCfg.Variant = j.v.variant
-		tcpCfg.InitialCwnd = j.v.iw
+		tcpCfg.Variant = j.variant
+		tcpCfg.InitialCwnd = j.iw
 		net := topology.MustNew(topology.Config{
 			Seed:      seed,
 			Bandwidth: 1000 * link.Kbps,
@@ -74,12 +61,11 @@ func RunInitialWindow(scale Scale, seed int64) IWResult {
 		}
 		net.Run(warm + 24*4*sim.Second + 120*sim.Second)
 
-		pt := IWPoint{Label: j.v.label, Queue: j.qk}
+		pt := iwPoint{Label: j.label, Queue: j.qk}
 		var times []float64
 		timeouts := 0
 		for _, r := range shorts {
-			f := net.Flow(r.Flow)
-			if f.Sender.Stats.Timeouts > 0 {
+			if net.Flow(r.Flow).Sender.Stats.Timeouts > 0 {
 				timeouts++
 			}
 			if r.Done {
@@ -89,59 +75,33 @@ func RunInitialWindow(scale Scale, seed int64) IWResult {
 		pt.TimeoutFrac = float64(timeouts) / float64(len(shorts))
 		pt.CompleteFrac = float64(len(times)) / float64(len(shorts))
 		if len(times) > 0 {
-			var c cdfOf
-			for _, v := range times {
-				c.add(v)
-			}
-			pt.MedianSecs = c.pct(50)
-			pt.P90Secs = c.pct(90)
+			// Lower nearest-rank percentiles of the completion times.
+			sort.Float64s(times)
+			pt.MedianSecs = times[int(0.50*float64(len(times)-1))]
+			pt.P90Secs = times[int(0.90*float64(len(times)-1))]
 		}
 		return pt
 	})
-	return IWResult{Points: points}
+	return sweep[iwPoint]{points: points, cols: []column[iwPoint]{
+		{"queue", func(p iwPoint) string { return string(p.Queue) }},
+		{"variant", func(p iwPoint) string { return p.Label }},
+		{"median(s)", func(p iwPoint) string { return f2(p.MedianSecs) }},
+		{"p90(s)", func(p iwPoint) string { return f2(p.P90Secs) }},
+		{"timeout frac", func(p iwPoint) string { return f2(p.TimeoutFrac) }},
+		{"completed", func(p iwPoint) string { return f2(p.CompleteFrac) }},
+	}}
 }
 
-// cdfOf is a tiny local percentile helper (avoids importing metrics
-// for two numbers).
-type cdfOf struct{ v []float64 }
-
-func (c *cdfOf) add(x float64) {
-	i := 0
-	for i < len(c.v) && c.v[i] < x {
-		i++
+// initialWindow's headline is how much of the IW10 initiation penalty
+// TAQ removes: the DropTail-minus-TAQ fraction of cubic-iw10 short
+// flows that took a timeout.
+func initialWindow(env Env) Report {
+	s := initialWindowSweep(env.Scale, env.Seed)
+	iw10 := func(qk topology.QueueKind) float64 {
+		p, _ := find(s.points, func(p iwPoint) bool { return p.Queue == qk && p.Label == "cubic-iw10" })
+		return p.TimeoutFrac
 	}
-	c.v = append(c.v, 0)
-	copy(c.v[i+1:], c.v[i:])
-	c.v[i] = x
-}
-
-func (c *cdfOf) pct(p float64) float64 {
-	if len(c.v) == 0 {
-		return 0
-	}
-	i := int(p / 100 * float64(len(c.v)-1))
-	return c.v[i]
-}
-
-// Table renders the experiment.
-func (r IWResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			string(p.Queue), p.Label,
-			f2(p.MedianSecs), f2(p.P90Secs),
-			f2(p.TimeoutFrac), f2(p.CompleteFrac),
-		})
-	}
-	return table([]string{"queue", "variant", "median(s)", "p90(s)", "timeout frac", "completed"}, rows)
-}
-
-// Point returns the named (queue, label) measurement.
-func (r IWResult) Point(qk topology.QueueKind, label string) (IWPoint, bool) {
-	for _, p := range r.Points {
-		if p.Queue == qk && p.Label == label {
-			return p, true
-		}
-	}
-	return IWPoint{}, false
+	m := s.metrics()
+	m["timeout_frac_gap"] = iw10(topology.DropTail) - iw10(topology.TAQ)
+	return Report{s.render(env.CSV), m}
 }

@@ -3,115 +3,48 @@ package experiments
 import (
 	"fmt"
 
-	"taq/internal/link"
 	"taq/internal/markov"
-	"taq/internal/topology"
 )
 
-// ModelTables summarizes the §3.1 analytical results: the stationary
-// distribution of the partial model across loss rates, the expected
-// idle time, and the tipping point behind TAQ's p_thresh.
-type ModelTables struct {
-	Wmax         int
-	LossRates    []float64
-	TimeoutMass  []float64
-	IdleEpochs   []float64
-	TippingPoint float64
+// modelPoint is one loss rate of the §3.1 analytical summary: the
+// partial model's stationary timeout mass and the expected idle time.
+type modelPoint struct {
+	LossRate    float64
+	TimeoutMass float64
+	IdleEpochs  float64
 }
 
-// RunModelTables computes the model summary (pure computation; no
+// modelSummary computes the §3.1 analytical results across loss rates
+// and the tipping point behind TAQ's p_thresh (pure computation; no
 // simulation).
-func RunModelTables() (ModelTables, error) {
+func modelSummary() (s sweep[modelPoint], tippingPoint float64, err error) {
 	const wmax = 6
 	ps := []float64{0.02, 0.05, 0.08, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4}
-	out := ModelTables{Wmax: wmax, LossRates: ps}
 	masses, err := markov.TimeoutCurve(ps, wmax)
 	if err != nil {
-		return out, err
+		return s, 0, err
 	}
-	out.TimeoutMass = masses
-	for _, p := range ps {
-		out.IdleEpochs = append(out.IdleEpochs, markov.ExpectedIdleEpochs(p))
+	for i, p := range ps {
+		s.points = append(s.points, modelPoint{p, masses[i], markov.ExpectedIdleEpochs(p)})
 	}
-	tp, err := markov.TippingPoint(0.5, wmax)
+	s.cols = []column[modelPoint]{
+		{"p", func(p modelPoint) string { return f3(p.LossRate) }},
+		{"timeout mass", func(p modelPoint) string { return f3(p.TimeoutMass) }},
+		{"E[idle epochs]", func(p modelPoint) string { return f2(p.IdleEpochs) }},
+	}
+	tippingPoint, err = markov.TippingPoint(0.5, wmax)
+	return s, tippingPoint, err
+}
+
+// modelTables panics on a solver error: the chains are fixed, so only
+// a bug in internal/markov can produce one.
+func modelTables(env Env) Report {
+	s, tp, err := modelSummary()
 	if err != nil {
-		return out, err
+		panic(err)
 	}
-	out.TippingPoint = tp
-	return out, nil
-}
-
-// Table renders the summary.
-func (m ModelTables) Table() string {
-	rows := make([][]string, 0, len(m.LossRates))
-	for i, p := range m.LossRates {
-		rows = append(rows, []string{f3(p), f3(m.TimeoutMass[i]), f2(m.IdleEpochs[i])})
+	return Report{
+		s.render(env.CSV) + fmt.Sprintf("tipping point (mass ≥ 0.5): p = %.3f\n", tp),
+		map[string]float64{"tipping_point": tp},
 	}
-	return table([]string{"p", "timeout mass", "E[idle epochs]"}, rows) +
-		fmt.Sprintf("tipping point (mass ≥ 0.5): p = %.3f\n", m.TippingPoint)
-}
-
-// RedSfqPoint compares a baseline AQM against DropTail at one
-// contention level (§2.4's in-text claim: RED and SFQ behave like
-// DropTail in small packet regimes).
-type RedSfqPoint struct {
-	Queue        topology.QueueKind
-	FairShareBps float64
-	ShortJFI     float64
-	Utilization  float64
-}
-
-// RedSfqResult is the §2.4 equivalence check.
-type RedSfqResult struct {
-	Points []RedSfqPoint
-}
-
-// RunRedSfqEquivalence runs the Fig 2 configuration under DropTail,
-// RED and SFQ at two contention levels in the sub-packet regime and
-// reports the short-term JFI of each.
-func RunRedSfqEquivalence(scale Scale, seed int64) RedSfqResult {
-	// Deep sub-packet regime only: with ≲0.25 pkt/RTT per flow, each
-	// flow holds at most one buffered packet, the granularity at which
-	// §2.4 says AQM choices stop mattering. The (queue, share) grid is
-	// flattened so all six runs share the worker pool.
-	type job struct {
-		qk    topology.QueueKind
-		share float64
-	}
-	var jobs []job
-	for _, qk := range []topology.QueueKind{topology.DropTail, topology.RED, topology.SFQ} {
-		for _, share := range []float64{2500, 5000} {
-			jobs = append(jobs, job{qk: qk, share: share})
-		}
-	}
-	points := runSweep(jobs, func(_ int, j job) RedSfqPoint {
-		sweep := RunFairness(FairnessConfig{
-			Queue:      j.qk,
-			Bandwidths: []link.Bps{200 * link.Kbps},
-			FairShares: []float64{j.share},
-			Seed:       seed,
-		}, scale)
-		p := sweep.Points[0]
-		return RedSfqPoint{
-			Queue:        j.qk,
-			FairShareBps: p.FairShareBps,
-			ShortJFI:     p.ShortJFI,
-			Utilization:  p.Utilization,
-		}
-	})
-	return RedSfqResult{Points: points}
-}
-
-// Table renders the equivalence check.
-func (r RedSfqResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			string(p.Queue),
-			fmt.Sprintf("%.0f", p.FairShareBps),
-			f3(p.ShortJFI),
-			f2(p.Utilization),
-		})
-	}
-	return table([]string{"queue", "fairshare(bps)", "shortJFI", "util"}, rows)
 }

@@ -7,69 +7,47 @@ import (
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// PcapResult reproduces §2.3's trace examination: "over 20-second time
-// slices roughly 30% of the flows are completely shut down and roughly
-// 40% of the flows consume more than 80% of the link bandwidth" — the
-// emergent arbitrary admission control of DropTail.
-type PcapResult struct {
-	Queue            topology.QueueKind
-	Flows            int
-	MeanShutdownFrac float64
-	MeanTop80Frac    float64
-	Slices           []capture.SliceStat
-}
-
-// RunPcapAnalysis records a packet trace of the Fig 2 sub-packet
-// configuration (fair share ≈ 5 Kbps) and computes the per-20 s-slice
-// shutdown and concentration fractions, for DropTail and TAQ.
-func RunPcapAnalysis(qk topology.QueueKind, scale Scale, seed int64) PcapResult {
-	if seed == 0 {
-		seed = 1
-	}
-	const (
-		bw    = 600 * link.Kbps
-		flows = 120 // 5 Kbps ≈ 0.25 pkt/RTT each
-	)
+// pcapAnalysis reproduces §2.3's trace examination: "over 20-second
+// time slices roughly 30% of the flows are completely shut down and
+// roughly 40% of the flows consume more than 80% of the link
+// bandwidth" — the emergent arbitrary admission control of DropTail.
+// It records a packet trace of the Fig 2 sub-packet configuration
+// (fair share ≈ 5 Kbps) and computes the per-20 s-slice shutdown and
+// concentration fractions.
+func pcapAnalysis(qk topology.QueueKind, scale Scale, seed int64) sweep[capture.SliceStat] {
+	const flows = 120 // 5 Kbps ≈ 0.25 pkt/RTT each
 	duration := scale.duration(600*sim.Second, 200*sim.Second)
-	net := topology.MustNew(topology.Config{
+	net, _ := bulkDumbbell(topology.Config{
 		Seed:      seed,
-		Bandwidth: bw,
+		Bandwidth: 600 * link.Kbps,
 		Queue:     qk,
 		RTTJitter: 0.25,
-	})
-	net.EnableCapture()
-	workload.AddBulkFlows(net, flows, 50*sim.Millisecond)
-	net.Run(duration)
+	}, flows, duration, (*topology.Network).EnableCapture)
 
 	stats := capture.Analyze(net.Capture.Events, 20*sim.Second, flows, duration)
 	// Skip the first slice (startup transient).
 	if len(stats) > 1 {
 		stats = stats[1:]
 	}
-	return PcapResult{
-		Queue:            qk,
-		Flows:            flows,
-		MeanShutdownFrac: capture.MeanShutdownFrac(stats),
-		MeanTop80Frac:    capture.MeanTop80Frac(stats),
-		Slices:           stats,
+	return sweep[capture.SliceStat]{
+		title: fmt.Sprintf("Queue: %s, %d flows (20s slices)\n", qk, flows) +
+			fmt.Sprintf("means: shutdown=%.2f top80=%.2f\n", capture.MeanShutdownFrac(stats), capture.MeanTop80Frac(stats)),
+		points: stats,
+		cols: []column[capture.SliceStat]{
+			{"slice", func(s capture.SliceStat) string { return dec(s.Slice) }},
+			{"shutdown frac", func(s capture.SliceStat) string { return f2(s.ShutdownFrac) }},
+			{"top-80% frac", func(s capture.SliceStat) string { return f2(s.Top80Frac) }},
+			{"bytes", func(s capture.SliceStat) string { return dec(s.DeliveredBytes) }},
+		},
 	}
 }
 
-// Table renders the per-slice statistics.
-func (r PcapResult) Table() string {
-	head := fmt.Sprintf("Queue: %s, %d flows (20s slices)\n", r.Queue, r.Flows)
-	head += fmt.Sprintf("means: shutdown=%.2f top80=%.2f\n", r.MeanShutdownFrac, r.MeanTop80Frac)
-	rows := make([][]string, 0, len(r.Slices))
-	for _, s := range r.Slices {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", s.Slice),
-			f2(s.ShutdownFrac),
-			f2(s.Top80Frac),
-			fmt.Sprintf("%d", s.DeliveredBytes),
-		})
+func pcap(env Env) Report {
+	out := ""
+	for _, qk := range []topology.QueueKind{topology.DropTail, topology.TAQ} {
+		out += pcapAnalysis(qk, env.Scale, env.Seed).render(env.CSV) + "\n"
 	}
-	return head + table([]string{"slice", "shutdown frac", "top-80%% frac", "bytes"}, rows)
+	return Report{out, nil}
 }

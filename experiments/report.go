@@ -1,11 +1,4 @@
-package main
-
-// report.go is the "report" experiment: a canonical TAQ dumbbell run
-// with the metrics registry enabled, summarized as histogram
-// percentiles. The rendered table is the per-run artifact written
-// alongside BENCH_results.json (-report-out), and the headline
-// percentiles feed the -compare regression gate like any other
-// experiment's metrics.
+package experiments
 
 import (
 	"fmt"
@@ -16,31 +9,22 @@ import (
 	"taq/internal/workload"
 )
 
-// reportQuantiles are the percentiles every histogram row reports.
-var reportQuantiles = []float64{0.50, 0.90, 0.99}
-
-// runReport runs the canonical mixed workload (bulk flows plus a
-// spread of short transfers) under TAQ with metrics on, and renders
-// each registry histogram as one percentile row per label.
+// histogramReport runs a canonical mixed workload (bulk flows plus a
+// spread of short transfers) under TAQ with the metrics registry on,
+// and renders each registry histogram as one p50/p90/p99 row per
+// label. The table is the per-run artifact written alongside
+// BENCH_results.json (taqbench -report-out); the headline percentiles
+// are pinned by the baseline like any other row's metrics.
 //
 // Percentiles are nearest-rank over the shared log-bucket bounds, so
 // for a fixed seed the table is deterministic down to the byte.
-func runReport(scale float64, seed int64) result {
-	duration := sim.Time(float64(scale) * float64(240*sim.Second))
-	if duration < 20*sim.Second {
-		duration = 20 * sim.Second
-	}
-	bulk := int(scale * 40)
-	if bulk < 8 {
-		bulk = 8
-	}
-	shorts := int(scale * 80)
-	if shorts < 12 {
-		shorts = 12
-	}
+func histogramReport(env Env) Report {
+	duration := env.Scale.duration(240*sim.Second, 20*sim.Second)
+	bulk := env.Scale.count(40, 8)
+	shorts := env.Scale.count(80, 12)
 
 	net := topology.MustNew(topology.Config{
-		Seed:       seed,
+		Seed:       env.Seed,
 		Queue:      topology.TAQ,
 		SliceWidth: duration / 4,
 	})
@@ -67,15 +51,14 @@ func runReport(scale float64, seed int64) result {
 				series = fmt.Sprintf("%s{%s=%q}", h.Name, h.Label, h.LabelVals[li])
 			}
 			fmt.Fprintf(&out, "  %-44s n=%-6d", series, h.Counts[li])
-			for _, q := range reportQuantiles {
+			for _, q := range []float64{0.50, 0.90, 0.99} {
 				fmt.Fprintf(&out, "  p%02.0f=%-12s", q*100, h.Quantile(li, q))
 			}
 			out.WriteString("\n")
 		}
 	}
-	// Headline metrics for the -compare gate: FCT percentiles per size
-	// class plus total completions — the numbers the paper's latency
-	// claims rest on.
+	// Headline metrics: FCT percentiles per size class plus total
+	// completions — the numbers the paper's latency claims rest on.
 	for i := range snap.Histograms {
 		h := &snap.Histograms[i]
 		if h.Name != "taq_fct_seconds" {
@@ -104,5 +87,5 @@ func runReport(scale float64, seed int64) result {
 		}
 		m[strings.TrimSuffix(strings.TrimPrefix(c.Name, "taq_"), "_total")] = float64(total)
 	}
-	return result{out.String(), m}
+	return Report{out.String(), m}
 }

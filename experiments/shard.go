@@ -8,20 +8,18 @@ import (
 	"time"
 
 	"taq/internal/core"
-	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
 
-// ShardPoint summarizes one shard count of the sharded-middlebox
+// shardPoint summarizes one shard count of the sharded-middlebox
 // scaling sweep: the same flow population churned through a
 // core.Sharded built on one sim engine per shard, each shard driven by
 // its own goroutine — the deterministic stand-in for the emu shard
 // bank's per-engine concurrency (DESIGN.md §12).
-type ShardPoint struct {
+type shardPoint struct {
 	Shards   int
 	Flows    int
-	Ops      uint64 // middlebox operations driven across all shards
 	Arrivals uint64 // packets offered (sum of shard arrivals)
 	Served   uint64
 	Drops    uint64
@@ -38,52 +36,46 @@ type ShardPoint struct {
 	PktsPerSec float64
 }
 
-// ShardResult holds the shard-scaling sweep.
-type ShardResult struct {
-	Points []ShardPoint
-}
-
-// RunShardScaling drives the flow-hash-partitioned middlebox at 1, 2,
-// 4 and 8 shards over the same workload: flows are partitioned by
+// shardScalingSweep drives the flow-hash-partitioned middlebox at 1,
+// 2, 4 and 8 shards over the same workload: flows are partitioned by
 // core.ShardOf, each shard's slice of the churn runs on its own sim
 // engine in its own goroutine, and only the Aggregator's loss window
-// is shared. Deterministic counters gate CI (-compare); the throughput
-// columns document scaling on the machine at hand (near-linear only
-// when GOMAXPROCS covers the shard count).
-func RunShardScaling(scale Scale, seed int64) ShardResult {
-	if seed == 0 {
-		seed = 1
-	}
-	flows := int(1_000_000 * float64(scale))
-	if flows < 20_000 {
-		flows = 20_000
-	}
+// is shared. Deterministic counters gate CI (-compare); the wall and
+// pkts/s columns document scaling on the machine at hand (near-linear
+// only when GOMAXPROCS covers the shard count).
+func shardScalingSweep(scale Scale, seed int64) sweep[shardPoint] {
+	flows := scale.count(1_000_000, 20_000)
 	duration := scale.duration(120*sim.Second, 30*sim.Second)
-	counts := []int{1, 2, 4, 8}
-	points := make([]ShardPoint, len(counts))
+	s := sweep[shardPoint]{cols: []column[shardPoint]{
+		{"shards", func(p shardPoint) string { return dec(p.Shards) }},
+		{"flows", func(p shardPoint) string { return dec(p.Flows) }},
+		{"arrivals", func(p shardPoint) string { return dec(p.Arrivals) }},
+		{"served", func(p shardPoint) string { return dec(p.Served) }},
+		{"drops", func(p shardPoint) string { return dec(p.Drops) }},
+		{"readout checksum", func(p shardPoint) string { return fmt.Sprintf("%016x", p.Checksum) }},
+		{"wall s", func(p shardPoint) string { return f2(p.WallSecs) }},
+		{"pkts/s", func(p shardPoint) string { return f0(p.PktsPerSec) }},
+	}}
 	// Shard counts run sequentially — each point is internally
 	// parallel, and sharing the machine across points would corrupt
 	// the throughput columns.
-	for i, n := range counts {
-		points[i] = runShardPoint(n, flows, duration, seed)
+	for _, n := range []int{1, 2, 4, 8} {
+		s.points = append(s.points, runShardPoint(n, flows, duration, seed))
 	}
-	return ShardResult{Points: points}
+	return s
 }
 
-func runShardPoint(shards, flows int, duration sim.Time, seed int64) ShardPoint {
-	cfg := core.DefaultConfig(10_000*link.Kbps, 256)
-	cfg.PoolFairShare = true
+func runShardPoint(shards, flows int, duration sim.Time, seed int64) shardPoint {
 	// Admission stays off: it is the one decision that couples a
 	// shard's packet fate to cross-shard state (the shared loss rate),
 	// and this sweep's counters must be interleaving-independent.
-
 	engines := make([]*sim.Engine, shards)
 	runs := make([]sim.Runner, shards)
 	for i := range engines {
 		engines[i] = sim.NewEngine(seed + int64(i))
 		runs[i] = engines[i]
 	}
-	sh := core.NewShardedOn(runs, cfg)
+	sh := core.NewShardedOn(runs, churnConfig())
 	sh.Start()
 
 	// Partition the id space by ownership, exactly as the emu bank
@@ -95,93 +87,37 @@ func runShardPoint(shards, flows int, duration sim.Time, seed int64) ShardPoint 
 		owned[s] = append(owned[s], id)
 	}
 
-	const step = 10 * sim.Millisecond
-	steps := int(duration / step)
 	sums := make([]uint64, shards)
-	ops := make([]uint64, shards)
-
 	start := time.Now()
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			ids := owned[s]
-			if len(ids) == 0 {
-				sums[s] = fnv.New64a().Sum64()
-				return
-			}
-			eng := engines[s]
-			q := sh.Shard(s)
-			rng := rand.New(rand.NewSource(seed + 1000*int64(s)))
-			seqs := make([]int, len(ids))
-			sum := fnv.New64a()
-			window := 256
-			if window > len(ids) {
-				window = len(ids)
-			}
-			perStep := 2*len(ids)/steps + 2
-			var n uint64
-			for sn := 0; sn < steps; sn++ {
-				now := sim.Time(sn) * step
-				eng.RunUntil(now)
-				lo := (len(ids) - window) * sn / steps
-				for k := 0; k < perStep; k++ {
-					j := lo + rng.Intn(window)
-					fl := ids[j]
-					pool := packet.PoolID(int(fl) / 8)
-					switch rng.Intn(10) {
-					case 0:
-						q.Enqueue(&packet.Packet{Flow: fl, Pool: pool, Kind: packet.Syn, Size: 40})
-					case 1, 2, 3, 4, 5:
-						q.Enqueue(&packet.Packet{Flow: fl, Pool: pool, Kind: packet.Data, Seq: seqs[j], Size: 500})
-						seqs[j]++
-					case 6:
-						sq := seqs[j] - 1
-						if sq < 0 {
-							sq = 0
-						}
-						q.Enqueue(&packet.Packet{
-							Flow: fl, Pool: pool, Kind: packet.Data, Seq: sq,
-							Size: 500, Retransmit: true,
-						})
-					case 7:
-						q.ObserveReverse(&packet.Packet{Flow: fl, Pool: pool, Kind: packet.Ack, CumAck: seqs[j], Size: 40})
-					case 8:
-						q.Dequeue()
-						q.Dequeue()
-					case 9:
-						// Silence.
-					}
-					n++
-				}
-				q.Dequeue()
-				if sn%50 == 0 {
+			ids, q, sum := owned[s], sh.Shard(s), fnv.New64a()
+			churn(engines[s], q, rand.New(rand.NewSource(seed+1000*int64(s))), duration, len(ids),
+				func(j int) (packet.FlowID, packet.PoolID) { return ids[j], packet.PoolID(int(ids[j]) / 8) },
+				func(now sim.Time) {
 					// Shard-local read-outs only: census, fair share
 					// and queue state never cross the shard boundary.
 					fmt.Fprintf(sum, "%d,%d,%d,%v,%g\n",
 						now, q.ActiveFlows(), q.RecoveringFlows(), q.StateCensus(), q.FairShare())
-				}
-			}
-			ops[s] = n
+				})
 			sums[s] = sum.Sum64()
-		}(s)
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start).Seconds()
 	sh.Stop()
 
 	agg := fnv.New64a()
-	var totalOps uint64
-	for s := 0; s < shards; s++ {
-		fmt.Fprintf(agg, "%d:%016x\n", s, sums[s])
-		totalOps += ops[s]
+	for s, sum := range sums {
+		fmt.Fprintf(agg, "%d:%016x\n", s, sum)
 	}
 	stats := sh.Stats()
-	p := ShardPoint{
+	p := shardPoint{
 		Shards:   shards,
 		Flows:    flows,
-		Ops:      totalOps,
 		Arrivals: stats.Arrivals,
 		Served:   stats.Served,
 		Drops:    stats.Drops,
@@ -194,22 +130,15 @@ func runShardPoint(shards, flows int, duration sim.Time, seed int64) ShardPoint 
 	return p
 }
 
-// Table renders the shard sweep. The wall and pkts/s columns are
-// machine-dependent (near-linear scaling needs one core per shard);
-// everything else is deterministic for a given seed and scale.
-func (r ShardResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			fmt.Sprintf("%d", p.Shards),
-			fmt.Sprintf("%d", p.Flows),
-			fmt.Sprintf("%d", p.Arrivals),
-			fmt.Sprintf("%d", p.Served),
-			fmt.Sprintf("%d", p.Drops),
-			fmt.Sprintf("%016x", p.Checksum),
-			fmt.Sprintf("%.2f", p.WallSecs),
-			fmt.Sprintf("%.0f", p.PktsPerSec),
-		})
+func shardScaling(env Env) Report {
+	s := shardScalingSweep(env.Scale, env.Seed)
+	m := s.metrics()
+	for _, p := range s.points {
+		// Deterministic counters only: wall time and pkts/s are
+		// machine-dependent and must not gate -compare.
+		m[fmt.Sprintf("shards%d_arrivals", p.Shards)] = float64(p.Arrivals)
+		m[fmt.Sprintf("shards%d_served", p.Shards)] = float64(p.Served)
+		m[fmt.Sprintf("shards%d_drops", p.Shards)] = float64(p.Drops)
 	}
-	return table([]string{"shards", "flows", "arrivals", "served", "drops", "readout checksum", "wall s", "pkts/s"}, rows)
+	return Report{s.render(env.CSV), m}
 }

@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"fmt"
-
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/tcp"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// SubPacketPoint measures one (variant, queue) pair in the future-work
+// subPacketPoint measures one (variant, queue) pair in the future-work
 // experiment.
-type SubPacketPoint struct {
+type subPacketPoint struct {
 	Variant       string
 	Queue         topology.QueueKind
 	ShortJFI      float64
@@ -22,26 +19,14 @@ type SubPacketPoint struct {
 	MeanStalled   float64
 }
 
-// SubPacketResult is the §7 future-work comparison.
-type SubPacketResult struct {
-	Points []SubPacketPoint
-}
-
-// RunSubPacketTCP evaluates the paper's future-work direction (§7:
+// subPacketSweep evaluates the paper's future-work direction (§7:
 // "end-host congestion control mechanisms for small packet regimes"):
 // a sender variant that keeps a fractional paced window instead of
 // exponential RTO backoff, run against standard NewReno in the deep
 // sub-packet regime (80 flows on 200 Kbps ≈ 0.125 pkt/RTT each),
 // under both DropTail and TAQ.
-func RunSubPacketTCP(scale Scale, seed int64) SubPacketResult {
-	if seed == 0 {
-		seed = 1
-	}
+func subPacketSweep(scale Scale, seed int64) sweep[subPacketPoint] {
 	duration := scale.duration(600*sim.Second, 150*sim.Second)
-	const (
-		bw    = 200 * link.Kbps
-		flows = 80
-	)
 	type job struct {
 		qk      topology.QueueKind
 		name    string
@@ -54,22 +39,19 @@ func RunSubPacketTCP(scale Scale, seed int64) SubPacketResult {
 			job{qk, "subpacket", tcp.VariantSubPacket},
 		)
 	}
-	points := runSweep(jobs, func(_ int, j job) SubPacketPoint {
+	points := runSweep(jobs, func(_ int, j job) subPacketPoint {
 		tcpCfg := tcp.DefaultConfig()
 		tcpCfg.Variant = j.variant
-		net := topology.MustNew(topology.Config{
+		net, slices := bulkDumbbell(topology.Config{
 			Seed:      seed,
-			Bandwidth: bw,
+			Bandwidth: 200 * link.Kbps,
 			Queue:     j.qk,
 			RTTJitter: 0.25,
 			TCP:       tcpCfg,
-		})
-		workload.AddBulkFlows(net, flows, 50*sim.Millisecond)
-		net.Run(duration)
-		slices := int(duration / net.Slicer.Width())
+		}, 80, duration)
 		ev := net.Slicer.Evolution(1, slices)
 		_, rep := net.AggregateTimeouts()
-		return SubPacketPoint{
+		return subPacketPoint{
 			Variant:       j.name,
 			Queue:         j.qk,
 			ShortJFI:      net.Slicer.MeanSliceJFI(1, slices),
@@ -79,28 +61,26 @@ func RunSubPacketTCP(scale Scale, seed int64) SubPacketResult {
 			MeanStalled:   ev.MeanStalled(),
 		}
 	})
-	return SubPacketResult{Points: points}
+	return sweep[subPacketPoint]{points: points, cols: []column[subPacketPoint]{
+		{"queue", func(p subPacketPoint) string { return string(p.Queue) }},
+		{"variant", func(p subPacketPoint) string { return p.Variant }},
+		{"shortJFI", func(p subPacketPoint) string { return f3(p.ShortJFI) }},
+		{"loss", func(p subPacketPoint) string { return f3(p.LossRate) }},
+		{"util", func(p subPacketPoint) string { return f2(p.Utilization) }},
+		{"repetitiveTO", func(p subPacketPoint) string { return dec(p.RepetitiveTOs) }},
+		{"stalled", func(p subPacketPoint) string { return f1(p.MeanStalled) }},
+	}}
 }
 
-// Table renders the comparison.
-func (r SubPacketResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			string(p.Queue), p.Variant,
-			f3(p.ShortJFI), f3(p.LossRate), f2(p.Utilization),
-			fmt.Sprintf("%d", p.RepetitiveTOs), f1(p.MeanStalled),
-		})
+// subPacket's headline is the short-term JFI the paced sender gains
+// over NewReno on an unmodified DropTail bottleneck.
+func subPacket(env Env) Report {
+	s := subPacketSweep(env.Scale, env.Seed)
+	jfi := func(variant string) float64 {
+		p, _ := find(s.points, func(p subPacketPoint) bool { return p.Queue == topology.DropTail && p.Variant == variant })
+		return p.ShortJFI
 	}
-	return table([]string{"queue", "variant", "shortJFI", "loss", "util", "repetitiveTO", "stalled"}, rows)
-}
-
-// Point returns the named (queue, variant) measurement.
-func (r SubPacketResult) Point(qk topology.QueueKind, variant string) (SubPacketPoint, bool) {
-	for _, p := range r.Points {
-		if p.Queue == qk && p.Variant == variant {
-			return p, true
-		}
-	}
-	return SubPacketPoint{}, false
+	m := s.metrics()
+	m["subpacket_jfi_gain"] = jfi("subpacket") - jfi("newreno")
+	return Report{s.render(env.CSV), m}
 }

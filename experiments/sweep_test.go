@@ -55,20 +55,13 @@ func TestSetParallelism(t *testing.T) {
 // workers evaluate them.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	defer SetParallelism(0)
-	cfg := FairnessConfig{
-		Bandwidths: []link.Bps{200 * link.Kbps},
-		FairShares: []float64{5000, 10000},
-		Seed:       1,
-	}
-	for _, qk := range []topology.QueueKind{topology.DropTail, topology.TAQ} {
-		cfg.Queue = qk
-		SetParallelism(1)
-		serial := RunFairness(cfg, Scale(0.05))
-		SetParallelism(8)
-		parallel := RunFairness(cfg, Scale(0.05))
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: workers=1 and workers=8 diverged:\nserial:   %+v\nparallel: %+v",
-				qk, serial, parallel)
-		}
+	sp := shortTerm(topology.DropTail, topology.TAQ)
+	sp.bandwidths, sp.shares = []link.Bps{200 * link.Kbps}, []float64{5000, 10000}
+	SetParallelism(1)
+	serial := sp.run(0.05, 1)
+	SetParallelism(8)
+	parallel := sp.run(0.05, 1)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("workers=1 and workers=8 diverged:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 }

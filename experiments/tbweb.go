@@ -10,9 +10,9 @@ import (
 	"taq/internal/workload"
 )
 
-// TestbedWebPoint is one real-time web replay (§5.5 on the prototype
+// testbedWebPoint is one real-time web replay (§5.5 on the prototype
 // substrate): per-object download-time statistics for one middlebox.
-type TestbedWebPoint struct {
+type testbedWebPoint struct {
 	UseTAQ    bool
 	MedianS   float64
 	P90S      float64
@@ -20,44 +20,21 @@ type TestbedWebPoint struct {
 	Completed float64
 }
 
-// TestbedWebResult compares DropTail and TAQ on the testbed.
-type TestbedWebResult struct {
-	Points []TestbedWebPoint
-}
-
-// TestbedWebOptions tunes the wall-clock web replay.
-type TestbedWebOptions struct {
+// testbedWebOptions tunes the wall-clock web replay.
+type testbedWebOptions struct {
 	Speedup         float64
-	Bandwidth       link.Bps
 	Clients         int
 	ObjectsPerHost  int
 	VirtualDuration sim.Time
 	Seed            int64
 }
 
-// RunTestbedWeb replays a small web workload through the real-time
-// middlebox (the paper's §5.4–5.5 testbed methodology: client scripts
-// opening up to four connections against a server behind the
-// middlebox). Each client fetches a queue of small objects ASAP.
-func RunTestbedWeb(opt TestbedWebOptions) TestbedWebResult {
-	if opt.Speedup == 0 {
-		opt.Speedup = 50
-	}
-	if opt.Bandwidth == 0 {
-		opt.Bandwidth = 600 * link.Kbps
-	}
-	if opt.Clients == 0 {
-		opt.Clients = 6
-	}
-	if opt.ObjectsPerHost == 0 {
-		opt.ObjectsPerHost = 8
-	}
-	if opt.VirtualDuration == 0 {
-		opt.VirtualDuration = 120 * sim.Second
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
+// testbedWebReplay replays a small web workload through the real-time
+// middlebox at 600 Kbps (the paper's §5.4–5.5 testbed methodology:
+// client scripts opening up to four connections against a server
+// behind the middlebox). Each client fetches a queue of small objects
+// ASAP.
+func testbedWebReplay(opt testbedWebOptions) sweep[testbedWebPoint] {
 	// One request list shared by both runs.
 	var recs []trace.Record
 	for c := 0; c < opt.Clients; c++ {
@@ -67,10 +44,16 @@ func RunTestbedWeb(opt TestbedWebOptions) TestbedWebResult {
 		}
 	}
 
-	var res TestbedWebResult
+	s := sweep[testbedWebPoint]{cols: []column[testbedWebPoint]{
+		{"queue", func(p testbedWebPoint) string { return testbedLabel(p.UseTAQ) }},
+		{"median(s)", func(p testbedWebPoint) string { return f2(p.MedianS) }},
+		{"p90(s)", func(p testbedWebPoint) string { return f2(p.P90S) }},
+		{"worst(s)", func(p testbedWebPoint) string { return f2(p.WorstS) }},
+		{"completed", func(p testbedWebPoint) string { return f2(p.Completed) }},
+	}}
 	for _, useTAQ := range []bool{false, true} {
 		tb := emu.NewTestbed(emu.TestbedConfig{
-			Config:  topology.Config{Seed: opt.Seed, Bandwidth: opt.Bandwidth, Queue: testbedQueue(useTAQ)},
+			Config:  topology.Config{Seed: opt.Seed, Bandwidth: 600 * link.Kbps, Queue: testbedQueue(useTAQ)},
 			Speedup: opt.Speedup,
 		})
 		var sessions map[int]*workload.Session
@@ -92,7 +75,7 @@ func RunTestbedWeb(opt TestbedWebOptions) TestbedWebResult {
 				}
 			}
 		})
-		pt := TestbedWebPoint{UseTAQ: useTAQ}
+		pt := testbedWebPoint{UseTAQ: useTAQ}
 		if total > 0 {
 			pt.Completed = float64(done) / float64(total)
 		}
@@ -101,32 +84,18 @@ func RunTestbedWeb(opt TestbedWebOptions) TestbedWebResult {
 			pt.P90S = times.Percentile(90)
 			pt.WorstS = times.Max()
 		}
-		res.Points = append(res.Points, pt)
+		s.points = append(s.points, pt)
 	}
-	return res
+	return s
 }
 
-// Table renders the comparison.
-func (r TestbedWebResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		q := "DT"
-		if p.UseTAQ {
-			q = "TAQ"
-		}
-		rows = append(rows, []string{
-			q, f2(p.MedianS), f2(p.P90S), f2(p.WorstS), f2(p.Completed),
-		})
-	}
-	return table([]string{"queue", "median(s)", "p90(s)", "worst(s)", "completed"}, rows)
-}
-
-// Point returns the DT or TAQ measurement.
-func (r TestbedWebResult) Point(useTAQ bool) (TestbedWebPoint, bool) {
-	for _, p := range r.Points {
-		if p.UseTAQ == useTAQ {
-			return p, true
-		}
-	}
-	return TestbedWebPoint{}, false
+func testbedWeb(env Env) Report {
+	s := testbedWebReplay(testbedWebOptions{
+		Speedup:         30,
+		Clients:         6,
+		ObjectsPerHost:  8,
+		VirtualDuration: env.Scale.duration(600*sim.Second, 0),
+		Seed:            env.Seed,
+	})
+	return Report{s.render(env.CSV), nil}
 }

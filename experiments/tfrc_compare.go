@@ -1,20 +1,17 @@
 package experiments
 
 import (
-	"fmt"
-
 	"taq/internal/link"
 	"taq/internal/sim"
 	"taq/internal/topology"
-	"taq/internal/workload"
 )
 
-// TFRCPoint compares TCP and TFRC populations at one contention level
+// tfrcPoint compares TCP and TFRC populations at one contention level
 // (the §1 claim: TFRC's equation rate is at least √(3/2) packets per
 // RTT, so it cannot adapt to sub-packet fair shares any better than
 // TCP — "the only way to reduce the rate further is by adding
 // timeouts").
-type TFRCPoint struct {
+type tfrcPoint struct {
 	Transport    string // "tcp" or "tfrc"
 	FairShareBps float64
 	Flows        int
@@ -23,73 +20,49 @@ type TFRCPoint struct {
 	Utilization  float64
 }
 
-// TFRCResult is the comparison sweep.
-type TFRCResult struct {
-	Points []TFRCPoint
-}
-
-// RunTFRCComparison runs homogeneous TCP and TFRC populations through
+// tfrcComparison runs homogeneous TCP and TFRC populations through
 // the same droptail bottleneck at sub-packet fair shares.
-func RunTFRCComparison(scale Scale, seed int64) TFRCResult {
-	if seed == 0 {
-		seed = 1
-	}
+func tfrcComparison(scale Scale, seed int64) sweep[tfrcPoint] {
 	duration := scale.duration(400*sim.Second, 80*sim.Second)
 	const bw = 200 * link.Kbps
-	type job struct {
-		transport string
-		n         int
-	}
-	var jobs []job
+	var cells []tfrcPoint
 	for _, share := range []float64{2500, 5000, 10000} {
 		n := int(float64(bw) / share)
-		if n < 2 {
-			continue
-		}
 		for _, transport := range []string{"tcp", "tfrc"} {
-			jobs = append(jobs, job{transport: transport, n: n})
+			cells = append(cells, tfrcPoint{Transport: transport, Flows: n, FairShareBps: float64(bw) / float64(n)})
 		}
 	}
-	points := runSweep(jobs, func(_ int, j job) TFRCPoint {
-		net := topology.MustNew(topology.Config{
+	points := runSweep(cells, func(_ int, p tfrcPoint) tfrcPoint {
+		tcpFlows, tfrcFlows := p.Flows, 0
+		if p.Transport == "tfrc" {
+			tcpFlows, tfrcFlows = 0, p.Flows
+		}
+		net, slices := bulkDumbbell(topology.Config{
 			Seed:      seed,
 			Bandwidth: bw,
 			Queue:     topology.DropTail,
 			RTTJitter: 0.25,
-		})
-		if j.transport == "tcp" {
-			workload.AddBulkFlows(net, j.n, 50*sim.Millisecond)
-		} else {
-			for i := 0; i < j.n; i++ {
+		}, tcpFlows, duration, func(net *topology.Network) {
+			for i := 0; i < tfrcFlows; i++ {
 				net.AddTFRCFlow(-1, sim.Time(i)*50*sim.Millisecond)
 			}
-		}
-		net.Run(duration)
-		slices := int(duration / net.Slicer.Width())
-		return TFRCPoint{
-			Transport:    j.transport,
-			FairShareBps: float64(bw) / float64(j.n),
-			Flows:        j.n,
-			ShortJFI:     net.Slicer.MeanSliceJFI(1, slices),
-			LossRate:     net.LossRate(),
-			Utilization:  net.Utilization(),
-		}
+		})
+		p.ShortJFI = net.Slicer.MeanSliceJFI(1, slices)
+		p.LossRate = net.LossRate()
+		p.Utilization = net.Utilization()
+		return p
 	})
-	return TFRCResult{Points: points}
+	return sweep[tfrcPoint]{points: points, cols: []column[tfrcPoint]{
+		{"transport", func(p tfrcPoint) string { return p.Transport }},
+		{"fairshare(bps)", func(p tfrcPoint) string { return f0(p.FairShareBps) }},
+		{"flows", func(p tfrcPoint) string { return dec(p.Flows) }},
+		{"shortJFI", func(p tfrcPoint) string { return f3(p.ShortJFI) }},
+		{"loss", func(p tfrcPoint) string { return f3(p.LossRate) }},
+		{"util", func(p tfrcPoint) string { return f2(p.Utilization) }},
+	}}
 }
 
-// Table renders the comparison.
-func (r TFRCResult) Table() string {
-	rows := make([][]string, 0, len(r.Points))
-	for _, p := range r.Points {
-		rows = append(rows, []string{
-			p.Transport,
-			fmt.Sprintf("%.0f", p.FairShareBps),
-			fmt.Sprintf("%d", p.Flows),
-			f3(p.ShortJFI),
-			f3(p.LossRate),
-			f2(p.Utilization),
-		})
-	}
-	return table([]string{"transport", "fairshare(bps)", "flows", "shortJFI", "loss", "util"}, rows)
+func tfrc(env Env) Report {
+	s := tfrcComparison(env.Scale, env.Seed)
+	return Report{s.render(env.CSV), s.metrics()}
 }

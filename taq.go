@@ -16,7 +16,8 @@
 //	fmt.Println(net.Slicer.MeanSliceJFI(1, 10))
 //
 // The experiments package (taq/experiments) reproduces every figure of
-// the paper's evaluation; cmd/taqbench runs the whole suite.
+// the paper's evaluation, one row of experiments.All each; cmd/taqbench
+// runs the whole suite.
 package taq
 
 import (
