@@ -137,7 +137,9 @@ type Pool struct {
 	free []*Packet
 }
 
-// Get returns a zeroed packet.
+// Get returns a zeroed packet. A recycled one keeps the backing array
+// of its Sacked list (at length zero), so a steady stream of SACK acks
+// through one pool stops allocating.
 func (pl *Pool) Get() *Packet {
 	if pl == nil || len(pl.free) == 0 {
 		return &Packet{}
@@ -146,7 +148,7 @@ func (pl *Pool) Get() *Packet {
 	p := pl.free[last]
 	pl.free[last] = nil
 	pl.free = pl.free[:last]
-	*p = Packet{}
+	*p = Packet{Sacked: p.Sacked[:0]}
 	return p
 }
 

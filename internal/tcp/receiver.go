@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sort"
-
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -23,7 +21,11 @@ type Receiver struct {
 	out  func(*packet.Packet) // ack return path
 
 	cumAck int
-	ooo    map[int]bool
+	// held flags the nHeld out-of-order segments cached above cumAck.
+	// Its base is cumAck while anything is held and lags behind
+	// otherwise: in-order arrivals do not touch it.
+	held  seqRing[bool]
+	nHeld int
 
 	// Delayed-ack state (only used when cfg.DelayedAck is set).
 	delPending bool
@@ -47,7 +49,7 @@ type Receiver struct {
 // NewReceiver creates the receiver half of a flow. out transmits ACKs
 // back toward the sender (the uncongested reverse path).
 func NewReceiver(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolID, out func(*packet.Packet)) *Receiver {
-	r := &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out, ooo: make(map[int]bool)}
+	r := &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out}
 	r.delAckFn = r.onDelAckTimeout
 	return r
 }
@@ -76,15 +78,22 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 func (r *Receiver) onData(p *packet.Packet) {
 	newly := 0
 	switch {
-	case p.Seq < r.cumAck || r.ooo[p.Seq]:
+	case p.Seq < r.cumAck || r.nHeld > 0 && r.held.get(p.Seq):
 		r.DupSegments++
+	case p.Seq == r.cumAck && r.nHeld == 0:
+		r.cumAck++
+		newly = 1
 	default:
-		r.ooo[p.Seq] = true
-		for r.ooo[r.cumAck] {
-			delete(r.ooo, r.cumAck)
-			r.cumAck++
+		r.held.advance(r.cumAck)
+		*r.held.slot(p.Seq) = true
+		r.nHeld++
+		// Deliver the run of held segments that now starts at cumAck.
+		for r.held.get(r.cumAck + newly) {
 			newly++
 		}
+		r.cumAck += newly
+		r.nHeld -= newly
+		r.held.advance(r.cumAck)
 	}
 	r.SegmentsDelivered += uint64(newly)
 	if newly > 0 && r.OnDeliver != nil {
@@ -93,7 +102,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 	// Delayed acks (RFC 1122-style): hold the ack for one in-order
 	// segment, release on the second, on any out-of-order arrival, or
 	// when the delay timer fires.
-	if r.cfg.DelayedAck && newly > 0 && len(r.ooo) == 0 && !r.delPending {
+	if r.cfg.DelayedAck && newly > 0 && r.nHeld == 0 && !r.delPending {
 		r.delPending = true
 		timeout := r.cfg.DelAckTimeout
 		if timeout <= 0 {
@@ -120,16 +129,18 @@ func (r *Receiver) onDelAckTimeout() {
 func (r *Receiver) sendAck() {
 	ack := r.newPacket(packet.Ack, r.cfg.AckSize)
 	ack.CumAck = r.cumAck
-	if r.cfg.SACK && len(r.ooo) > 0 {
-		blocks := make([]int, 0, len(r.ooo))
-		for seq := range r.ooo {
-			blocks = append(blocks, seq)
+	if r.cfg.SACK && r.nHeld > 0 {
+		// The lowest held segments in ascending order; every held one
+		// lies above cumAck, so the count bounds the walk.
+		n := min(r.nHeld, maxSackBlocks)
+		if cap(ack.Sacked) < n {
+			ack.Sacked = make([]int, 0, maxSackBlocks)
 		}
-		sort.Ints(blocks)
-		if len(blocks) > maxSackBlocks {
-			blocks = blocks[:maxSackBlocks]
+		for seq := r.cumAck + 1; len(ack.Sacked) < n; seq++ {
+			if r.held.get(seq) {
+				ack.Sacked = append(ack.Sacked, seq)
+			}
 		}
-		ack.Sacked = blocks
 	}
 	r.AcksSent++
 	r.out(ack)

@@ -15,9 +15,12 @@ const (
 	stateFailed
 )
 
+// txInfo is what the sender keeps per segment of [cumAck, highTx).
 type txInfo struct {
 	sentAt sim.Time
+	sent   bool // transmitted at least once; sentAt and rexmit are valid
 	rexmit bool
+	sacked bool // the receiver reported holding it
 }
 
 // Sender is the TCP sender half of a flow. It is driven entirely by its
@@ -47,8 +50,10 @@ type Sender struct {
 	rexmitNext  int  // first hole not yet retransmitted this recovery
 	partialSeen bool // a partial ack was seen this recovery (RFC 6582 Impatient)
 
-	sent   map[int]txInfo
-	sacked map[int]bool
+	// win has base cumAck and covers [cumAck, highTx); nSacked counts
+	// its sacked records.
+	win     seqRing[txInfo]
+	nSacked int
 
 	// RTO state (RFC 6298).
 	srtt, rttvar sim.Time
@@ -102,8 +107,6 @@ func NewSender(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolI
 		pool:    pool,
 		app:     app,
 		out:     out,
-		sent:    make(map[int]txInfo),
-		sacked:  make(map[int]bool),
 		backoff: 1,
 		rto:     rto,
 	}
@@ -247,9 +250,11 @@ func (s *Sender) window() int {
 // presumed in flight.
 func (s *Sender) outstanding() int {
 	n := s.nextSeq - s.cumAck
-	for seq := range s.sacked {
-		if seq >= s.cumAck && seq < s.nextSeq {
-			n--
+	if s.nSacked > 0 {
+		for seq := s.cumAck; seq < s.nextSeq; seq++ {
+			if s.win.get(seq).sacked {
+				n--
+			}
 		}
 	}
 	return n
@@ -280,7 +285,7 @@ func (s *Sender) trySend() {
 	}
 	for {
 		// Skip segments the receiver already holds (SACK).
-		for s.sacked[s.nextSeq] {
+		for s.nSacked > 0 && s.win.get(s.nextSeq).sacked {
 			s.nextSeq++
 		}
 		if s.app.Available(s.nextSeq) <= 0 {
@@ -323,7 +328,8 @@ func (s *Sender) sendSegment(seq int) {
 		s.Stats.Retransmits++
 	}
 	s.Stats.SegmentsSent++
-	s.sent[seq] = txInfo{sentAt: s.run.Now(), rexmit: rexmit}
+	info := s.win.slot(seq)
+	info.sentAt, info.sent, info.rexmit = s.run.Now(), true, rexmit
 	p := s.newPacket(packet.Data, s.cfg.MSS, rexmit)
 	p.Seq = seq
 	s.out(p)
@@ -353,8 +359,15 @@ func (s *Sender) onAck(p *packet.Packet) {
 	}
 	if s.cfg.SACK {
 		for _, seq := range p.Sacked {
-			if seq >= s.cumAck {
-				s.sacked[seq] = true
+			// A block for a segment never transmitted would make
+			// trySend skip it for good; [cumAck, highTx) is also all
+			// the ring covers.
+			if seq < s.cumAck || seq >= s.highTx {
+				continue
+			}
+			if info := s.win.slot(seq); !info.sacked {
+				info.sacked = true
+				s.nSacked++
 			}
 		}
 	}
@@ -373,13 +386,16 @@ func (s *Sender) onNewAck(newCum int) {
 	sampled := false
 	var sample sim.Time
 	for seq := s.cumAck; seq < newCum; seq++ {
-		if info, ok := s.sent[seq]; ok && !info.rexmit {
+		info := s.win.get(seq)
+		if info.sent && !info.rexmit {
 			sample = s.run.Now() - info.sentAt
 			sampled = true
 		}
-		delete(s.sent, seq)
-		delete(s.sacked, seq)
+		if info.sacked {
+			s.nSacked--
+		}
 	}
+	s.win.advance(newCum)
 	if sampled {
 		s.rttSample(sample)
 		s.backoff = 1
@@ -487,7 +503,7 @@ func (s *Sender) retransmitHole() {
 	if seq < s.rexmitNext {
 		seq = s.rexmitNext
 	}
-	for seq < s.highTx && s.sacked[seq] {
+	for seq < s.highTx && s.win.get(seq).sacked {
 		seq++
 	}
 	if seq >= s.highTx {

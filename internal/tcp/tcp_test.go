@@ -219,6 +219,39 @@ func TestSackRecoversMultipleLosses(t *testing.T) {
 	}
 }
 
+func TestSackBeyondHighTxIgnored(t *testing.T) {
+	// A SACK block naming a segment the sender has not transmitted yet
+	// (a corrupt or hostile ack) must not be recorded: trySend and
+	// retransmitHole both skip sacked segments, so the segment would
+	// never go out and the flow would sit in an RTO loop forever.
+	cfg := tcp.DefaultConfig()
+	cfg.SACK = true
+	app := &tcp.SizedApp{Total: 40}
+	e := sim.NewEngine(1)
+	var s *tcp.Sender
+	forged := false
+	r := tcp.NewReceiver(e, cfg, 1, packet.PoolNone, func(p *packet.Packet) {
+		if p.Kind == packet.Ack && !forged {
+			forged = true
+			p.Sacked = append(p.Sacked, 20, 1<<40)
+		}
+		e.Schedule(10*sim.Millisecond, func() { s.Deliver(p) })
+	})
+	s = tcp.NewSender(e, cfg, 1, packet.PoolNone, app, func(p *packet.Packet) {
+		e.Schedule(10*sim.Millisecond, func() { r.Deliver(p) })
+	})
+	s.Start()
+	e.RunUntil(60 * sim.Second)
+	if !app.Done() {
+		t.Fatalf("transfer stalled at cum=%d after a SACK block beyond highTx (timeouts=%d)",
+			s.CumAck(), s.Stats.Timeouts)
+	}
+	if s.Stats.Timeouts != 0 || s.Stats.Retransmits != 0 {
+		t.Errorf("lossless path: timeouts=%d retransmits=%d, want 0",
+			s.Stats.Timeouts, s.Stats.Retransmits)
+	}
+}
+
 func TestSynRetry(t *testing.T) {
 	cfg := tcp.DefaultConfig()
 	h := newHarness(t, cfg, &tcp.SizedApp{Total: 0}, 10*sim.Millisecond)
