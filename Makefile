@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHSCALE ?= 0.05
 
-.PHONY: build vet taqvet taqvet-sarif taqvet-roots taqvet-annotations test race fuzz bench bench-gate check
+.PHONY: build vet taqvet taqvet-roots taqvet-annotations test race fuzz bench bench-gate check
 
 build:
 	$(GO) build ./...
@@ -11,28 +11,23 @@ vet:
 	$(GO) vet ./...
 
 # taqvet is the repo's own determinism & concurrency analyzer suite
-# (docs/static-analysis.md). It exits non-zero on any finding.
+# (docs/static-analysis.md). It exits non-zero on any finding, stale
+# //taq:allow or malformed //taq: directive.
 taqvet:
-	$(GO) run ./cmd/taqvet ./...
-
-# taqvet-sarif is the CI form: SARIF 2.1.0 to taqvet.sarif for code
-# scanning upload, with -audit so stale //taq:allow directives fail too.
-taqvet-sarif:
-	$(GO) run ./cmd/taqvet -audit -format sarif -out taqvet.sarif ./...
+	$(GO) run ./cmd/taqvet -audit ./...
 
 # taqvet-roots regenerates the committed hotpath-closure baseline.
 # Run it after annotating (or retiring) a //taq:hotpath root and commit
-# the result; CI diffs the live closure against this file, so a root
-# that silently loses its annotation fails the build.
+# the result; TestRepoIsClean compares the live closure against this
+# file, so a root that silently loses its annotation fails `go test`.
 taqvet-roots:
 	$(GO) run ./cmd/taqvet -roots ./... > docs/hotpath-closure.txt
 
-# taqvet-annotations regenerates the committed contract-annotation
-# inventory (//taq:shardowned, //taq:crossshard, //taq:atomic,
-# //taq:layout). Run it after annotating (or un-annotating) a type,
-# field, or function and commit the result; CI diffs the live
-# inventory against this file, so a contract silently added or dropped
-# fails the build.
+# taqvet-annotations regenerates the committed ownership-annotation
+# inventory (//taq:shardowned, //taq:crossshard). Run it after
+# annotating (or un-annotating) a type or function and commit the
+# result; TestRepoIsClean compares the live inventory against this
+# file, so a contract silently added or dropped fails `go test`.
 taqvet-annotations:
 	$(GO) run ./cmd/taqvet -annotations ./... > docs/taq-annotations.txt
 
@@ -82,4 +77,4 @@ bench-gate:
 	{ $(GO) run ./bench -workload all -seed 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
 	{ $(GO) run ./bench -workload all -seed 1 -trace 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
 
-check: build vet taqvet-sarif test race
+check: build vet taqvet test race

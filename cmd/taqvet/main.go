@@ -2,22 +2,21 @@
 // hot-path analyzers over the module (see docs/static-analysis.md):
 //
 //	go run ./cmd/taqvet ./...
-//	go run ./cmd/taqvet -format sarif -out taqvet.sarif ./...
-//	go run ./cmd/taqvet -audit ./...
+//	go run ./cmd/taqvet -audit -format github ./...
 //	go run ./cmd/taqvet -roots ./...
 //	go run ./cmd/taqvet -annotations ./...
 //
 // The default format prints "file:line:col: message [analyzer]" per
-// finding; -format json/sarif/github emit machine-readable output.
+// finding; -format github emits GitHub workflow annotations instead.
 // -audit additionally reports stale //taq:allow directives and
 // malformed //taq: directives (unknown directive word, missing or
 // unknown analyzer names, //taq:hotpath on anything but a function
 // declaration with a body). -roots prints the declared //taq:hotpath
-// roots and the per-package closure sizes — CI diffs this against the
+// roots and the per-package closure sizes, compared against the
 // committed docs/hotpath-closure.txt baseline. -annotations prints the
-// //taq:shardowned, //taq:crossshard, //taq:atomic, and //taq:layout
-// contract inventory the same way — CI diffs it against
-// docs/taq-annotations.txt.
+// //taq:shardowned and //taq:crossshard inventory the same way, against
+// docs/taq-annotations.txt. TestRepoIsClean makes both comparisons, and
+// the -audit run, part of `go test ./...`.
 //
 // Exit status: 0 clean, 1 findings, 2 on usage errors or when any
 // package fails to load or type-check (the failing package is named).
@@ -44,13 +43,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
-	format := fs.String("format", "text", "output format: text, json, sarif, or github")
-	out := fs.String("out", "", "write output to this file instead of stdout")
+	format := fs.String("format", "text", "output format: text or github")
 	audit := fs.Bool("audit", false, "also report stale //taq:allow and malformed //taq: directives (requires the full suite)")
 	roots := fs.Bool("roots", false, "print the //taq:hotpath roots and closure size per package, then exit")
-	annotations := fs.Bool("annotations", false, "print the shardowned/crossshard/atomic/layout annotation inventory, then exit")
+	annotations := fs.Bool("annotations", false, "print the shardowned/crossshard annotation inventory, then exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: taqvet [-list] [-roots] [-annotations] [-only a,b] [-format text|json|sarif|github] [-out file] [-audit] [packages]\n\n")
+		fmt.Fprintf(stderr, "usage: taqvet [-list] [-roots] [-annotations] [-only a,b] [-format text|github] [-audit] [packages]\n\n")
 		fmt.Fprintf(stderr, "Runs TAQ's determinism & concurrency analyzers (default ./...).\n")
 		fs.PrintDefaults()
 	}
@@ -66,9 +64,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	switch *format {
-	case "text", "json", "sarif", "github":
+	case "text", "github":
 	default:
-		fmt.Fprintf(stderr, "taqvet: unknown format %q (want text, json, sarif, or github)\n", *format)
+		fmt.Fprintf(stderr, "taqvet: unknown format %q (want text or github)\n", *format)
 		return 2
 	}
 	if *only != "" {
@@ -134,36 +132,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags[i].Pos.Filename = relativize(cwd, diags[i].Pos.Filename)
 	}
 	// Re-sort after merging the audit findings and relativizing paths:
-	// every format's output must be byte-stable for CI's determinism
-	// cmp, and the merged list is otherwise only sorted per source.
+	// the merged list is otherwise only sorted per source.
 	analysis.SortDiagnostics(diags)
 
-	dst := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(stderr, "taqvet: %v\n", err)
-			return 2
+	for _, d := range diags {
+		if *format == "github" {
+			// A workflow annotation command: GitHub renders it as an
+			// inline error on the PR diff. The grammar reserves %, \r
+			// and \n; escape per the workflow-command spec.
+			msg := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A").Replace(d.Message)
+			fmt.Fprintf(stdout, "::error file=%s,line=%d,col=%d,title=taqvet/%s::%s\n",
+				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, msg)
+		} else {
+			fmt.Fprintln(stdout, d)
 		}
-		defer f.Close()
-		dst = f
-	}
-	var werr error
-	switch *format {
-	case "json":
-		werr = analysis.WriteJSON(dst, diags)
-	case "sarif":
-		werr = analysis.WriteSARIF(dst, diags)
-	case "github":
-		werr = analysis.WriteGitHub(dst, diags)
-	default:
-		for _, d := range diags {
-			fmt.Fprintln(dst, d)
-		}
-	}
-	if werr != nil {
-		fmt.Fprintf(stderr, "taqvet: writing output: %v\n", werr)
-		return 2
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "taqvet: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
@@ -173,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relativize rewrites an absolute filename under cwd to a relative
-// one, which both humans and SARIF consumers want.
+// one, the form GitHub annotations map back onto the tree.
 func relativize(cwd, filename string) string {
 	if cwd == "" {
 		return filename

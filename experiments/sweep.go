@@ -17,8 +17,6 @@ import (
 // 0 means GOMAXPROCS, 1 means serial. Set from taqbench's -parallel
 // flag; read by every figure runner through runSweep — which races
 // with nothing only because every access goes through sync/atomic.
-//
-//taq:atomic set by the CLI goroutine, read by sweep workers
 var parallelism atomic.Int64
 
 // SetParallelism sets the default worker count used by the figure

@@ -1,18 +1,22 @@
 // Package analysis implements taqvet, the repo-specific static
-// analyzer suite that enforces the two invariants the compiler cannot:
+// analyzer suite. It holds the contracts that neither the compiler, go
+// vet, nor a tier-1 test catches first — each analyzer in All() is the
+// first catcher of at least one seeded violation of the real tree in
+// mutation_test.go, and docs/static-analysis.md records which:
 //
-//  1. Every package that runs under internal/sim must be bit-for-bit
-//     deterministic: time and randomness may only come from the
-//     sim.Runner (Now/Schedule/Rand), and nothing order-sensitive may
-//     depend on Go's randomized map iteration order. A single stray
-//     time.Now() or unsorted `for k := range m` silently de-reproduces
-//     the paper figures.
-//  2. internal/emu deliberately races real goroutine timers against one
-//     engine mutex, so its lock discipline must hold.
+//   - determinism: time and randomness only from the sim.Runner
+//     (wallclock), no order-sensitive map iteration (maprange), no
+//     unit-unsafe sim.Time arithmetic (simtime);
+//   - timers: no discarded handle where a teardown path must cancel it
+//     (timerleak), no use of a handle Reschedule took over (timerown);
+//   - the packet path: the //taq:hotpath closure neither allocates
+//     (noalloc) nor blocks (noblock);
+//   - concurrency: emu's mutex guards its fields (lockdiscipline), lock
+//     acquisition is cycle-free program-wide (lockorder), and
+//     //taq:shardowned state stays inside its shard (shardown).
 //
 // The suite is stdlib-only (go/ast, go/parser, go/types, go/token) to
-// match the module's empty dependency set. See docs/static-analysis.md
-// for the contract each analyzer enforces and the suppression syntax.
+// match the module's empty dependency set.
 package analysis
 
 import (
@@ -48,9 +52,9 @@ type Pass struct {
 	Analyzer *Analyzer
 	Cfg      *Config
 	Pkg      *Package
-	// Prog is the whole-program context (call graph, hotpath closure)
-	// shared by every pass of one run; the v3 contract analyzers need
-	// it, the per-package analyzers ignore it.
+	// Prog is the whole-program context (call graph, hotpath closure,
+	// ownership annotations) shared by every pass of one run; the
+	// per-package analyzers ignore it.
 	Prog *Program
 
 	report func(Diagnostic)
@@ -104,28 +108,14 @@ func DefaultConfig() *Config {
 			// caller-supplied sim.Time); its obshttp subpackage serves
 			// the wall-clock emu engine and is deliberately excluded.
 			"obs",
-			// Analyzer fixtures under internal/analysis/testdata/src.
-			// Wildcard patterns never expand into testdata, so these
-			// only match when a fixture is named explicitly, e.g.
-			//   go run ./cmd/taqvet ./internal/analysis/testdata/src/wallclock
-			"wallclock", "maprange", "timerleak", "detaint", "allowfunc",
 		},
-		LockPackages: []string{"emu", "lockdiscipline"},
-		NoallocPackages: []string{
-			"sim", "queue", "link", "core", "packet", "obs",
-			// Fixtures (matched only when named explicitly, as above).
-			"hotpath", "noalloc",
-		},
-		NoblockPackages: []string{
-			"sim", "queue", "link", "core", "packet", "obs", "emu",
-			"hotpath", "noblock",
-		},
+		LockPackages:    []string{"emu"},
+		NoallocPackages: []string{"sim", "queue", "link", "core", "packet", "obs"},
+		NoblockPackages: []string{"sim", "queue", "link", "core", "packet", "obs", "emu"},
 		NoblockAllow: []string{
 			// The emu engine serializes real-timer callbacks through
 			// one mutex by design; lockdiscipline checks the pairing.
 			"taq/internal/emu.Engine",
-			// Fixture hook for the allowlist path.
-			"noblock.allowedEngine",
 		},
 	}
 }
@@ -174,17 +164,12 @@ func containsBase(list []string, pkgPath string) bool {
 
 // All returns the full analyzer suite.
 func All() []*Analyzer {
-	return []*Analyzer{Wallclock, MapRange, TimerLeak, LockDiscipline, TimerOwn, SimTime, Detaint, NoAlloc, NoBlock, LockOrder, ShardOwn, AtomicField, Layout}
+	return []*Analyzer{Wallclock, MapRange, TimerLeak, LockDiscipline, TimerOwn, SimTime, NoAlloc, NoBlock, LockOrder, ShardOwn}
 }
 
-// Run applies the configured analyzers to every package and returns the
-// surviving (non-suppressed) diagnostics sorted by position.
-func Run(pkgs []*Package, cfg *Config) []Diagnostic {
-	diags, _ := RunAudit(pkgs, cfg)
-	return diags
-}
-
-// RunAudit is Run plus annotation auditing: the second result lists
+// RunAudit applies the configured analyzers to every package and
+// returns the surviving (non-suppressed) diagnostics sorted by position.
+// The second result is the annotation audit: it lists
 // one "audit" diagnostic per //taq:allow directive that suppressed
 // nothing, plus one per malformed //taq: directive (unknown directive
 // word, empty analyzer list, misplaced //taq:hotpath) — a misspelled
@@ -357,75 +342,42 @@ func collectAllows(pkg *Package) *allowSet {
 // collectMalformed reports //taq: directives the suite cannot honor:
 // unknown directive words (a typo like //taq:alow silently disables a
 // gate), allow/allow(func) directives with an empty or partially empty
-// analyzer list, directives outside the declaration kind they annotate
-// (hotpath/crossshard/allow(func) on functions, shardowned/layout on
-// type declarations, atomic on struct fields or package-level vars),
-// and layout specs that fail to parse. They travel with the stale list
-// so -audit exits non-zero on them. The checks use only the ASTs —
-// never type info — so FuzzParseDirectives can drive them directly.
+// analyzer list, and directives outside the declaration kind they
+// annotate (hotpath/crossshard/allow(func) on functions, shardowned on
+// type declarations). They travel with the stale list so -audit exits
+// non-zero on them. The checks use only the ASTs — never type info — so
+// FuzzParseDirectives can drive them directly.
 func collectMalformed(pkg *Package) []Diagnostic {
-	// Comments that legitimately host function-level directives
-	// (//taq:hotpath, //taq:crossshard, //taq:allow(func)): doc
-	// comments of function declarations with bodies.
+	// Comments that legitimately host function-level directives: doc
+	// comments of function declarations with bodies. Likewise doc
+	// comments of type declarations, for shardowned.
 	funcDoc := make(map[*ast.Comment]bool)
-	// Doc comments of type declarations, for shardowned/layout.
-	typeSpecOf := make(map[*ast.Comment]*ast.TypeSpec)
-	// Comments attached to named fields of top-level struct types, and
-	// to package-level var specs, for //taq:atomic.
-	fieldOf := make(map[*ast.Comment]*ast.Field)
-	varDoc := make(map[*ast.Comment]bool)
+	typeDoc := make(map[*ast.Comment]bool)
+	mark := func(set map[*ast.Comment]bool, doc *ast.CommentGroup) {
+		if doc != nil {
+			for _, c := range doc.List {
+				set[c] = true
+			}
+		}
+	}
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
-				if d.Doc == nil || d.Body == nil {
-					continue
-				}
-				for _, c := range d.Doc.List {
-					funcDoc[c] = true
+				if d.Body != nil {
+					mark(funcDoc, d.Doc)
 				}
 			case *ast.GenDecl:
-				mark := func(doc *ast.CommentGroup, f func(*ast.Comment)) {
-					if doc == nil {
-						return
-					}
-					for _, c := range doc.List {
-						f(c)
-					}
+				if d.Tok != token.TYPE {
+					continue
 				}
-				if d.Tok == token.TYPE {
-					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						markTS := func(c *ast.Comment) { typeSpecOf[c] = ts }
-						if len(d.Specs) == 1 {
-							mark(d.Doc, markTS)
-						}
-						mark(ts.Doc, markTS)
-						mark(ts.Comment, markTS)
-						if st, ok := ts.Type.(*ast.StructType); ok {
-							for _, fld := range st.Fields.List {
-								markFld := func(c *ast.Comment) { fieldOf[c] = fld }
-								mark(fld.Doc, markFld)
-								mark(fld.Comment, markFld)
-							}
-						}
-					}
+				if len(d.Specs) == 1 {
+					mark(typeDoc, d.Doc)
 				}
-				if d.Tok == token.VAR {
-					for _, s := range d.Specs {
-						vs, ok := s.(*ast.ValueSpec)
-						if !ok {
-							continue
-						}
-						markVar := func(c *ast.Comment) { varDoc[c] = true }
-						if len(d.Specs) == 1 {
-							mark(d.Doc, markVar)
-						}
-						mark(vs.Doc, markVar)
-						mark(vs.Comment, markVar)
+				for _, s := range d.Specs {
+					if ts, ok := s.(*ast.TypeSpec); ok {
+						mark(typeDoc, ts.Doc)
+						mark(typeDoc, ts.Comment)
 					}
 				}
 			}
@@ -470,41 +422,16 @@ func collectMalformed(pkg *Package) []Diagnostic {
 						continue
 					}
 					checkList(c, word, rest)
-				case "hotpath":
+				case "hotpath", "crossshard":
 					if !funcDoc[c] {
-						report(c, "misplaced //taq:hotpath: the directive must sit in the doc comment of a function declaration")
-					}
-				case "crossshard":
-					if !funcDoc[c] {
-						report(c, "misplaced //taq:crossshard: the directive must sit in the doc comment of a function declaration")
+						report(c, "misplaced //taq:%s: the directive must sit in the doc comment of a function declaration", word)
 					}
 				case "shardowned":
-					if typeSpecOf[c] == nil {
+					if !typeDoc[c] {
 						report(c, "misplaced //taq:shardowned: the directive must sit in the doc comment of a type declaration")
 					}
-				case "atomic":
-					if fld := fieldOf[c]; fld != nil {
-						if len(fld.Names) == 0 {
-							report(c, "//taq:atomic on an embedded field is not supported — name the field")
-						}
-					} else if !varDoc[c] {
-						report(c, "misplaced //taq:atomic: the directive must annotate a struct field or a package-level var")
-					}
-				case "layout":
-					ts := typeSpecOf[c]
-					if ts == nil {
-						report(c, "misplaced //taq:layout: the directive must sit in the doc comment of a struct type declaration")
-						continue
-					}
-					if _, ok := ts.Type.(*ast.StructType); !ok {
-						report(c, "//taq:layout on non-struct type %s — only structs have a layout to pin", ts.Name.Name)
-						continue
-					}
-					if _, err := parseLayoutSpec(rest); err != nil {
-						report(c, "malformed //taq:layout: %v", err)
-					}
 				default:
-					report(c, "unknown directive //taq:%s (want allow, allow(func), hotpath, shardowned, crossshard, atomic, or layout)", word)
+					report(c, "unknown directive //taq:%s (want allow, allow(func), hotpath, shardowned, or crossshard)", word)
 				}
 			}
 		}

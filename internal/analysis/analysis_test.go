@@ -1,19 +1,31 @@
 package analysis
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/token"
+	"io"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-// testConfig is the production config narrowed to the analyzer under
-// test; the fixture packages are already inside the default scope.
+// testConfig is the production config narrowed to the analyzers under
+// test and widened to the fixture packages under testdata/src that a
+// scoped analyzer must see. Scoping is by package base name, so these
+// names stay out of DefaultConfig: a real package that happened to be
+// called "noalloc" must not be opted in silently.
 func testConfig(analyzers ...*Analyzer) *Config {
 	cfg := DefaultConfig()
 	cfg.Analyzers = analyzers
+	cfg.Deterministic = append(cfg.Deterministic, "wallclock", "maprange", "allowfunc")
+	cfg.LockPackages = append(cfg.LockPackages, "lockdiscipline")
+	cfg.NoallocPackages = append(cfg.NoallocPackages, "hotpath", "noalloc")
+	cfg.NoblockPackages = append(cfg.NoblockPackages, "hotpath", "noblock")
+	cfg.NoblockAllow = append(cfg.NoblockAllow, "noblock.allowedEngine")
 	return cfg
 }
 
@@ -72,7 +84,7 @@ func runCaseDirs(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 		t.Fatalf("loading testdata %v: %v", dirs, err)
 	}
 	expected := wants(t, pkgs)
-	diags := Run(pkgs, testConfig(analyzers...))
+	diags, _ := RunAudit(pkgs, testConfig(analyzers...))
 
 	matched := make(map[string]int) // posKey -> how many wants consumed
 	for _, d := range diags {
@@ -109,9 +121,8 @@ func TestTimerLeak(t *testing.T)      { runCase(t, "timerleak", TimerLeak) }
 func TestLockDiscipline(t *testing.T) { runCase(t, "lockdiscipline", LockDiscipline) }
 func TestTimerOwn(t *testing.T)       { runCase(t, "timerown", TimerOwn) }
 func TestSimTime(t *testing.T)        { runCase(t, "simtime", SimTime) }
-func TestDetaint(t *testing.T)        { runCase(t, "detaint", Detaint) }
 
-// The v3 contract analyzers: hotpath exercises closure propagation
+// The hotpath-closure analyzers: hotpath exercises closure propagation
 // (interface dispatch, function values, method values, line-scoped
 // transitive suppression); the other three exercise each analyzer's
 // full finding surface.
@@ -120,11 +131,9 @@ func TestNoAlloc(t *testing.T)            { runCase(t, "noalloc", NoAlloc) }
 func TestNoBlock(t *testing.T)            { runCase(t, "noblock", NoBlock) }
 func TestLockOrder(t *testing.T)          { runCase(t, "lockorder", LockOrder) }
 
-// The v4 contract analyzers: shardown needs the owner package plus a
-// foreign package to exercise the cross-package boundary rule.
-func TestShardOwn(t *testing.T)    { runCaseDirs(t, []string{"shardown", "shardown/shardsub"}, ShardOwn) }
-func TestAtomicField(t *testing.T) { runCase(t, "atomicfield", AtomicField) }
-func TestLayout(t *testing.T)      { runCase(t, "layout", Layout) }
+// shardown needs the owner package plus a foreign package to exercise
+// the cross-package boundary rule.
+func TestShardOwn(t *testing.T) { runCaseDirs(t, []string{"shardown", "shardown/shardsub"}, ShardOwn) }
 
 // TestAllowFunc checks the function-scoped suppression: wallclock runs
 // over the fixture and only the undirected function reports.
@@ -164,8 +173,7 @@ func TestAllowFuncStale(t *testing.T) {
 // byte-stable across calls, every directive kind listed, and the
 // totals line consistent with the fixture contents.
 func TestAnnotationsInventory(t *testing.T) {
-	pkgs, err := Load(".", "./testdata/src/shardown", "./testdata/src/shardown/shardsub",
-		"./testdata/src/atomicfield", "./testdata/src/layout")
+	pkgs, err := Load(".", "./testdata/src/shardown", "./testdata/src/shardown/shardsub")
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
@@ -182,45 +190,10 @@ func TestAnnotationsInventory(t *testing.T) {
 		"shardowned taq/internal/analysis/testdata/src/shardown.handles\n",
 		"crossshard taq/internal/analysis/testdata/src/shardown.Handoff\n",
 		"crossshard taq/internal/analysis/testdata/src/shardown/shardsub.aggregate\n",
-		"atomic taq/internal/analysis/testdata/src/atomicfield.shared.hits\n",
-		"atomic taq/internal/analysis/testdata/src/atomicfield.workers\n",
-		"layout taq/internal/analysis/testdata/src/layout.rec size=24 align=8 hotbytes=0..16\n",
-		"total 2 shardowned, 2 crossshard, 3 atomic, 5 layout\n",
+		"total 2 shardowned, 2 crossshard\n",
 	} {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("inventory missing %q:\n%s", want, a.String())
-		}
-	}
-}
-
-// TestParseLayoutSpec covers the spec grammar the fuzzer explores.
-func TestParseLayoutSpec(t *testing.T) {
-	cases := []struct {
-		in   string
-		ok   bool
-		want string
-	}{
-		{"size=200", true, "size=200"},
-		{"size=200 align=64 hotbytes=0..136", true, "size=200 align=64 hotbytes=0..136"},
-		{"hotbytes=32..136", true, "hotbytes=32..136"},
-		{"", false, ""},
-		{"size=", false, ""},
-		{"size=-8", false, ""},
-		{"align=48", false, ""}, // not a power of two
-		{"hotbytes=10..2", false, ""},
-		{"hotbytes=0..", false, ""},
-		{"size=8 size=8", false, ""},
-		{"size=8 extra words", false, ""},
-		{"width=8", false, ""},
-	}
-	for _, c := range cases {
-		spec, err := parseLayoutSpec(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("parseLayoutSpec(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && spec.canonical() != c.want {
-			t.Errorf("parseLayoutSpec(%q).canonical() = %q, want %q", c.in, spec.canonical(), c.want)
 		}
 	}
 }
@@ -298,9 +271,9 @@ func TestAuditMalformed(t *testing.T) {
 		"misplaced //taq:crossshard",
 		"malformed //taq:allow(func): missing analyzer list",
 		"misplaced //taq:allow(func)",
-		"malformed //taq:layout: size=notanumber is not a positive integer",
-		"//taq:layout on non-struct type W",
-		"misplaced //taq:atomic",
+		// Retired directive words are typos now.
+		"unknown directive //taq:layout",
+		"unknown directive //taq:atomic",
 	} {
 		found := false
 		for _, d := range stale {
@@ -360,10 +333,35 @@ func TestAuditStaleAllow(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean runs the whole production suite over the module: the
-// determinism contract is a tier-1 invariant, so a stray time.Now or an
-// order-sensitive map range anywhere fails the normal test run, not
-// just CI's taqvet step.
+// inventories are the two committed baselines a whole-module load must
+// reproduce byte for byte; `make taqvet-<name>` regenerates each.
+var inventories = []struct {
+	name, file string
+	write      func(io.Writer, []*Package) error
+}{
+	{"roots", "docs/hotpath-closure.txt", WriteRoots},
+	{"annotations", "docs/taq-annotations.txt", WriteAnnotations},
+}
+
+// inventoryDrift names the inventories whose committed file under root
+// differs from what pkgs (the whole module) renders now.
+func inventoryDrift(root string, pkgs []*Package) []string {
+	var drifted []string
+	for _, inv := range inventories {
+		var live bytes.Buffer
+		inv.write(&live, pkgs)
+		if committed, err := os.ReadFile(filepath.Join(root, inv.file)); err != nil || !bytes.Equal(committed, live.Bytes()) {
+			drifted = append(drifted, inv.name)
+		}
+	}
+	return drifted
+}
+
+// TestRepoIsClean is `taqvet -audit ./...` plus the two inventory
+// comparisons as a tier-1 test: a stray time.Now, a stale or misspelled
+// //taq:allow, a malformed directive, or a //taq:hotpath, shardowned or
+// crossshard annotation silently added or dropped fails the normal
+// test run, not just CI's taqvet step.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -375,8 +373,12 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 10 {
 		t.Fatalf("loaded only %d packages; loader is missing the tree", len(pkgs))
 	}
-	for _, d := range Run(pkgs, DefaultConfig()) {
+	diags, stale := RunAudit(pkgs, DefaultConfig())
+	for _, d := range append(diags, stale...) {
 		t.Errorf("finding: %s", d)
+	}
+	for _, name := range inventoryDrift("../..", pkgs) {
+		t.Errorf("the %s inventory drifted from its committed file — review the change, then `make taqvet-%s` and commit the result", name, name)
 	}
 }
 

@@ -1,7 +1,7 @@
 package analysis
 
-// callgraph.go computes the whole-program hotpath closure behind the
-// v3 contract analyzers (noalloc, noblock, lockorder). A function is
+// callgraph.go computes the whole-program call graph and hotpath
+// closure behind noalloc, noblock and lockorder. A function is
 // *hot* when a `//taq:hotpath` directive in its doc comment declares it
 // a root, or when any hot function can reach it through the call graph.
 // The graph is deliberately conservative where Go's static story runs
@@ -489,9 +489,9 @@ func taqDirective(text string) (word, rest string, ok bool) {
 
 // WriteRoots prints the hotpath closure: the declared roots, then the
 // closure size per package (declared functions only; literals count
-// toward their parent's package). The output is byte-stable so CI can
-// diff it against a committed baseline and catch a root losing its
-// annotation.
+// toward their parent's package). The output is byte-stable so
+// TestRepoIsClean can compare it against docs/hotpath-closure.txt and
+// catch a closure that changed without review.
 func WriteRoots(w io.Writer, pkgs []*Package) error {
 	prog := NewProgram(pkgs)
 	perPkg := make(map[string]int)

@@ -9,8 +9,8 @@ import (
 )
 
 // FuzzParseDirectives drives the //taq: comment grammar — hotpath,
-// allow, allow(func), shardowned, crossshard, atomic, layout — through
-// the directive parser, the layout-spec parser, and the AST-only audit
+// allow, allow(func), shardowned, crossshard, and the retired atomic and
+// layout words — through the directive parser and the AST-only audit
 // collectors (collectAllows, collectMalformed). Two properties hold
 // for every input: nothing panics, and a syntactically valid directive
 // with an unknown word is always classified malformed, so a typo can
@@ -47,10 +47,7 @@ func FuzzParseDirectives(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, comment string) {
 		// The raw parser must never panic, whatever the text.
-		word, rest, ok := taqDirective(comment)
-		if ok && word == "layout" {
-			parseLayoutSpec(rest)
-		}
+		taqDirective(comment)
 
 		// Embed the text as a line comment in every placement the
 		// grammar distinguishes: free-floating, function doc, type

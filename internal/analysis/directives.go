@@ -1,18 +1,15 @@
 package analysis
 
-// directives.go collects the v4 contract annotations — shard ownership,
-// atomic discipline, and memory layout — into one program-wide index
-// shared by the shardown, atomicfield, and layout analyzers, and prints
-// the annotation inventory CI diffs against docs/taq-annotations.txt.
+// directives.go collects the shard-ownership annotations into one
+// program-wide index for the shardown analyzer, and prints the
+// annotation inventory TestRepoIsClean compares against
+// docs/taq-annotations.txt.
 //
 // The directive grammar (placement validated by collectMalformed,
 // parser fuzzed by FuzzParseDirectives):
 //
 //	//taq:shardowned <rationale>       doc comment of a type declaration
 //	//taq:crossshard <rationale>       doc comment of a function declaration
-//	//taq:atomic <rationale>           a struct field or a package-level var
-//	//taq:layout size=N align=N hotbytes=LO..HI
-//	                                   doc comment of a struct type declaration
 //	//taq:allow(func) <name>[,...] <rationale>
 //	                                   doc comment of a function declaration
 
@@ -23,7 +20,6 @@ import (
 	"go/types"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -35,98 +31,9 @@ var directiveWords = map[string]bool{
 	"hotpath":     true,
 	"shardowned":  true,
 	"crossshard":  true,
-	"atomic":      true,
-	"layout":      true,
 }
 
-// layoutSpec is a parsed //taq:layout directive. A key that is absent
-// is -1; at least one key is always present in a well-formed spec.
-type layoutSpec struct {
-	size  int64 // size=N: Sizeof must equal N exactly
-	align int64 // align=N: Sizeof must be a multiple of N (cache-line padding)
-	hotLo int64 // hotbytes=LO..HI: LO must be a field start offset...
-	hotHi int64 // ...and HI a field end offset — the hot-core section edges
-}
-
-// parseLayoutSpec parses the key=value list of a //taq:layout
-// directive. Every token must be a known key=value pair — rationale
-// belongs in the surrounding doc comment prose, which keeps the
-// grammar strict enough for -audit to classify every malformed form.
-func parseLayoutSpec(rest string) (layoutSpec, error) {
-	spec := layoutSpec{size: -1, align: -1, hotLo: -1, hotHi: -1}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return spec, fmt.Errorf("missing key=value list (want size=N, align=N, and/or hotbytes=LO..HI)")
-	}
-	for _, f := range fields {
-		key, val, ok := strings.Cut(f, "=")
-		if !ok {
-			return spec, fmt.Errorf("token %q is not key=value (rationale goes in the doc comment prose)", f)
-		}
-		switch key {
-		case "size":
-			if spec.size >= 0 {
-				return spec, fmt.Errorf("duplicate key size")
-			}
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n <= 0 {
-				return spec, fmt.Errorf("size=%s is not a positive integer", val)
-			}
-			spec.size = n
-		case "align":
-			if spec.align >= 0 {
-				return spec, fmt.Errorf("duplicate key align")
-			}
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil || n <= 0 || n&(n-1) != 0 {
-				return spec, fmt.Errorf("align=%s is not a positive power of two", val)
-			}
-			spec.align = n
-		case "hotbytes":
-			if spec.hotLo >= 0 {
-				return spec, fmt.Errorf("duplicate key hotbytes")
-			}
-			lo, hi, ok := strings.Cut(val, "..")
-			if !ok {
-				return spec, fmt.Errorf("hotbytes=%s is not of the form LO..HI", val)
-			}
-			l, errL := strconv.ParseInt(lo, 10, 64)
-			h, errH := strconv.ParseInt(hi, 10, 64)
-			if errL != nil || errH != nil || l < 0 || h <= l {
-				return spec, fmt.Errorf("hotbytes=%s needs integers with 0 <= LO < HI", val)
-			}
-			spec.hotLo, spec.hotHi = l, h
-		default:
-			return spec, fmt.Errorf("unknown key %q (want size, align, or hotbytes)", key)
-		}
-	}
-	return spec, nil
-}
-
-// canonical renders the spec in fixed key order for the inventory.
-func (s layoutSpec) canonical() string {
-	var parts []string
-	if s.size >= 0 {
-		parts = append(parts, fmt.Sprintf("size=%d", s.size))
-	}
-	if s.align >= 0 {
-		parts = append(parts, fmt.Sprintf("align=%d", s.align))
-	}
-	if s.hotLo >= 0 {
-		parts = append(parts, fmt.Sprintf("hotbytes=%d..%d", s.hotLo, s.hotHi))
-	}
-	return strings.Join(parts, " ")
-}
-
-// layoutPin is one //taq:layout directive bound to its struct type.
-type layoutPin struct {
-	tn   *types.TypeName
-	spec layoutSpec
-	pos  token.Pos
-	pkg  *Package
-}
-
-// contracts is the program-wide index of v4 annotations. The maps are
+// contracts is the program-wide index of ownership annotations. The maps are
 // keyed by stable strings (typeKey, *types.Func.FullName), never by
 // object pointers: a package sees its own declarations through the
 // source type-check but its imports through gc export data, so the
@@ -139,17 +46,9 @@ type contracts struct {
 	// crossShard marks the audited aggregator surface: functions (by
 	// FullName) allowed to move shard-owned values across packages.
 	crossShard map[string]bool
-	// atomicObjs maps each //taq:atomic field (typeKey of the owning
-	// struct + "." + field name) or package-level var (pkgpath.name) to
-	// its short diagnostic label ("shared.hits", "parallelism").
-	atomicObjs map[string]string
-	// atomicOwners maps a struct's typeKey to the comma-joined names
-	// of its atomic fields, for the copy-smuggling diagnostic.
-	atomicOwners map[string]string
-	layouts      []layoutPin
 
 	// Printable inventory lines, built at collection time.
-	shardNames, crossNames, atomicNames []string
+	shardNames, crossNames []string
 }
 
 // contractsIndex lazily collects the annotations across all packages.
@@ -178,10 +77,8 @@ func directiveIn(word string, docs ...*ast.CommentGroup) (string, bool) {
 
 func collectContracts(pkgs []*Package) *contracts {
 	c := &contracts{
-		shardOwned:   make(map[string]bool),
-		crossShard:   make(map[string]bool),
-		atomicObjs:   make(map[string]string),
-		atomicOwners: make(map[string]string),
+		shardOwned: make(map[string]bool),
+		crossShard: make(map[string]bool),
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -198,96 +95,31 @@ func collectContracts(pkgs []*Package) *contracts {
 					c.crossShard[fn.FullName()] = true
 					c.crossNames = append(c.crossNames, fn.FullName())
 				case *ast.GenDecl:
-					collectGenDecl(c, pkg, d)
+					if d.Tok != token.TYPE {
+						continue
+					}
+					for _, s := range d.Specs {
+						ts, ok := s.(*ast.TypeSpec)
+						if !ok {
+							continue
+						}
+						docs := []*ast.CommentGroup{ts.Doc, ts.Comment}
+						if len(d.Specs) == 1 {
+							docs = append(docs, d.Doc)
+						}
+						tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
+						if _, ok := directiveIn("shardowned", docs...); ok && tn != nil {
+							c.shardOwned[typeKey(tn)] = true
+							c.shardNames = append(c.shardNames, pkg.Path+"."+ts.Name.Name)
+						}
+					}
 				}
 			}
 		}
 	}
 	sort.Strings(c.shardNames)
 	sort.Strings(c.crossNames)
-	sort.Strings(c.atomicNames)
-	sort.Slice(c.layouts, func(i, j int) bool {
-		a, b := c.layouts[i], c.layouts[j]
-		if a.tn.Pkg().Path() != b.tn.Pkg().Path() {
-			return a.tn.Pkg().Path() < b.tn.Pkg().Path()
-		}
-		return a.tn.Name() < b.tn.Name()
-	})
 	return c
-}
-
-func collectGenDecl(c *contracts, pkg *Package, d *ast.GenDecl) {
-	switch d.Tok {
-	case token.TYPE:
-		for _, s := range d.Specs {
-			ts, ok := s.(*ast.TypeSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{ts.Doc, ts.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			tn, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-			if tn == nil {
-				continue
-			}
-			if _, ok := directiveIn("shardowned", docs...); ok {
-				c.shardOwned[typeKey(tn)] = true
-				c.shardNames = append(c.shardNames, pkg.Path+"."+ts.Name.Name)
-			}
-			if rest, ok := directiveIn("layout", docs...); ok {
-				if _, isStruct := ts.Type.(*ast.StructType); isStruct {
-					if spec, err := parseLayoutSpec(rest); err == nil {
-						c.layouts = append(c.layouts, layoutPin{tn: tn, spec: spec, pos: ts.Pos(), pkg: pkg})
-					}
-					// Parse errors surface via collectMalformed.
-				}
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				continue
-			}
-			var atomicFields []string
-			for _, fld := range st.Fields.List {
-				if _, ok := directiveIn("atomic", fld.Doc, fld.Comment); !ok {
-					continue
-				}
-				for _, name := range fld.Names {
-					if pkg.Info.Defs[name] == nil {
-						continue
-					}
-					c.atomicObjs[typeKey(tn)+"."+name.Name] = ts.Name.Name + "." + name.Name
-					c.atomicNames = append(c.atomicNames, pkg.Path+"."+ts.Name.Name+"."+name.Name)
-					atomicFields = append(atomicFields, name.Name)
-				}
-			}
-			if len(atomicFields) > 0 {
-				c.atomicOwners[typeKey(tn)] = strings.Join(atomicFields, ", ")
-			}
-		}
-	case token.VAR:
-		for _, s := range d.Specs {
-			vs, ok := s.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			docs := []*ast.CommentGroup{vs.Doc, vs.Comment}
-			if len(d.Specs) == 1 {
-				docs = append(docs, d.Doc)
-			}
-			if _, ok := directiveIn("atomic", docs...); !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				if pkg.Info.Defs[name] == nil {
-					continue
-				}
-				c.atomicObjs[pkg.Path+"."+name.Name] = name.Name
-				c.atomicNames = append(c.atomicNames, pkg.Path+"."+name.Name)
-			}
-		}
-	}
 }
 
 // ownedIn reports the shard-owned type reachable from t by unwrapping
@@ -327,33 +159,6 @@ func typeKey(tn *types.TypeName) string {
 	return tn.Pkg().Path() + "." + tn.Name()
 }
 
-// atomicVarKey returns the contracts key for a package-level variable,
-// or "" when obj is anything else (locals and fields never match, so a
-// local shadowing an annotated var cannot trip the analyzer).
-func atomicVarKey(obj types.Object) string {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() || v.Pkg() == nil {
-		return ""
-	}
-	if sc := v.Parent(); sc == nil || sc.Parent() != types.Universe {
-		return ""
-	}
-	return v.Pkg().Path() + "." + v.Name()
-}
-
-// atomicFieldKey returns the contracts key for a field selected from a
-// receiver of type recv, or "" when recv is not a named struct.
-func atomicFieldKey(recv types.Type, field string) string {
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	n, ok := recv.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return typeKey(n.Obj()) + "." + field
-}
-
 // ownerLabel names a shard-owned type for diagnostics: "core.tracker".
 func ownerLabel(tn *types.TypeName) string {
 	if tn.Pkg() == nil {
@@ -371,8 +176,8 @@ func modulePathOf(pkgPath string) string {
 	return pkgPath
 }
 
-// WriteAnnotations prints the shardowned/crossshard/atomic/layout
-// annotation inventory. The output is byte-stable so CI can diff it
+// WriteAnnotations prints the shardowned/crossshard annotation
+// inventory. The output is byte-stable so TestRepoIsClean can compare it
 // against the committed docs/taq-annotations.txt baseline and catch an
 // annotation silently added or dropped — the same drift gate the
 // hotpath closure has.
@@ -388,17 +193,6 @@ func WriteAnnotations(w io.Writer, pkgs []*Package) error {
 			return err
 		}
 	}
-	for _, n := range c.atomicNames {
-		if _, err := fmt.Fprintf(w, "atomic %s\n", n); err != nil {
-			return err
-		}
-	}
-	for _, pin := range c.layouts {
-		if _, err := fmt.Fprintf(w, "layout %s.%s %s\n", pin.tn.Pkg().Path(), pin.tn.Name(), pin.spec.canonical()); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "total %d shardowned, %d crossshard, %d atomic, %d layout\n",
-		len(c.shardNames), len(c.crossNames), len(c.atomicNames), len(c.layouts))
+	_, err := fmt.Fprintf(w, "total %d shardowned, %d crossshard\n", len(c.shardNames), len(c.crossNames))
 	return err
 }

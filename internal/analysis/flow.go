@@ -1,8 +1,8 @@
 package analysis
 
-// flow.go is the shared intra-procedural def-use/escape pass behind the
-// dataflow analyzers (timerown, detaint). It walks one function body in
-// execution order, carrying a client-defined abstract fact per tracked
+// flow.go is the shared intra-procedural def-use/escape pass behind
+// timerown and noalloc's append-growth check. It walks one function body
+// in execution order, carrying a client-defined abstract fact per tracked
 // storage location (a local variable, a parameter, or a one-level field
 // of one, e.g. s.rtoTimer). Control flow is approximated the standard
 // way:
@@ -13,14 +13,13 @@ package analysis
 //   - loops run the body twice — the second pass starts from the join
 //     of the entry state and the first pass's exit, which is enough to
 //     see facts that one iteration establishes and the next violates
-//     (use-after-transfer across iterations, taint through a loop
-//     -carried variable) without a full fixpoint;
+//     (use-after-transfer across iterations) without a full fixpoint;
 //   - function literals are walked with a fresh empty state: a closure
 //     runs at an unknown time, so facts about captured variables are
 //     neither trusted inside it nor leaked back out.
 //
 // Because loop bodies are walked twice, clients must tolerate seeing
-// the same syntactic event more than once; Run deduplicates identical
+// the same syntactic event more than once; RunAudit deduplicates identical
 // diagnostics, so Reportf from a hook is safe.
 
 import (
@@ -130,11 +129,6 @@ type FlowHooks struct {
 	Assign func(lhs, rhs ast.Expr, tok token.Token, st FlowState)
 	// Use fires for every rvalue read of a trackable Ref.
 	Use func(e ast.Expr, r Ref, ctx UseCtx, st FlowState)
-	// Range runs after a range statement's operand was walked and
-	// before its body — the place to taint or check loop variables.
-	Range func(rs *ast.RangeStmt, st FlowState)
-	// Return runs after a return statement's results were walked.
-	Return func(rt *ast.ReturnStmt, st FlowState)
 }
 
 // WalkFlow runs the def-use pass over body starting from st (which may
@@ -226,15 +220,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		})
 	case *ast.RangeStmt:
 		w.expr(s.X, st, UseRead)
-		if w.hooks.Range != nil {
-			w.hooks.Range(s, st)
-		}
-		w.loopBody(st, func(inner FlowState) {
-			if w.hooks.Range != nil {
-				w.hooks.Range(s, inner)
-			}
-			w.stmt(s.Body, inner)
-		})
+		w.loopBody(st, func(inner FlowState) { w.stmt(s.Body, inner) })
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, st)
 		w.expr(s.Tag, st, UseRead)
@@ -259,9 +245,6 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
 			w.expr(e, st, UseReturn)
-		}
-		if w.hooks.Return != nil {
-			w.hooks.Return(s, st)
 		}
 	case *ast.SendStmt:
 		w.expr(s.Chan, st, UseRead)

@@ -13,8 +13,9 @@ import (
 // functions (scheduling, callbacks, mutation behind an interface),
 // accumulating floating-point values (addition is not associative),
 // overwriting variables outside the loop (last writer wins in map
-// order), appending to a slice that is never sorted afterwards, or
-// sending on a channel. Order-insensitive bodies — integer counting,
+// order), appending to a slice that is never sorted afterwards,
+// returning a loop variable (first match in map order), or sending on a
+// channel. Order-insensitive bodies — integer counting,
 // per-key writes indexed by the loop key, deletes — stay legal, as does
 // the canonical collect-keys-then-sort idiom.
 var MapRange = &Analyzer{
@@ -150,6 +151,12 @@ func checkMapRange(p *Pass, rs *ast.RangeStmt, encl *ast.BlockStmt) {
 			addReason(fmt.Sprintf("calls %s (callbacks run in map order)", exprString(n.Fun)))
 		case *ast.SendStmt:
 			addReason("sends on a channel in map order")
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if usesLoopVar(res) {
+					addReason(fmt.Sprintf("returns %s (first match in map order)", exprString(res)))
+				}
+			}
 		case *ast.IncDecStmt:
 			handleLHS(n.X, n.Tok)
 		case *ast.AssignStmt:

@@ -46,25 +46,11 @@ func G() {
 	_ = 3
 }
 
-// V pins a layout with an unparseable spec.
-//
-//taq:layout size=notanumber
-type V struct{ a int64 }
-
-// W puts layout on a non-struct type.
+// V and X use directive words retired with their analyzers: to the
+// audit they are as unknown as a typo.
 //
 //taq:layout size=8
-type W int64
+type V struct{ a int64 }
 
-// X misplaces atomic on a type declaration.
-//
-//taq:atomic misplaced
-type X struct {
-	a int64
-}
-
-func atomicLocal() {
-	//taq:atomic misplaced on a local var
-	var y int64
-	_ = y
-}
+//taq:atomic retired
+type X struct{ a int64 }

@@ -118,7 +118,7 @@ func checkTimerOwn(p *Pass, body *ast.BlockStmt) {
 			}
 		},
 		Use: func(e ast.Expr, r Ref, ctx UseCtx, st FlowState) {
-			if !isSimTimerPtr(typeOfRef(info, e)) {
+			if !isSimTimerPtr(info.TypeOf(e)) {
 				return
 			}
 			fact := st.Get(r)
@@ -201,11 +201,6 @@ func cancelReceiver(info *types.Info, call *ast.CallExpr) ast.Expr {
 		return nil
 	}
 	return sel.X
-}
-
-// typeOfRef resolves the static type of the expression behind a Use.
-func typeOfRef(info *types.Info, e ast.Expr) types.Type {
-	return info.TypeOf(e)
 }
 
 // isSimPackage reports whether pkgPath is the sim engine package.

@@ -43,28 +43,18 @@ type Aggregator struct {
 	// the values are exact.
 
 	// winStart is the sim.Time the current window opened, as int64.
-	//
-	//taq:atomic
 	winStart atomic.Int64
 	// winGen counts window rolls; shards roll their windowed serve
 	// counters when they observe it advance, so the Level-1 recovery
 	// cap stays aligned with the loss window without sharing the
 	// scheduler counters themselves.
-	//
-	//taq:atomic
-	winGen atomic.Uint64
-	//taq:atomic
-	winArr atomic.Uint64
-	//taq:atomic
+	winGen  atomic.Uint64
+	winArr  atomic.Uint64
 	winDrop atomic.Uint64
-	//taq:atomic
 	prevArr atomic.Uint64
-	//taq:atomic
 	prevDrp atomic.Uint64
 	// lossEWMA holds math.Float64bits of the smoothed per-window loss
 	// rate (the telemetry companion of LossRate).
-	//
-	//taq:atomic
 	lossEWMA atomic.Uint64
 
 	// rollMu serializes window rolls (rare: once per LossWindow); the

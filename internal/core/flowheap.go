@@ -15,8 +15,6 @@ import (
 // instead of a *flowInfo keeps the entry at 16 bytes and pointer-free:
 // the heap never extends a record's lifetime and is safe across
 // record-array growth.
-//
-//taq:layout size=16
 type deadlineEntry struct {
 	dl   sim.Time
 	slot int32

@@ -16,12 +16,11 @@ import "math/bits"
 // packet path; put keeps a higher emergency threshold only as a safety
 // net for bursts that outrun a scan interval.
 //
-// The layout pin keeps the table header exactly one cache line: the
+// TestRecordLayout keeps the table header exactly one cache line: the
 // two slice headers, the hash parameters, and the count all land in
 // the line the first probe already pulled in.
 //
 //taq:shardowned the FlowID→slot index is per-shard by construction (flows hash to exactly one shard)
-//taq:layout size=64 align=64
 type oaIndex struct {
 	keys  []int32
 	slots []int32 // parallel to keys; idxEmpty marks a free bucket

@@ -79,14 +79,12 @@ func StateLabels() []string { return labelColumn(stateLabels[:]) }
 // workload the simulator can express. sim.Time fields stay int64:
 // narrowing timestamps would change behavior.
 //
-// The layout pin holds the record at its current 200 bytes and keeps
-// the per-packet hot core (identity header plus the epoch/counter
-// section through invTerm) ending on a field boundary at offset 136;
-// a field added or reordered here is a deliberate layout decision,
-// not a drive-by.
+// TestRecordLayout holds the record at its current 200 bytes and the
+// per-packet hot core (identity header plus the epoch/counter section
+// through invTerm) at [0, 136); a field added or reordered here is a
+// deliberate layout decision, not a drive-by.
 //
 //taq:shardowned per-flow record, owned by the tracker's flow store
-//taq:layout size=200 hotbytes=0..136
 type flowInfo struct {
 	// Identity and slot plumbing (read on every lookup).
 	id   packet.FlowID
@@ -236,7 +234,6 @@ type Census [numFlowStates]int
 // Entries live in the tracker's poolTable (flowstore.go).
 //
 //taq:shardowned per-pool active-count entry, owned by the tracker's pool table
-//taq:layout size=32
 type poolEntry struct {
 	stamp           uint64
 	key             packet.PoolID
@@ -252,7 +249,6 @@ type poolEntry struct {
 // instead of rescanning the whole table.
 //
 //taq:shardowned all per-flow mutable state; the sharded middlebox gives each shard its own tracker
-//taq:layout align=64
 type tracker struct {
 	cfg Config
 	run sim.Runner
@@ -304,8 +300,8 @@ type tracker struct {
 	lastScan sim.Time
 
 	// pad keeps the struct a whole multiple of the cache line so
-	// adjacent per-shard trackers never share one (the align=64
-	// layout contract above).
+	// adjacent per-shard trackers never share one (TestRecordLayout
+	// checks it).
 	_ [56]byte
 }
 
