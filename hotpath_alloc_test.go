@@ -154,7 +154,10 @@ var hotRootCases = []hotRootCase{
 	},
 	{
 		// The O(1) control-loop gauges, sampled together the way the
-		// scan (and an operator poll) reads them.
+		// scan (and an operator poll) reads them. The clock moves
+		// through the wheel slot holding the flows' activity deadlines
+		// while they are sampled, so ActiveFlows re-files entries that
+		// are not yet due, then settles them, then reads an empty wheel.
 		roots: []string{
 			"(*taq/internal/core.TAQ).ActiveFlows",
 			"(*taq/internal/core.TAQ).RecoveringFlows",
@@ -165,15 +168,21 @@ var hotRootCases = []hotRootCase{
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
 			mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
+			e.RunUntil(50 * sim.Millisecond)
 			for _, p := range mkPackets(64) {
 				mb.Enqueue(p)
 			}
 			for mb.Dequeue() != nil {
 			}
 			sh := mb.Shard(0)
+			if sh.ActiveFlows() != 8 {
+				t.Fatalf("%d active flows after warm-up, want 8", sh.ActiveFlows())
+			}
+			e.RunUntil(810 * sim.Millisecond) // 40 ms short of the deadlines
 			var sink int
 			var sinkF float64
 			allocs := testing.AllocsPerRun(100, func() {
+				e.RunUntil(e.Now() + sim.Millisecond)
 				sink += sh.ActiveFlows()
 				sink += sh.RecoveringFlows()
 				c := sh.StateCensus()
@@ -182,6 +191,9 @@ var hotRootCases = []hotRootCase{
 				sinkF += sh.LossRate()
 			})
 			_, _ = sink, sinkF
+			if sh.ActiveFlows() != 0 {
+				t.Fatalf("%d flows still active past their deadlines", sh.ActiveFlows())
+			}
 			return allocs
 		},
 	},
@@ -402,7 +414,7 @@ func TestHotpathRootsZeroAlloc(t *testing.T) {
 // free-list recycle path and the open-addressed insert — while a fast
 // scan cadence expires old flows, so slots and index buckets are
 // recycled rather than grown. Creation, the lookup hit and miss
-// probes, expiry eviction, and the deadline-heap traffic they generate
+// probes, expiry eviction, and the deadline-wheel traffic they generate
 // must all run allocation-free.
 func TestFlowStoreZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(1)

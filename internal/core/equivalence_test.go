@@ -58,12 +58,31 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 		}
 	}
 
+	// actDl/scanDl mirror the flow's earliest live wheel entry: a flow
+	// that believes it is armed must own an entry carrying exactly that
+	// deadline, or its next transition would never come due.
+	checkArenaAccounting(t, &tr.chunks, &tr.actWheel, &tr.scanWheel)
+	filed := func(w *deadlineWheel) map[deadlineEntry]bool {
+		m := map[deadlineEntry]bool{}
+		for _, e := range wheelEntries(w) {
+			m[e] = true
+		}
+		return m
+	}
+	actFiled, scanFiled := filed(&tr.actWheel), filed(&tr.scanWheel)
+
 	for i := range tr.store.recs {
 		f := &tr.store.recs[i]
 		if !f.inUse {
 			continue
 		}
 		id := f.id
+		if f.actDl != 0 && !actFiled[f.handle(f.actDl)] {
+			t.Fatalf("flow %d has actDl=%d but no activity-wheel entry for it", id, f.actDl)
+		}
+		if f.scanDl != 0 && !scanFiled[f.handle(f.scanDl)] {
+			t.Fatalf("flow %d has scanDl=%d but no scan-wheel entry for it", id, f.scanDl)
+		}
 		census[f.state]++
 		want := tr.wantCounted(f, now)
 		if f.counted != want {

@@ -5,7 +5,7 @@ import "taq/internal/packet"
 // flowStore owns every flowInfo record in one dense slice, indexed by
 // slot id. Records are recycled through a free list rather than freed,
 // and each record carries a generation that release bumps, so a slot
-// handle (slot, gen) taken earlier — a deadline-heap entry — is
+// handle (slot, gen) taken earlier — a deadline-wheel entry — is
 // detectably stale after the slot is recycled for another flow. The
 // oaIndex maps FlowID → slot so the per-packet lookup is two array
 // probes instead of a Go map access and a pointer chase to a separately
@@ -13,7 +13,7 @@ import "taq/internal/packet"
 //
 // Pointer discipline: &recs[slot] is stable for the lifetime of one
 // tracker operation — only alloc can grow recs, and no caller holds a
-// record pointer across a flow creation. Anything held longer (heap
+// record pointer across a flow creation. Anything held longer (wheel
 // entries) stores the slot id and re-derives the pointer.
 //
 //taq:shardowned the flow-record arena; one per shard, never shared
@@ -34,7 +34,7 @@ func (s *flowStore) lookup(id packet.FlowID) *flowInfo {
 
 // alloc files a zeroed record for id (which must not be tracked) and
 // returns it. Recycled records keep their bumped generation so stale
-// heap entries pointing at the old occupant stay invalid.
+// wheel entries pointing at the old occupant stay invalid.
 func (s *flowStore) alloc(id packet.FlowID) *flowInfo {
 	var slot int32
 	if n := len(s.free); n > 0 {

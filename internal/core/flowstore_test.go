@@ -137,8 +137,9 @@ func TestFlowStoreRecycle(t *testing.T) {
 	a := s.alloc(7)
 	slot, gen := a.slot, a.gen
 
-	var h deadlineHeap
-	h.push(100, a)
+	var arena chunkArena
+	w := newDeadlineWheel(&arena, 10, 1000)
+	w.push(a.handle(100))
 
 	s.release(a)
 	if got := s.at(slot).gen; got != gen+1 {
@@ -151,12 +152,12 @@ func TestFlowStoreRecycle(t *testing.T) {
 	if b.gen == gen {
 		t.Fatal("recycled record kept the old generation; stale handles would resolve")
 	}
-	e, ok := h.peek()
-	if !ok || e.slot != slot {
-		t.Fatalf("heap entry = (%v,%v), want slot %d", e, ok, slot)
+	es := wheelEntries(&w)
+	if len(es) != 1 || es[0].slot != slot {
+		t.Fatalf("wheel entries = %v, want one for slot %d", es, slot)
 	}
-	if e.gen == s.at(e.slot).gen {
-		t.Fatal("stale heap handle matches the recycled record's generation")
+	if es[0].gen == s.at(es[0].slot).gen {
+		t.Fatal("stale wheel handle matches the recycled record's generation")
 	}
 	if f := s.lookup(7); f != nil {
 		t.Fatalf("released flow 7 still resolves to slot %d", f.slot)
@@ -166,12 +167,12 @@ func TestFlowStoreRecycle(t *testing.T) {
 	}
 }
 
-// TestStaleHeapHandlesRejectedAfterRecycle proves the generation check
+// TestStaleWheelHandlesRejectedAfterRecycle proves the generation check
 // end to end through the tracker: a flow is evicted, its slot is
-// recycled for a different flow, and the stale deadline-heap entries
+// recycled for a different flow, and the stale deadline-wheel entries
 // left behind must be discarded by the scan without disturbing the
 // slot's new occupant or the incremental aggregates.
-func TestStaleHeapHandlesRejectedAfterRecycle(t *testing.T) {
+func TestStaleWheelHandlesRejectedAfterRecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
 	tr := newTracker(eng, cfg)
@@ -179,8 +180,8 @@ func TestStaleHeapHandlesRejectedAfterRecycle(t *testing.T) {
 	tr.observe(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 0, Size: 500})
 	f := tr.get(1)
 	slot, gen := f.slot, f.gen
-	if tr.scanHeap.len() == 0 || tr.actHeap.len() == 0 {
-		t.Fatal("expected heap entries for the observed flow")
+	if tr.scanWheel.n == 0 || tr.actWheel.n == 0 {
+		t.Fatal("expected wheel entries for the observed flow")
 	}
 	tr.evictFlow(f)
 
@@ -194,13 +195,13 @@ func TestStaleHeapHandlesRejectedAfterRecycle(t *testing.T) {
 		t.Fatal("recycled slot kept flow 1's generation")
 	}
 	stale := 0
-	for _, e := range tr.scanHeap.a {
+	for _, e := range wheelEntries(&tr.scanWheel) {
 		if e.slot == slot && e.gen == gen {
 			stale++
 		}
 	}
 	if stale == 0 {
-		t.Fatal("eviction left no stale scan-heap entries; nothing to reject")
+		t.Fatal("eviction left no stale scan-wheel entries; nothing to reject")
 	}
 
 	// Run far past flow 1's old deadlines: the stale entries drain, and
@@ -213,7 +214,7 @@ func TestStaleHeapHandlesRejectedAfterRecycle(t *testing.T) {
 	if tr.get(2) == nil {
 		t.Fatal("flow 2 lost to a stale handle")
 	}
-	for _, e := range tr.scanHeap.a {
+	for _, e := range wheelEntries(&tr.scanWheel) {
 		if e.slot == slot && e.gen == gen {
 			t.Fatal("stale entry survived a scan past its deadline")
 		}

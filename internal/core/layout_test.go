@@ -23,6 +23,9 @@ func TestRecordLayout(t *testing.T) {
 		// The per-packet hot core is [0, end of invTerm).
 		{"end of flowInfo.invTerm", unsafe.Offsetof(f.invTerm) + unsafe.Sizeof(f.invTerm), 136},
 		{"sizeof(deadlineEntry)", unsafe.Sizeof(deadlineEntry{}), 16},
+		// A wheel chunk is two whole cache lines: a power of two, so
+		// chunks in the arena never straddle a third.
+		{"sizeof(wheelChunk)", unsafe.Sizeof(wheelChunk{}), 128},
 		{"sizeof(poolEntry)", unsafe.Sizeof(poolEntry{}), 32},
 		// The index header is exactly one cache line; the tracker is
 		// padded to whole lines so shard headers never share one.

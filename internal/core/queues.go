@@ -269,13 +269,17 @@ func (f *classFIFO) BestVictim(score func(packet.FlowID) float64) (flow packet.F
 	// (occupancy, then score, then lowest flow id), so the winner is
 	// independent of iteration order; sorting here would put an
 	// O(n log n) pass on the per-drop hot path for nothing.
+	// best is the incumbent's score, carried so each flow is scored
+	// once (a score is an index probe, a record read and a catch-up,
+	// and occupancy ties are the common case).
+	var best float64
 	//taq:allow maprange,noalloc (total-order tie-break makes the max order-independent; the map itself is ROADMAP item 2)
 	for fl, n := range f.occ {
 		s := score(fl)
 		switch {
-		case !ok, n > occ, n == occ && s > score(flow),
-			n == occ && s == score(flow) && fl < flow:
-			flow, occ, ok = fl, n, true
+		case !ok, n > occ, n == occ && s > best,
+			n == occ && s == best && fl < flow:
+			flow, occ, best, ok = fl, n, s, true
 		}
 	}
 	return

@@ -95,7 +95,7 @@ type flowInfo struct {
 	slot     int32
 	poolSlot int32
 	// gen is bumped every time this record is evicted, invalidating
-	// any heap entries that still reference the slot (slots are
+	// any wheel entries that still reference the slot (slots are
 	// recycled through the store's free list).
 	gen   uint32
 	state FlowState
@@ -134,8 +134,8 @@ type flowInfo struct {
 	bytes float64 // bytes forwarded-or-queued this epoch
 	// rateEWMA estimates the flow's throughput in bits/second.
 	rateEWMA float64
-	// actDl and scanDl mirror the earliest live heap entry for this
-	// flow on the activity and scan heaps (0 = none); pushes are
+	// actDl and scanDl mirror the earliest live entry for this flow on
+	// the activity and scan wheels (0 = none); pushes are
 	// elided unless they move the earliest deadline, bounding stale
 	// entries.
 	actDl, scanDl sim.Time
@@ -175,9 +175,16 @@ type flowInfo struct {
 }
 
 // roll advances the flow's epoch counters to cover time now, possibly
-// rolling several (empty) epochs at once.
+// rolling several (empty) epochs at once. Once two epochs have closed
+// in one call every counter and both previous-epoch copies are zero,
+// so the rest of the silence is skipped in one step (skipEmpty) — a
+// returning flow pays for its epoch count, not for its idle time.
 func (f *flowInfo) roll(now sim.Time) {
-	for now >= f.epochStart+f.epoch {
+	for closed := 0; now >= f.epochStart+f.epoch; closed++ {
+		if closed == 2 && f.epoch > 0 {
+			f.skipEmpty((now - f.epochStart) / f.epoch)
+			return
+		}
 		seconds := f.epoch.Seconds()
 		if seconds > 0 {
 			inst := f.bytes * 8 / seconds
@@ -191,6 +198,30 @@ func (f *flowInfo) roll(now sim.Time) {
 		if f.protectEpochs > 0 {
 			f.protectEpochs--
 		}
+	}
+}
+
+// skipEmpty closes k further epochs of a record whose current and
+// previous epoch are already empty, with the result the loop in roll
+// would reach bit for bit (roll parity): each such closing feeds the
+// rate EWMA an instantaneous rate of exactly +0, so the float is k
+// plain multiplies (never math.Pow, which rounds differently) that stop
+// at the decay's fixed point — zero, or the few smallest denormals that
+// 0.875 rounds back to themselves — and the integers are closed forms.
+func (f *flowInfo) skipEmpty(k sim.Time) {
+	for i := k; i > 0; i-- {
+		next := 0.875 * f.rateEWMA
+		if next == f.rateEWMA {
+			break
+		}
+		f.rateEWMA = next
+	}
+	f.epochStart += k * f.epoch
+	f.epochs += int32(k)
+	if k < sim.Time(f.protectEpochs) {
+		f.protectEpochs -= int32(k)
+	} else {
+		f.protectEpochs = 0
 	}
 }
 
@@ -245,8 +276,8 @@ type poolEntry struct {
 // model. All aggregate control inputs are maintained incrementally:
 // observing a packet, dropping one, or scanning a due flow updates the
 // counters in O(1), and the periodic scan itself touches only flows
-// whose deadlines have passed (tracked by two lazy-deletion heaps)
-// instead of rescanning the whole table.
+// whose deadlines have passed (tracked by two lazy-deletion timing
+// wheels) instead of rescanning the whole table.
 //
 //taq:shardowned all per-flow mutable state; the sharded middlebox gives each shard its own tracker
 type tracker struct {
@@ -285,10 +316,12 @@ type tracker struct {
 	// snapshotPools).
 	stamp uint64
 
-	// actHeap orders flows by the time their activity-recency window
-	// (4 epochs of silence) runs out; scanHeap orders them by the
+	// actWheel files flows by the time their activity-recency window
+	// (4 epochs of silence) runs out; scanWheel files them by the
 	// earliest time a scan transition or expiry eviction could apply.
-	actHeap, scanHeap deadlineHeap
+	// Both draw their chunks from chunks.
+	actWheel, scanWheel deadlineWheel
+	chunks              chunkArena
 	// due is the scan's scratch list.
 	due []*flowInfo
 	// lastScan is when the periodic scan last ran. The rescanning
@@ -306,7 +339,10 @@ type tracker struct {
 }
 
 func newTracker(run sim.Runner, cfg Config) *tracker {
-	return &tracker{cfg: cfg, run: run, stamp: 1}
+	t := &tracker{cfg: cfg, run: run, stamp: 1}
+	t.actWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
+	t.scanWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
+	return t
 }
 
 func (t *tracker) get(id packet.FlowID) *flowInfo { return t.store.lookup(id) }
@@ -330,7 +366,7 @@ func (t *tracker) getOrCreate(p *packet.Packet) *flowInfo {
 }
 
 // evictFlow removes a long-dead flow: it is withdrawn from every
-// aggregate, its heap entries are invalidated by the generation bump in
+// aggregate, its wheel entries are invalidated by the generation bump in
 // release, and the slot goes back to the store's free list for reuse.
 func (t *tracker) evictFlow(f *flowInfo) {
 	if f.counted {
@@ -679,12 +715,12 @@ func (t *tracker) scanDeadlineOf(f *flowInfo) sim.Time {
 	return dl
 }
 
-// reconcile brings f's aggregate membership and heap deadlines in line
+// reconcile brings f's aggregate membership and wheel deadlines in line
 // with its current fields. It must run after any mutation of a
 // deadline input (lastPkt, epoch, state, outstandingDrops,
 // silenceStart): observe, observeReverse, recordDrop, and each scanned
 // flow end with it. Pushes are elided unless they move the flow's
-// earliest live entry, so repeated reconciles are cheap and the heaps
+// earliest live entry, so repeated reconciles are cheap and the wheels
 // stay near one live entry per flow.
 func (t *tracker) reconcile(f *flowInfo) {
 	now := t.run.Now()
@@ -699,13 +735,13 @@ func (t *tracker) reconcile(f *flowInfo) {
 	if f.counted && !timeoutish(f.state) {
 		dl := f.lastPkt + 4*f.epoch
 		if f.actDl == 0 || dl < f.actDl {
-			t.actHeap.push(dl, f)
+			t.actWheel.push(f.handle(dl))
 			f.actDl = dl
 		}
 	}
 	dl := t.scanDeadlineOf(f)
 	if f.scanDl == 0 || dl < f.scanDl {
-		t.scanHeap.push(dl, f)
+		t.scanWheel.push(f.handle(dl))
 		f.scanDl = dl
 	}
 }
@@ -718,34 +754,30 @@ func (t *tracker) reconcile(f *flowInfo) {
 // entries are simply discarded (reconcile re-arms one when the state
 // machine moves them on).
 func (t *tracker) advanceActivity(now sim.Time) {
-	for {
-		e, ok := t.actHeap.peek()
-		if !ok || e.dl >= now {
-			return
-		}
-		t.actHeap.pop()
+	// drain only calls visit, so the closure cell stays on the stack
+	// (TestHotpathRootsZeroAlloc holds ActiveFlows at zero).
+	//taq:allow noalloc non-escaping closure, stack-allocated
+	t.actWheel.drain(now, func(e deadlineEntry) {
 		f := t.store.at(e.slot)
 		if f.gen != e.gen {
-			continue // evicted (and possibly recycled) since the push
+			return // evicted (and possibly recycled) since the push
 		}
 		if f.actDl == e.dl {
 			f.actDl = 0
 		}
 		if !f.counted || timeoutish(f.state) {
-			continue
+			return
 		}
 		if actual := f.lastPkt + 4*f.epoch; actual < now {
 			t.applyCount(f, false)
-		} else {
+		} else if f.actDl == 0 || actual < f.actDl {
 			// The deadline moved later after this entry was pushed
 			// (new packets, or the epoch grew): re-arm at the live
 			// deadline.
-			if f.actDl == 0 || actual < f.actDl {
-				t.actHeap.push(actual, f)
-				f.actDl = actual
-			}
+			t.actWheel.push(f.handle(actual))
+			f.actDl = actual
 		}
-	}
+	})
 }
 
 // scan performs the periodic silence pass: flows that have gone quiet
@@ -762,21 +794,16 @@ func (t *tracker) scan() {
 	t.pools.idx.maybeGrow()
 	t.advanceActivity(now)
 	t.due = t.due[:0]
-	for {
-		e, ok := t.scanHeap.peek()
-		if !ok || e.dl >= now {
-			break
-		}
-		t.scanHeap.pop()
+	t.scanWheel.drain(now, func(e deadlineEntry) {
 		f := t.store.at(e.slot)
 		if f.gen != e.gen {
-			continue
+			return
 		}
 		if f.scanDl == e.dl {
 			f.scanDl = 0
 		}
 		t.due = append(t.due, f)
-	}
+	})
 	slices.SortFunc(t.due, func(a, b *flowInfo) int {
 		return int(a.id) - int(b.id)
 	})
