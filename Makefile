@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHSCALE ?= 0.05
 
-.PHONY: build vet taqvet taqvet-roots taqvet-annotations test race fuzz bench bench-gate check
+.PHONY: build vet taqvet taqvet-roots taqvet-annotations test race fuzz bench bench-gate bench-floor check
 
 build:
 	$(GO) build ./...
@@ -77,5 +77,21 @@ BENCH_GATE_FILTER = awk '{ print } /^ *FAIL/ || /^bench-gate: exit [^0]/ { bad =
 bench-gate:
 	{ $(GO) run ./bench -workload all -seed 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
 	{ $(GO) run ./bench -workload all -seed 1 -trace 1; echo "bench-gate: exit $$?"; } | $(BENCH_GATE_FILTER)
+
+# bench-floor is the guard run of a change that makes a workload cheaper:
+# the traced pass alone, one line per workload — name, CPU-profile
+# samples, margin over the pipeline's 1000-sample floor — failing when a
+# workload has less than 8 % of margin left (or the pass itself fails).
+# Run it on a quiet host; about two minutes.
+BENCH_FLOOR_MIN = 1080
+BENCH_FLOOR_FILTER = awk -v min=$(BENCH_FLOOR_MIN) '\
+	$$1 == "==" { wl = $$2 } \
+	$$1 == "cpu_share.sim" { n = $$NF; seen++; if (n < min) bad = 1; \
+		printf "%-18s %5d %+6.1f%%%s\n", wl, n, (n / 1000 - 1) * 100, (n < min ? "  BELOW " min : "") } \
+	/^ *FAIL/ { print; bad = 1 } \
+	/^bench-floor: exit [^0]/ { print; bad = 1 } \
+	END { exit bad || !seen }'
+bench-floor:
+	{ $(GO) run ./bench -workload all -seed 1 -trace 1; echo "bench-floor: exit $$?"; } | $(BENCH_FLOOR_FILTER)
 
 check: build vet taqvet test race

@@ -65,7 +65,7 @@ func initialWindowSweep(scale Scale, seed int64) sweep[iwPoint] {
 		var times []float64
 		timeouts := 0
 		for _, r := range shorts {
-			if net.Flow(r.Flow).Sender.Stats.Timeouts > 0 {
+			if r.Timeouts() > 0 {
 				timeouts++
 			}
 			if r.Done {

@@ -65,12 +65,14 @@ var mutations = []mutation{
 		edits: []string{"if q.rng.Float64() < pb {", "if rand.Float64() < pb {"},
 		fires: []string{"wallclock"}, first: "wallclock"},
 
-	// maprange: a collect-then-sort that lost its sort, twice (the second
-	// is the producer detaint used to re-report at three consumers), and
-	// the first-match shape only detaint used to see.
+	// maprange: a float sum taken over the map of live flows instead of
+	// the ids ever added (a test sees the released flows' bytes missing
+	// before taqvet sees the map order), a collect-then-sort that lost
+	// its sort (the producer detaint used to re-report at three
+	// consumers), and the first-match shape only detaint used to see.
 	{name: "maprange.goodput", file: "internal/topology/dumbbell.go",
-		edits: []string{"\tsort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })\n\tvar bytes float64", "\t_ = sort.Slice\n\tvar bytes float64"},
-		fires: []string{"maprange"}, first: "maprange"},
+		edits: []string{"\tfor id := packet.FlowID(0); id < n.nextID; id++ {\n\t\tbytes += n.Slicer.FlowTotal(id)\n", "\tfor id := range n.flows {\n\t\tbytes += n.Slicer.FlowTotal(id)\n"},
+		fires: []string{"maprange"}, first: "test TestReleaseIsInvisible"},
 	{name: "maprange.sortedIDs", file: "internal/metrics/slicer.go",
 		edits: []string{"\tsort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })\n\treturn ids", "\t_ = sort.Slice\n\treturn ids"},
 		fires: []string{"maprange"}, first: "maprange"},
@@ -78,7 +80,7 @@ var mutations = []mutation{
 		edits: []string{
 			"// aliveIn reports whether", "func (s *Slicer) anyID() packet.FlowID {\n\tfor id := range s.flows {\n\t\treturn id\n\t}\n\treturn 0\n}\n\n// aliveIn reports whether",
 			// Value-neutral on purpose: the order dependence is the bug.
-			"\t\t\t\talive = true\n\t\t\t\ttotal += fs.bytes[i]\n", "\t\t\t\talive = true\n\t\t\t\ttotal += fs.bytes[i] + 0*float64(s.anyID())\n"},
+			"\t\t\t\talive = true\n\t\t\t\ttotal += fs.at(i)\n", "\t\t\t\talive = true\n\t\t\t\ttotal += fs.at(i) + 0*float64(s.anyID())\n"},
 		fires: []string{"maprange"}, first: "maprange"},
 
 	// timerleak: a Schedule handle dropped in a type whose Stop must

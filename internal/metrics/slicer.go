@@ -21,7 +21,34 @@ type Slicer struct {
 
 type flowSeries struct {
 	start, end sim.Time // lifetime; end < 0 means still alive
-	bytes      map[int]float64
+	// bytes[k] is what slice first+k received; slices outside it
+	// received nothing. A flow delivers into a run of neighbouring
+	// slices, so the run is stored flat.
+	first int
+	bytes []float64
+}
+
+// at returns the bytes recorded in slice i.
+func (fs *flowSeries) at(i int) float64 {
+	if k := i - fs.first; k >= 0 && k < len(fs.bytes) {
+		return fs.bytes[k]
+	}
+	return 0
+}
+
+// add records b more bytes in slice i, extending the run to reach it.
+func (fs *flowSeries) add(i int, b float64) {
+	switch {
+	case len(fs.bytes) == 0:
+		fs.first = i
+	case i < fs.first:
+		fs.bytes = append(make([]float64, fs.first-i, fs.first-i+len(fs.bytes)), fs.bytes...)
+		fs.first = i
+	}
+	for i-fs.first >= len(fs.bytes) {
+		fs.bytes = append(fs.bytes, 0)
+	}
+	fs.bytes[i-fs.first] += b
 }
 
 // NewSlicer creates a slicer with the given slice width (the paper
@@ -40,7 +67,7 @@ func (s *Slicer) Width() sim.Time { return s.width }
 // unregistered flows are registered implicitly at first delivery.
 func (s *Slicer) Register(f packet.FlowID, start sim.Time) {
 	if _, ok := s.flows[f]; !ok {
-		s.flows[f] = &flowSeries{start: start, end: -1, bytes: make(map[int]float64)}
+		s.flows[f] = &flowSeries{start: start, end: -1}
 	}
 }
 
@@ -59,7 +86,7 @@ func (s *Slicer) Record(f packet.FlowID, at sim.Time, bytes int) {
 		s.Register(f, at)
 		fs = s.flows[f]
 	}
-	fs.bytes[int(at/s.width)] += float64(bytes)
+	fs.add(int(at/s.width), float64(bytes))
 }
 
 // NumFlows returns the number of registered flows.
@@ -94,7 +121,7 @@ func (s *Slicer) SliceShares(i int) []float64 {
 	for _, id := range s.sortedIDs() {
 		fs := s.flows[id]
 		if fs.aliveIn(i, s.width) {
-			out = append(out, fs.bytes[i])
+			out = append(out, fs.at(i))
 		}
 	}
 	return out
@@ -133,7 +160,7 @@ func (s *Slicer) TotalJFI(from, to int) float64 {
 		for i := from; i < to; i++ {
 			if fs.aliveIn(i, s.width) {
 				alive = true
-				total += fs.bytes[i]
+				total += fs.at(i)
 			}
 		}
 		if alive {
@@ -149,14 +176,10 @@ func (s *Slicer) FlowTotal(f packet.FlowID) float64 {
 	if !ok {
 		return 0
 	}
-	slices := make([]int, 0, len(fs.bytes))
-	for i := range fs.bytes {
-		slices = append(slices, i)
-	}
-	sort.Ints(slices)
+	// Ascending slice order; the zeros of silent slices add exactly.
 	t := 0.0
-	for _, i := range slices {
-		t += fs.bytes[i]
+	for _, b := range fs.bytes {
+		t += b
 	}
 	return t
 }
@@ -187,8 +210,8 @@ func (s *Slicer) Evolution(from, to int) EvolutionCounts {
 			if !fs.aliveIn(i, s.width) || !fs.aliveIn(i-1, s.width) {
 				continue
 			}
-			prev := fs.bytes[i-1] > 0
-			cur := fs.bytes[i] > 0
+			prev := fs.at(i-1) > 0
+			cur := fs.at(i) > 0
 			switch {
 			case prev && cur:
 				mnt++

@@ -65,6 +65,10 @@ func (r *Receiver) newPacket(kind packet.Kind, size int) *packet.Packet {
 // CumAck returns the next expected segment index.
 func (r *Receiver) CumAck() int { return r.cumAck }
 
+// Quiet reports whether no delayed ack is waiting on its timer, so that
+// only a delivered packet can make the receiver act again.
+func (r *Receiver) Quiet() bool { return !r.delPending }
+
 // Deliver hands the receiver a packet that crossed the network.
 func (r *Receiver) Deliver(p *packet.Packet) {
 	switch p.Kind {

@@ -154,6 +154,22 @@ func (s *Sender) RTO() sim.Time { return s.rto }
 // transmitting.
 func (s *Sender) Notify() { s.trySend() }
 
+// Quiet reports whether no timer of the sender is armed — handshake,
+// retransmission or pacing — so that only a delivered packet can make
+// it act again. It reads the sender's own state: a timer handle says
+// nothing about having fired, and on a wall-clock runner nothing about
+// being queued.
+func (s *Sender) Quiet() bool {
+	// sendSyn arms the handshake timer and every way out of stateSynSent
+	// disarms it; onRTO and onPace drop or re-arm their handle when they
+	// fire.
+	return s.state != stateSynSent && !armed(s.rtoTimer) && !armed(s.paceTimer)
+}
+
+// armed reports whether t is a handle whose callback is still to run,
+// given an owner that drops or re-arms the handle whenever it fires.
+func armed(t *sim.Timer) bool { return t != nil && !t.Canceled() }
+
 // Start begins the connection handshake.
 func (s *Sender) Start() {
 	if s.state != stateClosed {
@@ -297,7 +313,7 @@ func (s *Sender) trySend() {
 			}
 			now := s.run.Now()
 			if now < s.nextPaced {
-				if s.paceTimer == nil || s.paceTimer.Canceled() {
+				if !armed(s.paceTimer) {
 					s.paceTimer = sim.Reschedule(s.run, s.paceTimer, s.nextPaced-now, s.paceFn)
 				}
 				return
@@ -333,7 +349,7 @@ func (s *Sender) sendSegment(seq int) {
 	p := s.newPacket(packet.Data, s.cfg.MSS, rexmit)
 	p.Seq = seq
 	s.out(p)
-	if s.rtoTimer == nil || s.rtoTimer.Canceled() {
+	if !armed(s.rtoTimer) {
 		s.armRTO()
 	}
 }

@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 
 	"taq/internal/capture"
 	"taq/internal/core"
@@ -148,6 +147,13 @@ type Flow struct {
 	// access path (jitter shifts arrivals but must not reorder a
 	// flow's own packets).
 	lastFwdArrival sim.Time
+	// inNet counts the flow's packets between its endpoints: handed to
+	// sendForward or sendReverse and not yet delivered, dropped at the
+	// bottleneck or lost beyond it.
+	inNet int
+	// closed is set by Release: the network forgets the flow once it is
+	// quiescent.
+	closed bool
 }
 
 // Network is an instantiated dumbbell scenario.
@@ -196,8 +202,20 @@ type Network struct {
 	// callers can read counters for flight-recorder triggers.
 	CoreMetrics *core.Metrics
 
+	// flows holds the flows added and not yet released (Release); nextID
+	// is also how many were ever added.
 	flows  map[packet.FlowID]*Flow
 	nextID packet.FlowID
+	// releasedTimeouts and releasedRepetitive carry the released flows'
+	// share of AggregateTimeouts.
+	releasedTimeouts, releasedRepetitive uint64
+	// strays counts packets that met the bottleneck with no flow to
+	// account them to — hand-injected in tests, or a flow released with a
+	// packet still in the network, which tests assert never happens.
+	strays uint64
+	// holdReleases, when set (tests only), keeps released flows in the
+	// network, so a test can show a run reads the same either way.
+	holdReleases bool
 
 	// packets recycles the TCP endpoints' packets: one free list for the
 	// whole network, because a list per flow or per endpoint would each
@@ -264,6 +282,11 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 	}
 	disc.AddDropHook(func(p *packet.Packet) {
 		n.QueueDrops++
+		if f, ok := n.flows[p.Flow]; ok {
+			f.left()
+		} else {
+			n.strays++
+		}
 		if n.Capture != nil {
 			n.Capture.Record(run.Now(), capture.Drop, p)
 		}
@@ -406,10 +429,12 @@ func (n *Network) accessDelay(f *Flow, base sim.Time) sim.Time {
 func (n *Network) deliverForward(p *packet.Packet) {
 	f, ok := n.flows[p.Flow]
 	if !ok {
+		n.strays++
 		return
 	}
 	if n.Cfg.ExternalLoss > 0 && n.Runner.Rand().Float64() < n.Cfg.ExternalLoss {
 		n.ExternalDrops++
+		f.left()
 		return
 	}
 	if p.Kind == packet.Data && n.Census != nil {
@@ -437,6 +462,7 @@ func (n *Network) enqueue(arg any) {
 // anywhere else — queue drops, which drop hooks may retain,
 // ExternalLoss, an unknown flow — are left to the garbage collector.
 func (f *Flow) returnPacket(p *packet.Packet) {
+	f.left()
 	if f.packets == nil {
 		return // a TFRC packet: not from the pool, so never into it
 	}
@@ -450,6 +476,7 @@ func (f *Flow) returnPacket(p *packet.Packet) {
 // rtt/4 + jitter) → queue.
 func (f *Flow) sendForward(p *packet.Packet) {
 	n := f.net
+	f.inNet++
 	sim.AfterArg(n.Runner, n.accessDelay(f, f.RTT/4), n.toQueue, p)
 }
 
@@ -463,6 +490,7 @@ func (f *Flow) forwardArrive(arg any) {
 // uncongested, half the RTT. In two-way mode the middlebox observes
 // acks in passing at the midpoint.
 func (f *Flow) sendReverse(p *packet.Packet) {
+	f.inNet++
 	if f.revMidpoint != nil {
 		sim.AfterArg(f.net.Runner, f.RTT/4, f.revMidpoint, p)
 		return
@@ -559,11 +587,51 @@ func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 	return f
 }
 
-// Flow returns a flow by ID, or nil.
+// Release tells the network that f's owner is done with it: the
+// transfer completed or the connection gave up, and nobody will look the
+// flow up again. The network forgets f at the first moment it is
+// quiescent — none of its packets is between the endpoints and neither
+// endpoint has a timer armed — and not before: a spurious
+// retransmission still queued when the last ack landed goes on to be
+// delivered, acked and observed like any other packet, so a run reads
+// the same whether or not its flows are released. A quiescent flow can
+// cause no further event. What outlives it is its Slicer series and its
+// share of AggregateTimeouts; the endpoints go to the garbage
+// collector. TCP flows only; flows never released stay for the life of
+// the network.
+func (n *Network) Release(f *Flow) {
+	f.closed = true
+	f.reap()
+}
+
+// left takes one of f's packets out of the in-network count.
+func (f *Flow) left() {
+	f.inNet--
+	if f.closed {
+		f.reap()
+	}
+}
+
+// reap drops a released flow from the network if it is quiescent. Every
+// event that can leave a flow quiescent passes through here: a packet
+// leaving the network (left) and Release itself — a timer that fires
+// re-arms itself, sends a packet or, when the handshake gives up, has
+// the owner call Release.
+func (f *Flow) reap() {
+	n := f.net
+	if f.inNet != 0 || !f.Sender.Quiet() || !f.Receiver.Quiet() || n.holdReleases {
+		return
+	}
+	n.releasedTimeouts += f.Sender.Stats.Timeouts
+	n.releasedRepetitive += f.Sender.Stats.RepetitiveTimeouts
+	delete(n.flows, f.ID)
+}
+
+// Flow returns a flow by ID, or nil — also for a flow that was released.
 func (n *Network) Flow(id packet.FlowID) *Flow { return n.flows[id] }
 
-// NumFlows returns the number of flows added.
-func (n *Network) NumFlows() int { return len(n.flows) }
+// NumFlows returns the number of flows added, released ones included.
+func (n *Network) NumFlows() int { return int(n.nextID) }
 
 // Run advances the simulation to the given virtual time. Simulator
 // only: a wall-clock runner advances by itself.
@@ -592,13 +660,10 @@ func (n *Network) Goodput() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	ids := make([]packet.FlowID, 0, len(n.flows))
-	for id := range n.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	// Every flow added is registered with the Slicer under the next id,
+	// and its series outlives a Release.
 	var bytes float64
-	for _, id := range ids {
+	for id := packet.FlowID(0); id < n.nextID; id++ {
 		bytes += n.Slicer.FlowTotal(id)
 	}
 	return bytes * 8 / elapsed / float64(n.Cfg.Bandwidth)
@@ -606,6 +671,7 @@ func (n *Network) Goodput() float64 {
 
 // AggregateTimeouts sums sender timeout statistics across TCP flows.
 func (n *Network) AggregateTimeouts() (timeouts, repetitive uint64) {
+	timeouts, repetitive = n.releasedTimeouts, n.releasedRepetitive
 	for _, f := range n.flows {
 		if f.Sender == nil {
 			continue
@@ -619,8 +685,8 @@ func (n *Network) AggregateTimeouts() (timeouts, repetitive uint64) {
 // FairSharePerFlow returns the ideal per-flow fair share in bits per
 // second (C/N), the x-axis of Figs 2, 8 and 11.
 func (n *Network) FairSharePerFlow() float64 {
-	if len(n.flows) == 0 {
+	if n.nextID == 0 {
 		return float64(n.Cfg.Bandwidth)
 	}
-	return float64(n.Cfg.Bandwidth) / float64(len(n.flows))
+	return float64(n.Cfg.Bandwidth) / float64(n.nextID)
 }

@@ -33,6 +33,19 @@ type ShortFlowResult struct {
 	Start    sim.Time
 	End      sim.Time
 	Done     bool
+
+	// sender is the flow's sender until the transfer completes and the
+	// flow is released; timeouts is its count from then on.
+	sender   *tcp.Sender
+	timeouts uint64
+}
+
+// Timeouts returns how many retransmission timeouts the flow has taken.
+func (r *ShortFlowResult) Timeouts() uint64 {
+	if r.sender != nil {
+		return r.sender.Stats.Timeouts
+	}
+	return r.timeouts
 }
 
 // Duration returns the flow completion time (start of handshake to
@@ -45,12 +58,15 @@ func AddShortFlow(net *topology.Network, segments int, at sim.Time) *ShortFlowRe
 	res := &ShortFlowResult{Segments: segments, Start: at}
 	app := &tcp.SizedApp{Total: segments}
 	f := net.AddFlow(packet.PoolNone, app, at)
-	res.Flow = f.ID
+	res.Flow, res.sender = f.ID, f.Sender
 	app.OnComplete = func() {
 		res.End = net.Runner.Now()
 		res.Done = true
 		net.Slicer.Finish(f.ID, res.End)
 		net.ObserveFCT(res.Start, segments*net.Cfg.TCP.MSS)
+		// A finished transfer takes no further timeout.
+		res.sender, res.timeouts = nil, f.Sender.Stats.Timeouts
+		net.Release(f)
 	}
 	return res
 }
@@ -138,6 +154,7 @@ func (s *Session) start(res *ObjectResult) {
 	f := net.AddFlow(s.pool, app, res.Started)
 	finish := func() {
 		net.Slicer.Finish(f.ID, net.Runner.Now())
+		net.Release(f)
 		s.active--
 		s.pump()
 	}

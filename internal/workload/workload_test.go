@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -86,6 +87,38 @@ func TestShortFlowCompletes(t *testing.T) {
 	}
 	if res.Duration() <= 0 || res.Duration() > 10*sim.Second {
 		t.Errorf("duration = %v", res.Duration())
+	}
+}
+
+// TestShortFlowTimeoutsSurviveRelease: a finished short flow leaves the
+// network, and its result still knows how many timeouts it took.
+func TestShortFlowTimeoutsSurviveRelease(t *testing.T) {
+	n := quickNet(8, 200*link.Kbps, topology.DropTail)
+	AddBulkFlows(n, 12, 50*sim.Millisecond)
+	var results []*ShortFlowResult
+	var flows []*topology.Flow
+	for i := 0; i < 10; i++ {
+		res := AddShortFlow(n, 15, sim.Time(5+3*i)*sim.Second)
+		results, flows = append(results, res), append(flows, n.Flow(res.Flow))
+	}
+	n.Run(300 * sim.Second)
+	done, timedOut := 0, 0
+	for i, res := range results {
+		if got, want := res.Timeouts(), flows[i].Sender.Stats.Timeouts; got != want {
+			t.Errorf("short flow %d: Timeouts() = %d, its sender counted %d", i, got, want)
+		}
+		if res.Timeouts() > 0 {
+			timedOut++
+		}
+		if res.Done {
+			done++
+		}
+		if released := n.Flow(res.Flow) == nil; released != res.Done {
+			t.Errorf("short flow %d: done %v, released %v", i, res.Done, released)
+		}
+	}
+	if done == 0 || timedOut == 0 {
+		t.Errorf("%d of 10 done, %d took a timeout: want some of each", done, timedOut)
 	}
 }
 
@@ -231,5 +264,55 @@ func TestSessionGivesUpWhenSynFails(t *testing.T) {
 	// behind a dead slot.
 	if s.Outstanding() > 1 {
 		t.Errorf("outstanding = %d; session deadlocked", s.Outstanding())
+	}
+}
+
+// replayHeap replays a generated log of the given length (the request
+// rate is fixed, so concurrency is the same for any length), drains it,
+// and returns how many connections it made and how many bytes of heap the
+// network and its sessions hold afterwards.
+func replayHeap(t *testing.T, duration sim.Time) (conns int, heap uint64) {
+	t.Helper()
+	gen := trace.DefaultGenConfig()
+	gen.Duration = duration
+	gen.Clients = 40
+	gen.RequestsPerClientPerMin = 3
+	gen.MaxSize = 64 << 10
+	recs := trace.Generate(gen)
+
+	live := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	n := quickNet(11, 2000*link.Kbps, topology.TAQ)
+	sessions := Replay(n, recs, 4, ReplayTimed)
+	n.Run(duration + 300*sim.Second)
+	after := live()
+	if frac := CompletedFraction(sessions); frac != 1 {
+		t.Fatalf("completed %.3f of %d objects", frac, len(recs))
+	}
+	runtime.KeepAlive(n)
+	return n.NumFlows(), after - min(before, after)
+}
+
+// TestReplayHeapBoundedByLiveFlows is the memory claim of the flow
+// lifecycle: a replay four times as long, at the same concurrency, ends
+// holding only what a finished connection leaves behind on purpose — its
+// ObjectResult and its Slicer series, a few hundred bytes — and not its
+// endpoints, which used to stay for ≈2.2 KB each.
+func TestReplayHeapBoundedByLiveFlows(t *testing.T) {
+	shortConns, shortHeap := replayHeap(t, 250*sim.Second)
+	longConns, longHeap := replayHeap(t, 1000*sim.Second)
+	if longConns < 3*shortConns {
+		t.Fatalf("%d and %d connections: the long log is not ≈4x the short one", shortConns, longConns)
+	}
+	perConn := (float64(longHeap) - float64(shortHeap)) / float64(longConns-shortConns)
+	t.Logf("%d connections hold %d B, %d hold %d B: %.0f B per finished connection",
+		shortConns, shortHeap, longConns, longHeap, perConn)
+	if perConn > 512 {
+		t.Errorf("heap grows by %.0f B per finished connection, want ≤ 512", perConn)
 	}
 }
