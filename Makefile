@@ -36,11 +36,10 @@ test:
 
 # The race detector only matters where real goroutines run: the
 # emulation layer (including the obs recorder + live endpoint under
-# concurrent timers), the pcap-style capture pipeline, the session and
-# network tests that also run on the wall-clock engine, and the
-# experiment sweep worker pool.
+# concurrent timers), the session and network tests that also run on
+# the wall-clock engine, and the experiment sweep worker pool.
 race:
-	$(GO) test -race ./internal/emu/... ./internal/capture/... ./internal/obs/... ./internal/workload/...
+	$(GO) test -race ./internal/emu/... ./internal/obs/... ./internal/workload/...
 	$(GO) test -race -run OnEmu ./internal/topology
 	$(GO) test -race -run 'TestRunPoints|TestParallelSweep' ./experiments
 
@@ -53,16 +52,12 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run='^$$' -fuzz='^FuzzReceiverReassembly$$' -fuzztime=$(FUZZTIME) ./internal/tcp
 
-# bench records the perf trajectory: engine micro-benchmarks to stderr,
-# and the full experiment suite's tables + headline metrics to
-# BENCH_results.json (see EXPERIMENTS.md's benchmark section). The
-# per-discipline packet costs are rows of the bench ledger
-# (go run ./bench: queue.*_ns, core.enqueue_accept_ns_p50).
+# bench records the full experiment suite's tables + headline metrics
+# to BENCH_results.json (see EXPERIMENTS.md's benchmark section). Every
+# per-layer cost — engine, tracker, registry, shard dispatch,
+# per-discipline packet costs — is a row of the bench ledger
+# (go run ./bench).
 bench:
-	$(GO) test -run='^$$' -bench Engine -benchmem ./internal/sim
-	$(GO) test -run='^$$' -bench 'TrackerScan|FlowLookup|FlowMemory|GaugeSample' -benchmem ./internal/core
-	$(GO) test -run='^$$' -bench 'HistogramRecord|RegistrySnapshot' -benchmem ./internal/obs
-	$(GO) test -run='^$$' -bench 'ShardDispatch' -benchmem ./internal/emu
 	$(GO) run ./cmd/taqbench -json -scale $(BENCHSCALE) -out BENCH_results.json -report-out BENCH_report.txt
 
 # bench-gate runs the perf pipeline's benchmark (bench/README.md) at

@@ -159,7 +159,7 @@ func find[P any](points []P, match func(P) bool) (P, bool) {
 // bulkDumbbell runs flows bulk TCP flows, started 50 ms apart, over
 // cfg for duration and returns the finished network with the number of
 // whole metric slices the run covered. prep hooks run on the fresh
-// network before any flow is added (census, capture, other transports).
+// network before any flow is added (census, other transports).
 func bulkDumbbell(cfg topology.Config, flows int, duration sim.Time, prep ...func(*topology.Network)) (*topology.Network, int) {
 	net := topology.MustNew(cfg)
 	for _, fn := range prep {

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"taq/internal/capture"
 	"taq/internal/link"
 	"taq/internal/metrics"
+	"taq/internal/packet"
 	"taq/internal/sim"
 	"taq/internal/topology"
 )
@@ -507,7 +507,7 @@ func TestCSVExports(t *testing.T) {
 
 func TestPcapShutdownAndHogs(t *testing.T) {
 	dt := pcapAnalysis(topology.DropTail, testScale, 1)
-	dtShutdown, dtTop80 := capture.MeanShutdownFrac(dt.points), capture.MeanTop80Frac(dt.points)
+	dtShutdown, dtTop80 := meanFracs(dt.points)
 	// §2.3: ≈30% of flows completely shut down per 20 s slice, and a
 	// minority of flows holds ≥80% of the bandwidth.
 	if dtShutdown < 0.15 || dtShutdown > 0.5 {
@@ -517,7 +517,7 @@ func TestPcapShutdownAndHogs(t *testing.T) {
 		t.Errorf("droptail top-80 frac = %.2f, want a minority (<0.5)", dtTop80)
 	}
 	taq := pcapAnalysis(topology.TAQ, testScale, 1)
-	taqShutdown, taqTop80 := capture.MeanShutdownFrac(taq.points), capture.MeanTop80Frac(taq.points)
+	taqShutdown, taqTop80 := meanFracs(taq.points)
 	// TAQ: almost nobody shut down, bandwidth spread across many more
 	// flows.
 	if taqShutdown > dtShutdown/2 {
@@ -530,6 +530,46 @@ func TestPcapShutdownAndHogs(t *testing.T) {
 	}
 	if dt.Table() == "" {
 		t.Error("empty table")
+	}
+}
+
+// TestSliceStats checks the §2.3 read-out on a hand-built slicer: three
+// flows alive throughout, deliveries in the first two 20 s slices.
+func TestSliceStats(t *testing.T) {
+	s := metrics.NewSlicer(20 * sim.Second)
+	for f, perSlice := range [][]int{{800, 600}, {100, 400}, {100, 0}} {
+		s.Register(packet.FlowID(f), 0)
+		for i, b := range perSlice {
+			if b > 0 {
+				s.Record(packet.FlowID(f), sim.Time(i)*20*sim.Second+sim.Second, b)
+			}
+		}
+	}
+	got := sliceStats(s, 0, 3)
+	want := []struct {
+		name            string
+		shutdown, top80 float64
+		bytes           int64
+	}{
+		{"one flow holds exactly 80%", 0, 1.0 / 3, 1000},
+		{"one silent flow", 1.0 / 3, 2.0 / 3, 1000},
+		{"all silent", 1, 0, 0},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sliceStats returned %d slices, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Slice != i || g.ShutdownFrac != w.shutdown || g.Top80Frac != w.top80 || g.DeliveredBytes != w.bytes {
+			t.Errorf("%s: slice %d shutdown %v top80 %v bytes %d, want slice %d shutdown %v top80 %v bytes %d",
+				w.name, g.Slice, g.ShutdownFrac, g.Top80Frac, g.DeliveredBytes, i, w.shutdown, w.top80, w.bytes)
+		}
+	}
+	if shutdown, top80 := meanFracs(got); shutdown != 4.0/9 || top80 != 1.0/3 {
+		t.Errorf("meanFracs = %v, %v, want 4/9, 1/3", shutdown, top80)
+	}
+	if shutdown, top80 := meanFracs(sliceStats(s, 1, 1)); shutdown != 0 || top80 != 0 {
+		t.Errorf("meanFracs of no slices = %v, %v, want 0, 0", shutdown, top80)
 	}
 }
 

@@ -103,7 +103,7 @@ func DefaultConfig() *Config {
 	return &Config{
 		Deterministic: []string{
 			"sim", "tcp", "queue", "core", "link", "topology",
-			"workload", "markov", "tfrc", "metrics", "packet", "capture",
+			"workload", "markov", "tfrc", "metrics", "packet",
 			// obs is deterministic by construction (timestamps are
 			// caller-supplied sim.Time); its obshttp subpackage serves
 			// the wall-clock emu engine and is deliberately excluded.

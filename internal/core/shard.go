@@ -133,13 +133,6 @@ func (s *Sharded) Bytes() int {
 	return n
 }
 
-// SetDropHook implements queue.Discipline on every shard.
-func (s *Sharded) SetDropHook(fn func(*packet.Packet)) {
-	for _, sh := range s.shards {
-		sh.SetDropHook(fn)
-	}
-}
-
 // AddDropHook implements queue.Discipline on every shard.
 func (s *Sharded) AddDropHook(fn func(*packet.Packet)) {
 	for _, sh := range s.shards {

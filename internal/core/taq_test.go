@@ -334,7 +334,7 @@ func TestBufferEvictionOrder(t *testing.T) {
 	cfg.Capacity = 2
 	q := newTestShard(e, cfg)
 	var dropped []*packet.Packet
-	q.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
+	q.AddDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
 	// Fill with two below-fair packets (flows are unknown: they
 	// classify via tracker as new flows → NewFlow queue; so drive
 	// classification through the internal queues directly).
@@ -363,7 +363,7 @@ func TestNewFlowQueueCapDropsSyns(t *testing.T) {
 	cfg.Capacity = 100
 	q := newTestShard(e, cfg)
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	for i := 0; i < 5; i++ {
 		q.Enqueue(synPkt(packet.FlowID(i), packet.PoolNone))
 	}

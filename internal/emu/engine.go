@@ -40,9 +40,10 @@ type Engine struct {
 	// mu; read lock-free by Now.
 	minNow atomic.Int64
 
-	// tmu guards timers, the set of armed wall timers. A separate
-	// mutex because Schedule runs while callers hold mu (callbacks
-	// schedule their successors) and mu is not reentrant.
+	// tmu guards timers, the set of armed wall timers, nil once Stop
+	// has run. A separate mutex because Schedule runs while callers
+	// hold mu (callbacks schedule their successors) and mu is not
+	// reentrant.
 	tmu    sync.Mutex
 	timers map[*wallNode]struct{}
 }
@@ -96,7 +97,8 @@ func wallDelay(delay sim.Time, speedup float64) time.Duration {
 }
 
 // Schedule implements sim.Runner: fn runs after the virtual delay,
-// serialized with all other callbacks.
+// serialized with all other callbacks. On a stopped engine it arms
+// nothing and returns a canceled handle.
 //
 //taq:allow(func) lockdiscipline timers is guarded by tmu, not mu; the analyzer models one mutex per struct
 func (e *Engine) Schedule(delay sim.Time, fn func()) *sim.Timer {
@@ -110,6 +112,11 @@ func (e *Engine) Schedule(delay sim.Time, fn func()) *sim.Timer {
 	// nil node.t or a set the node was never added to, even when the
 	// wall delay is zero.
 	e.tmu.Lock()
+	if e.timers == nil { // stopped: nothing would disarm a timer armed now
+		e.tmu.Unlock()
+		tm.Cancel()
+		return tm
+	}
 	node.t = time.AfterFunc(wallDelay(delay, e.speedup), func() { e.fire(node, tm, fn) })
 	e.timers[node] = struct{}{}
 	e.tmu.Unlock()
@@ -163,11 +170,12 @@ func (e *Engine) Post(fn func()) {
 	fn()
 }
 
-// Stop prevents any further callbacks from running and disarms every
-// outstanding wall timer. Without the disarm, already-armed
-// time.AfterFunc timers stayed alive until their natural deadline just
-// to bail on the stopped flag — minutes-long soaks accumulated
-// thousands of runtime timers and their firing goroutines.
+// Stop prevents any further callbacks from running, disarms every
+// outstanding wall timer and lets Schedule arm no more. Without the
+// disarm, already-armed time.AfterFunc timers stayed alive until their
+// natural deadline just to bail on the stopped flag — minutes-long
+// soaks accumulated thousands of runtime timers and their firing
+// goroutines.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	e.stopped = true
@@ -176,7 +184,7 @@ func (e *Engine) Stop() {
 	for node := range e.timers {
 		node.t.Stop()
 	}
-	clear(e.timers)
+	e.timers = nil
 	e.tmu.Unlock()
 }
 

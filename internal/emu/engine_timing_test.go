@@ -124,6 +124,13 @@ func TestStopDisarmsOutstandingTimers(t *testing.T) {
 		t.Fatal("timer fired after Stop")
 	case <-time.After(50 * time.Millisecond):
 	}
+	// Nothing could disarm a timer armed now: Schedule must arm none.
+	if tm := e.Schedule(3600*sim.Second, func() {}); !tm.Canceled() {
+		t.Error("Schedule after Stop returned a live handle")
+	}
+	if n := e.outstandingTimers(); n != 0 {
+		t.Fatalf("outstanding timers after Schedule on a stopped engine = %d, want 0", n)
+	}
 }
 
 // TestCancelDeregistersTimer: a canceled timer must leave the armed

@@ -297,72 +297,3 @@ func TestShardBankOwnershipRouting(t *testing.T) {
 		}
 	})
 }
-
-// BenchmarkShardDispatch measures aggregate enqueue+dequeue throughput
-// as the shard count grows, each shard fed by its own goroutine
-// through its own engine lock — the contention the sharding exists to
-// remove. `make bench` tracks it under the -compare gate; on a
-// single-core host the counts necessarily time-share, so cross-shard
-// scaling is only visible with GOMAXPROCS ≥ the shard count.
-func BenchmarkShardDispatch(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			bank := NewShardBank(ShardBankConfig{
-				Shards:  shards,
-				Seed:    1,
-				Speedup: 1,
-				Core:    core.DefaultConfig(10_000*link.Kbps, 256),
-			})
-			defer bank.Stop()
-
-			const population = 4096
-			owned := make([][]packet.FlowID, shards)
-			for i := 1; i <= population; i++ {
-				fl := packet.FlowID(i)
-				owned[core.ShardOf(fl, shards)] = append(owned[core.ShardOf(fl, shards)], fl)
-			}
-
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				ops := b.N / shards
-				if s == 0 {
-					ops += b.N % shards
-				}
-				wg.Add(1)
-				go func(s, ops int) {
-					defer wg.Done()
-					ids := owned[s]
-					if len(ids) == 0 {
-						return
-					}
-					taq := bank.Shard(s).TAQ
-					seq, next := 0, 0
-					for done := 0; done < ops; {
-						batch := ops - done
-						if batch > 256 {
-							batch = 256
-						}
-						bank.Post(s, func() {
-							for k := 0; k < batch; k++ {
-								fl := ids[next]
-								next++
-								if next == len(ids) {
-									next, seq = 0, seq+1
-								}
-								taq.Enqueue(&packet.Packet{Flow: fl, Kind: packet.Data, Seq: seq, Size: 500})
-								if k&3 == 3 {
-									taq.Dequeue()
-								}
-							}
-						})
-						done += batch
-					}
-				}(s, ops)
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pkts/s")
-		})
-	}
-}

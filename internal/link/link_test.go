@@ -63,7 +63,7 @@ func TestLinkDropsViaDiscipline(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := queue.NewDropTail(2)
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	l := New(e, 1*Mbps, 0, q, func(*packet.Packet) {})
 	// Burst of 10 while one is in flight: 1 transmitting + 2 queued.
 	for i := 0; i < 10; i++ {

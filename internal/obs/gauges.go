@@ -188,40 +188,6 @@ func (s *CSVSeries) WriteSample(t sim.Time, values []float64) error {
 // Close implements SeriesSink. The underlying writer is left open.
 func (s *CSVSeries) Close() error { return nil }
 
-// JSONLSeries writes each sample as one JSON object per line:
-// {"t":<ns>,"<name>":<value>,...} with keys in registration order.
-type JSONLSeries struct {
-	w     io.Writer
-	names []string
-	buf   []byte
-}
-
-// NewJSONLSeries returns a JSONL series sink writing to w.
-func NewJSONLSeries(w io.Writer) *JSONLSeries { return &JSONLSeries{w: w} }
-
-// WriteHeader implements SeriesSink; JSONL emits no header row but
-// retains the names as per-sample keys.
-func (s *JSONLSeries) WriteHeader(names []string) error {
-	s.names = append(s.names[:0], names...)
-	return nil
-}
-
-// WriteSample implements SeriesSink.
-func (s *JSONLSeries) WriteSample(t sim.Time, values []float64) error {
-	s.buf = append(s.buf[:0], `{"t":`...)
-	s.buf = strconv.AppendInt(s.buf, int64(t), 10)
-	for i, v := range values {
-		s.buf = appendKey(s.buf, s.names[i])
-		s.buf = appendFloat(s.buf, v)
-	}
-	s.buf = append(s.buf, '}', '\n')
-	_, err := s.w.Write(s.buf)
-	return err
-}
-
-// Close implements SeriesSink. The underlying writer is left open.
-func (s *JSONLSeries) Close() error { return nil }
-
 // MemorySeries retains samples in memory, for tests and the live
 // endpoint.
 type MemorySeries struct {

@@ -307,30 +307,6 @@ func TestRecordPathAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkHistogramRecord(b *testing.B) {
-	reg := NewRegistry()
-	h := reg.Histogram("taq_bench_seconds", "bench", DelayBuckets())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(sim.Time(i&0xffff) * 1000)
-	}
-}
-
-func BenchmarkRegistrySnapshot(b *testing.B) {
-	reg := NewRegistry()
-	reg.CounterVec("taq_drops_total", "drops", "class",
-		[]string{"recovery", "newflow", "overpenalized", "belowfair", "abovefair"})
-	reg.HistogramVec("taq_delay_seconds", "delay", DelayBuckets(), "class",
-		[]string{"recovery", "newflow", "overpenalized", "belowfair", "abovefair"})
-	FCTHistogram(reg)
-	var buf []byte
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = reg.Snapshot().AppendText(buf[:0])
-	}
-	_ = buf
-}
-
 // TestMergedSnapshot covers the variadic shard-merge helper the
 // sharded middlebox reads through: nil registries (shards without
 // metrics) are skipped, totals are the per-shard sums, and the merged

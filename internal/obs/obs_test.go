@@ -232,22 +232,6 @@ func TestGaugeSetCSVDeterministic(t *testing.T) {
 	}
 }
 
-func TestGaugeSetJSONLSeries(t *testing.T) {
-	eng := sim.NewEngine(1)
-	var buf bytes.Buffer
-	g := NewGaugeSet(eng, sim.Second, NewJSONLSeries(&buf))
-	g.RegisterInt("flows", func() int { return 3 })
-	g.Start()
-	eng.RunUntil(sim.Second)
-	if err := g.Stop(); err != nil {
-		t.Fatalf("Stop: %v", err)
-	}
-	want := `{"t":0,"flows":3}` + "\n" + `{"t":1000000000,"flows":3}` + "\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("got %q, want %q", got, want)
-	}
-}
-
 func TestGaugeSetStopCancelsTick(t *testing.T) {
 	eng := sim.NewEngine(1)
 	var mem MemorySeries

@@ -25,12 +25,9 @@ type Discipline interface {
 	Len() int
 	// Bytes returns the total queued bytes.
 	Bytes() int
-	// SetDropHook registers fn to be called for every dropped packet,
-	// replacing any previously installed hooks.
-	SetDropHook(fn func(*packet.Packet))
-	// AddDropHook registers fn alongside the existing hooks, so stats
-	// accounting and tracing subscribers can coexist. Hooks run in
-	// registration order.
+	// AddDropHook registers fn to be called for every dropped packet,
+	// alongside the hooks already registered, so stats accounting and
+	// tracing subscribers coexist. Hooks run in registration order.
 	AddDropHook(fn func(*packet.Packet))
 }
 
@@ -38,15 +35,6 @@ type Discipline interface {
 // drop callbacks.
 type DropHook struct {
 	fns []func(*packet.Packet)
-}
-
-// SetDropHook implements the Discipline method: it replaces the whole
-// chain with fn.
-func (h *DropHook) SetDropHook(fn func(*packet.Packet)) {
-	h.fns = h.fns[:0]
-	if fn != nil {
-		h.fns = append(h.fns, fn)
-	}
 }
 
 // AddDropHook implements the Discipline method: it appends fn to the

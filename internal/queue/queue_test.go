@@ -116,7 +116,7 @@ func TestFIFOProperty(t *testing.T) {
 func TestDropTailCapacity(t *testing.T) {
 	q := NewDropTail(3)
 	var dropped []*packet.Packet
-	q.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
+	q.AddDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
 	for i := 0; i < 5; i++ {
 		q.Enqueue(pkt(1, i))
 	}
@@ -148,7 +148,7 @@ func TestREDBelowMinThNoDrops(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := NewRED(REDConfig{Capacity: 100, MinTh: 20, MaxTh: 60, MeanPktTime: sim.Millisecond}, e.Now, e.Rand())
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	// Keep the instantaneous queue small: avg stays below MinTh.
 	for i := 0; i < 1000; i++ {
 		q.Enqueue(pkt(1, i))
@@ -165,7 +165,7 @@ func TestREDForcedDropAtCapacity(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := NewRED(REDConfig{Capacity: 10, MinTh: 2, MaxTh: 8, MeanPktTime: sim.Millisecond}, e.Now, e.Rand())
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	for i := 0; i < 100; i++ {
 		q.Enqueue(pkt(1, i))
 	}
@@ -181,7 +181,7 @@ func TestREDEarlyDropsBetweenThresholds(t *testing.T) {
 	e := sim.NewEngine(1)
 	q := NewRED(REDConfig{Capacity: 1000, MinTh: 5, MaxTh: 500, MaxP: 0.5, Weight: 0.2, MeanPktTime: sim.Millisecond}, e.Now, e.Rand())
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	// Grow the queue steadily; avg crosses MinTh quickly with w=0.2.
 	for i := 0; i < 400; i++ {
 		q.Enqueue(pkt(1, i))
@@ -246,7 +246,7 @@ func TestSFQRoundRobinFairness(t *testing.T) {
 func TestSFQDropsFromLongestBucket(t *testing.T) {
 	q := NewSFQ(64, 10)
 	var dropped []*packet.Packet
-	q.SetDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
+	q.AddDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
 	// Flow 1 hogs the queue, then flow 2 arrives.
 	for i := 0; i < 10; i++ {
 		q.Enqueue(pkt(1, i))
@@ -263,7 +263,7 @@ func TestSFQDropsFromLongestBucket(t *testing.T) {
 func TestSFQConservation(t *testing.T) {
 	q := NewSFQ(8, 50)
 	drops := 0
-	q.SetDropHook(func(*packet.Packet) { drops++ })
+	q.AddDropHook(func(*packet.Packet) { drops++ })
 	enq := 0
 	for f := packet.FlowID(0); f < 20; f++ {
 		for i := 0; i < 10; i++ {
@@ -308,7 +308,7 @@ func TestREDGentleRegionPassesSomePackets(t *testing.T) {
 			Weight: 0.5, MeanPktTime: sim.Millisecond, Gentle: gentle,
 		}, e.Now, e.Rand())
 		drops := new(int)
-		q.SetDropHook(func(*packet.Packet) { *drops++ })
+		q.AddDropHook(func(*packet.Packet) { *drops++ })
 		return q, drops
 	}
 	// Drive the average into (MaxTh, 2*MaxTh): keep ~30 packets

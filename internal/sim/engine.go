@@ -407,10 +407,6 @@ func (e *Engine) recycle(t *Timer) {
 // are unlinked eagerly by Cancel, so they are never counted.
 func (e *Engine) Pending() int { return e.events.len() }
 
-// Live is an alias for Pending, named for callers that want to be
-// explicit about canceled events being excluded.
-func (e *Engine) Live() int { return e.Pending() }
-
 // Step executes the next event, if any, advancing the clock to its
 // time. It reports whether an event was executed.
 func (e *Engine) Step() bool {

@@ -38,19 +38,3 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // FromDuration converts a wall-clock duration to virtual Time.
 func FromDuration(d time.Duration) Time { return Time(d) }
-
-// MinTime returns the smaller of a and b.
-func MinTime(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxTime returns the larger of a and b.
-func MaxTime(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -8,7 +8,6 @@ package topology
 import (
 	"fmt"
 
-	"taq/internal/capture"
 	"taq/internal/core"
 	"taq/internal/link"
 	"taq/internal/metrics"
@@ -182,9 +181,6 @@ type Network struct {
 	// 16th packet leaving the bottleneck (seconds).
 	QueueDelays metrics.CDF
 	delaySample uint64
-	// Capture, when non-nil (EnableCapture), records per-packet
-	// bottleneck events — the simulator's pcap (§2.3).
-	Capture *capture.Recorder
 	// Events, when non-nil (EnableObservability), receives the
 	// structured trace of bottleneck activity.
 	Events *obs.Recorder
@@ -232,9 +228,6 @@ type Network struct {
 	// dropped at the bottleneck queue; ExternalDrops counts losses on
 	// the post-bottleneck underlay (Config.ExternalLoss).
 	QueueArrivals, QueueDrops, ExternalDrops uint64
-
-	// OnQueueDrop, if set, observes every bottleneck drop.
-	OnQueueDrop func(*packet.Packet)
 }
 
 // New builds a network from cfg on a fresh simulator engine seeded
@@ -287,12 +280,6 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 		} else {
 			n.strays++
 		}
-		if n.Capture != nil {
-			n.Capture.Record(run.Now(), capture.Drop, p)
-		}
-		if n.OnQueueDrop != nil {
-			n.OnQueueDrop(p)
-		}
 	})
 
 	// The bottleneck link's propagation delay is folded into per-flow
@@ -315,12 +302,6 @@ func MustNew(cfg Config) *Network {
 func (n *Network) EnableCensus(maxClass int, epoch sim.Time) {
 	n.Census = metrics.NewCensus(maxClass)
 	n.Census.ScheduleRolls(n.Runner, epoch)
-}
-
-// EnableCapture starts recording per-packet bottleneck events (drops
-// and deliveries) — heavy for long runs; meant for trace analyses.
-func (n *Network) EnableCapture() {
-	n.Capture = &capture.Recorder{}
 }
 
 // EnableObservability attaches a trace recorder to the bottleneck: the
@@ -439,9 +420,6 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	}
 	if p.Kind == packet.Data && n.Census != nil {
 		n.Census.Observe(p.Flow)
-	}
-	if n.Capture != nil {
-		n.Capture.Record(n.Runner.Now(), capture.Deliver, p)
 	}
 	n.delaySample++
 	if n.delaySample%16 == 0 {

@@ -160,22 +160,6 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestOnQueueDropHook(t *testing.T) {
-	n := MustNew(Config{Seed: 8, Bandwidth: 200 * link.Kbps})
-	var dropped []*packet.Packet
-	n.OnQueueDrop = func(p *packet.Packet) { dropped = append(dropped, p) }
-	for i := 0; i < 30; i++ {
-		n.AddFlow(packet.PoolNone, tcp.BulkApp{}, 0)
-	}
-	n.Run(30 * sim.Second)
-	if uint64(len(dropped)) != n.QueueDrops {
-		t.Errorf("hook saw %d drops, counter %d", len(dropped), n.QueueDrops)
-	}
-	if n.QueueDrops == 0 {
-		t.Error("expected drops in overloaded scenario")
-	}
-}
-
 func TestFairSharePerFlow(t *testing.T) {
 	n := MustNew(Config{Seed: 9, Bandwidth: 1000 * link.Kbps})
 	if n.FairSharePerFlow() != 1000e3 {

@@ -3,7 +3,6 @@ package topology
 import (
 	"testing"
 
-	"taq/internal/capture"
 	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
@@ -23,7 +22,7 @@ const (
 // pool rests on — a packet is returned only after its endpoint's
 // Deliver, and nothing holds it past that — at every place a packet is
 // handed on: the bottleneck queue, drop hooks, the middlebox's
-// reverse-path observation, the capture recorder and both endpoints.
+// reverse-path observation and both endpoints.
 func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
 	sack := tcp.DefaultConfig()
 	sack.SACK = true
@@ -42,7 +41,6 @@ func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
 			cfg := tc.cfg
 			cfg.Seed, cfg.Bandwidth, cfg.RTTJitter = 1, 600*link.Kbps, 0.25
 			n := MustNew(cfg)
-			n.EnableCapture()
 
 			stale := map[string]int{}
 			check := func(where string, p *packet.Packet) {
@@ -83,11 +81,6 @@ func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
 			}
 			n.Run(100 * sim.Second)
 
-			for _, ev := range n.Capture.Events {
-				if ev.Flow == poisonFlow {
-					stale["Capture "+capture.EventKind(ev.Kind).String()]++
-				}
-			}
 			for where, count := range stale {
 				t.Errorf("%s saw %d packets that had already been returned to the pool", where, count)
 			}
