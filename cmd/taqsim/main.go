@@ -146,11 +146,9 @@ func main() {
 		})
 		flight.ClassName = func(c int8) string { return core.Class(c).String() }
 		flight.StateName = func(s int8) string { return core.FlowState(s).String() }
-		if cm := net.CoreMetrics; cm != nil {
-			flight.Watch(obs.Trigger{Name: "rep_timeouts", Threshold: *flightRep,
-				Value: func() float64 { return float64(cm.RepTimeouts.Value()) }})
-		}
 		if mb := net.Middlebox; mb != nil {
+			flight.Watch(obs.Trigger{Name: "rep_timeouts", Threshold: *flightRep,
+				Value: func() float64 { return float64(mb.Stats().Transitions[core.StateExtendedSilence]) }})
 			flight.Watch(obs.Trigger{Name: "loss_ewma", Threshold: *flightLoss, Value: mb.LossEWMA})
 		}
 		if *flightP99 > 0 {

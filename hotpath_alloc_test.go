@@ -351,14 +351,11 @@ var hotRootCases = []hotRootCase{
 		},
 	},
 	{
-		// The middlebox metrics hooks, driven through a warmed TAQ
-		// cycle with a live registry attached: every served and dropped
-		// packet records class, sojourn and transitions in-line.
+		// The middlebox metrics hook, driven through a warmed TAQ cycle
+		// with a live registry attached: every served packet records its
+		// sojourn by class in-line.
 		roots: []string{
 			"(*taq/internal/core.Metrics).observeServe",
-			"(*taq/internal/core.Metrics).observeDrop",
-			"(*taq/internal/core.Metrics).observeTransition",
-			"(*taq/internal/core.Metrics).observeAdmission",
 		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
@@ -368,11 +365,10 @@ var hotRootCases = []hotRootCase{
 		},
 	},
 	{
-		// The link metrics hooks: per-dequeue sojourn and per-transmit
-		// byte accounting on a metered bottleneck.
+		// The link metrics hook: per-dequeue sojourn on a metered
+		// bottleneck.
 		roots: []string{
 			"(*taq/internal/link.Metrics).observeDequeue",
-			"(*taq/internal/link.Metrics).observeTx",
 		},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)

@@ -136,12 +136,13 @@ var mutations = []mutation{
 		fires: []string{"noalloc"}, first: "noalloc"},
 
 	// noblock: a mutex on every packet, and one reached through a callee
-	// on the policy-drop branch.
+	// on the policy-drop branch (the second row keeps its name from the
+	// aggregator accessor it first called, deleted in PR 25).
 	{name: "noblock.enqueue", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.agg.noteArrival()\n", "\tt.agg.noteArrival()\n\tt.agg.rollMu.Lock()\n\tt.agg.rollMu.Unlock()\n"},
 		fires: []string{"noblock"}, first: "noblock"},
 	{name: "noblock.admissionCounts", file: "internal/core/taq.go", load: wholeModule,
-		edits: []string{"\tt.Stats.PolicyDrops++\n", "\tt.Stats.PolicyDrops++\n\tt.agg.admissionCounts()\n"},
+		edits: []string{"\tt.Stats.PolicyDrops++\n", "\tt.Stats.PolicyDrops++\n\tt.agg.waitingPools()\n"},
 		fires: []string{"noblock", "roots"}, first: "noblock"},
 
 	// lockdiscipline: a guarded field written, and read by a new accessor,

@@ -6,6 +6,18 @@ import (
 	"taq/internal/sim"
 )
 
+// ruling is the admission controller's answer to one pooled SYN: an
+// obs.Admission* code, or ruleNone for a pool that was already
+// admitted (nothing to count or trace).
+type ruling uint8
+
+const (
+	ruleBlocked  = ruling(obs.AdmissionBlocked)
+	ruleAdmitted = ruling(obs.AdmissionAdmitted)
+	ruleForced   = ruling(obs.AdmissionForced)
+	ruleNone     = ruling(255)
+)
+
 // poolInfo tracks one flow pool (a set of inter-related flows from the
 // same application session, §4.3). Records live in the admission
 // controller's flat slotTable (flowstore.go), not behind individual
@@ -35,19 +47,9 @@ type admission struct {
 	cfg     Config
 	pools   slotTable[poolInfo]
 	waiting []packet.PoolID
-	// poolsAdmitted counts admissions, poolsWaited the subset that had
-	// to wait first (Stats.PoolsAdmitted/PoolsWaited, folded in by
-	// Sharded.Stats).
-	poolsAdmitted, poolsWaited uint64
 	// lastForceAdmit paces Twait-guaranteed admissions to one pool
 	// per Twait while the loss rate stays above the threshold.
 	lastForceAdmit sim.Time
-	// rec, when non-nil, receives AdmissionDecision trace events
-	// (installed via TAQ.SetRecorder).
-	rec *obs.Recorder
-	// mx, when non-nil, counts decisions (installed via
-	// TAQ.SetMetrics).
-	mx *Metrics
 }
 
 // threshold is the admit-below loss rate: p_thresh shaved by the
@@ -56,10 +58,11 @@ func (a *admission) threshold() float64 {
 	return a.cfg.PThresh * (1 - a.cfg.AdmitMargin)
 }
 
-// allowSyn decides whether the SYN of the given pool may proceed.
-func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) bool {
+// allowSyn rules on the SYN of the given pool; waited reports whether
+// a pool it admits had been queued first.
+func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) (r ruling, waited bool) {
 	if pool == packet.PoolNone {
-		return true
+		return ruleNone, false
 	}
 	slot, ok := a.pools.idx.get(int32(pool))
 	if !ok {
@@ -71,7 +74,7 @@ func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64)
 	pi := &a.pools.recs[slot]
 	pi.lastActive = now
 	if pi.admitted {
-		return true
+		return ruleNone, false
 	}
 	headOfLine := len(a.waiting) == 0 || a.waiting[0] == pool
 	switch {
@@ -81,21 +84,15 @@ func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64)
 		// overload rather than opening the floodgates.
 		a.lastForceAdmit = now
 		a.admit(pool, pi)
-		a.mx.observeAdmission(obs.AdmissionForced)
-		a.rec.AdmissionDecision(now, pool, obs.AdmissionForced)
-		return true
+		return ruleForced, pi.waited
 	case headOfLine && lossRate < a.threshold():
 		// Loss is low and this pool is next in line (or nobody waits).
 		a.admit(pool, pi)
-		a.mx.observeAdmission(obs.AdmissionAdmitted)
-		a.rec.AdmissionDecision(now, pool, obs.AdmissionAdmitted)
-		return true
+		return ruleAdmitted, pi.waited
 	default:
 		a.enqueueWaiting(pool)
 		pi.waited = true
-		a.mx.observeAdmission(obs.AdmissionBlocked)
-		a.rec.AdmissionDecision(now, pool, obs.AdmissionBlocked)
-		return false
+		return ruleBlocked, false
 	}
 }
 
@@ -118,10 +115,6 @@ func (a *admission) poolAdmitted(now sim.Time, pool packet.PoolID) bool {
 func (a *admission) admit(pool packet.PoolID, pi *poolInfo) {
 	pi.admitted = true
 	a.removeWaiting(pool)
-	a.poolsAdmitted++
-	if pi.waited {
-		a.poolsWaited++
-	}
 }
 
 func (a *admission) enqueueWaiting(pool packet.PoolID) {

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"taq/internal/obs"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -75,17 +74,6 @@ func newAggregator(cfg Config, now sim.Time) *Aggregator {
 	g := &Aggregator{cfg: cfg, adm: admission{cfg: cfg}}
 	g.winStart.Store(int64(now))
 	return g
-}
-
-// admissionCounts returns the admission controller's counters: pools
-// admitted, and the subset that had to wait first.
-//
-//taq:crossshard read of the shared admission counters, under admMu
-func (g *Aggregator) admissionCounts() (admitted, waited uint64) {
-	g.admMu.Lock()
-	admitted, waited = g.adm.poolsAdmitted, g.adm.poolsWaited
-	g.admMu.Unlock()
-	return admitted, waited
 }
 
 // noteArrival counts one arrival into the shared loss window.
@@ -170,15 +158,17 @@ func (g *Aggregator) maybeRoll(now sim.Time) uint64 {
 
 // allowSyn is the cross-shard admission gate for SYNs of pooled flows
 // (§4.3). now is the calling shard's clock: shards may run on separate
-// engines, and the Twait arithmetic must use the caller's timeline.
+// engines, and the Twait arithmetic must use the caller's timeline. It
+// returns the ruling and whether an admitted pool had waited; the
+// calling shard counts and traces it.
 //
 //taq:crossshard admission FIFO and Twait pacer are global across shards by definition
 //taq:allow(func) noblock admission seam: bounded flat-table critical section under admMu, taken only for pooled SYNs
-func (g *Aggregator) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) bool {
+func (g *Aggregator) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64) (ruling, bool) {
 	g.admMu.Lock()
-	ok := g.adm.allowSyn(now, pool, lossRate)
+	r, waited := g.adm.allowSyn(now, pool, lossRate)
 	g.admMu.Unlock()
-	return ok
+	return r, waited
 }
 
 // poolAdmitted reports whether the pool may send data packets, and
@@ -225,18 +215,4 @@ func (g *Aggregator) expectedWait(now sim.Time, pool packet.PoolID) sim.Time {
 	w := g.adm.expectedWait(now, pool)
 	g.admMu.Unlock()
 	return w
-}
-
-// setRecorder installs the trace recorder on the admission controller.
-func (g *Aggregator) setRecorder(rec *obs.Recorder) {
-	g.admMu.Lock()
-	g.adm.rec = rec
-	g.admMu.Unlock()
-}
-
-// setMetrics installs the metrics bundle on the admission controller.
-func (g *Aggregator) setMetrics(mx *Metrics) {
-	g.admMu.Lock()
-	g.adm.mx = mx
-	g.admMu.Unlock()
 }

@@ -71,17 +71,17 @@ func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 	// force several record-array doublings mid-sequence.
 	const pools = 10_000
 	for id := 1; id <= pools; id++ {
-		if !a.allowSyn(eng.Now(), packet.PoolID(id), 0) {
-			t.Fatalf("pool %d blocked under zero loss", id)
+		if r, _ := a.allowSyn(eng.Now(), packet.PoolID(id), 0); r != ruleAdmitted {
+			t.Fatalf("pool %d ruled %d under zero loss, want admitted", id, r)
 		}
 	}
 	for id := 1; id <= pools; id++ {
 		if !a.poolAdmitted(eng.Now(), packet.PoolID(id)) {
 			t.Fatalf("pool %d lost its admission across table growth", id)
 		}
-	}
-	if a.poolsAdmitted != pools {
-		t.Fatalf("poolsAdmitted = %d, want %d", a.poolsAdmitted, pools)
+		if r, _ := a.allowSyn(eng.Now(), packet.PoolID(id), 0); r != ruleNone {
+			t.Fatalf("admitted pool %d ruled %d again, want none", id, r)
+		}
 	}
 }
 

@@ -190,11 +190,15 @@ type Stats struct {
 	// rather than congestion; they are excluded from the loss window.
 	PolicyDrops   uint64
 	DropsByClass  [numClasses]uint64
+	RtxDrops      uint64 // the subset of Drops that were retransmissions (§4.1)
 	Served        uint64
 	ServedByClass [numClasses]uint64
 	SynsBlocked   uint64 // SYNs dropped by admission control
 	PoolsAdmitted uint64
+	PoolsForced   uint64 // the subset of PoolsAdmitted let in by the Twait guarantee
 	PoolsWaited   uint64 // pools that had to wait before admission
+	// Transitions counts tracker state entries by destination state.
+	Transitions [numFlowStates]uint64
 }
 
 // Add accumulates o into s — the shard-merge used by Sharded.Stats and
@@ -206,11 +210,16 @@ func (s *Stats) Add(o *Stats) {
 	for i := range s.DropsByClass {
 		s.DropsByClass[i] += o.DropsByClass[i]
 	}
+	s.RtxDrops += o.RtxDrops
 	s.Served += o.Served
 	for i := range s.ServedByClass {
 		s.ServedByClass[i] += o.ServedByClass[i]
 	}
 	s.SynsBlocked += o.SynsBlocked
 	s.PoolsAdmitted += o.PoolsAdmitted
+	s.PoolsForced += o.PoolsForced
 	s.PoolsWaited += o.PoolsWaited
+	for i := range s.Transitions {
+		s.Transitions[i] += o.Transitions[i]
+	}
 }

@@ -175,7 +175,7 @@ func TestFlowStoreRecycle(t *testing.T) {
 func TestStaleWheelHandlesRejectedAfterRecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 32)
-	tr := newTracker(eng, cfg)
+	tr := newTracker(eng, cfg, &Stats{})
 
 	tr.observe(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 0, Size: 500})
 	f := tr.get(1)

@@ -25,7 +25,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := sim.NewEngine(1)
 		cfg := DefaultConfig(link.Bps(10_000_000), 50)
-		tr := newTracker(eng, cfg)
+		tr := newTracker(eng, cfg, &Stats{})
 
 		seqs := map[packet.FlowID]int{} // next fresh sequence per flow
 

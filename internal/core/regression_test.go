@@ -55,7 +55,7 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 			lr, q.agg.adm.threshold())
 	}
 	storm()
-	if got := q.agg.adm.poolsAdmitted; got != 500 {
+	if got := q.Stats.PoolsAdmitted; got != 500 {
 		t.Errorf("PoolsAdmitted = %d, want all 500 once real loss cleared (admission locked by its own drops)", got)
 	}
 	if e.Now() >= cfg.Twait {

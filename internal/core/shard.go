@@ -148,34 +148,35 @@ func (s *Sharded) ObserveReverse(p *packet.Packet) {
 	s.owner(p.Flow).ObserveReverse(p)
 }
 
-// SetRecorder installs one trace recorder on every shard (and, through
-// the first shard, on the shared admission controller). Only safe when
-// all shards run on one engine — the sim path; per-engine emu shards
-// must keep recorders per shard.
+// SetRecorder installs one trace recorder on every shard; each shard
+// records the admission rulings on its own SYNs. Only safe when all
+// shards run on one engine — the sim path; per-engine emu shards must
+// keep recorders per shard (TAQ.SetRecorder, inside that shard's Post).
 func (s *Sharded) SetRecorder(rec *obs.Recorder) {
 	for _, sh := range s.shards {
 		sh.SetRecorder(rec)
 	}
 }
 
-// SetMetrics installs one instrument bundle on every shard. Registry
-// cells are atomics, so this is safe even with per-engine shards; the
-// emu shard bank instead gives each shard its own registry and merges
-// snapshots at the edge.
+// SetMetrics installs one bundle on every shard, its counter families
+// reading Stats, the sum over shards. Like SetRecorder it is for shards
+// on one engine; the emu shard bank instead gives each shard its own
+// registry (TAQ.SetMetrics) and merges snapshots at the edge.
 func (s *Sharded) SetMetrics(mx *Metrics) {
 	for _, sh := range s.shards {
-		sh.SetMetrics(mx)
+		sh.mx = mx
+	}
+	if mx != nil {
+		mx.stats = s.Stats
 	}
 }
 
-// Stats is the middlebox's counter view: the per-shard counters summed,
-// plus the admission counters, which only the aggregator keeps.
+// Stats is the middlebox's counter view: the per-shard counters summed.
 func (s *Sharded) Stats() Stats {
 	var sum Stats
 	for _, sh := range s.shards {
 		sum.Add(&sh.Stats)
 	}
-	sum.PoolsAdmitted, sum.PoolsWaited = s.agg.admissionCounts()
 	return sum
 }
 

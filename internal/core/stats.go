@@ -9,13 +9,18 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.Arrivals -= prev.Arrivals
 	d.Drops -= prev.Drops
 	d.PolicyDrops -= prev.PolicyDrops
+	d.RtxDrops -= prev.RtxDrops
 	d.Served -= prev.Served
 	d.SynsBlocked -= prev.SynsBlocked
 	d.PoolsAdmitted -= prev.PoolsAdmitted
+	d.PoolsForced -= prev.PoolsForced
 	d.PoolsWaited -= prev.PoolsWaited
 	for i := range d.DropsByClass {
 		d.DropsByClass[i] -= prev.DropsByClass[i]
 		d.ServedByClass[i] -= prev.ServedByClass[i]
+	}
+	for i := range d.Transitions {
+		d.Transitions[i] -= prev.Transitions[i]
 	}
 	return d
 }

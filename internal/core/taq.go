@@ -44,8 +44,8 @@ type TAQ struct {
 	// rec, when non-nil, receives class-specific trace events (drops
 	// with victim class, class changes, tracker and admission events).
 	rec *obs.Recorder
-	// mx, when non-nil, records middlebox counters and histograms into
-	// a registry (installed via SetMetrics).
+	// mx, when non-nil, records the per-class sojourn histogram
+	// (installed via SetMetrics).
 	mx *Metrics
 
 	// Cached fair share (bits/second per flow), refreshed by the scan;
@@ -64,9 +64,8 @@ type TAQ struct {
 	// taken there would allocate a closure per eviction.
 	victimScoreFn func(packet.FlowID) float64
 
-	// Stats accumulates this shard's counters. The admission counters
-	// (PoolsAdmitted, PoolsWaited) stay zero here: they live in the
-	// aggregator, and Sharded.Stats is the full view.
+	// Stats accumulates this shard's counters, the admission rulings on
+	// the SYNs it enqueued included; Sharded.Stats sums the shards.
 	Stats Stats
 }
 
@@ -74,7 +73,7 @@ type TAQ struct {
 // aggregator.
 func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	t := &TAQ{cfg: cfg, run: run}
-	t.tracker = newTracker(run, cfg)
+	t.tracker = newTracker(run, cfg, &t.Stats)
 	t.agg = agg
 	t.winGenSeen = agg.winGen.Load()
 	t.fairShare = float64(cfg.Rate)
@@ -82,14 +81,14 @@ func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	return t
 }
 
-// SetRecorder installs a trace recorder on the middlebox, the tracker
-// and the admission controller. A nil recorder (the default) disables
-// tracing; every emission site guards on it, so the disabled path costs
-// one branch and zero allocations.
+// SetRecorder installs a trace recorder on the shard and its tracker;
+// the admission rulings on this shard's SYNs are recorded here too. A
+// nil recorder (the default) disables tracing; every emission site
+// guards on it, so the disabled path costs one branch and zero
+// allocations.
 func (t *TAQ) SetRecorder(rec *obs.Recorder) {
 	t.rec = rec
 	t.tracker.rec = rec
-	t.agg.setRecorder(rec)
 }
 
 // Start schedules the periodic scan. Safe to call once.
@@ -283,14 +282,18 @@ func (t *TAQ) Enqueue(p *packet.Packet) {
 	// Admission control gates SYNs of un-admitted pools (§4.3); data
 	// of un-admitted pools (races around expiry) is dropped too. The
 	// gate lives in the aggregator: pool admission is global across
-	// shards (//taq:crossshard).
+	// shards (//taq:crossshard). The aggregator only decides; this shard
+	// counts and records the ruling.
 	if t.cfg.AdmissionControl && p.Pool != packet.PoolNone {
 		switch p.Kind {
 		case packet.Syn:
-			if !t.agg.allowSyn(t.run.Now(), p.Pool, t.LossRate()) {
-				t.Stats.SynsBlocked++
-				t.dropPolicy(p, ClassNewFlow, false)
-				return
+			now := t.run.Now()
+			if r, waited := t.agg.allowSyn(now, p.Pool, t.LossRate()); r != ruleNone {
+				t.noteRuling(now, p.Pool, r, waited)
+				if r == ruleBlocked {
+					t.dropPolicy(p, ClassNewFlow, false)
+					return
+				}
 			}
 		case packet.Data:
 			if !t.agg.poolAdmitted(t.run.Now(), p.Pool) {
@@ -389,6 +392,24 @@ func (t *TAQ) evict() (*packet.Packet, Class) {
 	return nil, ClassAboveFair
 }
 
+// noteRuling counts an admission ruling on this shard's SYN and traces
+// it.
+func (t *TAQ) noteRuling(now sim.Time, pool packet.PoolID, r ruling, waited bool) {
+	switch r {
+	case ruleBlocked:
+		t.Stats.SynsBlocked++
+	case ruleForced:
+		t.Stats.PoolsForced++
+	}
+	if r != ruleBlocked {
+		t.Stats.PoolsAdmitted++
+		if waited {
+			t.Stats.PoolsWaited++
+		}
+	}
+	t.rec.AdmissionDecision(now, pool, uint8(r))
+}
+
 // dropPacket records a congestion drop: it feeds the loss window that
 // LossRate (and through it, admission control) reads.
 func (t *TAQ) dropPacket(p *packet.Packet, class Class, rtx bool) {
@@ -407,9 +428,6 @@ func (t *TAQ) dropPacket(p *packet.Packet, class Class, rtx bool) {
 // blocked storms neither inflate nor dilute the congestion signal.
 func (t *TAQ) dropPolicy(p *packet.Packet, class Class, rtx bool) {
 	t.Stats.PolicyDrops++
-	if t.mx != nil {
-		t.mx.PolicyDrops.Inc()
-	}
 	t.agg.uncountArrival()
 	t.recordDrop(p, class, rtx)
 }
@@ -419,7 +437,9 @@ func (t *TAQ) dropPolicy(p *packet.Packet, class Class, rtx bool) {
 func (t *TAQ) recordDrop(p *packet.Packet, class Class, rtx bool) {
 	t.Stats.Drops++
 	t.Stats.DropsByClass[class]++
-	t.mx.observeDrop(class, rtx)
+	if rtx {
+		t.Stats.RtxDrops++
+	}
 	if t.rec != nil {
 		t.rec.Drop(t.run.Now(), p, int8(class), rtx)
 	}

@@ -421,16 +421,16 @@ func TestAdmissionPoolFIFO(t *testing.T) {
 		t.Errorf("pool 200 admitted out of order (blocked=%d)", q.Stats.SynsBlocked)
 	}
 	q.Enqueue(synPkt(1, 100))
-	if got := q.agg.adm.poolsAdmitted; got != 1 {
+	if got := q.Stats.PoolsAdmitted; got != 1 {
 		t.Errorf("PoolsAdmitted = %d, want 1", got)
 	}
 	// Now pool 200 is head of line.
 	q.Enqueue(synPkt(2, 200))
-	if got := q.agg.adm.poolsAdmitted; got != 2 {
+	if got := q.Stats.PoolsAdmitted; got != 2 {
 		t.Errorf("PoolsAdmitted = %d, want 2", got)
 	}
-	if q.agg.adm.poolsWaited != 2 {
-		t.Errorf("PoolsWaited = %d, want 2", q.agg.adm.poolsWaited)
+	if q.Stats.PoolsWaited != 2 {
+		t.Errorf("PoolsWaited = %d, want 2", q.Stats.PoolsWaited)
 	}
 }
 
@@ -449,8 +449,9 @@ func TestAdmissionTwaitGuarantee(t *testing.T) {
 	e.RunUntil(4 * sim.Second)
 	q.setLossWindow(100, 50, 100, 50) // keep loss high across windows
 	q.Enqueue(synPkt(1, 100))
-	if q.agg.adm.poolsAdmitted != 1 {
-		t.Error("pool not admitted after Twait despite guarantee")
+	if q.Stats.PoolsAdmitted != 1 || q.Stats.PoolsForced != 1 {
+		t.Errorf("pool not force-admitted after Twait despite guarantee (admitted=%d forced=%d)",
+			q.Stats.PoolsAdmitted, q.Stats.PoolsForced)
 	}
 }
 
@@ -622,14 +623,14 @@ func TestAdmissionPoolExpiry(t *testing.T) {
 	q := newTestShard(e, cfg)
 	q.Start()
 	q.Enqueue(synPkt(1, 100)) // admitted (low loss)
-	if q.agg.adm.poolsAdmitted != 1 {
-		t.Fatalf("PoolsAdmitted = %d", q.agg.adm.poolsAdmitted)
+	if q.Stats.PoolsAdmitted != 1 {
+		t.Fatalf("PoolsAdmitted = %d", q.Stats.PoolsAdmitted)
 	}
 	// Pool goes idle past FlowExpiry: it must be evicted so its state
 	// does not accumulate; a fresh SYN re-admits it.
 	e.RunUntil(10 * sim.Second)
 	q.Enqueue(synPkt(2, 100))
-	if q.agg.adm.poolsAdmitted != 2 {
-		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.agg.adm.poolsAdmitted)
+	if q.Stats.PoolsAdmitted != 2 {
+		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.Stats.PoolsAdmitted)
 	}
 }

@@ -290,9 +290,8 @@ type tracker struct {
 	// rec, when non-nil, receives TrackerTransition/TimeoutDetected
 	// events from setState (installed via TAQ.SetRecorder).
 	rec *obs.Recorder
-	// mx, when non-nil, counts transitions and timeout detections
-	// (installed via TAQ.SetMetrics).
-	mx *Metrics
+	// stats is the owning shard's Stats, where transitions are counted.
+	stats *Stats
 
 	// census partitions the flow table by state.
 	census Census
@@ -338,8 +337,8 @@ type tracker struct {
 	_ [56]byte
 }
 
-func newTracker(run sim.Runner, cfg Config) *tracker {
-	t := &tracker{cfg: cfg, run: run, stamp: 1}
+func newTracker(run sim.Runner, cfg Config, stats *Stats) *tracker {
+	t := &tracker{cfg: cfg, run: run, stats: stats, stamp: 1}
 	t.actWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
 	t.scanWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
 	return t
@@ -380,14 +379,15 @@ func (t *tracker) evictFlow(f *flowInfo) {
 	t.store.release(f)
 }
 
-// setState moves f to state s, emitting the tracker trace events. A
-// transition into a silence state additionally emits TimeoutDetected —
-// the middlebox concluding the sender is waiting out an RTO.
+// setState moves f to state s, counting the transition and emitting
+// the tracker trace events. A transition into a silence state
+// additionally emits TimeoutDetected — the middlebox concluding the
+// sender is waiting out an RTO.
 func (t *tracker) setState(f *flowInfo, s FlowState) {
 	if f.state == s {
 		return
 	}
-	t.mx.observeTransition(s)
+	t.stats.Transitions[s]++
 	if t.rec != nil {
 		now := t.run.Now()
 		t.rec.TrackerTransition(now, f.id, f.pool, int8(f.state), int8(s))

@@ -11,7 +11,7 @@ import (
 func newTestTracker() (*sim.Engine, *tracker) {
 	e := sim.NewEngine(1)
 	cfg := DefaultConfig(600*link.Kbps, 50)
-	return e, newTracker(e, cfg)
+	return e, newTracker(e, cfg, &Stats{})
 }
 
 func TestTrackerEpochSeedFromSynDataGap(t *testing.T) {

@@ -91,13 +91,15 @@ func (b *ShardBank) ShardFor(f packet.FlowID) int {
 func (b *ShardBank) Post(i int, fn func()) { b.shards[i].Engine.Post(fn) }
 
 // MergedSnapshot merges the per-shard registries into one metrics view
-// (empty when the bank was built without Metrics).
-func (b *ShardBank) MergedSnapshot() *obs.MetricsSnapshot {
+// (empty when the bank was built without Metrics), read with every
+// shard's engine lock held.
+func (b *ShardBank) MergedSnapshot() (s *obs.MetricsSnapshot) {
 	regs := make([]*obs.Registry, len(b.shards))
 	for i := range b.shards {
 		regs[i] = b.shards[i].Registry
 	}
-	return obs.MergedSnapshot(regs...)
+	b.locked(0, func() { s = obs.MergedSnapshot(regs...) })
+	return s
 }
 
 // Stats returns the middlebox's counter view (core.Sharded.Stats), read

@@ -16,6 +16,7 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/packet"
+	"taq/internal/sim"
 )
 
 // soakWall reads the soak's wall budget: TAQ_SOAK_SECS seconds when
@@ -203,16 +204,17 @@ func TestShardBankSoak(t *testing.T) {
 		t.Errorf("served %d + dropped %d exceeds arrivals %d", stats.Served, stats.Drops, stats.Arrivals)
 	}
 
-	// The merged exposition must agree with the summed Stats: both are
-	// reductions of the same per-shard counters, one through obs
-	// registries and one through the Stats structs.
-	// Both snapshots are taken holding every shard's engine lock: the
-	// scan timers run until Stop, and a transition they count between two
+	// The merged exposition must agree with the summed Stats: the
+	// registries read the same per-shard counters.
+	// The scans stop first: a transition they count between the two
 	// snapshots would make the fold equality below a statement about
 	// timing instead of about Merge.
-	var merged, manual *obs.MetricsSnapshot
+	for s := 0; s < shards; s++ {
+		bank.Post(s, bank.Shard(s).TAQ.Stop)
+	}
+	merged := bank.MergedSnapshot()
+	var manual *obs.MetricsSnapshot
 	bank.locked(0, func() {
-		merged = bank.MergedSnapshot()
 		manual = bank.Shard(0).Registry.Snapshot()
 		for s := 1; s < shards; s++ {
 			manual.Merge(bank.Shard(s).Registry.Snapshot())
@@ -262,14 +264,82 @@ func TestShardBankSoak(t *testing.T) {
 	}
 }
 
+// TestShardBankAdmissionRecordedByDecidingShard pins where a §4.3
+// ruling is written: the shard whose Enqueue asked records it in its own
+// ring and counts it in its own Stats, from its own goroutine. PThresh 0
+// and a Twait longer than the run block every fresh pool's first SYN.
+func TestShardBankAdmissionRecordedByDecidingShard(t *testing.T) {
+	cfg := core.DefaultConfig(1000*link.Kbps, 64)
+	cfg.AdmissionControl = true
+	cfg.PThresh = 0
+	cfg.Twait = 3600 * sim.Second
+	bank := NewShardBank(ShardBankConfig{Shards: 2, Seed: 1, Speedup: 1, Core: cfg, Metrics: true})
+	defer bank.Stop()
+
+	recs := make([]*obs.Recorder, bank.NumShards())
+	for s := range recs {
+		rec := obs.NewRecorder(nil, 0)
+		recs[s] = rec
+		sh := bank.Shard(s)
+		bank.Post(s, func() { sh.TAQ.SetRecorder(rec) })
+	}
+
+	const perShard = 50
+	var wg sync.WaitGroup
+	for s := 0; s < bank.NumShards(); s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sh := bank.Shard(s).TAQ
+			for fl, sent := packet.FlowID(1), 0; sent < perShard; fl++ {
+				if bank.ShardFor(fl) != s {
+					continue
+				}
+				bank.Post(s, func() {
+					sh.Enqueue(&packet.Packet{Flow: fl, Pool: packet.PoolID(fl), Kind: packet.Syn, Size: 40})
+				})
+				sent++
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	var sum core.Stats
+	for s := 0; s < bank.NumShards(); s++ {
+		var st core.Stats
+		var decisions int
+		bank.Post(s, func() {
+			st = bank.Shard(s).TAQ.Stats
+			for _, ev := range recs[s].Events() {
+				if ev.Kind == obs.KindAdmissionDecision {
+					decisions++
+				}
+			}
+		})
+		if st.SynsBlocked != perShard {
+			t.Errorf("shard %d: SynsBlocked = %d, want %d", s, st.SynsBlocked, perShard)
+		}
+		if want := st.SynsBlocked + st.PoolsAdmitted; uint64(decisions) != want {
+			t.Errorf("shard %d: ring holds %d admission decisions, its Stats count %d", s, decisions, want)
+		}
+		sum.Add(&st)
+	}
+	if got, ok := counterTotal(bank.MergedSnapshot(), "taq_admission_decisions_total"); !ok || got != sum.SynsBlocked+sum.PoolsAdmitted {
+		t.Errorf("merged taq_admission_decisions_total = %d (present=%v), summed Stats = %d",
+			got, ok, sum.SynsBlocked+sum.PoolsAdmitted)
+	}
+}
+
 // TestShardBankOwnershipRouting pins the ownership contract: a packet
 // posted to ShardFor(flow) lands in that shard's tracker and nowhere
 // else.
 func TestShardBankOwnershipRouting(t *testing.T) {
+	// Real time: at 1000x, a loaded host's millisecond stall let the
+	// scan retire the first flows (four idle epochs) before the check.
 	bank := NewShardBank(ShardBankConfig{
 		Shards:  4,
 		Seed:    1,
-		Speedup: 1000,
+		Speedup: 1,
 		Core:    core.DefaultConfig(1000*link.Kbps, 64),
 	})
 	defer bank.Stop()

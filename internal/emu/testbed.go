@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"taq/internal/obs"
 	"taq/internal/obs/obshttp"
 	"taq/internal/packet"
 	"taq/internal/sim"
@@ -55,16 +56,17 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		}
 	})
 	if cfg.HTTPAddr != "" {
-		// The /vars callback runs on HTTP goroutines; Post serializes
-		// the gauge reads against the engine's callbacks. The /metrics
-		// snapshot needs no Post: registry cells are atomics, the
-		// lock-free read edge.
+		// Both callbacks run on HTTP goroutines; Post serializes the
+		// gauge and counter reads against the engine's callbacks.
 		t.HTTP, t.HTTPErr = obshttp.Serve(cfg.HTTPAddr, obshttp.Options{
 			Vars: func() (names []string, values []float64) {
 				t.Engine.Post(func() { names, values = t.Net.Gauges.Snapshot() })
 				return names, values
 			},
-			Metrics: t.Net.Metrics.Snapshot,
+			Metrics: func() (s *obs.MetricsSnapshot) {
+				t.Engine.Post(func() { s = t.Net.Metrics.Snapshot() })
+				return s
+			},
 		})
 	}
 	return t

@@ -131,7 +131,6 @@ func (l *Link) finishTx() {
 	l.busy = false
 	l.SentPackets++
 	l.SentBytes += uint64(p.Size)
-	l.mx.observeTx(p.Size)
 	l.lastTxFinish = l.run.Now()
 	l.prop.Push(p)
 	sim.After(l.run, l.delay, l.deliverNext)

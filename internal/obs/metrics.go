@@ -14,13 +14,10 @@ import (
 // cell — zero allocations, no maps, no locks — so it can sit on the
 // per-packet path next to the Recorder hooks.
 //
-// Sharding model: a registry belongs to one middlebox instance. Writes
-// follow the repo's single-writer discipline (one sim.Runner), but the
-// cells are atomics, so the read edge is lock-free: Snapshot can run
-// on any goroutine concurrently with the writer, and per-shard
-// snapshots aggregate with MetricsSnapshot.Merge — the
-// per-shard-then-aggregate shape the sharded middlebox (ROADMAP item
-// 1) needs, with no coordination on the hot path.
+// A CounterVecFunc family owns no cells: Snapshot reads the plain
+// field its owner already counts, so Snapshot runs where that owner
+// runs (its sim.Runner, or under its engine lock), and per-shard
+// snapshots aggregate with MetricsSnapshot.Merge.
 //
 // The nil *Registry (and nil *Counter / *Histogram) is the disabled
 // state: every record method is a valid no-op on a nil receiver, so an
@@ -30,26 +27,24 @@ import (
 // sequence and sim.Time durations, never a wall clock, so a same-seed
 // run produces a byte-identical Prometheus exposition.
 type Registry struct {
+	names    []string
 	counters []*Counter
+	funcs    []*counterFunc
 	hists    []*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// checkName panics on duplicate metric names — a construction-time
-// programmer error, like a duplicate expvar.
+// checkName claims name, panicking on a duplicate — a
+// construction-time programmer error, like a duplicate expvar.
 func (r *Registry) checkName(name string) {
-	for _, c := range r.counters {
-		if c.name == name {
+	for _, n := range r.names {
+		if n == name {
 			panic("obs: duplicate metric name " + name)
 		}
 	}
-	for _, h := range r.hists {
-		if h.name == name {
-			panic("obs: duplicate metric name " + name)
-		}
-	}
+	r.names = append(r.names, name)
 }
 
 // Counter registers a single monotonic counter.
@@ -73,6 +68,27 @@ func (r *Registry) CounterVec(name, help, label string, values []string) *Counte
 		cells: make([]atomic.Uint64, n)}
 	r.counters = append(r.counters, c)
 	return c
+}
+
+// CounterVecFunc registers a counter family whose values live with the
+// component that counts them: each Snapshot calls fill with a zeroed
+// slice of one cell per label value (one cell for an empty label) to
+// copy them into. fill runs on the snapshotting goroutine, so it may
+// read plain fields only when Snapshot runs where their owner does.
+func (r *Registry) CounterVecFunc(name, help, label string, values []string, fill func(dst []uint64)) {
+	if r == nil {
+		return
+	}
+	r.checkName(name)
+	r.funcs = append(r.funcs, &counterFunc{name: name, help: help, label: label, labelVals: values, fill: fill})
+}
+
+// counterFunc is a counter family read through its owner's fill
+// function (CounterVecFunc).
+type counterFunc struct {
+	name, help, label string
+	labelVals         []string
+	fill              func(dst []uint64)
 }
 
 // Histogram registers a single histogram over the given ascending
@@ -137,26 +153,6 @@ func (c *Counter) Add(n uint64) { c.AddAt(0, n) }
 //
 //taq:hotpath nil-receiver counter hook on the per-packet path
 func (c *Counter) IncAt(i int) { c.AddAt(i, 1) }
-
-// Value returns the sum across all cells (0 on a nil receiver).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	var v uint64
-	for i := range c.cells {
-		v += c.cells[i].Load()
-	}
-	return v
-}
-
-// ValueAt returns the cell for label-value index i.
-func (c *Counter) ValueAt(i int) uint64 {
-	if c == nil || i < 0 || i >= len(c.cells) {
-		return 0
-	}
-	return c.cells[i].Load()
-}
 
 // Histogram is a log-bucketed duration histogram, optionally
 // vectorized over a fixed label-value set. Observations are sim.Time
@@ -312,8 +308,8 @@ func FCTHistogram(reg *Registry) *Histogram {
 		FCTBuckets(), "size", FCTSizeLabels)
 }
 
-// MetricsSnapshot is a plain-value copy of a registry, taken with
-// atomic loads — the lock-free read edge. Snapshots merge by addition
+// MetricsSnapshot is a plain-value copy of a registry. Snapshots merge
+// by addition
 // (per-shard registries aggregate into one exposition) and render to
 // the Prometheus text format (promtext.go).
 type MetricsSnapshot struct {
@@ -338,21 +334,29 @@ type HistogramSnapshot struct {
 	Sums              []int64 // sim.Time sums
 }
 
-// Snapshot copies every cell with atomic loads. Families are sorted by
-// name, so the exposition ordering is stable whatever the registration
-// order. Safe on a nil receiver (returns an empty snapshot).
+// Snapshot copies every cell: atomic loads for Counter and Histogram
+// cells, the fill functions for CounterVecFunc families (so it runs
+// where those families' owners run). Families are sorted by name, so
+// the exposition ordering is stable whatever the registration order.
+// Safe on a nil receiver (returns an empty snapshot).
 func (r *Registry) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
 	if r == nil {
 		return s
 	}
-	s.Counters = make([]CounterSnapshot, 0, len(r.counters))
+	s.Counters = make([]CounterSnapshot, 0, len(r.counters)+len(r.funcs))
 	for _, c := range r.counters {
 		cs := CounterSnapshot{Name: c.name, Help: c.help, Label: c.label,
 			LabelVals: c.labelVals, Values: make([]uint64, len(c.cells))}
 		for i := range c.cells {
 			cs.Values[i] = c.cells[i].Load()
 		}
+		s.Counters = append(s.Counters, cs)
+	}
+	for _, f := range r.funcs {
+		cs := CounterSnapshot{Name: f.name, Help: f.help, Label: f.label,
+			LabelVals: f.labelVals, Values: make([]uint64, max(len(f.labelVals), 1))}
+		f.fill(cs.Values)
 		s.Counters = append(s.Counters, cs)
 	}
 	s.Histograms = make([]HistogramSnapshot, 0, len(r.hists))
@@ -442,7 +446,8 @@ func (h *HistogramSnapshot) Quantile(li int, q float64) sim.Time {
 // MergedSnapshot snapshots every registry and sums them into one view
 // — the read edge of a sharded middlebox, where each shard records
 // into its own registry and the union is materialized only at
-// exposition time (obshttp /metrics, promtext artifacts). All
+// exposition time (obshttp /metrics, promtext artifacts). The caller
+// holds every registry owner's lock (Snapshot's read rule). All
 // registries must carry the same schema (Merge panics otherwise); nil
 // registries are skipped. With no non-nil registry the snapshot is
 // empty.

@@ -21,17 +21,12 @@ func TestCounterRecordAndRead(t *testing.T) {
 	vec.IncAt(99) // out of range: dropped, not panicked
 	vec.IncAt(-1)
 
-	if got := plain.Value(); got != 5 {
-		t.Fatalf("plain.Value = %d, want 5", got)
+	snap := reg.Snapshot() // sorted: by_class before plain
+	if got := snap.Counters[1].Values; len(got) != 1 || got[0] != 5 {
+		t.Fatalf("plain = %v, want [5]", got)
 	}
-	if got := vec.ValueAt(0); got != 1 {
-		t.Fatalf("vec[0] = %d, want 1", got)
-	}
-	if got := vec.ValueAt(1); got != 10 {
-		t.Fatalf("vec[1] = %d, want 10", got)
-	}
-	if got := vec.Value(); got != 11 {
-		t.Fatalf("vec.Value = %d, want 11", got)
+	if got := snap.Counters[0].Values; len(got) != 2 || got[0] != 1 || got[1] != 10 {
+		t.Fatalf("vec = %v, want [1 10]", got)
 	}
 }
 
@@ -44,7 +39,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	c.IncAt(1)
 	h.Observe(sim.Second)
 	h.ObserveAt(2, sim.Second)
-	if c.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
+	if c != nil || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments must read as zero")
 	}
 	snap := reg.Snapshot()
@@ -173,9 +168,14 @@ func TestHistogramAgreesWithCDFBuckets(t *testing.T) {
 
 func TestSnapshotTextFormat(t *testing.T) {
 	reg := NewRegistry()
-	// Register out of name order to prove the exposition sorts.
+	// Register out of name order to prove the exposition sorts, the
+	// owner-read family among the others.
 	reg.CounterVec("taq_z_total", "z counter", "class", []string{"a", "b"})
+	var owned [2]uint64
+	reg.CounterVecFunc("taq_k_total", "k counter", "class", []string{"a", "b"},
+		func(dst []uint64) { copy(dst, owned[:]) })
 	c := reg.Counter("taq_a_total", "a counter")
+	owned[1] = 9 // read at Snapshot, not at registration
 	h := reg.HistogramVec("taq_m_seconds", "m histogram",
 		[]sim.Time{sim.Second / 8, sim.Second}, "size", []string{"short", "long"})
 	c.Add(7)
@@ -187,6 +187,10 @@ func TestSnapshotTextFormat(t *testing.T) {
 	want := `# HELP taq_a_total a counter
 # TYPE taq_a_total counter
 taq_a_total 7
+# HELP taq_k_total k counter
+# TYPE taq_k_total counter
+taq_k_total{class="a"} 0
+taq_k_total{class="b"} 9
 # HELP taq_z_total z counter
 # TYPE taq_z_total counter
 taq_z_total{class="a"} 0

@@ -6,10 +6,10 @@
 // This package is deliberately outside taqvet's deterministic set — it
 // exists only for the wall-clock prototype (internal/emu) and must
 // never be imported by the discrete-event path. The snapshot callbacks
-// it is given are invoked on HTTP-serving goroutines; callers that
-// read engine-owned state must serialize it themselves (internal/emu
-// posts gauge reads onto the engine; registry snapshots are atomic and
-// need no serialization).
+// it is given are invoked on HTTP-serving goroutines; callers must
+// serialize them against the engine themselves (internal/emu posts
+// both the gauge reads and the registry snapshot onto the engine,
+// because registry counter families read the engine-owned counters).
 package obshttp
 
 import (
@@ -33,12 +33,12 @@ type Options struct {
 	// Vars backs /vars, a JSON object of gauge name → value.
 	Vars Snapshot
 	// Metrics backs /metrics, the Prometheus text exposition. The
-	// callback typically closes over an *obs.Registry's Snapshot
-	// method — safe to call from HTTP goroutines because registry
-	// cells are atomics (the lock-free read edge). A sharded
-	// middlebox closes over its bank's MergedSnapshot instead
-	// (obs.MergedSnapshot folds the per-shard registries at this
-	// same read edge; the write path never crosses shards).
+	// callback typically runs an *obs.Registry's Snapshot on the
+	// engine that owns the counters it reads (emu.Engine.Post). A
+	// sharded middlebox calls its bank's MergedSnapshot instead, which
+	// takes every shard's engine lock and folds the per-shard
+	// registries (obs.MergedSnapshot); the write path never crosses
+	// shards.
 	Metrics func() *obs.MetricsSnapshot
 }
 

@@ -189,14 +189,12 @@ type Network struct {
 	Gauges *obs.GaugeSet
 	// Metrics, when non-nil (EnableMetrics), is the registry holding
 	// the bottleneck's counters and histograms; FCT is its
-	// flow-completion-time histogram, fed through ObserveFCT.
+	// flow-completion-time histogram, fed through ObserveFCT. Its
+	// counter families read the link's and middlebox's own counters, so
+	// snapshot it on the network's runner.
 	Metrics *obs.Registry
 	// FCT is nil until EnableMetrics.
 	FCT *obs.Histogram
-	// CoreMetrics is the TAQ middlebox's instrument bundle (nil until
-	// EnableMetrics, or when the discipline is not TAQ); exposed so
-	// callers can read counters for flight-recorder triggers.
-	CoreMetrics *core.Metrics
 
 	// flows holds the flows added and not yet released (Release); nextID
 	// is also how many were ever added.
@@ -340,10 +338,9 @@ func (n *Network) EnableMetrics() *obs.Registry {
 	n.Link.SetMetrics(link.NewMetrics(reg))
 	n.FCT = obs.FCTHistogram(reg)
 	if n.Middlebox != nil {
-		// One registry for all shards: its cells are atomics, and the
-		// sim path drives every shard from one engine anyway.
-		n.CoreMetrics = core.NewMetrics(reg)
-		n.Middlebox.SetMetrics(n.CoreMetrics)
+		// One registry for all shards: the network drives every shard
+		// from one runner.
+		n.Middlebox.SetMetrics(core.NewMetrics(reg))
 	}
 	n.Metrics = reg
 	return reg
