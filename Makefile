@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDeadlineWheel$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run='^$$' -fuzz='^FuzzReceiverReassembly$$' -fuzztime=$(FUZZTIME) ./internal/tcp
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/trace
 
 # bench records the full experiment suite's tables + headline metrics
 # to BENCH_results.json (see EXPERIMENTS.md's benchmark section). Every

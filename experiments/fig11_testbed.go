@@ -100,10 +100,13 @@ func testbedLabel(useTAQ bool) string {
 }
 
 func fig11(env Env) Report {
+	const sliceWidth = 10 * sim.Second
 	s := testbedFairness(testbedOptions{
-		Speedup:         40,
-		VirtualDuration: env.Scale.duration(240*sim.Second, 0),
-		SliceWidth:      10 * sim.Second,
+		Speedup: 40,
+		// At least two slices: the short-term JFI skips the first, the
+		// start-up transient, so one slice would leave nothing to read.
+		VirtualDuration: env.Scale.duration(240*sim.Second, 2*sliceWidth),
+		SliceWidth:      sliceWidth,
 		FlowCounts:      []int{30, 60},
 		Seed:            env.Seed,
 	})

@@ -56,7 +56,7 @@ func testbedWebReplay(opt testbedWebOptions) sweep[testbedWebPoint] {
 			Config:  topology.Config{Seed: opt.Seed, Bandwidth: 600 * link.Kbps, Queue: testbedQueue(useTAQ)},
 			Speedup: opt.Speedup,
 		})
-		var sessions map[int]*workload.Session
+		var sessions []*workload.Session
 		tb.Snapshot(func() {
 			sessions = workload.Replay(tb.Net, recs, 4, workload.ReplayASAP)
 		})

@@ -65,22 +65,23 @@ var mutations = []mutation{
 		edits: []string{"if q.rng.Float64() < pb {", "if rand.Float64() < pb {"},
 		fires: []string{"wallclock"}, first: "wallclock"},
 
-	// maprange: a float sum taken over the map of live flows instead of
-	// the ids ever added (a test sees the released flows' bytes missing
-	// before taqvet sees the map order), a collect-then-sort that lost
-	// its sort (the producer detaint used to re-report at three
-	// consumers), and the first-match shape only detaint used to see.
-	{name: "maprange.goodput", file: "internal/topology/dumbbell.go",
-		edits: []string{"\tfor id := packet.FlowID(0); id < n.nextID; id++ {\n\t\tbytes += n.Slicer.FlowTotal(id)\n", "\tfor id := range n.flows {\n\t\tbytes += n.Slicer.FlowTotal(id)\n"},
-		fires: []string{"maprange"}, first: "test TestReleaseIsInvisible"},
-	{name: "maprange.sortedIDs", file: "internal/metrics/slicer.go",
-		edits: []string{"\tsort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })\n\treturn ids", "\t_ = sort.Slice\n\treturn ids"},
+	// maprange: a count kept in a float over the map of user pools (the
+	// seed first summed Goodput over the network's map of live flows,
+	// which is a table by id now), a collect-then-sort that lost its sort
+	// (the producer detaint used to re-report at three consumers; Fig 1's
+	// size buckets come out of order, which the suite baseline sees
+	// before taqvet), and the first-match shape only detaint used to see.
+	{name: "maprange.goodput", file: "internal/metrics/hang.go",
+		edits: []string{"\tn := 0\n\tfor _, m := range h.max {\n", "\tn := 0.0\n\tfor _, m := range h.max {\n"},
 		fires: []string{"maprange"}, first: "maprange"},
-	{name: "detaint.firstMatch", file: "internal/metrics/slicer.go",
+	{name: "maprange.sortedIDs", file: "internal/metrics/buckets.go",
+		edits: []string{"\tsort.Ints(keys)\n", ""},
+		fires: []string{"maprange"}, first: "test TestSuiteMatchesBaseline"},
+	{name: "detaint.firstMatch", file: "internal/metrics/hang.go",
 		edits: []string{
-			"// aliveIn reports whether", "func (s *Slicer) anyID() packet.FlowID {\n\tfor id := range s.flows {\n\t\treturn id\n\t}\n\treturn 0\n}\n\n// aliveIn reports whether",
+			"// NumPools returns", "func (h *HangTracker) anyPool() packet.PoolID {\n\tfor pool := range h.max {\n\t\treturn pool\n\t}\n\treturn 0\n}\n\n// NumPools returns",
 			// Value-neutral on purpose: the order dependence is the bug.
-			"\t\t\t\talive = true\n\t\t\t\ttotal += fs.at(i)\n", "\t\t\t\talive = true\n\t\t\t\ttotal += fs.at(i) + 0*float64(s.anyID())\n"},
+			"\treturn float64(n) / float64(len(h.max))\n", "\treturn float64(n)/float64(len(h.max)) + 0*float64(h.anyPool())\n"},
 		fires: []string{"maprange"}, first: "maprange"},
 
 	// timerleak: a Schedule handle dropped in a type whose Stop must

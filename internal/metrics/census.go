@@ -12,9 +12,11 @@ import (
 // model is truncated at Wmax).
 type Census struct {
 	MaxClass int
-	counts   map[packet.FlowID]int
-	hist     map[int]uint64
-	epochs   uint64
+	// counts[f] is flow f's packets in the current epoch, or -1 for an
+	// id below the largest registered one that was never registered.
+	counts []int
+	hist   []uint64 // by class 0..MaxClass
+	epochs uint64
 }
 
 // NewCensus creates a census clamping classes at maxClass (the paper
@@ -23,22 +25,24 @@ func NewCensus(maxClass int) *Census {
 	if maxClass < 1 {
 		maxClass = 6
 	}
-	return &Census{
-		MaxClass: maxClass,
-		counts:   make(map[packet.FlowID]int),
-		hist:     make(map[int]uint64),
-	}
+	return &Census{MaxClass: maxClass, hist: make([]uint64, maxClass+1)}
 }
 
-// Register declares a flow so that its silent epochs are counted.
+// Register declares a flow so that its silent epochs are counted. Flow
+// ids must not be negative.
 func (c *Census) Register(f packet.FlowID) {
-	if _, ok := c.counts[f]; !ok {
+	for int(f) >= len(c.counts) {
+		c.counts = append(c.counts, -1)
+	}
+	if c.counts[f] < 0 {
 		c.counts[f] = 0
 	}
 }
 
-// Observe records one data packet of flow f crossing the bottleneck.
+// Observe records one data packet of flow f crossing the bottleneck,
+// registering f if it was not.
 func (c *Census) Observe(f packet.FlowID) {
+	c.Register(f)
 	c.counts[f]++
 }
 
@@ -47,10 +51,10 @@ func (c *Census) Observe(f packet.FlowID) {
 // caller schedules Roll once per RTT.
 func (c *Census) Roll() {
 	for f, n := range c.counts {
-		if n > c.MaxClass {
-			n = c.MaxClass
+		if n < 0 {
+			continue
 		}
-		c.hist[n]++
+		c.hist[min(n, c.MaxClass)]++
 		c.counts[f] = 0
 		c.epochs++
 	}

@@ -168,9 +168,6 @@ func TestSlicerLifetimes(t *testing.T) {
 	if n := len(s.SliceShares(2)); n != 1 {
 		t.Errorf("slice 2 has %d flows, want 1", n)
 	}
-	if s.NumFlows() != 2 {
-		t.Errorf("NumFlows = %d", s.NumFlows())
-	}
 }
 
 func TestSlicerImplicitRegister(t *testing.T) {
@@ -321,6 +318,22 @@ func TestCensusScheduledRolls(t *testing.T) {
 	e.RunUntil(sim.Second)
 	if c.Epochs() != 10 {
 		t.Errorf("epochs = %d, want 10", c.Epochs())
+	}
+}
+
+// TestCensusObserveRegisters pins the per-id table's holes: a flow seen
+// before it was registered is counted from then on, and the ids below
+// it that nothing registered contribute no epochs.
+func TestCensusObserveRegisters(t *testing.T) {
+	c := NewCensus(6)
+	c.Observe(3)
+	c.Roll()
+	c.Roll()
+	if c.Epochs() != 2 {
+		t.Fatalf("epochs = %d, want 2 (flow 3 only)", c.Epochs())
+	}
+	if d := c.Distribution(); d[0] != 0.5 || d[1] != 0.5 {
+		t.Errorf("distribution = %v, want half class 0, half class 1", d)
 	}
 }
 

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"sort"
-
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -14,12 +12,19 @@ import (
 // Flows must be registered (with their lifetime) so that slices in
 // which a live flow delivered nothing count as zero allocations —
 // that is exactly the "shut-out flows" effect the paper measures.
+//
+// Flow ids are dense small integers (the network numbers its flows
+// from 0), so series are kept in a table indexed by id, and every share
+// vector lists the flows in ascending id order.
 type Slicer struct {
 	width sim.Time
-	flows map[packet.FlowID]*flowSeries
+	flows []flowSeries // by flow id
 }
 
 type flowSeries struct {
+	// registered is false for an id below the largest registered one
+	// that was never registered itself.
+	registered bool
 	start, end sim.Time // lifetime; end < 0 means still alive
 	// bytes[k] is what slice first+k received; slices outside it
 	// received nothing. A flow delivers into a run of neighbouring
@@ -57,7 +62,7 @@ func NewSlicer(width sim.Time) *Slicer {
 	if width <= 0 {
 		width = sim.Second
 	}
-	return &Slicer{width: width, flows: make(map[packet.FlowID]*flowSeries)}
+	return &Slicer{width: width}
 }
 
 // Width returns the slice width.
@@ -65,62 +70,50 @@ func (s *Slicer) Width() sim.Time { return s.width }
 
 // Register declares a flow alive from start. Deliveries for
 // unregistered flows are registered implicitly at first delivery.
+// Flow ids must not be negative.
 func (s *Slicer) Register(f packet.FlowID, start sim.Time) {
-	if _, ok := s.flows[f]; !ok {
-		s.flows[f] = &flowSeries{start: start, end: -1}
+	for int(f) >= len(s.flows) {
+		s.flows = append(s.flows, flowSeries{})
 	}
+	if fs := &s.flows[f]; !fs.registered {
+		*fs = flowSeries{registered: true, start: start, end: -1}
+	}
+}
+
+// series returns flow f's series, or nil if f is not registered.
+func (s *Slicer) series(f packet.FlowID) *flowSeries {
+	if uint(f) >= uint(len(s.flows)) || !s.flows[f].registered {
+		return nil
+	}
+	return &s.flows[f]
 }
 
 // Finish marks a flow's lifetime end (e.g. transfer completed), so
 // later slices no longer count it as shut out.
 func (s *Slicer) Finish(f packet.FlowID, end sim.Time) {
-	if fs, ok := s.flows[f]; ok {
+	if fs := s.series(f); fs != nil {
 		fs.end = end
 	}
 }
 
 // Record adds delivered bytes for flow f at virtual time at.
 func (s *Slicer) Record(f packet.FlowID, at sim.Time, bytes int) {
-	fs, ok := s.flows[f]
-	if !ok {
-		s.Register(f, at)
-		fs = s.flows[f]
-	}
-	fs.add(int(at/s.width), float64(bytes))
+	s.Register(f, at)
+	s.flows[f].add(int(at/s.width), float64(bytes))
 }
 
-// NumFlows returns the number of registered flows.
-func (s *Slicer) NumFlows() int { return len(s.flows) }
-
-// sortedIDs returns the registered flow ids in ascending order, so
-// share vectors and floating-point sums are assembled deterministically
-// rather than in map order.
-func (s *Slicer) sortedIDs() []packet.FlowID {
-	ids := make([]packet.FlowID, 0, len(s.flows))
-	for id := range s.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// aliveIn reports whether the flow overlaps slice i.
+// aliveIn reports whether the flow is registered and overlaps slice i.
 func (fs *flowSeries) aliveIn(i int, width sim.Time) bool {
 	sliceStart := sim.Time(i) * width
-	sliceEnd := sliceStart + width
-	if fs.start >= sliceEnd {
-		return false
-	}
-	return fs.end < 0 || fs.end > sliceStart
+	return fs.registered && fs.start < sliceStart+width && (fs.end < 0 || fs.end > sliceStart)
 }
 
 // SliceShares returns the per-flow delivered bytes in slice i for all
 // flows alive during that slice (zeros included).
 func (s *Slicer) SliceShares(i int) []float64 {
 	var out []float64
-	for _, id := range s.sortedIDs() {
-		fs := s.flows[id]
-		if fs.aliveIn(i, s.width) {
+	for k := range s.flows {
+		if fs := &s.flows[k]; fs.aliveIn(i, s.width) {
 			out = append(out, fs.at(i))
 		}
 	}
@@ -153,8 +146,8 @@ func (s *Slicer) MeanSliceJFI(from, to int) float64 {
 // [from, to) — long-term fairness.
 func (s *Slicer) TotalJFI(from, to int) float64 {
 	var shares []float64
-	for _, id := range s.sortedIDs() {
-		fs := s.flows[id]
+	for k := range s.flows {
+		fs := &s.flows[k]
 		total := 0.0
 		alive := false
 		for i := from; i < to; i++ {
@@ -172,8 +165,8 @@ func (s *Slicer) TotalJFI(from, to int) float64 {
 
 // FlowTotal returns all bytes recorded for flow f.
 func (s *Slicer) FlowTotal(f packet.FlowID) float64 {
-	fs, ok := s.flows[f]
-	if !ok {
+	fs := s.series(f)
+	if fs == nil {
 		return 0
 	}
 	// Ascending slice order; the zeros of silent slices add exactly.
@@ -202,11 +195,10 @@ type EvolutionCounts struct {
 // Evolution computes flow-evolution counts for slices [from+1, to).
 func (s *Slicer) Evolution(from, to int) EvolutionCounts {
 	var ev EvolutionCounts
-	ids := s.sortedIDs()
 	for i := from + 1; i < to; i++ {
 		var arr, drp, mnt, stl int
-		for _, id := range ids {
-			fs := s.flows[id]
+		for k := range s.flows {
+			fs := &s.flows[k]
 			if !fs.aliveIn(i, s.width) || !fs.aliveIn(i-1, s.width) {
 				continue
 			}

@@ -11,9 +11,10 @@ import (
 	"taq/internal/sim"
 )
 
-// mapSlicer is the Slicer as it was while a flow's series was a
-// map[int]float64 keyed by slice index: the reference the flat series is
-// held to, bit for bit.
+// mapSlicer is the Slicer as it was while the flows were a map keyed by
+// flow id, walked in sorted-id order, and a flow's series was a
+// map[int]float64 keyed by slice index: the reference the id-indexed
+// table and the flat series are held to, bit for bit.
 type mapSlicer struct {
 	width sim.Time
 	flows map[packet.FlowID]*mapSeries
@@ -135,12 +136,14 @@ func (m *mapSlicer) evolution(from, to int) EvolutionCounts {
 // requires every reading to agree to the bit. The stream has what the
 // flat series must get right: flows silent for many slices between
 // deliveries, a delivery in a slice below the first one recorded,
-// deliveries for flows never registered, byte counts whose float sums
-// depend on the order of addition.
+// deliveries for flows never registered, ids between the flows that
+// nothing ever registers, byte counts whose float sums depend on the
+// order of addition.
 func TestSlicerMatchesMapModel(t *testing.T) {
 	const (
 		width  = 20 * sim.Second
 		flows  = 24
+		stride = 3 // flow k has id stride*k: the ids between stay holes
 		slices = 60
 	)
 	for seed := int64(1); seed <= 5; seed++ {
@@ -152,12 +155,13 @@ func TestSlicerMatchesMapModel(t *testing.T) {
 		}
 		belowFirst := 0
 		for op := 0; op < 4000; op++ {
-			f := packet.FlowID(rng.Intn(flows))
+			k := rng.Intn(flows)
+			f := packet.FlowID(stride * k)
 			switch r := rng.Intn(20); {
 			case r == 0:
 				// Flows in the upper half are only ever registered by
 				// their first delivery.
-				if f < flows/2 {
+				if k < flows/2 {
 					when := at(rng.Intn(slices))
 					s.Register(f, when)
 					m.register(f, when)
@@ -170,10 +174,10 @@ func TestSlicerMatchesMapModel(t *testing.T) {
 				// Mostly near the flow's last slice, now and then
 				// anywhere — far above it or below its first.
 				slice := rng.Intn(slices)
-				if fs, ok := s.flows[f]; ok && len(fs.bytes) > 0 && rng.Intn(8) != 0 {
+				if fs := s.series(f); fs != nil && len(fs.bytes) > 0 && rng.Intn(8) != 0 {
 					slice = min(slices-1, fs.first+len(fs.bytes)-1+rng.Intn(3))
 				}
-				if fs, ok := s.flows[f]; ok && len(fs.bytes) > 0 && slice < fs.first {
+				if fs := s.series(f); fs != nil && len(fs.bytes) > 0 && slice < fs.first {
 					belowFirst++
 				}
 				when, bytes := at(slice), 1+rng.Intn(3000)
@@ -191,8 +195,10 @@ func TestSlicerMatchesMapModel(t *testing.T) {
 				t.Errorf("seed %d: %s = %v, the map model has %v", seed, what, got, want)
 			}
 		}
-		if s.NumFlows() != len(m.flows) {
-			t.Fatalf("seed %d: %d flows, the map model has %d", seed, s.NumFlows(), len(m.flows))
+		for f := packet.FlowID(-1); f <= stride*flows; f++ {
+			if got, want := s.series(f) != nil, m.flows[f] != nil; got != want {
+				t.Fatalf("seed %d: flow %d registered %v, in the map model %v", seed, f, got, want)
+			}
 		}
 		// One slice before and after the range anything was recorded in.
 		for i := -1; i <= slices; i++ {
@@ -204,7 +210,7 @@ func TestSlicerMatchesMapModel(t *testing.T) {
 				sameBits("a SliceShares entry", got[k], want[k])
 			}
 		}
-		for f := packet.FlowID(0); f <= flows; f++ {
+		for f := packet.FlowID(-1); f <= stride*flows; f++ {
 			sameBits("FlowTotal", s.FlowTotal(f), m.flowTotal(f))
 		}
 		for _, r := range [][2]int{{0, slices}, {3, 17}, {-2, 5}, {slices - 4, slices + 4}} {

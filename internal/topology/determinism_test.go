@@ -43,7 +43,7 @@ func runFingerprint(t *testing.T, seed int64) fingerprint {
 
 	n.Run(60 * sim.Second)
 
-	for id := range n.flows {
+	for id := range packet.FlowID(n.NumFlows()) {
 		fp.totals[id] = n.Slicer.FlowTotal(id)
 	}
 	fp.arrivals = n.QueueArrivals

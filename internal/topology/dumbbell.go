@@ -196,10 +196,9 @@ type Network struct {
 	// FCT is nil until EnableMetrics.
 	FCT *obs.Histogram
 
-	// flows holds the flows added and not yet released (Release); nextID
-	// is also how many were ever added.
-	flows  map[packet.FlowID]*Flow
-	nextID packet.FlowID
+	// flows[id] is the flow newFlow numbered id, nil once it was
+	// released (Release): one pointer per flow ever added.
+	flows []*Flow
 	// releasedTimeouts and releasedRepetitive carry the released flows'
 	// share of AggregateTimeouts.
 	releasedTimeouts, releasedRepetitive uint64
@@ -247,7 +246,6 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 		Runner: run,
 		Slicer: metrics.NewSlicer(cfg.SliceWidth),
 		Hangs:  metrics.NewHangTracker(),
-		flows:  make(map[packet.FlowID]*Flow),
 	}
 	n.Engine, _ = run.(*sim.Engine)
 	n.toQueue = n.enqueue
@@ -273,7 +271,7 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 	}
 	disc.AddDropHook(func(p *packet.Packet) {
 		n.QueueDrops++
-		if f, ok := n.flows[p.Flow]; ok {
+		if f := n.Flow(p.Flow); f != nil {
 			f.left()
 		} else {
 			n.strays++
@@ -405,8 +403,8 @@ func (n *Network) accessDelay(f *Flow, base sim.Time) sim.Time {
 // deliverForward dispatches packets leaving the bottleneck to the
 // destination receiver, after the flow's residual one-way delay.
 func (n *Network) deliverForward(p *packet.Packet) {
-	f, ok := n.flows[p.Flow]
-	if !ok {
+	f := n.Flow(p.Flow)
+	if f == nil {
 		n.strays++
 		return
 	}
@@ -496,17 +494,18 @@ func (f *Flow) delivered(units int) {
 	}
 }
 
-// newFlow draws the next flow's ID and RTT and binds its per-hop
-// handlers. The caller builds the endpoints around f.sendForward,
-// f.sendReverse and f.delivered, then hands them to start.
+// newFlow gives the next flow its ID (its slot in the flow table) and
+// RTT and binds its per-hop handlers. The caller builds the endpoints
+// around f.sendForward, f.sendReverse and f.delivered, then hands them
+// to start.
 func (n *Network) newFlow(pool packet.PoolID, startAt sim.Time) *Flow {
-	id := n.nextID
-	n.nextID++
+	id := packet.FlowID(len(n.flows))
 	rtt := n.Cfg.PropRTT
 	if j := n.Cfg.RTTJitter; j > 0 {
 		rtt = sim.Time(float64(rtt) * (1 - j + 2*j*n.Runner.Rand().Float64()))
 	}
 	f := &Flow{ID: id, Pool: pool, RTT: rtt, Started: startAt, net: n}
+	n.flows = append(n.flows, f)
 	f.fwdArrive = f.forwardArrive
 	f.revArrive = f.reverseArrive
 	return f
@@ -517,7 +516,6 @@ func (n *Network) newFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 // the flow's start time.
 func (n *Network) start(f *Flow, toReceiver, toSender func(*packet.Packet), begin func()) {
 	f.toReceiver, f.toSender = toReceiver, toSender
-	n.flows[f.ID] = f
 	n.Slicer.Register(f.ID, f.Started)
 	if n.Census != nil {
 		n.Census.Register(f.ID)
@@ -599,14 +597,19 @@ func (f *Flow) reap() {
 	}
 	n.releasedTimeouts += f.Sender.Stats.Timeouts
 	n.releasedRepetitive += f.Sender.Stats.RepetitiveTimeouts
-	delete(n.flows, f.ID)
+	n.flows[f.ID] = nil
 }
 
 // Flow returns a flow by ID, or nil — also for a flow that was released.
-func (n *Network) Flow(id packet.FlowID) *Flow { return n.flows[id] }
+func (n *Network) Flow(id packet.FlowID) *Flow {
+	if uint(id) >= uint(len(n.flows)) {
+		return nil
+	}
+	return n.flows[id]
+}
 
 // NumFlows returns the number of flows added, released ones included.
-func (n *Network) NumFlows() int { return int(n.nextID) }
+func (n *Network) NumFlows() int { return len(n.flows) }
 
 // Run advances the simulation to the given virtual time. Simulator
 // only: a wall-clock runner advances by itself.
@@ -635,10 +638,9 @@ func (n *Network) Goodput() float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	// Every flow added is registered with the Slicer under the next id,
-	// and its series outlives a Release.
+	// Released flows keep their slot and their Slicer series.
 	var bytes float64
-	for id := packet.FlowID(0); id < n.nextID; id++ {
+	for id := range packet.FlowID(len(n.flows)) {
 		bytes += n.Slicer.FlowTotal(id)
 	}
 	return bytes * 8 / elapsed / float64(n.Cfg.Bandwidth)
@@ -648,7 +650,7 @@ func (n *Network) Goodput() float64 {
 func (n *Network) AggregateTimeouts() (timeouts, repetitive uint64) {
 	timeouts, repetitive = n.releasedTimeouts, n.releasedRepetitive
 	for _, f := range n.flows {
-		if f.Sender == nil {
+		if f == nil || f.Sender == nil {
 			continue
 		}
 		timeouts += f.Sender.Stats.Timeouts
@@ -660,8 +662,5 @@ func (n *Network) AggregateTimeouts() (timeouts, repetitive uint64) {
 // FairSharePerFlow returns the ideal per-flow fair share in bits per
 // second (C/N), the x-axis of Figs 2, 8 and 11.
 func (n *Network) FairSharePerFlow() float64 {
-	if n.nextID == 0 {
-		return float64(n.Cfg.Bandwidth)
-	}
-	return float64(n.Cfg.Bandwidth) / float64(n.nextID)
+	return float64(n.Cfg.Bandwidth) / float64(max(len(n.flows), 1))
 }

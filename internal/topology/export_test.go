@@ -8,7 +8,15 @@ package topology
 func (n *Network) HoldReleases() { n.holdReleases = true }
 
 // LiveFlows returns how many flows the network still holds.
-func (n *Network) LiveFlows() int { return len(n.flows) }
+func (n *Network) LiveFlows() int {
+	live := 0
+	for _, f := range n.flows {
+		if f != nil {
+			live++
+		}
+	}
+	return live
+}
 
 // Strays returns how many packets met the bottleneck with no flow to
 // account them to.
@@ -19,7 +27,9 @@ func (n *Network) Strays() uint64 { return n.strays }
 func (n *Network) InNetwork() int {
 	worst := 0
 	for _, f := range n.flows {
-		worst = max(worst, f.inNet, -f.inNet)
+		if f != nil {
+			worst = max(worst, f.inNet, -f.inNet)
+		}
 	}
 	return worst
 }

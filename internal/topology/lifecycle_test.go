@@ -69,13 +69,9 @@ func replay(t *testing.T, cfg topology.Config, recs []trace.Record, hold bool) (
 	o.jfi = net.Slicer.MeanSliceJFI(0, int(net.Engine.Now()/net.Slicer.Width()))
 	o.goodput = net.Goodput()
 	o.flows = net.NumFlows()
-	for c := 0; c < lifecycleClients; c++ {
-		s, ok := sessions[c]
-		if !ok {
-			continue
-		}
+	for c, s := range sessions {
 		if s.Outstanding() != 0 {
-			t.Fatalf("client %d has %d objects outstanding after the drain", c, s.Outstanding())
+			t.Fatalf("session %d has %d objects outstanding after the drain", c, s.Outstanding())
 		}
 		for _, r := range s.Results {
 			o.ends = append(o.ends, r.End)

@@ -137,7 +137,15 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Parse reads a log in Write's format.
+// maxTime bounds the times of a log Parse accepts: below 2^53 ns (about
+// 104 days) a float64 number of seconds holds every nanosecond exactly,
+// so what Write prints reads back as the same text.
+const maxTime = sim.Time(1) << 53
+
+// Parse reads a log in Write's format. It rejects, naming the line, a
+// record the replay cannot represent: a time that is negative, not
+// finite or 2^53 ns (about 104 days) or later, a client outside
+// [0, 2^31−1] (the range of a flow pool), or a size below one byte.
 func Parse(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -152,6 +160,16 @@ func Parse(r io.Reader) ([]Record, error) {
 		var client, size int
 		if _, err := fmt.Sscanf(text, "%f %d %d", &secs, &client, &size); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %v", line, err)
+		}
+		// Negated so that NaN, which fails every comparison, is caught.
+		if ns := secs * float64(sim.Second); !(ns >= 0 && ns < float64(maxTime)) {
+			return nil, fmt.Errorf("trace: line %d: time %v s is not in [0, %v)", line, secs, maxTime)
+		}
+		if client < 0 || client > math.MaxInt32 {
+			return nil, fmt.Errorf("trace: line %d: client %d is outside [0, %d]", line, client, math.MaxInt32)
+		}
+		if size < 1 {
+			return nil, fmt.Errorf("trace: line %d: size %d is below one byte", line, size)
 		}
 		recs = append(recs, Record{Time: sim.FromSeconds(secs), Client: client, Size: size})
 	}

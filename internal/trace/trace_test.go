@@ -144,6 +144,75 @@ func TestParseErrorsAndComments(t *testing.T) {
 	}
 }
 
+// TestParseRejectsOutOfRange holds Parse to the records the replay can
+// represent: each bad line is refused with its line number, and the
+// edges of each range are accepted.
+func TestParseRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct {
+		line string
+		ok   bool
+	}{
+		{"0 0 1", true},
+		{"1.5 2147483647 1", true},
+		{"9007199.254740 3 1000", true},
+		{"-0.000001 3 1000", false},
+		{"NaN 3 1000", false},
+		{"Inf 3 1000", false},
+		{"-Inf 3 1000", false},
+		{"1e300 3 1000", false},
+		{"9007199.254741 3 1000", false},
+		{"1.5 -1 1000", false},
+		{"1.5 2147483648 1000", false},
+		{"1.5 3 0", false},
+		{"1.5 3 -5", false},
+	} {
+		recs, err := Parse(strings.NewReader("# header\n" + tc.line + "\n"))
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%q rejected: %v", tc.line, err)
+		case tc.ok && len(recs) != 1:
+			t.Errorf("%q gave %d records", tc.line, len(recs))
+		case !tc.ok && err == nil:
+			t.Errorf("%q accepted as %+v", tc.line, recs)
+		case !tc.ok && !strings.Contains(err.Error(), "line 2:"):
+			t.Errorf("%q: error %q does not name line 2", tc.line, err)
+		}
+	}
+}
+
+// FuzzParse feeds Parse arbitrary text. It must never panic; every
+// record it accepts must be in range; and what it accepts must survive
+// Write, Parse, Write byte for byte.
+func FuzzParse(f *testing.F) {
+	f.Add("1.5 3 1000\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		recs, err := Parse(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		for _, r := range recs {
+			if r.Time < 0 || r.Time >= maxTime || r.Client < 0 || r.Client > math.MaxInt32 || r.Size < 1 {
+				t.Fatalf("accepted an out-of-range record %+v", r)
+			}
+		}
+		var first bytes.Buffer
+		if err := Write(&first, recs); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parse(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("Parse rejects what Write wrote: %v\n%s", err, first.Bytes())
+		}
+		var second bytes.Buffer
+		if err := Write(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Write, Parse, Write is not stable:\n%s\nthen\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}
+
 func TestWindow(t *testing.T) {
 	recs := []Record{
 		{Time: 1 * sim.Second}, {Time: 5 * sim.Second}, {Time: 9 * sim.Second},

@@ -6,7 +6,7 @@
 package workload
 
 import (
-	"sort"
+	"slices"
 
 	"taq/internal/metrics"
 	"taq/internal/packet"
@@ -184,20 +184,26 @@ const (
 )
 
 // Replay drives trace records through per-client sessions on net and
-// returns them (keyed by client id).
-func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode ReplayMode) map[int]*Session {
-	sessions := make(map[int]*Session)
+// returns them in ascending client order. Requests are issued in log
+// order.
+func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode ReplayMode) []*Session {
+	clients := make([]int, len(recs))
+	for i, r := range recs {
+		clients[i] = r.Client
+	}
+	slices.Sort(clients)
+	clients = slices.Compact(clients)
+	sessions := make([]*Session, len(clients))
+	for i, c := range clients {
+		sessions[i] = NewSession(net, c, maxConns)
+	}
 	for _, r := range recs {
-		s, ok := sessions[r.Client]
-		if !ok {
-			s = NewSession(net, r.Client, maxConns)
-			sessions[r.Client] = s
-		}
+		i, _ := slices.BinarySearch(clients, r.Client)
 		switch mode {
 		case ReplayTimed:
-			s.Request(r.Size, r.Time)
+			sessions[i].Request(r.Size, r.Time)
 		case ReplayASAP:
-			s.Request(r.Size, 0)
+			sessions[i].Request(r.Size, 0)
 		}
 	}
 	return sessions
@@ -205,21 +211,9 @@ func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode Repla
 
 // CollectObjectSamples gathers completed downloads as size samples for
 // Fig 1-style bucket analysis.
-// sortedClients returns the session client ids in ascending order, so
-// sample collections and CDF sums are assembled deterministically.
-func sortedClients(sessions map[int]*Session) []int {
-	ids := make([]int, 0, len(sessions))
-	for id := range sessions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-func CollectObjectSamples(sessions map[int]*Session) []metrics.SizeSample {
+func CollectObjectSamples(sessions []*Session) []metrics.SizeSample {
 	var out []metrics.SizeSample
-	for _, id := range sortedClients(sessions) {
-		s := sessions[id]
+	for _, s := range sessions {
 		for _, r := range s.Results {
 			if r.Done {
 				out = append(out, metrics.SizeSample{
@@ -234,10 +228,9 @@ func CollectObjectSamples(sessions map[int]*Session) []metrics.SizeSample {
 
 // DownloadCDF collects download times (seconds) of completed objects
 // whose size lies in [loBytes, hiBytes).
-func DownloadCDF(sessions map[int]*Session, loBytes, hiBytes int) *metrics.CDF {
+func DownloadCDF(sessions []*Session, loBytes, hiBytes int) *metrics.CDF {
 	var c metrics.CDF
-	for _, id := range sortedClients(sessions) {
-		s := sessions[id]
+	for _, s := range sessions {
 		for _, r := range s.Results {
 			if r.Done && r.SizeBytes >= loBytes && r.SizeBytes < hiBytes {
 				c.Add(r.DownloadTime().Seconds())
@@ -249,7 +242,7 @@ func DownloadCDF(sessions map[int]*Session, loBytes, hiBytes int) *metrics.CDF {
 
 // CompletedFraction returns the fraction of requested objects that
 // finished.
-func CompletedFraction(sessions map[int]*Session) float64 {
+func CompletedFraction(sessions []*Session) float64 {
 	total, done := 0, 0
 	for _, s := range sessions {
 		for _, r := range s.Results {

@@ -175,6 +175,38 @@ func TestSessionFetchesObjectsWithBoundedParallelism(t *testing.T) {
 	})
 }
 
+// TestReplaySessionsInClientOrder pins Replay's result: one session per
+// distinct client, sparse ids included, in ascending client order, each
+// holding its requests in log order.
+func TestReplaySessionsInClientOrder(t *testing.T) {
+	recs := []trace.Record{
+		{Time: 0, Client: 7, Size: 100},
+		{Time: 1, Client: 3, Size: 200},
+		{Time: 2, Client: 7, Size: 300},
+		{Time: 3, Client: 1 << 30, Size: 400},
+		{Time: 4, Client: 3, Size: 500},
+	}
+	sessions := Replay(quickNet(1, 1000*link.Kbps, topology.DropTail), recs, 4, ReplayTimed)
+	want := []struct {
+		client int
+		sizes  []int
+	}{{3, []int{200, 500}}, {7, []int{100, 300}}, {1 << 30, []int{400}}}
+	if len(sessions) != len(want) {
+		t.Fatalf("%d sessions, want %d", len(sessions), len(want))
+	}
+	for i, w := range want {
+		s := sessions[i]
+		if s.client != w.client || len(s.Results) != len(w.sizes) {
+			t.Fatalf("session %d: client %d with %d requests, want client %d with %d", i, s.client, len(s.Results), w.client, len(w.sizes))
+		}
+		for k, size := range w.sizes {
+			if r := s.Results[k]; r.SizeBytes != size || r.Client != w.client {
+				t.Errorf("session %d request %d: client %d size %d, want client %d size %d", i, k, r.Client, r.SizeBytes, w.client, size)
+			}
+		}
+	}
+}
+
 func TestReplayTimedVsASAP(t *testing.T) {
 	recs := []trace.Record{
 		{Time: 0, Client: 1, Size: 2000},
@@ -185,17 +217,17 @@ func TestReplayTimedVsASAP(t *testing.T) {
 	n1 := quickNet(4, 1000*link.Kbps, topology.DropTail)
 	s1 := Replay(n1, recs, 4, ReplayTimed)
 	n1.Run(60 * sim.Second)
-	if len(s1) != 2 {
-		t.Fatalf("sessions = %d", len(s1))
+	if len(s1) != 2 || s1[0].client != 1 || s1[1].client != 2 {
+		t.Fatalf("sessions = %d, want clients 1 and 2 in order", len(s1))
 	}
-	if got := s1[1].Results[1].End; got < 30*sim.Second {
+	if got := s1[0].Results[1].End; got < 30*sim.Second {
 		t.Errorf("timed replay finished 2nd object at %v, before its request time", got)
 	}
 	// ASAP: everything can finish within seconds.
 	n2 := quickNet(4, 1000*link.Kbps, topology.DropTail)
 	s2 := Replay(n2, recs, 4, ReplayASAP)
 	n2.Run(60 * sim.Second)
-	if got := s2[1].Results[1].End; got > 20*sim.Second {
+	if got := s2[0].Results[1].End; got > 20*sim.Second {
 		t.Errorf("ASAP replay too slow: %v", got)
 	}
 	if CompletedFraction(s2) != 1 {
@@ -210,7 +242,7 @@ func TestCollectObjectSamplesAndCDF(t *testing.T) {
 		{Time: 0, Client: 2, Size: 105 * 1024},
 	}
 	onBothSubstrates(t, cfg, func(t *testing.T, sub substrate) {
-		var sessions map[int]*Session
+		var sessions []*Session
 		sub.do(func() { sessions = Replay(sub.net, recs, 4, ReplayASAP) })
 		sub.await(120*sim.Second, func() bool { return CompletedFraction(sessions) == 1 })
 		sub.do(func() {

@@ -241,8 +241,9 @@ func NewSession(net *Network, client, maxConns int) *Session {
 	return workload.NewSession(net, client, maxConns)
 }
 
-// Replay drives an access log through per-client sessions.
-func Replay(net *Network, recs []TraceRecord, maxConns int, mode ReplayMode) map[int]*Session {
+// Replay drives an access log through per-client sessions, returned in
+// ascending client order.
+func Replay(net *Network, recs []TraceRecord, maxConns int, mode ReplayMode) []*Session {
 	return workload.Replay(net, recs, maxConns, mode)
 }
 
