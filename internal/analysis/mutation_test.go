@@ -193,13 +193,14 @@ var mutations = []mutation{
 		fires: []string{"build"}, first: "build"},
 
 	// layout (deleted): core's TestRecordLayout states the pins against
-	// the real compiler. The second seed keeps every size and moves
-	// invTerm out of the hot core; the layout analyzer passed it.
+	// the real compiler. The second seed keeps every size and swaps
+	// rateEWMA, the hot core's last field, with synBurst, the first warm
+	// one; the layout analyzer passed its predecessor.
 	{name: "layout.pad", file: "internal/core/tracker.go",
 		edits: []string{"type flowInfo struct {\n", "type flowInfo struct {\n\tmutPad uint64\n"},
 		first: "test TestRecordLayout"},
 	{name: "layout.hotCoreSwap", file: "internal/core/tracker.go",
-		edits: []string{"\tinvTerm int64\n", "\tsynBurst sim.Time\n", "\tsynBurst     sim.Time\n", "\tinvTerm      int64\n"},
+		edits: []string{"\trateEWMA float64\n", "\tsynBurst sim.Time\n", "\tsynBurst     sim.Time\n", "\trateEWMA     float64\n"},
 		first: "test TestRecordLayout"},
 
 	// The directives. //taq:allow and //taq:allow(func): one that

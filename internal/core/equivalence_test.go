@@ -35,18 +35,18 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 	// walking the record array must yield each live flow exactly once,
 	// filed in the store's index under its own id at its own slot.
 	shadow := map[packet.FlowID]int32{}
-	for i := range tr.store.recs {
-		f := &tr.store.recs[i]
-		if !f.inUse {
+	for i := int32(0); i < tr.store.n; i++ {
+		f := tr.store.at(i)
+		if !f.has(flagLive) {
 			continue
 		}
-		if f.slot != int32(i) {
+		if f.slot != i {
 			t.Fatalf("flow %d in slot %d records slot %d", f.id, i, f.slot)
 		}
 		if prev, dup := shadow[f.id]; dup {
 			t.Fatalf("flow %d live in slots %d and %d", f.id, prev, i)
 		}
-		shadow[f.id] = int32(i)
+		shadow[f.id] = i
 	}
 	if tr.store.len() != len(shadow) {
 		t.Fatalf("store says %d live flows, record walk found %d", tr.store.len(), len(shadow))
@@ -58,53 +58,45 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 		}
 	}
 
-	// actDl/scanDl mirror the flow's earliest live wheel entry: a flow
-	// that believes it is armed must own an entry carrying exactly that
-	// deadline, or its next transition would never come due.
+	// actDl/scanDl mirror the flow's one live wheel entry, and a drain
+	// decides every entry from them: a flow that believes it is armed
+	// must own an entry in the mirror's slot (or in the watermark slot,
+	// for a push behind it), or its next transition would never come
+	// due.
 	checkArenaAccounting(t, &tr.chunks, &tr.actWheel, &tr.scanWheel)
-	filed := func(w *deadlineWheel) map[deadlineEntry]bool {
-		m := map[deadlineEntry]bool{}
-		for _, e := range wheelEntries(w) {
-			m[e] = true
-		}
-		return m
-	}
-	actFiled, scanFiled := filed(&tr.actWheel), filed(&tr.scanWheel)
 
-	for i := range tr.store.recs {
-		f := &tr.store.recs[i]
-		if !f.inUse {
+	for i := int32(0); i < tr.store.n; i++ {
+		f := tr.store.at(i)
+		if !f.has(flagLive) {
 			continue
 		}
-		id := f.id
-		if f.actDl != 0 && !actFiled[f.handle(f.actDl)] {
+		id, pool := f.id, tr.poolOf(f)
+		if f.actDl != 0 && !ownsEntry(&tr.actWheel, f.handle(), f.actDl) {
 			t.Fatalf("flow %d has actDl=%d but no activity-wheel entry for it", id, f.actDl)
 		}
-		if f.scanDl != 0 && !scanFiled[f.handle(f.scanDl)] {
+		if f.scanDl != 0 && !ownsEntry(&tr.scanWheel, f.handle(), f.scanDl) {
 			t.Fatalf("flow %d has scanDl=%d but no scan-wheel entry for it", id, f.scanDl)
 		}
 		census[f.state]++
 		want := tr.wantCounted(f, now)
-		if f.counted != want {
+		if f.has(flagCounted) != want {
 			t.Fatalf("flow %d counted=%v, predicate says %v (now=%d lastPkt=%d epoch=%d state=%v)",
-				id, f.counted, want, now, f.lastPkt, f.epoch, f.state)
+				id, f.has(flagCounted), want, now, f.lastPkt, f.epoch, f.state)
 		}
-		if f.pool != packet.PoolNone {
-			poolRefs[f.pool]++
+		if pool != packet.PoolNone {
+			poolRefs[pool]++
 		}
-		if !f.counted {
+		if !f.has(flagCounted) {
 			continue
 		}
 		activeN++
-		if f.invTerm != invTermFor(f.epoch) {
-			t.Fatalf("flow %d stale invTerm %d, epoch %v implies %d",
-				id, f.invTerm, f.epoch, invTermFor(f.epoch))
-		}
-		invSumFx += f.invTerm
-		if f.pool == packet.PoolNone {
+		// The record stores no term: the sum must be exactly the terms
+		// the counted flows' current epochs imply.
+		invSumFx += invTermFor(f.epoch)
+		if pool == packet.PoolNone {
 			singles++
 		} else {
-			poolCur[f.pool]++
+			poolCur[pool]++
 		}
 	}
 	for pool, n := range poolCur {
@@ -121,7 +113,7 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 		t.Fatalf("activeN mismatch: naive %d, incremental %d", activeN, tr.activeN)
 	}
 	if invSumFx != tr.invSumFx {
-		t.Fatalf("invSumFx mismatch: naive %d, incremental %d", invSumFx, tr.invSumFx)
+		t.Fatalf("invSumFx mismatch: Σ invTermFor(epoch) over counted flows %d, incremental %d", invSumFx, tr.invSumFx)
 	}
 	if singles != tr.singles {
 		t.Fatalf("singles mismatch: naive %d, incremental %d", singles, tr.singles)
@@ -131,7 +123,7 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 	}
 	livePools := 0
 	for i := range tr.pools.recs {
-		if tr.pools.recs[i].inUse {
+		if tr.pools.recs[i].refs > 0 {
 			livePools++
 		}
 	}
@@ -153,24 +145,17 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 			t.Fatalf("pool %d cur=%d, naive count %d", pool, e.cur, poolCur[pool])
 		}
 	}
-	// Every live flow's poolSlot must resolve to its own pool's entry.
-	for i := range tr.store.recs {
-		f := &tr.store.recs[i]
-		if !f.inUse {
+	// Every pooled flow's poolSlot must pin a filed entry, and the
+	// index must resolve that entry's key back to the same slot.
+	for i := int32(0); i < tr.store.n; i++ {
+		f := tr.store.at(i)
+		if !f.has(flagLive) || f.poolSlot == idxEmpty {
 			continue
 		}
-		if f.pool == packet.PoolNone {
-			if f.poolSlot != idxEmpty {
-				t.Fatalf("pool-less flow %d holds poolSlot %d", f.id, f.poolSlot)
-			}
-			continue
-		}
-		if f.poolSlot == idxEmpty {
-			t.Fatalf("pooled flow %d has no poolSlot", f.id)
-		}
-		if e := &tr.pools.recs[f.poolSlot]; !e.inUse || e.key != f.pool {
-			t.Fatalf("flow %d poolSlot %d resolves to pool %d (inUse=%v), want %d",
-				f.id, f.poolSlot, e.key, e.inUse, f.pool)
+		e := &tr.pools.recs[f.poolSlot]
+		if slot, ok := tr.pools.idx.get(int32(e.key)); e.refs <= 0 || !ok || slot != f.poolSlot {
+			t.Fatalf("flow %d poolSlot %d resolves to pool %d (refs=%d), filed at (%d,%v)",
+				f.id, f.poolSlot, e.key, e.refs, slot, ok)
 		}
 	}
 }
@@ -249,6 +234,14 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 				q.Dequeue()
 				if now%(250*sim.Millisecond) == 0 {
 					checkTrackerEquivalence(t, q.tracker, eng.Now())
+					// A record derives its pool from the entry it pins:
+					// that must be the pool its packets carry.
+					for i := int32(0); i < q.tracker.store.n; i++ {
+						f := q.tracker.store.at(i)
+						if want := sc.poolOf(int(f.id) - 1); f.has(flagLive) && q.tracker.poolOf(f) != want {
+							t.Fatalf("flow %d derives pool %d, its packets carry %d", f.id, q.tracker.poolOf(f), want)
+						}
+					}
 				}
 				if len(q.tracker.store.free) > 0 {
 					evicted = true

@@ -2,8 +2,8 @@ package core
 
 import "taq/internal/packet"
 
-// flowStore owns every flowInfo record in one dense slice, indexed by
-// slot id. Records are recycled through a free list rather than freed,
+// flowStore owns every flowInfo record in dense pages, indexed by slot
+// id. Records are recycled through a free list rather than freed,
 // and each record carries a generation that release bumps, so a slot
 // handle (slot, gen) taken earlier — a deadline-wheel entry — is
 // detectably stale after the slot is recycled for another flow. The
@@ -11,17 +11,33 @@ import "taq/internal/packet"
 // probes instead of a Go map access and a pointer chase to a separately
 // heap-allocated record.
 //
-// Pointer discipline: &recs[slot] is stable for the lifetime of one
-// tracker operation — only alloc can grow recs, and no caller holds a
-// record pointer across a flow creation. Anything held longer (wheel
-// entries) stores the slot id and re-derives the pointer.
+// Records live in pages of recPageLen: every page but the last is
+// full, and the last grows by doubling up to a page, so the table
+// carries at most one partly filled page of slack at any size. (A
+// single slice grown by append would carry up to a quarter of itself,
+// wherever its capacity steps happen to fall: for the mbox-1m
+// benchmark's 585 k-flow table that is 0.2 % on one seed and 25 % on
+// the next.)
+//
+// Pointer discipline: a record pointer is stable for the lifetime of
+// one tracker operation — only alloc can move records (when it doubles
+// the last page), and no caller holds a record pointer across a flow
+// creation. Anything held longer (wheel entries) stores the slot id and
+// re-derives the pointer.
 //
 //taq:shardowned the flow-record arena; one per shard, never shared
 type flowStore struct {
-	recs []flowInfo
-	free []int32 // recycled slots, LIFO
-	idx  oaIndex // FlowID → slot
+	pages [][]flowInfo
+	n     int32   // slots handed out: the table's high-water mark
+	free  []int32 // recycled slots, LIFO
+	idx   oaIndex // FlowID → slot
 }
+
+// recPageBits sizes a record page: 4096 records, 672 KB.
+const (
+	recPageBits = 12
+	recPageLen  = 1 << recPageBits
+)
 
 // lookup returns the record tracking id, or nil.
 func (s *flowStore) lookup(id packet.FlowID) *flowInfo {
@@ -29,28 +45,45 @@ func (s *flowStore) lookup(id packet.FlowID) *flowInfo {
 	if !ok {
 		return nil
 	}
-	return &s.recs[slot]
+	return s.at(slot)
 }
 
 // alloc files a zeroed record for id (which must not be tracked) and
 // returns it. Recycled records keep their bumped generation so stale
 // wheel entries pointing at the old occupant stay invalid.
 func (s *flowStore) alloc(id packet.FlowID) *flowInfo {
-	var slot int32
+	var f *flowInfo
 	if n := len(s.free); n > 0 {
-		slot = s.free[n-1]
+		slot := s.free[n-1]
 		s.free = s.free[:n-1]
-		f := &s.recs[slot]
-		gen := f.gen // survives recycling; bumped at release
-		*f = flowInfo{}
-		f.gen = gen
+		f = s.at(slot)
+		*f = flowInfo{slot: slot, gen: f.gen} // gen survives recycling; bumped at release
 	} else {
-		slot = int32(len(s.recs))
-		s.recs = append(s.recs, flowInfo{}) //taq:allow noalloc amortized record-array growth; evicted slots are free-list recycled
+		f = s.grow()
 	}
-	f := &s.recs[slot]
-	f.id, f.slot, f.inUse = id, slot, true
-	s.idx.put(int32(id), slot)
+	f.id, f.flags = id, flagLive
+	s.idx.put(int32(id), f.slot)
+	return f
+}
+
+// grow appends a zeroed record in slot n to the last page, opening a
+// page when the last one is full.
+func (s *flowStore) grow() *flowInfo {
+	slot := s.n
+	s.n++
+	pg := int(slot >> recPageBits)
+	if pg == len(s.pages) {
+		s.pages = append(s.pages, nil) //taq:allow noalloc one page header per 4096 flows; evicted slots are free-list recycled
+	}
+	p := &s.pages[pg]
+	if n := len(*p); n == cap(*p) {
+		grown := make([]flowInfo, n, min(max(2*n, 16), recPageLen)) //taq:allow noalloc amortized page doubling, at most one partly filled page; evicted slots are free-list recycled
+		copy(grown, *p)
+		*p = grown
+	}
+	*p = (*p)[:len(*p)+1]
+	f := &(*p)[len(*p)-1]
+	f.slot = slot
 	return f
 }
 
@@ -60,13 +93,15 @@ func (s *flowStore) alloc(id packet.FlowID) *flowInfo {
 func (s *flowStore) release(f *flowInfo) {
 	s.idx.del(int32(f.id))
 	f.gen++
-	f.inUse = false
+	f.set(flagLive, false)
 	s.free = append(s.free, f.slot)
 }
 
 // at returns the record in slot, live or not — callers holding a
 // (slot, gen) handle check gen themselves.
-func (s *flowStore) at(slot int32) *flowInfo { return &s.recs[slot] }
+func (s *flowStore) at(slot int32) *flowInfo {
+	return &s.pages[slot>>recPageBits][slot&(recPageLen-1)]
+}
 
 // len returns the number of live (tracked) records.
 func (s *flowStore) len() int { return s.idx.n }
@@ -143,7 +178,7 @@ func (pt *poolTable) ref(pool packet.PoolID) int32 {
 		return slot
 	}
 	slot := pt.alloc(pool)
-	pt.recs[slot] = poolEntry{key: pool, refs: 1, inUse: true}
+	pt.recs[slot] = poolEntry{key: pool, refs: 1}
 	return slot
 }
 

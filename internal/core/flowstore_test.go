@@ -139,7 +139,7 @@ func TestFlowStoreRecycle(t *testing.T) {
 
 	var arena chunkArena
 	w := newDeadlineWheel(&arena, 10, 1000)
-	w.push(a.handle(100))
+	w.push(a.handle(), 100)
 
 	s.release(a)
 	if got := s.at(slot).gen; got != gen+1 {

@@ -4,26 +4,25 @@ import (
 	"taq/internal/sim"
 )
 
-// deadlineEntry is one lazily-deleted wheel entry: the flow in slot had
-// deadline dl when the entry was pushed, and gen was the record's
-// generation at that moment. Entries are never removed in place — a
-// flow whose deadline moves later, or that is evicted (its slot
-// recycled through the store's free list with a bumped generation),
-// simply leaves a stale entry behind. Drain visitors resolve the slot
-// back to a record, validate gen, and re-derive the live deadline, so a
-// stale entry costs one visit and nothing else. Storing the 4-byte slot
-// id instead of a *flowInfo keeps the entry at 16 bytes and
-// pointer-free: the wheel never extends a record's lifetime and is safe
-// across record-array growth.
-type deadlineEntry struct {
-	dl   sim.Time
+// wheelEntry is one lazily-deleted wheel entry: the flow in slot, as of
+// generation gen. It carries no deadline — the record's mirror (actDl
+// or scanDl) is the flow's one live deadline on each wheel, and the
+// drain visitor decides every walked entry from it. Entries are never
+// removed in place — a flow whose deadline moves, or that is evicted
+// (its slot recycled through the store's free list with a bumped
+// generation), simply leaves a stale entry behind, which costs one
+// visit and nothing else. Storing the 4-byte slot id instead of a
+// *flowInfo keeps the entry at 8 bytes and pointer-free: the wheel
+// never extends a record's lifetime and is safe across record-array
+// growth.
+type wheelEntry struct {
 	slot int32
 	gen  uint32
 }
 
-// handle returns the entry that files f under deadline dl.
-func (f *flowInfo) handle(dl sim.Time) deadlineEntry {
-	return deadlineEntry{dl: dl, slot: f.slot, gen: f.gen}
+// handle returns the entry that files f on a wheel.
+func (f *flowInfo) handle() wheelEntry {
+	return wheelEntry{slot: f.slot, gen: f.gen}
 }
 
 // chunkEntries is the one design number of the wheel: entries per
@@ -31,8 +30,8 @@ func (f *flowInfo) handle(dl sim.Time) deadlineEntry {
 // chunk must be small enough that a 60-flow tracker's two wheels stay
 // in tens of KB (127-entry chunks tripled that tracker's heap), and
 // large enough that a million-flow slot is a short chain of full cache
-// lines. Seven entries plus the header is 128 bytes — two lines.
-const chunkEntries = 7
+// lines. Fifteen entries plus the header is 128 bytes — two lines.
+const chunkEntries = 15
 
 // wheelChunk is a fixed-size run of entries on one wheel slot's chain
 // (or on the arena's free list). Chunks name each other by arena id,
@@ -41,10 +40,9 @@ const chunkEntries = 7
 //
 //taq:shardowned deadline chunks index the shard's own flow slots
 type wheelChunk struct {
-	e    [chunkEntries]deadlineEntry
+	e    [chunkEntries]wheelEntry
 	n    int32 // entries in use
 	next int32 // id of the next chunk on the chain or free list; 0 ends it
-	_    [8]byte
 }
 
 // chunkArena is the per-tracker pool both deadline wheels draw their
@@ -90,22 +88,26 @@ func (a *chunkArena) put(id int32) {
 // drain), it only re-files the far entries once per revolution.
 const maxWheelSlots = 1 << 16
 
-// deadlineWheel is a hashed timing wheel over deadlineEntry: slot
-// (dl/width)&mask holds a chain of chunks, push is O(1), and drain
-// hands over every entry whose deadline has passed. It replaces a
+// deadlineWheel is a hashed timing wheel over wheelEntry: an entry
+// pushed under deadline dl is filed in slot (dl/width)&mask, a chain of
+// chunks; push is O(1), and drain hands the entries of every slot up
+// to now to a visitor that decides each from its record. It replaces a
 // min-heap because neither consumer needs order: both run at scan
 // cadence, the scan sorts its due list by flow id and the activity
 // pass's per-entry effects commute, so only the due set matters — and
-// that is decided by the exact dl < now comparison, never by the slot
-// an entry sits in. The slot mapping, the horizon and the revolutions
-// are an index that bounds how many entries a drain looks at.
+// the visitor decides that with the exact mirror < now comparison,
+// never by the slot an entry sits in. The slot mapping, the horizon
+// and the revolutions are an index that bounds how many entries a
+// drain looks at.
 //
 // cur is the watermark: every slot before it has been drained of the
 // entries that mapped to it. A push whose deadline already lies behind
 // the watermark is filed in slot cur, so the next drain still finds it.
-// low is a lower bound on every deadline held, which lets a drain that
-// can find nothing due — a gauge read between two scans — return
-// without walking the current slot again.
+// So a flow's live entry is in the slot of its deadline or, if that
+// was behind the watermark at the push, in slot cur. low is a lower
+// bound on every deadline pushed and not yet drained, which lets a
+// drain that can find nothing due — a gauge read between two scans —
+// return without walking the current slot again.
 //
 //taq:shardowned deadline wheels index the shard's own flow slots
 type deadlineWheel struct {
@@ -131,13 +133,14 @@ func newDeadlineWheel(a *chunkArena, width, span sim.Time) deadlineWheel {
 	return deadlineWheel{arena: a, heads: make([]int32, slots), width: width, mask: slots - 1}
 }
 
-func (w *deadlineWheel) push(e deadlineEntry) {
-	s := int64(e.dl / w.width)
-	if e.dl < sim.Time(w.cur)*w.width {
+// push files e under deadline dl.
+func (w *deadlineWheel) push(e wheelEntry, dl sim.Time) {
+	s := int64(dl / w.width)
+	if dl < sim.Time(w.cur)*w.width {
 		s = w.cur
 	}
-	if e.dl < w.low {
-		w.low = e.dl
+	if dl < w.low {
+		w.low = dl
 	}
 	head := &w.heads[s&w.mask]
 	if *head == 0 || w.arena.chunks[*head-1].n == chunkEntries {
@@ -150,13 +153,19 @@ func (w *deadlineWheel) push(e deadlineEntry) {
 }
 
 // drain advances the watermark to now and calls visit for every entry
-// with dl < now, in no particular order; the others it walks past are
-// re-filed. It walks the slots from the old watermark to the one
-// holding now-1 — each of them once when the gap exceeds a revolution —
-// and detaches a slot's chain before visiting it, so visit may push.
-// (An entry visit pushes that is itself already due is not lost: it is
+// on the slots from the old watermark to the one holding now-1 — each
+// of them once when the gap exceeds a revolution — in no particular
+// order. It detaches a slot's chain before visiting it, so visit may
+// push. visit handles a due entry and returns 0, drops a stale one by
+// returning 0, and returns the live deadline of an entry that is not
+// due yet; drain re-files that entry when the deadline maps to the
+// slot being walked (a later revolution, or the part of the current
+// slot after now) and drops it otherwise — the flow's live entry is
+// then filed in the deadline's own slot. Every live deadline that has
+// passed lies on a walked slot, so every due flow is visited. (An
+// entry visit pushes that is itself already due is not lost: it is
 // visited by this drain or the next one.)
-func (w *deadlineWheel) drain(now sim.Time, visit func(deadlineEntry)) {
+func (w *deadlineWheel) drain(now sim.Time, visit func(wheelEntry) sim.Time) {
 	first := w.cur
 	if s := int64(now / w.width); s > first {
 		w.cur = s
@@ -164,7 +173,7 @@ func (w *deadlineWheel) drain(now sim.Time, visit func(deadlineEntry)) {
 	if w.n == 0 || now <= w.low {
 		return
 	}
-	w.low = now // what stays is not due; re-filing and visit's pushes may lower it
+	w.low = now // unwalked slots hold no deadline before now; re-filing and visit's pushes may lower it
 	last := min(max(int64((now-sim.Nanosecond)/w.width), first), first+w.mask)
 	a := w.arena
 	for s := first; s <= last; s++ {
@@ -175,10 +184,8 @@ func (w *deadlineWheel) drain(now sim.Time, visit func(deadlineEntry)) {
 			a.put(id)
 			w.n -= int(c.n)
 			for _, e := range c.e[:c.n] {
-				if e.dl < now {
-					visit(e)
-				} else {
-					w.push(e)
+				if dl := visit(e); dl != 0 && int64(dl/w.width)&w.mask == s&w.mask {
+					w.push(e, dl)
 				}
 			}
 			id = c.next

@@ -12,8 +12,8 @@ import (
 )
 
 // wheelEntries returns every entry w holds, walking the slot chains.
-func wheelEntries(w *deadlineWheel) []deadlineEntry {
-	var out []deadlineEntry
+func wheelEntries(w *deadlineWheel) []wheelEntry {
+	var out []wheelEntry
 	for _, id := range w.heads {
 		for ; id != 0; id = w.arena.chunks[id-1].next {
 			c := &w.arena.chunks[id-1]
@@ -23,13 +23,18 @@ func wheelEntries(w *deadlineWheel) []deadlineEntry {
 	return out
 }
 
-func sortEntries(es []deadlineEntry) {
-	slices.SortFunc(es, func(a, b deadlineEntry) int {
-		if a.dl != b.dl {
-			return int(a.dl - b.dl)
+// ownsEntry reports whether w files e where the entry of a live
+// deadline dl must be: in dl's own slot, or in the watermark slot when
+// dl lies behind it.
+func ownsEntry(w *deadlineWheel, e wheelEntry, dl sim.Time) bool {
+	s := max(int64(dl/w.width), w.cur)
+	for id := w.heads[s&w.mask]; id != 0; id = w.arena.chunks[id-1].next {
+		c := &w.arena.chunks[id-1]
+		if slices.Contains(c.e[:c.n], e) {
+			return true
 		}
-		return int(a.slot) - int(b.slot)
-	})
+	}
+	return false
 }
 
 // checkArenaAccounting verifies that every chunk of a is on exactly one
@@ -75,17 +80,71 @@ func checkArenaAccounting(t *testing.T, a *chunkArena, wheels ...*deadlineWheel)
 	}
 }
 
-// wheelModel drives one deadlineWheel and a naive slice side by side
-// from a byte string. Two bytes make an op:
+// wheelFlows stands in for the tracker's records in the wheel tests: a
+// generation and a mirror deadline per slot (0 = disarmed).
+type wheelFlows struct {
+	gen    []uint32
+	mirror []sim.Time
+}
+
+func newWheelFlows(n int) *wheelFlows {
+	return &wheelFlows{gen: make([]uint32, n), mirror: make([]sim.Time, n)}
+}
+
+// arm files slot's flow on w under dl and makes dl its mirror.
+func (fl *wheelFlows) arm(w *deadlineWheel, slot int32, dl sim.Time) {
+	w.push(wheelEntry{slot: slot, gen: fl.gen[slot]}, dl)
+	fl.mirror[slot] = dl
+}
+
+// visitor is the tracker's drain visitor over these records: a stale
+// entry is dropped, a passed mirror is disarmed and handed to due, a
+// pending one goes back to drain.
+func (fl *wheelFlows) visitor(now sim.Time, due func(slot int32)) func(wheelEntry) sim.Time {
+	return func(e wheelEntry) sim.Time {
+		m := fl.mirror[e.slot]
+		if fl.gen[e.slot] != e.gen || m == 0 {
+			return 0
+		}
+		if m >= now {
+			return m
+		}
+		fl.mirror[e.slot] = 0
+		due(e.slot)
+		return 0
+	}
+}
+
+// checkMirrorsOwned fails unless every armed mirror owns its entry.
+func (fl *wheelFlows) checkMirrorsOwned(t *testing.T, w *deadlineWheel, op int) {
+	t.Helper()
+	for i, m := range fl.mirror {
+		e := wheelEntry{slot: int32(i), gen: fl.gen[i]}
+		if m != 0 && !ownsEntry(w, e, m) {
+			t.Fatalf("op %d: flow %d armed at %d has no entry in slot %d (watermark %d): %v",
+				op, i, m, max(int64(m/w.width), w.cur), w.cur, wheelEntries(w))
+		}
+	}
+}
+
+// wheelModel drives one deadlineWheel over eight stand-in records from a
+// byte string. Two bytes make an op; f = (b0>>2)&7 names a flow:
 //
-//	b0&3 = 0,1  push at now+δ, δ in [-2 widths, 3 wheel spans]
-//	b0&3 = 2,3  drain; (b0>>2)&3 picks how now moves first: stall, a
-//	            fraction of a width, a few widths, or past the whole
-//	            wheel; on 3, visit pushes a follow-up entry (at or
-//	            after now) for the first few entries it is handed
+//	b0&3 = 0  push f at now+δ, δ in [-2 widths, 3 wheel spans]
+//	          ((b0>>5)<<8|b1 picks it), and arm f's mirror there — a
+//	          later push leaves an earlier stale entry, a second push
+//	          into one slot two entries of one flow
+//	b0&3 = 1  evict f: bump its generation and disarm it, stranding its
+//	          entries as a recycled slot's
+//	b0&3 = 2,3 drain; (b0>>2)&3 picks how now moves first: stall, a
+//	          fraction of a width, a few widths, or past the whole
+//	          wheel; on 3, visit re-arms the first 1+(b0>>4)&7 due
+//	          flows at or after now
 //
-// After every drain the visited multiset, what stays filed, the count n and
-// the arena accounting must agree with the model.
+// After every op every armed mirror must own an entry in its own slot
+// or in the watermark slot, and n and the arena accounting must hold;
+// after every drain each flow whose mirror had passed must have been
+// handled exactly once, and no other.
 func wheelModel(t *testing.T, width sim.Time, slots int, data []byte) {
 	t.Helper()
 	var arena chunkArena
@@ -95,68 +154,53 @@ func wheelModel(t *testing.T, width sim.Time, slots int, data []byte) {
 		t.Fatalf("wheel has %d slots, want %d", len(w.heads), slots)
 	}
 	rev := width * sim.Time(slots)
-	var model []deadlineEntry
+	fl := newWheelFlows(8)
 	var now sim.Time
-	var nextID int32
-	push := func(dl sim.Time) {
-		e := deadlineEntry{dl: dl, slot: nextID, gen: uint32(nextID) * 7}
-		nextID++
-		w.push(e)
-		model = append(model, e)
-	}
 	for i := 0; i+1 < len(data); i += 2 {
 		b0, b1 := data[i], data[i+1]
-		arg := sim.Time(b0>>2)<<8 | sim.Time(b1)
-		if b0&3 < 2 {
-			push(now - 2*width + arg%(3*rev+2*width+1))
-			if w.n != len(model) {
-				t.Fatalf("op %d: n = %d after push, model holds %d", i/2, w.n, len(model))
-			}
-			continue
-		}
-		switch (b0 >> 2) & 3 {
+		f := int32(b0>>2) & 7
+		switch b0 & 3 {
+		case 0:
+			arg := sim.Time(b0>>5)<<8 | sim.Time(b1)
+			fl.arm(&w, f, max(now-2*width+arg%(3*rev+2*width+1), 1))
 		case 1:
-			now += sim.Time(b1) % width
-		case 2:
-			now += sim.Time(b1) * width / 16
-		case 3:
-			now += rev + sim.Time(b1)*width
-		}
-		var want, keep []deadlineEntry
-		for _, e := range model {
-			if e.dl < now {
-				want = append(want, e)
-			} else {
-				keep = append(keep, e)
+			fl.gen[f]++
+			fl.mirror[f] = 0
+		default:
+			switch (b0 >> 2) & 3 {
+			case 1:
+				now += sim.Time(b1) % width
+			case 2:
+				now += sim.Time(b1) * width / 16
+			case 3:
+				now += rev + sim.Time(b1)*width
+			}
+			var want []int32
+			for j, m := range fl.mirror {
+				if m != 0 && m < now {
+					want = append(want, int32(j))
+				}
+			}
+			budget := 0
+			if b0&3 == 3 {
+				budget = 1 + int(b0>>4)&7
+			}
+			var got []int32
+			w.drain(now, fl.visitor(now, func(slot int32) {
+				got = append(got, slot)
+				if budget > 0 {
+					budget--
+					fl.arm(&w, slot, now+sim.Time(b1)*width/8+sim.Time(slot))
+				}
+			}))
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("op %d: drain(%d) handled flows %v, mirrors say %v", i/2, now, got, want)
 			}
 		}
-		model = keep
-		var got []deadlineEntry
-		budget := 0
-		if b0&3 == 3 {
-			budget = 1 + int(b1&7)
-		}
-		w.drain(now, func(e deadlineEntry) {
-			got = append(got, e)
-			if budget > 0 {
-				budget--
-				push(now + ((e.dl+arg)%(2*rev)+2*rev)%(2*rev))
-			}
-		})
-		sortEntries(got)
-		sortEntries(want)
-		if !slices.Equal(got, want) {
-			t.Fatalf("op %d: drain(%d) visited %v, model says %v", i/2, now, got, want)
-		}
-		filed := wheelEntries(&w)
-		sortEntries(filed)
-		sortEntries(model)
-		if !slices.Equal(filed, model) {
-			t.Fatalf("op %d: after drain(%d) wheel files %v, model holds %v", i/2, now, filed, model)
-		}
+		fl.checkMirrorsOwned(t, &w, i/2)
 		checkArenaAccounting(t, &arena, &w)
 	}
-	checkArenaAccounting(t, &arena, &w)
 }
 
 // TestDeadlineWheelMatchesModel runs seeded random op strings through
@@ -187,27 +231,27 @@ func FuzzDeadlineWheel(f *testing.F) {
 }
 
 // TestDeadlineWheelDuePushFromVisit pins what the drain contract says
-// about an entry that visit pushes already overdue: it is handed over
-// by the same drain or by the next one, never lost behind the
-// watermark.
+// about an entry that visit pushes already overdue: it is handled by
+// the same drain or by the next one, never lost behind the watermark.
 func TestDeadlineWheelDuePushFromVisit(t *testing.T) {
 	for _, now := range []sim.Time{300, 350} {
 		var arena chunkArena
 		w := newDeadlineWheel(&arena, 100, 600)
-		w.push(deadlineEntry{dl: 120, slot: 1})
-		w.push(deadlineEntry{dl: 290, slot: 2})
+		fl := newWheelFlows(13)
+		fl.arm(&w, 1, 120)
+		fl.arm(&w, 2, 290)
 		seen := map[int32]int{}
-		visit := func(e deadlineEntry) {
-			seen[e.slot]++
-			if e.slot <= 2 {
-				w.push(deadlineEntry{dl: 10, slot: e.slot + 10})
+		visit := fl.visitor(now, func(slot int32) {
+			seen[slot]++
+			if slot <= 2 {
+				fl.arm(&w, slot+10, 10)
 			}
-		}
+		})
 		w.drain(now, visit)
 		w.drain(now, visit)
 		for _, slot := range []int32{1, 2, 11, 12} {
 			if seen[slot] != 1 {
-				t.Errorf("now=%d: entry %d visited %d times, want 1", now, slot, seen[slot])
+				t.Errorf("now=%d: flow %d handled %d times, want 1", now, slot, seen[slot])
 			}
 		}
 		if w.n != 0 {
@@ -228,13 +272,13 @@ func TestDeadlineWheelArenaRecycles(t *testing.T) {
 	for cycle := 0; cycle < 10; cycle++ {
 		at := sim.Time(cycle) * 5000
 		for i := 0; i < n; i++ {
-			w.push(deadlineEntry{dl: at + 150, slot: int32(i)})
+			w.push(wheelEntry{slot: int32(i)}, at+150)
 		}
 		if cycle == 0 {
 			highWater = len(arena.chunks)
 		}
 		visited := 0
-		w.drain(at+200, func(deadlineEntry) { visited++ })
+		w.drain(at+200, func(wheelEntry) sim.Time { visited++; return 0 })
 		if visited != n || w.n != 0 {
 			t.Fatalf("cycle %d: visited %d of %d, %d left", cycle, visited, n, w.n)
 		}

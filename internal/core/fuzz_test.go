@@ -59,15 +59,15 @@ func FuzzTrackerTransitions(f *testing.F) {
 				tr.scan()
 			}
 
-			for i := range tr.store.recs {
-				fl := &tr.store.recs[i]
-				if !fl.inUse {
+			for i := int32(0); i < tr.store.n; i++ {
+				fl := tr.store.at(i)
+				if !fl.has(flagLive) {
 					continue
 				}
 				if int(fl.state) >= numFlowStates {
 					t.Fatalf("flow %d in undeclared state %d", fl.id, fl.state)
 				}
-				if slot, ok := tr.store.idx.get(int32(fl.id)); !ok || slot != int32(i) {
+				if slot, ok := tr.store.idx.get(int32(fl.id)); !ok || slot != i {
 					t.Fatalf("flow %d in slot %d indexed as (%d,%v)", fl.id, i, slot, ok)
 				}
 				if fl.epoch <= 0 {

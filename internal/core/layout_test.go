@@ -19,14 +19,15 @@ func TestRecordLayout(t *testing.T) {
 		what      string
 		got, want uintptr
 	}{
-		{"sizeof(flowInfo)", unsafe.Sizeof(f), 200},
-		// The per-packet hot core is [0, end of invTerm).
-		{"end of flowInfo.invTerm", unsafe.Offsetof(f.invTerm) + unsafe.Sizeof(f.invTerm), 136},
-		{"sizeof(deadlineEntry)", unsafe.Sizeof(deadlineEntry{}), 16},
+		{"sizeof(flowInfo)", unsafe.Sizeof(f), 168},
+		// The per-packet hot core is [0, end of rateEWMA).
+		{"end of flowInfo.rateEWMA", unsafe.Offsetof(f.rateEWMA) + unsafe.Sizeof(f.rateEWMA), 112},
+		{"sizeof(wheelEntry)", unsafe.Sizeof(wheelEntry{}), 8},
 		// A wheel chunk is two whole cache lines: a power of two, so
 		// chunks in the arena never straddle a third.
 		{"sizeof(wheelChunk)", unsafe.Sizeof(wheelChunk{}), 128},
-		{"sizeof(poolEntry)", unsafe.Sizeof(poolEntry{}), 32},
+		{"chunkEntries", chunkEntries, 15},
+		{"sizeof(poolEntry)", unsafe.Sizeof(poolEntry{}), 24},
 		// The index header is exactly one cache line; the tracker is
 		// padded to whole lines so shard headers never share one.
 		{"sizeof(oaIndex)", unsafe.Sizeof(oaIndex{}), 64},

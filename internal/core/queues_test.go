@@ -169,12 +169,10 @@ func TestProportionalFairShare(t *testing.T) {
 	q.Enqueue(synPkt(2, packet.PoolNone))
 	fa := q.tracker.get(1)
 	fb := q.tracker.get(2)
-	fa.epoch = 100 * sim.Millisecond
-	fb.epoch = 400 * sim.Millisecond
-	// Direct epoch edits bypass observe(); resync the incremental
-	// inverse-epoch sum the scan reads.
-	q.tracker.reconcile(fa)
-	q.tracker.reconcile(fb)
+	// setEpoch is the one epoch writer: it keeps the incremental
+	// inverse-epoch sum the scan reads in step.
+	q.tracker.setEpoch(fa, 100*sim.Millisecond)
+	q.tracker.setEpoch(fb, 400*sim.Millisecond)
 	e.RunUntil(300 * sim.Millisecond) // let a scan cache invEpochSum
 	sa := q.flowFairShare(fa)
 	sb := q.flowFairShare(fb)

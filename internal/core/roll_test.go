@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"taq/internal/packet"
 	"taq/internal/sim"
 )
 
@@ -17,7 +18,7 @@ func rollLoop(f *flowInfo, now sim.Time) (closings, multiplies int) {
 	for now >= f.epochStart+f.epoch {
 		seconds := f.epoch.Seconds()
 		if seconds > 0 {
-			inst := f.bytes * 8 / seconds
+			inst := float64(f.bytes) * 8 / seconds
 			next := 0.875*f.rateEWMA + 0.125*inst
 			if next != f.rateEWMA {
 				multiplies++
@@ -26,7 +27,7 @@ func rollLoop(f *flowInfo, now sim.Time) (closings, multiplies int) {
 		}
 		f.prevNewPkts = f.newPkts
 		f.prevDrops = f.drops
-		f.newPkts, f.rtxPkts, f.drops, f.bytes = 0, 0, 0, 0
+		f.newPkts, f.drops, f.bytes = 0, 0, 0
 		f.epochStart += f.epoch
 		f.epochs++
 		if f.protectEpochs > 0 {
@@ -47,8 +48,7 @@ func catchUpLoop(f *flowInfo, x sim.Time) {
 
 func sameRecord(a, b *flowInfo) bool {
 	return *a == *b &&
-		math.Float64bits(a.rateEWMA) == math.Float64bits(b.rateEWMA) &&
-		math.Float64bits(a.bytes) == math.Float64bits(b.bytes)
+		math.Float64bits(a.rateEWMA) == math.Float64bits(b.rateEWMA)
 }
 
 // TestRollFastForwardMatchesLoop drives seeded random records through
@@ -75,12 +75,11 @@ func TestRollFastForwardMatchesLoop(t *testing.T) {
 		for call := 0; call < 4; call++ {
 			// What a packet (or a drop) between two catch-ups leaves.
 			a.newPkts += int32(rng.Intn(4))
-			a.rtxPkts += int32(rng.Intn(2))
 			a.drops += int32(rng.Intn(3))
-			a.bytes += float64(rng.Intn(3) * 500)
-			a.protectEpochs = int32(rng.Intn(6))
-			b.newPkts, b.rtxPkts, b.drops, b.bytes, b.protectEpochs =
-				a.newPkts, a.rtxPkts, a.drops, a.bytes, a.protectEpochs
+			a.bytes += uint32(rng.Intn(3) * 500)
+			a.protectEpochs = uint8(rng.Intn(6))
+			b.newPkts, b.drops, b.bytes, b.protectEpochs =
+				a.newPkts, a.drops, a.bytes, a.protectEpochs
 
 			k := spans[rng.Intn(len(spans))]
 			if k == 1_000_000 {
@@ -143,7 +142,8 @@ func TestRollBoundedAfterLongSilence(t *testing.T) {
 
 	// 10^13 epochs: only a roll whose work is bounded by the decay, not
 	// by the span, comes back before the test binary's deadline. The
-	// expectation is the reference after the decay plus closed forms.
+	// expectation is the reference after the decay plus closed forms;
+	// the epoch count saturates (TestRollEpochsSaturate).
 	huge := start
 	huge.epoch = sim.Nanosecond
 	want := huge
@@ -153,9 +153,36 @@ func TestRollBoundedAfterLongSilence(t *testing.T) {
 		t.Fatalf("reference rate %g is still decaying after 8192 epochs", want.rateEWMA)
 	}
 	want.epochStart = k * sim.Nanosecond
-	want.epochs = start.epochs + int32(k%(1<<32))
+	want.epochs = math.MaxInt32
 	huge.roll(k * sim.Nanosecond)
 	if !sameRecord(&huge, &want) {
 		t.Fatalf("10^13 epochs diverged\nfast %+v\nwant %+v", huge, want)
+	}
+}
+
+// TestRollEpochsSaturate is the two-way-mode wrap: a 1 ns epoch silent
+// for 3.2 s closes k = 3·2^30 epochs in one fast-forward, which an
+// int32 add wraps negative — and classify then files a long-running
+// flow's next packet as new. The count saturates instead, so the flow
+// stays old however long the silence, and a later roll keeps it there.
+func TestRollEpochsSaturate(t *testing.T) {
+	eng := sim.NewEngine(1)
+	q := newTestShard(eng, DefaultConfig(10_000_000, 50))
+	f := &flowInfo{
+		epoch: sim.Nanosecond, epochs: 7, highSeq: 100,
+		state: StateSlowStart, flags: flagGotData, poolSlot: idxEmpty,
+	}
+	const k = 3 << 30
+	f.roll(k * sim.Nanosecond)
+	if f.epochs != math.MaxInt32 {
+		t.Fatalf("after %d closings epochs = %d, want saturated at %d", k, f.epochs, math.MaxInt32)
+	}
+	p := &packet.Packet{Flow: 1, Kind: packet.Data, Seq: 101, Size: 500}
+	if c := q.classify(p, f, false); c == ClassNewFlow {
+		t.Fatalf("a flow %d epochs old classified %v", k, c)
+	}
+	f.roll(k*sim.Nanosecond + 5*sim.Nanosecond)
+	if f.epochs != math.MaxInt32 {
+		t.Fatalf("a roll past saturation left epochs = %d", f.epochs)
 	}
 }

@@ -228,10 +228,10 @@ func (t *TAQ) victimScore(fl packet.FlowID) float64 {
 // the configured fairness model.
 func (t *TAQ) flowFairShare(f *flowInfo) float64 {
 	if t.cfg.PoolFairShare && t.poolShare > 0 {
-		if f.pool == packet.PoolNone {
+		if f.poolSlot == idxEmpty {
 			return t.poolShare
 		}
-		n := t.tracker.poolCount(f.pool)
+		n := t.tracker.poolCount(f)
 		if n < 1 {
 			n = 1
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 
 	"taq/internal/obs"
@@ -65,30 +66,33 @@ func (s FlowState) String() string {
 func StateLabels() []string { return labelColumn(stateLabels[:]) }
 
 // flowInfo is the per-flow record the middlebox maintains (§3.3: new
-// packets per epoch, highest sequence number, retransmitted packets,
-// losses in the previous epoch — plus the state-machine bookkeeping).
+// packets per epoch, highest sequence number, losses in the previous
+// epoch — plus the state-machine bookkeeping).
 //
 // Records live in the flowStore's flat slice, not behind individual
-// heap pointers, so the layout is packed for that shape: a 32-byte
-// identity/flag header, then the per-packet hot core (epoch clocks,
-// epoch counters, deadlines), then the warm silence/recovery fields,
-// then the cold two-way RTT sampler. Counters are int32 — packet and
-// epoch counts per flow never approach 2^31 (epochs at the 200 ms
-// default would take 13 years) — and sequence numbers mirror
-// packet.Packet's int Seq but saturate far below 2^31 in every
-// workload the simulator can express. sim.Time fields stay int64:
+// heap pointers, so the layout is packed for that shape and for a
+// million of them: a 20-byte identity/flag header, then the per-packet
+// hot core (the int32 epoch counters, then the epoch clocks, deadlines
+// and rate), then the warm silence/recovery fields, then the cold
+// two-way RTT sampler. Nothing is stored that can be derived: the pool
+// is the key of the pool entry poolSlot pins, and a counted flow's
+// share of the inverse-epoch sum is invTermFor(epoch), kept exact by
+// setEpoch. Counters are int32 — packet counts per flow never approach
+// 2^31, and the epoch count saturates (addEpochs) — and sequence
+// numbers mirror packet.Packet's int Seq but saturate far below 2^31
+// in every workload the simulator can express. bytes saturates at
+// 4 GiB per epoch (DESIGN.md §7). sim.Time fields stay int64:
 // narrowing timestamps would change behavior.
 //
-// TestRecordLayout holds the record at its current 200 bytes and the
-// per-packet hot core (identity header plus the epoch/counter section
-// through invTerm) at [0, 136); a field added or reordered here is a
-// deliberate layout decision, not a drive-by.
+// TestRecordLayout holds the record at its current 168 bytes and the
+// per-packet hot core (identity header through rateEWMA) at [0, 112);
+// a field added or reordered here is a deliberate layout decision, not
+// a drive-by.
 //
 //taq:shardowned per-flow record, owned by the tracker's flow store
 type flowInfo struct {
 	// Identity and slot plumbing (read on every lookup).
-	id   packet.FlowID
-	pool packet.PoolID
+	id packet.FlowID
 	// slot is this record's index in the flowStore; poolSlot is the
 	// pool's entry in the tracker's poolTable (idxEmpty for pool-less
 	// flows). Both are stable for the record's tracked lifetime.
@@ -103,51 +107,48 @@ type flowInfo struct {
 	// assigned (-1 before the first classification), so class-change
 	// trace events fire only on actual changes.
 	lastClass int8
-	gotData   bool
-	// counted reports whether this flow is currently included in the
-	// tracker's active-flow aggregates.
-	counted bool
-	// inUse distinguishes live records from free-listed ones when the
-	// store's record array is walked directly (tests, debug).
-	inUse        bool
-	awaitingData bool // upstream RTT half armed
-	twoWay       bool // two-way samples are feeding the epoch
+	flags     flowFlags
+	// protectEpochs counts down epochs during which a flow that just
+	// recovered keeps elevated (OverPenalized-queue) protection: the
+	// loss of the first new packets after a timeout escalates the
+	// remembered backoff (§4.1), so they must not be the next victims.
+	// It is set to 2 and only counts down.
+	protectEpochs uint8
 
-	// Per-packet hot core: epoch (middlebox-perceived RTT) estimation
-	// and the current-/previous-epoch counters.
+	// Per-packet hot core: the current-/previous-epoch counters, then
+	// epoch (middlebox-perceived RTT) estimation, deadlines and rate.
+	newPkts, prevNewPkts int32
+	drops, prevDrops     int32
+	epochs               int32 // epochs observed since creation, saturating
+	highSeq              int32 // highest data sequence observed
+	// outstandingDrops counts packets TAQ dropped that have not yet
+	// been seen retransmitted.
+	outstandingDrops int32
+	bytes            uint32 // bytes forwarded-or-queued this epoch, saturating
+	// sampleSeq is the data segment awaiting its ack (-1 when idle),
+	// read on every forwarded packet; it fills the int32 run.
+	sampleSeq int32
+
+	// epoch is written only through tracker.setEpoch.
 	epoch      sim.Time
 	epochStart sim.Time
 	// rolledTo is the time through which the flow's epoch counters
 	// have been rolled (see catchUp).
 	rolledTo sim.Time
 	lastPkt  sim.Time // last packet observed (any kind)
-
-	newPkts, prevNewPkts int32
-	rtxPkts              int32
-	drops, prevDrops     int32
-	epochs               int32 // epochs observed since creation
-	highSeq              int32 // highest data sequence observed
-	// outstandingDrops counts packets TAQ dropped that have not yet
-	// been seen retransmitted.
-	outstandingDrops int32
-
-	bytes float64 // bytes forwarded-or-queued this epoch
+	// actDl and scanDl mirror the earliest live entry for this flow on
+	// the activity and scan wheels (0 = none); pushes are elided
+	// unless they move the earliest deadline, and a drain decides each
+	// walked entry from them (see advanceActivity).
+	actDl, scanDl sim.Time
 	// rateEWMA estimates the flow's throughput in bits/second.
 	rateEWMA float64
-	// actDl and scanDl mirror the earliest live entry for this flow on
-	// the activity and scan wheels (0 = none); pushes are
-	// elided unless they move the earliest deadline, bounding stale
-	// entries.
-	actDl, scanDl sim.Time
-	// invTerm is the fixed-point inverse-epoch term this flow
-	// contributes to invSumFx while counted.
-	invTerm int64
 
 	// Warm: silence and recovery bookkeeping.
 
 	// synBurst is a union: until the first data packet it holds the
 	// SYN time (seeding the epoch estimate from the SYN→data gap);
-	// once gotData is set it holds the start of the current packet
+	// once flagGotData is set it holds the start of the current packet
 	// burst. The two uses never overlap — the SYN time is read only
 	// in the first-data branch, and burst tracking starts there.
 	synBurst     sim.Time
@@ -156,12 +157,6 @@ type flowInfo struct {
 	// silence episode; it keys the Recovery queue priority for the
 	// whole retransmission burst that follows the silence.
 	lastSilence sim.Time
-	// protectEpochs counts down epochs during which a flow that just
-	// recovered keeps elevated (OverPenalized-queue) protection: the
-	// loss of the first new packets after a timeout escalates the
-	// remembered backoff (§4.1), so they must not be the next victims.
-	protectEpochs int32
-	sampleSeq     int32 // data segment awaiting its ack; -1 when idle
 
 	// Cold: two-way RTT sampling (§3.3 "conventional mode": TAQ
 	// observes two-way traffic, making it relatively easy to estimate
@@ -172,6 +167,34 @@ type flowInfo struct {
 	downRTT   sim.Time // EWMA of the downstream half
 	upRTT     sim.Time // EWMA of the upstream half
 	lastAckAt sim.Time // when the last returning ack was observed
+}
+
+// flowFlags are the record's booleans, one bit each.
+type flowFlags uint8
+
+const (
+	// flagLive distinguishes live records from free-listed ones when
+	// the store's record array is walked directly (tests, debug).
+	flagLive flowFlags = 1 << iota
+	// flagGotData: the flow's first data packet has been seen.
+	flagGotData
+	// flagCounted: the flow is included in the tracker's active-flow
+	// aggregates.
+	flagCounted
+	// flagAwaitingData: the upstream RTT half is armed.
+	flagAwaitingData
+	// flagTwoWay: two-way samples are feeding the epoch.
+	flagTwoWay
+)
+
+func (f *flowInfo) has(b flowFlags) bool { return f.flags&b != 0 }
+
+func (f *flowInfo) set(b flowFlags, on bool) {
+	if on {
+		f.flags |= b
+	} else {
+		f.flags &^= b
+	}
 }
 
 // roll advances the flow's epoch counters to cover time now, possibly
@@ -187,14 +210,14 @@ func (f *flowInfo) roll(now sim.Time) {
 		}
 		seconds := f.epoch.Seconds()
 		if seconds > 0 {
-			inst := f.bytes * 8 / seconds
+			inst := float64(f.bytes) * 8 / seconds
 			f.rateEWMA = 0.875*f.rateEWMA + 0.125*inst
 		}
 		f.prevNewPkts = f.newPkts
 		f.prevDrops = f.drops
-		f.newPkts, f.rtxPkts, f.drops, f.bytes = 0, 0, 0, 0
+		f.newPkts, f.drops, f.bytes = 0, 0, 0
 		f.epochStart += f.epoch
-		f.epochs++
+		f.addEpochs(1)
 		if f.protectEpochs > 0 {
 			f.protectEpochs--
 		}
@@ -217,12 +240,21 @@ func (f *flowInfo) skipEmpty(k sim.Time) {
 		f.rateEWMA = next
 	}
 	f.epochStart += k * f.epoch
-	f.epochs += int32(k)
+	f.addEpochs(int64(k))
 	if k < sim.Time(f.protectEpochs) {
-		f.protectEpochs -= int32(k)
+		f.protectEpochs -= uint8(k)
 	} else {
 		f.protectEpochs = 0
 	}
+}
+
+// addEpochs counts k more closed epochs, saturating at MaxInt32. A
+// two-way epoch has no floor, so a long silence can close more than
+// 2^31 at once (3.2 s at 1 ns); the count is only ever compared with
+// NewFlowEpochs, where a wrapped negative count would make an old flow
+// new again.
+func (f *flowInfo) addEpochs(k int64) {
+	f.epochs = int32(min(int64(f.epochs)+k, math.MaxInt32))
 }
 
 // catchUp completes the scan-parity roll schedule through time x (an
@@ -261,15 +293,15 @@ type Census [numFlowStates]int
 // the entry, so mid-window reads keep seeing the scan-time value —
 // the same snapshot semantics the rescanning implementation got by
 // materializing a map each scan. refs counts tracked flows (active or
-// not) keyed to the pool; the entry is unfiled when it hits zero.
-// Entries live in the tracker's poolTable (flowstore.go).
+// not) keyed to the pool; the entry is unfiled when it hits zero, so a
+// filed entry is exactly one with refs > 0. Entries live in the
+// tracker's poolTable (flowstore.go).
 //
 //taq:shardowned per-pool active-count entry, owned by the tracker's pool table
 type poolEntry struct {
 	stamp           uint64
 	key             packet.PoolID
 	cur, snap, refs int32
-	inUse           bool
 }
 
 // tracker owns all per-flow records and applies the approximate state
@@ -334,7 +366,7 @@ type tracker struct {
 	// pad keeps the struct a whole multiple of the cache line so
 	// adjacent per-shard trackers never share one (TestRecordLayout
 	// checks it).
-	_ [56]byte
+	_ [48]byte
 }
 
 func newTracker(run sim.Runner, cfg Config, stats *Stats) *tracker {
@@ -351,9 +383,10 @@ func (t *tracker) getOrCreate(p *packet.Packet) *flowInfo {
 	if f == nil {
 		now := t.run.Now()
 		f = t.store.alloc(p.Flow)
-		f.pool, f.state = p.Pool, StateNew
+		f.state = StateNew
 		f.synBurst = now // SYN time until the first data packet lands
-		f.epoch, f.epochStart, f.lastPkt = t.cfg.DefaultEpoch, now, now
+		t.setEpoch(f, t.cfg.DefaultEpoch)
+		f.epochStart, f.lastPkt = now, now
 		f.highSeq, f.sampleSeq, f.lastClass = -1, -1, -1
 		f.poolSlot = idxEmpty
 		t.census[StateNew]++
@@ -368,7 +401,7 @@ func (t *tracker) getOrCreate(p *packet.Packet) *flowInfo {
 // aggregate, its wheel entries are invalidated by the generation bump in
 // release, and the slot goes back to the store's free list for reuse.
 func (t *tracker) evictFlow(f *flowInfo) {
-	if f.counted {
+	if f.has(flagCounted) {
 		t.applyCount(f, false)
 	}
 	t.census[f.state]--
@@ -389,10 +422,10 @@ func (t *tracker) setState(f *flowInfo, s FlowState) {
 	}
 	t.stats.Transitions[s]++
 	if t.rec != nil {
-		now := t.run.Now()
-		t.rec.TrackerTransition(now, f.id, f.pool, int8(f.state), int8(s))
+		now, pool := t.run.Now(), t.poolOf(f)
+		t.rec.TrackerTransition(now, f.id, pool, int8(f.state), int8(s))
 		if s == StateTimeoutSilence || s == StateExtendedSilence {
-			t.rec.TimeoutDetected(now, f.id, f.pool, int8(f.state), int8(s))
+			t.rec.TimeoutDetected(now, f.id, pool, int8(f.state), int8(s))
 		}
 	}
 	t.census[f.state]--
@@ -416,48 +449,46 @@ func (t *tracker) observe(p *packet.Packet) (f *flowInfo, rtx bool) {
 
 	switch p.Kind {
 	case packet.Syn:
-		if !f.gotData {
+		if !f.has(flagGotData) {
 			// synBurst still means "SYN time" before the first data
 			// packet; once data state exists the burst meaning owns
 			// the field and the SYN time is never read again.
 			f.synBurst = now
 		}
-		if f.state != StateNew && f.gotData {
+		if f.state != StateNew && f.has(flagGotData) {
 			// SYN retry of a flow we have data state for: ignore.
 			break
 		}
 		t.setState(f, StateNew)
 	case packet.Data:
-		rtx = f.gotData && p.Seq <= int(f.highSeq)
-		if !f.gotData {
+		rtx = f.has(flagGotData) && p.Seq <= int(f.highSeq)
+		if !f.has(flagGotData) {
 			// First data packet: seed the epoch estimate from the
 			// SYN→data gap (§3.3's one-way estimation approach).
-			f.gotData = true
+			f.set(flagGotData, true)
 			if d := now - f.synBurst; d > 10*sim.Millisecond && d < 2*t.cfg.DefaultEpoch*10 {
-				f.epoch = d
+				t.setEpoch(f, d)
 			}
 			f.epochStart = now
 			f.synBurst = now // burst-start meaning from here on
-		} else if silence > f.epoch/2 && !f.twoWay &&
+		} else if silence > f.epoch/2 && !f.has(flagTwoWay) &&
 			(f.state == StateNormal || f.state == StateSlowStart) {
 			// Burst start after a gap: TCP sends a window per RTT, so
 			// the burst-to-burst interval tracks the epoch. Refine
 			// with a weighted moving average (§3.3).
 			interval := now - f.synBurst
 			if interval > f.epoch/2 && interval < 4*f.epoch {
-				f.epoch = (7*f.epoch + interval) / 8
+				t.setEpoch(f, (7*f.epoch+interval)/8)
 			}
 			f.synBurst = now
 		}
 		if p.Seq > int(f.highSeq) {
 			f.highSeq = int32(p.Seq)
 		}
-		if rtx {
-			f.rtxPkts++
-		} else {
+		if !rtx {
 			f.newPkts++
 		}
-		f.bytes += float64(p.Size)
+		f.bytes = uint32(min(uint64(f.bytes)+uint64(p.Size), math.MaxUint32))
 		t.transition(f, rtx, silence)
 	}
 	f.lastPkt = now
@@ -528,11 +559,11 @@ func (t *tracker) observeForwarded(p *packet.Packet) {
 		return
 	}
 	now := t.run.Now()
-	if f.awaitingData && !p.Retransmit {
+	if f.has(flagAwaitingData) && !p.Retransmit {
 		if up := now - f.lastAckAt; up > 0 && up < 4*f.epoch {
 			f.upRTT = ewmaTime(f.upRTT, up)
 		}
-		f.awaitingData = false
+		f.set(flagAwaitingData, false)
 	}
 	if f.sampleSeq < 0 {
 		f.sampleSeq = int32(p.Seq)
@@ -561,13 +592,13 @@ func (t *tracker) observeReverse(p *packet.Packet) {
 		f.sampleSeq = -1
 	}
 	f.lastAckAt = now
-	f.awaitingData = true
+	f.set(flagAwaitingData, true)
 	if f.downRTT > 0 && f.upRTT > 0 {
-		f.epoch = f.downRTT + f.upRTT
-		f.twoWay = true
+		t.setEpoch(f, f.downRTT+f.upRTT)
+		f.set(flagTwoWay, true)
 	}
 	// The epoch may have moved without a forward packet: deadlines
-	// derived from it (and the flow's inverse-epoch term) must follow.
+	// derived from it must follow.
 	t.reconcile(f)
 }
 
@@ -636,6 +667,19 @@ func invTermFor(epoch sim.Time) int64 {
 	return (int64(sim.Second) << invEpochFxShift) / int64(epoch)
 }
 
+// setEpoch is the one writer of f.epoch. While f is counted its term
+// in invSumFx moves with the epoch, so that term is always
+// invTermFor(f.epoch) and the record need not store it.
+func (t *tracker) setEpoch(f *flowInfo, epoch sim.Time) {
+	if epoch == f.epoch {
+		return
+	}
+	if f.has(flagCounted) {
+		t.invSumFx += invTermFor(epoch) - invTermFor(f.epoch)
+	}
+	f.epoch = epoch
+}
+
 // wantCounted is the active-flow predicate: seen within the last four
 // epochs, or parked in a timeout state.
 func (t *tracker) wantCounted(f *flowInfo, now sim.Time) bool {
@@ -646,19 +690,18 @@ func (t *tracker) wantCounted(f *flowInfo, now sim.Time) bool {
 // activeN, the inverse-epoch sum, and the pool counts (pool-less flows
 // are their own singleton pools).
 func (t *tracker) applyCount(f *flowInfo, on bool) {
-	if on == f.counted {
+	if on == f.has(flagCounted) {
 		return
 	}
-	f.counted = on
+	f.set(flagCounted, on)
 	if on {
 		t.activeN++
-		f.invTerm = invTermFor(f.epoch)
-		t.invSumFx += f.invTerm
+		t.invSumFx += invTermFor(f.epoch)
 	} else {
 		t.activeN--
-		t.invSumFx -= f.invTerm
+		t.invSumFx -= invTermFor(f.epoch)
 	}
-	if f.pool == packet.PoolNone {
+	if f.poolSlot == idxEmpty {
 		if on {
 			t.singles++
 		} else {
@@ -724,24 +767,19 @@ func (t *tracker) scanDeadlineOf(f *flowInfo) sim.Time {
 // stay near one live entry per flow.
 func (t *tracker) reconcile(f *flowInfo) {
 	now := t.run.Now()
-	if want := t.wantCounted(f, now); want != f.counted {
+	if want := t.wantCounted(f, now); want != f.has(flagCounted) {
 		t.applyCount(f, want)
-	} else if f.counted {
-		if nt := invTermFor(f.epoch); nt != f.invTerm {
-			t.invSumFx += nt - f.invTerm
-			f.invTerm = nt
-		}
 	}
-	if f.counted && !timeoutish(f.state) {
+	if f.has(flagCounted) && !timeoutish(f.state) {
 		dl := f.lastPkt + 4*f.epoch
 		if f.actDl == 0 || dl < f.actDl {
-			t.actWheel.push(f.handle(dl))
+			t.actWheel.push(f.handle(), dl)
 			f.actDl = dl
 		}
 	}
 	dl := t.scanDeadlineOf(f)
 	if f.scanDl == 0 || dl < f.scanDl {
-		t.scanWheel.push(f.handle(dl))
+		t.scanWheel.push(f.handle(), dl)
 		f.scanDl = dl
 	}
 }
@@ -753,30 +791,40 @@ func (t *tracker) reconcile(f *flowInfo) {
 // Timeout-state flows stay counted regardless of silence; their
 // entries are simply discarded (reconcile re-arms one when the state
 // machine moves them on).
+//
+// A wheel entry holds no deadline; the record's mirror decides. An
+// entry whose record was recycled, or whose mirror is disarmed, is
+// stale. One whose mirror has passed is due — the flow's live entry
+// lies on the walked slots too, and the first of the two to be visited
+// disarms the mirror, so each due flow is handled once. One whose
+// mirror has not passed goes back to drain, which re-files it only if
+// the mirror maps to the slot being walked.
 func (t *tracker) advanceActivity(now sim.Time) {
 	// drain only calls visit, so the closure cell stays on the stack
 	// (TestHotpathRootsZeroAlloc holds ActiveFlows at zero).
 	//taq:allow noalloc non-escaping closure, stack-allocated
-	t.actWheel.drain(now, func(e deadlineEntry) {
+	t.actWheel.drain(now, func(e wheelEntry) sim.Time {
 		f := t.store.at(e.slot)
-		if f.gen != e.gen {
-			return // evicted (and possibly recycled) since the push
+		if f.gen != e.gen || f.actDl == 0 {
+			return 0 // evicted since the push, or a disarmed mirror
 		}
-		if f.actDl == e.dl {
-			f.actDl = 0
+		if f.actDl >= now {
+			return f.actDl
 		}
-		if !f.counted || timeoutish(f.state) {
-			return
+		f.actDl = 0
+		if !f.has(flagCounted) || timeoutish(f.state) {
+			return 0
 		}
 		if actual := f.lastPkt + 4*f.epoch; actual < now {
 			t.applyCount(f, false)
-		} else if f.actDl == 0 || actual < f.actDl {
+		} else {
 			// The deadline moved later after this entry was pushed
 			// (new packets, or the epoch grew): re-arm at the live
 			// deadline.
-			t.actWheel.push(f.handle(actual))
+			t.actWheel.push(f.handle(), actual)
 			f.actDl = actual
 		}
+		return 0
 	})
 }
 
@@ -785,7 +833,9 @@ func (t *tracker) advanceActivity(now sim.Time) {
 // flows whose scan deadline has passed are touched; the transition
 // logic itself is unchanged. Due flows are processed in ascending id
 // order — the order the full-table rescan used — so trace events
-// within a scan are emitted identically.
+// within a scan are emitted identically. The scan wheel's entries are
+// decided from scanDl the way advanceActivity decides from actDl, and
+// the first visit disarms the mirror, so no flow is due twice.
 func (t *tracker) scan() {
 	now := t.run.Now()
 	// Index doubling is hoisted to scan cadence so the rehash never
@@ -794,34 +844,31 @@ func (t *tracker) scan() {
 	t.pools.idx.maybeGrow()
 	t.advanceActivity(now)
 	t.due = t.due[:0]
-	t.scanWheel.drain(now, func(e deadlineEntry) {
+	t.scanWheel.drain(now, func(e wheelEntry) sim.Time {
 		f := t.store.at(e.slot)
-		if f.gen != e.gen {
-			return
+		if f.gen != e.gen || f.scanDl == 0 {
+			return 0
 		}
-		if f.scanDl == e.dl {
-			f.scanDl = 0
+		if f.scanDl >= now {
+			return f.scanDl
 		}
+		f.scanDl = 0
 		t.due = append(t.due, f)
+		return 0
 	})
 	slices.SortFunc(t.due, func(a, b *flowInfo) int {
 		return int(a.id) - int(b.id)
 	})
-	var prev *flowInfo
 	for _, f := range t.due {
-		if f == prev {
-			continue // duplicate stale entries for the same flow
-		}
-		prev = f
 		t.scanFlow(f, now)
 	}
 	t.lastScan = now
 }
 
-// scanFlow applies the scan logic to one due flow. Processing a flow
-// whose live deadline has not actually passed (a stale early entry) is
-// harmless: every condition below is false and reconcile re-arms the
-// true deadline.
+// scanFlow applies the scan logic to one due flow. A flow's scanDl is
+// never later than its true scan deadline, so a due flow may still
+// find every condition below false; reconcile then re-arms the true
+// deadline.
 func (t *tracker) scanFlow(f *flowInfo, now sim.Time) {
 	if f.silentFor(now) > t.cfg.FlowExpiry {
 		t.evictFlow(f)
@@ -888,13 +935,23 @@ func (t *tracker) snapshotPools() (pools int) {
 	return pools
 }
 
-// poolCount returns pool's active flow count as of the last
-// snapshotPools barrier (0 for unknown or inactive pools).
-func (t *tracker) poolCount(pool packet.PoolID) int {
-	e := t.pools.lookup(pool)
-	if e == nil {
+// poolOf returns f's pool: the key of the entry its poolSlot pins, or
+// PoolNone.
+func (t *tracker) poolOf(f *flowInfo) packet.PoolID {
+	if f.poolSlot == idxEmpty {
+		return packet.PoolNone
+	}
+	return t.pools.recs[f.poolSlot].key
+}
+
+// poolCount returns the active flow count of f's pool as of the last
+// snapshotPools barrier (0 for pool-less flows). The entry is the one
+// f pins, so there is no index probe.
+func (t *tracker) poolCount(f *flowInfo) int {
+	if f.poolSlot == idxEmpty {
 		return 0
 	}
+	e := &t.pools.recs[f.poolSlot]
 	if e.stamp == t.stamp {
 		return int(e.snap)
 	}
