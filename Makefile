@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseDirectives$$' -fuzztime=$(FUZZTIME) ./internal/analysis
 	$(GO) test -run='^$$' -fuzz='^FuzzReceiverReassembly$$' -fuzztime=$(FUZZTIME) ./internal/tcp
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzEngineOrder$$' -fuzztime=$(FUZZTIME) ./internal/sim
 
 # bench records the full experiment suite's tables + headline metrics
 # to BENCH_results.json (see EXPERIMENTS.md's benchmark section). Every

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -93,20 +94,17 @@ func Reschedule(r Runner, t *Timer, delay Time, fn func()) *Timer {
 
 // Timer is a handle to a scheduled callback.
 type Timer struct {
-	at  Time
-	seq uint64
-	fn  func()
+	// at is when the timer is (or was) due, for When; the heap keeps its
+	// own copy of the key.
+	at Time
+	fn func()
 	// argFn and arg replace fn on payload-carrying timers (AfterArg).
 	argFn func(any)
 	arg   any
-	// index is the position in the owning engine's event heap, -1 when
-	// not queued (fired, canceled, or external).
+	// index is the position in the owning engine's handle heap, -1 when
+	// not queued there (fired, canceled, external, or fire-and-forget).
 	index    int
 	canceled bool
-	// noHandle marks engine-internal fire-and-forget timers (After,
-	// AfterArg): no *Timer for them ever escapes, so the engine may
-	// recycle the struct through its free list when the event fires.
-	noHandle bool
 	// eng is the owning Engine, nil for external timers.
 	eng *Engine
 	// stop is set by the real-time engine to stop the underlying
@@ -134,7 +132,7 @@ func (t *Timer) Cancel() {
 	t.canceled = true
 	t.fn = nil
 	if t.eng != nil && t.index >= 0 {
-		t.eng.events.remove(t.index)
+		t.eng.timers.remove(t.index)
 		t.index = -1
 	}
 	if t.stop != nil {
@@ -157,57 +155,66 @@ func (t *Timer) SetStop(s TimerStopper) { t.stop = s }
 // When returns the virtual time the timer is (or was) due to fire.
 func (t *Timer) When() Time { return t.at }
 
-// timerHeap is a concrete 4-ary min-heap over *Timer ordered by
-// (at, seq). Replacing container/heap removes the interface-method
-// dispatch from the event loop every experiment spins; the 4-ary shape
-// halves the sift-down depth for the deep heaps that large flow counts
-// produce. seq breaks ties FIFO for determinism.
+// heapEntry is one queued event with its (at, seq) key inline, so a
+// sift compares keys inside the array instead of loading each Timer.
+type heapEntry struct {
+	at  Time
+	seq uint64
+	t   *Timer
+}
+
+// before returns 1 if a's key orders before b's and 0 otherwise: the
+// borrow out of the 128-bit subtraction (a.at, a.seq) − (b.at, b.seq),
+// at the high word. Reading at as unsigned is exact only because every
+// key is ≥ 0: Engine.entry clamps each key to now, and now starts at 0
+// and never decreases. Keys are unique (seq is), so there are no ties.
+func before(a, b *heapEntry) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(uint64(a.at), uint64(b.at), borrow)
+	return int(borrow)
+}
+
+// timerHeap is a concrete 4-ary min-heap of events ordered by
+// (at, seq); seq breaks ties FIFO for determinism. The child choice in
+// siftDown is branch-free, since which child is least is what a branch
+// predictor cannot guess. With indexed set the heap keeps each
+// Timer.index current for Cancel and Reschedule; without it, it never
+// touches the Timers it holds.
 type timerHeap struct {
-	items []*Timer
+	items   []heapEntry
+	indexed bool
 }
 
-func (h *timerHeap) len() int { return len(h.items) }
-
-// less orders the heap by time, then FIFO among same-time events.
-func (h *timerHeap) less(a, b *Timer) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// push inserts ent.
+func (h *timerHeap) push(ent heapEntry) {
+	h.items = append(h.items, ent) //taq:allow noalloc amortized heap growth; capacity is retained across events
+	h.siftUp(len(h.items) - 1)
 }
 
-// push inserts t and records its index.
-func (h *timerHeap) push(t *Timer) {
-	t.index = len(h.items)
-	h.items = append(h.items, t) //taq:allow noalloc amortized heap growth; capacity is retained across events
-	h.siftUp(t.index)
-}
-
-// pop removes and returns the earliest timer.
-func (h *timerHeap) pop() *Timer {
-	t := h.items[0]
+// pop removes and returns the earliest entry.
+func (h *timerHeap) pop() heapEntry {
+	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
-	h.items[0].index = 0
-	h.items[last] = nil
+	h.items[last] = heapEntry{}
 	h.items = h.items[:last]
 	if last > 0 {
 		h.siftDown(0)
 	}
-	t.index = -1
-	return t
+	if h.indexed {
+		top.t.index = -1
+	}
+	return top
 }
 
-// remove deletes the timer at index i.
+// remove deletes the entry at index i.
 func (h *timerHeap) remove(i int) {
 	last := len(h.items) - 1
-	if i != last {
-		h.items[i] = h.items[last]
-		h.items[i].index = i
-	}
-	h.items[last] = nil
+	moved := h.items[last]
+	h.items[last] = heapEntry{}
 	h.items = h.items[:last]
 	if i < last {
+		h.items[i] = moved
 		h.fix(i)
 	}
 }
@@ -219,48 +226,61 @@ func (h *timerHeap) fix(i int) {
 }
 
 func (h *timerHeap) siftUp(i int) {
-	t := h.items[i]
+	items := h.items
+	ent := items[i]
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := h.items[parent]
-		if !h.less(t, p) {
+		if before(&ent, &items[parent]) == 0 {
 			break
 		}
-		h.items[i] = p
-		p.index = i
+		items[i] = items[parent]
+		if h.indexed {
+			items[i].t.index = i
+		}
 		i = parent
 	}
-	h.items[i] = t
-	t.index = i
+	items[i] = ent
+	if h.indexed {
+		ent.t.index = i
+	}
 }
 
 func (h *timerHeap) siftDown(i int) {
-	t := h.items[i]
-	n := len(h.items)
+	items := h.items
+	n := len(items)
+	ent := items[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
+		// best moves to a later child only when that child orders
+		// before it: the borrow, negated, is an all-ones mask.
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if h.less(h.items[c], h.items[best]) {
-				best = c
+		if kids := items[first:min(first+4, n)]; len(kids) == 4 {
+			// A full node: two pairs, then their winners.
+			a := before(&kids[1], &kids[0])
+			b := 2 + before(&kids[3], &kids[2])
+			a += (b - a) & -before(&kids[b], &kids[a])
+			best += a
+		} else {
+			for c := first + 1; c < first+len(kids); c++ {
+				best += (c - best) & -before(&items[c], &items[best])
 			}
 		}
-		if !h.less(h.items[best], t) {
+		if before(&items[best], &ent) == 0 {
 			break
 		}
-		h.items[i] = h.items[best]
-		h.items[i].index = i
+		items[i] = items[best]
+		if h.indexed {
+			items[i].t.index = i
+		}
 		i = best
 	}
-	h.items[i] = t
-	t.index = i
+	items[i] = ent
+	if h.indexed {
+		ent.t.index = i
+	}
 }
 
 // Engine is a deterministic discrete-event scheduler. It is not safe for
@@ -269,9 +289,14 @@ func (h *timerHeap) siftDown(i int) {
 // above the engine: parallel sweeps (experiments.RunPoints) give every
 // worker its own Engine and never share one across goroutines.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events timerHeap
+	now Time
+	seq uint64
+	// events holds the fire-and-forget timers (After, AfterArg), which
+	// are never canceled or moved, so the heap keeps no index for them;
+	// timers holds the handle timers (Schedule, Reschedule), indexed for
+	// Cancel and Reschedule. Both draw keys from the one seq, so taking
+	// the earlier root fires events in the order one heap would.
+	events, timers timerHeap
 	// free recycles Timer structs. Only timers the engine exclusively
 	// owns ever enter it: fire-and-forget (After, AfterArg) timers on
 	// firing, and structs handed back through Reschedule are reused
@@ -288,7 +313,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at zero and whose
 // random source is seeded with seed (so runs are reproducible).
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), timers: timerHeap{indexed: true}}
 }
 
 // Now implements Runner.
@@ -299,17 +324,17 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule implements Runner.
 func (e *Engine) Schedule(delay Time, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
 	return e.ScheduleAt(e.now+delay, fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute virtual time at. Times
 // in the past are clamped to now.
 func (e *Engine) ScheduleAt(at Time, fn func()) *Timer {
-	t := e.alloc(at, fn)
-	e.events.push(t)
+	t := e.alloc()
+	t.fn = fn
+	ent := e.entry(at, t)
+	t.at = ent.at
+	e.timers.push(ent)
 	return t
 }
 
@@ -321,12 +346,9 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Timer {
 //
 //taq:hotpath engine fast path: recycled fire-and-forget timers
 func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	t := e.alloc(e.now+delay, fn)
-	t.noHandle = true
-	e.events.push(t)
+	t := e.alloc()
+	t.fn = fn
+	e.events.push(e.entry(e.now+delay, t))
 }
 
 // AfterArg schedules fn(arg) to run delay from now, fire-and-forget
@@ -336,13 +358,9 @@ func (e *Engine) After(delay Time, fn func()) {
 //
 //taq:hotpath engine fast path: recycled payload-carrying timers
 func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
-	if delay < 0 {
-		delay = 0
-	}
-	t := e.alloc(e.now+delay, nil)
+	t := e.alloc()
 	t.argFn, t.arg = fn, arg
-	t.noHandle = true
-	e.events.push(t)
+	e.events.push(e.entry(e.now+delay, t))
 }
 
 // Reschedule cancels t (if pending) and arms fn at delay from now,
@@ -353,48 +371,45 @@ func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
 //
 //taq:hotpath engine fast path: in-place timer rearm
 func (e *Engine) Reschedule(t *Timer, delay Time, fn func()) *Timer {
-	if delay < 0 {
-		delay = 0
-	}
 	if t == nil || t.eng != e {
 		// External or foreign timers can't be reused in place.
 		t.Cancel()
 		return e.ScheduleAt(e.now+delay, fn)
 	}
-	t.at = e.now + delay
-	t.seq = e.seq
-	e.seq++
+	ent := e.entry(e.now+delay, t)
+	t.at = ent.at
 	t.fn = fn
 	t.canceled = false
-	t.noHandle = false
 	if t.index >= 0 {
-		e.events.fix(t.index)
+		e.timers.items[t.index] = ent
+		e.timers.fix(t.index)
 	} else {
-		e.events.push(t)
+		e.timers.push(ent)
 	}
 	return t
 }
 
-// alloc takes a Timer from the free list or the heap allocator.
-func (e *Engine) alloc(at Time, fn func()) *Timer {
+// entry keys t at at, clamped to now (which also catches a delay that
+// overflowed), behind every key handed out before it.
+func (e *Engine) entry(at Time, t *Timer) heapEntry {
 	if at < e.now {
 		at = e.now
 	}
-	var t *Timer
+	seq := e.seq
+	e.seq++
+	return heapEntry{at: at, seq: seq, t: t}
+}
+
+// alloc takes a Timer from the free list or the heap allocator.
+func (e *Engine) alloc() *Timer {
 	if n := len(e.free); n > 0 {
-		t = e.free[n-1]
+		t := e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		t.canceled = false
-		t.noHandle = false
-	} else {
-		t = &Timer{eng: e} //taq:allow noalloc free-list refill; fired noHandle timers recycle
+		return t
 	}
-	t.at = at
-	t.seq = e.seq
-	t.fn = fn
-	e.seq++
-	return t
+	return &Timer{eng: e, index: -1} //taq:allow noalloc free-list refill; fired fire-and-forget timers recycle
 }
 
 // recycle returns an engine-exclusive timer struct to the free list.
@@ -405,19 +420,40 @@ func (e *Engine) recycle(t *Timer) {
 
 // Pending returns the number of live scheduled events. Canceled events
 // are unlinked eagerly by Cancel, so they are never counted.
-func (e *Engine) Pending() int { return e.events.len() }
+func (e *Engine) Pending() int { return len(e.events.items) + len(e.timers.items) }
+
+// next returns the heap whose root fires first, nil when both are
+// empty.
+func (e *Engine) next() *timerHeap {
+	ev, tm := &e.events, &e.timers
+	if len(tm.items) > 0 && (len(ev.items) == 0 || before(&tm.items[0], &ev.items[0]) == 1) {
+		return tm
+	}
+	if len(ev.items) > 0 {
+		return ev
+	}
+	return nil
+}
 
 // Step executes the next event, if any, advancing the clock to its
 // time. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.events.len() == 0 {
+	h := e.next()
+	if h == nil {
 		return false
 	}
-	t := e.events.pop()
+	e.fire(h)
+	return true
+}
+
+// fire pops h's root and runs its callback.
+func (e *Engine) fire(h *timerHeap) {
+	ent := h.pop()
+	t := ent.t
 	fn, argFn, arg := t.fn, t.argFn, t.arg
 	t.fn = nil
-	e.now = t.at
-	if t.noHandle {
+	e.now = ent.at
+	if h == &e.events {
 		// No handle escaped, so the struct is exclusively ours again;
 		// recycling before the callback lets fn's own scheduling reuse
 		// it immediately.
@@ -429,7 +465,6 @@ func (e *Engine) Step() bool {
 	} else {
 		fn()
 	}
-	return true
 }
 
 // Run executes events until none remain.
@@ -441,12 +476,8 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ end, then sets the clock to end.
 // Events scheduled after end remain pending.
 func (e *Engine) RunUntil(end Time) {
-	for e.events.len() > 0 {
-		// Peek; heap root is the earliest event.
-		if e.events.items[0].at > end {
-			break
-		}
-		e.Step()
+	for h := e.next(); h != nil && h.items[0].at <= end; h = e.next() {
+		e.fire(h)
 	}
 	if e.now < end {
 		e.now = end

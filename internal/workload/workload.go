@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"cmp"
 	"slices"
 
 	"taq/internal/metrics"
@@ -123,11 +124,15 @@ func (s *Session) Request(sizeBytes int, at sim.Time) *ObjectResult {
 	res := &ObjectResult{Client: s.client, SizeBytes: sizeBytes, Requested: at}
 	s.Results = append(s.Results, res)
 	run := s.net.Runner
-	sim.After(run, at-run.Now(), func() {
-		s.pending = append(s.pending, res)
-		s.pump()
-	})
+	sim.After(run, at-run.Now(), func() { s.enqueue(res) })
 	return res
+}
+
+// enqueue queues res for a connection slot and starts what the free
+// slots allow.
+func (s *Session) enqueue(res *ObjectResult) {
+	s.pending = append(s.pending, res)
+	s.pump()
 }
 
 func (s *Session) pump() {
@@ -184,8 +189,10 @@ const (
 )
 
 // Replay drives trace records through per-client sessions on net and
-// returns them in ascending client order. Requests are issued in log
-// order.
+// returns them in ascending client order. Each session's Results are in
+// log order, and requests due at the same instant are issued in log
+// order: the same firing order as one Request per record, from a single
+// pending event instead of one per record.
 func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode ReplayMode) []*Session {
 	clients := make([]int, len(recs))
 	for i, r := range recs {
@@ -197,16 +204,57 @@ func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode Repla
 	for i, c := range clients {
 		sessions[i] = NewSession(net, c, maxConns)
 	}
-	for _, r := range recs {
-		i, _ := slices.BinarySearch(clients, r.Client)
-		switch mode {
-		case ReplayTimed:
-			sessions[i].Request(r.Size, r.Time)
-		case ReplayASAP:
-			sessions[i].Request(r.Size, 0)
+	run := net.Runner
+	now := run.Now()
+	results := make([]ObjectResult, len(recs))
+	due := make([]dueRequest, len(recs))
+	for i, r := range recs {
+		j, _ := slices.BinarySearch(clients, r.Client)
+		s := sessions[j]
+		res := &results[i]
+		res.Client, res.SizeBytes = r.Client, r.Size
+		if mode == ReplayTimed {
+			res.Requested = r.Time
 		}
+		s.Results = append(s.Results, res)
+		// A request due in the past is issued now, as Request would.
+		due[i] = dueRequest{at: max(res.Requested, now), s: s, res: res}
+	}
+	slices.SortStableFunc(due, func(a, b dueRequest) int { return cmp.Compare(a.at, b.at) })
+	if len(due) > 0 {
+		c := &replayCursor{run: run, due: due}
+		c.fireFn = c.fire
+		sim.After(run, due[0].at-now, c.fireFn)
 	}
 	return sessions
+}
+
+// dueRequest is one logged request waiting for its time.
+type dueRequest struct {
+	at  sim.Time
+	s   *Session
+	res *ObjectResult
+}
+
+// replayCursor is a replay's one pending event: it issues every request
+// due by now, in (time, log) order, then re-arms itself for the next.
+type replayCursor struct {
+	run sim.Runner
+	due []dueRequest
+	// fireFn is fire bound once, so re-arming allocates nothing.
+	fireFn func()
+}
+
+func (c *replayCursor) fire() {
+	now := c.run.Now()
+	for len(c.due) > 0 && c.due[0].at <= now {
+		d := c.due[0]
+		c.due = c.due[1:]
+		d.s.enqueue(d.res)
+	}
+	if len(c.due) > 0 {
+		sim.After(c.run, c.due[0].at-now, c.fireFn)
+	}
 }
 
 // CollectObjectSamples gathers completed downloads as size samples for

@@ -1,12 +1,17 @@
 package workload
 
 import (
+	"bytes"
+	"cmp"
+	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"taq/internal/emu"
 	"taq/internal/link"
+	"taq/internal/packet"
 	"taq/internal/sim"
 	"taq/internal/topology"
 	"taq/internal/trace"
@@ -347,4 +352,133 @@ func TestReplayHeapBoundedByLiveFlows(t *testing.T) {
 	if perConn > 512 {
 		t.Errorf("heap grows by %.0f B per finished connection, want ≤ 512", perConn)
 	}
+}
+
+// requestEach is the reference Replay: the same sessions, and one
+// Request per record in log order, each its own pending event.
+func requestEach(net *topology.Network, recs []trace.Record, maxConns int, mode ReplayMode) []*Session {
+	clients := make([]int, len(recs))
+	for i, r := range recs {
+		clients[i] = r.Client
+	}
+	slices.Sort(clients)
+	clients = slices.Compact(clients)
+	sessions := make([]*Session, len(clients))
+	for i, c := range clients {
+		sessions[i] = NewSession(net, c, maxConns)
+	}
+	for _, r := range recs {
+		i, _ := slices.BinarySearch(clients, r.Client)
+		at := r.Time
+		if mode == ReplayASAP {
+			at = 0
+		}
+		sessions[i].Request(r.Size, at)
+	}
+	return sessions
+}
+
+// replayOutcome replays recs with replay on a fresh TAQ network whose
+// clock first runs to from, drains it, and returns every session's
+// results and every flow's delivered bytes by flow id — which object
+// rode which connection, in creation order.
+func replayOutcome(t *testing.T, recs []trace.Record, mode ReplayMode, from sim.Time,
+	replay func(*topology.Network, []trace.Record, int, ReplayMode) []*Session) ([][]ObjectResult, []float64) {
+	t.Helper()
+	n := quickNet(11, 2000*link.Kbps, topology.TAQ)
+	n.Run(from)
+	sessions := replay(n, recs, 4, mode)
+	n.Run(from + 1200*sim.Second)
+	if frac := CompletedFraction(sessions); frac < 0.9 {
+		t.Fatalf("completed %.3f of %d objects: too few to compare", frac, len(recs))
+	}
+	results := make([][]ObjectResult, len(sessions))
+	for i, s := range sessions {
+		for _, r := range s.Results {
+			results[i] = append(results[i], *r)
+		}
+	}
+	bytes := make([]float64, n.NumFlows())
+	for id := range bytes {
+		bytes[id] = n.Slicer.FlowTotal(packet.FlowID(id))
+	}
+	return results, bytes
+}
+
+// checkReplayMatchesRequests runs recs through Replay and through one
+// Request per record and fails unless both give every object the same
+// request, start and end times and outcome, and create the same flows
+// in the same order.
+func checkReplayMatchesRequests(t *testing.T, recs []trace.Record, mode ReplayMode, from sim.Time) {
+	t.Helper()
+	gotRes, gotFlows := replayOutcome(t, recs, mode, from, Replay)
+	wantRes, wantFlows := replayOutcome(t, recs, mode, from, requestEach)
+	if len(gotRes) != len(wantRes) {
+		t.Fatalf("%d sessions, want %d", len(gotRes), len(wantRes))
+	}
+	for i := range wantRes {
+		if !slices.Equal(gotRes[i], wantRes[i]) {
+			t.Fatalf("session %d results differ:\n got %v\nwant %v", i, gotRes[i], wantRes[i])
+		}
+	}
+	if !slices.Equal(gotFlows, wantFlows) {
+		t.Fatalf("flows differ: %d created, want %d, or bytes by flow id differ", len(gotFlows), len(wantFlows))
+	}
+}
+
+// TestReplayHoldsOneEvent pins the replay cursor: a generated 650 s log
+// (≈3 600 records) adds one pending event to the engine, not one per
+// record, and fires exactly as one Request per record would.
+func TestReplayHoldsOneEvent(t *testing.T) {
+	gen := trace.DefaultGenConfig()
+	gen.Duration = 650 * sim.Second
+	gen.MaxSize = 64 << 10
+	recs := trace.Generate(gen)
+	n := quickNet(11, 2000*link.Kbps, topology.DropTail)
+	Replay(n, recs, 4, ReplayTimed)
+	if got := n.Engine.Pending(); got != 1 {
+		t.Fatalf("%d events pending after replaying %d records, want 1", got, len(recs))
+	}
+	checkReplayMatchesRequests(t, recs, ReplayTimed, 0)
+}
+
+// TestReplayOutOfOrderLogMatchesRequests replays a parsed log whose
+// lines are out of time order, with same-instant records and records
+// already in the past when Replay is called: they are issued at their
+// times (the past ones now), same-instant ones in log order.
+func TestReplayOutOfOrderLogMatchesRequests(t *testing.T) {
+	gen := trace.DefaultGenConfig()
+	gen.Duration = 120 * sim.Second
+	gen.Clients = 60
+	gen.MaxSize = 256 << 10
+	recs := trace.Generate(gen)
+	rng := rand.New(rand.NewSource(3))
+	rng.Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	for i := 0; i+1 < len(recs); i += 7 {
+		recs[i+1].Time = recs[i].Time
+	}
+	var text bytes.Buffer
+	if err := trace.Write(&text, recs); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := trace.Parse(&text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSortedFunc(parsed, func(a, b trace.Record) int { return cmp.Compare(a.Time, b.Time) }) {
+		t.Fatal("parsed log is in time order; the test needs it out of order")
+	}
+	checkReplayMatchesRequests(t, parsed, ReplayTimed, 20*sim.Second)
+}
+
+// TestReplayASAPMatchesRequests: ASAP puts every request at one
+// instant, so the cursor fires once and issues them all in log order.
+func TestReplayASAPMatchesRequests(t *testing.T) {
+	gen := trace.DefaultGenConfig()
+	gen.Duration = 60 * sim.Second
+	gen.Clients = 40
+	gen.MaxSize = 256 << 10
+	recs := trace.Generate(gen)
+	checkReplayMatchesRequests(t, recs, ReplayASAP, 0)
+	checkReplayMatchesRequests(t, recs, ReplayASAP, 5*sim.Second)
 }
