@@ -37,10 +37,13 @@ test:
 # The race detector only matters where real goroutines run: the
 # emulation layer (including the obs recorder + live endpoint under
 # concurrent timers), the session and network tests that also run on
-# the wall-clock engine, and the experiment sweep worker pool.
+# the wall-clock engine, and the experiment sweep worker pool. The
+# wall-clock engine's tests run three times over: a flake there shows
+# as a failure, not as a lucky pass.
 race:
-	$(GO) test -race ./internal/emu/... ./internal/obs/... ./internal/workload/...
-	$(GO) test -race -run OnEmu ./internal/topology
+	$(GO) test -race ./internal/obs/... ./internal/workload/...
+	$(GO) test -race -count=3 ./internal/emu/...
+	$(GO) test -race -count=3 -run OnEmu ./internal/topology
 	$(GO) test -race -run 'TestRunPoints|TestParallelSweep' ./experiments
 
 # fuzz runs every committed fuzz target for FUZZTIME each (go test

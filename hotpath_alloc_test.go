@@ -222,19 +222,16 @@ var hotRootCases = []hotRootCase{
 		// The engine's recycled fire-and-forget path: After allocates a
 		// timer only while the free list grows; at steady state each
 		// fired event returns its timer.
-		roots: []string{
-			"taq/internal/sim.After",
-			"(*taq/internal/sim.Engine).After",
-		},
+		roots: []string{"(*taq/internal/sim.Engine).After"},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
 			fn := func() {}
 			for i := 0; i < 64; i++ {
-				sim.After(e, sim.Millisecond, fn)
+				e.After(sim.Millisecond, fn)
 			}
 			e.Run()
 			return testing.AllocsPerRun(1000, func() {
-				sim.After(e, sim.Millisecond, fn)
+				e.After(sim.Millisecond, fn)
 				e.Run()
 			})
 		},
@@ -243,22 +240,19 @@ var hotRootCases = []hotRootCase{
 		// The payload-carrying form of the same path: the handler is
 		// bound once, the packet rides in the recycled timer, and a
 		// pointer boxes into the argument without a copy.
-		roots: []string{
-			"taq/internal/sim.AfterArg",
-			"(*taq/internal/sim.Engine).AfterArg",
-		},
+		roots: []string{"(*taq/internal/sim.Engine).AfterArg"},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
 			var got *packet.Packet
 			fn := func(arg any) { got = arg.(*packet.Packet) }
 			pkts := mkPackets(64)
 			for _, p := range pkts {
-				sim.AfterArg(e, sim.Millisecond, fn, p)
+				e.AfterArg(sim.Millisecond, fn, p)
 			}
 			e.Run()
 			i := 0
 			allocs := testing.AllocsPerRun(1000, func() {
-				sim.AfterArg(e, sim.Millisecond, fn, pkts[i%len(pkts)])
+				e.AfterArg(sim.Millisecond, fn, pkts[i%len(pkts)])
 				e.Run()
 				i++
 			})
@@ -269,16 +263,13 @@ var hotRootCases = []hotRootCase{
 	{
 		// The cancel-then-rearm churn of RTO and pacing timers: the
 		// handle is reused in place, so rearming never allocates.
-		roots: []string{
-			"taq/internal/sim.Reschedule",
-			"(*taq/internal/sim.Engine).Reschedule",
-		},
+		roots: []string{"(*taq/internal/sim.Engine).Reschedule"},
 		run: func(t *testing.T) float64 {
 			e := sim.NewEngine(1)
 			fn := func() {}
 			tm := e.Schedule(sim.Second, fn)
 			return testing.AllocsPerRun(1000, func() {
-				tm = sim.Reschedule(e, tm, sim.Second, fn)
+				tm = e.Reschedule(tm, sim.Second, fn)
 			})
 		},
 	},

@@ -52,7 +52,7 @@ type FuncNode struct {
 }
 
 // Name returns the fully qualified function name, e.g.
-// "(*taq/internal/core.TAQ).Enqueue" or "taq/internal/sim.After"; the
+// "(*taq/internal/core.TAQ).Enqueue" or "taq/internal/sim.before"; the
 // N-th literal nested in F is "F$N".
 func (n *FuncNode) Name() string { return n.name }
 

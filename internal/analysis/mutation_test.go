@@ -92,7 +92,7 @@ var mutations = []mutation{
 		edits: []string{"t.scanTimer = t.run.Schedule(t.cfg.ScanInterval, tick)", "t.run.Schedule(t.cfg.ScanInterval, tick)"},
 		fires: []string{"timerleak"}, first: "timerleak"},
 	{name: "timerleak.feedback", file: "internal/tfrc/tfrc.go",
-		edits: []string{"\n\tr.fbTimer = sim.Reschedule(r.run, r.fbTimer, r.rtt, r.sendFeedback)\n}", "\n\tr.run.Schedule(r.rtt, r.sendFeedback)\n}"},
+		edits: []string{"\n\tr.fbTimer = r.run.Reschedule(r.fbTimer, r.rtt, r.sendFeedback)\n}", "\n\tr.run.Schedule(r.rtt, r.sendFeedback)\n}"},
 		fires: []string{"timerleak"}, first: "timerleak"},
 
 	// timerown: Cancel through a handle Reschedule took over breaks every
@@ -100,15 +100,15 @@ var mutations = []mutation{
 	// SYN timer; a delayed-ack timer whose new handle is dropped breaks
 	// nothing any test looks at.
 	{name: "timerown.armRTO", file: "internal/tcp/sender.go",
-		edits: []string{"\ts.rtoTimer = sim.Reschedule(s.run, s.rtoTimer, s.effectiveRTO(), s.rtoFn)\n",
-			"\told := s.rtoTimer\n\ts.rtoTimer = sim.Reschedule(s.run, old, s.effectiveRTO(), s.rtoFn)\n\told.Cancel()\n"},
+		edits: []string{"\ts.rtoTimer = s.run.Reschedule(s.rtoTimer, s.effectiveRTO(), s.rtoFn)\n",
+			"\told := s.rtoTimer\n\ts.rtoTimer = s.run.Reschedule(old, s.effectiveRTO(), s.rtoFn)\n\told.Cancel()\n"},
 		fires: []string{"timerown"}, first: "test TestGoldenDumbbellTraces"},
 	{name: "timerown.synTimer", file: "internal/tcp/sender.go",
-		edits: []string{"\ts.synTimer = sim.Reschedule(s.run, s.synTimer, timeout, s.synTimeoutFn)\n",
-			"\told := s.synTimer\n\ts.synTimer = sim.Reschedule(s.run, old, timeout, s.synTimeoutFn)\n\tif rexmit {\n\t\told.Cancel()\n\t}\n"},
+		edits: []string{"\ts.synTimer = s.run.Reschedule(s.synTimer, timeout, s.synTimeoutFn)\n",
+			"\told := s.synTimer\n\ts.synTimer = s.run.Reschedule(old, timeout, s.synTimeoutFn)\n\tif rexmit {\n\t\told.Cancel()\n\t}\n"},
 		fires: []string{"timerown"}, first: "test TestSynRetry"},
 	{name: "timerown.delTimer", file: "internal/tcp/receiver.go",
-		edits: []string{"r.delTimer = sim.Reschedule(r.run, r.delTimer, timeout, r.delAckFn)", "sim.Reschedule(r.run, r.delTimer, timeout, r.delAckFn)"},
+		edits: []string{"r.delTimer = r.run.Reschedule(r.delTimer, timeout, r.delAckFn)", "r.run.Reschedule(r.delTimer, timeout, r.delAckFn)"},
 		fires: []string{"timerown"}, first: "timerown"},
 
 	// simtime: raw float seconds truncated to nanoseconds in TFRC pacing
@@ -149,18 +149,19 @@ var mutations = []mutation{
 	// lockdiscipline: a guarded field written, and read by a new accessor,
 	// without the mutex. go test -race passes both.
 	{name: "lockdiscipline.stop", file: "internal/emu/engine.go", load: wholeModule,
-		edits: []string{"\te.mu.Lock()\n\te.stopped = true\n\te.mu.Unlock()\n", "\te.stopped = true\n"},
+		edits: []string{"\te.mu.Lock()\n\tdefer e.mu.Unlock()\n\te.stopped = true\n", "\te.stopped = true\n"},
 		fires: []string{"lockdiscipline"}, first: "lockdiscipline"},
 	{name: "lockdiscipline.accessor", file: "internal/emu/engine.go", load: wholeModule,
-		edits: []string{"// outstandingTimers reports", "// Stopped reports whether Stop ran.\nfunc (e *Engine) Stopped() bool { return e.stopped }\n\n// outstandingTimers reports"},
+		edits: []string{"// RunFor blocks", "// Stopped reports whether Stop ran.\nfunc (e *Engine) Stopped() bool { return e.stopped }\n\n// RunFor blocks"},
 		fires: []string{"lockdiscipline"}, first: "lockdiscipline"},
 
-	// lockorder: mu and tmu taken in both orders (five packages deadlock
-	// until the test timeout), and a recursive rollMu acquisition on the
-	// branch only two racing shards reach.
-	{name: "lockorder.inversion", file: "internal/emu/engine.go", load: wholeModule, hangs: true,
-		edits: []string{"\tdelete(e.timers, node)\n\te.tmu.Unlock()\n\te.mu.Lock()\n", "\tdelete(e.timers, node)\n\te.mu.Lock()\n\te.tmu.Unlock()\n",
-			"\te.stopped = true\n\te.mu.Unlock()\n\te.tmu.Lock()\n", "\te.stopped = true\n\te.tmu.Lock()\n\te.mu.Unlock()\n"},
+	// lockorder: the aggregator's rollMu and admMu taken in both orders,
+	// by the window roll and by pool expiry, which only two shards
+	// scanning at once can interleave; and a recursive rollMu acquisition
+	// on the branch only two racing shards reach.
+	{name: "lockorder.inversion", file: "internal/core/aggregator.go", load: wholeModule,
+		edits: []string{"\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n", "\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n\tg.admMu.Lock()\n\tdefer g.admMu.Unlock()\n",
+			"\tg.admMu.Lock()\n\tif now-g.lastExpire", "\tg.admMu.Lock()\n\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n\tif now-g.lastExpire"},
 		fires: []string{"lockorder"}, first: "lockorder"},
 	{name: "lockorder.recursive", file: "internal/core/aggregator.go", load: wholeModule,
 		edits: []string{"\t\t// Another shard rolled while we waited for the lock.\n\t\treturn g.winGen.Load()\n", "\t\treturn g.maybeRoll(now)\n"},
@@ -177,7 +178,7 @@ var mutations = []mutation{
 		edits: []string{"\tt.tracker.scan()\n", "\tgo func(tr *tracker) { tr.scan() }(t.tracker)\n"},
 		fires: []string{"shardown"}, first: "test TestIncrementalEquivalenceSeeded"},
 	{name: "shardown.foreign", file: "internal/core/taq.go", load: wholeModule,
-		edits: []string{"\tt.tracker.rec = rec\n", "\tt.tracker.rec = rec\n\tsim.AfterArg(t.run, 0, func(tr any) { tr.(*tracker).rec = rec }, t.tracker)\n"},
+		edits: []string{"\tt.tracker.rec = rec\n", "\tt.tracker.rec = rec\n\tt.run.AfterArg(0, func(tr any) { tr.(*tracker).rec = rec }, t.tracker)\n"},
 		fires: []string{"shardown"}, first: "shardown"},
 	{name: "shardown.exported", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"// Start schedules the periodic scan.", "// Tracker exposes the shard's tracker.\nfunc (t *TAQ) Tracker() *tracker { return t.tracker }\n\n// Start schedules the periodic scan."},

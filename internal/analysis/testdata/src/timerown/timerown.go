@@ -1,4 +1,4 @@
-// Package timerown exercises the timerown analyzer: sim.Reschedule
+// Package timerown exercises the timerown analyzer: Runner.Reschedule
 // takes ownership of the handle passed in, so the only valid handle
 // afterwards is the returned one.
 package timerown
@@ -13,33 +13,33 @@ type keeper struct {
 
 // useAfterTransfer reads a handle whose ownership moved to Reschedule.
 func useAfterTransfer(r sim.Runner, t *sim.Timer) sim.Time {
-	fresh := sim.Reschedule(r, t, sim.Second, func() {})
+	fresh := r.Reschedule(t, sim.Second, func() {})
 	_ = fresh
 	return t.When() // want `use of t after its ownership was transferred to Reschedule`
 }
 
 // cancelAfterTransfer cancels a handle that may have been recycled.
 func cancelAfterTransfer(r sim.Runner, t *sim.Timer) {
-	fresh := sim.Reschedule(r, t, sim.Second, func() {})
+	fresh := r.Reschedule(t, sim.Second, func() {})
 	_ = fresh
 	t.Cancel() // want `Cancel of t after Reschedule took ownership`
 }
 
 // doubleReschedule hands the same stale handle back a second time.
 func doubleReschedule(r sim.Runner, t *sim.Timer) {
-	a := sim.Reschedule(r, t, sim.Second, func() {})
-	b := sim.Reschedule(r, t, 2*sim.Second, func() {}) // want `second Reschedule of t on this path`
+	a := r.Reschedule(t, sim.Second, func() {})
+	b := r.Reschedule(t, 2*sim.Second, func() {}) // want `second Reschedule of t on this path`
 	_, _ = a, b
 }
 
 // discardedResult drops the only valid replacement handle.
 func (k *keeper) discardedResult(t *sim.Timer) {
-	sim.Reschedule(k.run, t, sim.Second, func() {}) // want `discarded Reschedule result`
+	k.run.Reschedule(t, sim.Second, func() {}) // want `discarded Reschedule result`
 }
 
 // escapeStore leaks a stale handle into a field and a map.
 func (k *keeper) escapeStore(t *sim.Timer) {
-	fresh := sim.Reschedule(k.run, t, sim.Second, func() {})
+	fresh := k.run.Reschedule(t, sim.Second, func() {})
 	_ = fresh
 	k.saved = t   // want `stores t into a field, map, or slice`
 	k.byID[0] = t // want `stores t into a field, map, or slice`
@@ -49,7 +49,7 @@ func (k *keeper) escapeStore(t *sim.Timer) {
 // may-finding.
 func branchMaybe(r sim.Runner, t *sim.Timer, cond bool) {
 	if cond {
-		fresh := sim.Reschedule(r, t, sim.Second, func() {})
+		fresh := r.Reschedule(t, sim.Second, func() {})
 		_ = fresh
 	}
 	t.Cancel() // want `Cancel of t, which may have been handed to Reschedule on another path`
@@ -59,7 +59,7 @@ func branchMaybe(r sim.Runner, t *sim.Timer, cond bool) {
 // in the next.
 func loopCarried(r sim.Runner, t *sim.Timer) {
 	for i := 0; i < 3; i++ {
-		fresh := sim.Reschedule(r, t, sim.Second, func() {}) // want `Reschedule of t, which may already have been handed to Reschedule on another path`
+		fresh := r.Reschedule(t, sim.Second, func() {}) // want `Reschedule of t, which may already have been handed to Reschedule on another path`
 		_ = fresh
 	}
 }
@@ -69,8 +69,8 @@ func loopCarried(r sim.Runner, t *sim.Timer) {
 // canonical is the sanctioned idiom: the returned handle replaces the
 // one passed in, on a field just like the hot paths do.
 func (k *keeper) canonical() {
-	k.saved = sim.Reschedule(k.run, k.saved, sim.Second, func() {})
-	k.saved = sim.Reschedule(k.run, k.saved, 2*sim.Second, func() {})
+	k.saved = k.run.Reschedule(k.saved, sim.Second, func() {})
+	k.saved = k.run.Reschedule(k.saved, 2*sim.Second, func() {})
 	k.saved.Cancel()
 }
 
@@ -87,7 +87,7 @@ func scheduleHandleLateCancel(r sim.Runner) {
 // bothBranchesReplace re-assigns on every path before the use.
 func bothBranchesReplace(r sim.Runner, t *sim.Timer, cond bool) {
 	if cond {
-		t = sim.Reschedule(r, t, sim.Second, func() {})
+		t = r.Reschedule(t, sim.Second, func() {})
 	} else {
 		t = r.Schedule(2*sim.Second, func() {})
 	}
@@ -96,7 +96,7 @@ func bothBranchesReplace(r sim.Runner, t *sim.Timer, cond bool) {
 
 // reassignedAfterTransfer installs a fresh handle before the next use.
 func reassignedAfterTransfer(r sim.Runner, t *sim.Timer) {
-	t = sim.Reschedule(r, t, sim.Second, func() {})
-	t = sim.Reschedule(r, t, 2*sim.Second, func() {})
+	t = r.Reschedule(t, sim.Second, func() {})
+	t = r.Reschedule(t, 2*sim.Second, func() {})
 	t.Cancel()
 }

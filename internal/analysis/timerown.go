@@ -7,10 +7,10 @@ import (
 )
 
 // TimerOwn enforces the engine's timer free-list ownership contract
-// (DESIGN.md §5): sim.Reschedule / Engine.Reschedule take ownership of
-// the handle passed in — the struct may be re-armed in place for an
-// unrelated event — so the only valid handle afterwards is the one
-// Reschedule returns. The analyzer tracks *sim.Timer handles through
+// (DESIGN.md §5): Runner.Reschedule takes ownership of the handle
+// passed in — the struct may be re-armed in place for an unrelated
+// event — so the only valid handle afterwards is the one Reschedule
+// returns. The analyzer tracks *sim.Timer handles through
 // the intra-procedural flow pass and flags, along any control-flow
 // path where the handle was not replaced:
 //
@@ -163,14 +163,13 @@ func checkTimerOwn(p *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		p.Reportf(es.Pos(),
-			"discarded Reschedule result: the returned handle replaces the one passed in; assign it back (t = sim.Reschedule(r, t, ...))")
+			"discarded Reschedule result: the returned handle replaces the one passed in; assign it back (t = r.Reschedule(t, ...))")
 		return true
 	})
 }
 
 // rescheduleHandleArg returns the *sim.Timer argument of a Reschedule
-// call (package helper sim.Reschedule or a Reschedule method), or nil
-// when call is not a Reschedule.
+// call, or nil when call is not a Reschedule.
 func rescheduleHandleArg(info *types.Info, call *ast.CallExpr) ast.Expr {
 	name := ""
 	switch f := ast.Unparen(call.Fun).(type) {

@@ -167,18 +167,11 @@ func (c *Config) FillDerived(capacity int) {
 		c.Capacity = capacity
 	}
 	if c.RecoveryCap == 0 {
-		c.RecoveryCap = maxInt(4, c.Capacity)
+		c.RecoveryCap = max(4, c.Capacity)
 	}
 	if c.NewFlowCap == 0 {
-		c.NewFlowCap = maxInt(2, c.Capacity/4)
+		c.NewFlowCap = max(2, c.Capacity/4)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Stats counts middlebox-level events for the experiments.

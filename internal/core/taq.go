@@ -104,7 +104,7 @@ func (t *TAQ) Start() {
 		t.scan()
 		// Re-arm in place: the timer just fired, so Reschedule reuses
 		// its allocation instead of minting a new one every scan.
-		t.scanTimer = sim.Reschedule(t.run, t.scanTimer, t.cfg.ScanInterval, tick)
+		t.scanTimer = t.run.Reschedule(t.scanTimer, t.cfg.ScanInterval, tick)
 	}
 	t.scanTimer = t.run.Schedule(t.cfg.ScanInterval, tick)
 }

@@ -112,10 +112,10 @@ func testbedCfg(seed int64, speedup float64, bw link.Bps, q topology.QueueKind) 
 }
 
 func TestTestbedBulkFlowDelivers(t *testing.T) {
-	// Speedup compresses wall time but each packet still costs a real
-	// timer firing, so the virtual packet rate divided by speedup must
+	// Speedup compresses wall time but events still wait on a real
+	// wall timer, so the virtual packet rate divided by speedup must
 	// stay well below what the OS timer wheel sustains: 200 Kbps =
-	// 50 pkt/s virtual, speedup 50 → 2500 timer events/s wall; 100 kB
+	// 50 pkt/s virtual, speedup 50 → 2500 events/s wall; 100 kB
 	// is 4 virtual seconds, ≈0.1 s wall, at the ideal rate. Timer latency
 	// on a loaded machine stretches that, so the test waits for the bytes
 	// and fails only if they never arrive.
@@ -143,8 +143,8 @@ func TestTestbedTAQMiddleboxRuns(t *testing.T) {
 	}
 	tb.RunFor(60 * sim.Second)
 	tb.Stop()
-	if n := tb.Engine.outstandingTimers(); n != 0 {
-		t.Errorf("%d wall timers outstanding after Stop", n)
+	if wakeArmed(tb.Engine) {
+		t.Error("wake timer armed after Stop")
 	}
 	tb.Snapshot(func() {
 		net := tb.Net

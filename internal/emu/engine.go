@@ -2,57 +2,42 @@
 // paper's prototype/testbed experiments (§5, Figs 11–12). The paper
 // evaluated TAQ both in simulation and as a userspace middlebox (Click
 // elements and a C# SharpPcap implementation) on a physical testbed;
-// here the same role is played by a wall-clock implementation of
-// sim.Runner, so the *identical* TCP and TAQ code that runs in the
-// simulator runs under real concurrent timers, packet races and
-// scheduling jitter — optionally time-scaled so a 200-virtual-second
-// experiment finishes in a couple of wall seconds.
+// here the same role is played by a wall-clock sim.Runner: the
+// simulator's own event heap, paced against the (optionally
+// time-scaled) wall clock by one timer, so the *identical* TCP and TAQ
+// code that runs in the simulator runs against real time, concurrent
+// clients and scheduling jitter. A speedup lets a 200-virtual-second
+// experiment finish in a couple of wall seconds.
 package emu
 
 import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"taq/internal/sim"
 )
 
-// Engine is a wall-clock sim.Runner. All callbacks are serialized by
-// an internal mutex (protocol code is written for serialized
-// execution); the concurrency is real — every timer fires on its own
-// goroutine and races to acquire the lock, exactly like packet and
-// timer events racing in a userspace middlebox.
+// Engine is a wall-clock sim.Runner: one event loop with one timer
+// queue, like a userspace middlebox. Events wait in a sim.Engine heap,
+// keyed by the virtual time they are due; a single wall timer wakes
+// for the heap's root and fires every due event under the engine's
+// mutex, in (deadline, schedule order). Clients on other goroutines
+// reach the network through Post, which takes the same mutex.
+//
+// Schedule, After, AfterArg, Reschedule and Rand touch the heap, so,
+// like everything else the network owns, they are called from a
+// callback or inside Post.
 type Engine struct {
 	mu      sync.Mutex
 	start   time.Time
 	speedup float64
-	rng     *rand.Rand
+	sim     *sim.Engine
+	// wake runs pass when the heap's root falls due; arm points it.
+	wake    *time.Timer
 	stopped bool
-
-	// minNow is a floor on the virtual clock: the highest timer
-	// deadline whose callback has started. The wall→virtual conversion
-	// rounds, so a callback's own Now() could otherwise read a hair
-	// *before* the deadline it fired for, and timeout logic comparing
-	// Now() against deadlines would fire early (acute at high speedup,
-	// where one wall nanosecond is many virtual ones). Written under
-	// mu; read lock-free by Now.
-	minNow atomic.Int64
-
-	// tmu guards timers, the set of armed wall timers, nil once Stop
-	// has run. A separate mutex because Schedule runs while callers
-	// hold mu (callbacks schedule their successors) and mu is not
-	// reentrant.
-	tmu    sync.Mutex
-	timers map[*wallNode]struct{}
 }
-
-// wallNode tracks one armed time.AfterFunc so Stop can disarm it. The
-// node, not the *time.Timer, keys the set: the timer value is assigned
-// after AfterFunc returns, and the callback (which may run
-// immediately) needs a stable identity to deregister.
-type wallNode struct{ t *time.Timer }
 
 // NewEngine creates a real-time engine. speedup scales virtual time
 // against wall time: with speedup 100, one wall second covers 100
@@ -61,34 +46,31 @@ func NewEngine(seed int64, speedup float64) *Engine {
 	if speedup <= 0 {
 		speedup = 1
 	}
-	return &Engine{
-		start:   time.Now(),
-		speedup: speedup,
-		rng:     rand.New(rand.NewSource(seed)),
-		timers:  make(map[*wallNode]struct{}),
-	}
+	e := &Engine{start: time.Now(), speedup: speedup, sim: sim.NewEngine(seed)}
+	e.wake = time.AfterFunc(time.Hour, e.pass)
+	e.wake.Stop()
+	return e
 }
 
-// Now implements sim.Runner: the virtual time elapsed since creation,
-// clamped so it never reads before the deadline of a callback that has
-// already started (see minNow).
+// Now implements sim.Runner: the virtual time elapsed since creation.
+// A pass fires only events due at or before the Now it read, so a
+// callback never sees Now() before its own deadline.
 func (e *Engine) Now() sim.Time {
-	now := sim.Time(float64(time.Since(e.start)) * e.speedup)
-	if floor := sim.Time(e.minNow.Load()); floor > now {
-		return floor
-	}
-	return now
+	return sim.Time(float64(time.Since(e.start)) * e.speedup)
 }
 
-// Rand implements sim.Runner. Only call from scheduled callbacks or
-// Post-ed functions (it is guarded by the engine lock there).
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// Rand implements sim.Runner: the heap's seeded source.
+func (e *Engine) Rand() *rand.Rand { return e.sim.Rand() }
+
+// shift turns a delay from Now() into one from the heap's clock, which
+// lags the wall clock between passes (never leads it: a pass advances
+// it only to the Now it read).
+func (e *Engine) shift(delay sim.Time) sim.Time {
+	return max(delay, 0) + e.Now() - e.sim.Now()
+}
 
 // wallDelay converts a virtual delay to the wall delay to arm,
 // rounding up: the timer must never fire before its virtual deadline.
-// Truncating (the old code) underslept by up to one wall nanosecond —
-// up to `speedup` virtual nanoseconds — so a callback could run with
-// the virtual clock still short of its deadline.
 func wallDelay(delay sim.Time, speedup float64) time.Duration {
 	if delay <= 0 {
 		return 0
@@ -96,104 +78,70 @@ func wallDelay(delay sim.Time, speedup float64) time.Duration {
 	return time.Duration(math.Ceil(float64(delay) / speedup))
 }
 
-// Schedule implements sim.Runner: fn runs after the virtual delay,
-// serialized with all other callbacks. On a stopped engine it arms
-// nothing and returns a canceled handle.
-//
-//taq:allow(func) lockdiscipline timers is guarded by tmu, not mu; the analyzer models one mutex per struct
+// Schedule implements sim.Runner. On a stopped engine the handle comes
+// back canceled: nothing would ever fire it.
 func (e *Engine) Schedule(delay sim.Time, fn func()) *sim.Timer {
-	if delay < 0 {
-		delay = 0
+	t := e.sim.Schedule(e.shift(delay), fn)
+	if e.halted() {
+		t.Cancel()
 	}
-	tm := sim.ExternalTimer(e.Now() + delay)
-	node := &wallNode{}
-	// Holding tmu across AfterFunc closes the arm/registration race:
-	// the callback's first act is to take tmu, so it cannot observe a
-	// nil node.t or a set the node was never added to, even when the
-	// wall delay is zero.
-	e.tmu.Lock()
-	if e.timers == nil { // stopped: nothing would disarm a timer armed now
-		e.tmu.Unlock()
-		tm.Cancel()
-		return tm
-	}
-	node.t = time.AfterFunc(wallDelay(delay, e.speedup), func() { e.fire(node, tm, fn) })
-	e.timers[node] = struct{}{}
-	e.tmu.Unlock()
-	tm.SetStop(wallTimer{e: e, node: node})
-	return tm
+	return t
 }
 
-// fire is the armed timer's callback: deregister, then run fn under
-// the engine lock with the virtual clock clamped to the deadline.
-func (e *Engine) fire(node *wallNode, tm *sim.Timer, fn func()) {
-	e.tmu.Lock()
-	delete(e.timers, node)
-	e.tmu.Unlock()
+// After implements sim.Runner.
+func (e *Engine) After(delay sim.Time, fn func()) { e.sim.After(e.shift(delay), fn) }
+
+// AfterArg implements sim.Runner.
+func (e *Engine) AfterArg(delay sim.Time, fn func(any), arg any) {
+	e.sim.AfterArg(e.shift(delay), fn, arg)
+}
+
+// Reschedule implements sim.Runner.
+func (e *Engine) Reschedule(t *sim.Timer, delay sim.Time, fn func()) *sim.Timer {
+	return e.sim.Reschedule(t, e.shift(delay), fn)
+}
+
+// halted reports whether Stop has run; the caller holds mu.
+func (e *Engine) halted() bool { return e.stopped }
+
+// pass is the wake timer's callback: fire every event due by now, then
+// re-arm for the next.
+func (e *Engine) pass() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.stopped || tm.Canceled() {
-		return
+	if !e.stopped {
+		e.sim.RunUntil(e.Now())
+		e.arm()
 	}
-	// The timer hardware ran at wall resolution; the virtual deadline
-	// may still be a rounding error ahead. Advance the clock floor so
-	// fn (and everything after it) observes Now() ≥ the deadline it
-	// fired for. Monotone: deadlines of already-started callbacks only
-	// ratchet upward.
-	if dl := int64(tm.When()); dl > e.minNow.Load() {
-		e.minNow.Store(dl)
-	}
-	fn()
 }
 
-// wallTimer adapts an armed wall timer to sim.TimerStopper.
-type wallTimer struct {
-	e    *Engine
-	node *wallNode
-}
-
-// StopTimer implements sim.TimerStopper: disarm and deregister.
-//
-//taq:allow(func) noblock tmu is the engine's own short-critical-section timer lock, the same sanctioned exception NoblockAllow grants Engine methods
-func (w wallTimer) StopTimer() {
-	w.node.t.Stop()
-	w.e.tmu.Lock()
-	delete(w.e.timers, w.node)
-	w.e.tmu.Unlock()
+// arm points the wake timer at the heap's root. It runs with mu held
+// at the end of every pass and Post, the only places events are
+// scheduled. A wake left armed over an emptied heap finds nothing due
+// and stays disarmed.
+func (e *Engine) arm() {
+	if at, ok := e.sim.Next(); ok && !e.stopped {
+		e.wake.Reset(wallDelay(at-e.Now(), e.speedup))
+	}
 }
 
 // Post runs fn under the engine lock, serialized with callbacks. Use
-// it for scenario setup and for reading results.
+// it for scenario setup, for scheduling from another goroutine and for
+// reading results.
 func (e *Engine) Post(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	fn()
+	e.arm()
 }
 
-// Stop prevents any further callbacks from running, disarms every
-// outstanding wall timer and lets Schedule arm no more. Without the
-// disarm, already-armed time.AfterFunc timers stayed alive until their
-// natural deadline just to bail on the stopped flag — minutes-long
-// soaks accumulated thousands of runtime timers and their firing
-// goroutines.
+// Stop prevents any further callbacks from running and disarms the
+// wake timer. Post keeps working, to read results.
 func (e *Engine) Stop() {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.stopped = true
-	e.mu.Unlock()
-	e.tmu.Lock()
-	for node := range e.timers {
-		node.t.Stop()
-	}
-	e.timers = nil
-	e.tmu.Unlock()
-}
-
-// outstandingTimers reports how many wall timers are armed (tests).
-func (e *Engine) outstandingTimers() int {
-	e.tmu.Lock()
-	n := len(e.timers)
-	e.tmu.Unlock()
-	return n
+	e.wake.Stop()
 }
 
 // RunFor blocks (wall-clock) until the given additional virtual time

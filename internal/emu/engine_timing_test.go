@@ -44,34 +44,35 @@ func TestWallDelayNeverUndersleeps(t *testing.T) {
 	}
 }
 
-// TestFireClampsNowToDeadline drives the firing path directly: even if
-// the wall timer fires with the wall-derived virtual clock still short
-// of the deadline (rounding, or a hypothetical early wake), the
-// callback must observe Now() at or past the deadline it fired for.
+// TestFireClampsNowToDeadline drives the firing path directly: a wake
+// that comes early (here a pass run by hand right after scheduling)
+// must not run a callback whose deadline the clock has not reached. A
+// pass fires only events due by the Now it read, so every callback
+// observes Now() at or past the deadline it fired for.
 func TestFireClampsNowToDeadline(t *testing.T) {
 	e := NewEngine(1, 1000)
-	// A deadline far in the virtual future: the wall clock cannot have
-	// covered it yet, so only the clamp can satisfy the invariant.
-	deadline := e.Now() + 10*sim.Second
-	tm := sim.ExternalTimer(deadline)
+	defer e.Stop()
+	var tm *sim.Timer
 	var got sim.Time
-	e.fire(&wallNode{t: time.NewTimer(time.Hour)}, tm, func() { got = e.Now() })
-	if got < deadline {
-		t.Fatalf("callback observed Now()=%v before its deadline %v", got, deadline)
+	fired := make(chan struct{})
+	e.Post(func() {
+		tm = e.Schedule(100*sim.Second, func() { got = e.Now(); close(fired) })
+	})
+	e.pass()
+	select {
+	case <-fired:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for the callback")
 	}
-	// The floor is monotone: an older timer's deadline must not drag
-	// Now() back.
-	past := sim.ExternalTimer(deadline - 5*sim.Second)
-	e.fire(&wallNode{t: time.NewTimer(time.Hour)}, past, func() { got = e.Now() })
-	if got < deadline {
-		t.Fatalf("older deadline dragged Now() back to %v (floor was %v)", got, deadline)
+	if got < tm.When() {
+		t.Fatalf("callback observed Now()=%v before its deadline %v", got, tm.When())
 	}
 }
 
 // TestScheduleObservesDeadline is the end-to-end form at speedup 1000:
 // every callback checks its own clock against its deadline. With the
-// truncating conversion this raced real timer jitter; with round-up +
-// clamp it must hold unconditionally.
+// truncating conversion this raced real timer jitter; with the round-up
+// and a pass that fires only due events it must hold unconditionally.
 func TestScheduleObservesDeadline(t *testing.T) {
 	e := NewEngine(1, 1000)
 	defer e.Stop()
@@ -100,57 +101,68 @@ func TestScheduleObservesDeadline(t *testing.T) {
 	}
 }
 
-// TestStopDisarmsOutstandingTimers is the leak regression test:
-// Engine.Stop used to leave armed time.AfterFunc timers running to
-// their natural deadlines (minutes out, for scan and expiry timers),
-// accumulating runtime timers across a soak. Stop must disarm them.
+// wakeArmed reports whether e's wake timer was armed, disarming it.
+func wakeArmed(e *Engine) bool { return e.wake.Stop() }
+
+// pending reports how many events e holds.
+func pending(e *Engine) (n int) {
+	e.Post(func() { n = e.sim.Pending() })
+	return n
+}
+
+// TestStopDisarmsOutstandingTimers is the leak regression test: Stop
+// must leave no wall timer armed, so a stopped engine pins no runtime
+// timer and fires nothing, however many events it still holds.
 func TestStopDisarmsOutstandingTimers(t *testing.T) {
-	e := NewEngine(1, 1)
+	e := NewEngine(1, 1000)
 	fired := make(chan struct{}, 64)
 	e.Post(func() {
 		for i := 0; i < 50; i++ {
 			e.Schedule(sim.Time(30+i)*sim.Second, func() { fired <- struct{}{} })
 		}
 	})
-	if n := e.outstandingTimers(); n != 50 {
-		t.Fatalf("outstanding timers = %d, want 50", n)
+	if n := pending(e); n != 50 {
+		t.Fatalf("pending events = %d, want 50", n)
 	}
 	e.Stop()
-	if n := e.outstandingTimers(); n != 0 {
-		t.Fatalf("outstanding timers after Stop = %d, want 0", n)
+	if wakeArmed(e) {
+		t.Fatal("wake timer still armed after Stop")
 	}
 	select {
 	case <-fired:
 		t.Fatal("timer fired after Stop")
-	case <-time.After(50 * time.Millisecond):
+	case <-time.After(150 * time.Millisecond):
 	}
-	// Nothing could disarm a timer armed now: Schedule must arm none.
-	if tm := e.Schedule(3600*sim.Second, func() {}); !tm.Canceled() {
+	// Nothing would fire an event scheduled now: Schedule arms nothing
+	// and hands back a canceled handle.
+	var tm *sim.Timer
+	e.Post(func() { tm = e.Schedule(sim.Second, func() {}) })
+	if !tm.Canceled() {
 		t.Error("Schedule after Stop returned a live handle")
 	}
-	if n := e.outstandingTimers(); n != 0 {
-		t.Fatalf("outstanding timers after Schedule on a stopped engine = %d, want 0", n)
+	if wakeArmed(e) {
+		t.Fatal("Schedule on a stopped engine armed the wake timer")
 	}
 }
 
-// TestCancelDeregistersTimer: a canceled timer must leave the armed
-// set immediately, not linger until its deadline.
+// TestCancelDeregistersTimer: Cancel must take the event out of the
+// queue immediately, not leave it to linger until its deadline.
 func TestCancelDeregistersTimer(t *testing.T) {
 	e := NewEngine(1, 1)
 	defer e.Stop()
 	var tm *sim.Timer
 	e.Post(func() { tm = e.Schedule(3600*sim.Second, func() {}) })
-	if n := e.outstandingTimers(); n != 1 {
-		t.Fatalf("outstanding timers = %d, want 1", n)
+	if n := pending(e); n != 1 {
+		t.Fatalf("pending events = %d, want 1", n)
 	}
 	e.Post(func() { tm.Cancel() })
-	if n := e.outstandingTimers(); n != 0 {
-		t.Fatalf("outstanding timers after Cancel = %d, want 0", n)
+	if n := pending(e); n != 0 {
+		t.Fatalf("pending events after Cancel = %d, want 0", n)
 	}
 }
 
-// TestFiredTimerDeregisters: a timer that has fired must leave the
-// armed set on its own.
+// TestFiredTimerDeregisters: an event that has fired must leave the
+// queue on its own.
 func TestFiredTimerDeregisters(t *testing.T) {
 	e := NewEngine(1, 1000)
 	defer e.Stop()
@@ -159,9 +171,62 @@ func TestFiredTimerDeregisters(t *testing.T) {
 		e.Schedule(10*sim.Millisecond, func() { close(done) })
 	})
 	<-done
-	// fire deregisters before taking the engine lock, so by the time
-	// the callback has run the set is already clean.
-	if n := e.outstandingTimers(); n != 0 {
-		t.Fatalf("outstanding timers after fire = %d, want 0", n)
+	if n := pending(e); n != 0 {
+		t.Fatalf("pending events after fire = %d, want 0", n)
 	}
+}
+
+// TestPostOrderIsScheduleOrder: events due at the same instant fire in
+// the order they were scheduled. Callbacks scheduled in one Post with
+// one delay are due in schedule order, so they must fire in it — one
+// heap with one wake, not a timer goroutine each racing for the lock.
+func TestPostOrderIsScheduleOrder(t *testing.T) {
+	e := NewEngine(1, 1000)
+	defer e.Stop()
+	const n = 64
+	var order []int
+	done := make(chan struct{})
+	e.Post(func() {
+		for i := 0; i < n; i++ {
+			e.Schedule(sim.Millisecond, func() {
+				order = append(order, i)
+				if len(order) == n {
+					close(done)
+				}
+			})
+		}
+	})
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("timed out waiting for callbacks")
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("fired in order %v, want schedule order", order)
+		}
+	}
+}
+
+// TestRunnerEventsAllocateNothing: once the heap and its free list are
+// warm, a fire-and-forget event (closure or pointer payload) and the
+// rearm of a held handle allocate nothing on the wall-clock engine
+// either. Events are fired the way a pass fires them.
+func TestRunnerEventsAllocateNothing(t *testing.T) {
+	e := NewEngine(1, 1000)
+	defer e.Stop()
+	e.Post(func() {
+		fn, argFn, payload := func() {}, func(any) {}, new(int)
+		fire := func() { e.sim.RunUntil(e.Now()) }
+		if n := testing.AllocsPerRun(1000, func() { e.After(0, fn); fire() }); n != 0 {
+			t.Errorf("After: %v allocs/op, want 0", n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { e.AfterArg(0, argFn, payload); fire() }); n != 0 {
+			t.Errorf("AfterArg: %v allocs/op, want 0", n)
+		}
+		tm := e.Schedule(sim.Second, fn)
+		if n := testing.AllocsPerRun(1000, func() { tm = e.Reschedule(tm, sim.Second, fn) }); n != 0 {
+			t.Errorf("Reschedule: %v allocs/op, want 0", n)
+		}
+	})
 }

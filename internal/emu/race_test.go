@@ -9,8 +9,8 @@ import (
 )
 
 // TestEngineConcurrentClients hammers the engine's public surface from
-// many goroutines at once — Schedule, Post, Cancel from inside
-// callbacks, Now, and a concurrent Stop — so `go test -race` exercises
+// many goroutines at once — Post (scheduling and canceling inside it),
+// Now, and a concurrent Stop — so `go test -race` exercises
 // the one-mutex serialization that the emulation layer's correctness
 // rests on. The assertions are deliberately weak (no callback after
 // Stop returns, no lost Posts before it); the race detector is the
@@ -32,12 +32,14 @@ func TestEngineConcurrentClients(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch i % 4 {
 				case 0:
-					timers = append(timers, e.Schedule(sim.Time(1+i%7)*sim.Millisecond, func() {
-						if stopped.Load() {
-							t.Error("callback after Stop returned")
-						}
-						fired.Add(1)
-					}))
+					e.Post(func() {
+						timers = append(timers, e.Schedule(sim.Time(1+i%7)*sim.Millisecond, func() {
+							if stopped.Load() {
+								t.Error("callback after Stop returned")
+							}
+							fired.Add(1)
+						}))
+					})
 				case 1:
 					e.Post(func() { fired.Add(1) })
 				case 2:
@@ -69,7 +71,8 @@ func TestEngineConcurrentClients(t *testing.T) {
 	if snap == 0 {
 		t.Fatal("post-stop snapshot saw nothing")
 	}
-	tm := e.Schedule(sim.Millisecond, func() { t.Error("Schedule ran after Stop") })
+	var tm *sim.Timer
+	e.Post(func() { tm = e.Schedule(sim.Millisecond, func() { t.Error("Schedule ran after Stop") }) })
 	e.RunFor(2 * sim.Millisecond)
 	e.Post(func() { tm.Cancel() })
 }

@@ -120,7 +120,7 @@ func (b *ShardBank) locked(i int, fn func()) {
 }
 
 // Stop cancels every shard's scan and stops every engine, disarming
-// all outstanding wall timers (soaks must not leak runtime timers).
+// its wake timer (soaks must not leak runtime timers).
 func (b *ShardBank) Stop() {
 	for i := range b.shards {
 		sh := &b.shards[i]

@@ -254,12 +254,12 @@ func TestShardBankSoak(t *testing.T) {
 			shards, flows, wall, stats.Arrivals, stats.Served, stats.Drops, flight.Dumps)
 	}
 
-	// Teardown must disarm every shard's wall timers (the Engine.Stop
+	// Teardown must disarm every shard's wake timer (the Engine.Stop
 	// leak regression, at bank scale).
 	bank.Stop()
 	for s := 0; s < shards; s++ {
-		if n := bank.Shard(s).Engine.outstandingTimers(); n != 0 {
-			t.Errorf("shard %d: %d wall timers still armed after Stop", s, n)
+		if wakeArmed(bank.Shard(s).Engine) {
+			t.Errorf("shard %d: wake timer still armed after Stop", s)
 		}
 	}
 }

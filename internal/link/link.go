@@ -2,7 +2,7 @@
 // a configured rate out of a queue.Discipline. The uncongested paths
 // around it (access links and the reverse ACK path, which per the paper
 // carry no congestion) are plain delays and belong to whoever wires the
-// scenario: sim.AfterArg events in internal/topology.
+// scenario: Runner.AfterArg events in internal/topology.
 package link
 
 import (
@@ -42,15 +42,12 @@ type Link struct {
 	rec     *obs.Recorder
 	mx      *Metrics
 
-	// txPkt is the packet currently serializing. prop holds packets in
-	// propagation: the delay is constant, so propagation arrivals occur
-	// in departure order and a FIFO carries exactly the per-packet state
-	// the delivery closures used to capture. txDone and deliverNext are
+	// txPkt is the packet currently serializing; a packet in
+	// propagation is its own AfterArg payload. txDone and arrive are
 	// bound once in New so the per-packet path allocates no closures.
-	txPkt       *packet.Packet
-	prop        queue.FIFO
-	txDone      func()
-	deliverNext func()
+	txPkt  *packet.Packet
+	txDone func()
+	arrive func(any)
 
 	// Stats.
 	SentPackets  uint64
@@ -66,7 +63,7 @@ func New(run sim.Runner, rate Bps, delay sim.Time, disc queue.Discipline, delive
 	// Bind the timer callbacks once: a method value allocates, so taking
 	// them here keeps pump/finishTx closure-free per packet.
 	l.txDone = l.finishTx
-	l.deliverNext = l.deliverHead
+	l.arrive = l.propagated
 	return l
 }
 
@@ -115,16 +112,15 @@ func (l *Link) pump() {
 	l.txPkt = p
 	tx := l.rate.TxTime(p.Size)
 	l.BusyTime += tx
-	// Fire-and-forget per-packet events go through sim.After with the
-	// prebuilt callback so the hottest scheduling site in every
-	// experiment allocates neither a timer nor a closure.
-	sim.After(l.run, tx, l.txDone)
+	// A fire-and-forget event with the prebuilt callback: the hottest
+	// scheduling site in every experiment allocates neither a timer nor
+	// a closure.
+	l.run.After(tx, l.txDone)
 }
 
 // finishTx runs when the serializing packet's last bit leaves the
-// link: it moves the packet into the propagation FIFO, schedules its
-// delivery one propagation delay out, and starts the next
-// transmission.
+// link: it schedules the packet's delivery one propagation delay out
+// and starts the next transmission.
 func (l *Link) finishTx() {
 	p := l.txPkt
 	l.txPkt = nil
@@ -132,14 +128,14 @@ func (l *Link) finishTx() {
 	l.SentPackets++
 	l.SentBytes += uint64(p.Size)
 	l.lastTxFinish = l.run.Now()
-	l.prop.Push(p)
-	sim.After(l.run, l.delay, l.deliverNext)
+	l.run.AfterArg(l.delay, l.arrive, p)
 	l.pump()
 }
 
-// deliverHead hands the oldest in-propagation packet to the sink.
-func (l *Link) deliverHead() {
-	l.deliver(l.prop.Pop())
+// propagated hands a packet whose propagation delay has elapsed to the
+// sink.
+func (l *Link) propagated(arg any) {
+	l.deliver(arg.(*packet.Packet))
 }
 
 // Utilization returns BusyTime divided by elapsed, the fraction of time

@@ -82,7 +82,7 @@ func (c *Census) ScheduleRolls(run sim.Runner, epoch sim.Time) {
 	var tick func()
 	tick = func() {
 		c.Roll()
-		sim.After(run, epoch, tick)
+		run.After(epoch, tick)
 	}
-	sim.After(run, epoch, tick)
+	run.After(epoch, tick)
 }

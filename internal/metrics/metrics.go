@@ -140,10 +140,3 @@ func (c *CDF) FractionBelow(v float64) float64 {
 	}
 	return float64(i) / float64(len(c.vals))
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

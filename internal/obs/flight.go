@@ -99,9 +99,9 @@ func (f *FlightRecorder) Start() {
 	var tick func()
 	tick = func() {
 		f.poll()
-		f.timer = sim.Reschedule(f.run, f.timer, f.interval, tick)
+		f.timer = f.run.Reschedule(f.timer, f.interval, tick)
 	}
-	f.timer = sim.Reschedule(f.run, f.timer, f.interval, tick)
+	f.timer = f.run.Reschedule(f.timer, f.interval, tick)
 }
 
 // Stop cancels the poll. Safe on a nil receiver.

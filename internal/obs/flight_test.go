@@ -96,10 +96,10 @@ func TestFlightRecorderMaxDumps(t *testing.T) {
 			level = 0
 		}
 		if tick < 20 {
-			sim.After(eng, sim.Second, osc)
+			eng.After(sim.Second, osc)
 		}
 	}
-	sim.After(eng, sim.Second/2, osc)
+	eng.After(sim.Second/2, osc)
 	eng.RunUntil(25 * sim.Second)
 	fr.Stop()
 	if fr.Dumps != 2 {

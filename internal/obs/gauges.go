@@ -86,9 +86,9 @@ func (g *GaugeSet) Start() {
 	var tick func()
 	tick = func() {
 		g.sample()
-		g.timer = sim.Reschedule(g.run, g.timer, g.interval, tick)
+		g.timer = g.run.Reschedule(g.timer, g.interval, tick)
 	}
-	g.timer = sim.Reschedule(g.run, g.timer, g.interval, tick)
+	g.timer = g.run.Reschedule(g.timer, g.interval, tick)
 }
 
 // sample evaluates every gauge and writes one row.

@@ -7,10 +7,10 @@ import (
 
 // Runner is the clock-and-scheduler interface all protocol code is
 // written against. The discrete-event Engine in this package implements
-// it with virtual time; internal/emu implements it with (scaled) wall
-// time. Callbacks scheduled through a Runner are executed serially: no
-// two callbacks of the same Runner ever run concurrently, so protocol
-// code needs no locking of its own.
+// it with virtual time; internal/emu paces an Engine against the
+// (scaled) wall clock. Callbacks scheduled through a Runner are
+// executed serially: no two callbacks of the same Runner ever run
+// concurrently, so protocol code needs no locking of its own.
 type Runner interface {
 	// Now returns the current time.
 	Now() Time
@@ -18,78 +18,28 @@ type Runner interface {
 	// delay runs fn as soon as possible, still after the current
 	// callback returns. The returned Timer may be used to cancel.
 	Schedule(delay Time, fn func()) *Timer
+	// After schedules fn to run delay from now without returning a
+	// handle: the fire-and-forget form for events that are never
+	// canceled (packet deliveries, self-armed ticks). Its Timer is
+	// recycled when it fires, so the event allocates nothing.
+	After(delay Time, fn func())
+	// AfterArg schedules fn(arg) to run delay from now, fire-and-forget
+	// like After: fn is a handler bound once by the caller and arg the
+	// per-event state (a packet in flight), so the event allocates
+	// nothing provided arg is pointer-shaped (a pointer, map, chan or
+	// func), which boxes into the interface without a copy. AfterArg and
+	// After events due at the same instant fire in the order they were
+	// scheduled.
+	AfterArg(delay Time, fn func(any), arg any)
+	// Reschedule cancels t (if still pending) and arms fn to run delay
+	// from now, reusing t's allocation: the cancel-then-rearm idiom of
+	// RTO and pacing timers without the per-arm allocation. t may be
+	// nil. The caller must hold the only reference to t and must
+	// replace it with the returned handle.
+	Reschedule(t *Timer, delay Time, fn func()) *Timer
 	// Rand returns the runner's random source. Deterministic for the
 	// simulation engine given a seed.
 	Rand() *rand.Rand
-}
-
-// afterRunner is the optional Runner extension behind After: engines
-// that implement it can schedule fire-and-forget callbacks without
-// allocating a Timer per event.
-type afterRunner interface {
-	After(delay Time, fn func())
-}
-
-// afterArgRunner is the optional Runner extension behind AfterArg:
-// engines that implement it carry the argument in the recycled timer
-// itself, so the caller needs no closure to hold it.
-type afterArgRunner interface {
-	AfterArg(delay Time, fn func(any), arg any)
-}
-
-// rescheduleRunner is the optional Runner extension behind Reschedule:
-// engines that implement it can re-arm a caller-owned Timer in place
-// instead of allocating a new one.
-type rescheduleRunner interface {
-	Reschedule(t *Timer, delay Time, fn func()) *Timer
-}
-
-// After schedules fn to run delay from now without returning a handle.
-// Use it for fire-and-forget events (packet deliveries, self-armed
-// ticks) that are never canceled: runners that support it recycle the
-// underlying timer allocation, which is the per-event hot path of every
-// experiment sweep. Falls back to Schedule on runners that don't.
-//
-//taq:hotpath per-event scheduling entry of every packet delivery
-func After(r Runner, delay Time, fn func()) {
-	if a, ok := r.(afterRunner); ok {
-		a.After(delay, fn)
-		return
-	}
-	r.Schedule(delay, fn)
-}
-
-// AfterArg schedules fn(arg) to run delay from now without returning a
-// handle: After for events that carry a payload (a packet in flight).
-// fn is a handler bound once by the caller and arg the per-event state,
-// so on runners that support it the event allocates nothing — provided
-// arg is pointer-shaped (a pointer, map, chan or func), which boxes
-// into the interface without a copy. AfterArg and After events due at
-// the same instant fire in the order they were scheduled. Runners
-// without the extension get a closure over Schedule.
-//
-//taq:hotpath per-hop scheduling entry of every packet in flight
-func AfterArg(r Runner, delay Time, fn func(any), arg any) {
-	if a, ok := r.(afterArgRunner); ok {
-		a.AfterArg(delay, fn, arg)
-		return
-	}
-	r.Schedule(delay, func() { fn(arg) }) //taq:allow noalloc fallback for runners without the extension (emu); the simulator never takes it
-}
-
-// Reschedule cancels t (if still pending) and arms fn to run delay from
-// now, reusing t's allocation when the runner supports it — the
-// cancel-then-rearm idiom of RTO and pacing timers without the per-arm
-// allocation. t may be nil. The caller must hold the only reference to
-// t and must replace it with the returned handle.
-//
-//taq:hotpath per-event rearm entry of RTO and pacing timers
-func Reschedule(r Runner, t *Timer, delay Time, fn func()) *Timer {
-	if rr, ok := r.(rescheduleRunner); ok {
-		return rr.Reschedule(t, delay, fn)
-	}
-	t.Cancel()
-	return r.Schedule(delay, fn)
 }
 
 // Timer is a handle to a scheduled callback.
@@ -102,23 +52,10 @@ type Timer struct {
 	argFn func(any)
 	arg   any
 	// index is the position in the owning engine's handle heap, -1 when
-	// not queued there (fired, canceled, external, or fire-and-forget).
+	// not queued there (fired, canceled, or fire-and-forget).
 	index    int
 	canceled bool
-	// eng is the owning Engine, nil for external timers.
-	eng *Engine
-	// stop is set by the real-time engine to stop the underlying
-	// wall-clock timer. It is an interface rather than a func() so the
-	// cancel path carries no closure and stays statically resolvable
-	// (taqvet's hotpath closure would otherwise have to treat every
-	// address-taken thunk in the program as a Cancel callee).
-	stop TimerStopper
-}
-
-// TimerStopper stops the wall-clock timer backing an external Timer
-// handle when that handle is canceled.
-type TimerStopper interface {
-	StopTimer()
+	eng      *Engine // the owning engine
 }
 
 // Cancel prevents the timer's callback from running. The callback
@@ -131,26 +68,14 @@ func (t *Timer) Cancel() {
 	}
 	t.canceled = true
 	t.fn = nil
-	if t.eng != nil && t.index >= 0 {
+	if t.index >= 0 {
 		t.eng.timers.remove(t.index)
 		t.index = -1
-	}
-	if t.stop != nil {
-		t.stop.StopTimer()
 	}
 }
 
 // Canceled reports whether Cancel was called.
 func (t *Timer) Canceled() bool { return t != nil && t.canceled }
-
-// ExternalTimer returns a Timer handle for Runner implementations
-// outside this package (e.g. the real-time engine in internal/emu).
-// The caller is responsible for honoring Canceled before firing.
-func ExternalTimer(at Time) *Timer { return &Timer{at: at, index: -1} }
-
-// SetStop registers s to run when the timer is canceled, letting
-// external Runners stop their underlying wall-clock timers.
-func (t *Timer) SetStop(s TimerStopper) { t.stop = s }
 
 // When returns the virtual time the timer is (or was) due to fire.
 func (t *Timer) When() Time { return t.at }
@@ -338,11 +263,9 @@ func (e *Engine) ScheduleAt(at Time, fn func()) *Timer {
 	return t
 }
 
-// After schedules fn to run delay from now, fire-and-forget: no handle
-// is returned, and the timer's allocation is recycled when it fires.
-// This is the allocation-free path for the per-packet events that
-// dominate simulation runs. Prefer the package-level sim.After when
-// holding a Runner interface.
+// After implements Runner: the timer's allocation is recycled when it
+// fires, the allocation-free path for the per-packet events that
+// dominate simulation runs.
 //
 //taq:hotpath engine fast path: recycled fire-and-forget timers
 func (e *Engine) After(delay Time, fn func()) {
@@ -351,10 +274,8 @@ func (e *Engine) After(delay Time, fn func()) {
 	e.events.push(e.entry(e.now+delay, t))
 }
 
-// AfterArg schedules fn(arg) to run delay from now, fire-and-forget
-// like After, with the payload stored in the recycled timer instead of
-// a closure. See the package-level sim.AfterArg for the contract on
-// arg.
+// AfterArg implements Runner, with the payload stored in the recycled
+// timer instead of a closure.
 //
 //taq:hotpath engine fast path: recycled payload-carrying timers
 func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
@@ -363,16 +284,12 @@ func (e *Engine) AfterArg(delay Time, fn func(any), arg any) {
 	e.events.push(e.entry(e.now+delay, t))
 }
 
-// Reschedule cancels t (if pending) and arms fn at delay from now,
-// reusing t's allocation. t must have been created by this engine (or
-// be nil) and the caller must hold its only reference; the returned
-// handle replaces it. This is the allocation-free path for the
-// cancel-then-rearm churn of RTO, pacing and scan timers.
+// Reschedule implements Runner. A t from another engine cannot be
+// reused in place, so it is canceled and a fresh handle returned.
 //
 //taq:hotpath engine fast path: in-place timer rearm
 func (e *Engine) Reschedule(t *Timer, delay Time, fn func()) *Timer {
 	if t == nil || t.eng != e {
-		// External or foreign timers can't be reused in place.
 		t.Cancel()
 		return e.ScheduleAt(e.now+delay, fn)
 	}
@@ -416,6 +333,15 @@ func (e *Engine) alloc() *Timer {
 func (e *Engine) recycle(t *Timer) {
 	t.fn, t.argFn, t.arg = nil, nil, nil
 	e.free = append(e.free, t)
+}
+
+// Next returns the time of the earliest pending event; ok is false
+// when none is pending.
+func (e *Engine) Next() (at Time, ok bool) {
+	if h := e.next(); h != nil {
+		return h.items[0].at, true
+	}
+	return 0, false
 }
 
 // Pending returns the number of live scheduled events. Canceled events

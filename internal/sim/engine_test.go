@@ -283,10 +283,10 @@ func TestAfterArgInterleavesWithAfter(t *testing.T) {
 	record := func(arg any) { order = append(order, *arg.(*int)) }
 	for i := range vals {
 		if i%2 == 0 {
-			AfterArg(e, Second, record, &vals[i])
+			e.AfterArg(Second, record, &vals[i])
 		} else {
 			i := i
-			After(e, Second, func() { order = append(order, i) })
+			e.After(Second, func() { order = append(order, i) })
 		}
 	}
 	e.Run()
@@ -382,54 +382,6 @@ func TestRescheduleNilTimer(t *testing.T) {
 	e.Run()
 	if !fired {
 		t.Error("Reschedule(nil) timer did not fire")
-	}
-}
-
-// stubRunner implements only the base Runner interface, standing in for
-// engines (like emu's) without the After/Reschedule fast paths.
-type stubRunner struct {
-	e *Engine
-}
-
-func (s stubRunner) Now() Time                         { return s.e.Now() }
-func (s stubRunner) Schedule(d Time, fn func()) *Timer { return s.e.Schedule(d, fn) }
-func (s stubRunner) Rand() *rand.Rand                  { return s.e.Rand() }
-
-func TestPackageHelpersFallBackToSchedule(t *testing.T) {
-	e := NewEngine(1)
-	r := stubRunner{e}
-	fired := 0
-	After(r, Second, func() { fired++ })
-	tm := Reschedule(r, nil, 2*Second, func() { fired++ })
-	tm = Reschedule(r, tm, 3*Second, func() { fired++ })
-	payload := new(int)
-	var got any
-	AfterArg(r, 4*Second, func(arg any) { got = arg }, payload)
-	e.Run()
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2 (After + final Reschedule)", fired)
-	}
-	if got != any(payload) {
-		t.Errorf("AfterArg fallback delivered %v, want the scheduled argument %p", got, payload)
-	}
-}
-
-func TestPackageHelpersUseEngineFastPath(t *testing.T) {
-	e := NewEngine(1)
-	fired := 0
-	After(e, Second, func() { fired++ })
-	e.Run()
-	if fired != 1 || len(e.free) != 1 {
-		t.Errorf("After via Runner: fired=%d free=%d, want 1/1", fired, len(e.free))
-	}
-	tm := Reschedule(e, nil, Second, func() { fired++ })
-	tm2 := Reschedule(e, tm, 2*Second, func() { fired++ })
-	if tm2 != tm {
-		t.Error("Reschedule via Runner did not reuse the struct")
-	}
-	e.Run()
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
 	}
 }
 

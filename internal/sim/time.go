@@ -1,9 +1,9 @@
 // Package sim provides the discrete-event simulation engine used by the
 // TAQ reproduction: a virtual clock, a deterministic event heap, and the
 // Runner interface that protocol code (TCP, TAQ, links) is written
-// against. A second, real-time implementation of Runner lives in
-// internal/emu so the same protocol code drives both the simulator and
-// the prototype/testbed experiments.
+// against. internal/emu paces the same Engine against the wall clock, so
+// the same protocol code drives both the simulator and the
+// prototype/testbed experiments.
 package sim
 
 import (

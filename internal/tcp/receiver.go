@@ -114,7 +114,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 		}
 		// The previous handle is always fired or canceled here, so
 		// Reschedule reuses its allocation.
-		r.delTimer = sim.Reschedule(r.run, r.delTimer, timeout, r.delAckFn)
+		r.delTimer = r.run.Reschedule(r.delTimer, timeout, r.delAckFn)
 		return
 	}
 	r.delPending = false

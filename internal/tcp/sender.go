@@ -204,7 +204,7 @@ func (s *Sender) sendSyn(rexmit bool) {
 			break
 		}
 	}
-	s.synTimer = sim.Reschedule(s.run, s.synTimer, timeout, s.synTimeoutFn)
+	s.synTimer = s.run.Reschedule(s.synTimer, timeout, s.synTimeoutFn)
 }
 
 func (s *Sender) onSynTimeout() {
@@ -314,7 +314,7 @@ func (s *Sender) trySend() {
 			now := s.run.Now()
 			if now < s.nextPaced {
 				if !armed(s.paceTimer) {
-					s.paceTimer = sim.Reschedule(s.run, s.paceTimer, s.nextPaced-now, s.paceFn)
+					s.paceTimer = s.run.Reschedule(s.paceTimer, s.nextPaced-now, s.paceFn)
 				}
 				return
 			}
@@ -366,7 +366,7 @@ func (s *Sender) effectiveRTO() sim.Time {
 func (s *Sender) armRTO() {
 	// Reschedule reuses the timer allocation across the cancel-then-rearm
 	// churn every ack causes; s.rtoTimer is the only handle.
-	s.rtoTimer = sim.Reschedule(s.run, s.rtoTimer, s.effectiveRTO(), s.rtoFn)
+	s.rtoTimer = s.run.Reschedule(s.rtoTimer, s.effectiveRTO(), s.rtoFn)
 }
 
 func (s *Sender) onAck(p *packet.Packet) {

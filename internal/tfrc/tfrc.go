@@ -153,7 +153,7 @@ func (s *Sender) sendNext() {
 	if gap < sim.Microsecond {
 		gap = sim.Microsecond
 	}
-	s.paceTimer = sim.Reschedule(s.run, s.paceTimer, gap, s.sendNext)
+	s.paceTimer = s.run.Reschedule(s.paceTimer, gap, s.sendNext)
 }
 
 func (s *Sender) armNoFeedback() {
@@ -161,7 +161,7 @@ func (s *Sender) armNoFeedback() {
 	if !s.haveRTT {
 		s.nfInterval = 2 * sim.Second
 	}
-	s.nfTimer = sim.Reschedule(s.run, s.nfTimer, s.nfInterval, s.onNoFeedback)
+	s.nfTimer = s.run.Reschedule(s.nfTimer, s.nfInterval, s.onNoFeedback)
 }
 
 func (s *Sender) onNoFeedback() {
@@ -336,7 +336,7 @@ func (r *Receiver) Deliver(p *packet.Packet) {
 	if !r.firstPacket {
 		r.firstPacket = true
 		r.winStart = now
-		r.fbTimer = sim.Reschedule(r.run, r.fbTimer, r.rtt, r.sendFeedback)
+		r.fbTimer = r.run.Reschedule(r.fbTimer, r.rtt, r.sendFeedback)
 	}
 	if p.Seq > r.maxSeq+1 {
 		// Sequence gap: lost packets. Gaps within one RTT of the last
@@ -383,7 +383,7 @@ func (r *Receiver) sendFeedback() {
 	r.winBytes = 0
 	// Periodic reports once per RTT while data flows; the timer just
 	// fired, so Reschedule re-arms it in place.
-	r.fbTimer = sim.Reschedule(r.run, r.fbTimer, r.rtt, r.sendFeedback)
+	r.fbTimer = r.run.Reschedule(r.fbTimer, r.rtt, r.sendFeedback)
 }
 
 // Stop cancels the receiver's feedback timer.

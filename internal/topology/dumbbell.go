@@ -44,7 +44,8 @@ type Config struct {
 	// BufferPackets is the bottleneck buffer size; 0 means one
 	// PropRTT's worth of packets at Bandwidth (the paper's default).
 	BufferPackets int
-	// Queue picks the discipline (default DropTail).
+	// Queue picks the discipline (default DropTail; SFQ hashes flows
+	// into 64 buckets).
 	Queue QueueKind
 	// TCP is the endpoint configuration (zero value → tcp.DefaultConfig).
 	TCP tcp.Config
@@ -55,8 +56,6 @@ type Config struct {
 	// runs (one shared admission controller and loss window); 0 means
 	// 1. Only meaningful with Queue == TAQ.
 	TAQShards int
-	// SFQBuckets sets the SFQ bucket count (default 64).
-	SFQBuckets int
 	// SliceWidth is the metrics slice width (default 20 s, §2.3).
 	SliceWidth sim.Time
 	// ExternalLoss drops each packet after the bottleneck with this
@@ -64,13 +63,6 @@ type Config struct {
 	// middlebox's control (the §4.4 OverQoS discussion: TAQ assumes a
 	// low-loss underlay; this knob measures its sensitivity).
 	ExternalLoss float64
-	// AccessJitter adds a uniform random delay in [0, AccessJitter)
-	// to each packet's access path, breaking the deterministic
-	// ack-clock phase effects that otherwise let a winner flow keep a
-	// droptail queue exactly full forever (the ns2 "overhead_"
-	// randomization; Floyd & Jacobson's phase-effect fix). Default
-	// 4 ms; set negative to disable.
-	AccessJitter sim.Time
 	// TwoWayObservation routes ack-path packets past the TAQ
 	// middlebox for observation (§3.3's conventional two-way mode,
 	// which makes RTT estimation "relatively easy"); without it TAQ
@@ -98,21 +90,8 @@ func (c *Config) fillDefaults() {
 	if c.Queue == "" {
 		c.Queue = DropTail
 	}
-	if c.SFQBuckets == 0 {
-		c.SFQBuckets = 64
-	}
 	if c.SliceWidth == 0 {
 		c.SliceWidth = 20 * sim.Second
-	}
-	switch {
-	case c.AccessJitter == 0:
-		// The jitter must exceed one bottleneck serialization time or
-		// ack-clocked flows stay phase-locked to queue departures
-		// (arriving just as a slot frees) while competitors always
-		// find the queue full.
-		c.AccessJitter = 2 * c.Bandwidth.TxTime(c.TCP.MSS)
-	case c.AccessJitter < 0:
-		c.AccessJitter = 0
 	}
 }
 
@@ -137,7 +116,7 @@ type Flow struct {
 	// from it; nil for TFRC flows, whose endpoints allocate their own.
 	packets *packet.Pool
 	// The per-hop event handlers, bound once when the flow is built so
-	// a packet in flight is a sim.AfterArg payload and not a closure:
+	// a packet in flight is a Runner.AfterArg payload and not a closure:
 	// arrival at the receiver, arrival at the sender, and (TCP flows
 	// under two-way observation only, else nil) the ack passing the
 	// middlebox halfway back.
@@ -217,6 +196,15 @@ type Network struct {
 	// toQueue is the access path's event handler (bound once in New): a
 	// packet reaching the bottleneck queue.
 	toQueue func(any)
+	// accessJitter adds a uniform random delay in [0, accessJitter) to
+	// each packet's access path, breaking the deterministic ack-clock
+	// phase effects that otherwise let a winner flow keep a droptail
+	// queue exactly full forever (the ns2 "overhead_" randomization;
+	// Floyd & Jacobson's phase-effect fix). It is two bottleneck
+	// serialization times of one MSS: under one, ack-clocked flows stay
+	// phase-locked to queue departures (arriving just as a slot frees)
+	// while competitors always find the queue full.
+	accessJitter sim.Time
 	// onPut, when set (tests only), sees every packet just after it was
 	// returned to the pool.
 	onPut func(*packet.Packet)
@@ -249,6 +237,7 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 	}
 	n.Engine, _ = run.(*sim.Engine)
 	n.toQueue = n.enqueue
+	n.accessJitter = 2 * cfg.Bandwidth.TxTime(cfg.TCP.MSS)
 
 	var disc queue.Discipline
 	switch cfg.Queue {
@@ -260,7 +249,7 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 			MeanPktTime: cfg.Bandwidth.TxTime(cfg.TCP.MSS),
 		}, run.Now, run.Rand())
 	case SFQ:
-		disc = queue.NewSFQ(cfg.SFQBuckets, cfg.BufferPackets)
+		disc = queue.NewSFQ(64, cfg.BufferPackets)
 	case TAQ:
 		tcfg := core.ResolveConfig(cfg.TAQ, cfg.Bandwidth, cfg.BufferPackets)
 		n.Middlebox = core.NewSharded(run, tcfg, cfg.TAQShards)
@@ -388,8 +377,8 @@ func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.Gaug
 // f, never earlier than the flow's previous packet (FIFO per flow).
 func (n *Network) accessDelay(f *Flow, base sim.Time) sim.Time {
 	d := base
-	if n.Cfg.AccessJitter > 0 {
-		d += sim.Time(n.Runner.Rand().Int63n(int64(n.Cfg.AccessJitter)))
+	if n.accessJitter > 0 {
+		d += sim.Time(n.Runner.Rand().Int63n(int64(n.accessJitter)))
 	}
 	now := n.Runner.Now()
 	at := now + d
@@ -420,7 +409,7 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	if n.delaySample%16 == 0 {
 		n.QueueDelays.Add((n.Runner.Now() - p.Enqueued).Seconds())
 	}
-	sim.AfterArg(n.Runner, f.RTT/4, f.fwdArrive, p)
+	n.Runner.AfterArg(f.RTT/4, f.fwdArrive, p)
 }
 
 // enqueue is the toQueue handler: a packet's access delay has elapsed.
@@ -450,7 +439,7 @@ func (f *Flow) returnPacket(p *packet.Packet) {
 func (f *Flow) sendForward(p *packet.Packet) {
 	n := f.net
 	f.inNet++
-	sim.AfterArg(n.Runner, n.accessDelay(f, f.RTT/4), n.toQueue, p)
+	n.Runner.AfterArg(n.accessDelay(f, f.RTT/4), n.toQueue, p)
 }
 
 func (f *Flow) forwardArrive(arg any) {
@@ -465,16 +454,16 @@ func (f *Flow) forwardArrive(arg any) {
 func (f *Flow) sendReverse(p *packet.Packet) {
 	f.inNet++
 	if f.revMidpoint != nil {
-		sim.AfterArg(f.net.Runner, f.RTT/4, f.revMidpoint, p)
+		f.net.Runner.AfterArg(f.RTT/4, f.revMidpoint, p)
 		return
 	}
-	sim.AfterArg(f.net.Runner, f.RTT/2, f.revArrive, p)
+	f.net.Runner.AfterArg(f.RTT/2, f.revArrive, p)
 }
 
 func (f *Flow) reverseMidpoint(arg any) {
 	p := arg.(*packet.Packet)
 	f.net.Middlebox.ObserveReverse(p)
-	sim.AfterArg(f.net.Runner, f.RTT/4, f.revArrive, p)
+	f.net.Runner.AfterArg(f.RTT/4, f.revArrive, p)
 }
 
 func (f *Flow) reverseArrive(arg any) {
@@ -523,7 +512,7 @@ func (n *Network) start(f *Flow, toReceiver, toSender func(*packet.Packet), begi
 	if f.Pool != packet.PoolNone {
 		n.Hangs.Start(f.Pool, f.Started)
 	}
-	sim.After(n.Runner, f.Started-n.Runner.Now(), begin)
+	n.Runner.After(f.Started-n.Runner.Now(), begin)
 }
 
 // AddFlow creates a TCP flow with the given app, starting its

@@ -124,7 +124,7 @@ func (s *Session) Request(sizeBytes int, at sim.Time) *ObjectResult {
 	res := &ObjectResult{Client: s.client, SizeBytes: sizeBytes, Requested: at}
 	s.Results = append(s.Results, res)
 	run := s.net.Runner
-	sim.After(run, at-run.Now(), func() { s.enqueue(res) })
+	run.After(at-run.Now(), func() { s.enqueue(res) })
 	return res
 }
 
@@ -224,7 +224,7 @@ func Replay(net *topology.Network, recs []trace.Record, maxConns int, mode Repla
 	if len(due) > 0 {
 		c := &replayCursor{run: run, due: due}
 		c.fireFn = c.fire
-		sim.After(run, due[0].at-now, c.fireFn)
+		run.After(due[0].at-now, c.fireFn)
 	}
 	return sessions
 }
@@ -253,7 +253,7 @@ func (c *replayCursor) fire() {
 		d.s.enqueue(d.res)
 	}
 	if len(c.due) > 0 {
-		sim.After(c.run, c.due[0].at-now, c.fireFn)
+		c.run.After(c.due[0].at-now, c.fireFn)
 	}
 }
 
