@@ -122,19 +122,22 @@ var mutations = []mutation{
 		fires: []string{"simtime"}, first: "simtime"},
 
 	// noalloc: an escaping new() on every packet is also an AllocsPerRun
-	// failure; a make() on the policy-drop branch and a copy-compaction
-	// two calls below Dequeue are not — the steady-state harness never
-	// reaches either.
+	// failure, and so is a copy-compaction two calls below Dequeue that
+	// runs once per 64 pops — the whole-dumbbell allocation count sees
+	// it. A make() on the policy-drop branch is not: no steady-state
+	// harness reaches that branch. The make's result goes to a package
+	// variable, so nothing a test pins changes.
 	{name: "noalloc.enqueue", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.Stats.Arrivals++\n", "\tt.Stats.Arrivals++\n\tlastArrival = new(uint64)\n",
 			"// Enqueue implements queue.Discipline.", "var lastArrival *uint64\n\n// Enqueue implements queue.Discipline."},
 		fires: []string{"noalloc"}, first: "test TestHotpathRootsZeroAlloc"},
 	{name: "noalloc.policyDrop", file: "internal/core/taq.go", load: wholeModule,
-		edits: []string{"\tt.Stats.PolicyDrops++\n", "\tt.Stats.PolicyDrops++\n\tt.Stats.DropsByClass[class] += uint64(len(make([]byte, int(class))))\n"},
+		edits: []string{"\tt.Stats.PolicyDrops++\n", "\tt.Stats.PolicyDrops++\n\tpolicyScratch = make([]byte, int(class))\n",
+			"// dropPolicy records", "var policyScratch []byte\n\n// dropPolicy records"},
 		fires: []string{"noalloc"}, first: "noalloc"},
 	{name: "noalloc.popCompact", file: "internal/core/queues.go", load: wholeModule,
 		edits: []string{"f.items = append(f.items[:0], f.items[f.head:]...)", "f.items = append([]*packet.Packet(nil), f.items[f.head:]...)"},
-		fires: []string{"noalloc"}, first: "noalloc"},
+		fires: []string{"noalloc"}, first: "test TestDumbbellPacketPathAllocatesNothing"},
 
 	// noblock: a mutex on every packet, and one reached through a callee
 	// on the policy-drop branch (the second row keeps its name from the

@@ -2,7 +2,11 @@
 // a configured rate out of a queue.Discipline. The uncongested paths
 // around it (access links and the reverse ACK path, which per the paper
 // carry no congestion) are plain delays and belong to whoever wires the
-// scenario: Runner.AfterArg events in internal/topology.
+// scenario: Runner.AfterArg events in internal/topology. A link with
+// no propagation delay of its own (the dumbbell folds it into those
+// paths) hands each packet on inside its transmit-done event, so
+// crossing it costs one event per packet; a link with a delay adds a
+// second, the packet's arrival.
 package link
 
 import (
@@ -42,18 +46,19 @@ type Link struct {
 	rec     *obs.Recorder
 	mx      *Metrics
 
-	// txPkt is the packet currently serializing; a packet in
-	// propagation is its own AfterArg payload. txDone and arrive are
-	// bound once in New so the per-packet path allocates no closures.
+	// txPkt is the packet currently serializing. A packet in
+	// propagation on a link with a delay is its own AfterArg payload; at
+	// zero delay finishTx hands it to deliver directly. txDone and
+	// arrive are bound once in New so the per-packet path allocates no
+	// closures.
 	txPkt  *packet.Packet
 	txDone func()
 	arrive func(any)
 
 	// Stats.
-	SentPackets  uint64
-	SentBytes    uint64
-	BusyTime     sim.Time // accumulated serialization time (utilization)
-	lastTxFinish sim.Time
+	SentPackets uint64
+	SentBytes   uint64
+	BusyTime    sim.Time // accumulated serialization time (utilization)
 }
 
 // New returns a link draining disc at rate with propagation delay,
@@ -119,15 +124,22 @@ func (l *Link) pump() {
 }
 
 // finishTx runs when the serializing packet's last bit leaves the
-// link: it schedules the packet's delivery one propagation delay out
-// and starts the next transmission.
+// link: it starts the next transmission and delivers the packet — at
+// once on a zero-delay link, else one propagation delay out. At zero
+// delay the next transmit-done is scheduled before the sink runs, so
+// it is keyed ahead of everything the sink schedules: the order a
+// zero-length arrival event would give.
 func (l *Link) finishTx() {
 	p := l.txPkt
 	l.txPkt = nil
 	l.busy = false
 	l.SentPackets++
 	l.SentBytes += uint64(p.Size)
-	l.lastTxFinish = l.run.Now()
+	if l.delay == 0 {
+		l.pump()
+		l.deliver(p)
+		return
+	}
 	l.run.AfterArg(l.delay, l.arrive, p)
 	l.pump()
 }

@@ -43,6 +43,33 @@ func TestLinkSerialization(t *testing.T) {
 	}
 }
 
+// TestZeroDelayLinkDeliversInTransmitDone: with no propagation delay
+// the packet reaches the sink inside the event that ends its
+// serialization, at the same virtual time; a link with a delay
+// delivers it one event later, one delay out.
+func TestZeroDelayLinkDeliversInTransmitDone(t *testing.T) {
+	for _, tc := range []struct {
+		delay  sim.Time
+		at     sim.Time
+		events uint64
+	}{
+		{0, 4 * sim.Millisecond, 1},
+		{sim.Millisecond, 5 * sim.Millisecond, 2},
+	} {
+		e := sim.NewEngine(1)
+		var at sim.Time
+		var events uint64
+		l := New(e, 1*Mbps, tc.delay, queue.NewDropTail(10), func(*packet.Packet) {
+			at, events = e.Now(), e.Processed
+		})
+		l.Enqueue(&packet.Packet{Size: 500})
+		e.Run()
+		if at != tc.at || events != tc.events {
+			t.Errorf("delay %v: delivered at %v as event %d, want %v as event %d", tc.delay, at, events, tc.at, tc.events)
+		}
+	}
+}
+
 func TestLinkUtilization(t *testing.T) {
 	e := sim.NewEngine(1)
 	l := New(e, 1*Mbps, 0, queue.NewDropTail(100), func(*packet.Packet) {})

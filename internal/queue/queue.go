@@ -16,7 +16,8 @@ import "taq/internal/packet"
 type Discipline interface {
 	// Enqueue offers p to the queue. If the discipline drops a packet
 	// (the arriving one or a queued victim) it must invoke the drop
-	// hook for it.
+	// hook for it. Enqueue is the only place a discipline drops, so
+	// once it returns every drop hook of its drops has run.
 	Enqueue(p *packet.Packet)
 	// Dequeue removes and returns the next packet to transmit, or nil
 	// if the queue is empty.
@@ -27,12 +28,16 @@ type Discipline interface {
 	Bytes() int
 	// AddDropHook registers fn to be called for every dropped packet,
 	// alongside the hooks already registered, so stats accounting and
-	// tracing subscribers coexist. Hooks run in registration order.
+	// tracing subscribers coexist. Hooks run in registration order. A
+	// hook must not keep the packet after it returns: the packet's
+	// owner (a topology.Network) recycles every queue drop once all the
+	// hooks have run.
 	AddDropHook(fn func(*packet.Packet))
 }
 
 // DropHook is a helper embedded by disciplines to hold the chain of
-// drop callbacks.
+// drop callbacks. A callback borrows the packet for its own length and
+// keeps no reference: the owner recycles it after the last callback.
 type DropHook struct {
 	fns []func(*packet.Packet)
 }

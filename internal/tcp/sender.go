@@ -469,8 +469,9 @@ func (s *Sender) onNewAck(newCum int) {
 	s.app.Acked(s.cumAck)
 	switch {
 	case s.outstanding() <= 0:
+		// Keep the canceled handle: the next send's armRTO re-arms
+		// this struct in place instead of allocating a fresh one.
 		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
 	case !s.inRecovery:
 		s.armRTO()
 	}

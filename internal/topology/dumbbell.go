@@ -111,9 +111,9 @@ type Flow struct {
 	net *Network
 	// toReceiver and toSender are the two endpoints' Deliver funcs.
 	toReceiver, toSender func(*packet.Packet)
-	// packets is where a packet goes once its endpoint's Deliver has
-	// returned: the network's pool for TCP flows, whose endpoints draw
-	// from it; nil for TFRC flows, whose endpoints allocate their own.
+	// packets is the pool the flow's packets come from and go back to:
+	// the network's for TCP flows, whose endpoints draw from it; nil for
+	// TFRC flows, whose endpoints allocate their own.
 	packets *packet.Pool
 	// The per-hop event handlers, bound once when the flow is built so
 	// a packet in flight is a Runner.AfterArg payload and not a closure:
@@ -191,8 +191,12 @@ type Network struct {
 
 	// packets recycles the TCP endpoints' packets: one free list for the
 	// whole network, because a list per flow or per endpoint would each
-	// retain its own peak. Only returnPacket feeds it.
+	// retain its own peak. Only recycle feeds it.
 	packets packet.Pool
+	// dropped holds the TCP packets the bottleneck queue dropped inside
+	// the Link.Enqueue under way; enqueue recycles them once it returns,
+	// when every drop hook has seen them.
+	dropped []*packet.Packet
 	// toQueue is the access path's event handler (bound once in New): a
 	// packet reaching the bottleneck queue.
 	toQueue func(any)
@@ -260,11 +264,15 @@ func NewOn(run sim.Runner, cfg Config) (*Network, error) {
 	}
 	disc.AddDropHook(func(p *packet.Packet) {
 		n.QueueDrops++
-		if f := n.Flow(p.Flow); f != nil {
-			f.left()
-		} else {
+		f := n.Flow(p.Flow)
+		if f == nil {
 			n.strays++
+			return
 		}
+		if f.packets != nil {
+			n.dropped = append(n.dropped, p)
+		}
+		f.left()
 	})
 
 	// The bottleneck link's propagation delay is folded into per-flow
@@ -399,7 +407,7 @@ func (n *Network) deliverForward(p *packet.Packet) {
 	}
 	if n.Cfg.ExternalLoss > 0 && n.Runner.Rand().Float64() < n.Cfg.ExternalLoss {
 		n.ExternalDrops++
-		f.left()
+		f.returnPacket(p)
 		return
 	}
 	if p.Kind == packet.Data && n.Census != nil {
@@ -413,24 +421,38 @@ func (n *Network) deliverForward(p *packet.Packet) {
 }
 
 // enqueue is the toQueue handler: a packet's access delay has elapsed.
+// Every discipline drops only inside its Enqueue, so once Link.Enqueue
+// returns every drop hook has run and the packets the queue dropped are
+// the network's again.
 func (n *Network) enqueue(arg any) {
 	n.QueueArrivals++
 	n.Link.Enqueue(arg.(*packet.Packet))
+	for i, p := range n.dropped {
+		n.dropped[i] = nil
+		n.recycle(p)
+	}
+	n.dropped = n.dropped[:0]
 }
 
-// returnPacket ends a packet's life: its endpoint's Deliver has
-// returned, so no reference survives (endpoints copy what they keep).
-// This is the only place packets re-enter the pool; packets that die
-// anywhere else — queue drops, which drop hooks may retain,
-// ExternalLoss, an unknown flow — are left to the garbage collector.
+// returnPacket ends the life of a packet of f that left the network
+// with no reference surviving: its endpoint's Deliver has returned
+// (endpoints copy what they keep), or it was lost beyond the
+// bottleneck (ExternalLoss). Queue drops take the other way back, once
+// their drop hooks have run (enqueue); a packet of an unknown flow is
+// left to the garbage collector.
 func (f *Flow) returnPacket(p *packet.Packet) {
 	f.left()
 	if f.packets == nil {
 		return // a TFRC packet: not from the pool, so never into it
 	}
-	f.packets.Put(p)
-	if f.net.onPut != nil {
-		f.net.onPut(p)
+	f.net.recycle(p)
+}
+
+// recycle puts a TCP packet nobody holds back in the pool.
+func (n *Network) recycle(p *packet.Packet) {
+	n.packets.Put(p)
+	if n.onPut != nil {
+		n.onPut(p)
 	}
 }
 
