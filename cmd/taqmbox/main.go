@@ -30,7 +30,7 @@ func main() {
 		duration = flag.Float64("duration", 60, "virtual seconds to run")
 		speedup  = flag.Float64("speedup", 10, "virtual-to-wall time ratio")
 		seed     = flag.Int64("seed", 1, "random seed")
-		httpAddr = flag.String("http", "", "serve live gauges + /metrics + pprof on this address (e.g. 127.0.0.1:6060)")
+		httpAddr = flag.String("http", "", "serve live /metrics + pprof on this address (e.g. 127.0.0.1:6060)")
 		events   = flag.String("events", "", "write the JSONL event trace to this file")
 
 		metricsOut = flag.String("metrics-out", "", "write the final Prometheus-format metrics snapshot to this file")
@@ -85,7 +85,7 @@ func main() {
 		os.Exit(1)
 	}
 	if tb.HTTP != nil {
-		fmt.Printf("live endpoint: http://%s/vars (pprof under /debug/pprof/)\n", tb.HTTP.Addr())
+		fmt.Printf("live endpoint: http://%s/metrics (pprof under /debug/pprof/)\n", tb.HTTP.Addr())
 	}
 	for i := 0; i < *flows; i++ {
 		tb.AddBulkFlow()
@@ -114,7 +114,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "taqmbox:", err)
 			os.Exit(1)
 		}
-		if err := net.Metrics.Snapshot().WriteText(f); err != nil {
+		var snap *obs.MetricsSnapshot
+		tb.Snapshot(func() { snap = net.Metrics.Snapshot() })
+		if err := snap.WriteText(f); err != nil {
 			fmt.Fprintln(os.Stderr, "taqmbox: metrics:", err)
 			os.Exit(1)
 		}

@@ -111,9 +111,9 @@ func main() {
 			os.Exit(1)
 		}
 		bw := bufio.NewWriter(f)
-		net.EnableGauges(sim.FromSeconds(*gaugeInt), obs.NewCSVSeries(bw))
+		series := net.SampleSeries(sim.FromSeconds(*gaugeInt), bw)
 		defer func() {
-			if err := net.Gauges.Stop(); err != nil {
+			if err := series.Stop(); err != nil {
 				fmt.Fprintln(os.Stderr, "taqsim: gauges:", err)
 				os.Exit(1)
 			}

@@ -19,9 +19,9 @@ type TestbedConfig struct {
 	// Speedup scales virtual against wall time (≤0 → real time).
 	Speedup float64
 	// HTTPAddr, when non-empty, serves the live introspection endpoint
-	// (gauge snapshot + Prometheus /metrics + pprof) on that address,
-	// e.g. "127.0.0.1:0", and enables the network's metrics and gauges
-	// to feed it. This is strictly an emu-side feature: the
+	// (Prometheus /metrics + pprof) on that address, e.g.
+	// "127.0.0.1:0", and enables the network's metrics registry to
+	// feed it. This is strictly an emu-side feature: the
 	// discrete-event path never starts a listener.
 	HTTPAddr string
 }
@@ -29,8 +29,8 @@ type TestbedConfig struct {
 // Testbed is a running real-time scenario: a topology.Network on a
 // wall-clock Engine. Timer callbacks own the network between calls, so
 // touch Net only inside Snapshot (or Engine.Post) — to enable tracing,
-// metrics or gauges before the first flow, to add flows, and to read
-// results.
+// metrics or a time series before the first flow, to add flows, and to
+// read results.
 type Testbed struct {
 	Engine *Engine
 	Net    *topology.Network
@@ -52,17 +52,12 @@ func NewTestbed(cfg TestbedConfig) *Testbed {
 		t.Net = net
 		if cfg.HTTPAddr != "" {
 			net.EnableMetrics()
-			net.EnableGauges(0, nil)
 		}
 	})
 	if cfg.HTTPAddr != "" {
-		// Both callbacks run on HTTP goroutines; Post serializes the
-		// gauge and counter reads against the engine's callbacks.
+		// The callback runs on HTTP goroutines; Post serializes the
+		// registry's reads against the engine's callbacks.
 		t.HTTP, t.HTTPErr = obshttp.Serve(cfg.HTTPAddr, obshttp.Options{
-			Vars: func() (names []string, values []float64) {
-				t.Engine.Post(func() { names, values = t.Net.Gauges.Snapshot() })
-				return names, values
-			},
 			Metrics: func() (s *obs.MetricsSnapshot) {
 				t.Engine.Post(func() { s = t.Net.Metrics.Snapshot() })
 				return s
@@ -86,13 +81,11 @@ func (t *Testbed) AddBulkFlow() packet.FlowID {
 // the calling goroutine in wall time).
 func (t *Testbed) RunFor(virtual sim.Time) { t.Engine.RunFor(virtual) }
 
-// Stop halts all activity, flushes the trace recorder and gauge sink,
-// and closes the live endpoint.
+// Stop halts all activity, flushes the trace recorder, and closes the
+// live endpoint. A time series started through Net.SampleSeries is the
+// caller's to stop.
 func (t *Testbed) Stop() {
-	t.Engine.Post(func() {
-		t.Net.Gauges.Stop()
-		t.Net.Events.Flush()
-	})
+	t.Engine.Post(func() { t.Net.Events.Flush() })
 	t.Engine.Stop()
 	t.HTTP.Close()
 }

@@ -39,7 +39,7 @@ type DumpOpener func(name string, seq int) (io.WriteCloser, error)
 // stays disarmed until its value drops back below the threshold, so a
 // persistently-breached threshold yields one dump, not one per poll.
 //
-// Like the GaugeSet, the FlightRecorder reads no clock of its own —
+// Like the Sampler, the FlightRecorder reads no clock of its own —
 // poll times come from the driving Runner — so the dumps of a
 // deterministic run are byte-identical across same-seed runs. The nil
 // *FlightRecorder is the disabled state.

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -8,16 +9,16 @@ import (
 	"taq/internal/sim"
 )
 
-// Registry is a fixed-shape set of counters and log-bucketed
+// Registry is a fixed-shape set of counters, gauges and log-bucketed
 // histograms. Every metric is created up front (construction may
 // allocate); the record path afterwards touches exactly one atomic
 // cell — zero allocations, no maps, no locks — so it can sit on the
 // per-packet path next to the Recorder hooks.
 //
-// A CounterVecFunc family owns no cells: Snapshot reads the plain
-// field its owner already counts, so Snapshot runs where that owner
-// runs (its sim.Runner, or under its engine lock), and per-shard
-// snapshots aggregate with MetricsSnapshot.Merge.
+// A CounterVecFunc or GaugeVecFunc family owns no cells: Snapshot
+// reads the plain field its owner already keeps, so Snapshot runs
+// where that owner runs (its sim.Runner, or under its engine lock),
+// and per-shard snapshots aggregate with MetricsSnapshot.Merge.
 //
 // The nil *Registry (and nil *Counter / *Histogram) is the disabled
 // state: every record method is a valid no-op on a nil receiver, so an
@@ -29,7 +30,8 @@ import (
 type Registry struct {
 	names    []string
 	counters []*Counter
-	funcs    []*counterFunc
+	funcs    []*funcFamily[uint64]
+	gauges   []*funcFamily[float64]
 	hists    []*Histogram
 }
 
@@ -80,15 +82,38 @@ func (r *Registry) CounterVecFunc(name, help, label string, values []string, fil
 		return
 	}
 	r.checkName(name)
-	r.funcs = append(r.funcs, &counterFunc{name: name, help: help, label: label, labelVals: values, fill: fill})
+	r.funcs = append(r.funcs, &funcFamily[uint64]{name, help, label, values, fill})
 }
 
-// counterFunc is a counter family read through its owner's fill
-// function (CounterVecFunc).
-type counterFunc struct {
+// GaugeVecFunc registers a gauge family, read as CounterVecFunc
+// families are: each Snapshot calls fill with a zeroed slice of one
+// cell per label value (one cell for an empty label), on the
+// snapshotting goroutine. Merge sums gauges like counters, so a
+// per-shard registry may carry only gauges whose shard values add up
+// to the whole (a queue length, a flow count); a gauge of state the
+// shards share is registered once, on the registry of its owner.
+func (r *Registry) GaugeVecFunc(name, help, label string, values []string, fill func(dst []float64)) {
+	if r == nil {
+		return
+	}
+	r.checkName(name)
+	r.gauges = append(r.gauges, &funcFamily[float64]{name, help, label, values, fill})
+}
+
+// funcFamily is a counter or gauge family read through its owner's
+// fill function (CounterVecFunc, GaugeVecFunc).
+type funcFamily[T uint64 | float64] struct {
 	name, help, label string
 	labelVals         []string
-	fill              func(dst []uint64)
+	fill              func(dst []T)
+}
+
+// snapshot has fill copy the family into zeroed cells.
+func (f *funcFamily[T]) snapshot() FamilySnapshot[T] {
+	fs := FamilySnapshot[T]{Name: f.name, Help: f.help, Label: f.label,
+		LabelVals: f.labelVals, Values: make([]T, max(len(f.labelVals), 1))}
+	f.fill(fs.Values)
+	return fs
 }
 
 // Histogram registers a single histogram over the given ascending
@@ -314,15 +339,22 @@ func FCTHistogram(reg *Registry) *Histogram {
 // the Prometheus text format (promtext.go).
 type MetricsSnapshot struct {
 	Counters   []CounterSnapshot
+	Gauges     []GaugeSnapshot
 	Histograms []HistogramSnapshot
 }
 
-// CounterSnapshot is one counter family's cells.
-type CounterSnapshot struct {
+// FamilySnapshot is one counter or gauge family's cells.
+type FamilySnapshot[T uint64 | float64] struct {
 	Name, Help, Label string
-	LabelVals         []string // nil for a plain counter
-	Values            []uint64 // one per label value (or the single cell)
+	LabelVals         []string // nil for an unlabelled family
+	Values            []T      // one per label value (or the single cell)
 }
+
+// CounterSnapshot is one counter family's cells.
+type CounterSnapshot = FamilySnapshot[uint64]
+
+// GaugeSnapshot is one gauge family's cells.
+type GaugeSnapshot = FamilySnapshot[float64]
 
 // HistogramSnapshot is one histogram family's bucket rows.
 type HistogramSnapshot struct {
@@ -335,9 +367,10 @@ type HistogramSnapshot struct {
 }
 
 // Snapshot copies every cell: atomic loads for Counter and Histogram
-// cells, the fill functions for CounterVecFunc families (so it runs
-// where those families' owners run). Families are sorted by name, so
-// the exposition ordering is stable whatever the registration order.
+// cells, the fill functions for CounterVecFunc and GaugeVecFunc
+// families (so it runs where those families' owners run). Families are
+// sorted by name, so the exposition ordering is stable whatever the
+// registration order.
 // Safe on a nil receiver (returns an empty snapshot).
 func (r *Registry) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{}
@@ -354,10 +387,11 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 		s.Counters = append(s.Counters, cs)
 	}
 	for _, f := range r.funcs {
-		cs := CounterSnapshot{Name: f.name, Help: f.help, Label: f.label,
-			LabelVals: f.labelVals, Values: make([]uint64, max(len(f.labelVals), 1))}
-		f.fill(cs.Values)
-		s.Counters = append(s.Counters, cs)
+		s.Counters = append(s.Counters, f.snapshot())
+	}
+	s.Gauges = make([]GaugeSnapshot, 0, len(r.gauges))
+	for _, g := range r.gauges {
+		s.Gauges = append(s.Gauges, g.snapshot())
 	}
 	s.Histograms = make([]HistogramSnapshot, 0, len(r.hists))
 	for _, h := range r.hists {
@@ -379,27 +413,22 @@ func (r *Registry) Snapshot() *MetricsSnapshot {
 		s.Histograms = append(s.Histograms, hs)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
 
-// Merge adds o's cells into s. The two snapshots must have the same
-// shape (same families, labels, and bounds — i.e. registries built by
-// the same constructor code, the per-shard case); Merge panics on a
-// shape mismatch, which is a wiring bug, not data.
+// Merge adds o's cells into s, gauges included (see GaugeVecFunc for
+// the rule that makes summing them right). The two snapshots must have
+// the same shape (same families, labels, and bounds — i.e. registries
+// built by the same constructor code, the per-shard case); Merge
+// panics on a shape mismatch, which is a wiring bug, not data.
 func (s *MetricsSnapshot) Merge(o *MetricsSnapshot) {
-	if len(s.Counters) != len(o.Counters) || len(s.Histograms) != len(o.Histograms) {
+	if len(s.Counters) != len(o.Counters) || len(s.Gauges) != len(o.Gauges) || len(s.Histograms) != len(o.Histograms) {
 		panic("obs: merging snapshots of different shapes")
 	}
-	for i := range s.Counters {
-		a, b := &s.Counters[i], &o.Counters[i]
-		if a.Name != b.Name || len(a.Values) != len(b.Values) {
-			panic("obs: merging snapshots of different shapes: " + a.Name)
-		}
-		for j := range a.Values {
-			a.Values[j] += b.Values[j]
-		}
-	}
+	mergeFamilies(s.Counters, o.Counters)
+	mergeFamilies(s.Gauges, o.Gauges)
 	for i := range s.Histograms {
 		a, b := &s.Histograms[i], &o.Histograms[i]
 		if a.Name != b.Name || len(a.Buckets) != len(b.Buckets) || len(a.Bounds) != len(b.Bounds) {
@@ -413,6 +442,46 @@ func (s *MetricsSnapshot) Merge(o *MetricsSnapshot) {
 			a.Sums[li] += b.Sums[li]
 		}
 	}
+}
+
+// mergeFamilies adds b's cells into a, family by family.
+func mergeFamilies[T uint64 | float64](a, b []FamilySnapshot[T]) {
+	for i := range a {
+		if a[i].Name != b[i].Name || len(a[i].Values) != len(b[i].Values) {
+			panic("obs: merging snapshots of different shapes: " + a[i].Name)
+		}
+		for j := range a[i].Values {
+			a[i].Values[j] += b[i].Values[j]
+		}
+	}
+}
+
+// Value returns the cell of the counter or gauge family named family
+// whose label value is label ("" for an unlabelled family), reporting
+// whether there is one.
+func (s *MetricsSnapshot) Value(family, label string) (float64, bool) {
+	if v, ok := cell(s.Counters, family, label); ok {
+		return float64(v), true
+	}
+	return cell(s.Gauges, family, label)
+}
+
+// cell finds a Value cell among one kind's families.
+func cell[T uint64 | float64](fams []FamilySnapshot[T], family, label string) (T, bool) {
+	for i := range fams {
+		f := &fams[i]
+		if f.Name != family {
+			continue
+		}
+		if len(f.LabelVals) == 0 && label == "" {
+			return f.Values[0], true
+		}
+		if j := slices.Index(f.LabelVals, label); j >= 0 {
+			return f.Values[j], true
+		}
+		break
+	}
+	return 0, false
 }
 
 // Quantile estimates the q-quantile (q in (0,1]) of label row li by
@@ -446,11 +515,14 @@ func (h *HistogramSnapshot) Quantile(li int, q float64) sim.Time {
 // MergedSnapshot snapshots every registry and sums them into one view
 // — the read edge of a sharded middlebox, where each shard records
 // into its own registry and the union is materialized only at
-// exposition time (obshttp /metrics, promtext artifacts). The caller
-// holds every registry owner's lock (Snapshot's read rule). All
-// registries must carry the same schema (Merge panics otherwise); nil
-// registries are skipped. With no non-nil registry the snapshot is
-// empty.
+// exposition time (obshttp /metrics, promtext artifacts). Gauges are
+// summed too, which is right because per-shard registries carry only
+// additive gauges: the loss EWMA and the waiting pools, which the
+// shards share, are registered once per topology.Network, never per
+// shard. The caller holds every registry owner's lock (Snapshot's read
+// rule). All registries must carry the same schema (Merge panics
+// otherwise); nil registries are skipped. With no non-nil registry the
+// snapshot is empty.
 func MergedSnapshot(regs ...*Registry) *MetricsSnapshot {
 	var s *MetricsSnapshot
 	for _, r := range regs {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -34,6 +35,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var reg *Registry
 	c := reg.Counter("x", "x")
 	h := reg.Histogram("y", "y", DelayBuckets())
+	reg.GaugeVecFunc("z", "z", "", nil, func([]float64) { t.Fatal("nil registry read a gauge") })
 	c.Inc()
 	c.Add(3)
 	c.IncAt(1)
@@ -43,7 +45,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil instruments must read as zero")
 	}
 	snap := reg.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
 		t.Fatal("nil registry snapshot must be empty")
 	}
 	if got := snap.AppendText(nil); len(got) != 0 {
@@ -60,6 +62,58 @@ func TestDuplicateNamePanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("taq_dup_total", "a")
 	reg.Counter("taq_dup_total", "b")
+}
+
+func TestGaugeCounterNameCollisionPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a gauge named like a counter did not panic")
+		}
+	}()
+	reg := NewRegistry()
+	reg.Counter("taq_dup", "a")
+	reg.GaugeVecFunc("taq_dup", "b", "", nil, func([]float64) {})
+}
+
+// TestGaugeExposition pins the gauge lines: # TYPE gauge, integral
+// values as integers, and NaN and ±Inf spelled as the text format
+// requires.
+func TestGaugeExposition(t *testing.T) {
+	reg := NewRegistry()
+	reg.GaugeVecFunc("taq_g", "g", "v", []string{"int", "big", "frac", "neg", "nan", "inf", "ninf"},
+		func(dst []float64) {
+			copy(dst, []float64{3, 1e6, 0.125, -2, math.NaN(), math.Inf(1), math.Inf(-1)})
+		})
+	reg.GaugeVecFunc("taq_plain", "p", "", nil, func(dst []float64) { dst[0] = 1.0 / 3 })
+	reg.Counter("taq_c_total", "c").Add(2)
+	got := string(reg.Snapshot().AppendText(nil))
+	want := `# HELP taq_c_total c
+# TYPE taq_c_total counter
+taq_c_total 2
+# HELP taq_g g
+# TYPE taq_g gauge
+taq_g{v="int"} 3
+taq_g{v="big"} 1000000
+taq_g{v="frac"} 0.125
+taq_g{v="neg"} -2
+taq_g{v="nan"} NaN
+taq_g{v="inf"} +Inf
+taq_g{v="ninf"} -Inf
+# HELP taq_plain p
+# TYPE taq_plain gauge
+taq_plain 0.3333333333333333
+`
+	if got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
+	}
+	for _, c := range []struct {
+		v    float64
+		want string
+	}{{math.Exp2(63), "9.223372036854776e+18"}, {-math.Exp2(63), "-9223372036854775808"}, {math.Copysign(0, -1), "0"}} {
+		if got := string(appendFloat(nil, c.v)); got != c.want {
+			t.Errorf("appendFloat(%v) = %q, want %q", c.v, got, c.want)
+		}
+	}
 }
 
 func TestHistogramBucketPlacement(t *testing.T) {
@@ -245,6 +299,9 @@ func TestAppendSeconds(t *testing.T) {
 func buildShardRegistry(drops, obsns int) *Registry {
 	reg := NewRegistry()
 	d := reg.CounterVec("taq_drops_total", "drops", "class", []string{"a", "b"})
+	reg.GaugeVecFunc("taq_queue_packets", "queued", "class", []string{"a", "b"}, func(dst []float64) {
+		dst[0], dst[1] = float64(drops), float64(obsns)/2
+	})
 	h := reg.Histogram("taq_delay_seconds", "delay", []sim.Time{10, 100})
 	for i := 0; i < drops; i++ {
 		d.IncAt(i % 2)
@@ -324,6 +381,11 @@ func TestMergedSnapshot(t *testing.T) {
 	}
 	if got := s.Histograms[0].Counts[0]; got != 8 {
 		t.Fatalf("merged histogram count = %d, want 8", got)
+	}
+	// Per-shard gauges are additive (queue lengths): the merge sums
+	// them like counters.
+	if got := s.Gauges[0].Values; got[0] != 6 || got[1] != 4 {
+		t.Fatalf("merged gauges = %v, want [6 4]", got)
 	}
 	// The input snapshots must be untouched: MergedSnapshot folds into
 	// its own copy, not into a's live cells.

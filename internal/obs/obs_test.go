@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 
 	"taq/internal/packet"
@@ -198,83 +199,147 @@ func TestJSONLSinkNumericCodesWithoutLabelFuncs(t *testing.T) {
 	}
 }
 
-func TestGaugeSetCSVDeterministic(t *testing.T) {
+// depthRegistry is a registry whose gauge families read *depth, the
+// way a network's read its queue.
+func depthRegistry(depth *int) *Registry {
+	reg := NewRegistry()
+	reg.GaugeVecFunc("qlen", "queue", "", nil, func(dst []float64) { dst[0] = float64(*depth) })
+	reg.GaugeVecFunc("loss", "loss", "kind", []string{"raw", "ewma"}, func(dst []float64) {
+		dst[0], dst[1] = float64(*depth)/4, float64(*depth)/8
+	})
+	reg.CounterVecFunc("arrivals_total", "arrivals", "", nil, func(dst []uint64) { dst[0] = uint64(*depth) * 10 })
+	return reg
+}
+
+func TestSamplerCSVDeterministic(t *testing.T) {
 	run := func() string {
 		eng := sim.NewEngine(42)
 		var buf bytes.Buffer
-		g := NewGaugeSet(eng, sim.Second, NewCSVSeries(&buf))
 		depth := 0
-		g.RegisterInt("qlen", func() int { return depth })
-		g.Register("loss_ewma", func() float64 { return float64(depth) / 8 })
-		// Vary the gauge between samples.
+		// Vary the cells between samples.
 		for i := 1; i <= 3; i++ {
 			i := i
 			eng.Schedule(sim.Time(i)*sim.Second-sim.Millisecond, func() { depth = i * 2 })
 		}
-		g.Start()
+		s := StartSampler(eng, depthRegistry(&depth), sim.Second, &buf, []Column{
+			{Name: "qlen", Family: "qlen"},
+			{Name: "loss_ewma", Family: "loss", Label: "ewma"},
+			{Name: "arrivals", Family: "arrivals_total"},
+		})
 		eng.RunUntil(3 * sim.Second)
-		if err := g.Stop(); err != nil {
+		if err := s.Stop(); err != nil {
 			t.Fatalf("Stop: %v", err)
 		}
 		return buf.String()
 	}
 	got := run()
-	want := "t_ns,qlen,loss_ewma\n" +
-		"0,0,0\n" +
-		"1000000000,2,0.25\n" +
-		"2000000000,4,0.5\n" +
-		"3000000000,6,0.75\n"
+	want := "t_ns,qlen,loss_ewma,arrivals\n" +
+		"0,0,0,0\n" +
+		"1000000000,2,0.25,20\n" +
+		"2000000000,4,0.5,40\n" +
+		"3000000000,6,0.75,60\n"
 	if got != want {
 		t.Fatalf("CSV mismatch:\ngot:\n%swant:\n%s", got, want)
 	}
 	if again := run(); again != got {
-		t.Fatal("same-seed gauge CSV not byte-identical across runs")
+		t.Fatal("same-seed series CSV not byte-identical across runs")
 	}
 }
 
-func TestGaugeSetStopCancelsTick(t *testing.T) {
+func TestSamplerStopCancelsTick(t *testing.T) {
 	eng := sim.NewEngine(1)
-	var mem MemorySeries
-	g := NewGaugeSet(eng, sim.Second, &mem)
-	g.RegisterInt("x", func() int { return 1 })
-	g.Start()
+	var buf bytes.Buffer
+	depth := 1
+	s := StartSampler(eng, depthRegistry(&depth), sim.Second, &buf, []Column{{Name: "x", Family: "qlen"}})
 	eng.RunUntil(2 * sim.Second)
-	if err := g.Stop(); err != nil {
+	if err := s.Stop(); err != nil {
 		t.Fatalf("Stop: %v", err)
 	}
-	n := len(mem.Times)
-	if n != 3 {
-		t.Fatalf("samples before stop = %d, want 3", n)
+	if got, want := buf.String(), "t_ns,x\n0,1\n1000000000,1\n2000000000,1\n"; got != want {
+		t.Fatalf("series before stop = %q, want %q", got, want)
 	}
+	n := buf.Len()
 	eng.RunUntil(10 * sim.Second)
-	if len(mem.Times) != n {
-		t.Fatalf("gauge kept ticking after Stop: %d samples", len(mem.Times))
+	if buf.Len() != n {
+		t.Fatalf("sampler kept ticking after Stop: %q", buf.String())
 	}
 	if eng.Pending() != 0 {
 		t.Fatalf("pending timers after Stop = %d, want 0 (timer leak)", eng.Pending())
 	}
+	var nilS *Sampler
+	if err := nilS.Stop(); err != nil {
+		t.Fatalf("nil Stop: %v", err)
+	}
+}
+
+// failingWriter accepts ok writes, then fails every one.
+type failingWriter struct{ ok, writes int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	f.writes++
+	if f.writes > f.ok {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+func TestSamplerWriteErrorIsSticky(t *testing.T) {
+	eng := sim.NewEngine(1)
+	depth := 0
+	w := &failingWriter{ok: 2} // the header and the first row
+	s := StartSampler(eng, depthRegistry(&depth), sim.Second, w, []Column{{Name: "x", Family: "qlen"}})
+	eng.RunUntil(5 * sim.Second)
+	if err := s.Stop(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Stop = %v, want the writer's error", err)
+	}
+	if err := s.Stop(); err == nil {
+		t.Fatal("second Stop lost the sticky error")
+	}
+	if w.writes != 3 {
+		t.Fatalf("writes = %d, want 3: none after the failure", w.writes)
+	}
+	// A failed header arms nothing.
+	eng = sim.NewEngine(1)
+	StartSampler(eng, depthRegistry(&depth), sim.Second, &failingWriter{}, []Column{{Name: "x", Family: "qlen"}})
+	if eng.Pending() != 0 {
+		t.Fatalf("pending events after a failed header = %d, want 0", eng.Pending())
+	}
+}
+
+func TestSamplerUnknownColumnPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a column with no registry cell did not panic")
+		}
+	}()
+	depth := 0
+	StartSampler(sim.NewEngine(1), depthRegistry(&depth), sim.Second, io.Discard,
+		[]Column{{Name: "x", Family: "loss", Label: "nosuch"}})
 }
 
 func TestGaugeSnapshot(t *testing.T) {
-	eng := sim.NewEngine(1)
-	g := NewGaugeSet(eng, sim.Second, &MemorySeries{})
-	g.RegisterInt("a", func() int { return 4 })
-	g.Register("b", func() float64 { return 2.5 })
-	names, vals := g.Snapshot()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	depth := 4
+	snap := depthRegistry(&depth).Snapshot()
+	if len(snap.Gauges) != 2 || snap.Gauges[0].Name != "loss" || snap.Gauges[1].Name != "qlen" {
+		t.Fatalf("gauge families = %+v, want loss and qlen in name order", snap.Gauges)
 	}
-	if len(vals) != 2 || vals[0] != 4 || vals[1] != 2.5 {
-		t.Fatalf("vals = %v", vals)
+	for _, c := range []struct {
+		family, label string
+		want          float64
+	}{{"qlen", "", 4}, {"loss", "raw", 1}, {"loss", "ewma", 0.5}, {"arrivals_total", "", 40}} {
+		if v, ok := snap.Value(c.family, c.label); !ok || v != c.want {
+			t.Errorf("Value(%s, %q) = %v, %v; want %v", c.family, c.label, v, ok, c.want)
+		}
 	}
-	var nilG *GaugeSet
-	nilG.Register("x", nil)
-	nilG.Start()
-	if err := nilG.Stop(); err != nil {
-		t.Fatalf("nil Stop: %v", err)
+	for _, c := range [][2]string{{"qlen", "raw"}, {"loss", ""}, {"nosuch", ""}} {
+		if _, ok := snap.Value(c[0], c[1]); ok {
+			t.Errorf("Value(%s, %q) found a cell", c[0], c[1])
+		}
 	}
-	if n, v := nilG.Snapshot(); n != nil || v != nil {
-		t.Fatal("nil GaugeSet snapshot not empty")
+	// Gauges are read at Snapshot, not at registration.
+	depth = 8
+	if v, _ := depthRegistry(&depth).Snapshot().Value("qlen", ""); v != 8 {
+		t.Fatalf("qlen after the change = %v, want 8", v)
 	}
 }
 

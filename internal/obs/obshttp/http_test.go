@@ -20,15 +20,13 @@ func testOptions() Options {
 	c.IncAt(1)
 	h.Observe(sim.Second / 10)
 	h.Observe(2 * sim.Second)
-	return Options{
-		Vars: func() ([]string, []float64) {
-			return []string{"qlen", "loss_ewma"}, []float64{12, 0.125}
-		},
-		Metrics: reg.Snapshot,
-	}
+	reg.GaugeVecFunc("taq_loss_ewma", "loss", "", nil, func(dst []float64) { dst[0] = 0.125 })
+	return Options{Metrics: reg.Snapshot}
 }
 
-func TestMuxVarsJSONShape(t *testing.T) {
+// TestMuxVarsRouteGone checks the gauges have one read path: /metrics
+// carries them, and the JSON /vars route is gone.
+func TestMuxVarsRouteGone(t *testing.T) {
 	srv := httptest.NewServer(NewMux(testOptions()))
 	defer srv.Close()
 
@@ -36,14 +34,10 @@ func TestMuxVarsJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /vars: %v", err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	want := `{"qlen":12,"loss_ewma":0.125}` + "\n"
-	if string(body) != want {
-		t.Fatalf("/vars = %q, want %q", body, want)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("Content-Type = %q", ct)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/vars status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -66,6 +60,9 @@ func TestMuxMetricsExposition(t *testing.T) {
 # TYPE taq_drops_total counter
 taq_drops_total{class="recovery"} 1
 taq_drops_total{class="newflow"} 2
+# HELP taq_loss_ewma loss
+# TYPE taq_loss_ewma gauge
+taq_loss_ewma 0.125
 # HELP taq_queue_delay_seconds delay
 # TYPE taq_queue_delay_seconds histogram
 taq_queue_delay_seconds_bucket{le="0.125"} 1
@@ -115,19 +112,17 @@ func TestMuxPprofRegistered(t *testing.T) {
 }
 
 func TestMuxOmittedRoutes(t *testing.T) {
-	// Nil Options members leave their routes unregistered.
+	// A nil Metrics leaves /metrics unregistered.
 	srv := httptest.NewServer(NewMux(Options{}))
 	defer srv.Close()
-	for _, route := range []string{"/vars", "/metrics"} {
-		resp, err := http.Get(srv.URL + route)
-		if err != nil {
-			t.Fatalf("GET %s: %v", route, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s status = %d, want 404", route, resp.StatusCode)
-		}
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics status = %d, want 404", resp.StatusCode)
 	}
 }
 

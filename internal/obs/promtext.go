@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"math"
 	"strconv"
 
 	"taq/internal/sim"
@@ -9,33 +10,35 @@ import (
 
 // Prometheus text-format exposition (version 0.0.4), stdlib-only.
 //
-// Everything renders through integer arithmetic on sim.Time (int64
+// Durations render through integer arithmetic on sim.Time (int64
 // nanoseconds): a duration prints as its exact decimal value in
 // seconds — integer part, then up to nine fractional digits with
-// trailing zeros trimmed — never through float formatting. Same-seed
-// runs therefore produce byte-identical expositions, which CI gates
-// with cmp(1).
+// trailing zeros trimmed — never through float formatting. Gauges, the
+// one float, print in shortest round-trip form, itself a pure function
+// of the value. Same-seed runs therefore produce byte-identical
+// expositions, which CI gates with cmp(1).
 
 // AppendText renders the snapshot in Prometheus text format, appending
-// to b. Families appear in Snapshot's name-sorted order; a histogram's
-// series appear bucket-major within each label value, ending with
-// +Inf, _sum, _count — the layout promtool expects.
+// to b: counters, then gauges, then histograms, each kind in
+// Snapshot's name-sorted order. A histogram's series appear
+// bucket-major within each label value, ending with +Inf, _sum, _count
+// — the layout promtool expects.
 func (s *MetricsSnapshot) AppendText(b []byte) []byte {
 	for i := range s.Counters {
 		c := &s.Counters[i]
 		b = appendHeader(b, c.Name, c.Help, "counter")
-		if len(c.LabelVals) == 0 {
-			b = append(b, c.Name...)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, c.Values[0], 10)
+		for li, v := range c.Values {
+			b = appendSeries(b, c.Name, c.Label, c.LabelVals, li)
+			b = strconv.AppendUint(b, v, 10)
 			b = append(b, '\n')
-			continue
 		}
-		for li, lv := range c.LabelVals {
-			b = append(b, c.Name...)
-			b = appendLabel(b, c.Label, lv, false)
-			b = append(b, ' ')
-			b = strconv.AppendUint(b, c.Values[li], 10)
+	}
+	for i := range s.Gauges {
+		g := &s.Gauges[i]
+		b = appendHeader(b, g.Name, g.Help, "gauge")
+		for li, v := range g.Values {
+			b = appendSeries(b, g.Name, g.Label, g.LabelVals, li)
+			b = appendFloat(b, v)
 			b = append(b, '\n')
 		}
 	}
@@ -107,6 +110,27 @@ func appendHeader(b []byte, name, help, typ string) []byte {
 	b = append(b, ' ')
 	b = append(b, typ...)
 	return append(b, '\n')
+}
+
+// appendSeries appends a counter or gauge series' name, its label pair
+// when the family has label values, and the separating space.
+func appendSeries(b []byte, name, label string, vals []string, i int) []byte {
+	b = append(b, name...)
+	if len(vals) > 0 {
+		b = appendLabel(b, label, vals[i], false)
+	}
+	return append(b, ' ')
+}
+
+// appendFloat renders v in the shortest round-trippable form, integral
+// values as integers ("3"), and NaN and ±Inf as the text format spells
+// them ("NaN", "+Inf", "-Inf"): the number format of gauge lines and of
+// the Sampler's CSV rows.
+func appendFloat(b []byte, v float64) []byte {
+	if v == math.Trunc(v) && v >= math.MinInt64 && v < math.MaxInt64 {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // appendLabel appends `{label="value"}` — or `{label="value",` when

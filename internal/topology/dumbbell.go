@@ -7,6 +7,7 @@ package topology
 
 import (
 	"fmt"
+	"io"
 
 	"taq/internal/core"
 	"taq/internal/link"
@@ -163,14 +164,11 @@ type Network struct {
 	// Events, when non-nil (EnableObservability), receives the
 	// structured trace of bottleneck activity.
 	Events *obs.Recorder
-	// Gauges, when non-nil (EnableGauges), samples the bottleneck
-	// time series; callers Stop it (or Close the network) to flush.
-	Gauges *obs.GaugeSet
 	// Metrics, when non-nil (EnableMetrics), is the registry holding
-	// the bottleneck's counters and histograms; FCT is its
+	// the bottleneck's counters, gauges and histograms; FCT is its
 	// flow-completion-time histogram, fed through ObserveFCT. Its
-	// counter families read the link's and middlebox's own counters, so
-	// snapshot it on the network's runner.
+	// counter and gauge families read the network's, link's and
+	// middlebox's own state, so snapshot it on the network's runner.
 	Metrics *obs.Registry
 	// FCT is nil until EnableMetrics.
 	FCT *obs.Histogram
@@ -319,12 +317,14 @@ func (n *Network) EnableObservability(rec *obs.Recorder) {
 }
 
 // EnableMetrics creates the network's metrics registry and installs
-// the full schema: link transmit/sojourn instruments, the
+// the full schema: the bottleneck queue's depth, arrivals and drops,
+// link utilization and transmit/sojourn instruments, the
 // flow-completion-time histogram, and — with a TAQ middlebox — the
-// per-class drop/serve/delay and tracker/admission instruments. Call
-// before the run starts; the returned registry snapshots at any time
-// (obs.MetricsSnapshot), typically once at run end for the
-// -metrics-out artifact.
+// per-class depth/drop/serve/delay, flow-count, loss-EWMA, tracker and
+// admission instruments. Call before the run starts; the returned
+// registry snapshots at any time (obs.MetricsSnapshot), typically once
+// at run end for the -metrics-out artifact, or every interval through
+// SampleSeries.
 func (n *Network) EnableMetrics() *obs.Registry {
 	if n.Metrics != nil {
 		return n.Metrics
@@ -332,13 +332,42 @@ func (n *Network) EnableMetrics() *obs.Registry {
 	reg := obs.NewRegistry()
 	n.Link.SetMetrics(link.NewMetrics(reg))
 	n.FCT = obs.FCTHistogram(reg)
-	if n.Middlebox != nil {
+	disc := n.Link.Discipline()
+	gauge(reg, "taq_queue_packets", "Packets held in the bottleneck queue.",
+		func() float64 { return float64(disc.Len()) })
+	gauge(reg, "taq_queue_bytes", "Bytes held in the bottleneck queue.",
+		func() float64 { return float64(disc.Bytes()) })
+	gauge(reg, "taq_link_utilization", "Bottleneck utilization since the run began.", n.Utilization)
+	reg.CounterVecFunc("taq_queue_arrivals_total", "Packets offered to the bottleneck queue.", "", nil,
+		func(dst []uint64) { dst[0] = n.QueueArrivals })
+	reg.CounterVecFunc("taq_queue_drops_total", "Packets the bottleneck queue dropped, for any reason.", "", nil,
+		func(dst []uint64) { dst[0] = n.QueueDrops })
+	if mb := n.Middlebox; mb != nil {
 		// One registry for all shards: the network drives every shard
-		// from one runner.
-		n.Middlebox.SetMetrics(core.NewMetrics(reg))
+		// from one runner, so the shared loss EWMA and admission queue
+		// are registered once, here.
+		mb.SetMetrics(core.NewMetrics(reg))
+		reg.GaugeVecFunc("taq_class_queue_packets", "Packets queued in each TAQ class queue (§4.2).",
+			"class", core.ClassLabels(), func(dst []float64) {
+				for c := range dst {
+					dst[c] = float64(mb.QueueLen(core.Class(c)))
+				}
+			})
+		gauge(reg, "taq_active_flows", "Flows the tracker counts as active.",
+			func() float64 { return float64(mb.ActiveFlows()) })
+		gauge(reg, "taq_recovering_flows", "Flows the tracker counts as recovering from a loss.",
+			func() float64 { return float64(mb.RecoveringFlows()) })
+		gauge(reg, "taq_loss_ewma", "Smoothed loss rate that drives admission control (§4.3).", mb.LossEWMA)
+		gauge(reg, "taq_waiting_pools", "Pools waiting in the admission queue (§4.3).",
+			func() float64 { return float64(mb.WaitingPools()) })
 	}
 	n.Metrics = reg
 	return reg
+}
+
+// gauge registers a plain gauge read through fn.
+func gauge(reg *obs.Registry, name, help string, fn func() float64) {
+	reg.GaugeVecFunc(name, help, "", nil, func(dst []float64) { dst[0] = fn() })
 }
 
 // ObserveFCT records a completed transfer into the FCT histogram,
@@ -350,35 +379,38 @@ func (n *Network) ObserveFCT(started sim.Time, sizeBytes int) {
 	n.FCT.ObserveAt(obs.FCTSizeClass(sizeBytes), n.Runner.Now()-started)
 }
 
-// EnableGauges starts periodic sampling of the bottleneck time series
-// onto sink: queue depth and bytes, cumulative arrivals/drops, link
-// utilization, and — with a TAQ middlebox — per-class queue depths,
-// active/recovering flow counts, the loss-rate EWMA, and the admission
-// backlog. Returns the running gauge set (also kept in n.Gauges);
-// Stop it after the run to flush the sink. A nil sink registers the
-// same columns for Gauges.Snapshot and samples nothing.
-func (n *Network) EnableGauges(interval sim.Time, sink obs.SeriesSink) *obs.GaugeSet {
-	g := obs.NewGaugeSet(n.Runner, interval, sink)
-	disc := n.Link.Discipline()
-	g.RegisterInt("qlen", disc.Len)
-	g.RegisterInt("qbytes", disc.Bytes)
-	g.Register("arrivals", func() float64 { return float64(n.QueueArrivals) })
-	g.Register("drops", func() float64 { return float64(n.QueueDrops) })
-	g.Register("utilization", n.Utilization)
-	if mb := n.Middlebox; mb != nil {
-		g.RegisterInt("qlen_recovery", func() int { return mb.QueueLen(core.ClassRecovery) })
-		g.RegisterInt("qlen_newflow", func() int { return mb.QueueLen(core.ClassNewFlow) })
-		g.RegisterInt("qlen_overpenalized", func() int { return mb.QueueLen(core.ClassOverPenalized) })
-		g.RegisterInt("qlen_belowfair", func() int { return mb.QueueLen(core.ClassBelowFair) })
-		g.RegisterInt("qlen_abovefair", func() int { return mb.QueueLen(core.ClassAboveFair) })
-		g.RegisterInt("active_flows", mb.ActiveFlows)
-		g.RegisterInt("recovering_flows", mb.RecoveringFlows)
-		g.Register("loss_ewma", mb.LossEWMA)
-		g.RegisterInt("waiting_pools", mb.WaitingPools)
+// seriesColumns names the bottleneck time series' CSV columns and the
+// registry cells behind them. A network without a middlebox writes the
+// first five.
+var seriesColumns = []obs.Column{
+	{Name: "qlen", Family: "taq_queue_packets"},
+	{Name: "qbytes", Family: "taq_queue_bytes"},
+	{Name: "arrivals", Family: "taq_queue_arrivals_total"},
+	{Name: "drops", Family: "taq_queue_drops_total"},
+	{Name: "utilization", Family: "taq_link_utilization"},
+	{Name: "qlen_recovery", Family: "taq_class_queue_packets", Label: "recovery"},
+	{Name: "qlen_newflow", Family: "taq_class_queue_packets", Label: "newflow"},
+	{Name: "qlen_overpenalized", Family: "taq_class_queue_packets", Label: "overpenalized"},
+	{Name: "qlen_belowfair", Family: "taq_class_queue_packets", Label: "belowfair"},
+	{Name: "qlen_abovefair", Family: "taq_class_queue_packets", Label: "abovefair"},
+	{Name: "active_flows", Family: "taq_active_flows"},
+	{Name: "recovering_flows", Family: "taq_recovering_flows"},
+	{Name: "loss_ewma", Family: "taq_loss_ewma"},
+	{Name: "waiting_pools", Family: "taq_waiting_pools"},
+}
+
+// SampleSeries enables the metrics registry and starts sampling the
+// bottleneck time series from it every interval: queue depth
+// and bytes, cumulative arrivals/drops, link utilization, and — with a
+// TAQ middlebox — per-class queue depths, active/recovering flow
+// counts, the loss-rate EWMA, and the admission backlog — as CSV on w.
+// Stop the returned sampler after the run for its write error.
+func (n *Network) SampleSeries(interval sim.Time, w io.Writer) *obs.Sampler {
+	cols := seriesColumns
+	if n.Middlebox == nil {
+		cols = cols[:5]
 	}
-	g.Start()
-	n.Gauges = g
-	return g
+	return obs.StartSampler(n.Runner, n.EnableMetrics(), interval, w, cols)
 }
 
 // accessDelay returns the jittered access delay for the next packet of

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -13,8 +14,8 @@ import (
 	"taq/internal/tcp"
 )
 
-// runTraced runs a small TAQ dumbbell with tracing and gauges enabled
-// and returns the raw JSONL event stream and CSV gauge series.
+// runTraced runs a small TAQ dumbbell with tracing and the time series
+// enabled and returns the raw JSONL event stream and CSV series.
 func runTraced(t *testing.T, seed int64) (events, gauges []byte) {
 	t.Helper()
 	return runTracedShards(t, seed, 0)
@@ -24,12 +25,19 @@ func runTraced(t *testing.T, seed int64) (events, gauges []byte) {
 // shard count (0 = the default, one shard).
 func runTracedShards(t *testing.T, seed int64, shards int) (events, gauges []byte) {
 	t.Helper()
-	n := MustNew(Config{
+	return runTracedConfig(t, Config{
 		Seed:              seed,
 		Queue:             TAQ,
 		TwoWayObservation: true,
 		TAQShards:         shards,
 	})
+}
+
+// runTracedConfig runs four bulk flows for 40 s on cfg's dumbbell,
+// sampling the series every 2 s.
+func runTracedConfig(t *testing.T, cfg Config) (events, gauges []byte) {
+	t.Helper()
+	n := MustNew(cfg)
 
 	var evBuf bytes.Buffer
 	sink := obs.NewJSONLSink(&evBuf)
@@ -39,7 +47,7 @@ func runTracedShards(t *testing.T, seed int64, shards int) (events, gauges []byt
 	n.EnableObservability(rec)
 
 	var gBuf bytes.Buffer
-	g := n.EnableGauges(2*sim.Second, obs.NewCSVSeries(&gBuf))
+	series := n.SampleSeries(2*sim.Second, &gBuf)
 
 	for i := 0; i < 4; i++ {
 		n.AddFlow(packet.PoolNone, tcp.BulkApp{}, sim.Time(i)*sim.Second)
@@ -49,10 +57,30 @@ func runTracedShards(t *testing.T, seed int64, shards int) (events, gauges []byt
 	if err := rec.Close(); err != nil {
 		t.Fatalf("recorder close: %v", err)
 	}
-	if err := g.Stop(); err != nil {
-		t.Fatalf("gauges stop: %v", err)
+	if err := series.Stop(); err != nil {
+		t.Fatalf("series stop: %v", err)
 	}
 	return evBuf.Bytes(), gBuf.Bytes()
+}
+
+// TestGaugeSeriesGolden pins the CSV time series byte for byte against
+// files written by the gauge mechanism the registry sampler replaced:
+// the TAQ run's fourteen columns and a DropTail run's five must read
+// the same cells at the same instants, in the same format.
+func TestGaugeSeriesGolden(t *testing.T) {
+	for _, c := range []struct {
+		queue QueueKind
+		file  string
+	}{{TAQ, "testdata/gauges-taq-seed7.csv"}, {DropTail, "testdata/gauges-droptail-seed7.csv"}} {
+		_, got := runTracedConfig(t, Config{Seed: 7, Queue: c.queue, TwoWayObservation: true})
+		want, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s series diverged from %s:\n%s", c.queue, c.file, got)
+		}
+	}
 }
 
 // TestObservabilityDeterministicTrace is the tracing determinism gate:
@@ -95,22 +123,19 @@ func TestObservabilityDeterministicTrace(t *testing.T) {
 
 // TestObservabilityIsPassive verifies tracing does not perturb the
 // simulation: the same seed with and without the obs layer yields
-// identical traffic counters. (Engine.Processed is excluded — gauge
+// identical traffic counters. (Engine.Processed is excluded — series
 // ticks are themselves events.)
 func TestObservabilityIsPassive(t *testing.T) {
 	run := func(withObs bool) (arrivals, drops uint64) {
 		n := MustNew(Config{Seed: 11, Queue: TAQ, TwoWayObservation: true})
 		if withObs {
 			n.EnableObservability(obs.NewRecorder(&obs.NullSink{}, 0))
-			n.EnableGauges(sim.Second, &obs.MemorySeries{})
+			n.SampleSeries(sim.Second, io.Discard)
 		}
 		for i := 0; i < 4; i++ {
 			n.AddFlow(packet.PoolNone, tcp.BulkApp{}, sim.Time(i)*sim.Second)
 		}
 		n.Run(30 * sim.Second)
-		if withObs {
-			n.Gauges.Stop()
-		}
 		return n.QueueArrivals, n.QueueDrops
 	}
 

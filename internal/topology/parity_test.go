@@ -4,12 +4,12 @@ package topology_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"taq/internal/emu"
 	"taq/internal/link"
-	"taq/internal/obs"
 	"taq/internal/packet"
 	"taq/internal/sim"
 	"taq/internal/tcp"
@@ -20,7 +20,8 @@ import (
 // simulator and the prototype: one scenario — 8 pooled bulk flows and a
 // short transfer behind TAQ on 400 Kbps, telemetry on — built by NewOn
 // over a sim.Engine and over an emu.Engine, must give the same
-// accounting and the same telemetry schema on both.
+// accounting and the same telemetry schema — the registry's counter,
+// gauge and histogram families — on both.
 func TestNewOnEmuParity(t *testing.T) {
 	rows := []struct {
 		name string
@@ -48,20 +49,17 @@ func TestNewOnEmuParity(t *testing.T) {
 			}
 		}},
 	}
-	type schema struct{ gauges, families []string }
-	var schemas []schema
+	var schemas [][]string
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			run, hold, advance := row.runner()
 			var net *topology.Network
-			var series obs.MemorySeries
 			hold(func() {
 				var err error
 				net, err = topology.NewOn(run, topology.Config{Bandwidth: 400 * link.Kbps, Queue: topology.TAQ})
 				if err != nil {
 					t.Fatal(err)
 				}
-				net.EnableGauges(sim.Second, &series)
 				net.EnableMetrics()
 				for i := 0; i < 8; i++ {
 					net.AddFlow(packet.PoolID(1+i/2), tcp.BulkApp{}, run.Now())
@@ -73,7 +71,7 @@ func TestNewOnEmuParity(t *testing.T) {
 			if (net.Engine != nil) != (row.name == "sim") {
 				t.Errorf("Network.Engine = %v on the %s runner", net.Engine, row.name)
 			}
-			advance(func() bool { return net.FCT.Count() > 0 && net.QueueDrops > 0 && len(series.Times) >= 2 })
+			advance(func() bool { return net.FCT.Count() > 0 && net.QueueDrops > 0 })
 			hold(func() {
 				queued := uint64(net.Link.Discipline().Len())
 				out := net.Link.SentPackets + net.QueueDrops + queued
@@ -98,25 +96,25 @@ func TestNewOnEmuParity(t *testing.T) {
 				if net.FCT.Count() == 0 {
 					t.Error("FCT histogram empty after a completed transfer")
 				}
-				if len(series.Times) < 2 {
-					t.Errorf("gauge samples = %d, want ≥2", len(series.Times))
-				}
 				snap := net.Metrics.Snapshot()
 				var families []string
 				for _, c := range snap.Counters {
-					families = append(families, c.Name)
+					families = append(families, "counter "+c.Name)
+				}
+				for _, g := range snap.Gauges {
+					families = append(families, "gauge "+g.Name)
 				}
 				for _, h := range snap.Histograms {
-					families = append(families, h.Name)
+					families = append(families, "histogram "+h.Name)
 				}
-				schemas = append(schemas, schema{series.Names, families})
+				schemas = append(schemas, families)
 			})
 		})
 	}
 	if len(schemas) == 2 && !reflect.DeepEqual(schemas[0], schemas[1]) {
 		t.Errorf("telemetry schema differs:\n sim %v\n emu %v", schemas[0], schemas[1])
 	}
-	if len(schemas) > 0 && (len(schemas[0].gauges) == 0 || len(schemas[0].families) == 0) {
-		t.Errorf("empty telemetry schema: %v", schemas[0])
+	if len(schemas) > 0 && !slices.Contains(schemas[0], "gauge taq_class_queue_packets") {
+		t.Errorf("telemetry schema has no class queue gauges: %v", schemas[0])
 	}
 }
