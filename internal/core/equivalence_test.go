@@ -234,6 +234,9 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 				q.Dequeue()
 				if now%(250*sim.Millisecond) == 0 {
 					checkTrackerEquivalence(t, q.tracker, eng.Now())
+					for c := ClassNewFlow; int(c) < numClasses; c++ {
+						checkVictimHandles(t, &q.q.fifos[c], q.tracker)
+					}
 					// A record derives its pool from the entry it pins:
 					// that must be the pool its packets carry.
 					for i := int32(0); i < q.tracker.store.n; i++ {
@@ -258,3 +261,16 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 // The zero-alloc proof for the O(1) control-loop reads lives in the
 // repo root's hotpath_alloc_test.go now, table-driven over every
 // declared //taq:hotpath root.
+
+// checkVictimHandles checks the record handles a class queue keeps for
+// victim scoring: whether a handle still holds its flow's live record
+// or went stale when the record expired, it resolves to the record the
+// index holds for the flow (nil for an expired one).
+func checkVictimHandles(t *testing.T, fifo *classFIFO, tr *tracker) {
+	t.Helper()
+	for id, e := range fifo.occ {
+		if got, want := tr.store.resolve(id, e.slot), tr.get(id); got != want {
+			t.Fatalf("flow %d handle slot %d resolves to %p, index holds %p", id, e.slot, got, want)
+		}
+	}
+}

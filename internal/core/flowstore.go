@@ -48,6 +48,20 @@ func (s *flowStore) lookup(id packet.FlowID) *flowInfo {
 	return s.at(slot)
 }
 
+// resolve returns the record tracking id, given slot, a handle taken
+// when id was last seen: the record there if it is still id's, else
+// whatever the index says. Only one live record carries a given id,
+// so the answer is always lookup(id); the probe is skipped when the
+// handle still holds.
+func (s *flowStore) resolve(id packet.FlowID, slot int32) *flowInfo {
+	if uint32(slot) < uint32(s.n) {
+		if f := s.at(slot); f.id == id && f.has(flagLive) {
+			return f
+		}
+	}
+	return s.lookup(id)
+}
+
 // alloc files a zeroed record for id (which must not be tracked) and
 // returns it. Recycled records keep their bumped generation so stale
 // wheel entries pointing at the old occupant stay invalid.

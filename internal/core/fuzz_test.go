@@ -13,7 +13,10 @@ import (
 // TAQ drops, time advances, and silence scans. The tracker must never
 // panic and must keep every flow inside the declared state set with
 // sane bookkeeping, no matter how hostile the observation order is —
-// the middlebox cannot choose what the network shows it.
+// the middlebox cannot choose what the network shows it. Fresh data
+// also waits in a class queue until the flow's next ack, so records
+// expire and slots recycle under queued packets, and every queued
+// victim handle must still resolve to its flow's record.
 func FuzzTrackerTransitions(f *testing.F) {
 	f.Add([]byte{0x00, 0x11, 0x22, 0x33})
 	f.Add([]byte{0x05, 0x10, 0x25, 0x30, 0x45, 0x50, 0x65, 0x70})
@@ -28,6 +31,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 		tr := newTracker(eng, cfg, &Stats{})
 
 		seqs := map[packet.FlowID]int{} // next fresh sequence per flow
+		var queued classFIFO
 
 		for _, b := range data {
 			op := int(b >> 4)
@@ -43,7 +47,8 @@ func FuzzTrackerTransitions(f *testing.F) {
 			case 1: // fresh data
 				p := &packet.Packet{Flow: flow, Kind: packet.Data, Seq: seqs[flow], Size: 500}
 				seqs[flow]++
-				tr.observe(p)
+				rec, _ := tr.observe(p)
+				queued.Push(p, rec.slot)
 				tr.observeForwarded(p)
 			case 2: // retransmission of the oldest segment
 				p := &packet.Packet{Flow: flow, Kind: packet.Data, Seq: 0, Size: 500, Retransmit: true}
@@ -51,6 +56,8 @@ func FuzzTrackerTransitions(f *testing.F) {
 				tr.observeForwarded(p)
 			case 3: // returning ack for everything sent so far
 				tr.observeReverse(&packet.Packet{Flow: flow, Kind: packet.Ack, CumAck: seqs[flow], Size: 40})
+				for queued.PopFlow(flow) != nil {
+				}
 			case 4: // TAQ drops this flow's next packet
 				p := &packet.Packet{Flow: flow, Kind: packet.Data, Seq: seqs[flow], Size: 500}
 				_, rtx := tr.observe(p)
@@ -92,6 +99,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 			// Every incremental aggregate must match a from-scratch walk
 			// of the flow table, no matter the observation order.
 			checkTrackerEquivalence(t, tr, eng.Now())
+			checkVictimHandles(t, &queued, tr)
 		}
 	})
 }

@@ -215,7 +215,15 @@ type classFIFO struct {
 	items []*packet.Packet
 	head  int
 	bytes int
-	occ   map[packet.FlowID]int
+	occ   map[packet.FlowID]occEntry
+}
+
+// occEntry is one queued flow's occupancy and a handle on its tracker
+// record: the slot the latest enqueue of the flow held. The record can
+// expire while packets wait and its slot go to another flow, so the
+// handle is a hint, which the scorer checks (flowStore.resolve).
+type occEntry struct {
+	n, slot int32
 }
 
 // Len returns the number of queued packets.
@@ -224,14 +232,16 @@ func (f *classFIFO) Len() int { return len(f.items) - f.head }
 // Bytes returns the queued byte total.
 func (f *classFIFO) Bytes() int { return f.bytes }
 
-// Push appends p at the tail.
-func (f *classFIFO) Push(p *packet.Packet) {
+// Push appends p at the tail; slot is the tracker record slot of p's
+// flow (any value when no tracker scores the victims).
+func (f *classFIFO) Push(p *packet.Packet, slot int32) {
 	if f.occ == nil {
-		f.occ = make(map[packet.FlowID]int) //taq:allow noalloc lazy one-time init per class queue
+		f.occ = make(map[packet.FlowID]occEntry) //taq:allow noalloc lazy one-time init per class queue
 	}
 	f.items = append(f.items, p) //taq:allow noalloc amortized ring growth; Pop compacts in place
 	f.bytes += p.Size
-	f.occ[p.Flow]++ //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	e := f.occ[p.Flow]                               //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	f.occ[p.Flow] = occEntry{n: e.n + 1, slot: slot} //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
 }
 
 // Pop removes and returns the head packet, or nil.
@@ -252,30 +262,30 @@ func (f *classFIFO) Pop() *packet.Packet {
 
 func (f *classFIFO) remove(p *packet.Packet) {
 	f.bytes -= p.Size
-	if f.occ[p.Flow] <= 1 { //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	if e := f.occ[p.Flow]; e.n <= 1 { //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
 		delete(f.occ, p.Flow)
 	} else {
-		f.occ[p.Flow]-- //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+		e.n--
+		f.occ[p.Flow] = e //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
 	}
 }
 
 // BestVictim returns the flow in this class that the drop policy
 // should penalize: largest buffer occupancy, ties broken by the
 // highest score (TAQ scores flows by their recent throughput, so
-// equal-occupancy ties fall on the flow least in danger of a timeout).
-// ok is false when the class is empty.
-func (f *classFIFO) BestVictim(score func(packet.FlowID) float64) (flow packet.FlowID, occ int, ok bool) {
+// equal-occupancy ties fall on the flow least in danger of a timeout),
+// with the winner's score. score gets each flow's id and record
+// handle. ok is false when the class is empty.
+func (f *classFIFO) BestVictim(score func(packet.FlowID, int32) float64) (flow packet.FlowID, occ int, best float64, ok bool) {
 	// The loop computes a maximum with a total-order tie-break
 	// (occupancy, then score, then lowest flow id), so the winner is
 	// independent of iteration order; sorting here would put an
-	// O(n log n) pass on the per-drop hot path for nothing.
-	// best is the incumbent's score, carried so each flow is scored
-	// once (a score is an index probe, a record read and a catch-up,
-	// and occupancy ties are the common case).
-	var best float64
+	// O(n log n) pass on the per-drop hot path for nothing. The
+	// incumbent's score is carried, so each flow is scored once
+	// (occupancy ties are the common case).
 	//taq:allow maprange,noalloc (total-order tie-break makes the max order-independent; the map itself is ROADMAP item 2)
-	for fl, n := range f.occ {
-		s := score(fl)
+	for fl, e := range f.occ {
+		n, s := int(e.n), score(fl, e.slot)
 		switch {
 		case !ok, n > occ, n == occ && s > best,
 			n == occ && s == best && fl < flow:
@@ -318,7 +328,7 @@ func (f *classFIFO) PopNewest() *packet.Packet {
 // largest buffer occupancy in this class — penalizing the burstiest
 // flow rather than whoever happened to arrive last.
 func (f *classFIFO) PopVictim() *packet.Packet {
-	victim, _, ok := f.BestVictim(func(packet.FlowID) float64 { return 0 })
+	victim, _, _, ok := f.BestVictim(func(packet.FlowID, int32) float64 { return 0 })
 	if !ok {
 		return nil
 	}

@@ -16,7 +16,7 @@ func TestClassFIFOBasics(t *testing.T) {
 		t.Error("empty classFIFO should return nil")
 	}
 	for i := 0; i < 5; i++ {
-		f.Push(dataPkt(packet.FlowID(i), i))
+		f.Push(dataPkt(packet.FlowID(i), i), idxEmpty)
 	}
 	if f.Len() != 5 || f.Bytes() != 5*500 {
 		t.Fatalf("Len=%d Bytes=%d", f.Len(), f.Bytes())
@@ -32,12 +32,12 @@ func TestClassFIFOBasics(t *testing.T) {
 func TestClassFIFOVictimIsHeaviestFlow(t *testing.T) {
 	var f classFIFO
 	// Flow 7 has 3 packets, others 1 each.
-	f.Push(dataPkt(1, 0))
-	f.Push(dataPkt(7, 0))
-	f.Push(dataPkt(7, 1))
-	f.Push(dataPkt(2, 0))
-	f.Push(dataPkt(7, 2))
-	fl, occ, ok := f.BestVictim(func(packet.FlowID) float64 { return 0 })
+	f.Push(dataPkt(1, 0), idxEmpty)
+	f.Push(dataPkt(7, 0), idxEmpty)
+	f.Push(dataPkt(7, 1), idxEmpty)
+	f.Push(dataPkt(2, 0), idxEmpty)
+	f.Push(dataPkt(7, 2), idxEmpty)
+	fl, occ, _, ok := f.BestVictim(func(packet.FlowID, int32) float64 { return 0 })
 	if !ok || fl != 7 || occ != 3 {
 		t.Fatalf("BestVictim = %d/%d/%v, want flow 7 occ 3", fl, occ, ok)
 	}
@@ -60,23 +60,23 @@ func TestClassFIFOVictimIsHeaviestFlow(t *testing.T) {
 
 func TestClassFIFOScoreTieBreak(t *testing.T) {
 	var f classFIFO
-	f.Push(dataPkt(1, 0))
-	f.Push(dataPkt(2, 0))
+	f.Push(dataPkt(1, 0), idxEmpty)
+	f.Push(dataPkt(2, 0), idxEmpty)
 	// Equal occupancy: the higher-scoring (higher-rate) flow loses.
-	score := func(fl packet.FlowID) float64 {
+	score := func(fl packet.FlowID, _ int32) float64 {
 		if fl == 2 {
 			return 100
 		}
 		return 1
 	}
-	if fl, _, _ := f.BestVictim(score); fl != 2 {
+	if fl, _, _, _ := f.BestVictim(score); fl != 2 {
 		t.Errorf("victim = %d, want higher-rate flow 2", fl)
 	}
 }
 
 func TestClassFIFOPopFlowMissing(t *testing.T) {
 	var f classFIFO
-	f.Push(dataPkt(1, 0))
+	f.Push(dataPkt(1, 0), idxEmpty)
 	if f.PopFlow(9) != nil {
 		t.Error("PopFlow of absent flow should be nil")
 	}
@@ -96,7 +96,7 @@ func TestClassFIFOConservationProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 4 {
 			case 0, 1:
-				q.Push(dataPkt(packet.FlowID(op%5), seq))
+				q.Push(dataPkt(packet.FlowID(op%5), seq), idxEmpty)
 				seq++
 				pushed++
 			case 2:
@@ -183,4 +183,77 @@ func TestProportionalFairShare(t *testing.T) {
 	if got := sa + sb; got < 0.99*600e3 || got > 1.01*600e3 {
 		t.Errorf("share sum = %v, want ≈600k", got)
 	}
+}
+
+// TestVictimHandlesSurviveSlotRecycling: a class queue keeps, next to
+// each queued flow's occupancy, the record slot its enqueue held. The
+// record can expire while the flow still has packets queued, and its
+// slot then goes to another flow or — the free list is LIFO — to the
+// same flow re-created. Either way the victim search must pick exactly
+// the flow a scorer that looks every candidate up by id picks.
+func TestVictimHandlesSurviveSlotRecycling(t *testing.T) {
+	q := newTestShard(sim.NewEngine(1), testConfig())
+	tr := q.tracker
+	fifo := &q.q.fifos[ClassBelowFair]
+	byID := func(id packet.FlowID, _ int32) float64 {
+		if f := tr.get(id); f != nil {
+			f.catchUp(tr.lastScan)
+			return f.rateEWMA
+		}
+		return 0
+	}
+	seq := 0
+	push := func(id packet.FlowID, n int) *flowInfo {
+		var f *flowInfo
+		for ; n > 0; n-- {
+			p := dataPkt(id, seq)
+			seq++
+			f = tr.getOrCreate(p)
+			fifo.Push(p, f.slot)
+		}
+		return f
+	}
+	// evictsTo checks BestVictim against the by-id reference, then
+	// evicts and checks the packet came from want.
+	evictsTo := func(want packet.FlowID) {
+		t.Helper()
+		checkVictimHandles(t, fifo, tr)
+		fl, occ, s, ok := fifo.BestVictim(q.victimScoreFn)
+		rfl, rocc, rs, rok := fifo.BestVictim(byID)
+		if fl != rfl || occ != rocc || s != rs || ok != rok {
+			t.Fatalf("BestVictim = %d/%d/%v/%v, by-id reference %d/%d/%v/%v", fl, occ, s, ok, rfl, rocc, rs, rok)
+		}
+		if p, _ := q.evict(); p == nil || p.Flow != want {
+			t.Fatalf("evicted %v, want a packet of flow %d", p, want)
+		}
+	}
+
+	a := push(1, 2)
+	aSlot := a.slot
+	push(2, 2).rateEWMA = 1
+
+	// Flow 1 expires with two packets queued and flow 3 takes its slot.
+	// Flow 3 is the fastest record in the table, but flow 1 is
+	// untracked now and scores 0: the equal-occupancy tie goes to 2.
+	tr.evictFlow(a)
+	if c := tr.getOrCreate(dataPkt(3, 0)); c.slot != aSlot {
+		t.Fatalf("flow 3 filed in slot %d, want flow 1's recycled slot %d", c.slot, aSlot)
+	} else {
+		c.rateEWMA = 100
+	}
+	evictsTo(2)
+
+	// Flow 3 expires and flow 1 comes back in its old slot: the handle
+	// its queued packets kept holds again and reads the new record.
+	push(2, 1)
+	tr.evictFlow(tr.get(3))
+	a = tr.getOrCreate(dataPkt(1, seq))
+	if a.slot != aSlot {
+		t.Fatalf("flow 1 re-created in slot %d, want %d", a.slot, aSlot)
+	}
+	a.rateEWMA = 9
+	if got := tr.store.resolve(1, fifo.occ[1].slot); got != a {
+		t.Fatal("the re-created flow's queued handle did not resolve to its record")
+	}
+	evictsTo(1)
 }

@@ -62,7 +62,7 @@ type TAQ struct {
 	// victimScoreFn is t.victimScore bound once in newShard: evict
 	// passes it to BestVictim on every overflow, and a method value
 	// taken there would allocate a closure per eviction.
-	victimScoreFn func(packet.FlowID) float64
+	victimScoreFn func(packet.FlowID, int32) float64
 
 	// Stats accumulates this shard's counters, the admission rulings on
 	// the SYNs it enqueued included; Sharded.Stats sums the shards.
@@ -215,9 +215,10 @@ func (t *TAQ) FlowStateOf(id packet.FlowID) (FlowState, bool) {
 // fastest sender loses first. The full-table rescan rolled every
 // flow's epoch counters each scan; the incremental tracker rolls
 // lazily, so catch the flow up to the last scan first to read the
-// rate the rescan would have read.
-func (t *TAQ) victimScore(fl packet.FlowID) float64 {
-	if f := t.tracker.get(fl); f != nil {
+// rate the rescan would have read. slot is the record handle the
+// class queue kept; the index is probed only when it went stale.
+func (t *TAQ) victimScore(fl packet.FlowID, slot int32) float64 {
+	if f := t.tracker.store.resolve(fl, slot); f != nil {
 		f.catchUp(t.tracker.lastScan)
 		return f.rateEWMA
 	}
@@ -324,9 +325,9 @@ func (t *TAQ) Enqueue(p *packet.Packet) {
 			t.dropPacket(p, ClassNewFlow, false)
 			return
 		}
-		t.q.fifos[ClassNewFlow].Push(p)
+		t.q.fifos[ClassNewFlow].Push(p, f.slot)
 	default:
-		t.q.fifos[class].Push(p)
+		t.q.fifos[class].Push(p, f.slot)
 	}
 
 	// Enforce the global buffer budget by evicting from the least
@@ -365,22 +366,23 @@ func (t *TAQ) evict() (*packet.Packet, Class) {
 	}
 	score := t.victimScoreFn
 	if t.q.fifos[ClassAboveFair].Len() > 0 {
-		fl, _, _ := t.q.fifos[ClassAboveFair].BestVictim(score)
+		fl, _, _, _ := t.q.fifos[ClassAboveFair].BestVictim(score)
 		return t.q.fifos[ClassAboveFair].PopFlow(fl), ClassAboveFair
 	}
 	var (
 		bestClass Class
 		bestFlow  packet.FlowID
 		bestOcc   int
+		bestScore float64
 		found     bool
 	)
 	for _, c := range [...]Class{ClassBelowFair, ClassOverPenalized, ClassNewFlow} {
-		fl, occ, ok := t.q.fifos[c].BestVictim(score)
+		fl, occ, s, ok := t.q.fifos[c].BestVictim(score)
 		if !ok {
 			continue
 		}
-		if !found || occ > bestOcc || (occ == bestOcc && score(fl) > score(bestFlow)) {
-			bestClass, bestFlow, bestOcc, found = c, fl, occ, true
+		if !found || occ > bestOcc || (occ == bestOcc && s > bestScore) {
+			bestClass, bestFlow, bestOcc, bestScore, found = c, fl, occ, s, true
 		}
 	}
 	if found {

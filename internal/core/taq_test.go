@@ -276,8 +276,8 @@ func TestSchedulerLevelOrdering(t *testing.T) {
 	_ = e
 	// Manually place packets in different classes via the internal
 	// queues to verify strict level ordering.
-	q.q.fifos[ClassAboveFair].Push(dataPkt(10, 0))
-	q.q.fifos[ClassBelowFair].Push(dataPkt(11, 0))
+	q.q.fifos[ClassAboveFair].Push(dataPkt(10, 0), idxEmpty)
+	q.q.fifos[ClassBelowFair].Push(dataPkt(11, 0), idxEmpty)
 	q.q.recovery.push(dataPkt(12, 0), sim.Second)
 	// Level 1 first.
 	if p := q.Dequeue(); p.Flow != 12 {
@@ -306,7 +306,7 @@ func TestRecoveryShareCap(t *testing.T) {
 	// 100 recovery + 100 below-fair packets queued.
 	for i := 0; i < 100; i++ {
 		q.q.recovery.push(dataPkt(1, i), sim.Second)
-		q.q.fifos[ClassBelowFair].Push(dataPkt(2, i))
+		q.q.fifos[ClassBelowFair].Push(dataPkt(2, i), idxEmpty)
 	}
 	recovered := 0
 	for i := 0; i < 100; i++ {
@@ -338,8 +338,8 @@ func TestBufferEvictionOrder(t *testing.T) {
 	// Fill with two below-fair packets (flows are unknown: they
 	// classify via tracker as new flows → NewFlow queue; so drive
 	// classification through the internal queues directly).
-	q.q.fifos[ClassBelowFair].Push(dataPkt(1, 0))
-	q.q.fifos[ClassAboveFair].Push(dataPkt(2, 0))
+	q.q.fifos[ClassBelowFair].Push(dataPkt(1, 0), idxEmpty)
+	q.q.fifos[ClassAboveFair].Push(dataPkt(2, 0), idxEmpty)
 	q.q.recovery.push(dataPkt(3, 0), sim.Second)
 	// Budget exceeded on next enqueue: eviction removes the AboveFair
 	// packet first, then BelowFair, bringing the total back to the

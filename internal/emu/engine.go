@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"taq/internal/sim"
@@ -26,6 +27,13 @@ import (
 // mutex, in (deadline, schedule order). Clients on other goroutines
 // reach the network through Post, which takes the same mutex.
 //
+// A pass or a Post is one batch with one instant: it reads the wall
+// clock when it takes the mutex, and Now returns that instant to
+// everything that runs under it — one step, one time, as in
+// sim.Engine, and one clock read per batch instead of one per call.
+// (Re-arming the wake timer at the batch's end reads the clock once
+// more.)
+//
 // Schedule, After, AfterArg, Reschedule and Rand touch the heap, so,
 // like everything else the network owns, they are called from a
 // callback or inside Post.
@@ -33,6 +41,9 @@ type Engine struct {
 	mu      sync.Mutex
 	start   time.Time
 	speedup float64
+	// instant is the running batch's Now, or idle between batches.
+	// Atomic because Now is also called without the mutex.
+	instant atomic.Int64
 	sim     *sim.Engine
 	// wake runs pass when the heap's root falls due; arm points it.
 	wake    *time.Timer
@@ -47,24 +58,55 @@ func NewEngine(seed int64, speedup float64) *Engine {
 		speedup = 1
 	}
 	e := &Engine{start: time.Now(), speedup: speedup, sim: sim.NewEngine(seed)}
+	e.instant.Store(idle)
 	e.wake = time.AfterFunc(time.Hour, e.pass)
 	e.wake.Stop()
 	return e
 }
 
+// idle marks instant between batches; virtual time is never negative.
+const idle = -1
+
 // Now implements sim.Runner: the virtual time elapsed since creation.
-// A pass fires only events due at or before the Now it read, so a
-// callback never sees Now() before its own deadline.
+// Inside a pass or a Post it is the instant the batch read when it
+// took the mutex, the same for every call; a pass fires only events
+// due at or before that instant, so a callback never sees Now() before
+// its own deadline. Between batches it reads the wall clock. (A
+// goroutine calling it outside the lock while a batch runs gets that
+// batch's instant.)
 func (e *Engine) Now() sim.Time {
+	if t := e.instant.Load(); t != idle {
+		return sim.Time(t)
+	}
+	return e.wall()
+}
+
+// wall reads the (time-scaled) wall clock.
+func (e *Engine) wall() sim.Time {
 	return sim.Time(float64(time.Since(e.start)) * e.speedup)
+}
+
+// begin takes the mutex and fixes the batch's instant; end releases
+// both. Every pass and Post runs between the two.
+func (e *Engine) begin() sim.Time {
+	e.mu.Lock()
+	now := e.wall()
+	e.instant.Store(int64(now))
+	return now
+}
+
+func (e *Engine) end() {
+	e.instant.Store(idle)
+	e.mu.Unlock()
 }
 
 // Rand implements sim.Runner: the heap's seeded source.
 func (e *Engine) Rand() *rand.Rand { return e.sim.Rand() }
 
 // shift turns a delay from Now() into one from the heap's clock, which
-// lags the wall clock between passes (never leads it: a pass advances
-// it only to the Now it read).
+// lags the batch's instant (never leads it: a pass advances it only to
+// the instant it read), so an event is due delay after the instant of
+// the batch that scheduled it.
 func (e *Engine) shift(delay sim.Time) sim.Time {
 	return max(delay, 0) + e.Now() - e.sim.Now()
 }
@@ -107,30 +149,33 @@ func (e *Engine) halted() bool { return e.stopped }
 // pass is the wake timer's callback: fire every event due by now, then
 // re-arm for the next.
 func (e *Engine) pass() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	now := e.begin()
+	defer e.end()
 	if !e.stopped {
-		e.sim.RunUntil(e.Now())
+		e.sim.RunUntil(now)
 		e.arm()
 	}
 }
 
 // arm points the wake timer at the heap's root. It runs with mu held
 // at the end of every pass and Post, the only places events are
-// scheduled. A wake left armed over an emptied heap finds nothing due
+// scheduled. The delay is measured from the wall clock, not from the
+// batch's instant, so a long batch does not make the wake late by its
+// own length. A wake left armed over an emptied heap finds nothing due
 // and stays disarmed.
 func (e *Engine) arm() {
 	if at, ok := e.sim.Next(); ok && !e.stopped {
-		e.wake.Reset(wallDelay(at-e.Now(), e.speedup))
+		e.wake.Reset(wallDelay(at-e.wall(), e.speedup))
 	}
 }
 
-// Post runs fn under the engine lock, serialized with callbacks. Use
-// it for scenario setup, for scheduling from another goroutine and for
+// Post runs fn under the engine lock, serialized with callbacks, as
+// one batch: Now() is the same instant throughout fn. Use it for
+// scenario setup, for scheduling from another goroutine and for
 // reading results.
 func (e *Engine) Post(fn func()) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.begin()
+	defer e.end()
 	fn()
 	e.arm()
 }

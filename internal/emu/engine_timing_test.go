@@ -230,3 +230,66 @@ func TestRunnerEventsAllocateNothing(t *testing.T) {
 		}
 	})
 }
+
+// TestNowIsOneInstantPerBatch pins the clock contract: a Post or a
+// pass reads the wall clock once, and Now returns that instant to
+// everything under it. Successive batches never go backwards, Now
+// outside any batch advances with the wall clock, and a pass's
+// callbacks see the instant it fired them at — never before their
+// deadlines.
+func TestNowIsOneInstantPerBatch(t *testing.T) {
+	e := NewEngine(1, 1000)
+	defer e.Stop()
+
+	var prev sim.Time
+	for i := 0; i < 3; i++ {
+		e.Post(func() {
+			now := e.Now()
+			if now < prev {
+				t.Fatalf("Post %d read %v, an earlier Post read %v", i, now, prev)
+			}
+			// A millisecond of wall time is a virtual second here: a
+			// per-call clock read would move.
+			for spin := time.Now().Add(time.Millisecond); time.Now().Before(spin); {
+				if got := e.Now(); got != now {
+					t.Fatalf("Now moved within one Post: %v then %v", now, got)
+				}
+			}
+			prev = now
+		})
+	}
+
+	a := e.Now()
+	time.Sleep(2 * time.Millisecond)
+	if b := e.Now(); a < prev || b <= a {
+		t.Fatalf("Now outside a Post read %v then %v after the last Post's %v; want it to advance", a, b, prev)
+	}
+
+	type obsv struct{ deadline, first, last sim.Time }
+	const n = 16
+	results := make(chan obsv, n)
+	e.Post(func() {
+		for i := 1; i <= n; i++ {
+			var tm *sim.Timer
+			tm = e.Schedule(sim.Time(i%4)*50*sim.Millisecond+1, func() {
+				first := e.Now()
+				for spin := time.Now().Add(100 * time.Microsecond); time.Now().Before(spin); {
+				}
+				results <- obsv{tm.When(), first, e.Now()}
+			})
+		}
+	})
+	for i := 0; i < n; i++ {
+		select {
+		case r := <-results:
+			if r.first < r.deadline {
+				t.Fatalf("callback saw Now()=%v before its deadline %v", r.first, r.deadline)
+			}
+			if r.last != r.first {
+				t.Fatalf("Now moved within one callback: %v then %v", r.first, r.last)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("timed out waiting for callbacks")
+		}
+	}
+}
