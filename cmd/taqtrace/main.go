@@ -1,8 +1,9 @@
-// Command taqtrace generates, inspects and windows synthetic access
-// logs in the text format used by the trace-driven experiments
-// (Figs 1 and 12). Real proxy logs converted to the same
-// "seconds client bytes" format can be substituted anywhere the
-// experiments take a trace.
+// Command taqtrace generates, inspects and windows access logs in the
+// "seconds client bytes" text format of the trace package. The
+// trace-driven experiments (Figs 1 and 12) generate the same records
+// in process and read no file; this tool writes them out, so a
+// workload can be looked at by hand, and summarizes or cuts a log in
+// that format, such as a real proxy log converted to it.
 //
 // Examples:
 //

@@ -599,30 +599,3 @@ func TestSubPacketFutureWork(t *testing.T) {
 		t.Error("empty table")
 	}
 }
-
-// TestTrackerScaleDeterministicChurn checks the tracker-scale stress:
-// the sliding window must actually retire flows (eviction exercised),
-// the tracker must never hold more flows than were offered, and two
-// same-seed runs must produce identical read-out checksums — the
-// in-process form of CI's large-population determinism gate.
-func TestTrackerScaleDeterministicChurn(t *testing.T) {
-	a := trackerScaleSweep(0.05, 3)
-	b := trackerScaleSweep(0.05, 3)
-	if len(a.points) == 0 {
-		t.Fatal("no scale points")
-	}
-	for i, p := range a.points {
-		if p.TrackedEnd > p.Flows {
-			t.Errorf("flows=%d: tracked %d exceeds offered %d", p.Flows, p.TrackedEnd, p.Flows)
-		}
-		if p.TrackedEnd >= p.Flows {
-			t.Errorf("flows=%d: no flow was ever evicted", p.Flows)
-		}
-		if p.Served == 0 {
-			t.Errorf("flows=%d: nothing served", p.Flows)
-		}
-		if q := b.points[i]; p != q {
-			t.Errorf("flows=%d: same-seed runs diverged:\n%+v\n%+v", p.Flows, p, q)
-		}
-	}
-}

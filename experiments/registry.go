@@ -60,8 +60,6 @@ var All = []Experiment{
 	{Name: "ablation", Paper: "ablation", run: ablation},
 	{Name: "iw", Paper: "§2.1", run: initialWindow},
 	{Name: "subpacket", Paper: "§7", run: subPacket},
-	{Name: "scale", Paper: "tracker scale", run: trackerScale},
-	{Name: "shard", Paper: "shard scaling", WallClock: true, run: shardScaling},
 	{Name: "pcap", Paper: "§2.3 pcap", run: pcap},
 	{Name: "tbweb", Paper: "§5.4–5.5", WallClock: true, run: testbedWeb},
 	{Name: HistogramReport, Paper: "telemetry", run: histogramReport},

@@ -12,7 +12,7 @@ import (
 // row must be indexed in DESIGN.md §3 under its paper ID.
 func TestRegistry(t *testing.T) {
 	want := []string{"model", "fig1", "fig2", "fig3", "hang", "redsfq", "fig6", "fig8", "fig9", "fig10", "fig11",
-		"fig12", "tfrc", "ablation", "iw", "subpacket", "scale", "shard", "pcap", "tbweb", "report"}
+		"fig12", "tfrc", "ablation", "iw", "subpacket", "pcap", "tbweb", "report"}
 	var got []string
 	for _, x := range All {
 		got = append(got, x.Name)

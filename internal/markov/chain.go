@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Chain is a finite discrete-time Markov chain with labeled states.
@@ -185,31 +184,6 @@ func (c *Chain) TimeoutMass(pi []float64) float64 {
 		}
 	}
 	return m
-}
-
-// DOT renders the chain in Graphviz format, one node per state (timeout
-// states drawn as boxes) and one edge per nonzero transition labeled
-// with its probability — a machine-readable Fig 4/Fig 5.
-func (c *Chain) DOT(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", name)
-	for i, label := range c.Labels {
-		shape := "circle"
-		if c.Group[i] <= 1 {
-			shape = "box"
-		}
-		fmt.Fprintf(&b, "  %q [shape=%s];\n", label, shape)
-	}
-	for i, row := range c.P {
-		for j, p := range row {
-			if p > 1e-12 {
-				fmt.Fprintf(&b, "  %q -> %q [label=\"%.3f\"];\n",
-					c.Labels[i], c.Labels[j], p)
-			}
-		}
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // ExpectedThroughput returns the model's long-run send rate in packets

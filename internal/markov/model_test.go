@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -318,21 +317,5 @@ func TestExpectedThroughputDecreasingInLoss(t *testing.T) {
 			t.Errorf("p=%v: throughput %v not decreasing (prev %v)", p, th, prev)
 		}
 		prev = th
-	}
-}
-
-func TestDOTExport(t *testing.T) {
-	c, _ := PartialModel(0.1, 6)
-	dot := c.DOT("partial")
-	for _, want := range []string{"digraph", `"b*"`, `"S6"`, "->", "shape=box"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q", want)
-		}
-	}
-	// Every state appears as a node.
-	for _, l := range c.Labels {
-		if !strings.Contains(dot, fmt.Sprintf("%q", l)) {
-			t.Errorf("state %s missing from DOT", l)
-		}
 	}
 }
