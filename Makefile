@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHSCALE ?= 0.05
 
-.PHONY: build vet taqvet taqvet-roots taqvet-annotations test race fuzz bench bench-gate bench-floor check
+.PHONY: build vet taqvet taqvet-roots taqvet-annotations mutations-full test race fuzz bench bench-gate bench-floor check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,14 @@ taqvet-roots:
 # file, so a contract silently added or dropped fails `go test`.
 taqvet-annotations:
 	$(GO) run ./cmd/taqvet -annotations ./... > docs/taq-annotations.txt
+
+# mutations-full re-derives the first catcher of every seeded mutation
+# row (internal/analysis/mutation_test.go): go build, go vet and the
+# tier-1 tests on a mutated copy of the module, about a minute a row.
+# Run it on an otherwise idle host: the wall-clock emu tests flake
+# under load.
+mutations-full:
+	TAQ_MUTATION_FULL=1 $(GO) test -run TestMutations -timeout 2h -v ./internal/analysis
 
 test:
 	$(GO) test ./...

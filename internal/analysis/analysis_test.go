@@ -117,9 +117,7 @@ func runCaseDirs(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 
 func TestWallclock(t *testing.T)      { runCase(t, "wallclock", Wallclock) }
 func TestMapRange(t *testing.T)       { runCase(t, "maprange", MapRange) }
-func TestTimerLeak(t *testing.T)      { runCase(t, "timerleak", TimerLeak) }
 func TestLockDiscipline(t *testing.T) { runCase(t, "lockdiscipline", LockDiscipline) }
-func TestTimerOwn(t *testing.T)       { runCase(t, "timerown", TimerOwn) }
 func TestSimTime(t *testing.T)        { runCase(t, "simtime", SimTime) }
 
 // The hotpath-closure analyzers: hotpath exercises closure propagation

@@ -1,11 +1,10 @@
 package analysis
 
-// flow.go is the shared intra-procedural def-use/escape pass behind
-// timerown and noalloc's append-growth check. It walks one function body
-// in execution order, carrying a client-defined abstract fact per tracked
-// storage location (a local variable, a parameter, or a one-level field
-// of one, e.g. s.rtoTimer). Control flow is approximated the standard
-// way:
+// flow.go is the intra-procedural def-use pass behind noalloc's
+// append-growth check. It walks one function body in execution order,
+// carrying a client-defined abstract fact per tracked storage location
+// (a local variable, a parameter, or a one-level field of one, e.g.
+// q.items). Control flow is approximated the standard way:
 //
 //   - branches (if/switch/select) analyze each arm on a clone of the
 //     incoming state and join the results with the client's lattice
@@ -13,7 +12,7 @@ package analysis
 //   - loops run the body twice — the second pass starts from the join
 //     of the entry state and the first pass's exit, which is enough to
 //     see facts that one iteration establishes and the next violates
-//     (use-after-transfer across iterations) without a full fixpoint;
+//     without a full fixpoint;
 //   - function literals are walked with a fresh empty state: a closure
 //     runs at an unknown time, so facts about captured variables are
 //     neither trusted inside it nor leaked back out.
@@ -96,39 +95,17 @@ func (s FlowState) clone() FlowState {
 	return out
 }
 
-// UseCtx tells the Use hook where a read occurs, so clients can phrase
-// escape-specific diagnostics.
-type UseCtx int
-
-const (
-	// UseRead is a plain rvalue read (expression operand, call callee).
-	UseRead UseCtx = iota
-	// UseStore is a read whose value is stored into a field, map, or
-	// slice element — the value escapes the local frame.
-	UseStore
-	// UseReturn is a read inside a return statement.
-	UseReturn
-	// UseArg is a read inside a (non-claimed) call argument.
-	UseArg
-)
-
 // FlowHooks are the client callbacks. Any hook may be nil except Join.
 type FlowHooks struct {
 	// Join merges the facts of one Ref at a control-flow merge point.
 	// It must be commutative and treat 0 as "no information".
 	Join func(a, b int) int
-	// PreCall runs before a call's arguments are walked. Expressions it
-	// returns are claimed: the generic Use hook is not fired for them
-	// (the client handles them itself in PostCall).
-	PreCall func(call *ast.CallExpr, st FlowState) (claimed []ast.Expr)
 	// PostCall runs after the call's callee and arguments were walked.
 	PostCall func(call *ast.CallExpr, st FlowState)
 	// Assign runs once per assigned element, after the right-hand sides
 	// were walked. rhs is the paired expression (the shared call in a
 	// tuple assignment; nil for zero-value var declarations and ++/--).
 	Assign func(lhs, rhs ast.Expr, tok token.Token, st FlowState)
-	// Use fires for every rvalue read of a trackable Ref.
-	Use func(e ast.Expr, r Ref, ctx UseCtx, st FlowState)
 }
 
 // WalkFlow runs the def-use pass over body starting from st (which may
@@ -137,15 +114,14 @@ func WalkFlow(info *types.Info, body *ast.BlockStmt, st FlowState, hooks FlowHoo
 	if st == nil {
 		st = make(FlowState)
 	}
-	w := &flowWalker{info: info, hooks: hooks, claimed: make(map[ast.Expr]bool)}
+	w := &flowWalker{info: info, hooks: hooks}
 	w.stmt(body, st)
 	return st
 }
 
 type flowWalker struct {
-	info    *types.Info
-	hooks   FlowHooks
-	claimed map[ast.Expr]bool
+	info  *types.Info
+	hooks FlowHooks
 }
 
 // join merges b into a element-wise and returns a.
@@ -171,7 +147,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 			w.stmt(sub, st)
 		}
 	case *ast.ExprStmt:
-		w.expr(s.X, st, UseRead)
+		w.expr(s.X, st)
 	case *ast.AssignStmt:
 		w.assign(s, st)
 	case *ast.IncDecStmt:
@@ -186,7 +162,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 					continue
 				}
 				for _, v := range vs.Values {
-					w.expr(v, st, UseRead)
+					w.expr(v, st)
 				}
 				for i, name := range vs.Names {
 					var rhs ast.Expr
@@ -203,7 +179,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		}
 	case *ast.IfStmt:
 		w.stmt(s.Init, st)
-		w.expr(s.Cond, st, UseRead)
+		w.expr(s.Cond, st)
 		thenSt := st.clone()
 		w.stmt(s.Body, thenSt)
 		elseSt := st.clone()
@@ -212,18 +188,18 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		replace(st, thenSt)
 	case *ast.ForStmt:
 		w.stmt(s.Init, st)
-		w.expr(s.Cond, st, UseRead)
+		w.expr(s.Cond, st)
 		w.loopBody(st, func(inner FlowState) {
 			w.stmt(s.Body, inner)
 			w.stmt(s.Post, inner)
-			w.expr(s.Cond, inner, UseRead)
+			w.expr(s.Cond, inner)
 		})
 	case *ast.RangeStmt:
-		w.expr(s.X, st, UseRead)
+		w.expr(s.X, st)
 		w.loopBody(st, func(inner FlowState) { w.stmt(s.Body, inner) })
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, st)
-		w.expr(s.Tag, st, UseRead)
+		w.expr(s.Tag, st)
 		w.branches(st, s.Body)
 	case *ast.TypeSwitchStmt:
 		w.stmt(s.Init, st)
@@ -232,7 +208,7 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		w.branches(st, s.Body)
 	case *ast.CaseClause:
 		for _, e := range s.List {
-			w.expr(e, st, UseRead)
+			w.expr(e, st)
 		}
 		for _, sub := range s.Body {
 			w.stmt(sub, st)
@@ -244,15 +220,15 @@ func (w *flowWalker) stmt(s ast.Stmt, st FlowState) {
 		}
 	case *ast.ReturnStmt:
 		for _, e := range s.Results {
-			w.expr(e, st, UseReturn)
+			w.expr(e, st)
 		}
 	case *ast.SendStmt:
-		w.expr(s.Chan, st, UseRead)
-		w.expr(s.Value, st, UseStore)
+		w.expr(s.Chan, st)
+		w.expr(s.Value, st)
 	case *ast.DeferStmt:
-		w.expr(s.Call, st, UseRead)
+		w.expr(s.Call, st)
 	case *ast.GoStmt:
-		w.expr(s.Call, st, UseRead)
+		w.expr(s.Call, st)
 	case *ast.LabeledStmt:
 		w.stmt(s.Stmt, st)
 	case *ast.BranchStmt, *ast.EmptyStmt:
@@ -297,13 +273,8 @@ func replace(dst, src FlowState) {
 }
 
 func (w *flowWalker) assign(s *ast.AssignStmt, st FlowState) {
-	for i, rhs := range s.Rhs {
-		ctx := UseRead
-		// A read feeding a field/map/slice store escapes.
-		if len(s.Lhs) == len(s.Rhs) && escapesStore(w.info, s.Lhs[i]) {
-			ctx = UseStore
-		}
-		w.expr(rhs, st, ctx)
+	for _, rhs := range s.Rhs {
+		w.expr(rhs, st)
 	}
 	for i, lhs := range s.Lhs {
 		var rhs ast.Expr
@@ -317,12 +288,12 @@ func (w *flowWalker) assign(s *ast.AssignStmt, st FlowState) {
 		if _, ok := RefOf(w.info, lhs); !ok {
 			switch x := ast.Unparen(lhs).(type) {
 			case *ast.IndexExpr:
-				w.expr(x.X, st, UseRead)
-				w.expr(x.Index, st, UseRead)
+				w.expr(x.X, st)
+				w.expr(x.Index, st)
 			case *ast.SelectorExpr:
-				w.expr(x.X, st, UseRead)
+				w.expr(x.X, st)
 			case *ast.StarExpr:
-				w.expr(x.X, st, UseRead)
+				w.expr(x.X, st)
 			}
 		}
 		if w.hooks.Assign != nil {
@@ -331,83 +302,31 @@ func (w *flowWalker) assign(s *ast.AssignStmt, st FlowState) {
 	}
 }
 
-// escapesStore reports whether an lvalue stores into a field, map, or
-// slice element (rather than a plain local variable).
-func escapesStore(info *types.Info, lhs ast.Expr) bool {
-	switch ast.Unparen(lhs).(type) {
-	case *ast.IndexExpr, *ast.SelectorExpr, *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-func (w *flowWalker) expr(e ast.Expr, st FlowState, ctx UseCtx) {
-	if e == nil || w.claimed[e] {
-		return
-	}
+func (w *flowWalker) expr(e ast.Expr, st FlowState) {
 	switch x := e.(type) {
-	case *ast.Ident:
-		if r, ok := RefOf(w.info, x); ok && w.hooks.Use != nil {
-			w.hooks.Use(x, r, ctx, st)
-		}
-	case *ast.SelectorExpr:
-		if r, ok := RefOf(w.info, x); ok {
-			if w.hooks.Use != nil {
-				w.hooks.Use(x, r, ctx, st)
-			}
-			return
-		}
-		// Package selector or method value: the base may still be a
-		// tracked variable (method receiver).
-		w.expr(x.X, st, ctx)
+	case nil:
 	case *ast.CallExpr:
-		if w.hooks.PreCall != nil {
-			for _, c := range w.hooks.PreCall(x, st) {
-				w.claimed[c] = true
-			}
-		}
-		w.expr(x.Fun, st, UseRead)
+		w.expr(x.Fun, st)
 		for _, arg := range x.Args {
-			w.expr(arg, st, UseArg)
+			w.expr(arg, st)
 		}
 		if w.hooks.PostCall != nil {
 			w.hooks.PostCall(x, st)
 		}
-	case *ast.BinaryExpr:
-		w.expr(x.X, st, ctx)
-		w.expr(x.Y, st, ctx)
-	case *ast.UnaryExpr:
-		w.expr(x.X, st, ctx)
-	case *ast.ParenExpr:
-		w.expr(x.X, st, ctx)
-	case *ast.StarExpr:
-		w.expr(x.X, st, ctx)
-	case *ast.IndexExpr:
-		w.expr(x.X, st, ctx)
-		w.expr(x.Index, st, UseRead)
-	case *ast.IndexListExpr:
-		w.expr(x.X, st, ctx)
-	case *ast.SliceExpr:
-		w.expr(x.X, st, ctx)
-		w.expr(x.Low, st, UseRead)
-		w.expr(x.High, st, UseRead)
-		w.expr(x.Max, st, UseRead)
-	case *ast.TypeAssertExpr:
-		w.expr(x.X, st, ctx)
-	case *ast.CompositeLit:
-		for _, el := range x.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				w.expr(kv.Value, st, UseStore)
-				continue
-			}
-			w.expr(el, st, UseStore)
-		}
-	case *ast.KeyValueExpr:
-		w.expr(x.Value, st, UseStore)
 	case *ast.FuncLit:
 		// Closures run at an unknown time: analyze the body in
 		// isolation, leak nothing in or out.
-		inner := &flowWalker{info: w.info, hooks: w.hooks, claimed: w.claimed}
-		inner.stmt(x.Body, make(FlowState))
+		w.stmt(x.Body, make(FlowState))
+	default:
+		// Walk the operands in source order.
+		ast.Inspect(e, func(n ast.Node) bool {
+			if n == e {
+				return true
+			}
+			if sub, ok := n.(ast.Expr); ok {
+				w.expr(sub, st)
+			}
+			return false
+		})
 	}
 }

@@ -209,3 +209,16 @@ func isMutexLock(info *types.Info, call *ast.CallExpr, recv types.Object, mutexF
 	id, ok := ast.Unparen(inner.X).(*ast.Ident)
 	return ok && info.Uses[id] == recv
 }
+
+// receiverNamed resolves the receiver's named type (through pointers).
+func receiverNamed(info *types.Info, fd *ast.FuncDecl) *types.Named {
+	if len(fd.Recv.List) == 0 {
+		return nil
+	}
+	t := info.TypeOf(fd.Recv.List[0].Type)
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

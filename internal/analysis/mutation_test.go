@@ -84,42 +84,43 @@ var mutations = []mutation{
 			"\treturn float64(n) / float64(len(h.max))\n", "\treturn float64(n)/float64(len(h.max)) + 0*float64(h.anyPool())\n"},
 		fires: []string{"maprange"}, first: "maprange"},
 
-	// timerleak: a Schedule handle dropped in a type whose Stop must
-	// cancel it. TestShardBankOwnershipRouting failed one run in five
-	// under the first — and now and then under unrelated seeds on a busy
-	// machine, so it reads as a flake.
+	// timerleak (deleted): a Schedule handle dropped in a type whose
+	// Stop must cancel it. The scan timer's leaks only when Stop comes
+	// before the first scan, the feedback timer's after the first
+	// report; the root package's TestTimerOwnersQuiesce runs both.
 	{name: "timerleak.scan", file: "internal/core/taq.go",
 		edits: []string{"t.scanTimer = t.run.Schedule(t.cfg.ScanInterval, tick)", "t.run.Schedule(t.cfg.ScanInterval, tick)"},
-		fires: []string{"timerleak"}, first: "timerleak"},
+		first: "test TestTimerOwnersQuiesce"},
 	{name: "timerleak.feedback", file: "internal/tfrc/tfrc.go",
 		edits: []string{"\n\tr.fbTimer = r.run.Reschedule(r.fbTimer, r.rtt, r.sendFeedback)\n}", "\n\tr.run.Schedule(r.rtt, r.sendFeedback)\n}"},
-		fires: []string{"timerleak"}, first: "timerleak"},
+		first: "test TestTimerOwnersQuiesce"},
 
-	// timerown: Cancel through a handle Reschedule took over breaks every
-	// TCP run when it is the RTO timer and the SYN tests when it is the
-	// SYN timer; a delayed-ack timer whose new handle is dropped breaks
-	// nothing any test looks at.
+	// timerown (deleted): Cancel through a handle Reschedule took over
+	// breaks every TCP run when it is the RTO timer and the SYN tests
+	// when it is the SYN timer; a delayed-ack timer whose new handle is
+	// dropped stays pending after the held ack goes out.
 	{name: "timerown.armRTO", file: "internal/tcp/sender.go",
 		edits: []string{"\ts.rtoTimer = s.run.Reschedule(s.rtoTimer, s.effectiveRTO(), s.rtoFn)\n",
 			"\told := s.rtoTimer\n\ts.rtoTimer = s.run.Reschedule(old, s.effectiveRTO(), s.rtoFn)\n\told.Cancel()\n"},
-		fires: []string{"timerown"}, first: "test TestGoldenDumbbellTraces"},
+		first: "test TestGoldenDumbbellTraces"},
 	{name: "timerown.synTimer", file: "internal/tcp/sender.go",
 		edits: []string{"\ts.synTimer = s.run.Reschedule(s.synTimer, timeout, s.synTimeoutFn)\n",
 			"\told := s.synTimer\n\ts.synTimer = s.run.Reschedule(old, timeout, s.synTimeoutFn)\n\tif rexmit {\n\t\told.Cancel()\n\t}\n"},
-		fires: []string{"timerown"}, first: "test TestSynRetry"},
+		first: "test TestSynRetry"},
 	{name: "timerown.delTimer", file: "internal/tcp/receiver.go",
 		edits: []string{"r.delTimer = r.run.Reschedule(r.delTimer, timeout, r.delAckFn)", "r.run.Reschedule(r.delTimer, timeout, r.delAckFn)"},
-		fires: []string{"timerown"}, first: "timerown"},
+		first: "test TestTimerOwnersQuiesce"},
 
 	// simtime: raw float seconds truncated to nanoseconds in TFRC pacing
 	// (the simulation spins at one virtual instant until memory runs out),
-	// and a bare 100 where 100 ms was meant.
+	// and a bare 100 where 100 ms was meant (the delayed-ack test's
+	// default-timeout input and the topology's release test see it).
 	{name: "simtime.pacing", file: "internal/tfrc/tfrc.go", hangs: true,
 		edits: []string{"gap := sim.FromSeconds(float64(s.cfg.MSS) / s.rate)", "gap := sim.Time(float64(s.cfg.MSS) / s.rate)"},
 		fires: []string{"simtime"}, first: "simtime"},
 	{name: "simtime.delack", file: "internal/tcp/receiver.go",
 		edits: []string{"timeout = 100 * sim.Millisecond", "timeout = 100"},
-		fires: []string{"simtime"}, first: "simtime"},
+		fires: []string{"simtime"}, first: "test TestDelayedAckTimerFiresForLoneSegment"},
 
 	// noalloc: an escaping new() on every packet is also an AllocsPerRun
 	// failure, and so is a copy-compaction two calls below Dequeue that
@@ -167,19 +168,21 @@ var mutations = []mutation{
 			"\tg.admMu.Lock()\n\tif now-g.lastExpire", "\tg.admMu.Lock()\n\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n\tif now-g.lastExpire"},
 		fires: []string{"lockorder"}, first: "lockorder"},
 	{name: "lockorder.recursive", file: "internal/core/aggregator.go", load: wholeModule,
-		edits: []string{"\t\t// Another shard rolled while we waited for the lock.\n\t\treturn g.winGen.Load()\n", "\t\treturn g.maybeRoll(now)\n"},
+		edits: []string{"\t\t// Another shard rolled while we waited for the lock.\n\t\treturn\n", "\t\tg.maybeRoll(now)\n\t\treturn\n"},
 		fires: []string{"lockorder"}, first: "lockorder"},
 
-	// shardown: the tracker parked in a global, handed to a goroutine
-	// (the equivalence tests notice that one: the scan now races the
-	// packets), passed to another package, and returned by an exported
-	// method.
+	// shardown: the tracker parked in a global, handed to a goroutine,
+	// passed to another package, and returned by an exported method.
+	// The goroutine's scan races the packet path: it crashes whole test
+	// binaries from the racing goroutine, naming no test, and hangs
+	// topology's TestAllQueueKindsRun until the timeout, so it is marked
+	// hangs.
 	{name: "shardown.global", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"// Start schedules the periodic scan.", "var lastTracker *tracker\n\n// Start schedules the periodic scan."},
 		fires: []string{"shardown"}, first: "shardown"},
-	{name: "shardown.goroutine", file: "internal/core/taq.go", load: wholeModule,
+	{name: "shardown.goroutine", file: "internal/core/taq.go", load: wholeModule, hangs: true,
 		edits: []string{"\tt.tracker.scan()\n", "\tgo func(tr *tracker) { tr.scan() }(t.tracker)\n"},
-		fires: []string{"shardown"}, first: "test TestIncrementalEquivalenceSeeded"},
+		fires: []string{"shardown"}, first: "shardown"},
 	{name: "shardown.foreign", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.tracker.rec = rec\n", "\tt.tracker.rec = rec\n\tt.run.AfterArg(0, func(tr any) { tr.(*tracker).rec = rec }, t.tracker)\n"},
 		fires: []string{"shardown"}, first: "shardown"},
@@ -347,7 +350,8 @@ func (m mutation) taqvetFires(root string) []string {
 // taqvet to report exactly what the row records. With TAQ_MUTATION_FULL
 // set it also re-derives each row's first catcher by running go build,
 // go vet and the whole tier-1 suite on the mutated copy — about a minute
-// a row; this is how the first column of the table was filled in:
+// a row; this is how the first column of the table was filled in
+// (make mutations-full runs it):
 //
 //	TAQ_MUTATION_FULL=1 go test -run TestMutations -timeout 2h -v ./internal/analysis
 func TestMutations(t *testing.T) {

@@ -267,7 +267,7 @@ func isSimTime(t types.Type) bool {
 	if !ok || named.Obj().Pkg() == nil {
 		return false
 	}
-	return named.Obj().Name() == "Time" && isSimPath(named.Obj().Pkg().Path())
+	return named.Obj().Name() == "Time" && isSimPackage(named.Obj().Pkg().Path())
 }
 
 // isDuration reports whether t is time.Duration.
@@ -279,7 +279,7 @@ func isDuration(t types.Type) bool {
 	return named.Obj().Name() == "Duration" && named.Obj().Pkg().Path() == "time"
 }
 
-// isSimPath matches the sim package path the way isSimTimerPtr does.
-func isSimPath(pkgPath string) bool {
-	return pkgPath == "taq/internal/sim" || pkgPath == "sim"
+// isSimPackage reports whether pkgPath is the sim engine package.
+func isSimPackage(pkgPath string) bool {
+	return pkgPath == "taq/internal/sim"
 }

@@ -42,16 +42,14 @@ type Aggregator struct {
 	// the values are exact.
 
 	// winStart is the sim.Time the current window opened, as int64.
+	// Each shard rolls its own serve window on its own clock (see
+	// TAQ.winOpened): shards on separate runners must not roll on a
+	// peer's timeline.
 	winStart atomic.Int64
-	// winGen counts window rolls; shards roll their windowed serve
-	// counters when they observe it advance, so the Level-1 recovery
-	// cap stays aligned with the loss window without sharing the
-	// scheduler counters themselves.
-	winGen  atomic.Uint64
-	winArr  atomic.Uint64
-	winDrop atomic.Uint64
-	prevArr atomic.Uint64
-	prevDrp atomic.Uint64
+	winArr   atomic.Uint64
+	winDrop  atomic.Uint64
+	prevArr  atomic.Uint64
+	prevDrp  atomic.Uint64
 	// lossEWMA holds math.Float64bits of the smoothed per-window loss
 	// rate (the telemetry companion of LossRate).
 	lossEWMA atomic.Uint64
@@ -124,22 +122,20 @@ func (g *Aggregator) lossEWMAValue() float64 {
 	return math.Float64frombits(g.lossEWMA.Load())
 }
 
-// maybeRoll advances the loss window if it has run its course and
-// returns the current window generation. The first shard whose scan
-// crosses the boundary performs the roll; racers and later scans see
-// the advanced winStart and return the fresh generation, which tells
-// them to roll their own windowed serve counters.
+// maybeRoll advances the loss window if it has run its course. The
+// first shard whose scan crosses the boundary performs the roll;
+// racers and later scans see the advanced winStart and leave it.
 //
 //taq:crossshard window roll runs at scan cadence, serialized by rollMu
-func (g *Aggregator) maybeRoll(now sim.Time) uint64 {
+func (g *Aggregator) maybeRoll(now sim.Time) {
 	if now-sim.Time(g.winStart.Load()) < g.cfg.LossWindow {
-		return g.winGen.Load()
+		return
 	}
 	g.rollMu.Lock()
 	defer g.rollMu.Unlock()
 	if now-sim.Time(g.winStart.Load()) < g.cfg.LossWindow {
 		// Another shard rolled while we waited for the lock.
-		return g.winGen.Load()
+		return
 	}
 	// Swap, not Load+Store: increments racing the roll land in either
 	// the closing window or the fresh one, never in both or neither.
@@ -153,7 +149,6 @@ func (g *Aggregator) maybeRoll(now sim.Time) uint64 {
 	g.prevArr.Store(arr)
 	g.prevDrp.Store(drp)
 	g.winStart.Store(int64(now))
-	return g.winGen.Add(1)
 }
 
 // allowSyn is the cross-shard admission gate for SYNs of pooled flows

@@ -120,11 +120,10 @@ func TestLargePopulationChurnPinned(t *testing.T) {
 }
 
 // shardedChurn is one run of the sharded churn: the middlebox's
-// arrival, service and drop counters and each shard's read-out
-// checksum, in shard order.
+// counters and each shard's read-out checksum, in shard order.
 type shardedChurn struct {
-	arrivals, served, drops uint64
-	sums                    []uint64
+	stats Stats
+	sums  []uint64
 }
 
 // runShardedChurn drives 50 000 flows for 30 s through a middlebox of
@@ -183,23 +182,16 @@ func runShardedChurn(shards int, parallel bool) shardedChurn {
 		}
 	}
 	sh.Stop()
-	st := sh.Stats()
-	return shardedChurn{st.Arrivals, st.Served, st.Drops, sums}
+	return shardedChurn{sh.Stats(), sums}
 }
 
 // TestShardedDriversInterleavingFree drives 1, 2, 4 and 8 shards once
 // from parallel goroutines and once serially: the two runs must agree
-// on arrivals, served and drops and on every shard's read-out checksum,
-// and both are pinned to committed values (the checksum folds the
-// per-shard ones in shard order). Run it under -race to exercise the
-// parallel drivers' only shared state, the aggregator.
-//
-// The per-state transition counters are left out on purpose. A shard
-// rolls its Level-1 recovery-cap serve window whenever any shard rolls
-// the shared loss window, on that shard's clock; a driver that lags its
-// peers therefore sees the roll at a different point of its own
-// timeline, and on rare interleavings one flow takes one transition
-// more or less.
+// on every counter of Stats and on every shard's read-out checksum,
+// and arrivals, served, drops and the checksum are pinned to committed
+// values (the checksum folds the per-shard ones in shard order). Run it
+// under -race to exercise the parallel drivers' only shared state, the
+// aggregator.
 func TestShardedDriversInterleavingFree(t *testing.T) {
 	want := []struct {
 		shards                  int
@@ -221,9 +213,10 @@ func TestShardedDriversInterleavingFree(t *testing.T) {
 		for s, sum := range par.sums {
 			fmt.Fprintf(agg, "%d:%016x\n", s, sum)
 		}
-		if par.arrivals != w.arrivals || par.served != w.served || par.drops != w.drops || agg.Sum64() != w.checksum {
+		st := par.stats
+		if st.Arrivals != w.arrivals || st.Served != w.served || st.Drops != w.drops || agg.Sum64() != w.checksum {
 			t.Errorf("shards=%d: arrivals/served/drops/checksum = %d/%d/%d/%016x, want %d/%d/%d/%016x",
-				w.shards, par.arrivals, par.served, par.drops, agg.Sum64(),
+				w.shards, st.Arrivals, st.Served, st.Drops, agg.Sum64(),
 				w.arrivals, w.served, w.drops, w.checksum)
 		}
 	}

@@ -43,8 +43,6 @@ type Config struct {
 	// computation; §4.4: TAQ nodes are "constantly aware of the
 	// available bandwidth on the underlying network".
 	Rate link.Bps
-	// MSS is the data packet wire size, for rate conversions.
-	MSS int
 
 	// RecoveryShare caps the fraction of transmissions served from
 	// the Recovery queue (Level 1 is "capacity limited so recovery
@@ -122,7 +120,6 @@ type Config struct {
 func DefaultConfig(rate link.Bps, capacity int) Config {
 	cfg := Config{
 		Rate:             rate,
-		MSS:              500,
 		RecoveryShare:    0.6,
 		NewFlowEpochs:    4,
 		NewFlowSegs:      32,

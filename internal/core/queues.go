@@ -324,17 +324,6 @@ func (f *classFIFO) PopNewest() *packet.Packet {
 	return p
 }
 
-// PopVictim removes and returns the newest packet of the flow with the
-// largest buffer occupancy in this class — penalizing the burstiest
-// flow rather than whoever happened to arrive last.
-func (f *classFIFO) PopVictim() *packet.Packet {
-	victim, _, _, ok := f.BestVictim(func(packet.FlowID, int32) float64 { return 0 })
-	if !ok {
-		return nil
-	}
-	return f.PopFlow(victim)
-}
-
 // classQueues bundles TAQ's five queues.
 //
 //taq:shardowned queue state belongs to the shard draining the link

@@ -10,10 +10,16 @@ import (
 	"taq/internal/sim"
 )
 
+// noScore ranks eviction candidates by occupancy alone.
+func noScore(packet.FlowID, int32) float64 { return 0 }
+
 func TestClassFIFOBasics(t *testing.T) {
 	var f classFIFO
-	if f.Pop() != nil || f.PopNewest() != nil || f.PopVictim() != nil {
+	if f.Pop() != nil || f.PopNewest() != nil {
 		t.Error("empty classFIFO should return nil")
+	}
+	if _, _, _, ok := f.BestVictim(noScore); ok {
+		t.Error("empty classFIFO should have no victim")
 	}
 	for i := 0; i < 5; i++ {
 		f.Push(dataPkt(packet.FlowID(i), i), idxEmpty)
@@ -37,14 +43,14 @@ func TestClassFIFOVictimIsHeaviestFlow(t *testing.T) {
 	f.Push(dataPkt(7, 1), idxEmpty)
 	f.Push(dataPkt(2, 0), idxEmpty)
 	f.Push(dataPkt(7, 2), idxEmpty)
-	fl, occ, _, ok := f.BestVictim(func(packet.FlowID, int32) float64 { return 0 })
+	fl, occ, _, ok := f.BestVictim(noScore)
 	if !ok || fl != 7 || occ != 3 {
 		t.Fatalf("BestVictim = %d/%d/%v, want flow 7 occ 3", fl, occ, ok)
 	}
 	// Victim removal takes the newest packet of flow 7 (seq 2) and
 	// leaves FIFO order for the rest.
-	if p := f.PopVictim(); p.Flow != 7 || p.Seq != 2 {
-		t.Fatalf("PopVictim = %v", p)
+	if p := f.PopFlow(fl); p.Flow != 7 || p.Seq != 2 {
+		t.Fatalf("PopFlow(victim) = %v", p)
 	}
 	order := []struct {
 		flow packet.FlowID
@@ -104,7 +110,10 @@ func TestClassFIFOConservationProperty(t *testing.T) {
 					removed++
 				}
 			case 3:
-				if q.PopVictim() != nil {
+				if fl, _, _, ok := q.BestVictim(noScore); ok {
+					if q.PopFlow(fl) == nil {
+						return false
+					}
 					removed++
 				}
 			}

@@ -26,17 +26,16 @@ type TAQ struct {
 	// agg holds the loss window and the admission controller — the
 	// only state shared between shards (see aggregator.go).
 	agg *Aggregator
-	// winGenSeen is the last loss-window generation this shard rolled
-	// its serve counters for.
-	winGenSeen uint64
 
 	// Scheduler accounting for the Level-1 recovery share cap and the
 	// Level-2 round-robin cursor. The serve counters are windowed —
-	// rolled on the loss-window boundary like the loss monitor — so the
-	// cap compares recent history: with run-lifetime counters, a
-	// recovery burst after a long quiet period would hold strict
-	// priority until it consumed RecoveryShare of the whole run's
-	// services, starving Levels 2–3 far beyond the intended share.
+	// rolled every LossWindow like the loss monitor — so the cap
+	// compares recent history: with run-lifetime counters, a recovery
+	// burst after a long quiet period would hold strict priority until
+	// it consumed RecoveryShare of the whole run's services, starving
+	// Levels 2–3 far beyond the intended share. winOpened is when the
+	// shard's serve window opened, on the shard's own clock.
+	winOpened                 sim.Time
 	winServed, winServedRec   uint64
 	prevServed, prevServedRec uint64
 	rrCursor                  int
@@ -75,7 +74,7 @@ func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	t := &TAQ{cfg: cfg, run: run}
 	t.tracker = newTracker(run, cfg, &t.Stats)
 	t.agg = agg
-	t.winGenSeen = agg.winGen.Load()
+	t.winOpened = run.Now()
 	t.fairShare = float64(cfg.Rate)
 	t.victimScoreFn = t.victimScore
 	return t
@@ -133,11 +132,12 @@ func (t *TAQ) scan() {
 		t.poolShare = float64(t.cfg.Rate) / float64(pools)
 	}
 	now := t.run.Now()
-	if gen := t.agg.maybeRoll(now); gen != t.winGenSeen {
-		// The loss window rolled (by this shard or a peer): roll the
-		// windowed serve counters in step so the Level-1 recovery cap
-		// keeps comparing the same recent history as the loss monitor.
-		t.winGenSeen = gen
+	t.agg.maybeRoll(now)
+	if now-t.winOpened >= t.cfg.LossWindow {
+		// Roll the serve window on this shard's clock, at the cadence
+		// of the loss window, so the Level-1 recovery cap compares the
+		// same span of recent history as the loss monitor.
+		t.winOpened = now
 		t.prevServed, t.prevServedRec = t.winServed, t.winServedRec
 		t.winServed, t.winServedRec = 0, 0
 	}

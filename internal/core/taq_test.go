@@ -634,3 +634,30 @@ func TestAdmissionPoolExpiry(t *testing.T) {
 		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.Stats.PoolsAdmitted)
 	}
 }
+
+// TestServeWindowRollsOnShardClock runs two shards on two engines. Shard
+// 0 runs past LossWindow and rolls the shared loss window; shard 1,
+// which served one packet at 0.1 s of its own clock, must not roll its
+// serve window at its next scan: its window is 0.2 s old, not
+// LossWindow.
+func TestServeWindowRollsOnShardClock(t *testing.T) {
+	cfg := testConfig()
+	e0, e1 := sim.NewEngine(1), sim.NewEngine(2)
+	sh := NewShardedOn([]sim.Runner{e0, e1}, cfg)
+	sh.Start()
+	defer sh.Stop()
+	s1 := sh.Shard(1)
+	e1.RunUntil(100 * sim.Millisecond)
+	s1.Enqueue(dataPkt(1, 0))
+	if s1.Dequeue() == nil {
+		t.Fatal("shard 1 served nothing")
+	}
+	e0.RunUntil(cfg.LossWindow + cfg.ScanInterval)
+	if got := sim.Time(sh.agg.winStart.Load()); got < cfg.LossWindow {
+		t.Fatalf("shard 0 did not roll the loss window (it opened at %v)", got)
+	}
+	e1.RunUntil(200 * sim.Millisecond)
+	if s1.winServed != 1 || s1.prevServed != 0 {
+		t.Errorf("shard 1 serve window = %d, previous %d; want 1, 0 (rolled on a peer's clock)", s1.winServed, s1.prevServed)
+	}
+}

@@ -366,7 +366,7 @@ type tracker struct {
 	// pad keeps the struct a whole multiple of the cache line so
 	// adjacent per-shard trackers never share one (TestRecordLayout
 	// checks it).
-	_ [48]byte
+	_ [56]byte
 }
 
 func newTracker(run sim.Runner, cfg Config, stats *Stats) *tracker {

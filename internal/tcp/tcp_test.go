@@ -455,21 +455,28 @@ func TestDelayedAckHalvesAcks(t *testing.T) {
 	}
 }
 
+// TestDelayedAckTimerFiresForLoneSegment holds the ack of a lone
+// segment for the configured timeout, and for 100 ms when none is set.
 func TestDelayedAckTimerFiresForLoneSegment(t *testing.T) {
-	cfg := tcp.DefaultConfig()
-	cfg.DelayedAck = true
-	cfg.DelAckTimeout = 50 * sim.Millisecond
-	e := sim.NewEngine(1)
-	var acks []sim.Time
-	r := tcp.NewReceiver(e, cfg, 1, packet.PoolNone, func(p *packet.Packet) {
-		if p.Kind == packet.Ack {
-			acks = append(acks, e.Now())
+	for _, tc := range []struct{ timeout, want sim.Time }{
+		{50 * sim.Millisecond, 50 * sim.Millisecond},
+		{0, 100 * sim.Millisecond},
+	} {
+		cfg := tcp.DefaultConfig()
+		cfg.DelayedAck = true
+		cfg.DelAckTimeout = tc.timeout
+		e := sim.NewEngine(1)
+		var acks []sim.Time
+		r := tcp.NewReceiver(e, cfg, 1, packet.PoolNone, func(p *packet.Packet) {
+			if p.Kind == packet.Ack {
+				acks = append(acks, e.Now())
+			}
+		})
+		r.Deliver(&packet.Packet{Kind: packet.Data, Seq: 0, Size: 500})
+		e.RunUntil(sim.Second)
+		if len(acks) != 1 || acks[0] != tc.want {
+			t.Errorf("DelAckTimeout %v: acks = %v, want one at %v", tc.timeout, acks, tc.want)
 		}
-	})
-	r.Deliver(&packet.Packet{Kind: packet.Data, Seq: 0, Size: 500})
-	e.RunUntil(sim.Second)
-	if len(acks) != 1 || acks[0] != 50*sim.Millisecond {
-		t.Errorf("acks = %v, want one at 50ms", acks)
 	}
 }
 
