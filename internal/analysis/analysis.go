@@ -9,9 +9,10 @@
 //     unit-unsafe sim.Time arithmetic (simtime);
 //   - the packet path: the //taq:hotpath closure neither allocates
 //     (noalloc) nor blocks (noblock);
-//   - concurrency: emu's mutex guards its fields (lockdiscipline), lock
-//     acquisition is cycle-free program-wide (lockorder), and
-//     //taq:shardowned state stays inside its shard (shardown).
+//   - concurrency: a struct's mutex guards the fields its methods write
+//     (lockdiscipline), lock acquisition is cycle-free program-wide
+//     (lockorder), and //taq:shardowned state stays inside its shard
+//     (shardown).
 //
 // Timer handles are not linted: the root package's
 // TestTimerOwnersQuiesce requires every type that holds a *sim.Timer to
@@ -71,36 +72,23 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Config selects which packages each analyzer applies to.
+// Config selects the packages bound by the determinism contract and
+// the analyzers to run. The other analyzers need no scope: noalloc and
+// noblock report on the //taq:hotpath closure, which the roots define,
+// lockdiscipline on every struct with a mutex field, and the only
+// exemption is a //taq:allow directive, which the audit judges.
 type Config struct {
 	// Deterministic lists the base names of packages bound by the
 	// determinism contract (wallclock and maprange apply there).
 	Deterministic []string
-	// LockPackages lists the base names of packages whose mutex
-	// discipline lockdiscipline checks.
-	LockPackages []string
-	// NoallocPackages lists the base names of packages where noalloc
-	// reports findings on hotpath-closure functions. The closure is
-	// always computed whole-program; this scopes only the reporting,
-	// so conservatively reached setup code outside the packet path
-	// does not drown the signal.
-	NoallocPackages []string
-	// NoblockPackages is the same scope for noblock. It includes emu
-	// (whose engine-lock pattern is then allowlisted by name), since
-	// hot code dispatches into the emu engine through sim.Runner.
-	NoblockPackages []string
-	// NoblockAllow lists substrings of fully qualified function names
-	// (types.Func.FullName form) exempt from noblock — the emu
-	// engine-lock pattern, whose pairing lockdiscipline checks.
-	NoblockAllow []string
 	// Analyzers to run; nil means All().
 	Analyzers []*Analyzer
 }
 
 // DefaultConfig returns the repo's production configuration: the
-// simulation-facing packages are deterministic; emu is lock-checked.
-// emu, trace (the generator) and cmd/ are deliberately absent from the
-// deterministic set — they are allowed wall-clock time.
+// simulation-facing packages are deterministic. emu, trace (the
+// generator) and cmd/ are deliberately absent — they are allowed
+// wall-clock time.
 func DefaultConfig() *Config {
 	return &Config{
 		Deterministic: []string{
@@ -111,52 +99,14 @@ func DefaultConfig() *Config {
 			// the wall-clock emu engine and is deliberately excluded.
 			"obs",
 		},
-		LockPackages:    []string{"emu"},
-		NoallocPackages: []string{"sim", "queue", "link", "core", "packet", "obs"},
-		NoblockPackages: []string{"sim", "queue", "link", "core", "packet", "obs", "emu"},
-		NoblockAllow: []string{
-			// The emu engine serializes real-timer callbacks through
-			// one mutex by design; lockdiscipline checks the pairing.
-			"taq/internal/emu.Engine",
-		},
 	}
 }
 
 // IsDeterministic reports whether the package at pkgPath is bound by
 // the determinism contract. Matching is by the path's base name.
 func (c *Config) IsDeterministic(pkgPath string) bool {
-	return containsBase(c.Deterministic, pkgPath)
-}
-
-// IsLockChecked reports whether lockdiscipline applies to pkgPath.
-func (c *Config) IsLockChecked(pkgPath string) bool {
-	return containsBase(c.LockPackages, pkgPath)
-}
-
-// IsNoallocChecked reports whether noalloc reports findings in pkgPath.
-func (c *Config) IsNoallocChecked(pkgPath string) bool {
-	return containsBase(c.NoallocPackages, pkgPath)
-}
-
-// IsNoblockChecked reports whether noblock reports findings in pkgPath.
-func (c *Config) IsNoblockChecked(pkgPath string) bool {
-	return containsBase(c.NoblockPackages, pkgPath)
-}
-
-// NoblockAllowed reports whether the qualified function name matches
-// the noblock allowlist.
-func (c *Config) NoblockAllowed(funcName string) bool {
-	for _, pat := range c.NoblockAllow {
-		if strings.Contains(funcName, pat) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsBase(list []string, pkgPath string) bool {
 	base := path.Base(pkgPath)
-	for _, name := range list {
+	for _, name := range c.Deterministic {
 		if name == base {
 			return true
 		}
@@ -196,20 +146,12 @@ func RunAudit(pkgs []*Package, cfg *Config) (diags, stale []Diagnostic) {
 	}
 	prog := NewProgram(pkgs)
 	var out []Diagnostic
-	seen := make(map[string]bool)
 	for _, pkg := range pkgs {
 		allow := collectAllows(pkg)
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Cfg: cfg, Pkg: pkg, Prog: prog}
 			pass.report = func(d Diagnostic) {
-				if allow.suppressed(d) {
-					return
-				}
-				// The dataflow walker revisits loop bodies, so an
-				// analyzer may report one defect twice; keep the first.
-				key := d.String()
-				if !seen[key] {
-					seen[key] = true
+				if !allow.suppressed(d) {
 					out = append(out, d)
 				}
 			}

@@ -14,18 +14,14 @@ import (
 )
 
 // testConfig is the production config narrowed to the analyzers under
-// test and widened to the fixture packages under testdata/src that a
-// scoped analyzer must see. Scoping is by package base name, so these
-// names stay out of DefaultConfig: a real package that happened to be
-// called "noalloc" must not be opted in silently.
+// test and widened to the fixture packages under testdata/src that the
+// determinism analyzers must see. Matching is by package base name, so
+// these names stay out of DefaultConfig: a real package that happened
+// to be called "wallclock" must not be opted in silently.
 func testConfig(analyzers ...*Analyzer) *Config {
 	cfg := DefaultConfig()
 	cfg.Analyzers = analyzers
 	cfg.Deterministic = append(cfg.Deterministic, "wallclock", "maprange", "allowfunc")
-	cfg.LockPackages = append(cfg.LockPackages, "lockdiscipline")
-	cfg.NoallocPackages = append(cfg.NoallocPackages, "hotpath", "noalloc")
-	cfg.NoblockPackages = append(cfg.NoblockPackages, "hotpath", "noblock")
-	cfg.NoblockAllow = append(cfg.NoblockAllow, "noblock.allowedEngine")
 	return cfg
 }
 
@@ -65,7 +61,8 @@ func posKey(pos token.Position) string {
 }
 
 // runCase loads one testdata package, runs the analyzers, and requires
-// the diagnostics to match the // want expectations exactly.
+// the diagnostics to match the // want expectations exactly and every
+// judged //taq:allow in the fixture to suppress something.
 func runCase(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
 	runCaseDirs(t, []string{dir}, analyzers...)
@@ -84,7 +81,10 @@ func runCaseDirs(t *testing.T, dirs []string, analyzers ...*Analyzer) {
 		t.Fatalf("loading testdata %v: %v", dirs, err)
 	}
 	expected := wants(t, pkgs)
-	diags, _ := RunAudit(pkgs, testConfig(analyzers...))
+	diags, stale := RunAudit(pkgs, testConfig(analyzers...))
+	for _, d := range stale {
+		t.Errorf("fixture directive: %s", d)
+	}
 
 	matched := make(map[string]int) // posKey -> how many wants consumed
 	for _, d := range diags {
@@ -402,8 +402,5 @@ func TestConfigScoping(t *testing.T) {
 		if cfg.IsDeterministic(path) {
 			t.Errorf("IsDeterministic(%q) = true, want false", path)
 		}
-	}
-	if !cfg.IsLockChecked("taq/internal/emu") || cfg.IsLockChecked("taq/internal/core") {
-		t.Error("lockdiscipline should apply to emu and only emu")
 	}
 }

@@ -46,9 +46,6 @@ type FuncNode struct {
 	root  bool
 	taken bool // address-taken: referenced outside call position
 	edges []edge
-	// lits are the immediately nested function literals; their bodies
-	// belong to their own nodes, so owners skip these ranges.
-	lits []*ast.FuncLit
 }
 
 // Name returns the fully qualified function name, e.g.
@@ -58,20 +55,6 @@ func (n *FuncNode) Name() string { return n.name }
 
 // IsRoot reports whether the node carries the //taq:hotpath directive.
 func (n *FuncNode) IsRoot() bool { return n.root }
-
-// OwnsPos reports whether pos lies in this node's body but not inside
-// a nested function literal (which is its own node).
-func (n *FuncNode) OwnsPos(pos token.Pos) bool {
-	if n.Body == nil || pos < n.Body.Pos() || pos > n.Body.End() {
-		return false
-	}
-	for _, l := range n.lits {
-		if pos >= l.Pos() && pos <= l.End() {
-			return false
-		}
-	}
-	return true
-}
 
 type edge struct {
 	to  *FuncNode
@@ -255,7 +238,6 @@ func (p *Program) collectLits(parent *FuncNode, body ast.Node) {
 			name: fmt.Sprintf("%s$%d", parent.name, k),
 			pos:  fl.Pos(),
 		}
-		parent.lits = append(parent.lits, fl)
 		p.byLit[fl] = child
 		p.nodes = append(p.nodes, child)
 		p.collectLits(child, fl.Body)

@@ -6,14 +6,14 @@ import (
 	"go/types"
 )
 
-// LockDiscipline checks the real-time engine's locking contract: in the
-// configured packages (internal/emu), a struct with a sync.Mutex (or
-// RWMutex) field has a set of guarded fields — every field some method
-// mutates. Exported methods must acquire the mutex (recv.mu.Lock or
-// RLock, anywhere lexically before the access, including inside the
-// same closure) before touching a guarded field. Fields written only at
-// construction time are immutable and stay exempt, which is exactly why
-// Engine.Now may read start/speedup without the lock.
+// LockDiscipline checks the locking contract of every struct with a
+// sync.Mutex (or RWMutex) field, in any package: the guarded fields are
+// those some method mutates, and exported methods must acquire the
+// mutex (recv.mu.Lock or RLock, anywhere lexically before the access,
+// including inside the same closure) before touching one. Fields
+// written only at construction time are immutable and stay exempt,
+// which is exactly why emu's Engine.Now may read start/speedup without
+// the lock.
 var LockDiscipline = &Analyzer{
 	Name: "lockdiscipline",
 	Doc:  "exported methods must hold the mutex before touching guarded fields",
@@ -21,9 +21,6 @@ var LockDiscipline = &Analyzer{
 }
 
 func runLockDiscipline(p *Pass) {
-	if !p.Cfg.IsLockChecked(p.Pkg.Path) {
-		return
-	}
 	info := p.Pkg.Info
 
 	// Pass 1: find struct types with a mutex field, and every method's

@@ -34,8 +34,9 @@ type mutation struct {
 	// longer loads), and — judged only when load is ./... — "roots" and
 	// "annotations" (drift from the committed docs/ inventories).
 	fires []string
-	// first is the first catcher: "build", "vet", "test <Test>", or an
-	// element of fires. TestRepoIsClean and this file's tests do not
+	// first is the first catcher: "build", "vet", "test <Test>",
+	// "crash <import path>" (a test binary that fails naming no test), or
+	// an element of fires. TestRepoIsClean and this file's tests do not
 	// count as tests — they are taqvet.
 	first string
 	// hangs marks a seed under which tier-1 tests time out (or eat
@@ -173,16 +174,15 @@ var mutations = []mutation{
 
 	// shardown: the tracker parked in a global, handed to a goroutine,
 	// passed to another package, and returned by an exported method.
-	// The goroutine's scan races the packet path: it crashes whole test
-	// binaries from the racing goroutine, naming no test, and hangs
-	// topology's TestAllQueueKindsRun until the timeout, so it is marked
-	// hangs.
+	// The goroutine's scan races the packet path: some test binaries
+	// crash from the racing goroutine or time out, and core's own
+	// TestLargePopulationChurnPinned fails on every run.
 	{name: "shardown.global", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"// Start schedules the periodic scan.", "var lastTracker *tracker\n\n// Start schedules the periodic scan."},
 		fires: []string{"shardown"}, first: "shardown"},
-	{name: "shardown.goroutine", file: "internal/core/taq.go", load: wholeModule, hangs: true,
+	{name: "shardown.goroutine", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.tracker.scan()\n", "\tgo func(tr *tracker) { tr.scan() }(t.tracker)\n"},
-		fires: []string{"shardown"}, first: "shardown"},
+		fires: []string{"shardown"}, first: "test TestLargePopulationChurnPinned"},
 	{name: "shardown.foreign", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.tracker.rec = rec\n", "\tt.tracker.rec = rec\n\tt.run.AfterArg(0, func(tr any) { tr.(*tracker).rec = rec }, t.tracker)\n"},
 		fires: []string{"shardown"}, first: "shardown"},
@@ -393,11 +393,11 @@ func TestEveryAnalyzerHasEvidence(t *testing.T) {
 		rows[guard]++
 		firsts[m.first]++
 		for _, c := range append([]string{m.first}, m.fires...) {
-			if !catchers[c] && !strings.HasPrefix(c, "test Test") {
+			if !catchers[c] && !caughtByTests(c) {
 				t.Errorf("row %s names catcher %q, which does not exist", m.name, c)
 			}
 		}
-		if !strings.HasPrefix(m.first, "test ") && m.first != "vet" && !slices.Contains(m.fires, m.first) {
+		if !caughtByTests(m.first) && m.first != "vet" && !slices.Contains(m.fires, m.first) {
 			t.Errorf("row %s: first catcher %q is not among what taqvet reports %v", m.name, m.first, m.fires)
 		}
 	}
@@ -416,15 +416,99 @@ func TestEveryAnalyzerHasEvidence(t *testing.T) {
 	}
 }
 
+// notTaqvet skips the tests that are taqvet, not tier-1 tests.
+const notTaqvet = "^(TestRepoIsClean|TestMutations)$"
+
 var (
 	failedTestRE = regexp.MustCompile(`(?m)^\s*--- FAIL: (\w+)`)
-	failedPkgRE  = regexp.MustCompile(`(?m)^FAIL\t(\S+)`)
+	pkgResultRE  = regexp.MustCompile(`(?m)^(ok|FAIL|\?) *\t(\S+).*$`)
 )
+
+// testRun is what the output of one go test over several packages
+// says failed.
+type testRun struct {
+	tests    []string // tests that printed a --- FAIL line
+	pkgs     []string // the packages those tests are in
+	crashed  []string // packages that failed naming no test, not by -timeout
+	timedOut []string // packages whose test binary hit -timeout
+}
+
+// parseGoTest reads go test output. Each package's output ends in its
+// result line ("ok", "FAIL" or "?", a tab, the import path), and go
+// test prints each package's output whole, so the text since the
+// previous result line is that package's. A test binary that panics on
+// a goroutine of its own fails without a --- FAIL line: that is a crash.
+func parseGoTest(out string) testRun {
+	var r testRun
+	prev := 0
+	for _, loc := range pkgResultRE.FindAllStringSubmatchIndex(out, -1) {
+		seg, verdict, pkg := out[prev:loc[0]], out[loc[2]:loc[3]], out[loc[4]:loc[5]]
+		prev = loc[1]
+		if verdict != "FAIL" {
+			continue
+		}
+		names := failedTestRE.FindAllStringSubmatch(seg, -1)
+		for _, mm := range names {
+			r.tests = append(r.tests, mm[1])
+		}
+		timedOut := strings.Contains(seg, "panic: test timed out")
+		switch {
+		case len(names) > 0:
+			r.pkgs = append(r.pkgs, pkg)
+		case !timedOut:
+			r.crashed = append(r.crashed, pkg)
+		}
+		if timedOut {
+			r.timedOut = append(r.timedOut, pkg)
+		}
+	}
+	return r
+}
+
+// reruns are the go test invocations that repeat what r saw fail, to
+// discount flakes: the failed tests in their packages, and each crashed
+// package whole. A timeout is not re-run.
+func (r testRun) reruns() [][]string {
+	var out [][]string
+	if len(r.tests) > 0 {
+		out = append(out, append([]string{"test", "-count=1", "-timeout", "5m", "-run", "^(" + strings.Join(r.tests, "|") + ")$"}, r.pkgs...))
+	}
+	if len(r.crashed) > 0 {
+		out = append(out, append([]string{"test", "-count=1", "-timeout", "5m", "-skip", notTaqvet}, r.crashed...))
+	}
+	return out
+}
+
+// testVerdict names what the tier-1 tests catch, given their first run
+// and the re-run of its failures: a test that failed twice (want, if it
+// is one of them, else the least name, as go test prints packages in
+// completion order) wins, then a package that crashed twice ("crash
+// <import path>"), then a timeout of the first run; "" means the tests
+// caught nothing.
+func testVerdict(first, again testRun, want string) string {
+	switch {
+	case slices.Contains(again.tests, strings.TrimPrefix(want, "test ")):
+		return want
+	case len(again.tests) > 0:
+		return "test " + slices.Min(again.tests)
+	case len(again.crashed) > 0:
+		return "crash " + slices.Min(again.crashed)
+	case len(first.timedOut) > 0:
+		return "timeout"
+	}
+	return ""
+}
+
+// caughtByTests reports whether a first catcher is a tier-1 test
+// verdict rather than the compiler, vet or taqvet.
+func caughtByTests(first string) bool {
+	return strings.HasPrefix(first, "test Test") || strings.HasPrefix(first, "crash taq")
+}
 
 // firstCatcher runs the chain compiler, go vet, tier-1 tests, taqvet on
 // the mutated copy and names the first link that objects. Failing tests
-// are re-run once and only repeat offenders count: a few wall-clock emu
-// tests flake on a loaded machine, seed or no seed.
+// and crashed packages are re-run once and only repeat offenders count:
+// a few wall-clock emu tests flake on a loaded machine, seed or no seed.
 func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string {
 	goTool := func(args ...string) (string, bool) {
 		cmd := exec.Command("go", args...)
@@ -440,35 +524,90 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string
 		t.Logf("go vet:\n%s", out)
 		return "vet"
 	}
-	const notTaqvet = "^(TestRepoIsClean|TestMutations)$"
 	if m.hangs {
 		t.Log("tier-1 tests skipped: the seed makes them hang")
 	} else if out, ok := goTool("test", "-timeout", "5m", "-skip", notTaqvet, "./..."); !ok {
-		if strings.Contains(out, "panic: test timed out") {
+		first := parseGoTest(out)
+		var again string
+		for _, args := range first.reruns() {
+			o, _ := goTool(args...)
+			again += o
+		}
+		if again != "" {
+			t.Logf("go test (re-run of the failures):\n%s", again)
+		}
+		v := testVerdict(first, parseGoTest(again), m.first)
+		if v == "timeout" || (v == "" && len(first.tests)+len(first.crashed) == 0) {
 			t.Logf("go test:\n%s", out)
-			return "timeout"
 		}
-		var names, pkgs []string
-		for _, mm := range failedTestRE.FindAllStringSubmatch(out, -1) {
-			names = append(names, mm[1])
+		if v != "" {
+			return v
 		}
-		for _, mm := range failedPkgRE.FindAllStringSubmatch(out, -1) {
-			pkgs = append(pkgs, mm[1])
-		}
-		retry := append([]string{"test", "-count=1", "-run", "^(" + strings.Join(names, "|") + ")$"}, pkgs...)
-		if out, ok := goTool(retry...); !ok {
-			t.Logf("go test (re-run of the failures):\n%s", out)
-			for _, mm := range failedTestRE.FindAllStringSubmatch(out, -1) {
-				if m.first == "test "+mm[1] {
-					return m.first
-				}
-			}
-			return "test"
-		}
-		t.Logf("tier-1 failures that passed a re-run: %v", names)
+		t.Logf("tier-1 failures that passed a re-run: %v %v", first.tests, first.crashed)
 	}
 	if slices.Contains(fires, m.first) {
 		return m.first
 	}
 	return strings.Join(fires, ",")
+}
+
+// TestGoTestVerdict pins how firstCatcher reads canned go test output:
+// a named failure elsewhere outranks a timeout, a binary that crashes
+// naming no test is reported by package and re-run whole, and a failure
+// that passes its re-run is a flake.
+func TestGoTestVerdict(t *testing.T) {
+	const (
+		timeout = "ok  \ttaq/internal/sim\t0.1s\n" +
+			"panic: test timed out after 5m0s\n\trunning tests:\n\t\tTestAllQueueKindsRun (5m0s)\n\n" +
+			"goroutine 7 [running]:\ntesting.(*M).startAlarm.func1()\n" +
+			"FAIL\ttaq/internal/topology\t300.012s\n"
+		named = "--- FAIL: TestHotpathRootsZeroAlloc (0.01s)\n" +
+			"    hotpath_alloc_test.go:200: (*core.TAQ).Enqueue: 1 allocs per run, want 0\n" +
+			"FAIL\nFAIL\ttaq\t0.512s\n"
+		crash = "panic: runtime error: index out of range [5] with length 3\n\n" +
+			"goroutine 42 [running]:\ntaq/internal/core.(*tracker).scan(0xc000100000)\n" +
+			"FAIL\ttaq/internal/core\t0.210s\n"
+		flaky = "--- FAIL: TestEngineLateness (1.02s)\n    engine_test.go:50: late by 12ms\n" +
+			"FAIL\nFAIL\ttaq/internal/emu\t2.104s\nok  \ttaq/internal/core\t1.0s\n"
+	)
+	rerunTests := func(pattern string, pkgs ...string) []string {
+		return append([]string{"test", "-count=1", "-timeout", "5m", "-run", pattern}, pkgs...)
+	}
+	rerunPkgs := func(pkgs ...string) []string {
+		return append([]string{"test", "-count=1", "-timeout", "5m", "-skip", notTaqvet}, pkgs...)
+	}
+	for _, c := range []struct {
+		name, first, again, want string
+		reruns                   [][]string
+		verdict                  string
+	}{
+		{name: "timeout only", first: timeout + "FAIL\n",
+			verdict: "timeout"},
+		{name: "timeout plus a FAIL", first: timeout + named + "FAIL\n", again: named + "FAIL\n",
+			reruns:  [][]string{rerunTests("^(TestHotpathRootsZeroAlloc)$", "taq")},
+			verdict: "test TestHotpathRootsZeroAlloc"},
+		{name: "the row's own test wins", first: named + flaky, again: named + flaky,
+			want:    "test TestHotpathRootsZeroAlloc",
+			reruns:  [][]string{rerunTests("^(TestHotpathRootsZeroAlloc|TestEngineLateness)$", "taq", "taq/internal/emu")},
+			verdict: "test TestHotpathRootsZeroAlloc"},
+		{name: "else the least name", first: named + flaky, again: named + flaky,
+			reruns:  [][]string{rerunTests("^(TestHotpathRootsZeroAlloc|TestEngineLateness)$", "taq", "taq/internal/emu")},
+			verdict: "test TestEngineLateness"},
+		{name: "crash only", first: crash + "FAIL\n", again: crash,
+			reruns:  [][]string{rerunPkgs("taq/internal/core")},
+			verdict: "crash taq/internal/core"},
+		{name: "flake passes its re-run", first: flaky + "FAIL\n", again: "ok  \ttaq/internal/emu\t1.9s\n",
+			reruns:  [][]string{rerunTests("^(TestEngineLateness)$", "taq/internal/emu")},
+			verdict: ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			first := parseGoTest(c.first)
+			if got := first.reruns(); !slices.EqualFunc(got, c.reruns, slices.Equal) {
+				t.Errorf("reruns = %q, want %q", got, c.reruns)
+			}
+			if got := testVerdict(first, parseGoTest(c.again), c.want); got != c.verdict {
+				t.Errorf("verdict = %q, want %q", got, c.verdict)
+			}
+		})
+	}
 }

@@ -1,15 +1,16 @@
 package analysis
 
 // noalloc enforces the hotpath allocation contract: every function in
-// the //taq:hotpath closure (see callgraph.go) must be allocation-free
-// in steady state. It flags the allocation sources Go hides in plain
-// syntax: escaping composite literals and new/make, append growth
-// without capacity evidence, map access, string<->[]byte conversions,
-// interface boxing at call sites, capturing closures, variadic calls,
-// string concatenation, and defer inside loops. Amortized free-list
-// refills and ROADMAP-tracked map lookups are expected findings — they
-// are suppressed in place with //taq:allow noalloc and a rationale, so
-// the cost is visible in the source where it is paid.
+// the //taq:hotpath closure (see callgraph.go), in whatever package,
+// must be allocation-free in steady state. It flags the allocation
+// sources Go hides in plain syntax: escaping composite literals and
+// new/make, any append whose target is not a bounded reslice (x[:n]),
+// map access, string<->[]byte conversions, interface boxing at call
+// sites, capturing closures, variadic calls, string concatenation, and
+// defer inside loops. Amortized growth, free-list refills and
+// ROADMAP-tracked map lookups are expected findings — they are
+// suppressed in place with //taq:allow noalloc and a rationale, so the
+// cost is visible in the source where it is paid.
 
 import (
 	"fmt"
@@ -27,7 +28,7 @@ var NoAlloc = &Analyzer{
 }
 
 func runNoAlloc(pass *Pass) {
-	if pass.Prog == nil || !pass.Cfg.IsNoallocChecked(pass.Pkg.Path) {
+	if pass.Prog == nil {
 		return
 	}
 	for _, n := range pass.Prog.HotNodes() {
@@ -127,8 +128,6 @@ func checkNoAlloc(pass *Pass, n *FuncNode) {
 		}
 		return true
 	})
-
-	checkAppendGrowth(pass, n)
 }
 
 // checkAllocCall handles the call-shaped allocation sources: builtins,
@@ -144,6 +143,12 @@ func checkAllocCall(pass *Pass, n *FuncNode, call *ast.CallExpr) {
 				hotf(pass, n, call.Pos(), "new(...) allocates")
 			case "make":
 				hotf(pass, n, call.Pos(), "make allocates")
+			case "append":
+				// append(x[:n], ...) refills a backing array the
+				// function already holds; any other append may grow.
+				if se, ok := ast.Unparen(call.Args[0]).(*ast.SliceExpr); !ok || se.High == nil {
+					hotf(pass, n, call.Pos(), "append to %s may grow", exprString(call.Args[0]))
+				}
 			case "delete":
 				hotf(pass, n, call.Pos(), "map delete %s", exprString(call))
 			}
@@ -261,89 +266,6 @@ func typeLabel(info *types.Info, cl *ast.CompositeLit) string {
 		return types.TypeString(t, shortQualifier)
 	}
 	return exprString(cl.Type)
-}
-
-// capEvidence is the flow fact: the slice Ref was provisioned with
-// explicit capacity (3-arg make) or resliced to reuse its backing
-// array (x[:0]) before the append.
-const capEvidence = 1
-
-// checkAppendGrowth runs the def-use walker over n's body tracking
-// capacity evidence per slice Ref, and flags appends that may grow.
-func checkAppendGrowth(pass *Pass, n *FuncNode) {
-	info := n.Pkg.Info
-	hooks := FlowHooks{
-		Join: func(a, b int) int {
-			if a == b {
-				return a
-			}
-			return 0
-		},
-		Assign: func(lhs, rhs ast.Expr, tok token.Token, st FlowState) {
-			r, ok := RefOf(info, lhs)
-			if !ok || rhs == nil {
-				return
-			}
-			rhs = ast.Unparen(rhs)
-			if givesCapEvidence(info, rhs) {
-				st.Set(r, capEvidence)
-				return
-			}
-			// x = append(x, ...) keeps whatever evidence x had.
-			if isSelfAppend(info, rhs, r) {
-				return
-			}
-			st.Set(r, 0)
-		},
-		PostCall: func(call *ast.CallExpr, st FlowState) {
-			if !isBuiltin(info, call, "append") || len(call.Args) == 0 {
-				return
-			}
-			if !n.OwnsPos(call.Pos()) {
-				return
-			}
-			first := ast.Unparen(call.Args[0])
-			// append(x[:0], ...) reuses x's backing array.
-			if se, ok := first.(*ast.SliceExpr); ok && se.High != nil {
-				return
-			}
-			if r, ok := RefOf(info, first); ok && st.Get(r) == capEvidence {
-				return
-			}
-			hotf(pass, n, call.Pos(), "append to %s may grow (no capacity evidence)", exprString(call.Args[0]))
-		},
-	}
-	WalkFlow(info, n.Body, nil, hooks)
-}
-
-// givesCapEvidence reports whether rhs provisions capacity: a 3-arg
-// make, or a reslice with an explicit upper bound.
-func givesCapEvidence(info *types.Info, rhs ast.Expr) bool {
-	switch x := rhs.(type) {
-	case *ast.CallExpr:
-		return isBuiltin(info, x, "make") && len(x.Args) >= 3
-	case *ast.SliceExpr:
-		return x.High != nil
-	}
-	return false
-}
-
-func isSelfAppend(info *types.Info, rhs ast.Expr, r Ref) bool {
-	call, ok := rhs.(*ast.CallExpr)
-	if !ok || !isBuiltin(info, call, "append") || len(call.Args) == 0 {
-		return false
-	}
-	ar, ok := RefOf(info, ast.Unparen(call.Args[0]))
-	return ok && ar == r
-}
-
-func isBuiltin(info *types.Info, call *ast.CallExpr, name string) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == name
 }
 
 // closureCaptures lists the variables a function literal captures from

@@ -1,12 +1,13 @@
 package analysis
 
 // noblock enforces the hotpath scheduling contract: functions in the
-// //taq:hotpath closure must never block or yield — no channel ops, no
-// select, no goroutine launches, no sync lock acquisitions, no
-// wall-clock reads or syscalls. The emu engine deliberately serializes
-// real-time callbacks through one mutex; its Engine methods are
-// allowlisted via Config.NoblockAllow so the finding set stays
-// actionable (lockdiscipline already checks that pattern's pairing).
+// //taq:hotpath closure, in whatever package, must never block or
+// yield — no channel ops, no select, no goroutine launches, no sync
+// lock acquisitions, no wall-clock reads or syscalls. The emu engine
+// deliberately serializes real-time callbacks through one mutex and
+// reads the wall clock once per batch; those two lines carry
+// //taq:allow noblock, which the audit flags once they go stale
+// (lockdiscipline checks the mutex's pairing).
 
 import (
 	"go/ast"
@@ -36,14 +37,13 @@ var blockingSyncMethods = map[string]bool{
 }
 
 func runNoBlock(pass *Pass) {
-	if pass.Prog == nil || !pass.Cfg.IsNoblockChecked(pass.Pkg.Path) {
+	if pass.Prog == nil {
 		return
 	}
 	for _, n := range pass.Prog.HotNodes() {
-		if n.Pkg != pass.Pkg || pass.Cfg.NoblockAllowed(n.Name()) {
-			continue
+		if n.Pkg == pass.Pkg {
+			checkNoBlock(pass, n)
 		}
-		checkNoBlock(pass, n)
 	}
 }
 

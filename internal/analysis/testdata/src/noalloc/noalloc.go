@@ -1,6 +1,6 @@
 // Package noalloc exercises every allocation source the noalloc
-// analyzer flags, plus the capacity-evidence and pointer-shaped-boxing
-// escapes that keep it quiet.
+// analyzer flags, plus the bounded-reslice append and pointer-shaped
+// boxing that keep it quiet.
 package noalloc
 
 // T is a small heap candidate.
@@ -34,10 +34,12 @@ func Hot(s *S, vals []int, key string) {
 
 	s.buf = append(s.buf, 1)  // want `append to s.buf may grow`
 	good := make([]int, 0, 8) // want `make allocates`
-	good = append(good, 2)    // capacity evidence: no growth finding
+	good = append(good, 2)    // want `append to good may grow`
 	_ = good
-	s.buf = s.buf[:0]
-	s.buf = append(s.buf, 3) // reslice evidence: no growth finding
+	s.buf = append(s.buf[:0], 3) // bounded reslice: no growth finding
+	for _, v := range vals {
+		s.buf = append(s.buf, v) // want `append to s.buf may grow`
+	}
 
 	_ = s.m[0]     // want `map access`
 	s.m[1] = t     // want `map access`

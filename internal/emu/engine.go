@@ -83,13 +83,13 @@ func (e *Engine) Now() sim.Time {
 
 // wall reads the (time-scaled) wall clock.
 func (e *Engine) wall() sim.Time {
-	return sim.Time(float64(time.Since(e.start)) * e.speedup)
+	return sim.Time(float64(time.Since(e.start)) * e.speedup) //taq:allow noblock the real-time engine's clock; read once per batch, or by Now outside one
 }
 
 // begin takes the mutex and fixes the batch's instant; end releases
 // both. Every pass and Post runs between the two.
 func (e *Engine) begin() sim.Time {
-	e.mu.Lock()
+	e.mu.Lock() //taq:allow noblock one mutex serializes every callback and Post by design; lockdiscipline checks its pairing
 	now := e.wall()
 	e.instant.Store(int64(now))
 	return now
