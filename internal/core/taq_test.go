@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"taq/internal/link"
@@ -184,6 +185,62 @@ func TestDropOfRetransmissionPredictsTimeout(t *testing.T) {
 	}
 	if silenced != 1 {
 		t.Errorf("flows in TimeoutSilence = %d, want 1", silenced)
+	}
+}
+
+// TestRecoveryShedVictim pins which retransmission each of the three
+// Recovery shed sites drops — the RecoveryCap overflow, evict's last
+// resort, and the occupancy-drop ablation reaching Recovery: the one
+// with the shortest silence, the newest among equal silences, the
+// arriving packet included. The survivors are served longest silence
+// first.
+func TestRecoveryShedVictim(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"RecoveryCap", func(cfg *Config) { cfg.RecoveryCap, cfg.Capacity = 3, 100 }},
+		{"evict", func(cfg *Config) { cfg.RecoveryCap, cfg.Capacity = 100, 3 }},
+		{"NoOccupancyDrops", func(cfg *Config) {
+			cfg.RecoveryCap, cfg.Capacity, cfg.NoOccupancyDrops = 100, 3, true
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := testConfig()
+			c.set(&cfg)
+			q := newTestShard(sim.NewEngine(1), cfg)
+			silences := []sim.Time{2 * sim.Second, sim.Second, sim.Second, 3 * sim.Second, 500 * sim.Millisecond, sim.Second}
+			for i := range silences {
+				id := packet.FlowID(i + 1)
+				q.Enqueue(synPkt(id, packet.PoolNone))
+				q.Enqueue(dataPkt(id, 0))
+				for q.Dequeue() != nil {
+				}
+			}
+			var dropped []packet.FlowID
+			q.AddDropHook(func(p *packet.Packet) { dropped = append(dropped, p.Flow) })
+			for i, s := range silences {
+				id := packet.FlowID(i + 1)
+				q.tracker.get(id).lastSilence = s
+				q.Enqueue(dataPkt(id, 0)) // a retransmission: seq 0 was seen
+			}
+			// Flow 3 is the newer of the two 1 s silences when flow 4
+			// overflows the queue, flow 5 the shortest on arrival, and
+			// flow 6 newer than flow 2 at 1 s.
+			if want := []packet.FlowID{3, 5, 6}; !slices.Equal(dropped, want) {
+				t.Errorf("dropped flows %v, want %v", dropped, want)
+			}
+			if got := q.Stats.DropsByClass[ClassRecovery]; got != 3 {
+				t.Errorf("recovery drops = %d, want 3", got)
+			}
+			var served []packet.FlowID
+			for p := q.Dequeue(); p != nil; p = q.Dequeue() {
+				served = append(served, p.Flow)
+			}
+			if want := []packet.FlowID{4, 1, 2}; !slices.Equal(served, want) {
+				t.Errorf("served flows %v, want %v", served, want)
+			}
+		})
 	}
 }
 
