@@ -2,13 +2,17 @@ GO ?= go
 FUZZTIME ?= 10s
 BENCHSCALE ?= 0.05
 
-.PHONY: build vet taqvet taqvet-roots taqvet-annotations mutations-full test race fuzz bench bench-gate bench-floor check
+.PHONY: build vet fmt taqvet taqvet-roots taqvet-annotations mutations-full test race fuzz bench bench-gate bench-floor check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any file, and names each one.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 # taqvet is the repo's own determinism & concurrency analyzer suite
 # (docs/static-analysis.md). It exits non-zero on any finding, stale
@@ -104,4 +108,4 @@ BENCH_FLOOR_FILTER = awk -v min=$(BENCH_FLOOR_MIN) '\
 bench-floor:
 	{ $(GO) run ./bench -workload all -seed 1 -trace 1; echo "bench-floor: exit $$?"; } | $(BENCH_FLOOR_FILTER)
 
-check: build vet taqvet test race
+check: build vet fmt taqvet test race

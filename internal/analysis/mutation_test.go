@@ -9,8 +9,10 @@ import (
 	"regexp"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mutation is one seeded violation of the real tree — a few textual
@@ -138,7 +140,7 @@ var mutations = []mutation{
 			"// dropPolicy records", "var policyScratch []byte\n\n// dropPolicy records"},
 		fires: []string{"noalloc"}, first: "noalloc"},
 	{name: "noalloc.popCompact", file: "internal/core/queues.go", load: wholeModule,
-		edits: []string{"f.items = append(f.items[:0], f.items[f.head:]...)", "f.items = append([]*packet.Packet(nil), f.items[f.head:]...)"},
+		edits: []string{"f.items = append(f.items[:0], f.items[f.head:]...)", "f.items = append([]item(nil), f.items[f.head:]...)"},
 		fires: []string{"noalloc"}, first: "test TestDumbbellPacketPathAllocatesNothing"},
 
 	// noblock: a mutex on every packet, and one reached through a callee
@@ -212,12 +214,14 @@ var mutations = []mutation{
 
 	// The directives. //taq:allow and //taq:allow(func): one that
 	// suppresses nothing, one misspelled so the finding it hid returns.
+	// The misspelled line allow is in the engine, which cmd/taqvet's
+	// TestExitCodes runs taqvet on as its clean package.
 	{name: "allow.stale", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.Stats.Arrivals++\n", "\tt.Stats.Arrivals++ //taq:allow wallclock\n"},
 		fires: []string{"audit"}, first: "audit"},
-	{name: "allow.typo", file: "internal/core/queues.go", load: wholeModule,
+	{name: "allow.typo", file: "internal/sim/engine.go", load: wholeModule,
 		edits: []string{"//taq:allow noalloc free-list refill", "//taq:allow noaloc free-list refill"},
-		fires: []string{"audit", "noalloc"}, first: "audit"},
+		fires: []string{"audit", "noalloc"}, first: "test TestExitCodes"},
 	{name: "allow(func).stale", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"//taq:hotpath TAQ per-packet scheduling path (§4.2)\n", "//taq:hotpath TAQ per-packet scheduling path (§4.2)\n//taq:allow(func) noalloc\n"},
 		fires: []string{"audit"}, first: "audit"},
@@ -421,7 +425,7 @@ const notTaqvet = "^(TestRepoIsClean|TestMutations)$"
 
 var (
 	failedTestRE = regexp.MustCompile(`(?m)^\s*--- FAIL: (\w+)`)
-	pkgResultRE  = regexp.MustCompile(`(?m)^(ok|FAIL|\?) *\t(\S+).*$`)
+	pkgResultRE  = regexp.MustCompile(`(?m)^(ok|FAIL|\?) *\t(\S+)(?:\t(\S+)s)?.*$`)
 )
 
 // testRun is what the output of one go test over several packages
@@ -431,6 +435,8 @@ type testRun struct {
 	pkgs     []string // the packages those tests are in
 	crashed  []string // packages that failed naming no test, not by -timeout
 	timedOut []string // packages whose test binary hit -timeout
+	// took is each failed package's run time, from its result line.
+	took map[string]time.Duration
 }
 
 // parseGoTest reads go test output. Each package's output ends in its
@@ -446,6 +452,14 @@ func parseGoTest(out string) testRun {
 		prev = loc[1]
 		if verdict != "FAIL" {
 			continue
+		}
+		if loc[6] >= 0 {
+			if secs, err := strconv.ParseFloat(out[loc[6]:loc[7]], 64); err == nil {
+				if r.took == nil {
+					r.took = make(map[string]time.Duration)
+				}
+				r.took[pkg] = time.Duration(secs * float64(time.Second))
+			}
 		}
 		names := failedTestRE.FindAllStringSubmatch(seg, -1)
 		for _, mm := range names {
@@ -467,14 +481,18 @@ func parseGoTest(out string) testRun {
 
 // reruns are the go test invocations that repeat what r saw fail, to
 // discount flakes: the failed tests in their packages, and each crashed
-// package whole. A timeout is not re-run.
+// package whole, on its own and bounded by ten times its first run (at
+// least a minute, at most the first run's five), so a seed that crashes
+// a package and then hangs it does not hold the re-run for the full
+// timeout. A timeout is not re-run.
 func (r testRun) reruns() [][]string {
 	var out [][]string
 	if len(r.tests) > 0 {
 		out = append(out, append([]string{"test", "-count=1", "-timeout", "5m", "-run", "^(" + strings.Join(r.tests, "|") + ")$"}, r.pkgs...))
 	}
-	if len(r.crashed) > 0 {
-		out = append(out, append([]string{"test", "-count=1", "-timeout", "5m", "-skip", notTaqvet}, r.crashed...))
+	for _, pkg := range r.crashed {
+		limit := min(5*time.Minute, max(time.Minute, 10*r.took[pkg]))
+		out = append(out, []string{"test", "-count=1", "-timeout", limit.String(), "-skip", notTaqvet, pkg})
 	}
 	return out
 }
@@ -483,16 +501,22 @@ func (r testRun) reruns() [][]string {
 // and the re-run of its failures: a test that failed twice (want, if it
 // is one of them, else the least name, as go test prints packages in
 // completion order) wins, then a package that crashed twice ("crash
-// <import path>"), then a timeout of the first run; "" means the tests
-// caught nothing.
+// <import path>"; a crashed package whose re-run times out counts),
+// then a timeout of the first run; "" means the tests caught nothing.
 func testVerdict(first, again testRun, want string) string {
+	crashed := slices.Clone(again.crashed)
+	for _, pkg := range again.timedOut {
+		if slices.Contains(first.crashed, pkg) {
+			crashed = append(crashed, pkg)
+		}
+	}
 	switch {
 	case slices.Contains(again.tests, strings.TrimPrefix(want, "test ")):
 		return want
 	case len(again.tests) > 0:
 		return "test " + slices.Min(again.tests)
-	case len(again.crashed) > 0:
-		return "crash " + slices.Min(again.crashed)
+	case len(crashed) > 0:
+		return "crash " + slices.Min(crashed)
 	case len(first.timedOut) > 0:
 		return "timeout"
 	}
@@ -528,6 +552,9 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string
 		t.Log("tier-1 tests skipped: the seed makes them hang")
 	} else if out, ok := goTool("test", "-timeout", "5m", "-skip", notTaqvet, "./..."); !ok {
 		first := parseGoTest(out)
+		if len(first.timedOut) > 0 {
+			t.Logf("go test hit -timeout in %v", first.timedOut)
+		}
 		var again string
 		for _, args := range first.reruns() {
 			o, _ := goTool(args...)
@@ -553,8 +580,9 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string
 
 // TestGoTestVerdict pins how firstCatcher reads canned go test output:
 // a named failure elsewhere outranks a timeout, a binary that crashes
-// naming no test is reported by package and re-run whole, and a failure
-// that passes its re-run is a flake.
+// naming no test is reported by package and re-run whole under a bound
+// taken from its first run, a crash whose re-run times out crashed
+// twice, and a failure that passes its re-run is a flake.
 func TestGoTestVerdict(t *testing.T) {
 	const (
 		timeout = "ok  \ttaq/internal/sim\t0.1s\n" +
@@ -567,14 +595,19 @@ func TestGoTestVerdict(t *testing.T) {
 		crash = "panic: runtime error: index out of range [5] with length 3\n\n" +
 			"goroutine 42 [running]:\ntaq/internal/core.(*tracker).scan(0xc000100000)\n" +
 			"FAIL\ttaq/internal/core\t0.210s\n"
+		slowCrash = "panic: close of closed channel\n\ngoroutine 9 [running]:\n" +
+			"FAIL\ttaq\t12.500s\n"
+		rerunHangs = "panic: test timed out after 2m5s\n\trunning tests:\n\t\tTestDeterministicReplay (2m5s)\n\n" +
+			"goroutine 7 [running]:\ntesting.(*M).startAlarm.func1()\n" +
+			"FAIL\ttaq\t125.010s\n"
 		flaky = "--- FAIL: TestEngineLateness (1.02s)\n    engine_test.go:50: late by 12ms\n" +
 			"FAIL\nFAIL\ttaq/internal/emu\t2.104s\nok  \ttaq/internal/core\t1.0s\n"
 	)
 	rerunTests := func(pattern string, pkgs ...string) []string {
 		return append([]string{"test", "-count=1", "-timeout", "5m", "-run", pattern}, pkgs...)
 	}
-	rerunPkgs := func(pkgs ...string) []string {
-		return append([]string{"test", "-count=1", "-timeout", "5m", "-skip", notTaqvet}, pkgs...)
+	rerunPkg := func(timeout, pkg string) []string {
+		return []string{"test", "-count=1", "-timeout", timeout, "-skip", notTaqvet, pkg}
 	}
 	for _, c := range []struct {
 		name, first, again, want string
@@ -594,8 +627,11 @@ func TestGoTestVerdict(t *testing.T) {
 			reruns:  [][]string{rerunTests("^(TestHotpathRootsZeroAlloc|TestEngineLateness)$", "taq", "taq/internal/emu")},
 			verdict: "test TestEngineLateness"},
 		{name: "crash only", first: crash + "FAIL\n", again: crash,
-			reruns:  [][]string{rerunPkgs("taq/internal/core")},
+			reruns:  [][]string{rerunPkg("1m0s", "taq/internal/core")},
 			verdict: "crash taq/internal/core"},
+		{name: "crash whose re-run times out", first: crash + slowCrash + "FAIL\n", again: rerunHangs + "ok  \ttaq/internal/core\t1.0s\n",
+			reruns:  [][]string{rerunPkg("1m0s", "taq/internal/core"), rerunPkg("2m5s", "taq")},
+			verdict: "crash taq"},
 		{name: "flake passes its re-run", first: flaky + "FAIL\n", again: "ok  \ttaq/internal/emu\t1.9s\n",
 			reruns:  [][]string{rerunTests("^(TestEngineLateness)$", "taq/internal/emu")},
 			verdict: ""},

@@ -235,7 +235,7 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 				if now%(250*sim.Millisecond) == 0 {
 					checkTrackerEquivalence(t, q.tracker, eng.Now())
 					for c := ClassNewFlow; int(c) < numClasses; c++ {
-						checkVictimHandles(t, &q.q.fifos[c], q.tracker)
+						checkVictimHandles(t, &q.q[c], q.tracker)
 					}
 					// A record derives its pool from the entry it pins:
 					// that must be the pool its packets carry.

@@ -31,7 +31,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 		tr := newTracker(eng, cfg, &Stats{})
 
 		seqs := map[packet.FlowID]int{} // next fresh sequence per flow
-		var queued classFIFO
+		queued := victimFIFO()
 
 		for _, b := range data {
 			op := int(b >> 4)
@@ -48,7 +48,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 				p := &packet.Packet{Flow: flow, Kind: packet.Data, Seq: seqs[flow], Size: 500}
 				seqs[flow]++
 				rec, _ := tr.observe(p)
-				queued.Push(p, rec.slot)
+				queued.Push(p, rec.slot, 0)
 				tr.observeForwarded(p)
 			case 2: // retransmission of the oldest segment
 				p := &packet.Packet{Flow: flow, Kind: packet.Data, Seq: 0, Size: 500, Retransmit: true}
@@ -99,7 +99,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 			// Every incremental aggregate must match a from-scratch walk
 			// of the flow table, no matter the observation order.
 			checkTrackerEquivalence(t, tr, eng.Now())
-			checkVictimHandles(t, &queued, tr)
+			checkVictimHandles(t, queued, tr)
 		}
 	})
 }

@@ -65,157 +65,31 @@ func labelColumn(table []enumLabel) []string {
 	return out
 }
 
-// recoveryItem is a queued retransmission with its priority key.
-type recoveryItem struct {
-	pkt *packet.Packet
-	// silence is how long the packet's flow had been silent; longer
-	// silences get strictly higher priority ("any retransmission from
-	// a flow in an extended silence period should be prioritized over
-	// a retransmission from a flow in a silence period", §4.1).
-	silence sim.Time
-	seq     uint64 // FIFO tiebreak
-	index   int
-}
-
-// recoveryQueue is a concrete binary max-heap on silence length. Items
-// never escape the queue (push takes a packet, pops return the packet),
-// so fired items are recycled through a free list: steady-state
-// retransmission traffic allocates no recoveryItems at all, which is
-// the dominant allocation in the TAQ enqueue path.
-//
-//taq:shardowned queue state belongs to the shard draining the link
-type recoveryQueue struct {
-	items []*recoveryItem
-	free  []*recoveryItem
-	bytes int
-	seq   uint64
-}
-
-func (q *recoveryQueue) Len() int { return len(q.items) }
-
-// before orders the heap: longest silence first, FIFO tiebreak.
-func (q *recoveryQueue) before(a, b *recoveryItem) bool {
-	if a.silence != b.silence {
-		return a.silence > b.silence
-	}
-	return a.seq < b.seq
-}
-
-func (q *recoveryQueue) siftUp(i int) {
-	it := q.items[i]
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := q.items[parent]
-		if !q.before(it, p) {
-			break
-		}
-		q.items[i] = p
-		p.index = i
-		i = parent
-	}
-	q.items[i] = it
-	it.index = i
-}
-
-func (q *recoveryQueue) siftDown(i int) {
-	it := q.items[i]
-	n := len(q.items)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && q.before(q.items[c+1], q.items[c]) {
-			c++
-		}
-		if !q.before(q.items[c], it) {
-			break
-		}
-		q.items[i] = q.items[c]
-		q.items[i].index = i
-		i = c
-	}
-	q.items[i] = it
-	it.index = i
-}
-
-func (q *recoveryQueue) push(p *packet.Packet, silence sim.Time) {
-	var it *recoveryItem
-	if n := len(q.free); n > 0 {
-		it = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		it = &recoveryItem{} //taq:allow noalloc free-list refill; steady state recycles via removeAt
-	}
-	it.pkt, it.silence, it.seq = p, silence, q.seq
-	q.seq++
-	it.index = len(q.items)
-	q.items = append(q.items, it) //taq:allow noalloc amortized heap growth; capacity retained for the queue's lifetime
-	q.siftUp(it.index)
-	q.bytes += p.Size
-}
-
-// removeAt unlinks the item at heap index i and recycles it, returning
-// its packet.
-func (q *recoveryQueue) removeAt(i int) *packet.Packet {
-	it := q.items[i]
-	last := len(q.items) - 1
-	if i != last {
-		q.items[i] = q.items[last]
-		q.items[i].index = i
-	}
-	q.items[last] = nil
-	q.items = q.items[:last]
-	if i < last {
-		q.siftDown(i)
-		q.siftUp(i)
-	}
-	p := it.pkt
-	q.bytes -= p.Size
-	it.pkt = nil
-	it.index = -1
-	q.free = append(q.free, it) //taq:allow noalloc free-list capacity mirrors q.items; amortized
-	return p
-}
-
-// popBest removes the highest-priority (longest-silence) packet.
-func (q *recoveryQueue) popBest() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.removeAt(0)
-}
-
-// popWorst removes the lowest-priority (shortest-silence) packet — the
-// victim when the recovery queue itself must shed load.
-func (q *recoveryQueue) popWorst() *packet.Packet {
-	if len(q.items) == 0 {
-		return nil
-	}
-	worst := 0
-	for i := 1; i < len(q.items); i++ {
-		a, b := q.items[i], q.items[worst]
-		if a.silence < b.silence || (a.silence == b.silence && a.seq > b.seq) {
-			worst = i
-		}
-	}
-	return q.removeAt(worst)
-}
-
-// classFIFO is a FIFO that additionally tracks per-flow occupancy so
-// the drop policy can pick its victim from the flow holding the most
-// buffer — the "fine-grained control of packet drops across competing
+// classFIFO is one of TAQ's class queues: a FIFO in which a packet
+// pushed with a key files behind every queued packet whose key is at
+// least its own. Recovery keys its retransmissions by flow silence, so
+// the longest silence is served first and equal silences in arrival
+// order (§4.1: "any retransmission from a flow in an extended silence
+// period should be prioritized over a retransmission from a flow in a
+// silence period"); the other four classes push key 0 and stay strictly
+// FIFO (§4.2: "within each queue, we use a simple FIFO policy"). The
+// four classes evict searches by flow also count each flow's queued
+// packets, so the drop policy can pick its victim from the flow holding
+// the most buffer — the "fine-grained control of packet drops across competing
 // TCP flows" that gives TAQ its Fair-Queuing-like fairness (§3.2).
-// Service order stays strictly FIFO (§4.2: "within each queue, we use
-// a simple FIFO policy").
 //
 //taq:shardowned queue state belongs to the shard draining the link
 type classFIFO struct {
-	items []*packet.Packet
+	items []item
 	head  int
 	bytes int
-	occ   map[packet.FlowID]occEntry
+	occ   map[packet.FlowID]occEntry // nil: no per-flow occupancy kept
+}
+
+// item is a packet in a class queue and the key it was filed by.
+type item struct {
+	pkt *packet.Packet
+	key sim.Time
 }
 
 // occEntry is one queued flow's occupancy and a handle on its tracker
@@ -232,16 +106,19 @@ func (f *classFIFO) Len() int { return len(f.items) - f.head }
 // Bytes returns the queued byte total.
 func (f *classFIFO) Bytes() int { return f.bytes }
 
-// Push appends p at the tail; slot is the tracker record slot of p's
-// flow (any value when no tracker scores the victims).
-func (f *classFIFO) Push(p *packet.Packet, slot int32) {
-	if f.occ == nil {
-		f.occ = make(map[packet.FlowID]occEntry) //taq:allow noalloc lazy one-time init per class queue
+// Push files p behind every queued packet whose key is at least key;
+// slot is the tracker record slot of p's flow (any value when no
+// tracker scores the victims).
+func (f *classFIFO) Push(p *packet.Packet, slot int32, key sim.Time) {
+	f.items = append(f.items, item{p, key}) //taq:allow noalloc amortized ring growth; Pop compacts in place
+	for i := len(f.items) - 1; i > f.head && f.items[i-1].key < key; i-- {
+		f.items[i], f.items[i-1] = f.items[i-1], f.items[i]
 	}
-	f.items = append(f.items, p) //taq:allow noalloc amortized ring growth; Pop compacts in place
 	f.bytes += p.Size
-	e := f.occ[p.Flow]                               //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
-	f.occ[p.Flow] = occEntry{n: e.n + 1, slot: slot} //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	if f.occ != nil {
+		e := f.occ[p.Flow]                               //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+		f.occ[p.Flow] = occEntry{n: e.n + 1, slot: slot} //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
+	}
 }
 
 // Pop removes and returns the head packet, or nil.
@@ -249,8 +126,8 @@ func (f *classFIFO) Pop() *packet.Packet {
 	if f.Len() == 0 {
 		return nil
 	}
-	p := f.items[f.head]
-	f.items[f.head] = nil
+	p := f.items[f.head].pkt
+	f.items[f.head] = item{}
 	f.head++
 	f.remove(p)
 	if f.head > 64 && f.head*2 >= len(f.items) {
@@ -262,6 +139,9 @@ func (f *classFIFO) Pop() *packet.Packet {
 
 func (f *classFIFO) remove(p *packet.Packet) {
 	f.bytes -= p.Size
+	if f.occ == nil {
+		return
+	}
 	if e := f.occ[p.Flow]; e.n <= 1 { //taq:allow noalloc per-flow occupancy; ROADMAP item 2 flattens it
 		delete(f.occ, p.Flow)
 	} else {
@@ -295,14 +175,14 @@ func (f *classFIFO) BestVictim(score func(packet.FlowID, int32) float64) (flow p
 	return
 }
 
-// PopFlow removes and returns the newest queued packet of the given
-// flow, or nil if the flow has nothing queued.
+// PopFlow removes and returns the given flow's packet nearest the tail
+// (its newest, where every key is 0), or nil if the flow has nothing
+// queued.
 func (f *classFIFO) PopFlow(flow packet.FlowID) *packet.Packet {
 	for i := len(f.items) - 1; i >= f.head; i-- {
-		if f.items[i] != nil && f.items[i].Flow == flow {
-			p := f.items[i]
+		if p := f.items[i].pkt; p.Flow == flow {
 			copy(f.items[i:], f.items[i+1:])
-			f.items[len(f.items)-1] = nil
+			f.items[len(f.items)-1] = item{}
 			f.items = f.items[:len(f.items)-1]
 			f.remove(p)
 			return p
@@ -311,46 +191,37 @@ func (f *classFIFO) PopFlow(flow packet.FlowID) *packet.Packet {
 	return nil
 }
 
-// PopNewest removes and returns the most recently pushed packet
-// (plain tail drop), used by the occupancy-drop ablation.
+// PopNewest removes and returns the tail packet — the newest of those
+// with the smallest key — or nil: plain tail drop where every key is
+// 0, the shortest silence in Recovery.
 func (f *classFIFO) PopNewest() *packet.Packet {
 	if f.Len() == 0 {
 		return nil
 	}
-	p := f.items[len(f.items)-1]
-	f.items[len(f.items)-1] = nil
+	p := f.items[len(f.items)-1].pkt
+	f.items[len(f.items)-1] = item{}
 	f.items = f.items[:len(f.items)-1]
 	f.remove(p)
 	return p
 }
 
-// classQueues bundles TAQ's five queues.
+// classQueues holds TAQ's five queues, indexed by Class.
 //
 //taq:shardowned queue state belongs to the shard draining the link
-type classQueues struct {
-	recovery recoveryQueue
-	fifos    [numClasses]classFIFO // index 0 unused (recovery is the heap)
-}
-
-func (cq *classQueues) lenOf(c Class) int {
-	if c == ClassRecovery {
-		return cq.recovery.Len()
-	}
-	return cq.fifos[c].Len()
-}
+type classQueues [numClasses]classFIFO
 
 func (cq *classQueues) totalLen() int {
-	n := cq.recovery.Len()
-	for c := 1; c < numClasses; c++ {
-		n += cq.fifos[c].Len()
+	n := 0
+	for c := range cq {
+		n += cq[c].Len()
 	}
 	return n
 }
 
 func (cq *classQueues) totalBytes() int {
-	b := cq.recovery.bytes
-	for c := 1; c < numClasses; c++ {
-		b += cq.fifos[c].Bytes()
+	b := 0
+	for c := range cq {
+		b += cq[c].Bytes()
 	}
 	return b
 }

@@ -80,7 +80,7 @@ func TestRecoveryShareCapIsWindowed(t *testing.T) {
 
 	// A long recovery-free history: 1000 below-fair services.
 	for i := 0; i < 1000; i++ {
-		q.q.fifos[ClassBelowFair].Push(dataPkt(2, i), idxEmpty)
+		q.q[ClassBelowFair].Push(dataPkt(2, i), idxEmpty, 0)
 	}
 	for q.Dequeue() != nil {
 	}
@@ -89,8 +89,8 @@ func TestRecoveryShareCapIsWindowed(t *testing.T) {
 
 	// A late recovery burst competes with fresh below-fair traffic.
 	for i := 0; i < 100; i++ {
-		q.q.recovery.push(dataPkt(1, i), sim.Second)
-		q.q.fifos[ClassBelowFair].Push(dataPkt(3, i), idxEmpty)
+		q.q[ClassRecovery].Push(dataPkt(1, i), idxEmpty, sim.Second)
+		q.q[ClassBelowFair].Push(dataPkt(3, i), idxEmpty, 0)
 	}
 	recovered := 0
 	for i := 0; i < 100; i++ {

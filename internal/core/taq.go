@@ -77,6 +77,11 @@ func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
 	t.winOpened = run.Now()
 	t.fairShare = float64(cfg.Rate)
 	t.victimScoreFn = t.victimScore
+	// Occupancy picks victims in the four classes evict searches by
+	// flow; Recovery sheds by silence alone and keeps no table.
+	for c := ClassNewFlow; int(c) < numClasses; c++ {
+		t.q[c].occ = make(map[packet.FlowID]occEntry)
+	}
 	return t
 }
 
@@ -309,25 +314,24 @@ func (t *TAQ) Enqueue(p *packet.Packet) {
 		t.rec.ClassChange(t.run.Now(), p, f.lastClass, int8(class))
 	}
 	f.lastClass = int8(class)
+	q := &t.q[class]
 	switch class {
 	case ClassRecovery:
-		silence := f.lastSilence
-		t.q.recovery.push(p, silence)
-		if t.q.recovery.Len() > t.cfg.RecoveryCap {
-			if victim := t.q.recovery.popWorst(); victim != nil {
-				t.dropPacket(victim, ClassRecovery, true)
-			}
+		// Keyed by silence: past the cap the shortest silence goes.
+		q.Push(p, f.slot, f.lastSilence)
+		if q.Len() > t.cfg.RecoveryCap {
+			t.dropPacket(q.PopNewest(), ClassRecovery, true)
 		}
 	case ClassNewFlow:
-		if t.q.fifos[ClassNewFlow].Len() >= t.cfg.NewFlowCap {
+		if q.Len() >= t.cfg.NewFlowCap {
 			// The NewFlow cap curtails the admission rate of new
 			// connections even without explicit admission control.
 			t.dropPacket(p, ClassNewFlow, false)
 			return
 		}
-		t.q.fifos[ClassNewFlow].Push(p, f.slot)
+		fallthrough
 	default:
-		t.q.fifos[class].Push(p, f.slot)
+		q.Push(p, f.slot, 0)
 	}
 
 	// Enforce the global buffer budget by evicting from the least
@@ -352,44 +356,38 @@ var level2 = [...]Class{ClassNewFlow, ClassOverPenalized, ClassBelowFair}
 // Recovery packets are shed only as a last resort (shortest silence
 // first).
 func (t *TAQ) evict() (*packet.Packet, Class) {
-	if t.cfg.NoOccupancyDrops {
-		// Ablation: plain within-class tail drop.
-		for _, c := range [...]Class{ClassAboveFair, ClassBelowFair, ClassNewFlow, ClassOverPenalized} {
-			if t.q.fifos[c].Len() > 0 {
-				return t.q.fifos[c].PopNewest(), c
+	if !t.cfg.NoOccupancyDrops {
+		score := t.victimScoreFn
+		if t.q[ClassAboveFair].Len() > 0 {
+			fl, _, _, _ := t.q[ClassAboveFair].BestVictim(score)
+			return t.q[ClassAboveFair].PopFlow(fl), ClassAboveFair
+		}
+		var (
+			bestClass Class
+			bestFlow  packet.FlowID
+			bestOcc   int
+			bestScore float64
+			found     bool
+		)
+		for _, c := range [...]Class{ClassBelowFair, ClassOverPenalized, ClassNewFlow} {
+			fl, occ, s, ok := t.q[c].BestVictim(score)
+			if !ok {
+				continue
+			}
+			if !found || occ > bestOcc || (occ == bestOcc && s > bestScore) {
+				bestClass, bestFlow, bestOcc, bestScore, found = c, fl, occ, s, true
 			}
 		}
-		if t.q.recovery.Len() > 0 {
-			return t.q.recovery.popWorst(), ClassRecovery
-		}
-		return nil, ClassAboveFair
-	}
-	score := t.victimScoreFn
-	if t.q.fifos[ClassAboveFair].Len() > 0 {
-		fl, _, _, _ := t.q.fifos[ClassAboveFair].BestVictim(score)
-		return t.q.fifos[ClassAboveFair].PopFlow(fl), ClassAboveFair
-	}
-	var (
-		bestClass Class
-		bestFlow  packet.FlowID
-		bestOcc   int
-		bestScore float64
-		found     bool
-	)
-	for _, c := range [...]Class{ClassBelowFair, ClassOverPenalized, ClassNewFlow} {
-		fl, occ, s, ok := t.q.fifos[c].BestVictim(score)
-		if !ok {
-			continue
-		}
-		if !found || occ > bestOcc || (occ == bestOcc && s > bestScore) {
-			bestClass, bestFlow, bestOcc, bestScore, found = c, fl, occ, s, true
+		if found {
+			return t.q[bestClass].PopFlow(bestFlow), bestClass
 		}
 	}
-	if found {
-		return t.q.fifos[bestClass].PopFlow(bestFlow), bestClass
-	}
-	if t.q.recovery.Len() > 0 {
-		return t.q.recovery.popWorst(), ClassRecovery
+	// Plain within-class tail drop: the occupancy-drop ablation, and
+	// the last resort once only Recovery holds packets.
+	for _, c := range [...]Class{ClassAboveFair, ClassBelowFair, ClassNewFlow, ClassOverPenalized, ClassRecovery} {
+		if t.q[c].Len() > 0 {
+			return t.q[c].PopNewest(), c
+		}
 	}
 	return nil, ClassAboveFair
 }
@@ -456,29 +454,28 @@ func (t *TAQ) recordDrop(p *packet.Packet, class Class, rtx bool) {
 func (t *TAQ) Dequeue() *packet.Packet {
 	// Level 1: Recovery — strict priority, but rate-capped so
 	// retransmissions cannot monopolize the link.
-	if t.q.recovery.Len() > 0 &&
+	if t.q[ClassRecovery].Len() > 0 &&
 		float64(t.winServedRec+t.prevServedRec) <
 			t.cfg.RecoveryShare*float64(t.winServed+t.prevServed+1) {
-		return t.serve(t.q.recovery.popBest(), ClassRecovery)
+		return t.serve(t.q[ClassRecovery].Pop(), ClassRecovery)
 	}
 	// Level 2: NewFlow, OverPenalized, BelowFairShare at equal
 	// priority, served round-robin so none starves (the NewFlow queue
 	// is already capacity-limited at enqueue).
 	for i := 0; i < len(level2); i++ {
 		c := level2[(t.rrCursor+i)%len(level2)]
-		if t.q.fifos[c].Len() > 0 {
+		if t.q[c].Len() > 0 {
 			t.rrCursor = (t.rrCursor + i + 1) % len(level2)
-			return t.serve(t.q.fifos[c].Pop(), c)
+			return t.serve(t.q[c].Pop(), c)
 		}
 	}
-	// Level 3: AboveFairShare.
-	if t.q.fifos[ClassAboveFair].Len() > 0 {
-		return t.serve(t.q.fifos[ClassAboveFair].Pop(), ClassAboveFair)
-	}
-	// Work conservation: if only recovery packets remain, serve them
-	// even past the share cap rather than idling the link.
-	if t.q.recovery.Len() > 0 {
-		return t.serve(t.q.recovery.popBest(), ClassRecovery)
+	// Level 3: AboveFairShare. Then work conservation: if only
+	// recovery packets remain, serve them even past the share cap
+	// rather than idling the link.
+	for _, c := range [...]Class{ClassAboveFair, ClassRecovery} {
+		if t.q[c].Len() > 0 {
+			return t.serve(t.q[c].Pop(), c)
+		}
 	}
 	return nil
 }
@@ -523,7 +520,7 @@ func (t *TAQ) Len() int { return t.q.totalLen() }
 func (t *TAQ) Bytes() int { return t.q.totalBytes() }
 
 // QueueLen returns the length of one class queue (instrumentation).
-func (t *TAQ) QueueLen(c Class) int { return t.q.lenOf(c) }
+func (t *TAQ) QueueLen(c Class) int { return t.q[c].Len() }
 
 var _ queue.Discipline = (*TAQ)(nil)
 

@@ -297,45 +297,14 @@ func TestFlowExpiry(t *testing.T) {
 	}
 }
 
-func TestRecoveryQueuePriorityBySilence(t *testing.T) {
-	var rq recoveryQueue
-	rq.push(dataPkt(1, 0), 1*sim.Second)
-	rq.push(dataPkt(2, 0), 5*sim.Second)
-	rq.push(dataPkt(3, 0), 2*sim.Second)
-	if p := rq.popBest(); p.Flow != 2 {
-		t.Errorf("best = flow %d, want 2 (longest silence)", p.Flow)
-	}
-	if p := rq.popWorst(); p.Flow != 1 {
-		t.Errorf("worst = flow %d, want 1 (shortest silence)", p.Flow)
-	}
-	if p := rq.popBest(); p.Flow != 3 {
-		t.Errorf("remaining = flow %d, want 3", p.Flow)
-	}
-	if rq.popBest() != nil || rq.popWorst() != nil {
-		t.Error("empty recovery queue should return nil")
-	}
-}
-
-func TestRecoveryQueueFIFOWithinEqualSilence(t *testing.T) {
-	var rq recoveryQueue
-	for i := 0; i < 5; i++ {
-		rq.push(dataPkt(packet.FlowID(i), 0), sim.Second)
-	}
-	for i := 0; i < 5; i++ {
-		if p := rq.popBest(); p.Flow != packet.FlowID(i) {
-			t.Fatalf("pop %d = flow %d, want FIFO", i, p.Flow)
-		}
-	}
-}
-
 func TestSchedulerLevelOrdering(t *testing.T) {
 	e, q := newTestTAQ(50)
 	_ = e
 	// Manually place packets in different classes via the internal
 	// queues to verify strict level ordering.
-	q.q.fifos[ClassAboveFair].Push(dataPkt(10, 0), idxEmpty)
-	q.q.fifos[ClassBelowFair].Push(dataPkt(11, 0), idxEmpty)
-	q.q.recovery.push(dataPkt(12, 0), sim.Second)
+	q.q[ClassAboveFair].Push(dataPkt(10, 0), idxEmpty, 0)
+	q.q[ClassBelowFair].Push(dataPkt(11, 0), idxEmpty, 0)
+	q.q[ClassRecovery].Push(dataPkt(12, 0), idxEmpty, sim.Second)
 	// Level 1 first.
 	if p := q.Dequeue(); p.Flow != 12 {
 		t.Errorf("first dequeue flow %d, want 12 (recovery)", p.Flow)
@@ -362,8 +331,8 @@ func TestRecoveryShareCap(t *testing.T) {
 	q := newTestShard(e, cfg)
 	// 100 recovery + 100 below-fair packets queued.
 	for i := 0; i < 100; i++ {
-		q.q.recovery.push(dataPkt(1, i), sim.Second)
-		q.q.fifos[ClassBelowFair].Push(dataPkt(2, i), idxEmpty)
+		q.q[ClassRecovery].Push(dataPkt(1, i), idxEmpty, sim.Second)
+		q.q[ClassBelowFair].Push(dataPkt(2, i), idxEmpty, 0)
 	}
 	recovered := 0
 	for i := 0; i < 100; i++ {
@@ -395,9 +364,9 @@ func TestBufferEvictionOrder(t *testing.T) {
 	// Fill with two below-fair packets (flows are unknown: they
 	// classify via tracker as new flows → NewFlow queue; so drive
 	// classification through the internal queues directly).
-	q.q.fifos[ClassBelowFair].Push(dataPkt(1, 0), idxEmpty)
-	q.q.fifos[ClassAboveFair].Push(dataPkt(2, 0), idxEmpty)
-	q.q.recovery.push(dataPkt(3, 0), sim.Second)
+	q.q[ClassBelowFair].Push(dataPkt(1, 0), idxEmpty, 0)
+	q.q[ClassAboveFair].Push(dataPkt(2, 0), idxEmpty, 0)
+	q.q[ClassRecovery].Push(dataPkt(3, 0), idxEmpty, sim.Second)
 	// Budget exceeded on next enqueue: eviction removes the AboveFair
 	// packet first, then BelowFair, bringing the total back to the
 	// capacity; the recovery packet survives.
