@@ -144,6 +144,31 @@ func TestClassFIFOConservationProperty(t *testing.T) {
 	}
 }
 
+// Property: the Recovery queue always pops in non-increasing silence
+// order, regardless of push order, and empties to zero bytes.
+func TestRecoveryQueueOrderProperty(t *testing.T) {
+	f := func(silences []uint16) bool {
+		var rq classFIFO
+		for i, s := range silences {
+			rq.Push(dataPkt(packet.FlowID(i), i), idxEmpty, sim.Time(s)*sim.Millisecond)
+		}
+		prev := sim.Time(1 << 62)
+		for rq.Len() > 0 {
+			p := rq.Pop()
+			// The packet's seq indexes its silence in the input.
+			s := sim.Time(silences[p.Seq]) * sim.Millisecond
+			if s > prev {
+				return false
+			}
+			prev = s
+		}
+		return rq.Bytes() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(10))}); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestClassFIFOMatchesSortedReference drives a keyed class queue and a
 // reference — a slice kept stable-sorted by descending key — through
 // the same random mix of Push, Pop, PopNewest and PopFlow, with keys

@@ -297,6 +297,40 @@ func TestFlowExpiry(t *testing.T) {
 	}
 }
 
+// The Recovery queue is a classFIFO keyed by flow silence and keeping
+// no per-flow occupancy, as the shard builds it.
+
+func TestRecoveryQueuePriorityBySilence(t *testing.T) {
+	var rq classFIFO
+	rq.Push(dataPkt(1, 0), idxEmpty, 1*sim.Second)
+	rq.Push(dataPkt(2, 0), idxEmpty, 5*sim.Second)
+	rq.Push(dataPkt(3, 0), idxEmpty, 2*sim.Second)
+	if p := rq.Pop(); p.Flow != 2 {
+		t.Errorf("best = flow %d, want 2 (longest silence)", p.Flow)
+	}
+	if p := rq.PopNewest(); p.Flow != 1 {
+		t.Errorf("worst = flow %d, want 1 (shortest silence)", p.Flow)
+	}
+	if p := rq.Pop(); p.Flow != 3 {
+		t.Errorf("remaining = flow %d, want 3", p.Flow)
+	}
+	if rq.Pop() != nil || rq.PopNewest() != nil {
+		t.Error("empty recovery queue should return nil")
+	}
+}
+
+func TestRecoveryQueueFIFOWithinEqualSilence(t *testing.T) {
+	var rq classFIFO
+	for i := 0; i < 5; i++ {
+		rq.Push(dataPkt(packet.FlowID(i), 0), idxEmpty, sim.Second)
+	}
+	for i := 0; i < 5; i++ {
+		if p := rq.Pop(); p.Flow != packet.FlowID(i) {
+			t.Fatalf("pop %d = flow %d, want FIFO", i, p.Flow)
+		}
+	}
+}
+
 func TestSchedulerLevelOrdering(t *testing.T) {
 	e, q := newTestTAQ(50)
 	_ = e
