@@ -55,9 +55,10 @@ var importTime = []string{"import (\n", "import (\n\t\"time\"\n"}
 var wholeModule = []string{"./..."}
 
 var mutations = []mutation{
-	// wallclock: a host-clock read on the path of every packet, one on
-	// the SYN-retry branch, and the process-global rand source in RED's
-	// gentle region. None changes a result any test pins.
+	// wallclock: a host-clock read on the path of every packet and one on
+	// the SYN-retry branch, which change no result any test pins, and the
+	// process-global rand source in RED's early-drop draw, which moves
+	// the RED rows of the suite baseline before taqvet sees it.
 	{name: "wallclock.enqueue", file: "internal/core/taq.go",
 		edits: append([]string{"\tt.Stats.Arrivals++\n", "\tt.Stats.Arrivals++\n\t_ = time.Now()\n"}, importTime...),
 		fires: []string{"noblock", "wallclock"}, first: "wallclock"},
@@ -65,8 +66,8 @@ var mutations = []mutation{
 		edits: append([]string{"\ts.synRetries++\n", "\ts.synRetries++\n\t_ = time.Now()\n"}, importTime...),
 		fires: []string{"wallclock"}, first: "wallclock"},
 	{name: "wallclock.globalRand", file: "internal/queue/red.go",
-		edits: []string{"if q.rng.Float64() < pb {", "if rand.Float64() < pb {"},
-		fires: []string{"wallclock"}, first: "wallclock"},
+		edits: []string{"if q.rng.Float64() < pa {", "if rand.Float64() < pa {"},
+		fires: []string{"wallclock"}, first: "test TestSuiteMatchesBaseline"},
 
 	// maprange: a count kept in a float over the map of user pools (the
 	// seed first summed Goodput over the network's map of live flows,
@@ -100,8 +101,9 @@ var mutations = []mutation{
 
 	// timerown (deleted): Cancel through a handle Reschedule took over
 	// breaks every TCP run when it is the RTO timer and the SYN tests
-	// when it is the SYN timer; a delayed-ack timer whose new handle is
-	// dropped stays pending after the held ack goes out.
+	// when it is the SYN timer; a TFRC no-feedback timer whose new handle
+	// is dropped stays pending after Stop (the row keeps its name from the
+	// delayed-ack timer it first seeded, deleted with delayed acks).
 	{name: "timerown.armRTO", file: "internal/tcp/sender.go",
 		edits: []string{"\ts.rtoTimer = s.run.Reschedule(s.rtoTimer, s.effectiveRTO(), s.rtoFn)\n",
 			"\told := s.rtoTimer\n\ts.rtoTimer = s.run.Reschedule(old, s.effectiveRTO(), s.rtoFn)\n\told.Cancel()\n"},
@@ -110,20 +112,21 @@ var mutations = []mutation{
 		edits: []string{"\ts.synTimer = s.run.Reschedule(s.synTimer, timeout, s.synTimeoutFn)\n",
 			"\told := s.synTimer\n\ts.synTimer = s.run.Reschedule(old, timeout, s.synTimeoutFn)\n\tif rexmit {\n\t\told.Cancel()\n\t}\n"},
 		first: "test TestSynRetry"},
-	{name: "timerown.delTimer", file: "internal/tcp/receiver.go",
-		edits: []string{"r.delTimer = r.run.Reschedule(r.delTimer, timeout, r.delAckFn)", "r.run.Reschedule(r.delTimer, timeout, r.delAckFn)"},
+	{name: "timerown.delTimer", file: "internal/tfrc/tfrc.go",
+		edits: []string{"s.nfTimer = s.run.Reschedule(s.nfTimer, s.nfInterval, s.onNoFeedback)", "s.run.Reschedule(s.nfTimer, s.nfInterval, s.onNoFeedback)"},
 		first: "test TestTimerOwnersQuiesce"},
 
 	// simtime: raw float seconds truncated to nanoseconds in TFRC pacing
 	// (the simulation spins at one virtual instant until memory runs out),
-	// and a bare 100 where 100 ms was meant (the delayed-ack test's
-	// default-timeout input and the topology's release test see it).
+	// and a bare 100 where 100 ms was meant in the flight recorder's
+	// default check interval (the row keeps its name from the delayed-ack
+	// timeout it first seeded, deleted with delayed acks).
 	{name: "simtime.pacing", file: "internal/tfrc/tfrc.go", hangs: true,
 		edits: []string{"gap := sim.FromSeconds(float64(s.cfg.MSS) / s.rate)", "gap := sim.Time(float64(s.cfg.MSS) / s.rate)"},
 		fires: []string{"simtime"}, first: "simtime"},
-	{name: "simtime.delack", file: "internal/tcp/receiver.go",
-		edits: []string{"timeout = 100 * sim.Millisecond", "timeout = 100"},
-		fires: []string{"simtime"}, first: "test TestDelayedAckTimerFiresForLoneSegment"},
+	{name: "simtime.delack", file: "internal/obs/flight.go",
+		edits: []string{"interval = sim.Second / 10", "interval = 100"},
+		fires: []string{"simtime"}, first: "simtime"},
 
 	// noalloc: an escaping new() on every packet is also an AllocsPerRun
 	// failure, and so is a copy-compaction two calls below Dequeue that
@@ -353,9 +356,10 @@ func (m mutation) taqvetFires(root string) []string {
 // TestMutations applies every row to a copy of the module and requires
 // taqvet to report exactly what the row records. With TAQ_MUTATION_FULL
 // set it also re-derives each row's first catcher by running go build,
-// go vet and the whole tier-1 suite on the mutated copy — about a minute
-// a row; this is how the first column of the table was filled in
-// (make mutations-full runs it):
+// go vet and the whole tier-1 suite on the mutated copy — once unmutated
+// first, to bound the rows' test runs, then about a minute a row; this
+// is how the first column of the table was filled in (make
+// mutations-full runs it):
 //
 //	TAQ_MUTATION_FULL=1 go test -run TestMutations -timeout 2h -v ./internal/analysis
 func TestMutations(t *testing.T) {
@@ -366,6 +370,10 @@ func TestMutations(t *testing.T) {
 	t.Setenv("GOFLAGS", "-trimpath")
 	root := copyModule(t)
 	full := os.Getenv("TAQ_MUTATION_FULL") != ""
+	var limit time.Duration
+	if full {
+		limit = suiteTimeout(t, root)
+	}
 	for _, m := range mutations {
 		t.Run(m.name, func(t *testing.T) {
 			defer m.apply(t, root)()
@@ -374,7 +382,7 @@ func TestMutations(t *testing.T) {
 				t.Errorf("taqvet reports [%s], the row records [%s]", got, want)
 			}
 			if full {
-				if got := m.firstCatcher(t, root, fires); got != m.first {
+				if got := m.firstCatcher(t, root, fires, limit); got != m.first {
 					t.Errorf("first catcher is %q, the row records %q", got, m.first)
 				}
 			}
@@ -435,7 +443,7 @@ type testRun struct {
 	pkgs     []string // the packages those tests are in
 	crashed  []string // packages that failed naming no test, not by -timeout
 	timedOut []string // packages whose test binary hit -timeout
-	// took is each failed package's run time, from its result line.
+	// took is each package's run time, from its result line.
 	took map[string]time.Duration
 }
 
@@ -450,9 +458,6 @@ func parseGoTest(out string) testRun {
 	for _, loc := range pkgResultRE.FindAllStringSubmatchIndex(out, -1) {
 		seg, verdict, pkg := out[prev:loc[0]], out[loc[2]:loc[3]], out[loc[4]:loc[5]]
 		prev = loc[1]
-		if verdict != "FAIL" {
-			continue
-		}
 		if loc[6] >= 0 {
 			if secs, err := strconv.ParseFloat(out[loc[6]:loc[7]], 64); err == nil {
 				if r.took == nil {
@@ -460,6 +465,9 @@ func parseGoTest(out string) testRun {
 				}
 				r.took[pkg] = time.Duration(secs * float64(time.Second))
 			}
+		}
+		if verdict != "FAIL" {
+			continue
 		}
 		names := failedTestRE.FindAllStringSubmatch(seg, -1)
 		for _, mm := range names {
@@ -479,22 +487,36 @@ func parseGoTest(out string) testRun {
 	return r
 }
 
-// reruns are the go test invocations that repeat what r saw fail, to
-// discount flakes: the failed tests in their packages, and each crashed
-// package whole, on its own and bounded by ten times its first run (at
-// least a minute, at most the first run's five), so a seed that crashes
-// a package and then hangs it does not hold the re-run for the full
-// timeout. A timeout is not re-run.
-func (r testRun) reruns() [][]string {
+// reruns are the go test invocations that repeat what r, a first run
+// under -timeout limit, saw fail, to discount flakes: the failed tests in
+// their packages under the same limit, and each crashed package whole,
+// on its own and bounded by ten times its first run (at least a minute,
+// at most limit), so a seed that crashes a package and then hangs it
+// does not hold the re-run for the full timeout. A timeout is not
+// re-run.
+func (r testRun) reruns(limit time.Duration) [][]string {
 	var out [][]string
 	if len(r.tests) > 0 {
-		out = append(out, append([]string{"test", "-count=1", "-timeout", "5m", "-run", "^(" + strings.Join(r.tests, "|") + ")$"}, r.pkgs...))
+		out = append(out, append([]string{"test", "-count=1", "-timeout", limit.String(), "-run", "^(" + strings.Join(r.tests, "|") + ")$"}, r.pkgs...))
 	}
 	for _, pkg := range r.crashed {
-		limit := min(5*time.Minute, max(time.Minute, 10*r.took[pkg]))
-		out = append(out, []string{"test", "-count=1", "-timeout", limit.String(), "-skip", notTaqvet, pkg})
+		bound := min(limit, max(time.Minute, 10*r.took[pkg]))
+		out = append(out, []string{"test", "-count=1", "-timeout", bound.String(), "-skip", notTaqvet, pkg})
 	}
 	return out
+}
+
+// firstRunTimeout is the -timeout of the first go test of a mutated
+// copy, and the most any re-run gets, given r, a run of the unmutated
+// suite: three times its slowest package, at least a minute, at most
+// five. A seed that hangs a package then costs little more than the
+// suite takes unmutated.
+func (r testRun) firstRunTimeout() time.Duration {
+	var slowest time.Duration
+	for _, d := range r.took {
+		slowest = max(slowest, d)
+	}
+	return min(5*time.Minute, max(time.Minute, 3*slowest))
 }
 
 // testVerdict names what the tier-1 tests catch, given their first run
@@ -529,11 +551,27 @@ func caughtByTests(first string) bool {
 	return strings.HasPrefix(first, "test Test") || strings.HasPrefix(first, "crash taq")
 }
 
+// suiteTimeout runs the tier-1 suite once on the unmutated copy and
+// returns the -timeout its times allow every row's test runs.
+func suiteTimeout(t *testing.T, root string) time.Duration {
+	t.Helper()
+	cmd := exec.Command("go", "test", "-count=1", "-timeout", "5m", "-skip", notTaqvet, "./...")
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Logf("go test on the unmutated copy failed:\n%s", out)
+	}
+	limit := parseGoTest(string(out)).firstRunTimeout()
+	t.Logf("first go test of each row runs with -timeout %v", limit)
+	return limit
+}
+
 // firstCatcher runs the chain compiler, go vet, tier-1 tests, taqvet on
 // the mutated copy and names the first link that objects. Failing tests
 // and crashed packages are re-run once and only repeat offenders count:
 // a few wall-clock emu tests flake on a loaded machine, seed or no seed.
-func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string {
+// No run of the tests outlasts limit (firstRunTimeout).
+func (m mutation) firstCatcher(t *testing.T, root string, fires []string, limit time.Duration) string {
 	goTool := func(args ...string) (string, bool) {
 		cmd := exec.Command("go", args...)
 		cmd.Dir = root
@@ -550,13 +588,13 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string
 	}
 	if m.hangs {
 		t.Log("tier-1 tests skipped: the seed makes them hang")
-	} else if out, ok := goTool("test", "-timeout", "5m", "-skip", notTaqvet, "./..."); !ok {
+	} else if out, ok := goTool("test", "-timeout", limit.String(), "-skip", notTaqvet, "./..."); !ok {
 		first := parseGoTest(out)
 		if len(first.timedOut) > 0 {
 			t.Logf("go test hit -timeout in %v", first.timedOut)
 		}
 		var again string
-		for _, args := range first.reruns() {
+		for _, args := range first.reruns(limit) {
 			o, _ := goTool(args...)
 			again += o
 		}
@@ -582,7 +620,8 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string) string
 // a named failure elsewhere outranks a timeout, a binary that crashes
 // naming no test is reported by package and re-run whole under a bound
 // taken from its first run, a crash whose re-run times out crashed
-// twice, and a failure that passes its re-run is a flake.
+// twice, a failure that passes its re-run is a flake, and no re-run
+// outlasts the first run's -timeout.
 func TestGoTestVerdict(t *testing.T) {
 	const (
 		timeout = "ok  \ttaq/internal/sim\t0.1s\n" +
@@ -604,13 +643,14 @@ func TestGoTestVerdict(t *testing.T) {
 			"FAIL\nFAIL\ttaq/internal/emu\t2.104s\nok  \ttaq/internal/core\t1.0s\n"
 	)
 	rerunTests := func(pattern string, pkgs ...string) []string {
-		return append([]string{"test", "-count=1", "-timeout", "5m", "-run", pattern}, pkgs...)
+		return append([]string{"test", "-count=1", "-timeout", "5m0s", "-run", pattern}, pkgs...)
 	}
 	rerunPkg := func(timeout, pkg string) []string {
 		return []string{"test", "-count=1", "-timeout", timeout, "-skip", notTaqvet, pkg}
 	}
 	for _, c := range []struct {
 		name, first, again, want string
+		limit                    time.Duration // of the first run; 0 is 5m
 		reruns                   [][]string
 		verdict                  string
 	}{
@@ -635,14 +675,52 @@ func TestGoTestVerdict(t *testing.T) {
 		{name: "flake passes its re-run", first: flaky + "FAIL\n", again: "ok  \ttaq/internal/emu\t1.9s\n",
 			reruns:  [][]string{rerunTests("^(TestEngineLateness)$", "taq/internal/emu")},
 			verdict: ""},
+		{name: "re-runs keep the first run's bound", first: flaky + slowCrash + "FAIL\n", again: flaky,
+			limit: 82500 * time.Millisecond,
+			reruns: [][]string{
+				{"test", "-count=1", "-timeout", "1m22.5s", "-run", "^(TestEngineLateness)$", "taq/internal/emu"},
+				rerunPkg("1m22.5s", "taq")},
+			verdict: "test TestEngineLateness"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			first := parseGoTest(c.first)
-			if got := first.reruns(); !slices.EqualFunc(got, c.reruns, slices.Equal) {
+			limit := c.limit
+			if limit == 0 {
+				limit = 5 * time.Minute
+			}
+			if got := first.reruns(limit); !slices.EqualFunc(got, c.reruns, slices.Equal) {
 				t.Errorf("reruns = %q, want %q", got, c.reruns)
 			}
 			if got := testVerdict(first, parseGoTest(c.again), c.want); got != c.verdict {
 				t.Errorf("verdict = %q, want %q", got, c.verdict)
+			}
+		})
+	}
+}
+
+// TestFirstRunTimeout pins the first run's bound, read from canned output
+// of the unmutated suite: three times the slowest package, whatever its
+// verdict, clamped to between one and five minutes; a cached package
+// prints no time and counts for nothing.
+func TestFirstRunTimeout(t *testing.T) {
+	for _, c := range []struct {
+		name, out string
+		want      time.Duration
+	}{
+		{name: "fast suite", out: "ok  \ttaq/internal/sim\t0.4s\nok  \ttaq/internal/core\t12.0s\n",
+			want: time.Minute},
+		{name: "slowest package", out: "ok  \ttaq/internal/sim\t0.4s\nok  \ttaq/experiments\t27.5s\nok  \ttaq/internal/workload\t21.0s\n",
+			want: 82500 * time.Millisecond},
+		{name: "a failed package counts", out: "--- FAIL: TestEngineLateness (1.02s)\nFAIL\nFAIL\ttaq/internal/emu\t45.0s\nok  \ttaq/internal/core\t1.0s\n",
+			want: 135 * time.Second},
+		{name: "capped", out: "ok  \ttaq/experiments\t150.0s\n",
+			want: 5 * time.Minute},
+		{name: "cached", out: "ok  \ttaq/experiments\t(cached)\nok  \ttaq/internal/sim\t0.4s\n",
+			want: time.Minute},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := parseGoTest(c.out).firstRunTimeout(); got != c.want {
+				t.Errorf("firstRunTimeout = %v, want %v", got, c.want)
 			}
 		})
 	}

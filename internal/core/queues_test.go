@@ -99,8 +99,8 @@ func TestClassFIFOPopFlowMissing(t *testing.T) {
 }
 
 // Property: classFIFO conserves packets and bytes under arbitrary
-// push/pop/victim interleavings, and occupancy counts always match the
-// queue contents.
+// push/pop/victim interleavings and drains to zero. Per-flow occupancy
+// is TestClassFIFOMatchesSortedReference's to check.
 func TestClassFIFOConservationProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		q := victimFIFO()
@@ -128,14 +128,8 @@ func TestClassFIFOConservationProperty(t *testing.T) {
 		if q.Len() != pushed-removed || q.Bytes() != 500*(pushed-removed) {
 			return false
 		}
-		// Drain and recount occupancy consistency.
-		counts := map[packet.FlowID]int{}
-		for {
-			p := q.Pop()
-			if p == nil {
-				break
-			}
-			counts[p.Flow]++
+		// Drain: the counters must come back to zero.
+		for q.Pop() != nil {
 		}
 		return q.Len() == 0 && q.Bytes() == 0
 	}

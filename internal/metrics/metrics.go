@@ -100,33 +100,6 @@ func (c *CDF) Mean() float64 {
 	return s / float64(len(c.vals))
 }
 
-// Points returns up to n evenly spaced (value, cumulative-fraction)
-// pairs suitable for plotting the CDF.
-func (c *CDF) Points(n int) []CDFPoint {
-	if len(c.vals) == 0 || n < 1 {
-		return nil
-	}
-	c.sort()
-	if n > len(c.vals) {
-		n = len(c.vals)
-	}
-	out := make([]CDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.vals) - 1) / max(n-1, 1)
-		out = append(out, CDFPoint{
-			Value:    c.vals[idx],
-			Fraction: float64(idx+1) / float64(len(c.vals)),
-		})
-	}
-	return out
-}
-
-// CDFPoint is one point of a plotted CDF.
-type CDFPoint struct {
-	Value    float64 // sample value (e.g. download time in seconds)
-	Fraction float64 // fraction of samples ≤ Value
-}
-
 // FractionBelow returns the fraction of samples ≤ v.
 func (c *CDF) FractionBelow(v float64) float64 {
 	if len(c.vals) == 0 {

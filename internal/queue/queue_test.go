@@ -289,49 +289,3 @@ func TestSFQEmptyDequeue(t *testing.T) {
 		t.Error("empty SFQ dequeue must be nil")
 	}
 }
-
-func TestSFQPerturbationChangesBuckets(t *testing.T) {
-	q := NewSFQ(1024, 10)
-	b1 := q.bucketOf(42)
-	q.SetPerturbation(0xdeadbeef)
-	b2 := q.bucketOf(42)
-	if b1 == b2 {
-		t.Skip("hash collision under perturbation (unlikely); not an error")
-	}
-}
-
-func TestREDGentleRegionPassesSomePackets(t *testing.T) {
-	e := sim.NewEngine(1)
-	mk := func(gentle bool) (*RED, *int) {
-		q := NewRED(REDConfig{
-			Capacity: 200, MinTh: 5, MaxTh: 20, MaxP: 0.1,
-			Weight: 0.5, MeanPktTime: sim.Millisecond, Gentle: gentle,
-		}, e.Now, e.Rand())
-		drops := new(int)
-		q.AddDropHook(func(*packet.Packet) { *drops++ })
-		return q, drops
-	}
-	// Drive the average into (MaxTh, 2*MaxTh): keep ~30 packets
-	// queued. Strict RED drops every arrival there; gentle RED lets a
-	// fraction through.
-	run := func(q *RED) (accepted int) {
-		for i := 0; i < 500; i++ {
-			before := q.Len()
-			q.Enqueue(pkt(1, i))
-			if q.Len() > before {
-				accepted++
-			}
-			if q.Len() > 30 {
-				q.Dequeue()
-			}
-		}
-		return
-	}
-	strict, _ := mk(false)
-	gentle, _ := mk(true)
-	accStrict := run(strict)
-	accGentle := run(gentle)
-	if accGentle <= accStrict {
-		t.Errorf("gentle accepted %d ≤ strict %d; gentle region not softer", accGentle, accStrict)
-	}
-}

@@ -25,10 +25,6 @@ type REDConfig struct {
 	// the output link, used to decay the average while the queue is
 	// idle. Required (no sensible default exists without link speed).
 	MeanPktTime sim.Time
-	// Gentle enables the "gentle RED" variant: between MaxTh and
-	// 2·MaxTh the drop probability ramps linearly from MaxP to 1
-	// instead of jumping straight to forced drops.
-	Gentle bool
 }
 
 // RED implements Random Early Detection with the count-based
@@ -96,15 +92,6 @@ func (q *RED) Enqueue(p *packet.Packet) {
 		q.count = 0
 		q.Drop(p)
 		return
-	case q.cfg.Gentle && q.avg >= q.cfg.MaxTh && q.avg < 2*q.cfg.MaxTh:
-		// Gentle region: ramp MaxP → 1 over [MaxTh, 2·MaxTh).
-		pb := q.cfg.MaxP + (1-q.cfg.MaxP)*(q.avg-q.cfg.MaxTh)/q.cfg.MaxTh
-		if q.rng.Float64() < pb {
-			q.count = 0
-			q.Drop(p)
-			return
-		}
-		q.count++
 	case q.avg >= q.cfg.MaxTh:
 		q.count = 0
 		q.Drop(p)

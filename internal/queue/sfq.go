@@ -18,8 +18,6 @@ type SFQ struct {
 	bytes    int
 	// rr is the round-robin cursor over buckets.
 	rr int
-	// perturb is mixed into the hash so tests can vary collisions.
-	perturb uint32
 }
 
 // NewSFQ returns an SFQ with nbuckets hash buckets and a total capacity
@@ -34,13 +32,8 @@ func NewSFQ(nbuckets, capacity int) *SFQ {
 	return &SFQ{buckets: make([]FIFO, nbuckets), capacity: capacity}
 }
 
-// SetPerturbation changes the hash perturbation (normally periodic in
-// real deployments; exposed here for tests).
-func (q *SFQ) SetPerturbation(p uint32) { q.perturb = p }
-
 func (q *SFQ) bucketOf(f packet.FlowID) int {
 	h := uint32(f) * 2654435761 // Knuth multiplicative hash
-	h ^= q.perturb
 	h ^= h >> 16
 	return int(h % uint32(len(q.buckets)))
 }

@@ -1,8 +1,8 @@
 package tcp
 
 // App supplies data to a Sender and observes acknowledgment progress.
-// Implementations model bulk transfers, fixed-size downloads, and
-// multi-object (pipelined) web connections.
+// Implementations model bulk transfers and fixed-size downloads; a web
+// object is one SizedApp on a connection of its own.
 type App interface {
 	// Available reports how many segments at and beyond seq are ready
 	// to send right now.
@@ -50,50 +50,3 @@ func (a *SizedApp) Acked(cum int) {
 
 // Done reports whether the transfer completed.
 func (a *SizedApp) Done() bool { return a.done }
-
-// ObjectApp carries a sequence of objects over one connection
-// (HTTP/1.1-style pipelining). Objects are appended with AddObject; the
-// per-object callback fires as each object's last segment is acked.
-// While no object is queued the connection is idle — the paper's dummy
-// "idle silence" state (§3.3).
-type ObjectApp struct {
-	// OnObjectComplete receives the 0-based object index.
-	OnObjectComplete func(idx int)
-	bounds           []int // cumulative segment boundary of each object
-	completed        int
-}
-
-// AddObject queues an object of segs segments and returns its index.
-func (a *ObjectApp) AddObject(segs int) int {
-	if segs < 1 {
-		segs = 1
-	}
-	prev := 0
-	if n := len(a.bounds); n > 0 {
-		prev = a.bounds[n-1]
-	}
-	a.bounds = append(a.bounds, prev+segs)
-	return len(a.bounds) - 1
-}
-
-// Available implements App.
-func (a *ObjectApp) Available(seq int) int {
-	if n := len(a.bounds); n > 0 && seq < a.bounds[n-1] {
-		return a.bounds[n-1] - seq
-	}
-	return 0
-}
-
-// Acked implements App.
-func (a *ObjectApp) Acked(cum int) {
-	for a.completed < len(a.bounds) && cum >= a.bounds[a.completed] {
-		idx := a.completed
-		a.completed++
-		if a.OnObjectComplete != nil {
-			a.OnObjectComplete(idx)
-		}
-	}
-}
-
-// Outstanding reports how many queued objects are not yet complete.
-func (a *ObjectApp) Outstanding() int { return len(a.bounds) - a.completed }

@@ -4,7 +4,9 @@
 // recovery, RFC 6298 retransmission timers with exponential backoff,
 // and a SYN handshake with retry — everything the paper's small-packet-
 // regime phenomena depend on (repetitive timeouts, silence periods,
-// backoff collapse on new RTT measurements).
+// backoff collapse on new RTT measurements). The receiver acknowledges
+// every data segment the moment it arrives, as the paper's receivers do
+// (§2.3), so it owns no timer.
 //
 // Sequence numbers count MSS-sized segments, not bytes; the paper's
 // analysis is entirely at packet granularity (500-byte packets, §2.3).
@@ -75,15 +77,6 @@ type Config struct {
 	MaxSynTimeout sim.Time
 	// SACK enables SACK-style loss recovery; otherwise NewReno.
 	SACK bool
-	// DelayedAck makes the receiver acknowledge every second in-order
-	// segment (or after DelAckTimeout). The paper's simulations keep
-	// it off ("our TCP receivers do not delay acks", §2.3) because it
-	// obscures congestion-control dynamics; it is provided so that
-	// effect can be measured.
-	DelayedAck bool
-	// DelAckTimeout bounds how long a delayed ack may be held
-	// (default 100 ms when DelayedAck is set).
-	DelAckTimeout sim.Time
 	// FixedRTO, when positive, pins the base retransmission timeout
 	// to a constant instead of the RFC 6298 estimator (backoff still
 	// applies). The Markov-model validation uses it to match the

@@ -27,11 +27,6 @@ type Receiver struct {
 	held  seqRing[bool]
 	nHeld int
 
-	// Delayed-ack state (only used when cfg.DelayedAck is set).
-	delPending bool
-	delTimer   *sim.Timer
-	delAckFn   func() // bound once in NewReceiver, like Sender's
-
 	// Packets is where acks are drawn from; nil allocates each one
 	// (see Sender.Packets).
 	Packets *packet.Pool
@@ -49,9 +44,7 @@ type Receiver struct {
 // NewReceiver creates the receiver half of a flow. out transmits ACKs
 // back toward the sender (the uncongested reverse path).
 func NewReceiver(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolID, out func(*packet.Packet)) *Receiver {
-	r := &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out}
-	r.delAckFn = r.onDelAckTimeout
-	return r
+	return &Receiver{run: run, cfg: cfg, flow: flow, pool: pool, out: out}
 }
 
 // newPacket draws a reverse-path packet from the receiver's pool.
@@ -64,10 +57,6 @@ func (r *Receiver) newPacket(kind packet.Kind, size int) *packet.Packet {
 
 // CumAck returns the next expected segment index.
 func (r *Receiver) CumAck() int { return r.cumAck }
-
-// Quiet reports whether no delayed ack is waiting on its timer, so that
-// only a delivered packet can make the receiver act again.
-func (r *Receiver) Quiet() bool { return !r.delPending }
 
 // Deliver hands the receiver a packet that crossed the network.
 func (r *Receiver) Deliver(p *packet.Packet) {
@@ -103,31 +92,7 @@ func (r *Receiver) onData(p *packet.Packet) {
 	if newly > 0 && r.OnDeliver != nil {
 		r.OnDeliver(newly)
 	}
-	// Delayed acks (RFC 1122-style): hold the ack for one in-order
-	// segment, release on the second, on any out-of-order arrival, or
-	// when the delay timer fires.
-	if r.cfg.DelayedAck && newly > 0 && r.nHeld == 0 && !r.delPending {
-		r.delPending = true
-		timeout := r.cfg.DelAckTimeout
-		if timeout <= 0 {
-			timeout = 100 * sim.Millisecond
-		}
-		// The previous handle is always fired or canceled here, so
-		// Reschedule reuses its allocation.
-		r.delTimer = r.run.Reschedule(r.delTimer, timeout, r.delAckFn)
-		return
-	}
-	r.delPending = false
-	r.delTimer.Cancel()
 	r.sendAck()
-}
-
-// onDelAckTimeout releases a held ack when the delay timer fires.
-func (r *Receiver) onDelAckTimeout() {
-	if r.delPending {
-		r.delPending = false
-		r.sendAck()
-	}
 }
 
 func (r *Receiver) sendAck() {

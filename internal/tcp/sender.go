@@ -149,11 +149,6 @@ func (s *Sender) SRTT() sim.Time { return s.srtt }
 // RTO returns the current base retransmission timeout (before backoff).
 func (s *Sender) RTO() sim.Time { return s.rto }
 
-// Notify tells the sender its app has new data available (e.g. a
-// pipelined object was queued on an idle connection) so it can resume
-// transmitting.
-func (s *Sender) Notify() { s.trySend() }
-
 // Quiet reports whether no timer of the sender is armed — handshake,
 // retransmission or pacing — so that only a delivered packet can make
 // it act again. It reads the sender's own state: a timer handle says

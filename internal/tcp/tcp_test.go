@@ -291,33 +291,6 @@ func TestSynGiveUp(t *testing.T) {
 	}
 }
 
-func TestObjectAppPipelining(t *testing.T) {
-	cfg := tcp.DefaultConfig()
-	app := &tcp.ObjectApp{}
-	var completed []int
-	app.OnObjectComplete = func(i int) { completed = append(completed, i) }
-	app.AddObject(5)
-	app.AddObject(3)
-	h := newHarness(t, cfg, app, 10*sim.Millisecond)
-	h.s.Start()
-	h.e.RunUntil(5 * sim.Second)
-	if len(completed) != 2 || completed[0] != 0 || completed[1] != 1 {
-		t.Fatalf("completed = %v", completed)
-	}
-	if app.Outstanding() != 0 {
-		t.Errorf("outstanding = %d", app.Outstanding())
-	}
-	// Queue a third object mid-flight: the same connection carries it.
-	done3 := false
-	app.OnObjectComplete = func(i int) { done3 = i == 2 }
-	app.AddObject(4)
-	h.s.Notify()
-	h.e.RunUntil(10 * sim.Second)
-	if !done3 {
-		t.Error("third (late-added) object did not complete")
-	}
-}
-
 func TestReceiverDupSegments(t *testing.T) {
 	cfg := tcp.DefaultConfig()
 	e := sim.NewEngine(1)
@@ -434,55 +407,8 @@ func TestLossyDeliverySoak(t *testing.T) {
 	}
 }
 
-func TestDelayedAckHalvesAcks(t *testing.T) {
+func TestOutOfOrderAckedImmediately(t *testing.T) {
 	cfg := tcp.DefaultConfig()
-	cfg.DelayedAck = true
-	app := &tcp.SizedApp{Total: 100}
-	done := false
-	app.OnComplete = func() { done = true }
-	h := newHarness(t, cfg, app, 10*sim.Millisecond)
-	h.s.Start()
-	h.e.RunUntil(120 * sim.Second)
-	if !done {
-		t.Fatal("transfer did not complete with delayed acks")
-	}
-	// Roughly one ack per two segments (plus timer-forced acks).
-	if h.r.AcksSent > 75 {
-		t.Errorf("AcksSent = %d for 100 segments, want ≈50 with delayed acks", h.r.AcksSent)
-	}
-	if h.r.AcksSent < 40 {
-		t.Errorf("AcksSent = %d suspiciously low", h.r.AcksSent)
-	}
-}
-
-// TestDelayedAckTimerFiresForLoneSegment holds the ack of a lone
-// segment for the configured timeout, and for 100 ms when none is set.
-func TestDelayedAckTimerFiresForLoneSegment(t *testing.T) {
-	for _, tc := range []struct{ timeout, want sim.Time }{
-		{50 * sim.Millisecond, 50 * sim.Millisecond},
-		{0, 100 * sim.Millisecond},
-	} {
-		cfg := tcp.DefaultConfig()
-		cfg.DelayedAck = true
-		cfg.DelAckTimeout = tc.timeout
-		e := sim.NewEngine(1)
-		var acks []sim.Time
-		r := tcp.NewReceiver(e, cfg, 1, packet.PoolNone, func(p *packet.Packet) {
-			if p.Kind == packet.Ack {
-				acks = append(acks, e.Now())
-			}
-		})
-		r.Deliver(&packet.Packet{Kind: packet.Data, Seq: 0, Size: 500})
-		e.RunUntil(sim.Second)
-		if len(acks) != 1 || acks[0] != tc.want {
-			t.Errorf("DelAckTimeout %v: acks = %v, want one at %v", tc.timeout, acks, tc.want)
-		}
-	}
-}
-
-func TestDelayedAckImmediateOnOutOfOrder(t *testing.T) {
-	cfg := tcp.DefaultConfig()
-	cfg.DelayedAck = true
 	e := sim.NewEngine(1)
 	acks := 0
 	r := tcp.NewReceiver(e, cfg, 1, packet.PoolNone, func(p *packet.Packet) { acks++ })

@@ -27,10 +27,8 @@ type Config struct {
 	MSS int
 	// FeedbackSize is the wire size of receiver reports.
 	FeedbackSize int
-	// InitialRate is the starting send rate in bytes/second (default:
-	// one packet per initial RTT estimate).
-	InitialRate float64
-	// InitialRTT seeds the RTT estimate before feedback arrives.
+	// InitialRTT seeds the RTT estimate before feedback arrives; the
+	// sender starts at one packet per InitialRTT.
 	InitialRTT sim.Time
 	// MinInterval is the largest allowed inter-packet gap (RFC 5348's
 	// t_mbi, 64 s: at least one packet per 64 seconds).
@@ -104,13 +102,8 @@ func NewSender(run sim.Runner, cfg Config, flow packet.FlowID, pool packet.PoolI
 	if cfg.MSS <= 0 {
 		cfg = DefaultConfig()
 	}
-	s := &Sender{run: run, cfg: cfg, flow: flow, pool: pool, out: out, inSS: true}
-	s.rtt = cfg.InitialRTT
-	s.rate = cfg.InitialRate
-	if s.rate <= 0 {
-		s.rate = float64(cfg.MSS) / s.rtt.Seconds()
-	}
-	return s
+	return &Sender{run: run, cfg: cfg, flow: flow, pool: pool, out: out, inSS: true,
+		rtt: cfg.InitialRTT, rate: float64(cfg.MSS) / cfg.InitialRTT.Seconds()}
 }
 
 // Rate returns the current send rate in bytes/second.

@@ -59,11 +59,6 @@ type Config struct {
 	TAQShards int
 	// SliceWidth is the metrics slice width (default 20 s, §2.3).
 	SliceWidth sim.Time
-	// ExternalLoss drops each packet after the bottleneck with this
-	// probability, modeling overlay cross-traffic losses beyond the
-	// middlebox's control (the §4.4 OverQoS discussion: TAQ assumes a
-	// low-loss underlay; this knob measures its sensitivity).
-	ExternalLoss float64
 	// TwoWayObservation routes ack-path packets past the TAQ
 	// middlebox for observation (§3.3's conventional two-way mode,
 	// which makes RTT estimation "relatively easy"); without it TAQ
@@ -127,8 +122,8 @@ type Flow struct {
 	// flow's own packets).
 	lastFwdArrival sim.Time
 	// inNet counts the flow's packets between its endpoints: handed to
-	// sendForward or sendReverse and not yet delivered, dropped at the
-	// bottleneck or lost beyond it.
+	// sendForward or sendReverse and not yet delivered or dropped at
+	// the bottleneck.
 	inNet int
 	// closed is set by Release: the network forgets the flow once it is
 	// quiescent.
@@ -212,9 +207,8 @@ type Network struct {
 	onPut func(*packet.Packet)
 
 	// QueueArrivals and QueueDrops count packets offered to and
-	// dropped at the bottleneck queue; ExternalDrops counts losses on
-	// the post-bottleneck underlay (Config.ExternalLoss).
-	QueueArrivals, QueueDrops, ExternalDrops uint64
+	// dropped at the bottleneck queue.
+	QueueArrivals, QueueDrops uint64
 }
 
 // New builds a network from cfg on a fresh simulator engine seeded
@@ -437,11 +431,6 @@ func (n *Network) deliverForward(p *packet.Packet) {
 		n.strays++
 		return
 	}
-	if n.Cfg.ExternalLoss > 0 && n.Runner.Rand().Float64() < n.Cfg.ExternalLoss {
-		n.ExternalDrops++
-		f.returnPacket(p)
-		return
-	}
 	if p.Kind == packet.Data && n.Census != nil {
 		n.Census.Observe(p.Flow)
 	}
@@ -468,10 +457,9 @@ func (n *Network) enqueue(arg any) {
 
 // returnPacket ends the life of a packet of f that left the network
 // with no reference surviving: its endpoint's Deliver has returned
-// (endpoints copy what they keep), or it was lost beyond the
-// bottleneck (ExternalLoss). Queue drops take the other way back, once
-// their drop hooks have run (enqueue); a packet of an unknown flow is
-// left to the garbage collector.
+// (endpoints copy what they keep). Queue drops take the other way back,
+// once their drop hooks have run (enqueue); a packet of an unknown flow
+// is left to the garbage collector.
 func (f *Flow) returnPacket(p *packet.Packet) {
 	f.left()
 	if f.packets == nil {
@@ -606,11 +594,11 @@ func (n *Network) AddTFRCFlow(pool packet.PoolID, startAt sim.Time) *Flow {
 // Release tells the network that f's owner is done with it: the
 // transfer completed or the connection gave up, and nobody will look the
 // flow up again. The network forgets f at the first moment it is
-// quiescent — none of its packets is between the endpoints and neither
-// endpoint has a timer armed — and not before: a spurious
-// retransmission still queued when the last ack landed goes on to be
-// delivered, acked and observed like any other packet, so a run reads
-// the same whether or not its flows are released. A quiescent flow can
+// quiescent — none of its packets is between the endpoints and its
+// sender has no timer armed (the receiver owns none) — and not before:
+// a spurious retransmission still queued when the last ack landed goes
+// on to be delivered, acked and observed like any other packet, so a
+// run reads the same whether or not its flows are released. A quiescent flow can
 // cause no further event. What outlives it is its Slicer series and its
 // share of AggregateTimeouts; the endpoints go to the garbage
 // collector. TCP flows only; flows never released stay for the life of
@@ -635,7 +623,7 @@ func (f *Flow) left() {
 // the owner call Release.
 func (f *Flow) reap() {
 	n := f.net
-	if f.inNet != 0 || !f.Sender.Quiet() || !f.Receiver.Quiet() || n.holdReleases {
+	if f.inNet != 0 || !f.Sender.Quiet() || n.holdReleases {
 		return
 	}
 	n.releasedTimeouts += f.Sender.Stats.Timeouts

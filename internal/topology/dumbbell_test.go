@@ -212,23 +212,6 @@ func TestMixedTCPAndTFRC(t *testing.T) {
 	}
 }
 
-func TestExternalLossHandled(t *testing.T) {
-	n := MustNew(Config{Seed: 13, Bandwidth: 400 * link.Kbps, Queue: TAQ, ExternalLoss: 0.02, RTTJitter: 0.2})
-	for i := 0; i < 10; i++ {
-		n.AddFlow(packet.PoolNone, tcp.BulkApp{}, 0)
-	}
-	n.Run(120 * sim.Second)
-	if n.ExternalDrops == 0 {
-		t.Fatal("no external drops despite ExternalLoss")
-	}
-	// Flows still progress and stay reasonably fair despite losses
-	// TAQ cannot see.
-	slices := int(120 * sim.Second / n.Slicer.Width())
-	if j := n.Slicer.MeanSliceJFI(1, slices); j < 0.6 {
-		t.Errorf("JFI = %.3f with 2%% external loss, want ≥ 0.6", j)
-	}
-}
-
 func TestGoodputHighUnderContention(t *testing.T) {
 	// §2.3: goodput stays above 90% even in the collapse regime.
 	n := MustNew(Config{Seed: 14, Bandwidth: 200 * link.Kbps, RTTJitter: 0.25})

@@ -40,11 +40,11 @@ type replayOutcome struct {
 }
 
 type replayTotals struct {
-	arrivals, drops, external uint64
-	timeouts, repetitive      uint64
-	processed                 uint64
-	jfi, goodput              float64
-	flows, done, failed       int
+	arrivals, drops      uint64
+	timeouts, repetitive uint64
+	processed            uint64
+	jfi, goodput         float64
+	flows, done, failed  int
 }
 
 // replay runs the log through per-client sessions on cfg and a drain,
@@ -63,7 +63,7 @@ func replay(t *testing.T, cfg topology.Config, recs []trace.Record, hold bool) (
 	net.Run(1500 * sim.Second)
 
 	var o replayOutcome
-	o.arrivals, o.drops, o.external = net.QueueArrivals, net.QueueDrops, net.ExternalDrops
+	o.arrivals, o.drops = net.QueueArrivals, net.QueueDrops
 	o.timeouts, o.repetitive = net.AggregateTimeouts()
 	o.processed = net.Engine.Processed
 	o.jfi = net.Slicer.MeanSliceJFI(0, int(net.Engine.Now()/net.Slicer.Width()))
@@ -94,9 +94,6 @@ func lifecycleConfigs() []lifecycleRow {
 	base := func() topology.Config {
 		return topology.Config{Seed: 5, Bandwidth: 300 * link.Kbps, RTTJitter: 0.25, TCP: tcp.DefaultConfig()}
 	}
-	lossy := base()
-	lossy.ExternalLoss = 0.03
-
 	twoWay := base()
 	twoWay.Queue = topology.TAQ
 	twoWay.TwoWayObservation = true
@@ -106,9 +103,8 @@ func lifecycleConfigs() []lifecycleRow {
 	twoWay.TCP.MaxSynRetries = -1
 	twoWay.TCP.MaxSynTimeout = 4 * sim.Second
 
-	delack := base()
-	delack.TCP.DelayedAck = true
-	delack.TCP.SACK = true
+	sack := base()
+	sack.TCP.SACK = true
 
 	giveUp := base()
 	giveUp.Bandwidth = 150 * link.Kbps
@@ -118,14 +114,12 @@ func lifecycleConfigs() []lifecycleRow {
 	all := base()
 	all.Queue = topology.TAQ
 	all.TwoWayObservation = true
-	all.ExternalLoss = 0.02
-	all.TCP.DelayedAck = true
+	all.TCP.SACK = true
 	all.TCP.MaxSynRetries = 0
 
 	return []lifecycleRow{
-		{"external-loss", lossy},
 		{"two-way-taq-admission", twoWay},
-		{"delayed-ack-sack", delack},
+		{"sack", sack},
 		{"syn-gives-up", giveUp},
 		{"all-at-once", all},
 	}
@@ -134,9 +128,9 @@ func lifecycleConfigs() []lifecycleRow {
 // TestReleaseIsInvisible replays one log twice, the second time with
 // every released flow kept in the network as before Release existed.
 // Nothing a caller can read may differ: a flow is forgotten only once it
-// can cause no further event, so the random draws of ExternalLoss and
-// the access jitter, the delay sampler's phase and what the middlebox
-// observes on the reverse path all stay where they were.
+// can cause no further event, so the random draws of the access jitter,
+// the delay sampler's phase and what the middlebox observes on the
+// reverse path all stay where they were.
 func TestReleaseIsInvisible(t *testing.T) {
 	recs := lifecycleLog()
 	for _, row := range lifecycleConfigs() {
@@ -159,9 +153,6 @@ func TestReleaseIsInvisible(t *testing.T) {
 			// The rows must reach what they are there for.
 			if want.timeouts == 0 || want.drops == 0 {
 				t.Errorf("%d timeouts, %d drops: the log does not congest this network", want.timeouts, want.drops)
-			}
-			if row.cfg.ExternalLoss > 0 && want.external == 0 {
-				t.Error("ExternalLoss dropped nothing")
 			}
 			if row.cfg.TCP.MaxSynRetries == 0 && want.failed == 0 {
 				t.Error("no handshake gave up: the OnFail path did not run")
@@ -204,13 +195,11 @@ func TestReleaseWaitsForQuiescence(t *testing.T) {
 }
 
 // TestReleaseMidTransfer releases a flow whose transfer has only begun —
-// an owner walking away — under delayed acks and congestion: the flow
-// spends its life with a retransmission or delayed-ack timer armed and
-// packets queued, so it must stay until the transfer has run its course,
-// and go then.
+// an owner walking away — under congestion: the flow spends its life
+// with a retransmission timer armed and packets queued, so it must stay
+// until the transfer has run its course, and go then.
 func TestReleaseMidTransfer(t *testing.T) {
 	cfg := topology.Config{Seed: 9, Bandwidth: 200 * link.Kbps, RTTJitter: 0.25, TCP: tcp.DefaultConfig()}
-	cfg.TCP.DelayedAck = true
 	net := topology.MustNew(cfg)
 	workload.AddBulkFlows(net, 8, 50*sim.Millisecond)
 	app := &tcp.SizedApp{Total: 120}
@@ -241,35 +230,6 @@ func TestReleaseMidTransfer(t *testing.T) {
 	}
 	if timeouts, _ := net.AggregateTimeouts(); timeouts < f.Sender.Stats.Timeouts {
 		t.Errorf("AggregateTimeouts = %d lost the released flow's %d", timeouts, f.Sender.Stats.Timeouts)
-	}
-}
-
-// TestReleaseWaitsForDelayedAck covers the one state in which only the
-// receiver keeps a flow: its sender was stopped, nothing is in the
-// network, and an ack is held back on the delayed-ack timer. That ack is
-// still to cross the network, so the flow stays until it has.
-func TestReleaseWaitsForDelayedAck(t *testing.T) {
-	cfg := topology.Config{Seed: 3, TCP: tcp.DefaultConfig()}
-	cfg.TCP.DelayedAck = true
-	net := topology.MustNew(cfg)
-	f := net.AddFlow(0, &tcp.SizedApp{Total: 1}, 0)
-	for f.Receiver.Quiet() {
-		if net.Engine.Now() > 10*sim.Second {
-			t.Fatal("the receiver never held an ack back")
-		}
-		net.Run(net.Engine.Now() + sim.Millisecond)
-	}
-	f.Sender.Stop()
-	net.Release(f)
-	if net.InNetwork() != 0 || !f.Sender.Quiet() {
-		t.Fatalf("%d packets in the network, sender quiet %v; want the receiver alone to be busy", net.InNetwork(), f.Sender.Quiet())
-	}
-	if net.Flow(f.ID) != f {
-		t.Fatal("flow forgotten with a delayed ack pending")
-	}
-	net.Run(net.Engine.Now() + sim.Second)
-	if net.Flow(f.ID) != nil || f.Receiver.AcksSent != 1 {
-		t.Errorf("after the delayed ack (%d sent) the flow is still in the network", f.Receiver.AcksSent)
 	}
 }
 

@@ -20,9 +20,8 @@ const (
 
 // TestReturnedPacketsAreNeverSeenAgain checks the ownership rule the
 // pool rests on — a packet is returned only once nothing holds it: after
-// its endpoint's Deliver, after every drop hook of a queue drop, or when
-// it is lost beyond the bottleneck — at every place a packet is handed
-// on: the bottleneck queue, drop hooks (one registered after the
+// its endpoint's Deliver, or after every drop hook of a queue drop — at
+// every place a packet is handed on: the bottleneck queue, drop hooks (one registered after the
 // network's own), the middlebox's reverse-path observation and both
 // endpoints.
 func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
@@ -36,7 +35,6 @@ func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
 		{"taq", Config{Queue: TAQ}},
 		{"taq-twoway", Config{Queue: TAQ, TwoWayObservation: true}},
 		{"sack", Config{Queue: DropTail, TCP: sack}},
-		{"external-loss", Config{Queue: DropTail, ExternalLoss: 0.05}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -100,7 +98,7 @@ func TestReturnedPacketsAreNeverSeenAgain(t *testing.T) {
 			if len(distinct) == 0 || returned < 2*len(distinct) {
 				t.Fatalf("%d returns of %d distinct packets: the pool was not recycling", returned, len(distinct))
 			}
-			lost := n.QueueDrops + n.ExternalDrops
+			lost := n.QueueDrops
 			if uint64(len(distinct)) > lost/10 {
 				t.Fatalf("%d distinct packets returned for %d lost: lost packets are not coming back", len(distinct), lost)
 			}

@@ -113,8 +113,6 @@ type (
 	BulkApp = tcp.BulkApp
 	// SizedApp transfers a fixed number of segments.
 	SizedApp = tcp.SizedApp
-	// ObjectApp pipelines multiple objects over one connection.
-	ObjectApp = tcp.ObjectApp
 )
 
 // DefaultTCPConfig returns the paper's TCP parameters (500-byte

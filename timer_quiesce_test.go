@@ -35,7 +35,7 @@ type timerOwner struct {
 
 // timerRun arms some of an owner's timers, running a self-re-arming
 // one past at least one firing, and returns what brings the owner to
-// rest: Stop, or for an owner without one the event that disarms it.
+// rest: its Stop.
 type timerRun struct {
 	name string
 	arm  func(t *testing.T, eng *sim.Engine) (rest func())
@@ -94,22 +94,6 @@ var timerOwners = []timerOwner{
 				// waits on the pacing timer.
 				s.Deliver(&packet.Packet{Flow: 1, Kind: packet.Ack, CumAck: 1})
 				return s.Stop
-			}},
-		},
-	},
-	{
-		typ: "taq/internal/tcp.Receiver", fields: []string{"delTimer"},
-		runs: []timerRun{
-			{"ack held, then released", func(t *testing.T, eng *sim.Engine) func() {
-				cfg := tcp.DefaultConfig()
-				cfg.DelayedAck = true
-				r := tcp.NewReceiver(eng, cfg, 1, packet.PoolNone, drop)
-				// The first hold's timer fires; the second hold re-arms
-				// the fired handle and the next segment releases it.
-				r.Deliver(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 0, Size: 500})
-				eng.RunUntil(sim.Second)
-				r.Deliver(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 1, Size: 500})
-				return func() { r.Deliver(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 2, Size: 500}) }
 			}},
 		},
 	},
