@@ -402,18 +402,16 @@ func TestHotpathRootsZeroAlloc(t *testing.T) {
 
 // TestFlowStoreZeroAlloc churns the flat flow store at steady state:
 // every iteration creates a brand-new flow — exercising getOrCreate's
-// free-list recycle path and the open-addressed insert — while a fast
-// scan cadence expires old flows, so slots and index buckets are
-// recycled rather than grown. Creation, the lookup hit and miss
-// probes, expiry eviction, and the deadline-wheel traffic they generate
-// must all run allocation-free.
+// free-list recycle path and the open-addressed insert — while the
+// scan expires flows silent for the 60 s flow expiry, so slots and
+// index buckets are recycled rather than grown. Each step advances
+// 100 ms, one scan interval, and the warm-up outlasts one expiry, so
+// the table holds its steady ~600 flows before counting starts.
+// Creation, the lookup hit and miss probes, expiry eviction, and the
+// deadline-wheel traffic they generate must all run allocation-free.
 func TestFlowStoreZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := core.DefaultConfig(1000*link.Kbps, 64)
-	cfg.DefaultEpoch = 5 * sim.Millisecond
-	cfg.ScanInterval = 10 * sim.Millisecond
-	cfg.FlowExpiry = 40 * sim.Millisecond
-	mb := core.NewSharded(e, cfg, 1)
+	mb := core.NewSharded(e, core.DefaultConfig(1000*link.Kbps, 64), 1)
 	mb.Start()
 	defer mb.Stop()
 
@@ -431,7 +429,7 @@ func TestFlowStoreZeroAlloc(t *testing.T) {
 		}
 		mb.FlowStateOf(packet.FlowID(-1)) // miss probe
 		i++
-		e.RunUntil(e.Now() + sim.Millisecond)
+		e.RunUntil(e.Now() + 100*sim.Millisecond)
 	}
 	for i < warmup {
 		step()

@@ -16,7 +16,6 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	cfg.Twait = 1000 * sim.Second // rule out the force-admit escape hatch
 	q := newTestShard(e, cfg)
 	q.Start()
 
@@ -71,10 +70,7 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 // counters that roll with the loss window.
 func TestRecoveryShareCapIsWindowed(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.RecoveryShare = 0.25
-	cfg.RecoveryCap = 1000
-	cfg.Capacity = 1000
+	cfg := testConfigCap(1000)
 	q := newTestShard(e, cfg)
 	q.Start()
 
@@ -98,7 +94,7 @@ func TestRecoveryShareCapIsWindowed(t *testing.T) {
 			recovered++
 		}
 	}
-	if recovered < 20 || recovered > 30 {
-		t.Errorf("late recovery burst served %d of first 100, want ≈25 (the share cap must be windowed, not lifetime)", recovered)
+	if recovered < 55 || recovered > 65 {
+		t.Errorf("late recovery burst served %d of first 100, want ≈60 (the share cap must be windowed, not lifetime)", recovered)
 	}
 }

@@ -14,6 +14,15 @@ func testConfig() Config {
 	return cfg
 }
 
+// testConfigCap is testConfig for a buffer of the given capacity in
+// packets, kept as given even below the floor of 4 that DefaultConfig
+// applies, so the NewFlow cap is the one derived from that floor.
+func testConfigCap(capacity int) Config {
+	cfg := DefaultConfig(600*link.Kbps, capacity)
+	cfg.Capacity = capacity
+	return cfg
+}
+
 // newTestShard builds a one-shard middlebox through the sole
 // constructor and returns its shard, for tests that poke the tracker,
 // queue or aggregator internals.
@@ -23,9 +32,7 @@ func newTestShard(run sim.Runner, cfg Config) *TAQ {
 
 func newTestTAQ(capacity int) (*sim.Engine, *TAQ) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.Capacity = capacity
-	t := newTestShard(e, cfg)
+	t := newTestShard(e, testConfigCap(capacity))
 	t.Start()
 	return e, t
 }
@@ -159,19 +166,24 @@ func TestTrackerRetransmissionDetection(t *testing.T) {
 
 func TestDropOfRetransmissionPredictsTimeout(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.RecoveryCap = 1
-	q := newTestShard(e, cfg)
+	q := newTestShard(e, testConfigCap(1))
 	q.Start()
-	q.Enqueue(synPkt(1, packet.PoolNone))
-	q.Enqueue(synPkt(2, packet.PoolNone))
-	e.RunUntil(50 * sim.Millisecond)
-	q.Enqueue(dataPkt(1, 0))
-	q.Enqueue(dataPkt(2, 0))
-	for q.Dequeue() != nil {
+	// Each packet is served before the next arrives: nothing is lost
+	// until the retransmissions.
+	for _, id := range []packet.FlowID{1, 2} {
+		q.Enqueue(synPkt(id, packet.PoolNone))
+		q.Dequeue()
 	}
-	// Two retransmissions with RecoveryCap 1: one must be dropped,
-	// and its flow must be marked TimeoutSilence.
+	e.RunUntil(50 * sim.Millisecond)
+	for _, id := range []packet.FlowID{1, 2} {
+		q.Enqueue(dataPkt(id, 0))
+		q.Dequeue()
+	}
+	if q.Stats.Drops != 0 {
+		t.Fatalf("drops before the retransmissions = %d, want 0", q.Stats.Drops)
+	}
+	// Two retransmissions in a one-packet buffer: evict must drop one
+	// from Recovery, and its flow must be marked TimeoutSilence.
 	q.Enqueue(dataPkt(1, 0))
 	q.Enqueue(dataPkt(2, 0))
 	if q.Stats.DropsByClass[ClassRecovery] != 1 {
@@ -188,9 +200,9 @@ func TestDropOfRetransmissionPredictsTimeout(t *testing.T) {
 	}
 }
 
-// TestRecoveryShedVictim pins which retransmission each of the three
-// Recovery shed sites drops — the RecoveryCap overflow, evict's last
-// resort, and the occupancy-drop ablation reaching Recovery: the one
+// TestRecoveryShedVictim pins which retransmission each of the two
+// Recovery shed sites drops — evict's last resort, and the
+// occupancy-drop ablation reaching Recovery: the one
 // with the shortest silence, the newest among equal silences, the
 // arriving packet included. The survivors are served longest silence
 // first.
@@ -199,14 +211,11 @@ func TestRecoveryShedVictim(t *testing.T) {
 		name string
 		set  func(*Config)
 	}{
-		{"RecoveryCap", func(cfg *Config) { cfg.RecoveryCap, cfg.Capacity = 3, 100 }},
-		{"evict", func(cfg *Config) { cfg.RecoveryCap, cfg.Capacity = 100, 3 }},
-		{"NoOccupancyDrops", func(cfg *Config) {
-			cfg.RecoveryCap, cfg.Capacity, cfg.NoOccupancyDrops = 100, 3, true
-		}},
+		{"evict", func(*Config) {}},
+		{"NoOccupancyDrops", func(cfg *Config) { cfg.NoOccupancyDrops = true }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			cfg := testConfig()
+			cfg := testConfigCap(3)
 			c.set(&cfg)
 			q := newTestShard(sim.NewEngine(1), cfg)
 			silences := []sim.Time{2 * sim.Second, sim.Second, sim.Second, 3 * sim.Second, 500 * sim.Millisecond, sim.Second}
@@ -358,11 +367,7 @@ func TestSchedulerLevelOrdering(t *testing.T) {
 
 func TestRecoveryShareCap(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.RecoveryShare = 0.25
-	cfg.RecoveryCap = 1000
-	cfg.Capacity = 1000
-	q := newTestShard(e, cfg)
+	q := newTestShard(e, testConfigCap(1000))
 	// 100 recovery + 100 below-fair packets queued.
 	for i := 0; i < 100; i++ {
 		q.q[ClassRecovery].Push(dataPkt(1, i), idxEmpty, sim.Second)
@@ -375,8 +380,8 @@ func TestRecoveryShareCap(t *testing.T) {
 			recovered++
 		}
 	}
-	if recovered < 20 || recovered > 30 {
-		t.Errorf("recovery served %d of first 100, want ≈25 (share cap)", recovered)
+	if recovered < 55 || recovered > 65 {
+		t.Errorf("recovery served %d of first 100, want ≈60 (share cap 0.6)", recovered)
 	}
 	// Work conservation: once below-fair drains, recovery still flows.
 	remaining := 0
@@ -390,9 +395,7 @@ func TestRecoveryShareCap(t *testing.T) {
 
 func TestBufferEvictionOrder(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.Capacity = 2
-	q := newTestShard(e, cfg)
+	q := newTestShard(e, testConfigCap(2))
 	var dropped []*packet.Packet
 	q.AddDropHook(func(p *packet.Packet) { dropped = append(dropped, p) })
 	// Fill with two below-fair packets (flows are unknown: they
@@ -418,17 +421,14 @@ func TestBufferEvictionOrder(t *testing.T) {
 
 func TestNewFlowQueueCapDropsSyns(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.NewFlowCap = 2
-	cfg.Capacity = 100
-	q := newTestShard(e, cfg)
+	q := newTestShard(e, DefaultConfig(600*link.Kbps, 8))
 	drops := 0
 	q.AddDropHook(func(*packet.Packet) { drops++ })
 	for i := 0; i < 5; i++ {
 		q.Enqueue(synPkt(packet.FlowID(i), packet.PoolNone))
 	}
 	if drops != 3 {
-		t.Errorf("drops = %d, want 3 (NewFlowCap 2)", drops)
+		t.Errorf("drops = %d, want 3 (NewFlow cap 8/4 = 2)", drops)
 	}
 	if q.QueueLen(ClassNewFlow) != 2 {
 		t.Errorf("newflow len = %d", q.QueueLen(ClassNewFlow))
@@ -437,9 +437,7 @@ func TestNewFlowQueueCapDropsSyns(t *testing.T) {
 
 func TestLossRateMonitor(t *testing.T) {
 	e := sim.NewEngine(1)
-	cfg := testConfig()
-	cfg.Capacity = 1
-	q := newTestShard(e, cfg)
+	q := newTestShard(e, testConfigCap(1))
 	q.Start()
 	// 1 packet stays queued, the rest dropped: loss ≈ (n-1)/n.
 	for i := 0; i < 10; i++ {
@@ -457,7 +455,6 @@ func TestAdmissionPoolFIFO(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	cfg.Twait = 5 * sim.Second
 	q := newTestShard(e, cfg)
 	q.Start()
 	// Force high loss so new pools must wait.
@@ -498,7 +495,6 @@ func TestAdmissionTwaitGuarantee(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	cfg.Twait = 3 * sim.Second
 	q := newTestShard(e, cfg)
 	q.Start()
 	q.setLossWindow(100, 50, 0, 0) // permanent high loss
@@ -506,7 +502,13 @@ func TestAdmissionTwaitGuarantee(t *testing.T) {
 	if q.Stats.SynsBlocked != 1 {
 		t.Fatal("pool should be blocked initially")
 	}
-	e.RunUntil(4 * sim.Second)
+	e.RunUntil(7 * sim.Second)
+	q.setLossWindow(100, 50, 100, 50)
+	q.Enqueue(synPkt(1, 100))
+	if q.Stats.SynsBlocked != 2 {
+		t.Fatal("pool admitted before Twait (8 s) ran out")
+	}
+	e.RunUntil(9 * sim.Second)
 	q.setLossWindow(100, 50, 100, 50) // keep loss high across windows
 	q.Enqueue(synPkt(1, 100))
 	if q.Stats.PoolsAdmitted != 1 || q.Stats.PoolsForced != 1 {
@@ -626,7 +628,6 @@ func TestExpectedWaitEstimate(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	cfg.Twait = 5 * sim.Second
 	q := newTestShard(e, cfg)
 	q.Start()
 	q.setLossWindow(100, 50, 0, 0) // high loss: pools must wait
@@ -636,11 +637,11 @@ func TestExpectedWaitEstimate(t *testing.T) {
 	// Pool 100 heads the line: ≤ Twait. Pool 300 is third: ≥ 2×Twait.
 	w1 := q.ExpectedWait(100)
 	w3 := q.ExpectedWait(300)
-	if w1 <= 0 || w1 > 5*sim.Second {
-		t.Errorf("head wait = %v, want (0, 5s]", w1)
+	if w1 <= 0 || w1 > 8*sim.Second {
+		t.Errorf("head wait = %v, want (0, 8s]", w1)
 	}
-	if w3 < 2*5*sim.Second {
-		t.Errorf("third wait = %v, want ≥ 10s", w3)
+	if w3 < 2*8*sim.Second {
+		t.Errorf("third wait = %v, want ≥ 16s", w3)
 	}
 	if q.ExpectedWait(999) != 0 {
 		t.Error("unknown pool should have zero wait")
@@ -679,16 +680,15 @@ func TestAdmissionPoolExpiry(t *testing.T) {
 	e := sim.NewEngine(1)
 	cfg := testConfig()
 	cfg.AdmissionControl = true
-	cfg.FlowExpiry = 5 * sim.Second
 	q := newTestShard(e, cfg)
 	q.Start()
 	q.Enqueue(synPkt(1, 100)) // admitted (low loss)
 	if q.Stats.PoolsAdmitted != 1 {
 		t.Fatalf("PoolsAdmitted = %d", q.Stats.PoolsAdmitted)
 	}
-	// Pool goes idle past FlowExpiry: it must be evicted so its state
-	// does not accumulate; a fresh SYN re-admits it.
-	e.RunUntil(10 * sim.Second)
+	// Pool goes idle past the 60 s flow expiry: it must be evicted so
+	// its state does not accumulate; a fresh SYN re-admits it.
+	e.RunUntil(70 * sim.Second)
 	q.Enqueue(synPkt(2, 100))
 	if q.Stats.PoolsAdmitted != 2 {
 		t.Errorf("expired pool was not re-admitted afresh (admitted=%d)", q.Stats.PoolsAdmitted)

@@ -16,7 +16,6 @@ import (
 	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/packet"
-	"taq/internal/sim"
 )
 
 // soakWall reads the soak's wall budget: TAQ_SOAK_SECS seconds when
@@ -266,15 +265,28 @@ func TestShardBankSoak(t *testing.T) {
 
 // TestShardBankAdmissionRecordedByDecidingShard pins where a §4.3
 // ruling is written: the shard whose Enqueue asked records it in its own
-// ring and counts it in its own Stats, from its own goroutine. PThresh 0
-// and a Twait longer than the run block every fresh pool's first SYN.
+// ring and counts it in its own Stats, from its own goroutine. A burst
+// of pool-less data that overflows one shard's buffer puts the shared
+// loss window far above the 0.08 admission threshold, so every fresh
+// pool's first SYN is blocked; at speedup 1 the run ends long before
+// the 8 s Twait could force one in.
 func TestShardBankAdmissionRecordedByDecidingShard(t *testing.T) {
 	cfg := core.DefaultConfig(1000*link.Kbps, 64)
 	cfg.AdmissionControl = true
-	cfg.PThresh = 0
-	cfg.Twait = 3600 * sim.Second
 	bank := NewShardBank(ShardBankConfig{Shards: 2, Seed: 1, Speedup: 1, Core: cfg, Metrics: true})
 	defer bank.Stop()
+
+	const bulk = packet.FlowID(1 << 20)
+	owner := bank.ShardFor(bulk)
+	bank.Post(owner, func() {
+		sh := bank.Shard(owner).TAQ
+		for seq := 0; seq < 4*cfg.Capacity; seq++ {
+			sh.Enqueue(&packet.Packet{Flow: bulk, Pool: packet.PoolNone, Kind: packet.Data, Seq: seq, Size: 500})
+		}
+		if lr := sh.LossRate(); lr < 0.5 {
+			t.Errorf("loss rate after the overflowing burst = %v, want ≥ 0.5", lr)
+		}
+	})
 
 	recs := make([]*obs.Recorder, bank.NumShards())
 	for s := range recs {

@@ -148,13 +148,12 @@ func TestObservabilityIsPassive(t *testing.T) {
 
 // runMetered runs a small TAQ dumbbell with admission control and the
 // metrics registry on — bulk, short and pooled flows, so every
-// middlebox family has non-zero cells — and returns the final
-// Prometheus exposition.
+// middlebox family but the Recovery sheds has non-zero cells (at this
+// load evict never reaches Recovery, DESIGN §5) — and returns the
+// final Prometheus exposition.
 func runMetered(seed int64) []byte {
 	mb := core.DefaultConfig(0, 0)
 	mb.AdmissionControl = true
-	mb.RecoveryCap = 4
-	mb.Twait = 2 * sim.Second
 	n := MustNew(Config{Seed: seed, Queue: TAQ, TwoWayObservation: true, TAQ: &mb})
 	reg := n.EnableMetrics()
 	for i := 0; i < 4; i++ {

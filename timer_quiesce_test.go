@@ -54,10 +54,9 @@ var timerOwners = []timerOwner{
 				return q.Stop
 			}},
 			{"stop after scans", func(t *testing.T, eng *sim.Engine) func() {
-				cfg := core.DefaultConfig(600*link.Kbps, 50)
-				q := core.NewSharded(eng, cfg, 1).Shard(0)
+				q := core.NewSharded(eng, core.DefaultConfig(600*link.Kbps, 50), 1).Shard(0)
 				q.Start()
-				eng.RunUntil(3*cfg.ScanInterval + cfg.ScanInterval/2)
+				eng.RunUntil(350 * sim.Millisecond) // three 100 ms scans
 				return q.Stop
 			}},
 		},
