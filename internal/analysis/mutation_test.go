@@ -93,7 +93,7 @@ var mutations = []mutation{
 	// before the first scan, the feedback timer's after the first
 	// report; the root package's TestTimerOwnersQuiesce runs both.
 	{name: "timerleak.scan", file: "internal/core/taq.go",
-		edits: []string{"t.scanTimer = t.run.Schedule(t.cfg.ScanInterval, tick)", "t.run.Schedule(t.cfg.ScanInterval, tick)"},
+		edits: []string{"t.scanTimer = t.run.Schedule(scanInterval, tick)", "t.run.Schedule(scanInterval, tick)"},
 		first: "test TestTimerOwnersQuiesce"},
 	{name: "timerleak.feedback", file: "internal/tfrc/tfrc.go",
 		edits: []string{"\n\tr.fbTimer = r.run.Reschedule(r.fbTimer, r.rtt, r.sendFeedback)\n}", "\n\tr.run.Schedule(r.rtt, r.sendFeedback)\n}"},

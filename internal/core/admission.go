@@ -44,7 +44,6 @@ type poolInfo struct {
 // engines, and the shared controller (owned by the Aggregator, under
 // admMu) must do its Twait arithmetic on the calling shard's timeline.
 type admission struct {
-	cfg     Config
 	pools   slotTable[poolInfo]
 	waiting []packet.PoolID
 	// lastForceAdmit paces Twait-guaranteed admissions to one pool
@@ -53,9 +52,12 @@ type admission struct {
 }
 
 // threshold is the admit-below loss rate: p_thresh shaved by the
-// congestion-avoidance margin.
+// congestion-avoidance margin. The product is taken in float64 at run
+// time, 0.08000000000000002: folded as an exact constant it would be
+// 0.08, and a loss rate of exactly 2/25 would be blocked.
 func (a *admission) threshold() float64 {
-	return a.cfg.PThresh * (1 - a.cfg.AdmitMargin)
+	p, m := pThresh, admitMargin
+	return p * (1 - m)
 }
 
 // allowSyn rules on the SYN of the given pool; waited reports whether
@@ -78,7 +80,7 @@ func (a *admission) allowSyn(now sim.Time, pool packet.PoolID, lossRate float64)
 	}
 	headOfLine := len(a.waiting) == 0 || a.waiting[0] == pool
 	switch {
-	case headOfLine && now-pi.waitingSince >= a.cfg.Twait && now-a.lastForceAdmit >= a.cfg.Twait:
+	case headOfLine && now-pi.waitingSince >= twait && now-a.lastForceAdmit >= twait:
 		// The Twait guarantee admits one waiting pool per Twait (the
 		// head of the FIFO), pacing admissions under persistent
 		// overload rather than opening the floodgates.
@@ -144,7 +146,7 @@ func (a *admission) expire(now sim.Time) {
 	a.pools.idx.maybeGrow()
 	for i := range a.pools.recs {
 		pi := &a.pools.recs[i]
-		if pi.inUse && pi.admitted && now-pi.lastActive > a.cfg.FlowExpiry {
+		if pi.inUse && pi.admitted && now-pi.lastActive > flowExpiry {
 			a.pools.release(pi.key, int32(i))
 		}
 	}
@@ -174,12 +176,12 @@ func (a *admission) expectedWait(now sim.Time, pool packet.PoolID) sim.Time {
 		return 0
 	}
 	// Head of line: the remainder of its own (and the pacer's) Twait.
-	headWait := a.cfg.Twait - (now - a.pools.lookup(a.waiting[0]).waitingSince)
-	if pace := a.cfg.Twait - (now - a.lastForceAdmit); pace > headWait {
+	headWait := twait - (now - a.pools.lookup(a.waiting[0]).waitingSince)
+	if pace := twait - (now - a.lastForceAdmit); pace > headWait {
 		headWait = pace
 	}
 	if headWait < 0 {
 		headWait = 0
 	}
-	return headWait + sim.Time(pos)*a.cfg.Twait
+	return headWait + sim.Time(pos)*twait
 }

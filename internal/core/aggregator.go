@@ -33,8 +33,6 @@ import (
 // are sequentially exact, so the single-shard middlebox is bit-for-bit
 // deterministic.
 type Aggregator struct {
-	cfg Config
-
 	// Loss-rate monitor over sliding windows, shared by all shards.
 	// Reads under concurrency are transiently approximate (a roll moves
 	// win→prev in two stores); the consumer is a control loop sampling
@@ -54,7 +52,7 @@ type Aggregator struct {
 	// rate (the telemetry companion of LossRate).
 	lossEWMA atomic.Uint64
 
-	// rollMu serializes window rolls (rare: once per LossWindow); the
+	// rollMu serializes window rolls (rare: once per lossWindow); the
 	// packet-path increments never take it.
 	rollMu sync.Mutex
 
@@ -68,8 +66,8 @@ type Aggregator struct {
 
 // newAggregator creates the shared state for a bank of shards, with
 // the loss window opening at now.
-func newAggregator(cfg Config, now sim.Time) *Aggregator {
-	g := &Aggregator{cfg: cfg, adm: admission{cfg: cfg}}
+func newAggregator(now sim.Time) *Aggregator {
+	g := &Aggregator{}
 	g.winStart.Store(int64(now))
 	return g
 }
@@ -128,12 +126,12 @@ func (g *Aggregator) lossEWMAValue() float64 {
 //
 //taq:crossshard window roll runs at scan cadence, serialized by rollMu
 func (g *Aggregator) maybeRoll(now sim.Time) {
-	if now-sim.Time(g.winStart.Load()) < g.cfg.LossWindow {
+	if now-sim.Time(g.winStart.Load()) < lossWindow {
 		return
 	}
 	g.rollMu.Lock()
 	defer g.rollMu.Unlock()
-	if now-sim.Time(g.winStart.Load()) < g.cfg.LossWindow {
+	if now-sim.Time(g.winStart.Load()) < lossWindow {
 		// Another shard rolled while we waited for the lock.
 		return
 	}
@@ -178,13 +176,13 @@ func (g *Aggregator) poolAdmitted(now sim.Time, pool packet.PoolID) bool {
 	return ok
 }
 
-// expireAdmission evicts stale pools, at most once per ScanInterval
+// expireAdmission evicts stale pools, at most once per scanInterval
 // across all shards — every shard's scan calls it, the gate dedups.
 //
 //taq:crossshard pool expiry walks the shared admission table at scan cadence
 func (g *Aggregator) expireAdmission(now sim.Time) {
 	g.admMu.Lock()
-	if now-g.lastExpire >= g.cfg.ScanInterval {
+	if now-g.lastExpire >= scanInterval {
 		g.lastExpire = now
 		g.adm.expire(now)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -63,9 +62,7 @@ func TestPoolRecordPointersMoveOnCreate(t *testing.T) {
 // across create).
 func TestAdmissionSurvivesTableGrowth(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := DefaultConfig(600*link.Kbps, 32)
-	cfg.AdmissionControl = true
-	a := admission{cfg: cfg}
+	var a admission
 
 	// Low loss: every head-of-line SYN admits immediately. 10k pools
 	// force several record-array doublings mid-sequence.

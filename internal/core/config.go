@@ -8,6 +8,10 @@
 // admission control when the loss rate crosses the model's tipping
 // point (§4.3).
 //
+// Config carries only the bottleneck's capacity and rate and what an
+// experiment selects; the paper's tuning (p_thresh, Twait, the Level-1
+// recovery share, the epoch and scan timings) is fixed as constants.
+//
 // The middlebox is a Sharded — NewSharded, or NewShardedOn with one
 // runner per shard — and implements queue.Discipline, so it drops
 // into the same bottleneck link used by DropTail/RED/SFQ. It is
@@ -35,7 +39,11 @@ const (
 	Proportional
 )
 
-// Config parameterizes a TAQ middlebox.
+// Config holds what a deployment or an experiment chooses for a TAQ
+// middlebox: the two inputs of the bottleneck it fronts (Capacity,
+// Rate) and six selections — admission control, the fairness model,
+// pool fair sharing and the three ablation switches. Everything else
+// is the paper's own tuning and is fixed below as constants.
 type Config struct {
 	// Capacity is the total buffer across all queues, in packets.
 	Capacity int
@@ -44,50 +52,8 @@ type Config struct {
 	// available bandwidth on the underlying network".
 	Rate link.Bps
 
-	// RecoveryShare caps the fraction of transmissions served from
-	// the Recovery queue (Level 1 is "capacity limited so recovery
-	// packets cannot occupy more than a certain amount of network
-	// resources").
-	RecoveryShare float64
-	// RecoveryCap bounds the Recovery queue length in packets.
-	RecoveryCap int
-	// NewFlowCap bounds the NewFlow queue length in packets ("we
-	// explicitly limit the NewQueue capacity").
-	NewFlowCap int
-	// NewFlowEpochs is how many epochs a flow is considered new
-	// (slow-start) for NewFlow queue classification.
-	NewFlowEpochs int
-	// NewFlowSegs also treats a slow-start flow as new while its
-	// highest sequence is below this many segments — short web
-	// objects ride the NewFlow queue end to end (§5.3).
-	NewFlowSegs int
-	// OverPenaltyDrops is the cumulative current+previous epoch drop
-	// count that moves a flow to the OverPenalized queue (§4.2
-	// Level 3: "more than 2 packet drops in an epoch").
-	OverPenaltyDrops int
-
-	// DefaultEpoch seeds per-flow epoch (RTT) estimates before any
-	// observation.
-	DefaultEpoch sim.Time
-	// ScanInterval is the period of the silence-detection scan.
-	ScanInterval sim.Time
-	// FlowExpiry evicts flows silent this long.
-	FlowExpiry sim.Time
-
 	// AdmissionControl enables §4.3 flow-pool admission control.
 	AdmissionControl bool
-	// PThresh is the loss-rate tipping point beyond which admission
-	// control engages (the model's p_thresh ≈ 0.1).
-	PThresh float64
-	// AdmitMargin shrinks the admission threshold below PThresh as a
-	// congestion-avoidance strategy ("in practice, we use a threshold
-	// slightly smaller than p_thresh").
-	AdmitMargin float64
-	// Twait guarantees a waiting flow pool admission after this long.
-	Twait sim.Time
-	// LossWindow is the loss-rate measurement window.
-	LossWindow sim.Time
-
 	// Fairness selects the fair-share model (default FairQueuing).
 	Fairness FairnessModel
 	// PoolFairShare computes fair shares across flow pools instead of
@@ -113,27 +79,57 @@ type Config struct {
 	NoRecoveryProtection bool
 }
 
+// TAQ's tuning, fixed as the paper fixes it.
+const (
+	// recoveryShare caps the fraction of transmissions served from
+	// the Recovery queue (§4.2: Level 1 is "capacity limited so
+	// recovery packets cannot occupy more than a certain amount of
+	// network resources").
+	recoveryShare = 0.6
+	// newFlowEpochs is how many epochs a slow-start flow stays new
+	// for NewFlow classification (§4.2).
+	newFlowEpochs = 4
+	// newFlowSegs also treats a slow-start flow as new while its
+	// highest sequence is below this many segments, so short web
+	// objects ride the NewFlow queue end to end (§5.3).
+	newFlowSegs = 32
+	// overPenaltyDrops is the current+previous epoch drop count that
+	// moves a flow to the OverPenalized queue (§4.2 Level 3: "more
+	// than 2 packet drops in an epoch").
+	overPenaltyDrops = 2
+
+	// defaultEpoch seeds a flow's epoch (RTT) estimate before any
+	// observation (§3.3).
+	defaultEpoch = 200 * sim.Millisecond
+	// scanInterval is the period of the silence-detection scan
+	// (§3.3).
+	scanInterval = 100 * sim.Millisecond
+	// flowExpiry evicts flows, and admitted pools, silent this long
+	// (§3.3).
+	flowExpiry = 60 * sim.Second
+
+	// pThresh is the loss-rate tipping point beyond which admission
+	// control engages (§3: the model's p_thresh ≈ 0.1).
+	pThresh = 0.1
+	// admitMargin shrinks the admission threshold below pThresh as
+	// congestion avoidance (§4.3: "in practice, we use a threshold
+	// slightly smaller than p_thresh").
+	admitMargin = 0.2
+	// twait guarantees a waiting flow pool admission after this long,
+	// below the TCP SYN timeout so a retried SYN gets through (§4.3).
+	twait = 8 * sim.Second
+	// lossWindow is the loss-rate measurement window (§4.3).
+	lossWindow = 2 * sim.Second
+)
+
 // DefaultConfig returns a TAQ configuration for a bottleneck of the
-// given rate and buffer capacity (packets). A capacity ≤ 0 defers the
-// capacity-derived fields: ResolveConfig completes them (FillDerived)
-// once the deployment knows the real buffer size.
+// given rate and buffer capacity (packets), floored at 4. A capacity
+// ≤ 0 defers it: ResolveConfig fills it once the deployment knows the
+// real buffer size.
 func DefaultConfig(rate link.Bps, capacity int) Config {
-	cfg := Config{
-		Rate:             rate,
-		RecoveryShare:    0.6,
-		NewFlowEpochs:    4,
-		NewFlowSegs:      32,
-		OverPenaltyDrops: 2,
-		DefaultEpoch:     200 * sim.Millisecond,
-		ScanInterval:     100 * sim.Millisecond,
-		FlowExpiry:       60 * sim.Second,
-		PThresh:          0.1,
-		AdmitMargin:      0.2,
-		Twait:            8 * sim.Second,
-		LossWindow:       2 * sim.Second,
-	}
+	cfg := Config{Rate: rate}
 	if capacity > 0 {
-		cfg.FillDerived(capacity)
+		cfg.Capacity = max(4, capacity)
 	}
 	return cfg
 }
@@ -141,7 +137,8 @@ func DefaultConfig(rate link.Bps, capacity int) Config {
 // ResolveConfig returns the configuration a deployment (sim topology,
 // emu testbed) runs for a bottleneck of the given rate and buffer in
 // packets: DefaultConfig when override is nil, otherwise the override
-// with a zero Rate and the zero capacity-derived fields completed.
+// with a zero Rate taken from the link and a zero Capacity from the
+// buffer, floored at 4.
 func ResolveConfig(override *Config, rate link.Bps, buffer int) Config {
 	if override == nil {
 		return DefaultConfig(rate, buffer)
@@ -150,25 +147,10 @@ func ResolveConfig(override *Config, rate link.Bps, buffer int) Config {
 	if cfg.Rate == 0 {
 		cfg.Rate = rate
 	}
-	cfg.FillDerived(buffer)
+	if cfg.Capacity == 0 {
+		cfg.Capacity = max(4, buffer)
+	}
 	return cfg
-}
-
-// FillDerived completes the buffer-capacity-derived fields that are
-// still zero, for the given total capacity in packets.
-func (c *Config) FillDerived(capacity int) {
-	if capacity < 4 {
-		capacity = 4
-	}
-	if c.Capacity == 0 {
-		c.Capacity = capacity
-	}
-	if c.RecoveryCap == 0 {
-		c.RecoveryCap = max(4, c.Capacity)
-	}
-	if c.NewFlowCap == 0 {
-		c.NewFlowCap = max(2, c.Capacity/4)
-	}
 }
 
 // Stats counts middlebox-level events for the experiments.

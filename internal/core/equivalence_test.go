@@ -162,7 +162,7 @@ func checkTrackerEquivalence(t *testing.T, tr *tracker, now sim.Time) {
 
 // TestIncrementalEquivalenceSeeded churns a full middlebox (creation,
 // classification, drops, silences, expiry eviction, free-list reuse)
-// long past FlowExpiry and re-derives the aggregates from the flow
+// long past flowExpiry and re-derives the aggregates from the flow
 // table every 250ms of simulated time.
 func TestIncrementalEquivalenceSeeded(t *testing.T) {
 	scenarios := []struct {
@@ -193,7 +193,7 @@ func TestIncrementalEquivalenceSeeded(t *testing.T) {
 			q.Start()
 
 			const flows = 250
-			duration := 100 * sim.Second // well past FlowExpiry
+			duration := 100 * sim.Second // well past flowExpiry
 			rng := rand.New(rand.NewSource(17))
 			seqs := make([]int, flows)
 			evicted := false

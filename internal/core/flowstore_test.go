@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -174,8 +173,7 @@ func TestFlowStoreRecycle(t *testing.T) {
 // slot's new occupant or the incremental aggregates.
 func TestStaleWheelHandlesRejectedAfterRecycle(t *testing.T) {
 	eng := sim.NewEngine(1)
-	cfg := DefaultConfig(600*link.Kbps, 32)
-	tr := newTracker(eng, cfg, &Stats{})
+	tr := newTracker(eng, &Stats{})
 
 	tr.observe(&packet.Packet{Flow: 1, Kind: packet.Data, Seq: 0, Size: 500})
 	f := tr.get(1)

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
@@ -27,8 +26,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		eng := sim.NewEngine(1)
-		cfg := DefaultConfig(link.Bps(10_000_000), 50)
-		tr := newTracker(eng, cfg, &Stats{})
+		tr := newTracker(eng, &Stats{})
 
 		seqs := map[packet.FlowID]int{} // next fresh sequence per flow
 		queued := victimFIFO()
@@ -38,7 +36,7 @@ func FuzzTrackerTransitions(f *testing.F) {
 			flow := packet.FlowID(b&0x03) + 1
 			// Advance a quarter epoch per op, more for high nibbles, so
 			// silences and epoch rolls are reachable within small inputs.
-			step := cfg.DefaultEpoch / 4 * sim.Time(1+op)
+			step := defaultEpoch / 4 * sim.Time(1+op)
 			eng.RunUntil(eng.Now() + step)
 
 			switch op % 6 {

@@ -67,7 +67,7 @@ var goldenScenarios = []goldenScenario{
 		poolOf: func(i int) packet.PoolID { return packet.PoolID(i / 4) },
 	},
 	{
-		// Flow churn across FlowExpiry: the active window of flows
+		// Flow churn across flowExpiry: the active window of flows
 		// slides, so early flows sit silent past expiry and are
 		// evicted while new ones are created.
 		name: "churn", flows: 300, duration: 150 * sim.Second,

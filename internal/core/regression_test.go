@@ -45,10 +45,10 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 	// pools retrying their SYNs the whole time. The retries themselves
 	// are policy drops and must not keep the measured loss high.
 	for w := 0; w < 2; w++ {
-		e.RunUntil(e.Now() + cfg.LossWindow + cfg.ScanInterval)
+		e.RunUntil(e.Now() + lossWindow + scanInterval)
 		storm()
 	}
-	e.RunUntil(e.Now() + cfg.LossWindow + cfg.ScanInterval)
+	e.RunUntil(e.Now() + lossWindow + scanInterval)
 	if lr := q.LossRate(); lr >= q.agg.adm.threshold() {
 		t.Fatalf("LossRate = %v after congestion cleared, want < admission threshold %v (policy drops leaked into the loss window)",
 			lr, q.agg.adm.threshold())
@@ -57,14 +57,14 @@ func TestAdmissionNotLockedByOwnDrops(t *testing.T) {
 	if got := q.Stats.PoolsAdmitted; got != 500 {
 		t.Errorf("PoolsAdmitted = %d, want all 500 once real loss cleared (admission locked by its own drops)", got)
 	}
-	if e.Now() >= cfg.Twait {
-		t.Fatalf("test ran past Twait=%v; the assertion no longer isolates the feedback loop", cfg.Twait)
+	if e.Now() >= twait {
+		t.Fatalf("test ran past Twait=%v; the assertion no longer isolates the feedback loop", twait)
 	}
 }
 
 // TestRecoveryShareCapIsWindowed is the regression test for recovery-
 // share credit accumulation: with run-lifetime serve counters, a long
-// recovery-free period banked RecoveryShare×lifetime services of
+// recovery-free period banked recoveryShare×lifetime services of
 // credit, so a late retransmission burst held strict Level-1 priority
 // far beyond the intended share. The cap must compare windowed
 // counters that roll with the loss window.
@@ -81,7 +81,7 @@ func TestRecoveryShareCapIsWindowed(t *testing.T) {
 	for q.Dequeue() != nil {
 	}
 	// Two loss windows pass; the banked history must age out.
-	e.RunUntil(e.Now() + 2*(cfg.LossWindow+cfg.ScanInterval))
+	e.RunUntil(e.Now() + 2*(lossWindow+scanInterval))
 
 	// A late recovery burst competes with fresh below-fair traffic.
 	for i := 0; i < 100; i++ {

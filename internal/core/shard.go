@@ -55,7 +55,7 @@ func NewSharded(run sim.Runner, cfg Config, n int) *Sharded {
 // shard lives on its own engine (its own lock domain and timers). The
 // aggregator's window opens at the first runner's clock.
 func NewShardedOn(runs []sim.Runner, cfg Config) *Sharded {
-	agg := newAggregator(cfg, runs[0].Now())
+	agg := newAggregator(runs[0].Now())
 	s := &Sharded{
 		shards: make([]*TAQ, len(runs)),
 		agg:    agg,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"taq/internal/link"
 	"taq/internal/obs"
 	"taq/internal/packet"
 	"taq/internal/queue"
@@ -27,12 +26,16 @@ type TAQ struct {
 	// only state shared between shards (see aggregator.go).
 	agg *Aggregator
 
+	// newFlowCap bounds the NewFlow queue in packets, max(2,
+	// Capacity/4) (§4.2: "we explicitly limit the NewQueue capacity").
+	newFlowCap int
+
 	// Scheduler accounting for the Level-1 recovery share cap and the
 	// Level-2 round-robin cursor. The serve counters are windowed —
-	// rolled every LossWindow like the loss monitor — so the cap
+	// rolled every lossWindow like the loss monitor — so the cap
 	// compares recent history: with run-lifetime counters, a recovery
 	// burst after a long quiet period would hold strict priority until
-	// it consumed RecoveryShare of the whole run's services, starving
+	// it consumed recoveryShare of the whole run's services, starving
 	// Levels 2–3 far beyond the intended share. winOpened is when the
 	// shard's serve window opened, on the shard's own clock.
 	winOpened                 sim.Time
@@ -71,8 +74,8 @@ type TAQ struct {
 // newShard constructs one shard attached to the middlebox's shared
 // aggregator.
 func newShard(run sim.Runner, cfg Config, agg *Aggregator) *TAQ {
-	t := &TAQ{cfg: cfg, run: run}
-	t.tracker = newTracker(run, cfg, &t.Stats)
+	t := &TAQ{cfg: cfg, run: run, newFlowCap: max(2, cfg.Capacity/4)}
+	t.tracker = newTracker(run, &t.Stats)
 	t.agg = agg
 	t.winOpened = run.Now()
 	t.fairShare = float64(cfg.Rate)
@@ -108,9 +111,9 @@ func (t *TAQ) Start() {
 		t.scan()
 		// Re-arm in place: the timer just fired, so Reschedule reuses
 		// its allocation instead of minting a new one every scan.
-		t.scanTimer = t.run.Reschedule(t.scanTimer, t.cfg.ScanInterval, tick)
+		t.scanTimer = t.run.Reschedule(t.scanTimer, scanInterval, tick)
 	}
-	t.scanTimer = t.run.Schedule(t.cfg.ScanInterval, tick)
+	t.scanTimer = t.run.Schedule(scanInterval, tick)
 }
 
 // Stop cancels the periodic scan.
@@ -138,7 +141,7 @@ func (t *TAQ) scan() {
 	}
 	now := t.run.Now()
 	t.agg.maybeRoll(now)
-	if now-t.winOpened >= t.cfg.LossWindow {
+	if now-t.winOpened >= lossWindow {
 		// Roll the serve window on this shard's clock, at the cadence
 		// of the loss window, so the Level-1 recovery cap compares the
 		// same span of recent history as the loss monitor.
@@ -257,10 +260,10 @@ func (t *TAQ) classify(p *packet.Packet, f *flowInfo, rtx bool) Class {
 		return ClassRecovery
 	case p.Kind == packet.Syn:
 		return ClassNewFlow
-	case (int(f.epochs) < t.cfg.NewFlowEpochs || int(f.highSeq) < t.cfg.NewFlowSegs) &&
+	case (int(f.epochs) < newFlowEpochs || int(f.highSeq) < newFlowSegs) &&
 		(f.state == StateNew || f.state == StateSlowStart):
 		return ClassNewFlow
-	case int(f.drops)+int(f.prevDrops) >= t.cfg.OverPenaltyDrops:
+	case int(f.drops)+int(f.prevDrops) >= overPenaltyDrops:
 		return ClassOverPenalized
 	case !t.cfg.NoRecoveryProtection &&
 		(f.state == StateLossRecovery || f.state == StateTimeoutRecovery ||
@@ -317,13 +320,10 @@ func (t *TAQ) Enqueue(p *packet.Packet) {
 	q := &t.q[class]
 	switch class {
 	case ClassRecovery:
-		// Keyed by silence: past the cap the shortest silence goes.
+		// Keyed by silence: longest served first, shortest shed first.
 		q.Push(p, f.slot, f.lastSilence)
-		if q.Len() > t.cfg.RecoveryCap {
-			t.dropPacket(q.PopNewest(), ClassRecovery, true)
-		}
 	case ClassNewFlow:
-		if q.Len() >= t.cfg.NewFlowCap {
+		if q.Len() >= t.newFlowCap {
 			// The NewFlow cap curtails the admission rate of new
 			// connections even without explicit admission control.
 			t.dropPacket(p, ClassNewFlow, false)
@@ -456,7 +456,7 @@ func (t *TAQ) Dequeue() *packet.Packet {
 	// retransmissions cannot monopolize the link.
 	if t.q[ClassRecovery].Len() > 0 &&
 		float64(t.winServedRec+t.prevServedRec) <
-			t.cfg.RecoveryShare*float64(t.winServed+t.prevServed+1) {
+			recoveryShare*float64(t.winServed+t.prevServed+1) {
 		return t.serve(t.q[ClassRecovery].Pop(), ClassRecovery)
 	}
 	// Level 2: NewFlow, OverPenalized, BelowFairShare at equal
@@ -523,6 +523,3 @@ func (t *TAQ) Bytes() int { return t.q.totalBytes() }
 func (t *TAQ) QueueLen(c Class) int { return t.q[c].Len() }
 
 var _ queue.Discipline = (*TAQ)(nil)
-
-// Bps re-exports the link rate type for callers configuring TAQ.
-type Bps = link.Bps

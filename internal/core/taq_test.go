@@ -121,7 +121,7 @@ func TestShardedFlowReadsRouteToOwner(t *testing.T) {
 			t.Errorf("FlowStateOf(%d) = (%v, %v), want tracked=%v in StateNew", tc.id, st, ok, tc.tracked)
 		}
 		epoch, ok := mb.FlowEpoch(tc.id)
-		if ok != tc.tracked || (ok && epoch != testConfig().DefaultEpoch) {
+		if ok != tc.tracked || (ok && epoch != defaultEpoch) {
 			t.Errorf("FlowEpoch(%d) = (%v, %v), want tracked=%v at the default epoch", tc.id, epoch, ok, tc.tracked)
 		}
 	}
@@ -300,7 +300,7 @@ func TestIdleFlowBecomesIdleSilence(t *testing.T) {
 func TestFlowExpiry(t *testing.T) {
 	e, q := newTestTAQ(50)
 	q.Enqueue(synPkt(1, packet.PoolNone))
-	e.RunUntil(100 * sim.Second) // > FlowExpiry (60s)
+	e.RunUntil(100 * sim.Second) // > flowExpiry (60s)
 	if _, ok := q.FlowStateOf(1); ok {
 		t.Error("expired flow still tracked")
 	}
@@ -459,7 +459,7 @@ func TestAdmissionPoolFIFO(t *testing.T) {
 	q.Start()
 	// Force high loss so new pools must wait.
 	q.setLossWindow(100, 50, 0, 0)
-	if q.LossRate() < cfg.PThresh {
+	if q.LossRate() < pThresh {
 		t.Fatal("test setup: loss rate should exceed threshold")
 	}
 	q.Enqueue(synPkt(1, 100))
@@ -696,10 +696,10 @@ func TestAdmissionPoolExpiry(t *testing.T) {
 }
 
 // TestServeWindowRollsOnShardClock runs two shards on two engines. Shard
-// 0 runs past LossWindow and rolls the shared loss window; shard 1,
+// 0 runs past lossWindow and rolls the shared loss window; shard 1,
 // which served one packet at 0.1 s of its own clock, must not roll its
 // serve window at its next scan: its window is 0.2 s old, not
-// LossWindow.
+// lossWindow.
 func TestServeWindowRollsOnShardClock(t *testing.T) {
 	cfg := testConfig()
 	e0, e1 := sim.NewEngine(1), sim.NewEngine(2)
@@ -712,8 +712,8 @@ func TestServeWindowRollsOnShardClock(t *testing.T) {
 	if s1.Dequeue() == nil {
 		t.Fatal("shard 1 served nothing")
 	}
-	e0.RunUntil(cfg.LossWindow + cfg.ScanInterval)
-	if got := sim.Time(sh.agg.winStart.Load()); got < cfg.LossWindow {
+	e0.RunUntil(lossWindow + scanInterval)
+	if got := sim.Time(sh.agg.winStart.Load()); got < lossWindow {
 		t.Fatalf("shard 0 did not roll the loss window (it opened at %v)", got)
 	}
 	e1.RunUntil(200 * sim.Millisecond)

@@ -251,7 +251,7 @@ func (f *flowInfo) skipEmpty(k sim.Time) {
 // addEpochs counts k more closed epochs, saturating at MaxInt32. A
 // two-way epoch has no floor, so a long silence can close more than
 // 2^31 at once (3.2 s at 1 ns); the count is only ever compared with
-// NewFlowEpochs, where a wrapped negative count would make an old flow
+// newFlowEpochs, where a wrapped negative count would make an old flow
 // new again.
 func (f *flowInfo) addEpochs(k int64) {
 	f.epochs = int32(min(int64(f.epochs)+k, math.MaxInt32))
@@ -313,7 +313,6 @@ type poolEntry struct {
 //
 //taq:shardowned all per-flow mutable state; the sharded middlebox gives each shard its own tracker
 type tracker struct {
-	cfg Config
 	run sim.Runner
 	// store owns every flow record: a flat slot-indexed array with a
 	// free list plus the FlowID→slot open-addressed index, so the
@@ -363,16 +362,15 @@ type tracker struct {
 	// identical.
 	lastScan sim.Time
 
-	// pad keeps the struct a whole multiple of the cache line so
-	// adjacent per-shard trackers never share one (TestRecordLayout
-	// checks it).
-	_ [56]byte
+	// The struct is a whole multiple of the cache line, so adjacent
+	// per-shard trackers never share one (TestRecordLayout checks it;
+	// pad with a blank array field if a change breaks it).
 }
 
-func newTracker(run sim.Runner, cfg Config, stats *Stats) *tracker {
-	t := &tracker{cfg: cfg, run: run, stats: stats, stamp: 1}
-	t.actWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
-	t.scanWheel = newDeadlineWheel(&t.chunks, cfg.ScanInterval, cfg.FlowExpiry)
+func newTracker(run sim.Runner, stats *Stats) *tracker {
+	t := &tracker{run: run, stats: stats, stamp: 1}
+	t.actWheel = newDeadlineWheel(&t.chunks, scanInterval, flowExpiry)
+	t.scanWheel = newDeadlineWheel(&t.chunks, scanInterval, flowExpiry)
 	return t
 }
 
@@ -385,7 +383,7 @@ func (t *tracker) getOrCreate(p *packet.Packet) *flowInfo {
 		f = t.store.alloc(p.Flow)
 		f.state = StateNew
 		f.synBurst = now // SYN time until the first data packet lands
-		t.setEpoch(f, t.cfg.DefaultEpoch)
+		t.setEpoch(f, defaultEpoch)
 		f.epochStart, f.lastPkt = now, now
 		f.highSeq, f.sampleSeq, f.lastClass = -1, -1, -1
 		f.poolSlot = idxEmpty
@@ -466,7 +464,7 @@ func (t *tracker) observe(p *packet.Packet) (f *flowInfo, rtx bool) {
 			// First data packet: seed the epoch estimate from the
 			// SYN→data gap (§3.3's one-way estimation approach).
 			f.set(flagGotData, true)
-			if d := now - f.synBurst; d > 10*sim.Millisecond && d < 2*t.cfg.DefaultEpoch*10 {
+			if d := now - f.synBurst; d > 10*sim.Millisecond && d < 2*defaultEpoch*10 {
 				t.setEpoch(f, d)
 			}
 			f.epochStart = now
@@ -734,7 +732,7 @@ func (t *tracker) applyCount(f *flowInfo, on bool) {
 // hold (all are strict comparisons, so the flow is due once the
 // deadline is strictly in the past), capped by expiry eviction.
 func (t *tracker) scanDeadlineOf(f *flowInfo) sim.Time {
-	dl := f.lastPkt + t.cfg.FlowExpiry
+	dl := f.lastPkt + flowExpiry
 	switch f.state {
 	case StateLossRecovery, StateTimeoutRecovery:
 		var d sim.Time
@@ -870,7 +868,7 @@ func (t *tracker) scan() {
 // find every condition below false; reconcile then re-arms the true
 // deadline.
 func (t *tracker) scanFlow(f *flowInfo, now sim.Time) {
-	if f.silentFor(now) > t.cfg.FlowExpiry {
+	if f.silentFor(now) > flowExpiry {
 		t.evictFlow(f)
 		return
 	}

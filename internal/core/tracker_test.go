@@ -3,15 +3,13 @@ package core
 import (
 	"testing"
 
-	"taq/internal/link"
 	"taq/internal/packet"
 	"taq/internal/sim"
 )
 
 func newTestTracker() (*sim.Engine, *tracker) {
 	e := sim.NewEngine(1)
-	cfg := DefaultConfig(600*link.Kbps, 50)
-	return e, newTracker(e, cfg, &Stats{})
+	return e, newTracker(e, &Stats{})
 }
 
 func TestTrackerEpochSeedFromSynDataGap(t *testing.T) {
@@ -34,8 +32,8 @@ func TestTrackerEpochSeedIgnoresImplausibleGaps(t *testing.T) {
 	// epoch estimate.
 	e.RunUntil(30 * sim.Second)
 	f, _ := tr.observe(dataPkt(1, 0))
-	if f.epoch != tr.cfg.DefaultEpoch {
-		t.Errorf("epoch = %v, want default %v", f.epoch, tr.cfg.DefaultEpoch)
+	if f.epoch != defaultEpoch {
+		t.Errorf("epoch = %v, want default %v", f.epoch, defaultEpoch)
 	}
 }
 
