@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -570,7 +571,10 @@ func suiteTimeout(t *testing.T, root string) time.Duration {
 // the mutated copy and names the first link that objects. Failing tests
 // and crashed packages are re-run once and only repeat offenders count:
 // a few wall-clock emu tests flake on a loaded machine, seed or no seed.
-// No run of the tests outlasts limit (firstRunTimeout).
+// The re-runs run concurrently, so a seed that hangs several of them
+// costs one bound, not their sum; their outputs are joined in reruns
+// order, so the log and the verdict do not depend on which finished
+// first. No run of the tests outlasts limit (firstRunTimeout).
 func (m mutation) firstCatcher(t *testing.T, root string, fires []string, limit time.Duration) string {
 	goTool := func(args ...string) (string, bool) {
 		cmd := exec.Command("go", args...)
@@ -593,11 +597,18 @@ func (m mutation) firstCatcher(t *testing.T, root string, fires []string, limit 
 		if len(first.timedOut) > 0 {
 			t.Logf("go test hit -timeout in %v", first.timedOut)
 		}
-		var again string
-		for _, args := range first.reruns(limit) {
-			o, _ := goTool(args...)
-			again += o
+		reruns := first.reruns(limit)
+		outs := make([]string, len(reruns))
+		var wg sync.WaitGroup
+		for i, args := range reruns {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs[i], _ = goTool(args...)
+			}()
 		}
+		wg.Wait()
+		again := strings.Join(outs, "")
 		if again != "" {
 			t.Logf("go test (re-run of the failures):\n%s", again)
 		}
