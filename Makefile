@@ -50,7 +50,8 @@ test:
 # emulation layer (including the obs recorder + live endpoint under
 # concurrent timers), the session and network tests that also run on
 # the wall-clock engine, the experiment sweep worker pool, and the
-# parallel shard drivers that share one middlebox's aggregator. The
+# parallel shard drivers that share one middlebox's aggregator, with
+# the test that races rollers at its compare-and-swap window roll. The
 # wall-clock engine's tests run three times over: a flake there shows
 # as a failure, not as a lucky pass.
 race:
@@ -58,7 +59,7 @@ race:
 	$(GO) test -race -count=3 ./internal/emu/...
 	$(GO) test -race -count=3 -run OnEmu ./internal/topology
 	$(GO) test -race -run 'TestRunPoints|TestParallelSweep' ./experiments
-	$(GO) test -race -run TestShardedDriversInterleavingFree ./internal/core
+	$(GO) test -race -run 'TestShardedDriversInterleavingFree|TestLossWindowRollClaimedOnce' ./internal/core
 
 # fuzz runs every committed fuzz target for FUZZTIME each (go test
 # takes one -fuzz target per invocation).

@@ -127,7 +127,6 @@ func TestSimTime(t *testing.T)        { runCase(t, "simtime", SimTime) }
 func TestHotpathPropagation(t *testing.T) { runCase(t, "hotpath", NoAlloc) }
 func TestNoAlloc(t *testing.T)            { runCase(t, "noalloc", NoAlloc) }
 func TestNoBlock(t *testing.T)            { runCase(t, "noblock", NoBlock) }
-func TestLockOrder(t *testing.T)          { runCase(t, "lockorder", LockOrder) }
 
 // shardown needs the owner package plus a foreign package to exercise
 // the cross-package boundary rule.

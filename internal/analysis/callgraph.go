@@ -1,7 +1,7 @@
 package analysis
 
 // callgraph.go computes the whole-program call graph and hotpath
-// closure behind noalloc, noblock and lockorder. A function is
+// closure behind noalloc and noblock. A function is
 // *hot* when a `//taq:hotpath` directive in its doc comment declares it
 // a root, or when any hot function can reach it through the call graph.
 // The graph is deliberately conservative where Go's static story runs
@@ -26,7 +26,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"io"
 	"sort"
@@ -42,10 +41,9 @@ type FuncNode struct {
 	Body *ast.BlockStmt
 
 	name  string
-	pos   token.Pos
 	root  bool
-	taken bool // address-taken: referenced outside call position
-	edges []edge
+	taken bool        // address-taken: referenced outside call position
+	edges []*FuncNode // callees, conservatively resolved
 }
 
 // Name returns the fully qualified function name, e.g.
@@ -55,15 +53,6 @@ func (n *FuncNode) Name() string { return n.name }
 
 // IsRoot reports whether the node carries the //taq:hotpath directive.
 func (n *FuncNode) IsRoot() bool { return n.root }
-
-type edge struct {
-	to  *FuncNode
-	pos token.Pos
-	// viaValue marks conservative function-value edges (signature
-	// matching); lockorder skips them to keep the lock graph grounded
-	// in calls that demonstrably happen.
-	viaValue bool
-}
 
 // Program holds the loaded packages plus the lazily computed call
 // graph and hotpath closure, shared by every pass of one run.
@@ -81,9 +70,6 @@ type Program struct {
 	named []*types.Named              // all named types, for Implements
 	impls map[*types.Func][]*FuncNode // interface method -> implementations
 	cands map[string][]*FuncNode      // signature key -> address-taken funcs
-
-	lockOnce  bool
-	lockCache []lockDiag
 
 	// contr is the lazily built v4 annotation index (directives.go);
 	// it needs only the ASTs and type info, never the call graph.
@@ -125,12 +111,6 @@ func (p *Program) RootOf(n *FuncNode) *FuncNode {
 	return p.hot[n]
 }
 
-// NodeOf returns the node for a declared function, or nil.
-func (p *Program) NodeOf(fn *types.Func) *FuncNode {
-	p.ensure()
-	return p.byFn[fn]
-}
-
 func (p *Program) ensure() {
 	if p.built {
 		return
@@ -159,7 +139,6 @@ func (p *Program) ensure() {
 					Pkg:  pkg,
 					Body: fd.Body,
 					name: fn.FullName(),
-					pos:  fd.Pos(),
 					root: hasHotpathDirective(fd.Doc),
 				}
 				p.byFn[fn] = n
@@ -209,10 +188,10 @@ func (p *Program) ensure() {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, e := range n.edges {
-			if _, ok := p.hot[e.to]; !ok {
-				p.hot[e.to] = p.hot[n]
-				queue = append(queue, e.to)
+		for _, to := range n.edges {
+			if _, ok := p.hot[to]; !ok {
+				p.hot[to] = p.hot[n]
+				queue = append(queue, to)
 			}
 		}
 	}
@@ -236,7 +215,6 @@ func (p *Program) collectLits(parent *FuncNode, body ast.Node) {
 			Pkg:  parent.Pkg,
 			Body: fl.Body,
 			name: fmt.Sprintf("%s$%d", parent.name, k),
-			pos:  fl.Pos(),
 		}
 		p.byLit[fl] = child
 		p.nodes = append(p.nodes, child)
@@ -341,7 +319,7 @@ func (p *Program) callEdges(n *FuncNode, call *ast.CallExpr) {
 	// Direct call of a literal: func(){...}().
 	if fl, ok := fun.(*ast.FuncLit); ok {
 		if to := p.byLit[fl]; to != nil {
-			n.edges = append(n.edges, edge{to: to, pos: call.Pos()})
+			n.edges = append(n.edges, to)
 		}
 		return
 	}
@@ -366,12 +344,12 @@ func (p *Program) callEdges(n *FuncNode, call *ast.CallExpr) {
 	if callee != nil {
 		if recv := callee.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 			for _, m := range p.implementations(callee) {
-				n.edges = append(n.edges, edge{to: m, pos: call.Pos()})
+				n.edges = append(n.edges, m)
 			}
 			return
 		}
 		if to := p.byFn[callee.Origin()]; to != nil {
-			n.edges = append(n.edges, edge{to: to, pos: call.Pos()})
+			n.edges = append(n.edges, to)
 		}
 		return
 	}
@@ -385,9 +363,7 @@ func (p *Program) callEdges(n *FuncNode, call *ast.CallExpr) {
 	if !ok {
 		return
 	}
-	for _, to := range p.cands[sigKey(sig)] {
-		n.edges = append(n.edges, edge{to: to, pos: call.Pos(), viaValue: true})
-	}
+	n.edges = append(n.edges, p.cands[sigKey(sig)]...)
 }
 
 // implementations returns the concrete methods implementing interface

@@ -38,21 +38,26 @@ type mutation struct {
 	// "annotations" (drift from the committed docs/ inventories).
 	fires []string
 	// first is the first catcher: "build", "vet", "test <Test>",
-	// "crash <import path>" (a test binary that fails naming no test), or
-	// an element of fires. TestRepoIsClean and this file's tests do not
-	// count as tests — they are taqvet.
+	// "crash <import path>" (a test binary that fails naming no test),
+	// "timeout" (the tests hang until their -timeout, and nothing fails
+	// by name or crashes), or an element of fires. TestRepoIsClean and
+	// this file's tests do not count as tests — they are taqvet.
 	first string
-	// hangs marks a seed under which tier-1 tests time out (or eat
-	// gigabytes until they do) instead of failing; a timeout is not a
-	// verdict, so taqvet is still first.
+	// hangs marks a seed under which tier-1 tests eat gigabytes until
+	// they time out: the test stage is skipped, and taqvet is first.
 	hangs bool
 }
 
 // importTime is the edit that gives a seed the "time" import it needs.
 var importTime = []string{"import (\n", "import (\n\t\"time\"\n"}
 
+// poolMap is the helper the maprange seeds on HangTracker range: the
+// pools' longest hangs as a map keyed by pool id.
+const poolMap = "func (h *HangTracker) byPool() map[packet.PoolID]sim.Time {\n\tm := make(map[packet.PoolID]sim.Time, h.n)\n" +
+	"\tfor i, p := range h.pools {\n\t\tif p.started {\n\t\t\tm[packet.PoolID(i)] = p.max\n\t\t}\n\t}\n\treturn m\n}\n\n"
+
 // wholeModule is the load of rows that need the whole-program view: the
-// hot closure, the lock graph, cross-package ownership, the inventories.
+// hot closure, cross-package ownership, the inventories.
 var wholeModule = []string{"./..."}
 
 var mutations = []mutation{
@@ -70,23 +75,34 @@ var mutations = []mutation{
 		edits: []string{"if q.rng.Float64() < pa {", "if rand.Float64() < pa {"},
 		fires: []string{"wallclock"}, first: "test TestSuiteMatchesBaseline"},
 
-	// maprange: a count kept in a float over the map of user pools (the
-	// seed first summed Goodput over the network's map of live flows,
-	// which is a table by id now), a collect-then-sort that lost its sort
-	// (the producer detaint used to re-report at three consumers; Fig 1's
-	// size buckets come out of order, which the suite baseline sees
-	// before taqvet), and the first-match shape only detaint used to see.
+	// maprange: each seed brings a map back into a deterministic package
+	// and ranges it. A count kept in a float over a map of the pools'
+	// hangs, and the first pool in map order folded into
+	// FractionExceeding with weight zero (the shape only detaint used to
+	// see), are order-sensitive in form and read the same on every run.
+	// BucketStats' bucket map with its collect-then-sort, as it stood
+	// before the buckets became a table, is correct and a finding all the
+	// same. Earlier seeds sat on maps that are tables indexed by id now:
+	// Network.flows, HangTracker's pools, and the bucket map, whose lost
+	// sort the suite baseline saw first.
 	{name: "maprange.goodput", file: "internal/metrics/hang.go",
-		edits: []string{"\tn := 0\n\tfor _, m := range h.max {\n", "\tn := 0.0\n\tfor _, m := range h.max {\n"},
+		edits: []string{
+			"// NumPools returns", poolMap + "// NumPools returns",
+			"\tn := 0\n\tfor _, p := range h.pools {\n\t\tif p.started && p.max >= d {\n", "\tn := 0.0\n\tfor _, m := range h.byPool() {\n\t\tif m >= d {\n",
+			"float64(n) / float64(h.n)", "n / float64(h.n)"},
 		fires: []string{"maprange"}, first: "maprange"},
 	{name: "maprange.sortedIDs", file: "internal/metrics/buckets.go",
-		edits: []string{"\tsort.Ints(keys)\n", ""},
-		fires: []string{"maprange"}, first: "test TestSuiteMatchesBaseline"},
+		edits: []string{
+			"\tvar groups [][]float64\n", "\tgroups := make(map[int][]float64)\n",
+			"\t\tfor b >= len(groups) {\n\t\t\tgroups = append(groups, nil)\n\t\t}\n", "",
+			"\tout := make([]BucketStat, 0, len(groups))\n\tfor k, vals := range groups {\n\t\tif len(vals) == 0 {\n\t\t\tcontinue\n\t\t}\n",
+			"\tkeys := make([]int, 0, len(groups))\n\tfor k := range groups {\n\t\tkeys = append(keys, k)\n\t}\n\tsort.Ints(keys)\n\tout := make([]BucketStat, 0, len(keys))\n\tfor _, k := range keys {\n\t\tvals := groups[k]\n"},
+		fires: []string{"maprange"}, first: "maprange"},
 	{name: "detaint.firstMatch", file: "internal/metrics/hang.go",
 		edits: []string{
-			"// NumPools returns", "func (h *HangTracker) anyPool() packet.PoolID {\n\tfor pool := range h.max {\n\t\treturn pool\n\t}\n\treturn 0\n}\n\n// NumPools returns",
+			"// NumPools returns", poolMap + "func (h *HangTracker) anyPool() packet.PoolID {\n\tfor pool := range h.byPool() {\n\t\treturn pool\n\t}\n\treturn 0\n}\n\n// NumPools returns",
 			// Value-neutral on purpose: the order dependence is the bug.
-			"\treturn float64(n) / float64(len(h.max))\n", "\treturn float64(n)/float64(len(h.max)) + 0*float64(h.anyPool())\n"},
+			"\treturn float64(n) / float64(h.n)\n", "\treturn float64(n)/float64(h.n) + 0*float64(h.anyPool())\n"},
 		fires: []string{"maprange"}, first: "maprange"},
 
 	// timerleak (deleted): a Schedule handle dropped in a type whose
@@ -151,7 +167,7 @@ var mutations = []mutation{
 	// on the policy-drop branch (the second row keeps its name from the
 	// aggregator accessor it first called, deleted in PR 25).
 	{name: "noblock.enqueue", file: "internal/core/taq.go", load: wholeModule,
-		edits: []string{"\tt.agg.noteArrival()\n", "\tt.agg.noteArrival()\n\tt.agg.rollMu.Lock()\n\tt.agg.rollMu.Unlock()\n"},
+		edits: []string{"\tt.agg.noteArrival()\n", "\tt.agg.noteArrival()\n\tt.agg.admMu.Lock()\n\tt.agg.admMu.Unlock()\n"},
 		fires: []string{"noblock"}, first: "noblock"},
 	{name: "noblock.admissionCounts", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.Stats.PolicyDrops++\n", "\tt.Stats.PolicyDrops++\n\tt.agg.waitingPools()\n"},
@@ -166,29 +182,29 @@ var mutations = []mutation{
 		edits: []string{"// RunFor blocks", "// Stopped reports whether Stop ran.\nfunc (e *Engine) Stopped() bool { return e.stopped }\n\n// RunFor blocks"},
 		fires: []string{"lockdiscipline"}, first: "lockdiscipline"},
 
-	// lockorder: the aggregator's rollMu and admMu taken in both orders,
-	// by the window roll and by pool expiry, which only two shards
-	// scanning at once can interleave; and a recursive rollMu acquisition
-	// on the branch only two racing shards reach.
-	{name: "lockorder.inversion", file: "internal/core/aggregator.go", load: wholeModule,
-		edits: []string{"\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n", "\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n\tg.admMu.Lock()\n\tdefer g.admMu.Unlock()\n",
-			"\tg.admMu.Lock()\n\tif now-g.lastExpire", "\tg.admMu.Lock()\n\tg.rollMu.Lock()\n\tdefer g.rollMu.Unlock()\n\tif now-g.lastExpire"},
-		fires: []string{"lockorder"}, first: "lockorder"},
+	// lockorder (deleted): a recursive admMu acquisition, pool expiry
+	// reading the waiting count through the locking accessor. Go mutexes
+	// are not reentrant, so every run with admission control on deadlocks
+	// at its first expiry, and the tier-1 suite hangs until its -timeout.
+	// Its first seeds, rollMu and admMu taken in both orders and a
+	// recursive rollMu, went with rollMu: the window roll is claimed by a
+	// compare-and-swap, and admMu is core's only lock.
 	{name: "lockorder.recursive", file: "internal/core/aggregator.go", load: wholeModule,
-		edits: []string{"\t\t// Another shard rolled while we waited for the lock.\n\t\treturn\n", "\t\tg.maybeRoll(now)\n\t\treturn\n"},
-		fires: []string{"lockorder"}, first: "lockorder"},
+		edits: []string{"\t\tg.adm.expire(now)\n", "\t\tg.adm.expire(now)\n\t\t_ = g.waitingPools()\n"},
+		first: "timeout"},
 
 	// shardown: the tracker parked in a global, handed to a goroutine,
 	// passed to another package, and returned by an exported method.
-	// The goroutine's scan races the packet path: some test binaries
-	// crash from the racing goroutine or time out, and core's own
-	// TestLargePopulationChurnPinned fails on every run.
+	// The goroutine is joined before scan goes on, so the tracker crosses
+	// a goroutine boundary without racing anything a test runs; starting
+	// one per scan allocates, and the whole-dumbbell allocation count
+	// sees that first.
 	{name: "shardown.global", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"// Start schedules the periodic scan.", "var lastTracker *tracker\n\n// Start schedules the periodic scan."},
 		fires: []string{"shardown"}, first: "shardown"},
 	{name: "shardown.goroutine", file: "internal/core/taq.go", load: wholeModule,
-		edits: []string{"\tt.tracker.scan()\n", "\tgo func(tr *tracker) { tr.scan() }(t.tracker)\n"},
-		fires: []string{"shardown"}, first: "test TestLargePopulationChurnPinned"},
+		edits: []string{"\tt.tracker.scan()\n", "\tdone := make(chan struct{})\n\tgo func(tr *tracker) {\n\t\ttr.scan()\n\t\tclose(done)\n\t}(t.tracker)\n\t<-done\n"},
+		fires: []string{"shardown"}, first: "test TestDumbbellPacketPathAllocatesNothing"},
 	{name: "shardown.foreign", file: "internal/core/taq.go", load: wholeModule,
 		edits: []string{"\tt.tracker.rec = rec\n", "\tt.tracker.rec = rec\n\tt.run.AfterArg(0, func(tr any) { tr.(*tracker).rec = rec }, t.tracker)\n"},
 		fires: []string{"shardown"}, first: "shardown"},
@@ -549,7 +565,7 @@ func testVerdict(first, again testRun, want string) string {
 // caughtByTests reports whether a first catcher is a tier-1 test
 // verdict rather than the compiler, vet or taqvet.
 func caughtByTests(first string) bool {
-	return strings.HasPrefix(first, "test Test") || strings.HasPrefix(first, "crash taq")
+	return strings.HasPrefix(first, "test Test") || strings.HasPrefix(first, "crash taq") || first == "timeout"
 }
 
 // suiteTimeout runs the tier-1 suite once on the unmutated copy and

@@ -18,9 +18,8 @@ package analysis
 // Callees outside the module (stdlib like slices.SortFunc) are opaque
 // leaves: they cannot retain shard state across calls in ways this
 // contract is about, and flagging them would drown the signal.
-// Function-value calls are skipped like lockorder does — the callee is
-// not statically known, so the edge is not demonstrably a boundary
-// crossing. Ownership is not transitive through struct fields (see
+// Function-value calls are skipped — the callee is not statically
+// known, so the edge is not demonstrably a boundary crossing. Ownership is not transitive through struct fields (see
 // ownedIn); wrapper structs need their own annotation.
 
 import (
@@ -191,7 +190,7 @@ func checkShardCall(pass *Pass, call *ast.CallExpr, c *contracts) {
 	case *ast.SelectorExpr:
 		obj = info.Uses[fun.Sel]
 	default:
-		return // function values: callee unknown, skip like lockorder
+		return // function values: callee unknown, skip
 	}
 	callee, ok := obj.(*types.Func)
 	if !ok {

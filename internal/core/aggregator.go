@@ -23,11 +23,15 @@ import (
 // different shards, so the queue and its pacer must be singletons or
 // the FIFO order and the one-pool-per-Twait pacing both break.
 //
-// The window counters are lock-free atomics — the per-packet cost of
-// sharing them is one uncontended atomic add. The admission seam is a
-// mutex: it runs only on SYNs of pooled flows and on data of pooled
-// flows while admission control is enabled, a small slice of the
-// packet path, and its critical section is a flat-table probe.
+// The window is lock-free: the per-packet cost of sharing it is one
+// uncontended atomic add, and the roll, once per lossWindow, is claimed
+// with a compare-and-swap on winStart. The admission seam is the one
+// mutex, admMu: it runs only on SYNs of pooled flows and on data of
+// pooled flows while admission control is enabled, a small slice of the
+// packet path, and its critical section is a flat-table probe. No
+// function that holds admMu calls anything but the admission
+// controller and its pool table, so it can neither recurse nor be
+// taken in two orders.
 //
 // With one shard — one caller — the atomics and the uncontended mutex
 // are sequentially exact, so the single-shard middlebox is bit-for-bit
@@ -51,10 +55,6 @@ type Aggregator struct {
 	// lossEWMA holds math.Float64bits of the smoothed per-window loss
 	// rate (the telemetry companion of LossRate).
 	lossEWMA atomic.Uint64
-
-	// rollMu serializes window rolls (rare: once per lossWindow); the
-	// packet-path increments never take it.
-	rollMu sync.Mutex
 
 	// admMu guards the admission controller and lastExpire. Admission
 	// is inherently cross-shard (pool FIFO + Twait pacing are global),
@@ -121,18 +121,17 @@ func (g *Aggregator) lossEWMAValue() float64 {
 }
 
 // maybeRoll advances the loss window if it has run its course. The
-// first shard whose scan crosses the boundary performs the roll;
-// racers and later scans see the advanced winStart and leave it.
+// first shard whose scan crosses the boundary claims the roll by moving
+// winStart to its now; racers fail the compare-and-swap, and later
+// scans see the advanced winStart, so they leave it. winStart only
+// moves forward, by at least lossWindow, so a stale claim cannot
+// succeed. Two rolls overlap only when shard clocks are a whole window
+// apart; the later stores then win, the same skew readers tolerate.
 //
-//taq:crossshard window roll runs at scan cadence, serialized by rollMu
+//taq:crossshard window roll runs at scan cadence, claimed by a CAS on winStart
 func (g *Aggregator) maybeRoll(now sim.Time) {
-	if now-sim.Time(g.winStart.Load()) < lossWindow {
-		return
-	}
-	g.rollMu.Lock()
-	defer g.rollMu.Unlock()
-	if now-sim.Time(g.winStart.Load()) < lossWindow {
-		// Another shard rolled while we waited for the lock.
+	start := g.winStart.Load()
+	if now-sim.Time(start) < lossWindow || !g.winStart.CompareAndSwap(start, int64(now)) {
 		return
 	}
 	// Swap, not Load+Store: increments racing the roll land in either
@@ -146,7 +145,6 @@ func (g *Aggregator) maybeRoll(now sim.Time) {
 	g.lossEWMA.Store(math.Float64bits(0.875*math.Float64frombits(g.lossEWMA.Load()) + 0.125*rate))
 	g.prevArr.Store(arr)
 	g.prevDrp.Store(drp)
-	g.winStart.Store(int64(now))
 }
 
 // allowSyn is the cross-shard admission gate for SYNs of pooled flows

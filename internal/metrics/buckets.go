@@ -30,22 +30,24 @@ func BucketStats(samples []SizeSample, perDecade int) []BucketStat {
 	if perDecade < 1 {
 		perDecade = 1
 	}
-	groups := make(map[int][]float64)
+	// Bucket indexes are ≥ 0 (sizes are ≥ 1 byte), so the groups are a
+	// table by index, walked in size order.
+	var groups [][]float64
 	for _, s := range samples {
 		if s.SizeBytes < 1 {
 			continue
 		}
 		b := int(math.Floor(math.Log10(float64(s.SizeBytes)) * float64(perDecade)))
+		for b >= len(groups) {
+			groups = append(groups, nil)
+		}
 		groups[b] = append(groups[b], s.Value)
 	}
-	keys := make([]int, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := make([]BucketStat, 0, len(keys))
-	for _, k := range keys {
-		vals := groups[k]
+	out := make([]BucketStat, 0, len(groups))
+	for k, vals := range groups {
+		if len(vals) == 0 {
+			continue
+		}
 		var c CDF
 		for _, v := range vals {
 			c.Add(v)

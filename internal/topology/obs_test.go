@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -206,6 +207,37 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	if !bytes.Equal(text, want) {
 		t.Errorf("exposition diverged from %s:\n%s", metricsGoldenFile, text)
+	}
+}
+
+// TestSmallBufferDropsReachExposition runs what the seed-7 golden no
+// longer does: with a buffer of 8 under 20 bulk flows, TAQ sheds from
+// Recovery and drops retransmissions. The exposition must report every
+// class's drops and the retransmission drops exactly as Stats counts
+// them, so a fault in how the registry exports either moves a number a
+// test reads.
+func TestSmallBufferDropsReachExposition(t *testing.T) {
+	mb := core.DefaultConfig(0, 8)
+	n := MustNew(Config{Seed: 1, Queue: TAQ, TAQ: &mb})
+	reg := n.EnableMetrics()
+	for i := 0; i < 20; i++ {
+		n.AddFlow(packet.PoolNone, tcp.BulkApp{}, sim.Time(i)*sim.Second/4)
+	}
+	n.Run(60 * sim.Second)
+	st := n.Middlebox.Stats()
+	if st.DropsByClass[core.ClassRecovery] == 0 || st.RtxDrops == 0 {
+		t.Fatalf("Recovery drops %d, retransmission drops %d: the scenario no longer sheds retransmissions",
+			st.DropsByClass[core.ClassRecovery], st.RtxDrops)
+	}
+	text := string(reg.Snapshot().AppendText(nil))
+	want := []string{fmt.Sprintf("taq_retransmit_drops_total %d\n", st.RtxDrops)}
+	for c, label := range core.ClassLabels() {
+		want = append(want, fmt.Sprintf("taq_drops_total{class=%q} %d\n", label, st.DropsByClass[c]))
+	}
+	for _, line := range want {
+		if !strings.Contains(text, line) {
+			t.Errorf("exposition lacks %q; Stats = %+v", strings.TrimSpace(line), st)
+		}
 	}
 }
 

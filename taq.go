@@ -103,12 +103,6 @@ const (
 type (
 	// TCPConfig parameterizes senders and receivers.
 	TCPConfig = tcp.Config
-	// Sender is the TCP sender half of a flow.
-	Sender = tcp.Sender
-	// Receiver is the TCP receiver half of a flow.
-	Receiver = tcp.Receiver
-	// App supplies data to a sender.
-	App = tcp.App
 	// BulkApp is an unbounded data source.
 	BulkApp = tcp.BulkApp
 	// SizedApp transfers a fixed number of segments.
@@ -119,30 +113,10 @@ type (
 // packets, initial window 2, 1 s minimum RTO).
 func DefaultTCPConfig() TCPConfig { return tcp.DefaultConfig() }
 
-// TCPVariant selects the congestion-avoidance algorithm.
-type TCPVariant = tcp.Variant
-
-// TCP variants.
-const (
-	// VariantNewReno is AIMD with NewReno recovery (default).
-	VariantNewReno = tcp.VariantNewReno
-	// VariantCubic grows along the CUBIC curve with IW10-era defaults.
-	VariantCubic = tcp.VariantCubic
-	// VariantSubPacket is the §7 future-work sender: fractional paced
-	// windows instead of exponential RTO backoff.
-	VariantSubPacket = tcp.VariantSubPacket
-)
-
-// TFRC (RFC 5348) baseline endpoints — the equation-rate transport the
-// paper's introduction rules out for sub-packet regimes.
-type (
-	// TFRCConfig parameterizes the TFRC endpoints.
-	TFRCConfig = tfrc.Config
-	// TFRCSender is a rate-paced TFRC data sender.
-	TFRCSender = tfrc.Sender
-	// TFRCReceiver measures loss events and reports once per RTT.
-	TFRCReceiver = tfrc.Receiver
-)
+// TFRCConfig parameterizes the TFRC (RFC 5348) baseline endpoints —
+// the equation-rate transport the paper's introduction rules out for
+// sub-packet regimes.
+type TFRCConfig = tfrc.Config
 
 // DefaultTFRCConfig returns RFC-flavored TFRC defaults.
 func DefaultTFRCConfig() TFRCConfig { return tfrc.DefaultConfig() }
@@ -157,8 +131,6 @@ type (
 	MiddleboxConfig = core.Config
 	// FlowState is the middlebox's approximate per-flow state (Fig 7).
 	FlowState = core.FlowState
-	// QueueClass identifies TAQ's five packet classes.
-	QueueClass = core.Class
 )
 
 // Middlebox flow states (Fig 7).
@@ -213,8 +185,6 @@ func NewNetwork(cfg NetworkConfig) *Network { return topology.MustNew(cfg) }
 type (
 	// Session models a multi-connection web user.
 	Session = workload.Session
-	// ObjectResult records one object download.
-	ObjectResult = workload.ObjectResult
 	// ReplayMode selects trace replay scheduling.
 	ReplayMode = workload.ReplayMode
 	// TraceRecord is one access-log entry.
@@ -251,15 +221,8 @@ func GenerateTrace(cfg TraceGenConfig) []TraceRecord { return trace.Generate(cfg
 // DefaultTraceConfig matches the paper's proxy-log aggregates.
 func DefaultTraceConfig() TraceGenConfig { return trace.DefaultGenConfig() }
 
-// Metrics.
-type (
-	// CDF accumulates samples for percentile queries.
-	CDF = metrics.CDF
-	// Slicer computes time-sliced per-flow goodput and fairness.
-	Slicer = metrics.Slicer
-	// HangTracker measures user-perceived hangs.
-	HangTracker = metrics.HangTracker
-)
+// CDF accumulates samples for percentile queries.
+type CDF = metrics.CDF
 
 // JainIndex computes the Jain Fairness Index of the allocations.
 func JainIndex(xs []float64) float64 { return metrics.JainIndex(xs) }

@@ -169,9 +169,8 @@ func TestTimerOwnersQuiesce(t *testing.T) {
 
 // TestTimerOwnerTableIsComplete pins the table to the module: its rows
 // must be exactly the struct types outside internal/sim with a
-// *sim.Timer field, with exactly those fields. Aliases (the facade's
-// taq.Sender and friends) name a row's type a second time and are
-// skipped.
+// *sim.Timer field, with exactly those fields. An alias would name a
+// row's type a second time, so aliases are skipped.
 func TestTimerOwnerTableIsComplete(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
