@@ -230,9 +230,9 @@ func TestSmallBufferDropsReachExposition(t *testing.T) {
 			st.DropsByClass[core.ClassRecovery], st.RtxDrops)
 	}
 	text := string(reg.Snapshot().AppendText(nil))
-	want := []string{fmt.Sprintf("taq_retransmit_drops_total %d\n", st.RtxDrops)}
+	want := []string{fmt.Sprintf("\ntaq_retransmit_drops_total %d\n", st.RtxDrops)}
 	for c, label := range core.ClassLabels() {
-		want = append(want, fmt.Sprintf("taq_drops_total{class=%q} %d\n", label, st.DropsByClass[c]))
+		want = append(want, fmt.Sprintf("\ntaq_drops_total{class=%q} %d\n", label, st.DropsByClass[c]))
 	}
 	for _, line := range want {
 		if !strings.Contains(text, line) {
